@@ -221,31 +221,20 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     return iters, converged
 
 
-def _refine_flags_on(mesh, v_values, config: SimConfig) -> list[int]:
-    reg, mat = config.regularization, config.material
-    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), mat, reg)
-    flags = np.flatnonzero((xi_cells < reg.xi_refine)
-                           & (mesh.cell_levels < config.mesh.level_max))
-    return flags.tolist()
+def _amr_flags(mesh, v_values, config: SimConfig):
+    """Refine and coarsen flags from one evaluation of the cell xi.
 
-
-def _coarsen_flags_on(mesh, v_values, config: SimConfig) -> list[int]:
-    # Only fully intact cells away from the refinement zone may merge back.
-    reg, mat = config.regularization, config.material
-    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), mat, reg)
-    v_cellmin = np.asarray(v_values)[mesh.cell_vertices].min(axis=1)
-    flags = np.flatnonzero((v_cellmin >= 1.0 - 1e-6)
-                           & (xi_cells >= reg.xi_refine)
-                           & (mesh.cell_levels > mesh.level_min))
-    return flags.tolist()
-
-
-def _refine_flags(state: SimState, config: SimConfig) -> list[int]:
-    return _refine_flags_on(state.mesh, state.v.values, config)
-
-
-def _coarsen_flags(state: SimState, config: SimConfig) -> list[int]:
-    return _coarsen_flags_on(state.mesh, state.v.values, config)
+    Only fully intact cells away from the refinement zone may merge back.
+    """
+    reg = config.regularization
+    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), config.material,
+                           reg)
+    low = xi_cells < reg.xi_refine
+    intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
+    refine = np.flatnonzero(low & (mesh.cell_levels < config.mesh.level_max))
+    coarsen = np.flatnonzero(intact & ~low
+                             & (mesh.cell_levels > mesh.level_min))
+    return refine, coarsen
 
 
 def amr_pass(state: SimState, config: SimConfig) -> bool:
@@ -254,35 +243,29 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     Refinement iterates until no cell is flagged: 2:1 balancing can split
     unflagged cells whose children then fall below the threshold, so a
     single refine call may expose new flags one level down.  The loop is
-    bounded by the level range.
+    bounded by the level range.  ``u``, ``v`` and ``v_prev`` move together
+    as the columns of one block.
     """
-    old = state.mesh
-    mid = old
-    fields = (state.u.values, state.v.values, state.v_prev.values)
+    old = mesh = state.mesh
+    fields = np.column_stack([state.u.values, state.v.values,
+                              state.v_prev.values])
     for _ in range(old.level_max - old.level_min + 1):
-        rflags = _refine_flags_on(mid, fields[1], config)
-        if not rflags:
+        rflags, cflags = _amr_flags(mesh, fields[:, 1], config)
+        nxt = meshmod.refine(mesh, rflags)
+        if nxt is mesh:
             break
-        nxt = meshmod.refine(mid, rflags)
-        if nxt.cell_keys == mid.cell_keys:
-            break
-        fields = tuple(meshmod.transfer_field(mid, nxt, f) for f in fields)
-        mid = nxt
+        fields = meshmod.transfer_field(mesh, nxt, fields)
+        mesh = nxt
+    else:
+        _, cflags = _amr_flags(mesh, fields[:, 1], config)
 
-    new = mid
-    cflags = _coarsen_flags_on(mid, fields[1], config)
-    if cflags:
-        new = meshmod.coarsen(mid, cflags)
-        if new is not mid and new.cell_keys != mid.cell_keys:
-            fields = tuple(meshmod.transfer_field(mid, new, f)
-                           for f in fields)
-        else:
-            new = mid
-
-    if new is old or new.cell_keys == old.cell_keys:
+    new = meshmod.coarsen(mesh, cflags)
+    if new is not mesh:
+        fields = meshmod.transfer_field(mesh, new, fields)
+    if new is old:
         return False
 
-    u_vals, v_vals, vprev_vals = fields
+    u_vals, v_vals, vprev_vals = fields.T.copy()
     state.mesh = new
     state.u = ScalarField(new, u_vals)
     v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +46,21 @@ class QuadratureRule:
         wts = np.array([wa * wb for wa in w for wb in w])
         return cls(pts, wts)
 
+    @cached_property
+    def tabulation(self):
+        """Basis values (nq, 4) and reference gradients (nq, 4, 2) at the points.
+
+        Stored on the rule itself, so a table can never outlive its rule.
+        """
+        vals = np.empty((len(self.weights), 4))
+        grads = np.empty((len(self.weights), 4, 2))
+        for q, (s, t) in enumerate(self.points):
+            vals[q], grads[q] = shape_eval(s, t)
+        # Partition of unity / gradient consistency at the tabulated points.
+        assert np.all(np.abs(vals.sum(axis=1) - 1.0) <= 1e-14)
+        assert np.all(np.abs(grads.sum(axis=1)) <= 1e-14)
+        return vals, grads
+
 
 GAUSS2 = QuadratureRule.gauss(2)
 
@@ -62,24 +78,6 @@ def shape_eval(s: float, t: float):
         [-t, 1 - s],
     ])
     return values, grads
-
-
-_tab_cache: dict[int, tuple] = {}
-
-
-def _tabulate(rule: QuadratureRule):
-    cached = _tab_cache.get(id(rule))
-    if cached is not None:
-        return cached
-    vals = np.empty((len(rule.weights), 4))
-    grads = np.empty((len(rule.weights), 4, 2))
-    for q, (s, t) in enumerate(rule.points):
-        vals[q], grads[q] = shape_eval(s, t)
-    # Partition of unity / gradient consistency at the tabulated points.
-    assert np.all(np.abs(vals.sum(axis=1) - 1.0) <= 1e-14)
-    assert np.all(np.abs(grads.sum(axis=1)) <= 1e-14)
-    _tab_cache[id(rule)] = (vals, grads)
-    return vals, grads
 
 
 @dataclass
@@ -130,14 +128,14 @@ def quadrature_points(mesh: Mesh, rule: QuadratureRule = GAUSS2) -> np.ndarray:
 
 def field_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
     """Field values at quadrature points, shape (n_cells, nq)."""
-    vals, _ = _tabulate(rule)
+    vals, _ = rule.tabulation
     nodal = field.values[field.mesh.cell_vertices]  # (nc, 4)
     return nodal @ vals.T
 
 
 def grad_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
     """Field gradients at quadrature points, shape (n_cells, nq, 2)."""
-    _, grads = _tabulate(rule)
+    _, grads = rule.tabulation
     nodal = field.values[field.mesh.cell_vertices]
     g = np.einsum("ca,qad->cqd", nodal, grads)
     return g / field.mesh.cell_h[:, None, None]
@@ -195,7 +193,7 @@ def assemble_weighted_laplace(mesh: Mesh, weight,
     w = _coefficient(mesh, weight, rule)
     if np.any(w <= 0.0):
         raise ValueError("weighted Laplace requires a strictly positive weight")
-    _, grads = _tabulate(rule)
+    _, grads = rule.tabulation
     # Physical gradient scaling 1/h^2 cancels the area factor h^2 in 2D.
     gg = np.einsum("qad,qbd->qab", grads, grads)
     local = np.einsum("q,cq,qab->cab", rule.weights, w, gg)
@@ -208,7 +206,7 @@ def assemble_weighted_mass(mesh: Mesh, weight,
                            rule: QuadratureRule = GAUSS2) -> SparseSystem:
     """System with entries ``sum_K int_K w z_i z_j`` (w >= 0 allowed)."""
     w = _coefficient(mesh, weight, rule)
-    vals, _ = _tabulate(rule)
+    vals, _ = rule.tabulation
     nn = np.einsum("qa,qb->qab", vals, vals)
     area = mesh.cell_h ** 2
     local = np.einsum("q,cq,c,qab->cab", rule.weights, w, area, nn)
@@ -221,7 +219,7 @@ def assemble_load(mesh: Mesh, density,
                   rule: QuadratureRule = GAUSS2) -> np.ndarray:
     """Right-hand side ``b_i = sum_K int_K rho z_i`` with constraints folded."""
     rho = _coefficient(mesh, density, rule)
-    vals, _ = _tabulate(rule)
+    vals, _ = rule.tabulation
     area = mesh.cell_h ** 2
     local = np.einsum("q,cq,c,qa->ca", rule.weights, rho, area, vals)
     b = np.zeros(mesh.n_vertices)
@@ -240,7 +238,7 @@ def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
         raise ValueError("systems live on different meshes")
     matrix = (a.matrix + b.matrix).tocsr()
     hang = a.mesh.constraints.hanging
-    if hang:
+    if len(hang):
         ident = sp.coo_matrix((np.ones(len(hang)), (hang, hang)),
                               shape=matrix.shape)
         matrix = (matrix - ident).tocsr()

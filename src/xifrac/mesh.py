@@ -2,13 +2,15 @@
 
 The mesh is a 2:1-balanced quadtree over ``(0,1)^2``.  Every active cell
 is a square of size ``h = 2**-level`` addressed by ``(level, i, j)`` where
-``(i*h, j*h)`` is its lower-left corner.  Vertices are stored with exact
-dyadic integer coordinates (units of ``2**-_MAXLEVEL``) so that geometric
-coincidence checks are exact.
+``(i*h, j*h)`` is its lower-left corner.  Cells and vertices live in
+integer arrays: cell keys and exact dyadic vertex coordinates (units of
+``2**-_MAXLEVEL``) are packed into sorted codes, so every lookup is an
+exact ``searchsorted``.
 
 Meshes are immutable: :func:`refine` and :func:`coarsen` return new
-``Mesh`` objects.  Fields carry the id of the mesh they live on and are
-moved between meshes with :func:`transfer_field`.
+``Mesh`` objects, or their input when nothing changes.  Fields carry the
+id of the mesh they live on; :func:`transfer_field` moves a block of them
+between the meshes of one pass with a single sparse operator.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +34,50 @@ _mesh_ids = itertools.count()
 # Boundary tags (counterclockwise from the bottom edge).
 BOTTOM, RIGHT, TOP, LEFT = 1, 2, 3, 4
 
+# Child offsets (a, b) in the order of :func:`_children`.
+_CHILD_POS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _cell_code(l, i, j):
+    return (l << 2 * _MAXLEVEL) | (i << _MAXLEVEL) | j
+
+
+def _vertex_code(x, y):
+    return (x << (_MAXLEVEL + 1)) | y
+
+
+def _find(sorted_codes, codes):
+    """Position of each code in ``sorted_codes``, -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return np.where(sorted_codes[pos] == codes, pos, -1)
+
+
+def _q1(s, t):
+    """The four bilinear basis values at ``(s, t)``, stacked on a last axis."""
+    return np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t],
+                    axis=-1)
+
+
+def _parent_projection() -> np.ndarray:
+    """4x16 map from four children's corner values to the parent's L2 projection.
+
+    Columns hold child ``k`` (in :data:`_CHILD_POS` order), corner ``a`` at
+    ``4 k + a``.  Two-point Gauss per axis is exact for the products of
+    bilinears integrated child by child.
+    """
+    g = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    s, t = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+    child = _q1(s, t)
+    # Each point weighs 1/4 on a child a quarter of the parent's area.
+    rhs = np.hstack([_q1((a + s) / 2, (b + t) / 2).T @ child / 16.0
+                     for a, b in _CHILD_POS])
+    mass = np.array([[4, 2, 1, 2], [2, 4, 2, 1],
+                     [1, 2, 4, 2], [2, 1, 2, 4]]) / 36.0
+    return np.linalg.solve(mass, rhs)
+
+
+_PARENT_PROJECTION = _parent_projection()
+
 
 def _children(key):
     l, i, j = key
@@ -41,11 +87,6 @@ def _children(key):
         (l + 1, 2 * i, 2 * j + 1),
         (l + 1, 2 * i + 1, 2 * j + 1),
     )
-
-
-def _parent(key):
-    l, i, j = key
-    return (l - 1, i >> 1, j >> 1)
 
 
 def _find_active_at_or_above(active, l, i, j):
@@ -122,142 +163,127 @@ def _balance(active, seeds):
                     queue.append(ch)
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
     """Hanging-vertex interpolation constraints.
 
-    Each hanging vertex takes the value ``0.5 * (masters[0] + masters[1])``,
-    the exact bilinear trace on the coarse edge.
+    Hanging vertex ``hanging[k]`` takes the value
+    ``0.5 * (pairs[k, 0] + pairs[k, 1])``, the exact bilinear trace on the
+    coarse edge.  In a 2:1-balanced mesh no master is itself hanging, so
+    one application of ``T`` satisfies every constraint.
     """
 
-    masters: dict[int, tuple[int, int]]
-    n_vertices: int
-    _matrix_cache: list = field(default_factory=list, repr=False, compare=False)
+    def __init__(self, hanging: np.ndarray, pairs: np.ndarray,
+                 n_vertices: int):
+        self.hanging = hanging  # sorted vertex ids
+        self.pairs = pairs      # (len(hanging), 2) master vertex ids
+        self.n_vertices = n_vertices
+        regular = np.setdiff1d(np.arange(n_vertices), hanging)
+        rows = np.concatenate([regular, hanging, hanging])
+        cols = np.concatenate([regular, pairs[:, 0], pairs[:, 1]])
+        data = np.repeat([1.0, 0.5], [len(regular), 2 * len(hanging)])
+        self._T = sp.csr_matrix((data, (rows, cols)),
+                                shape=(n_vertices, n_vertices))
 
     def __len__(self):
-        return len(self.masters)
+        return len(self.hanging)
 
     @property
-    def hanging(self):
-        return sorted(self.masters)
+    def masters(self) -> dict[int, tuple[int, int]]:
+        """Hanging vertex -> its two master vertices."""
+        return dict(zip(self.hanging.tolist(),
+                        map(tuple, self.pairs.tolist())))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Return a copy with hanging entries replaced by master averages."""
+        """Return a copy with hanging entries (rows) replaced by master averages."""
         out = np.array(values, dtype=float)
-        for h, (a, b) in self.masters.items():
-            out[h] = 0.5 * (out[a] + out[b])
+        out[self.hanging] = 0.5 * (out[self.pairs[:, 0]]
+                                   + out[self.pairs[:, 1]])
         return out
 
     def matrix(self) -> sp.csr_matrix:
         """Prolongation ``T``: identity on regular rows, (1/2, 1/2) on hanging."""
-        if self._matrix_cache:
-            return self._matrix_cache[0]
-        n = self.n_vertices
-        rows, cols, data = [], [], []
-        for v in range(n):
-            if v in self.masters:
-                a, b = self.masters[v]
-                rows += [v, v]
-                cols += [a, b]
-                data += [0.5, 0.5]
-            else:
-                rows.append(v)
-                cols.append(v)
-                data.append(1.0)
-        T = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        self._matrix_cache.append(T)
-        return T
+        return self._T
 
 
 class Mesh:
-    """Immutable 2:1-balanced quadtree mesh of the unit square."""
+    """Immutable 2:1-balanced quadtree mesh of the unit square.
+
+    ``active`` holds the ``(level, i, j)`` keys of the cells, as tuples or
+    as rows of an integer array.  Cells are numbered in sorted key order,
+    vertices in order of first appearance over the cells' corners
+    (counterclockwise from the lower left).
+    """
 
     def __init__(self, active, level_min: int, level_max: int):
-        keys = sorted(active)
-        if not keys:
+        keys = np.array(list(active), dtype=np.int64).reshape(-1, 3)
+        if not len(keys):
             raise ValueError("mesh needs at least one active cell")
         if level_min > level_max:
             raise ValueError("level_min must not exceed level_max")
+        self._codes, first = np.unique(_cell_code(*keys.T), return_index=True)
+        self._keys = keys = keys[first]
         self.id = next(_mesh_ids)
         self.level_min = level_min
         self.level_max = level_max
-        self.cell_keys: list[tuple[int, int, int]] = keys
-        self._key_set = frozenset(keys)
 
-        levels = np.array([k[0] for k in keys], dtype=int)
+        levels = keys[:, 0].copy()
         if levels.min() < level_min or levels.max() > level_max:
             raise ValueError("cell level outside [level_min, level_max]")
         self.cell_levels = levels
         self.cell_h = 2.0 ** (-levels.astype(float))
-
-        # Vertex table keyed by exact integer coordinates.
-        vidx: dict[tuple[int, int], int] = {}
-        conn = np.empty((len(keys), 4), dtype=int)
-        for c, (l, i, j) in enumerate(keys):
-            u = 1 << (_MAXLEVEL - l)
-            corners = (
-                (i * u, j * u),
-                ((i + 1) * u, j * u),
-                ((i + 1) * u, (j + 1) * u),
-                (i * u, (j + 1) * u),
-            )
-            for a, pt in enumerate(corners):
-                if pt not in vidx:
-                    vidx[pt] = len(vidx)
-                conn[c, a] = vidx[pt]
-        self._vertex_index = vidx
-        self._key_to_id = {k: c for c, k in enumerate(keys)}
-        self.cell_vertices = conn
         self.n_cells = len(keys)
-        self.n_vertices = len(vidx)
 
-        coords = np.empty((self.n_vertices, 2))
-        for (ix, iy), v in vidx.items():
-            coords[v, 0] = ix / _SCALE
-            coords[v, 1] = iy / _SCALE
-        self.vertex_coords = coords
-        self.cell_origin = coords[conn[:, 0]]
+        # Corner positions in integer units, counterclockwise per cell.
+        u = _SCALE >> levels
+        x0, y0 = keys[:, 1] * u, keys[:, 2] * u
+        cx = np.stack([x0, x0 + u, x0 + u, x0], axis=1).ravel()
+        cy = np.stack([y0, y0, y0 + u, y0 + u], axis=1).ravel()
+        self._vcodes, first, inverse = np.unique(
+            _vertex_code(cx, cy), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # vertex id -> sorted-code position
+        self._vrank = np.empty_like(order)
+        self._vrank[order] = np.arange(len(order))
+        self.cell_vertices = self._vrank[inverse].reshape(-1, 4)
+        self.n_vertices = len(order)
+        self._vertex_xy = np.stack([cx[first], cy[first]], axis=1)[order]
+        self.vertex_coords = self._vertex_xy / _SCALE
+        self.cell_origin = self.vertex_coords[self.cell_vertices[:, 0]]
 
         self._constraints = self._find_hanging()
         self._boundary = self._tag_boundary()
 
     # -- construction helpers -------------------------------------------
 
+    def _vertex_ids(self, x, y):
+        """Ids of the vertices at integer positions; -1 where none."""
+        pos = _find(self._vcodes, _vertex_code(x, y))
+        return np.where(pos >= 0, self._vrank[pos], -1)
+
     def _find_hanging(self) -> ConstraintSet:
-        masters: dict[int, tuple[int, int]] = {}
-        active = self._key_set
-        vidx = self._vertex_index
-        for l, i, j in self.cell_keys:
-            u = 1 << (_MAXLEVEL - l)
-            w = 2 * u  # coarse-cell edge length in integer units
-            # (coarse neighbor key, hanging vertex, coarse edge endpoints)
-            probes = []
-            if i > 0:
-                jc = j >> 1
-                mid = (i * u, j * u + u) if j % 2 == 0 else (i * u, j * u)
-                probes.append(((l - 1, (i - 1) >> 1, jc), mid,
-                               (i * u, jc * w), (i * u, jc * w + w)))
-            if i < (1 << l) - 1:
-                jc = j >> 1
-                x = (i + 1) * u
-                mid = (x, j * u + u) if j % 2 == 0 else (x, j * u)
-                probes.append(((l - 1, (i + 1) >> 1, jc), mid,
-                               (x, jc * w), (x, jc * w + w)))
-            if j > 0:
-                ic = i >> 1
-                mid = (i * u + u, j * u) if i % 2 == 0 else (i * u, j * u)
-                probes.append(((l - 1, ic, (j - 1) >> 1), mid,
-                               (ic * w, j * u), (ic * w + w, j * u)))
-            if j < (1 << l) - 1:
-                ic = i >> 1
-                y = (j + 1) * u
-                mid = (i * u + u, y) if i % 2 == 0 else (i * u, y)
-                probes.append(((l - 1, ic, (j + 1) >> 1), mid,
-                               (ic * w, y), (ic * w + w, y)))
-            for coarse, mid, e0, e1 in probes:
-                if coarse in active:
-                    masters[vidx[mid]] = (vidx[e0], vidx[e1])
-        return ConstraintSet(masters, self.n_vertices)
+        # A cell's corner is hanging when the neighbor across an edge is one
+        # level coarser: the corner is the midpoint of the coarse edge.
+        l, i, j = self._keys.T
+        u = _SCALE >> l
+        n = 1 << l
+        hanging, pairs = [], []
+        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            ni, nj = i + di, j + dj
+            inside = (ni >= 0) & (ni < n) & (nj >= 0) & (nj < n)
+            hit = inside & (self.cell_ids(l - 1, ni >> 1, nj >> 1) >= 0)
+            uh = u[hit]
+            if di:  # vertical coarse edge at x = fixed
+                fixed = (i[hit] + (di > 0)) * uh
+                start = (j[hit] >> 1) * 2 * uh
+                ids = [self._vertex_ids(fixed, start + k * uh) for k in (1, 0, 2)]
+            else:
+                fixed = (j[hit] + (dj > 0)) * uh
+                start = (i[hit] >> 1) * 2 * uh
+                ids = [self._vertex_ids(start + k * uh, fixed) for k in (1, 0, 2)]
+            hanging.append(ids[0])
+            pairs.append(np.stack(ids[1:], axis=1))
+        hanging, first = np.unique(np.concatenate(hanging), return_index=True)
+        return ConstraintSet(hanging, np.concatenate(pairs)[first],
+                             self.n_vertices)
 
     def _tag_boundary(self) -> dict[int, np.ndarray]:
         x = self.vertex_coords[:, 0]
@@ -271,6 +297,11 @@ class Mesh:
 
     # -- queries ----------------------------------------------------------
 
+    @cached_property
+    def cell_keys(self) -> list[tuple[int, int, int]]:
+        """``(level, i, j)`` of every cell, in cell id order."""
+        return list(map(tuple, self._keys.tolist()))
+
     @property
     def constraints(self) -> ConstraintSet:
         return self._constraints
@@ -278,22 +309,36 @@ class Mesh:
     def boundary_vertices(self, tag: int) -> np.ndarray:
         return self._boundary[tag]
 
-    def cell_id(self, key) -> int:
-        return self._key_to_id[key]
+    def cell_ids(self, l, i, j) -> np.ndarray:
+        """Ids of the cells with keys ``(l, i, j)``; -1 where not active."""
+        return _find(self._codes, _cell_code(l, i, j))
 
-    def contains_cell(self, key) -> bool:
-        return key in self._key_set
+    def vertex_ids(self, coords) -> np.ndarray:
+        """Ids of the vertices at ``(x, y)`` rows of ``coords``; -1 where none.
+
+        Points are matched exactly after rounding to the dyadic grid.
+        """
+        xy = np.rint(np.asarray(coords) * _SCALE).astype(np.int64)
+        return self._vertex_ids(xy[:, 0], xy[:, 1])
+
+    def cell_id(self, key) -> int:
+        c = int(self.cell_ids(*key))
+        if c < 0:
+            raise KeyError(key)
+        return c
 
     def locate(self, x: float, y: float) -> int:
         """Active cell id containing the point (boundary points included)."""
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"point ({x}, {y}) outside the unit square")
-        for l in range(self.level_max, self.level_min - 1, -1):
+        # Exactly one level holds an active cell whose half-open box (clamped
+        # at x, y = 1) contains the point, so the search order is free.
+        for l in range(self.level_min, self.level_max + 1):
             n = 1 << l
-            i = min(int(x * n), n - 1)
-            j = min(int(y * n), n - 1)
-            if (l, i, j) in self._key_set:
-                return self._key_to_id[(l, i, j)]
+            code = _cell_code(l, min(int(x * n), n - 1), min(int(y * n), n - 1))
+            c = self._codes.searchsorted(code)
+            if c < self.n_cells and self._codes[c] == code:
+                return int(c)
         raise RuntimeError("active cells do not tile the domain")
 
     def eval_field(self, values: np.ndarray, x: float, y: float) -> float:
@@ -325,24 +370,29 @@ def build_uniform(level: int, *, level_min: int | None = None,
     if level_max is None:
         level_max = level + 4
     n = 1 << level
-    active = {(level, i, j) for i in range(n) for j in range(n)}
-    return Mesh(active, level_min, level_max)
+    i, j = np.divmod(np.arange(n * n), n)
+    return Mesh(np.stack([np.full(n * n, level), i, j], axis=1),
+                level_min, level_max)
 
 
 def refine(mesh: Mesh, flags) -> Mesh:
     """Split flagged cells into four children and rebalance.
 
-    Flags at ``level_max`` are skipped with a log message.  Duplicate flags
-    are idempotent.
+    ``flags`` is a sequence of cell ids.  Flags at ``level_max`` are
+    skipped with a log message, and duplicate flags are idempotent.
+    Returns ``mesh`` itself when no cell is split.
     """
+    cells = np.unique(np.asarray(flags, dtype=np.intp))
+    at_max = mesh.cell_levels[cells] >= mesh.level_max
+    if at_max.any():
+        log.info("refine: %d flagged cells already at level_max=%d, skipping",
+                 at_max.sum(), mesh.level_max)
+    if at_max.all():
+        return mesh
     active = set(mesh.cell_keys)
     seeds = []
-    for cid in sorted(set(flags)):
-        key = mesh.cell_keys[cid]
-        if key[0] >= mesh.level_max:
-            log.info("refine: cell %s already at level_max=%d, skipping",
-                     key, mesh.level_max)
-            continue
+    for c in cells[~at_max]:
+        key = mesh.cell_keys[c]
         active.remove(key)
         ch = _children(key)
         active.update(ch)
@@ -356,23 +406,18 @@ def coarsen(mesh: Mesh, flags) -> Mesh:
 
     A merge happens only when all four siblings are flagged, the parent
     level stays >= ``level_min`` and 2:1 balance survives.  Anything else
-    is silently skipped.
+    is silently skipped; ``mesh`` itself is returned when nothing merges.
     """
-    flagged = {mesh.cell_keys[c] for c in set(flags)}
-    groups: dict[tuple, set] = {}
-    for key in flagged:
-        if key[0] - 1 < mesh.level_min:
-            continue
-        groups.setdefault(_parent(key), set()).add(key)
-
+    l, i, j = mesh._keys[np.unique(np.asarray(flags, dtype=np.intp))].T
+    above = l > mesh.level_min
+    parents = np.stack([l - 1, i >> 1, j >> 1], axis=1)[above]
+    _, first, count = np.unique(_cell_code(*parents.T), return_index=True,
+                                return_counts=True)
+    merged = list(map(tuple, parents[first[count == 4]].tolist()))
     active = set(mesh.cell_keys)
-    merged = []
-    for parent, sibs in sorted(groups.items()):
-        kids = set(_children(parent))
-        if sibs == kids and kids <= active:
-            active -= kids
-            active.add(parent)
-            merged.append(parent)
+    for parent in merged:
+        active.difference_update(_children(parent))
+        active.add(parent)
 
     # Undo merges that would violate 2:1 balance against the merged set.
     changed = True
@@ -388,12 +433,9 @@ def coarsen(mesh: Mesh, flags) -> Mesh:
                 active.update(_children(parent))
                 merged.remove(parent)
                 changed = True
+    if not merged:
+        return mesh
     return Mesh(active, mesh.level_min, mesh.level_max)
-
-
-def hanging_constraints(mesh: Mesh) -> ConstraintSet:
-    """Hanging-vertex -> (masters, 1/2 weights) map for ``mesh``."""
-    return mesh.constraints
 
 
 def boundary_nodes(mesh: Mesh, tag: int, predicate=None) -> np.ndarray:
@@ -406,100 +448,64 @@ def boundary_nodes(mesh: Mesh, tag: int, predicate=None) -> np.ndarray:
     return ids[np.array(keep, dtype=bool)]
 
 
-# Gauss points/weights on [0,1], exact through cubic integrands per axis.
-_G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-
-
-def _project_parent(child_fields) -> np.ndarray:
-    """Local L2 projection of four child bilinears onto the parent bilinear.
-
-    ``child_fields`` maps child position ``(a, b)`` in {0,1}^2 to its four
-    corner values.  Returns the parent's corner coefficients.
-    """
-    # Unit-square Q1 mass matrix (scaled by parent area).
-    m = np.array([[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]]) / 36.0
-    rhs = np.zeros(4)
-    for (a, b), cvals in child_fields.items():
-        for gs in _G2:
-            for gt in _G2:
-                nc = np.array([(1 - gs) * (1 - gt), gs * (1 - gt),
-                               gs * gt, (1 - gs) * gt])
-                f = float(nc @ cvals)
-                sp_, tp = (a + gs) / 2.0, (b + gt) / 2.0
-                np_ = np.array([(1 - sp_) * (1 - tp), sp_ * (1 - tp),
-                                sp_ * tp, (1 - sp_) * tp])
-                rhs += 0.25 * 0.25 * f * np_  # child area = parent area / 4
-    return np.linalg.solve(m, rhs)
-
-
 def transfer_field(old: Mesh, new: Mesh, values: np.ndarray) -> np.ndarray:
     """Move nodal values from ``old`` to ``new`` after one refine/coarsen pass.
 
-    Refined cells get the exact bilinear embedding; coarsened parents get
-    the cell-local L2 projection of their four children.  Hanging-node
-    constraints are re-applied on the result.
+    ``values`` is one field of shape ``(n_old,)`` or a block of fields of
+    shape ``(n_old, k)``; all go through one sparse operator.  A vertex
+    present in both meshes keeps its value; a new vertex in a refined cell
+    gets the exact bilinear embedding of its old ancestor; a corner of a
+    coarsened parent gets the cell-local L2 projection of the four old
+    children, averaged over the coarsened parents sharing that corner.
+    Hanging-node constraints of ``new`` are applied to the result.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (old.n_vertices,):
+    if values.shape[:1] != (old.n_vertices,):
         raise ValueError(
-            f"field has {values.shape[0]} entries, mesh {old.id} has "
+            f"field of shape {values.shape} does not fit mesh {old.id} with "
             f"{old.n_vertices} vertices")
 
-    out = np.full(new.n_vertices, np.nan)
-    proj_sum = np.zeros(new.n_vertices)
-    proj_cnt = np.zeros(new.n_vertices, dtype=int)
-    old_vidx = old._vertex_index
-    new_vidx = new._vertex_index
+    # Old cell equal to or containing each new cell; -1 for merged parents.
+    l, i, j = new._keys.T
+    anc = np.full(new.n_cells, -1)
+    for up in range(int(l.max() - old.cell_levels.min()) + 1):
+        todo = np.flatnonzero(anc < 0)
+        anc[todo] = old.cell_ids(l[todo] - up, i[todo] >> up, j[todo] >> up)
 
-    for c, key in enumerate(new.cell_keys):
-        nvs = new.cell_vertices[c]
-        if old.contains_cell(key):
-            for a, v in enumerate(nvs):
-                pt = _int_corner(key, a)
-                out[v] = values[old_vidx[pt]]
-            continue
+    merged = np.flatnonzero(anc < 0)
+    kids = np.stack([old.cell_ids(l[merged] + 1, 2 * i[merged] + a,
+                                   2 * j[merged] + b) for a, b in _CHILD_POS],
+                    axis=1)
+    if np.any(kids < 0):
+        raise ValueError(
+            f"mesh {new.id} has cells with no counterpart in mesh {old.id}: "
+            f"not a one-pass refine/coarsen result")
+    corners = new.cell_vertices[merged]
+    count = np.bincount(corners.ravel(), minlength=new.n_vertices)
+    shape = (len(merged), 4, 16)
+    proj_rows = np.broadcast_to(corners[:, :, None], shape)
+    proj_cols = np.broadcast_to(
+        old.cell_vertices[kids].reshape(-1, 1, 16), shape)
+    proj_data = _PARENT_PROJECTION / count[corners][:, :, None]
 
-        anc = _find_active_at_or_above(old._key_set, *key)
-        if anc is not None:
-            # Refinement: evaluate the ancestor's bilinear at the new corners.
-            al, ai, aj = anc
-            ah = 2.0 ** (-al)
-            ovals = values[[old_vidx[_int_corner(anc, a)] for a in range(4)]]
-            for a, v in enumerate(nvs):
-                px, py = _int_corner(key, a)
-                s = (px / _SCALE - ai * ah) / ah
-                t = (py / _SCALE - aj * ah) / ah
-                out[v] = (ovals[0] * (1 - s) * (1 - t) + ovals[1] * s * (1 - t)
-                          + ovals[2] * s * t + ovals[3] * (1 - s) * t)
-            continue
+    old_vid = old._vertex_ids(*new._vertex_xy.T)
+    copy = np.flatnonzero((count == 0) & (old_vid >= 0))
 
-        # Coarsening: the four children must be active in the old mesh.
-        kids = {}
-        for ck in _children(key):
-            if not old.contains_cell(ck):
-                raise ValueError(
-                    f"cell {key} of mesh {new.id} has no counterpart in "
-                    f"mesh {old.id}: not a one-pass refine/coarsen result")
-            kids[(ck[1] % 2, ck[2] % 2)] = values[
-                [old_vidx[_int_corner(ck, a)] for a in range(4)]]
-        coeff = _project_parent(kids)
-        proj_sum[nvs] += coeff
-        proj_cnt[nvs] += 1
+    # The other vertices are corners of refined cells only; each takes the
+    # bilinear of the old cell containing one of them.
+    ancestor = np.empty(new.n_vertices, dtype=np.intp)
+    ancestor[new.cell_vertices] = anc[:, None]
+    embed = np.flatnonzero((count == 0) & (old_vid < 0))
+    akey = old._keys[ancestor[embed]]
+    ua = _SCALE >> akey[:, 0]
+    s = (new._vertex_xy[embed, 0] - akey[:, 1] * ua) / ua
+    t = (new._vertex_xy[embed, 1] - akey[:, 2] * ua) / ua
 
-    mask = proj_cnt > 0
-    out[mask] = proj_sum[mask] / proj_cnt[mask]
-    if np.isnan(out).any():
-        raise RuntimeError("transfer left unset vertices")  # pragma: no cover
-    return new.constraints.apply(out)
-
-
-def _int_corner(key, a):
-    l, i, j = key
-    u = 1 << (_MAXLEVEL - l)
-    if a == 0:
-        return (i * u, j * u)
-    if a == 1:
-        return ((i + 1) * u, j * u)
-    if a == 2:
-        return ((i + 1) * u, (j + 1) * u)
-    return (i * u, (j + 1) * u)
+    rows = np.concatenate([proj_rows.ravel(), copy, np.repeat(embed, 4)])
+    cols = np.concatenate([proj_cols.ravel(), old_vid[copy],
+                           old.cell_vertices[ancestor[embed]].ravel()])
+    data = np.concatenate([proj_data.ravel(), np.ones(len(copy)),
+                           _q1(s, t).ravel()])
+    op = sp.csr_matrix((data, (rows, cols)),
+                       shape=(new.n_vertices, old.n_vertices))
+    return new.constraints.apply(op @ values)

@@ -74,72 +74,67 @@ def read_vtk(path):
     """Parse a file produced by :func:`write_vtk`.
 
     Returns ``(mesh, point_data, cell_data)``; the mesh is reconstructed
-    from the quad geometry.
+    from the quad geometry and the data arrays are put in its numbering.
+    Points and cells are matched by exact dyadic integer keys.
     """
     lines = Path(path).read_text().splitlines()
-    idx = next(i for i, l in enumerate(lines) if l.startswith("POINTS"))
-    n_pts = int(lines[idx].split()[1])
-    pts = np.array([[float(t) for t in lines[idx + 1 + k].split()[:2]]
-                    for k in range(n_pts)])
-    idx = next(i for i, l in enumerate(lines) if l.startswith("CELLS"))
-    n_cells = int(lines[idx].split()[1])
-    quads = np.array([[int(t) for t in lines[idx + 1 + k].split()[1:5]]
-                      for k in range(n_cells)])
-
-    keys = set()
-    for quad in quads:
-        x0, y0 = pts[quad[0]]
-        h = pts[quad[1]][0] - x0
-        level = round(-np.log2(h))
-        keys.add((level, round(x0 / h), round(y0 / h)))
-    levels = [k[0] for k in keys]
-    mesh = Mesh(keys, min(levels), max(levels))
-
     point_data, cell_data = {}, {}
     target, count = None, 0
-    i = 0
+    i = 2  # past the version and title lines
     while i < len(lines):
-        line = lines[i]
-        if line.startswith("POINT_DATA"):
-            target, count = point_data, n_pts
-        elif line.startswith("CELL_DATA"):
-            target, count = cell_data, n_cells
-        elif line.startswith("SCALARS") and target is not None:
-            name = line.split()[1]
-            start = i + 2  # skip LOOKUP_TABLE line
-            target[name] = np.array([float(lines[start + k])
-                                     for k in range(count)])
-            i = start + count
-            continue
+        head = lines[i].split()
         i += 1
+        if not head:
+            continue
+        if head[0] == "POINTS":
+            n_pts = int(head[1])
+            pts = np.loadtxt(lines[i:i + n_pts], usecols=(0, 1), ndmin=2)
+            i += n_pts
+        elif head[0] == "CELLS":
+            n_cells = int(head[1])
+            quads = np.loadtxt(lines[i:i + n_cells], dtype=np.int64,
+                               usecols=(1, 2, 3, 4), ndmin=2)
+            i += n_cells
+        elif head[0] == "CELL_TYPES":
+            i += int(head[1])
+        elif head[0] == "POINT_DATA":
+            target, count = point_data, n_pts
+        elif head[0] == "CELL_DATA":
+            target, count = cell_data, n_cells
+        elif head[0] == "SCALARS" and target is not None:
+            start = i + 1  # skip LOOKUP_TABLE line
+            target[head[1]] = np.loadtxt(lines[start:start + count], ndmin=1)
+            i = start + count
 
-    # Reorder nodal/cell arrays to the reconstructed mesh numbering.
-    perm = np.empty(mesh.n_vertices, dtype=int)
-    for old_id, (x, y) in enumerate(pts):
-        hit = np.flatnonzero((np.abs(mesh.vertex_coords[:, 0] - x) < 1e-14)
-                             & (np.abs(mesh.vertex_coords[:, 1] - y) < 1e-14))
-        perm[hit[0]] = old_id
+    # Each quad's size and lower-left corner give its (level, i, j).
+    origin = pts[quads[:, 0]]
+    h = pts[quads[:, 1], 0] - origin[:, 0]
+    keys = np.column_stack([-np.log2(h), origin / h[:, None]])
+    keys = keys.round().astype(np.int64)
+    mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
+    perm = _permutation(mesh.vertex_ids(pts), mesh.n_vertices, "points")
+    cperm = _permutation(mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
     point_data = {k: v[perm] for k, v in point_data.items()}
-
-    cperm = np.empty(mesh.n_cells, dtype=int)
-    centers_old = pts[quads].mean(axis=1)
-    for new_id in range(mesh.n_cells):
-        cx = mesh.cell_origin[new_id] + 0.5 * mesh.cell_h[new_id]
-        hit = np.flatnonzero(np.all(np.abs(centers_old - cx) < 1e-14, axis=1))
-        cperm[new_id] = hit[0]
     cell_data = {k: v[cperm] for k, v in cell_data.items()}
     return mesh, point_data, cell_data
 
 
+def _permutation(ids, n, what):
+    """Map from mesh ids to file positions, given the mesh id of each entry."""
+    if not np.array_equal(np.sort(ids), np.arange(n)):
+        raise ValueError(f"the {what} of the file do not form a quadtree mesh")
+    perm = np.empty(n, dtype=np.intp)
+    perm[ids] = np.arange(n)
+    return perm
+
+
 def write_energy_csv(history, path) -> None:
-    if not history:
-        _atomic_write(path, "t,E_strain,E_surface,E_penalty,E_total,stag_iters\n")
-        return
-    lines = ["t,E_strain,E_surface,E_penalty,E_total,stag_iters"]
+    lines = ["t,E_strain,E_surface,E_penalty,E_total,stag_iters,converged"]
     for rec in history:
         lines.append(",".join([_FLOAT % rec.t, _FLOAT % rec.strain,
                                _FLOAT % rec.surface, _FLOAT % rec.penalty,
-                               _FLOAT % rec.total, str(rec.stag_iters)]))
+                               _FLOAT % rec.total, str(rec.stag_iters),
+                               str(int(rec.converged))]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -279,9 +279,7 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5
         return ScalarField(mesh, v), CrackMask()
 
     local_h = np.full(mesh.n_vertices, np.inf)
-    for c in range(mesh.n_cells):
-        ids = mesh.cell_vertices[c]
-        local_h[ids] = np.minimum(local_h[ids], mesh.cell_h[c])
+    np.minimum.at(local_h, mesh.cell_vertices, mesh.cell_h[:, None])
     x = mesh.vertex_coords[:, 0]
     y = mesh.vertex_coords[:, 1]
     on_seed = (np.abs(x - 0.5) <= 0.5 * local_h + 1e-15) & \

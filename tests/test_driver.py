@@ -235,6 +235,24 @@ def test_amr_reaches_fixed_point_within_level_budget():
     assert state.mesh.cell_levels.min() >= state.mesh.level_min
 
 
+def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
+    cfg, state = _field_state(level_start=6, level_max=8)
+    while driver.amr_pass(state, cfg):
+        pass
+    adapted = state.mesh
+    built = []
+    init = meshmod.Mesh.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(meshmod.Mesh, "__init__", counting_init)
+    assert not driver.amr_pass(state, cfg)
+    assert built == []
+    assert state.mesh is adapted
+
+
 def test_amr_disabled_keeps_mesh():
     cfg = small_config(loading=LoadingParams(c=1.0, dt=0.01, n_max=2))
     hist, state = driver.run(cfg)

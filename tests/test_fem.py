@@ -56,6 +56,19 @@ def test_gauss_rule_weights():
         assert val == pytest.approx(1.0 / (p + 1), abs=1e-13)
 
 
+def test_transient_rules_get_their_own_tables():
+    # A rule created and dropped in each iteration may reuse the memory (and
+    # id) of an earlier one; its tabulation must still be its own.
+    mesh = build_uniform(2)
+    x = ScalarField(mesh, mesh.vertex_coords[:, 0])
+    for k in range(40):
+        rule = QuadratureRule.gauss(1 + k % 3)
+        got = fem.field_at_qp(x, rule)
+        want = fem.quadrature_points(mesh, rule)[..., 0]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Assembly vs dense oracles (criterion 6b)
 

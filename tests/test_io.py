@@ -171,7 +171,11 @@ def test_vtk_cell_count_matches_mesh(tmp_path):
 
 
 def test_vtk_round_trip(tmp_path):
-    m = refine(build_uniform(2), [0])
+    # Three levels and several hanging nodes; the read-back mesh must number
+    # points and cells as the written one and return the data in that order.
+    m = refine(build_uniform(2), [0, 5])
+    m = refine(m, [m.locate(0.01, 0.01), m.locate(0.3, 0.3)])
+    assert len(m.constraints) > 2
     x, y = m.vertex_coords.T
     u = x + 2 * y
     v = np.clip(1 - x, 0, 1)
@@ -180,44 +184,50 @@ def test_vtk_round_trip(tmp_path):
     output.write_vtk(m, {"u": u, "v": v}, {"xi": xi, "level": m.cell_levels},
                      path)
     m2, pdata, cdata = output.read_vtk(path)
-    assert m2.n_cells == m.n_cells
-    assert m2.n_vertices == m.n_vertices
-    # coordinates recovered exactly at printed precision
-    x2, y2 = m2.vertex_coords.T
-    assert np.max(np.abs(pdata["u"] - (x2 + 2 * y2))) < 1e-12
-    assert sorted(cdata["level"].tolist()) == sorted(m.cell_levels.tolist())
-    assert sorted(cdata["xi"].tolist()) == pytest.approx(
-        sorted(xi.tolist()), abs=1e-12)
+    assert m2.cell_keys == m.cell_keys
+    assert np.array_equal(m2.vertex_coords, m.vertex_coords)
+    assert np.array_equal(m2.cell_vertices, m.cell_vertices)
+    assert np.array_equal(pdata["u"], u)
+    assert np.array_equal(pdata["v"], v)
+    assert np.array_equal(cdata["level"], m.cell_levels)
+    # printed with 15 significant digits
+    assert np.max(np.abs(cdata["xi"] - xi)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
 # CSV outputs
 
 
-def _record(t, strain, surface, penalty, iters=3):
+ENERGY_HEADER = "t,E_strain,E_surface,E_penalty,E_total,stag_iters,converged"
+
+
+def _record(t, strain, surface, penalty, iters=3, converged=True):
     return pf.EnergyRecord(t=t, strain=strain, surface=surface,
                            penalty=penalty,
                            total=strain + surface + penalty,
                            xi_min=0.02, xi_max=0.04, xi_mean=0.03,
-                           cells=16, stag_iters=iters)
+                           cells=16, stag_iters=iters, converged=converged)
 
 
 def test_energy_csv_single_row(tmp_path):
     path = tmp_path / "e.csv"
-    output.write_energy_csv([_record(0.01, 1.0, 2.0, 3.0)], path)
+    output.write_energy_csv([_record(0.01, 1.0, 2.0, 3.0),
+                             _record(0.02, 1.0, 2.5, 3.0, iters=500,
+                                     converged=False)], path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0] == "t,E_strain,E_surface,E_penalty,E_total,stag_iters"
+    assert len(lines) == 3
+    assert lines[0] == ENERGY_HEADER
     parts = lines[1].split(",")
     assert float(parts[4]) == pytest.approx(
         float(parts[1]) + float(parts[2]) + float(parts[3]), abs=1e-9)
-    assert parts[5] == "3"
+    assert parts[5:] == ["3", "1"]
+    assert lines[2].split(",")[5:] == ["500", "0"]
 
 
 def test_energy_csv_empty_history(tmp_path):
     path = tmp_path / "e.csv"
     output.write_energy_csv([], path)
-    assert path.read_text() == "t,E_strain,E_surface,E_penalty,E_total,stag_iters\n"
+    assert path.read_text() == ENERGY_HEADER + "\n"
 
 
 def test_xi_history_csv(tmp_path):

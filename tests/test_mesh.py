@@ -41,6 +41,23 @@ def test_level_bounds_enforced():
         meshmod.Mesh(set(), 1, 2)
 
 
+def test_numbering_matches_first_appearance_loop():
+    # Reference: cells in sorted key order, vertices numbered by first
+    # appearance over each cell's corners, counterclockwise.
+    m = build_uniform(2, level_max=5)
+    for _ in range(3):
+        m = refine(m, [m.locate(0.3, 0.6), m.locate(0.9, 0.1)])
+    assert m.cell_keys == sorted(m.cell_keys)
+    index, conn = {}, []
+    for l, i, j in m.cell_keys:
+        h = 0.5 ** l
+        corners = [(i * h, j * h), ((i + 1) * h, j * h),
+                   ((i + 1) * h, (j + 1) * h), (i * h, (j + 1) * h)]
+        conn.append([index.setdefault(p, len(index)) for p in corners])
+    assert np.array_equal(m.cell_vertices, conn)
+    assert np.array_equal(m.vertex_coords, list(index))
+
+
 def test_vertex_coords_exact():
     m = build_uniform(2)
     xs = np.unique(m.vertex_coords[:, 0])
@@ -87,6 +104,9 @@ def test_refine_respects_level_max(caplog):
     m = build_uniform(2, level_max=2)
     out = refine(m, [0])
     assert out.cell_keys == m.cell_keys
+    # nothing split: no new mesh is built
+    assert out is m
+    assert refine(m, []) is m
 
 
 def test_refine_rebalances():
@@ -159,12 +179,25 @@ def test_coarsen_requires_all_siblings(mesh4x4):
     kids = [fine.cell_id(k) for k in fine.cell_keys if k[0] == 3]
     partial = coarsen(fine, kids[:3])
     assert partial.cell_keys == fine.cell_keys
+    assert partial is fine
 
 
 def test_coarsen_respects_level_min():
     m = build_uniform(2, level_min=2)
     out = coarsen(m, list(range(m.n_cells)))
     assert out.cell_keys == m.cell_keys
+    assert out is m
+
+
+def test_coarsen_blocked_by_balance_returns_input():
+    # The four children of (2, 0, 0) are flagged, but their parent would
+    # sit next to level-4 cells, so nothing merges.
+    m = build_uniform(2, level_min=2, level_max=5)
+    m = refine(m, [m.cell_id((2, 0, 0)), m.cell_id((2, 1, 0))])
+    m = refine(m, [m.cell_id((3, 2, 0))])
+    check_two_to_one(m)
+    kids = [m.cell_id(k) for k in meshmod._children((2, 0, 0))]
+    assert coarsen(m, kids) is m
 
 
 def test_coarsen_preserves_balance():
@@ -216,7 +249,8 @@ def test_cell_projection_is_l2_optimal():
     rng = np.random.default_rng(11)
     kids = {pos: rng.normal(size=4) for pos in
             [(0, 0), (1, 0), (0, 1), (1, 1)]}
-    coeff = meshmod._project_parent(kids)
+    coeff = meshmod._PARENT_PROJECTION @ np.concatenate(
+        [kids[pos] for pos in meshmod._CHILD_POS])
 
     def parent_shape(s, t):
         return np.array([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
@@ -235,6 +269,37 @@ def test_cell_projection_is_l2_optimal():
                 g_val = parent_shape(s, t) @ coeff
                 moments += 0.25 * ws * wt * (f_val - g_val) * parent_shape(s, t)
     assert np.max(np.abs(moments)) < 1e-12
+
+
+def test_transfer_mixed_pass_exact_for_global_bilinears():
+    # Closed-form oracle: a global bilinear a + bx + cy + dxy lies in the
+    # constrained Q1 space of every mesh, so copy, embedding and projection
+    # must all reproduce it.  One pass coarsens both upper quadrants, whose
+    # parents share the vertex (0.5, 0.5) with each other and with kept
+    # cells, and refines cell (2, 3, 0).
+    base = build_uniform(2, level_min=1, level_max=4)
+    old = refine(base, [base.cell_id((2, 1, 0))])
+    upper = {(2, i, j) for i in range(4) for j in (2, 3)}
+    keys = (set(old.cell_keys) - upper - {(2, 3, 0)}) \
+        | {(1, 0, 1), (1, 1, 1)} | set(meshmod._children((2, 3, 0)))
+    new = meshmod.Mesh(keys, 1, 4)
+    check_two_to_one(new)
+    left, right, kept = (set(new.cell_vertices[new.cell_id(k)].tolist())
+                         for k in ((1, 0, 1), (1, 1, 1), (2, 1, 1)))
+    assert left & right & kept
+
+    coeffs = [(0.3, -1.2, 0.7, 2.5), (1.0, 0.5, -2.0, -4.0)]
+
+    def fields(m):
+        x, y = m.vertex_coords.T
+        return np.column_stack([a + b * x + c * y + d * x * y
+                                for a, b, c, d in coeffs])
+
+    block = transfer_field(old, new, fields(old))
+    assert block.shape == (new.n_vertices, 2)
+    assert np.max(np.abs(block - fields(new))) < 1e-12
+    single = transfer_field(old, new, fields(old)[:, 1])
+    assert np.array_equal(single, block[:, 1])
 
 
 def test_transfer_rejects_wrong_length(mesh4x4):
