@@ -160,20 +160,18 @@ def _solve_phase_bounded(state: SimState, mat, solve) -> fem.ScalarField:
     recovers the true constrained minimizer in a few sweeps.
     """
     upper = np.minimum(state.v_prev.values, 1.0)
-    active = {int(n): 0.0 for n in state.mask.nodes}
+    active = dict.fromkeys(state.mask.nodes, 0.0)
+    is_active = np.zeros(state.mesh.n_vertices, dtype=bool)
+    is_active[list(active)] = True
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
         sys_v = pf.assemble_phase(state.mesh, state.u, state.xi, mat, active)
         v = solve(sys_v)
-        violating = np.flatnonzero(v.values > upper + 1e-12)
-        grew = False
-        for n in violating:
-            n = int(n)
-            if n not in active:
-                active[n] = float(upper[n])
-                grew = True
-        if not grew:
+        grow = np.flatnonzero((v.values > upper + 1e-12) & ~is_active)
+        if not grow.size:
             return v
+        is_active[grow] = True
+        active.update(zip(grow.tolist(), upper[grow].tolist()))
     log.warning("phase-field active set still growing after %d sweeps",
                 _MAX_ACTIVE_SET)
     return v

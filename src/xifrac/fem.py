@@ -2,9 +2,20 @@
 
 Assembly is vectorized over cells: every cell is an axis-aligned square,
 so the reference-to-physical map is a pure scaling and shape data can be
-tabulated once per quadrature rule.  Hanging-node constraints are
-condensed through the prolongation matrix ``T`` (master-side
-accumulation), never by post-hoc row edits.
+tabulated once per quadrature rule.  Each cell kernel is one matrix
+product of an ``(n_cells, nq)`` coefficient against a basis-product table
+cached on the rule (``laplace_table``, ``mass_table``, ``load_table``,
+``grad_table``).  The global CSR structure is computed once per mesh
+(:attr:`Mesh.csr_pattern`); an assembly only sums the cell values into it
+with ``np.bincount``.  Hanging-node constraints are condensed through the
+prolongation matrix ``T`` (master-side accumulation), never by post-hoc
+row edits.
+
+Every system solved here is symmetric positive definite.  The direct
+solver factors it with SuperLU in symmetric mode: a minimum-degree
+ordering of ``A^T + A`` and diagonal pivots, which gives less fill and
+faster factorizations than the default column ordering with row pivoting.
+Each factor lives only for its own solve.
 """
 
 from __future__ import annotations
@@ -60,6 +71,36 @@ class QuadratureRule:
         assert np.all(np.abs(vals.sum(axis=1) - 1.0) <= 1e-14)
         assert np.all(np.abs(grads.sum(axis=1)) <= 1e-14)
         return vals, grads
+
+    # Weighted basis products, one row per point and one column per entry
+    # of a 4 x 4 (or 4-vector) cell block, so that each cell kernel is one
+    # matrix product of a (n_cells, nq) coefficient against a table.
+
+    @cached_property
+    def laplace_table(self) -> np.ndarray:
+        """``w_q grad(z_a).grad(z_b)`` on the reference cell, shape (nq, 16)."""
+        _, grads = self.tabulation
+        gg = grads @ grads.transpose(0, 2, 1)
+        return (self.weights[:, None, None] * gg).reshape(-1, 16)
+
+    @cached_property
+    def mass_table(self) -> np.ndarray:
+        """``w_q z_a z_b`` on the reference cell, shape (nq, 16)."""
+        vals, _ = self.tabulation
+        nn = vals[:, :, None] * vals[:, None, :]
+        return (self.weights[:, None, None] * nn).reshape(-1, 16)
+
+    @cached_property
+    def load_table(self) -> np.ndarray:
+        """``w_q z_a`` on the reference cell, shape (nq, 4)."""
+        vals, _ = self.tabulation
+        return self.weights[:, None] * vals
+
+    @cached_property
+    def grad_table(self) -> np.ndarray:
+        """Reference gradients as a (4, nq * 2) matrix, columns ``(q, d)``."""
+        _, grads = self.tabulation
+        return grads.transpose(1, 0, 2).reshape(4, -1)
 
 
 GAUSS2 = QuadratureRule.gauss(2)
@@ -135,10 +176,10 @@ def field_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray
 
 def grad_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
     """Field gradients at quadrature points, shape (n_cells, nq, 2)."""
-    _, grads = rule.tabulation
-    nodal = field.values[field.mesh.cell_vertices]
-    g = np.einsum("ca,qad->cqd", nodal, grads)
-    return g / field.mesh.cell_h[:, None, None]
+    mesh = field.mesh
+    g = field.values[mesh.cell_vertices] @ rule.grad_table
+    g /= mesh.cell_h[:, None]
+    return g.reshape(mesh.n_cells, -1, 2)
 
 
 def _coefficient(mesh, w, rule):
@@ -159,13 +200,15 @@ def _coefficient(mesh, w, rule):
 
 
 def _scatter(mesh, local):
-    """Accumulate (n_cells, 4, 4) local matrices into a global CSR matrix."""
-    conn = mesh.cell_vertices
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_vertices, mesh.n_vertices))
-    return a.tocsr()
+    """Sum local cell matrices, (n_cells, 16) or (n_cells, 4, 4), into CSR.
+
+    The structure is the mesh's cached pattern; only the values are summed
+    here, in cell order, as a COO-to-CSR conversion would sum them.
+    """
+    indptr, indices, slot = mesh.csr_pattern
+    data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def _condense(mesh, matrix, rhs):
@@ -193,10 +236,8 @@ def assemble_weighted_laplace(mesh: Mesh, weight,
     w = _coefficient(mesh, weight, rule)
     if np.any(w <= 0.0):
         raise ValueError("weighted Laplace requires a strictly positive weight")
-    _, grads = rule.tabulation
     # Physical gradient scaling 1/h^2 cancels the area factor h^2 in 2D.
-    gg = np.einsum("qad,qbd->qab", grads, grads)
-    local = np.einsum("q,cq,qab->cab", rule.weights, w, gg)
+    local = w @ rule.laplace_table
     matrix, rhs = _condense(mesh, _scatter(mesh, local),
                             np.zeros(mesh.n_vertices))
     return SparseSystem(matrix, rhs, mesh)
@@ -206,10 +247,7 @@ def assemble_weighted_mass(mesh: Mesh, weight,
                            rule: QuadratureRule = GAUSS2) -> SparseSystem:
     """System with entries ``sum_K int_K w z_i z_j`` (w >= 0 allowed)."""
     w = _coefficient(mesh, weight, rule)
-    vals, _ = rule.tabulation
-    nn = np.einsum("qa,qb->qab", vals, vals)
-    area = mesh.cell_h ** 2
-    local = np.einsum("q,cq,c,qab->cab", rule.weights, w, area, nn)
+    local = (w * mesh.cell_h[:, None] ** 2) @ rule.mass_table
     matrix, rhs = _condense(mesh, _scatter(mesh, local),
                             np.zeros(mesh.n_vertices))
     return SparseSystem(matrix, rhs, mesh)
@@ -219,11 +257,9 @@ def assemble_load(mesh: Mesh, density,
                   rule: QuadratureRule = GAUSS2) -> np.ndarray:
     """Right-hand side ``b_i = sum_K int_K rho z_i`` with constraints folded."""
     rho = _coefficient(mesh, density, rule)
-    vals, _ = rule.tabulation
-    area = mesh.cell_h ** 2
-    local = np.einsum("q,cq,c,qa->ca", rule.weights, rho, area, vals)
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.cell_vertices.ravel(), local.ravel())
+    local = (rho * mesh.cell_h[:, None] ** 2) @ rule.load_table
+    b = np.bincount(mesh.cell_vertices.ravel(), weights=local.ravel(),
+                    minlength=mesh.n_vertices)
     cons = mesh.constraints
     if len(cons):
         b = cons.matrix().T @ b
@@ -253,17 +289,17 @@ def apply_dirichlet(sys: SparseSystem, bc: dict[int, float]) -> SparseSystem:
     columns are replaced by unit diagonals, and the solution reproduces
     the prescribed values exactly.
     """
-    for node, value in bc.items():
-        if node in sys.dirichlet and sys.dirichlet[node] != value:
+    for node in sys.dirichlet.keys() & bc.keys():
+        if sys.dirichlet[node] != bc[node]:
             raise ValueError(
                 f"node {node} prescribed twice with conflicting values "
-                f"{sys.dirichlet[node]} and {value}")
-    nodes = np.array(sorted(bc), dtype=int)
-    if nodes.size == 0:
+                f"{sys.dirichlet[node]} and {bc[node]}")
+    if not bc:
         return sys
+    nodes = np.fromiter(bc.keys(), dtype=int, count=len(bc))
     n = sys.matrix.shape[0]
     x0 = np.zeros(n)
-    x0[nodes] = [bc[i] for i in nodes]
+    x0[nodes] = np.fromiter(bc.values(), dtype=float, count=len(bc))
     rhs = sys.rhs - sys.matrix @ x0
 
     keep = np.ones(n)
@@ -310,11 +346,22 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
     """Solve the condensed SPD system to ``||Ax-b|| <= tol ||b||``.
 
     ``method`` is ``"pcg"`` (Jacobi-preconditioned CG) or ``"direct"``
-    (sparse LU); both are checked against the residual contract.
+    (sparse LU in symmetric mode); both are checked against the residual
+    contract, and every failure raises :class:`LinearSolveError`.
     """
     A, b = sys.matrix, sys.rhs
     if method == "direct":
-        x = spla.splu(A.tocsc()).solve(b)
+        # Every system here is SPD, so SuperLU may keep the diagonal pivots
+        # of a symmetric fill-reducing ordering.  A zero pivot column still
+        # raises, and is reported like any other failed solve.
+        try:
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise LinearSolveError(
+                f"direct factorization failed: {exc}", np.inf) from exc
+        x = lu.solve(b)
         bnorm = np.linalg.norm(b)
         rel = np.linalg.norm(A @ x - b) / bnorm if bnorm > 0 else 0.0
         if not np.isfinite(rel) or rel > max(tol, 1e-8):
@@ -344,8 +391,7 @@ def solve_field(sys: SparseSystem, tol: float = 1e-10,
 def integrate(mesh: Mesh, integrand, rule: QuadratureRule = GAUSS2) -> float:
     """Quadrature of a per-point integrand over the whole mesh."""
     f = _coefficient(mesh, integrand, rule)
-    area = mesh.cell_h ** 2
-    return float(np.einsum("q,cq,c->", rule.weights, f, area))
+    return float((f @ rule.weights) @ mesh.cell_h ** 2)
 
 
 def l2_relative_error(a, b) -> float:

@@ -302,6 +302,27 @@ class Mesh:
         """``(level, i, j)`` of every cell, in cell id order."""
         return list(map(tuple, self._keys.tolist()))
 
+    @cached_property
+    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparsity of the vertex-vertex coupling through shared cells.
+
+        Returns ``(indptr, indices, slot)``: the CSR row pointers and sorted
+        column indices of the ``n_vertices``-square matrix that sums one
+        ``4 x 4`` block per cell, and for each entry of the
+        ``(n_cells, 4, 4)`` blocks in C order its position in ``indices``.
+        The arrays are read-only, because every assembled matrix shares them.
+        """
+        n = self.n_vertices
+        conn = self.cell_vertices
+        pairs = np.repeat(conn, 4, axis=1) * n + np.tile(conn, (1, 4))
+        codes, slot = np.unique(pairs.ravel(), return_inverse=True)
+        indices = (codes % n).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+        for a in (indptr, indices, slot):
+            a.flags.writeable = False
+        return indptr, indices, slot
+
     @property
     def constraints(self) -> ConstraintSet:
         return self._constraints

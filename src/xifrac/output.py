@@ -1,8 +1,10 @@
 """On-disk outputs: legacy VTK snapshots, CSV histories, line profiles.
 
 All files are written atomically (temp file + rename) so an interrupted
-run never leaves truncated output behind.  Numbers are printed with
-round-trip-safe precision to keep golden comparisons stable.
+run never leaves truncated output behind.  Floats are printed as the
+shortest string that reads back to the same double (Python's ``repr``,
+with a trailing ``.0`` dropped), so a written field is read back bit for
+bit and golden comparisons stay stable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ import numpy as np
 
 from .mesh import Mesh
 
-_FLOAT = "%.15g"
+
+def _fmt_all(values) -> list[str]:
+    """Shortest round-trip text of each float (``1.0`` prints as ``1``)."""
+    return [repr(x).removesuffix(".0")
+            for x in np.asarray(values, dtype=float).tolist()]
 
 
 def _atomic_write(path, text):
@@ -41,8 +47,8 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
     lines = ["# vtk DataFile Version 2.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertex_coords:
-        lines.append(f"{_FLOAT % x} {_FLOAT % y} 0")
+    lines.extend(f"{x} {y} 0" for x, y in zip(
+        _fmt_all(mesh.vertex_coords[:, 0]), _fmt_all(mesh.vertex_coords[:, 1])))
     lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
     for quad in mesh.cell_vertices:
         lines.append("4 " + " ".join(str(v) for v in quad))
@@ -54,7 +60,7 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
         for name, values in point_data.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_FLOAT % v for v in np.asarray(values, dtype=float))
+            lines.extend(_fmt_all(values))
     if cell_data:
         lines.append(f"CELL_DATA {mesh.n_cells}")
         for name, values in cell_data.items():
@@ -66,7 +72,7 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(_FLOAT % v for v in values.astype(float))
+                lines.extend(_fmt_all(values))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -131,19 +137,18 @@ def _permutation(ids, n, what):
 def write_energy_csv(history, path) -> None:
     lines = ["t,E_strain,E_surface,E_penalty,E_total,stag_iters,converged"]
     for rec in history:
-        lines.append(",".join([_FLOAT % rec.t, _FLOAT % rec.strain,
-                               _FLOAT % rec.surface, _FLOAT % rec.penalty,
-                               _FLOAT % rec.total, str(rec.stag_iters),
-                               str(int(rec.converged))]))
+        lines.append(",".join(_fmt_all([rec.t, rec.strain, rec.surface,
+                                        rec.penalty, rec.total])
+                              + [str(rec.stag_iters),
+                                 str(int(rec.converged))]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_xi_history(history, path) -> None:
     lines = ["t,xi_min,xi_max,xi_mean,cells"]
     for rec in history:
-        lines.append(",".join([_FLOAT % rec.t, _FLOAT % rec.xi_min,
-                               _FLOAT % rec.xi_max, _FLOAT % rec.xi_mean,
-                               str(rec.cells)]))
+        lines.append(",".join(_fmt_all([rec.t, rec.xi_min, rec.xi_max,
+                                        rec.xi_mean]) + [str(rec.cells)]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -160,10 +165,9 @@ def line_profile(mesh: Mesh, values, y: float, samples: int) -> np.ndarray:
 
 def write_profile_csv(columns: dict[str, np.ndarray], xs: np.ndarray, path
                       ) -> None:
+    table = np.column_stack([xs, *columns.values()])
     lines = ["x," + ",".join(columns)]
-    for k, x in enumerate(xs):
-        lines.append(",".join([_FLOAT % x]
-                              + [_FLOAT % col[k] for col in columns.values()]))
+    lines.extend(",".join(_fmt_all(row)) for row in table)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

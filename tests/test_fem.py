@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xifrac import fem
 from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
@@ -67,6 +68,79 @@ def test_transient_rules_get_their_own_tables():
         want = fem.quadrature_points(mesh, rule)[..., 0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Per-mesh CSR pattern and GEMM kernels
+
+
+def _three_level_mesh():
+    m = refine(build_uniform(2), [0, 5])
+    return refine(m, [m.locate(0.01, 0.01), m.locate(0.3, 0.3)])
+
+
+def _coo_scatter(mesh, local):
+    """Reference scatter: build the COO matrix and let scipy convert it."""
+    conn = mesh.cell_vertices
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, (1, 4)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.n_vertices,) * 2).tocsr()
+
+
+@pytest.mark.parametrize("maker", ["hanging", "three_level"])
+def test_pattern_scatter_matches_coo_reference(maker, mesh_hanging):
+    mesh = mesh_hanging if maker == "hanging" else _three_level_mesh()
+    assert len(mesh.constraints) > 0
+    local = np.random.default_rng(3).standard_normal((mesh.n_cells, 4, 4))
+    got = fem._scatter(mesh, local)
+    want = _coo_scatter(mesh, local)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+    # The same through a whole assembly, condensation included.
+    w = np.random.default_rng(4).uniform(0.5, 2.0, (mesh.n_cells, 4))
+    sys = assemble_weighted_laplace(mesh, w)
+    ref, _ = fem._condense(mesh, _coo_scatter(mesh, w @ GAUSS2.laplace_table),
+                           np.zeros(mesh.n_vertices))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sys.matrix, attr), getattr(ref, attr))
+
+
+def test_second_assembly_reuses_pattern():
+    mesh = _three_level_mesh()
+    assert "csr_pattern" not in vars(mesh)
+    assemble_weighted_mass(mesh, 1.0)
+    pattern = mesh.csr_pattern
+    assemble_weighted_laplace(mesh, 2.0)
+    assert mesh.csr_pattern is pattern
+    # Scattered matrices share the cached structure and never copy it.
+    local = np.ones((mesh.n_cells, 16))
+    for _ in range(2):
+        a = fem._scatter(mesh, local)
+        assert np.shares_memory(a.indices, pattern[1])
+        assert np.shares_memory(a.indptr, pattern[0])
+    assert not pattern[1].flags.writeable
+
+
+def test_qp_evaluation_matches_cell_loop():
+    mesh = _three_level_mesh()
+    f = ScalarField(mesh, np.random.default_rng(5).uniform(
+        -1.0, 1.0, mesh.n_vertices))
+    vals = fem.field_at_qp(f)
+    grads = fem.grad_at_qp(f)
+    want_v = np.empty_like(vals)
+    want_g = np.empty_like(grads)
+    for c in range(mesh.n_cells):
+        nodal = f.values[mesh.cell_vertices[c]]
+        for q, (s, t) in enumerate(GAUSS2.points):
+            phi, dphi = shape_eval(s, t)
+            want_v[c, q] = nodal @ phi
+            want_g[c, q] = nodal @ dphi / mesh.cell_h[c]
+    assert np.max(np.abs(vals - want_v)) < 1e-14
+    # Gradients scale with 1/h <= 16 on this mesh.
+    assert np.max(np.abs(grads - want_g)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +283,33 @@ def test_pcg_matches_direct(mesh_hanging):
     xd = solve_spd(sys, method="direct")
     xp = solve_spd(sys, tol=1e-12, method="pcg")
     assert np.max(np.abs(xd - xp)) < 1e-9
+
+
+def test_direct_solve_matches_dense_oracle(mesh_hanging):
+    sys = _poisson_system(mesh_hanging,
+                          lambda x, y: 1.0 + np.sin(3 * x) * y,
+                          lambda x, y: np.cos(x) + x * y)
+    x = solve_spd(sys, method="direct")
+    want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    assert np.max(np.abs(x - want)) < 1e-12
+
+
+def test_direct_exactly_singular_raises_linear_solve_error(mesh4x4):
+    sys = fem.SparseSystem(sp.diags([1.0, 0.0, 2.0]).tocsr(), np.ones(3),
+                           mesh4x4)
+    with pytest.raises(LinearSolveError) as info:
+        solve_spd(sys, method="direct")
+    assert info.value.residual == np.inf
+
+
+def test_direct_pure_neumann_raises_linear_solve_error():
+    # The Laplacian without Dirichlet data is singular up to rounding, and a
+    # constant load is not in its range.
+    mesh = build_uniform(3)
+    sys = assemble_weighted_laplace(mesh, 1.0)
+    sys.rhs = assemble_load(mesh, 1.0)
+    with pytest.raises(LinearSolveError):
+        solve_spd(sys, method="direct")
 
 
 def test_pcg_residual_contract():

@@ -190,8 +190,24 @@ def test_vtk_round_trip(tmp_path):
     assert np.array_equal(pdata["u"], u)
     assert np.array_equal(pdata["v"], v)
     assert np.array_equal(cdata["level"], m.cell_levels)
-    # printed with 15 significant digits
-    assert np.max(np.abs(cdata["xi"] - xi)) < 1e-15
+    assert np.array_equal(cdata["xi"], xi)
+
+
+def test_vtk_round_trip_is_bitwise(tmp_path):
+    # Random doubles need up to 17 significant digits to survive a
+    # write/read cycle.
+    m = refine(build_uniform(3), [0, 9, 30])
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(m.n_vertices) * 10.0 ** rng.integers(
+        -8, 8, m.n_vertices)
+    v = rng.uniform(0.0, 1.0, m.n_vertices)
+    xi = rng.uniform(0.011, 0.15, m.n_cells)
+    path = tmp_path / "f.vtk"
+    output.write_vtk(m, {"u": u, "v": v}, {"xi": xi}, path)
+    _, pdata, cdata = output.read_vtk(path)
+    assert np.array_equal(pdata["u"], u)
+    assert np.array_equal(pdata["v"], v)
+    assert np.array_equal(cdata["xi"], xi)
 
 
 # ---------------------------------------------------------------------------

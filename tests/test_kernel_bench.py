@@ -1,0 +1,104 @@
+"""Micro-benchmarks of the assembly, qp-evaluation and factorization kernels.
+
+Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
+the adapted ``field_xi_amr`` mesh) and then checks the timed result
+against a reference built another way: per-call ``einsum`` local kernels
+scattered through a COO matrix, or ``spsolve`` with SuperLU's default
+ordering.  Rounds are fixed, so the file adds a few seconds to the suite.
+Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
+the timing table; it is skipped when pytest-benchmark is not installed.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+pytest.importorskip("pytest_benchmark")
+
+from xifrac import driver, fem, phasefield as pf  # noqa: E402
+from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
+from xifrac.mesh import build_uniform, refine  # noqa: E402
+
+ROUNDS = 20
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    """A 64 x 64 grid whose central band of 24 columns is refined once."""
+    m = build_uniform(6, level_max=7)
+    centre = m.cell_origin[:, 0] + 0.5 * m.cell_h
+    m = refine(m, np.flatnonzero(np.abs(centre - 0.5) < 0.19))
+    assert 8000 < m.n_cells < 9500 and len(m.constraints) > 0
+    return m
+
+
+@pytest.fixture(scope="module")
+def weight(mesh):
+    return np.random.default_rng(0).uniform(0.5, 2.0, (mesh.n_cells, 4))
+
+
+def _reference_matrix(mesh, local):
+    conn = mesh.cell_vertices
+    a = sp.coo_matrix((local.ravel(), (np.repeat(conn, 4, axis=1).ravel(),
+                                       np.tile(conn, (1, 4)).ravel())),
+                      shape=(mesh.n_vertices,) * 2).tocsr()
+    return fem._condense(mesh, a, np.zeros(mesh.n_vertices))[0]
+
+
+def _assert_matrix_close(got, want):
+    diff = abs(got - want).max()
+    assert diff <= 1e-13 * abs(want).max()
+
+
+def _run(benchmark, fn, *args, rounds=ROUNDS, **kwargs):
+    return benchmark.pedantic(fn, args, kwargs, rounds=rounds, iterations=1,
+                              warmup_rounds=1)
+
+
+def test_bench_laplace_assembly(benchmark, mesh, weight):
+    sys = _run(benchmark, fem.assemble_weighted_laplace, mesh, weight)
+    _, grads = GAUSS2.tabulation
+    local = np.einsum("q,cq,qad,qbd->cab", GAUSS2.weights, weight, grads,
+                      grads)
+    _assert_matrix_close(sys.matrix, _reference_matrix(mesh, local))
+
+
+def test_bench_mass_assembly(benchmark, mesh, weight):
+    sys = _run(benchmark, fem.assemble_weighted_mass, mesh, weight)
+    vals, _ = GAUSS2.tabulation
+    local = np.einsum("q,cq,c,qa,qb->cab", GAUSS2.weights, weight,
+                      mesh.cell_h ** 2, vals, vals)
+    _assert_matrix_close(sys.matrix, _reference_matrix(mesh, local))
+
+
+def test_bench_load_assembly(benchmark, mesh, weight):
+    b = _run(benchmark, fem.assemble_load, mesh, weight)
+    vals, _ = GAUSS2.tabulation
+    local = np.einsum("q,cq,c,qa->ca", GAUSS2.weights, weight,
+                      mesh.cell_h ** 2, vals)
+    want = np.zeros(mesh.n_vertices)
+    np.add.at(want, mesh.cell_vertices.ravel(), local.ravel())
+    want = mesh.constraints.matrix().T @ want
+    want[mesh.constraints.hanging] = 0.0
+    assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bench_grad_at_qp(benchmark, mesh):
+    f = ScalarField(mesh, np.random.default_rng(1).uniform(
+        -1.0, 1.0, mesh.n_vertices))
+    g = _run(benchmark, fem.grad_at_qp, f)
+    _, grads = GAUSS2.tabulation
+    want = np.einsum("ca,qad->cqd", f.values[mesh.cell_vertices], grads)
+    want /= mesh.cell_h[:, None, None]
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bench_u_system_factorization(benchmark, mesh):
+    # The displacement system of a cracked body under the benchmark load.
+    v, _ = pf.initial_crack(mesh, 0.5)
+    bc = driver.boundary_displacement(mesh, 0.05, 1.0)
+    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), bc)
+    x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
+    want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
