@@ -71,8 +71,9 @@ def _cmd_run(args) -> int:
     config = parse_config(text, overrides)
     out_dir = args.out or Path("xifrac-out")
     history, state = driver.run(config, out_dir=out_dir)
+    failed = sum(not rec.converged for rec in history)
     print(f"completed {len(history)} steps on {state.mesh.n_cells} cells; "
-          f"outputs in {out_dir}")
+          f"{failed} did not converge; outputs in {out_dir}")
     return 0
 
 

@@ -5,23 +5,26 @@ so the reference-to-physical map is a pure scaling and shape data can be
 tabulated once per quadrature rule.  Each cell kernel is one matrix
 product of an ``(n_cells, nq)`` coefficient against a basis-product table
 cached on the rule (``laplace_table``, ``mass_table``, ``load_table``,
-``grad_table``).  The global CSR structure is computed once per mesh
-(:attr:`Mesh.csr_pattern`); an assembly only sums the cell values into it
-with ``np.bincount``.  Hanging-node constraints are condensed through the
-prolongation matrix ``T`` (master-side accumulation), never by post-hoc
-row edits.
+``grad_table``).
 
-Every system solved here is symmetric positive definite.  The direct
-solver factors it with SuperLU in symmetric mode: a minimum-degree
-ordering of ``A^T + A`` and diagonal pivots, which gives less fill and
-faster factorizations than the default column ordering with row pivoting.
-Each factor lives only for its own solve.
+A linear system is built in two steps.  *Fold*: an assembly sums cell
+matrices straight into ``T^T A T``, with ``T`` the hanging-node
+prolongation, through a map cached per mesh (:attr:`Mesh.csr_pattern`),
+and loads into ``T^T b``; hanging rows and columns stay empty.
+*Restrict*: :func:`apply_dirichlet` keeps the free dofs, neither hanging
+nor prescribed, so the solvers only ever see that SPD block;
+:func:`solve_field` expands the solution again.
+
+The direct solver factors the free block with SuperLU in symmetric mode:
+a minimum-degree ordering of ``A^T + A`` and diagonal pivots, which gives
+less fill and faster factorizations than the default column ordering with
+row pivoting.  Each factor lives only for its own solve.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -135,10 +138,6 @@ class ScalarField:
                 f"field length {self.values.shape} does not match mesh "
                 f"{self.mesh.id} with {self.mesh.n_vertices} vertices")
 
-    @property
-    def mesh_id(self) -> int:
-        return self.mesh.id
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.mesh, self.values.copy())
 
@@ -149,16 +148,19 @@ def constant_field(mesh: Mesh, value: float) -> ScalarField:
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse system with constraints condensed.
+    """Sparse symmetric system on one mesh.
 
-    ``dirichlet`` records prescribed nodal values once
-    :func:`apply_dirichlet` has run.
+    As assembled: the folded ``T^T A T`` and ``T^T b`` over all vertices.
+    After :func:`apply_dirichlet`: the free block and its reduced
+    right-hand side, with the vertex ids of its rows in ``free`` and the
+    prescribed values, full length, in ``prescribed``.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    dirichlet: dict[int, float] = field(default_factory=dict)
+    free: np.ndarray | None = None
+    prescribed: np.ndarray | None = None
 
 
 def quadrature_points(mesh: Mesh, rule: QuadratureRule = GAUSS2) -> np.ndarray:
@@ -200,31 +202,14 @@ def _coefficient(mesh, w, rule):
 
 
 def _scatter(mesh, local):
-    """Sum local cell matrices, (n_cells, 16) or (n_cells, 4, 4), into CSR.
+    """Fold local cell matrices, (n_cells, 16) or (n_cells, 4, 4), into CSR.
 
-    The structure is the mesh's cached pattern; only the values are summed
-    here, in cell order, as a COO-to-CSR conversion would sum them.
+    One product with the mesh's cached fold gives the data of ``T^T A T``
+    (:attr:`Mesh.csr_pattern`); each entry sums its terms in cell order.
     """
-    indptr, indices, slot = mesh.csr_pattern
-    data = np.bincount(slot, weights=local.ravel(), minlength=len(indices))
-    return sp.csr_matrix((data, indices, indptr),
+    indptr, indices, fold = mesh.csr_pattern
+    return sp.csr_matrix((fold @ local.ravel(), indices, indptr),
                          shape=(mesh.n_vertices, mesh.n_vertices))
-
-
-def _condense(mesh, matrix, rhs):
-    """Fold hanging rows/columns onto masters; hanging dofs become identity."""
-    cons = mesh.constraints
-    if len(cons) == 0:
-        return matrix, rhs
-    T = cons.matrix()
-    matrix = (T.T @ matrix @ T).tocsr()
-    rhs = T.T @ rhs
-    hang = cons.hanging
-    ident = sp.coo_matrix((np.ones(len(hang)), (hang, hang)),
-                          shape=matrix.shape)
-    matrix = (matrix + ident).tocsr()
-    rhs[hang] = 0.0
-    return matrix, rhs
 
 
 def assemble_weighted_laplace(mesh: Mesh, weight,
@@ -238,9 +223,7 @@ def assemble_weighted_laplace(mesh: Mesh, weight,
         raise ValueError("weighted Laplace requires a strictly positive weight")
     # Physical gradient scaling 1/h^2 cancels the area factor h^2 in 2D.
     local = w @ rule.laplace_table
-    matrix, rhs = _condense(mesh, _scatter(mesh, local),
-                            np.zeros(mesh.n_vertices))
-    return SparseSystem(matrix, rhs, mesh)
+    return SparseSystem(_scatter(mesh, local), np.zeros(mesh.n_vertices), mesh)
 
 
 def assemble_weighted_mass(mesh: Mesh, weight,
@@ -248,9 +231,7 @@ def assemble_weighted_mass(mesh: Mesh, weight,
     """System with entries ``sum_K int_K w z_i z_j`` (w >= 0 allowed)."""
     w = _coefficient(mesh, weight, rule)
     local = (w * mesh.cell_h[:, None] ** 2) @ rule.mass_table
-    matrix, rhs = _condense(mesh, _scatter(mesh, local),
-                            np.zeros(mesh.n_vertices))
-    return SparseSystem(matrix, rhs, mesh)
+    return SparseSystem(_scatter(mesh, local), np.zeros(mesh.n_vertices), mesh)
 
 
 def assemble_load(mesh: Mesh, density,
@@ -260,55 +241,41 @@ def assemble_load(mesh: Mesh, density,
     local = (rho * mesh.cell_h[:, None] ** 2) @ rule.load_table
     b = np.bincount(mesh.cell_vertices.ravel(), weights=local.ravel(),
                     minlength=mesh.n_vertices)
-    cons = mesh.constraints
-    if len(cons):
-        b = cons.matrix().T @ b
-        b[cons.hanging] = 0.0
-    return b
+    return mesh.constraints.fold(b)
 
 
 def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
             ) -> SparseSystem:
-    """Sum two systems assembled on the same mesh (hanging identity kept once)."""
+    """Sum two folded systems assembled on the same mesh."""
     if a.mesh is not b.mesh:
         raise ValueError("systems live on different meshes")
-    matrix = (a.matrix + b.matrix).tocsr()
-    hang = a.mesh.constraints.hanging
-    if len(hang):
-        ident = sp.coo_matrix((np.ones(len(hang)), (hang, hang)),
-                              shape=matrix.shape)
-        matrix = (matrix - ident).tocsr()
+    if a.free is not None or b.free is not None:
+        raise ValueError("combine systems before restricting them")
     combined_rhs = a.rhs + b.rhs if rhs is None else np.array(rhs, dtype=float)
-    return SparseSystem(matrix, combined_rhs, a.mesh)
+    return SparseSystem(a.matrix + b.matrix, combined_rhs, a.mesh)
 
 
 def apply_dirichlet(sys: SparseSystem, bc: dict[int, float]) -> SparseSystem:
-    """Symmetric elimination of prescribed nodal values.
+    """Restrict a folded system to its free dofs.
 
-    Known columns are moved to the right-hand side, constrained rows and
-    columns are replaced by unit diagonals, and the solution reproduces
-    the prescribed values exactly.
+    The free dofs are the vertices that neither hang nor carry a value in
+    ``bc``; an entry of ``bc`` on a hanging vertex is ignored, because a
+    hanging value always comes from its masters.  With ``x0`` holding the
+    prescribed values, the result is ``A[free][:, free]`` with right-hand
+    side ``b[free] - A[free, :] x0``.  This is the only form the solvers
+    take: call it with ``{}`` when there is no data.
     """
-    for node in sys.dirichlet.keys() & bc.keys():
-        if sys.dirichlet[node] != bc[node]:
-            raise ValueError(
-                f"node {node} prescribed twice with conflicting values "
-                f"{sys.dirichlet[node]} and {bc[node]}")
-    if not bc:
-        return sys
-    nodes = np.fromiter(bc.keys(), dtype=int, count=len(bc))
-    n = sys.matrix.shape[0]
-    x0 = np.zeros(n)
+    if sys.free is not None:
+        raise ValueError("system is already restricted to its free dofs")
+    nodes = np.fromiter(bc, dtype=np.intp, count=len(bc))
+    x0 = np.zeros(sys.matrix.shape[0])
     x0[nodes] = np.fromiter(bc.values(), dtype=float, count=len(bc))
-    rhs = sys.rhs - sys.matrix @ x0
-
-    keep = np.ones(n)
-    keep[nodes] = 0.0
-    P = sp.diags(keep)
-    fix = sp.coo_matrix((np.ones(nodes.size), (nodes, nodes)), shape=(n, n))
-    matrix = (P @ sys.matrix @ P + fix).tocsr()
-    rhs[nodes] = x0[nodes]
-    return SparseSystem(matrix, rhs, sys.mesh, {**sys.dirichlet, **bc})
+    is_free = np.ones(len(x0), dtype=bool)
+    is_free[nodes] = is_free[sys.mesh.constraints.hanging] = False
+    free = np.flatnonzero(is_free)
+    rows = sys.matrix[free]
+    return SparseSystem(rows[:, free], sys.rhs[free] - rows @ x0, sys.mesh,
+                        free, x0)
 
 
 def _pcg(A, b, tol, max_iter):
@@ -343,13 +310,18 @@ def _pcg(A, b, tol, max_iter):
 
 def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
               method: str = "pcg") -> np.ndarray:
-    """Solve the condensed SPD system to ``||Ax-b|| <= tol ||b||``.
+    """Solve ``sys.matrix x = sys.rhs`` to ``||Ax-b|| <= tol ||b||``.
 
+    On a restricted system the contract applies to the free block alone.
     ``method`` is ``"pcg"`` (Jacobi-preconditioned CG) or ``"direct"``
-    (sparse LU in symmetric mode); both are checked against the residual
-    contract, and every failure raises :class:`LinearSolveError`.
+    (sparse LU in symmetric mode); every failure raises
+    :class:`LinearSolveError`.  With no unknown, nothing is factored.
     """
+    if method not in ("direct", "pcg"):
+        raise ValueError(f"unknown solver method {method!r}")
     A, b = sys.matrix, sys.rhs
+    if not len(b):
+        return np.zeros(0)
     if method == "direct":
         # Every system here is SPD, so SuperLU may keep the diagonal pivots
         # of a symmetric fill-reducing ordering.  A zero pivot column still
@@ -368,8 +340,6 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
             raise LinearSolveError(
                 f"direct solve residual {rel:.3e} exceeds tolerance", rel)
         return x
-    if method != "pcg":
-        raise ValueError(f"unknown solver method {method!r}")
     x, rel, iters = _pcg(A, b, tol, max_iter)
     if rel > tol:
         raise LinearSolveError(
@@ -380,12 +350,16 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
 
 def solve_field(sys: SparseSystem, tol: float = 1e-10,
                 max_iter: int = 20000, method: str = "pcg") -> ScalarField:
-    """Solve and return a ScalarField with hanging values filled in."""
-    x = solve_spd(sys, tol=tol, max_iter=max_iter, method=method)
-    cons = sys.mesh.constraints
-    if len(cons):
-        x = cons.matrix() @ x
-    return ScalarField(sys.mesh, x)
+    """Solve a restricted system and return the whole field.
+
+    Free values come from :func:`solve_spd`, prescribed ones from
+    ``sys.prescribed`` and hanging ones from their masters.
+    """
+    if sys.free is None:
+        raise ValueError("solve_field takes a system from apply_dirichlet")
+    x = sys.prescribed.copy()
+    x[sys.free] = solve_spd(sys, tol=tol, max_iter=max_iter, method=method)
+    return ScalarField(sys.mesh, sys.mesh.constraints.apply(x))
 
 
 def integrate(mesh: Mesh, integrand, rule: QuadratureRule = GAUSS2) -> float:

@@ -169,20 +169,12 @@ class ConstraintSet:
     Hanging vertex ``hanging[k]`` takes the value
     ``0.5 * (pairs[k, 0] + pairs[k, 1])``, the exact bilinear trace on the
     coarse edge.  In a 2:1-balanced mesh no master is itself hanging, so
-    one application of ``T`` satisfies every constraint.
+    one application of the constraints satisfies all of them.
     """
 
-    def __init__(self, hanging: np.ndarray, pairs: np.ndarray,
-                 n_vertices: int):
+    def __init__(self, hanging: np.ndarray, pairs: np.ndarray):
         self.hanging = hanging  # sorted vertex ids
         self.pairs = pairs      # (len(hanging), 2) master vertex ids
-        self.n_vertices = n_vertices
-        regular = np.setdiff1d(np.arange(n_vertices), hanging)
-        rows = np.concatenate([regular, hanging, hanging])
-        cols = np.concatenate([regular, pairs[:, 0], pairs[:, 1]])
-        data = np.repeat([1.0, 0.5], [len(regular), 2 * len(hanging)])
-        self._T = sp.csr_matrix((data, (rows, cols)),
-                                shape=(n_vertices, n_vertices))
 
     def __len__(self):
         return len(self.hanging)
@@ -200,9 +192,12 @@ class ConstraintSet:
                                    + out[self.pairs[:, 1]])
         return out
 
-    def matrix(self) -> sp.csr_matrix:
-        """Prolongation ``T``: identity on regular rows, (1/2, 1/2) on hanging."""
-        return self._T
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`apply`: hanging entries split onto masters."""
+        out = np.array(values, dtype=float)
+        np.add.at(out, self.pairs, 0.5 * out[self.hanging, None])
+        out[self.hanging] = 0.0
+        return out
 
 
 class Mesh:
@@ -282,8 +277,7 @@ class Mesh:
             hanging.append(ids[0])
             pairs.append(np.stack(ids[1:], axis=1))
         hanging, first = np.unique(np.concatenate(hanging), return_index=True)
-        return ConstraintSet(hanging, np.concatenate(pairs)[first],
-                             self.n_vertices)
+        return ConstraintSet(hanging, np.concatenate(pairs)[first])
 
     def _tag_boundary(self) -> dict[int, np.ndarray]:
         x = self.vertex_coords[:, 0]
@@ -303,25 +297,49 @@ class Mesh:
         return list(map(tuple, self._keys.tolist()))
 
     @cached_property
-    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparsity of the vertex-vertex coupling through shared cells.
+    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
+        """CSR structure of ``T^T A T`` and the map from cell blocks onto it.
 
-        Returns ``(indptr, indices, slot)``: the CSR row pointers and sorted
-        column indices of the ``n_vertices``-square matrix that sums one
-        ``4 x 4`` block per cell, and for each entry of the
-        ``(n_cells, 4, 4)`` blocks in C order its position in ``indices``.
-        The arrays are read-only, because every assembled matrix shares them.
+        ``A`` sums one ``4 x 4`` block per cell and ``T`` is the hanging-node
+        prolongation.  Returns ``(indptr, indices, fold)``; hanging rows and
+        columns are empty, and ``fold`` takes the blocks, raveled in C
+        order, to the CSR data, summing in cell order.  ``indptr`` and
+        ``indices`` are read-only, because every assembled matrix shares
+        them.
         """
-        n = self.n_vertices
-        conn = self.cell_vertices
-        pairs = np.repeat(conn, 4, axis=1) * n + np.tile(conn, (1, 4))
-        codes, slot = np.unique(pairs.ravel(), return_inverse=True)
+        n, nc, cons = self.n_vertices, self.n_cells, self._constraints
+        # Where each corner goes: its own vertex with weights (1, 0), or
+        # for a hanging corner its two masters with weights (1/2, 1/2).
+        ids = self.cell_vertices.ravel()
+        which = np.full(n, -1)
+        which[cons.hanging] = np.arange(len(cons))
+        hang = np.flatnonzero(which[ids] >= 0)
+        images = np.stack([ids, ids], axis=1)
+        images[hang] = cons.pairs[which[ids[hang]]]
+        weights = np.tile([1.0, 0.0], (len(ids), 1))
+        weights[hang] = 0.5
+        # A block entry (c, a, b) goes to every pair of an image of corner a
+        # and an image of corner b, listed entry by entry.
+        row = images.reshape(nc, 4, 1, 2, 1), weights.reshape(nc, 4, 1, 2, 1)
+        col = images.reshape(nc, 1, 4, 1, 2), weights.reshape(nc, 1, 4, 1, 2)
+        keep = (row[1] != 0.0) & (col[1] != 0.0)
+        shape = keep.shape
+        codes, slot = np.unique(np.broadcast_to(row[0], shape)[keep] * n
+                                + np.broadcast_to(col[0], shape)[keep],
+                                return_inverse=True)
         indices = (codes % n).astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
-        for a in (indptr, indices, slot):
+        for a in (indptr, indices):
             a.flags.writeable = False
-        return indptr, indices, slot
+        # Column e of the fold holds the terms of block entry e.
+        starts = np.zeros(16 * nc + 1, dtype=np.int32)
+        np.cumsum(keep.reshape(-1, 4).sum(axis=1), out=starts[1:])
+        w = (np.broadcast_to(row[1], shape)[keep]
+             * np.broadcast_to(col[1], shape)[keep])
+        fold = sp.csc_matrix((w, slot.astype(np.int32), starts),
+                             shape=(len(codes), 16 * nc))
+        return indptr, indices, fold
 
     @property
     def constraints(self) -> ConstraintSet:
@@ -348,33 +366,40 @@ class Mesh:
             raise KeyError(key)
         return c
 
-    def locate(self, x: float, y: float) -> int:
-        """Active cell id containing the point (boundary points included)."""
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise ValueError(f"point ({x}, {y}) outside the unit square")
-        # Exactly one level holds an active cell whose half-open box (clamped
-        # at x, y = 1) contains the point, so the search order is free.
-        for l in range(self.level_min, self.level_max + 1):
-            n = 1 << l
-            code = _cell_code(l, min(int(x * n), n - 1), min(int(y * n), n - 1))
-            c = self._codes.searchsorted(code)
-            if c < self.n_cells and self._codes[c] == code:
-                return int(c)
-        raise RuntimeError("active cells do not tile the domain")
+    def locate(self, x, y):
+        """Active cell ids containing the points (boundary points included).
 
-    def eval_field(self, values: np.ndarray, x: float, y: float) -> float:
-        """Evaluate the piecewise-bilinear interpolant of nodal values."""
+        ``x`` and ``y`` are scalars or arrays that broadcast together; a
+        scalar point gives an ``int``.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        if not np.all((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)):
+            raise ValueError("point outside the unit square")
+        # Exactly one level holds an active cell whose half-open box (clamped
+        # at x, y = 1) contains a point, so the search order is free.
+        cells = np.full(x.shape, -1)
+        for l in range(self.level_min, self.level_max + 1):
+            todo = cells < 0
+            n = 1 << l
+            ij = (np.stack([x[todo], y[todo]]) * n).astype(np.int64)
+            cells[todo] = self.cell_ids(l, *np.minimum(ij, n - 1))
+        if np.any(cells < 0):
+            raise RuntimeError("active cells do not tile the domain")
+        return int(cells) if cells.ndim == 0 else cells
+
+    def eval_field(self, values: np.ndarray, x, y):
+        """Evaluate the piecewise-bilinear interpolant of nodal values.
+
+        Takes points like :meth:`locate`; a scalar point gives a ``float``.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         c = self.locate(x, y)
-        h = self.cell_h[c]
-        ox, oy = self.cell_origin[c]
-        s, t = (x - ox) / h, (y - oy) / h
-        corner = values[self.cell_vertices[c]]
-        return float(
-            corner[0] * (1 - s) * (1 - t)
-            + corner[1] * s * (1 - t)
-            + corner[2] * s * t
-            + corner[3] * (1 - s) * t
-        )
+        origin, h = self.cell_origin[c], self.cell_h[c]
+        s, t = (x - origin[..., 0]) / h, (y - origin[..., 1]) / h
+        corner = np.asarray(values)[self.cell_vertices[c]]
+        out = (corner * _q1(s, t)).sum(axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def build_uniform(level: int, *, level_min: int | None = None,

@@ -160,7 +160,7 @@ def line_profile(mesh: Mesh, values, y: float, samples: int) -> np.ndarray:
         raise ValueError("need at least two samples")
     xs = np.linspace(0.0, 1.0, samples)
     values = np.asarray(values, dtype=float)
-    return np.array([[x, mesh.eval_field(values, x, y)] for x in xs])
+    return np.column_stack([xs, mesh.eval_field(values, xs, y)])
 
 
 def write_profile_csv(columns: dict[str, np.ndarray], xs: np.ndarray, path

@@ -135,7 +135,7 @@ def degradation(v, eta: float):
 
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
                           bc: dict[int, float]) -> SparseSystem:
-    """Degraded shear system for u with Dirichlet data ``bc``."""
+    """Degraded shear system for u, restricted to the dofs free of ``bc``."""
     weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
     sys = fem.assemble_weighted_laplace(mesh, weight)
     return fem.apply_dirichlet(sys, bc)
@@ -151,7 +151,8 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
     Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
-    weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``.
+    weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``.  The
+    system is restricted to the dofs free of ``bc`` (the pinned nodes).
     """
     xi_qp = _xi_at_qp(mesh, xi, len(GAUSS2.weights))
     if np.any(xi_qp <= 0.0):
@@ -162,10 +163,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
     diffusion = fem.assemble_weighted_laplace(
         mesh, 2.0 * mat.g_c * xi_qp / mat.c_v)
     rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi_qp))
-    sys = fem.combine(reaction, diffusion, rhs)
-    if bc:
-        sys = fem.apply_dirichlet(sys, bc)
-    return sys
+    return fem.apply_dirichlet(fem.combine(reaction, diffusion, rhs), bc or {})
 
 
 def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,

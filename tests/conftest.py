@@ -8,6 +8,7 @@ code is meaningful.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xifrac import mesh as meshmod
 
@@ -90,33 +91,38 @@ def dense_prolongation(mesh):
     return T
 
 
+def sparse_prolongation(mesh):
+    """Sparse hanging-node prolongation ``T`` built from the master pairs."""
+    cons = mesh.constraints
+    n = mesh.n_vertices
+    regular = np.setdiff1d(np.arange(n), cons.hanging)
+    rows = np.concatenate([regular, cons.hanging, cons.hanging])
+    cols = np.concatenate([regular, cons.pairs[:, 0], cons.pairs[:, 1]])
+    data = np.repeat([1.0, 0.5], [len(regular), 2 * len(cons.hanging)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 def dense_condense(mesh, A, b):
-    """Condense constraints the slow way and pin hanging dofs to identity."""
+    """Fold constraints the slow way: ``T^T A T`` and ``T^T b``.
+
+    Hanging rows and columns come out zero, since ``T`` has zero columns
+    at hanging vertices.
+    """
     T = dense_prolongation(mesh)
-    Ac = T.T @ A @ T
-    bc = T.T @ b
-    for h in mesh.constraints.masters:
-        Ac[h, :] = 0.0
-        Ac[:, h] = 0.0
-        Ac[h, h] = 1.0
-        bc[h] = 0.0
-    return Ac, bc
+    return T.T @ A @ T, T.T @ b
 
 
-def dense_dirichlet(A, b, bc):
-    """Symmetric elimination on dense arrays."""
-    A = A.copy()
-    b = b.copy()
+def dense_dirichlet(mesh, A, b, bc):
+    """Free block and reduced right-hand side of a folded dense system.
+
+    The free dofs are the vertices neither hanging nor in ``bc``.
+    """
     x0 = np.zeros(len(b))
     for node, val in bc.items():
         x0[node] = val
-    b -= A @ x0
-    for node, val in bc.items():
-        A[node, :] = 0.0
-        A[:, node] = 0.0
-        A[node, node] = 1.0
-        b[node] = val
-    return A, b
+    fixed = set(bc) | set(mesh.constraints.masters)
+    free = [i for i in range(len(b)) if i not in fixed]
+    return A[np.ix_(free, free)], (b - A @ x0)[free]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Q1 assembly, constraint condensation, Dirichlet handling and solvers."""
+"""Q1 assembly, constraint folding, restriction to free dofs and solvers."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
 from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass
+    dense_load, dense_mass, sparse_prolongation
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +88,48 @@ def _coo_scatter(mesh, local):
                          shape=(mesh.n_vertices,) * 2).tocsr()
 
 
-@pytest.mark.parametrize("maker", ["hanging", "three_level"])
-def test_pattern_scatter_matches_coo_reference(maker, mesh_hanging):
-    mesh = mesh_hanging if maker == "hanging" else _three_level_mesh()
-    assert len(mesh.constraints) > 0
-    local = np.random.default_rng(3).standard_normal((mesh.n_cells, 4, 4))
-    got = fem._scatter(mesh, local)
-    want = _coo_scatter(mesh, local)
+def _assert_same_structure_close(got, want):
+    """Equal CSR structure and data equal to 1e-15 relative."""
+    want = want.tocsr()
+    want.sort_indices()
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert np.max(np.abs(got.data - want.data)) <= \
+        1e-15 * np.max(np.abs(want.data))
 
-    # The same through a whole assembly, condensation included.
+
+@pytest.mark.parametrize("maker", ["hanging", "three_level"])
+def test_pattern_scatter_matches_coo_reference(maker, mesh_hanging):
+    # The scatter folds hanging corners onto their masters: it equals the
+    # COO sum of the cell blocks, condensed by sparse products with T.
+    mesh = mesh_hanging if maker == "hanging" else _three_level_mesh()
+    assert len(mesh.constraints) > 0
+    T = sparse_prolongation(mesh)
+    local = np.random.default_rng(3).standard_normal((mesh.n_cells, 4, 4))
+    got = fem._scatter(mesh, local)
+    _assert_same_structure_close(got, T.T @ _coo_scatter(mesh, local) @ T)
+
+
+def test_folded_assembly_matches_sparse_prolongation():
+    mesh = _three_level_mesh()
+    T = sparse_prolongation(mesh)
+    hang = mesh.constraints.hanging
     w = np.random.default_rng(4).uniform(0.5, 2.0, (mesh.n_cells, 4))
-    sys = assemble_weighted_laplace(mesh, w)
-    ref, _ = fem._condense(mesh, _coo_scatter(mesh, w @ GAUSS2.laplace_table),
-                           np.zeros(mesh.n_vertices))
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(sys.matrix, attr), getattr(ref, attr))
+    for sys, table in (
+            (assemble_weighted_laplace(mesh, w), GAUSS2.laplace_table),
+            (assemble_weighted_mass(mesh, w / mesh.cell_h[:, None] ** 2),
+             GAUSS2.mass_table)):
+        _assert_same_structure_close(
+            sys.matrix, T.T @ _coo_scatter(mesh, w @ table) @ T)
+        # Hanging rows and columns hold no entry at all.
+        assert not np.any(np.diff(sys.matrix.indptr)[hang])
+        assert not np.any(np.isin(sys.matrix.indices, hang))
+    b = assemble_load(mesh, w / mesh.cell_h[:, None] ** 2)
+    want = T.T @ np.bincount(mesh.cell_vertices.ravel(),
+                             weights=(w @ GAUSS2.load_table).ravel(),
+                             minlength=mesh.n_vertices)
+    assert np.max(np.abs(b - want)) <= 1e-15 * np.max(np.abs(want))
+    assert not np.any(b[hang])
 
 
 def test_second_assembly_reuses_pattern():
@@ -204,8 +228,9 @@ def test_matrices_symmetric_spd(mesh_hanging):
     for sys in (lap, mass, both):
         A = sys.matrix.toarray()
         assert np.max(np.abs(A - A.T)) < 1e-10
-    # laplace alone is only semi-definite; mass + laplace is SPD
-    np.linalg.cholesky(both.matrix.toarray())
+    # laplace alone is only semi-definite; mass + laplace is SPD on the
+    # free dofs
+    np.linalg.cholesky(apply_dirichlet(both, {}).matrix.toarray())
 
 
 def test_laplace_rejects_nonpositive_weight(mesh4x4):
@@ -222,12 +247,17 @@ def test_combine_requires_same_mesh(mesh4x4, mesh_hanging):
         combine(a, b)
 
 
-def test_combine_keeps_single_hanging_identity(mesh_hanging):
-    lap = assemble_weighted_laplace(mesh_hanging, 1.0)
-    mass = assemble_weighted_mass(mesh_hanging, 1.0)
+def test_combine_equals_dense_folded_sum(mesh_hanging):
+    mesh = mesh_hanging
+    lap = assemble_weighted_laplace(mesh, 1.0)
+    mass = assemble_weighted_mass(mesh, 0.5)
     both = combine(lap, mass)
-    for h in mesh_hanging.constraints.masters:
-        assert both.matrix[h, h] == pytest.approx(1.0, abs=1e-14)
+    dense = (dense_laplace(mesh, lambda x, y: 1.0, order=2)
+             + dense_mass(mesh, lambda x, y: 0.5, order=2))
+    A, _ = dense_condense(mesh, dense, np.zeros(mesh.n_vertices))
+    assert np.max(np.abs(both.matrix.toarray() - A)) < 1e-12
+    load = assemble_load(mesh, 1.0)
+    assert np.array_equal(combine(lap, mass, rhs=load).rhs, load)
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +272,57 @@ def test_dirichlet_matches_dense_oracle(mesh_hanging):
     bc = {int(n): 1.5 for n in mesh.boundary_vertices(TOP)}
 
     fixed = apply_dirichlet(sys, bc)
-    Ad, bd = dense_dirichlet(sys.matrix.toarray(), sys.rhs, bc)
+    Ad, bd = dense_dirichlet(mesh, sys.matrix.toarray(), sys.rhs, bc)
     assert np.max(np.abs(fixed.matrix.toarray() - Ad)) < 1e-12
     assert np.max(np.abs(fixed.rhs - bd)) < 1e-12
 
-    x = solve_spd(fixed, method="direct")
+    u = solve_field(fixed, method="direct")
     for n, val in bc.items():
-        assert x[n] == pytest.approx(val, abs=1e-12)
+        assert u.values[n] == val
 
 
-def test_dirichlet_conflict_raises(mesh4x4):
-    sys = assemble_weighted_mass(mesh4x4, 1.0)
-    sys = apply_dirichlet(sys, {0: 1.0})
+def test_restricting_restricted_system_raises(mesh4x4):
+    sys = apply_dirichlet(assemble_weighted_mass(mesh4x4, 1.0), {0: 1.0})
     with pytest.raises(ValueError):
-        apply_dirichlet(sys, {0: 2.0})
-    # same value twice is fine
-    apply_dirichlet(sys, {0: 1.0})
+        apply_dirichlet(sys, {0: 1.0})
+    with pytest.raises(ValueError):
+        apply_dirichlet(sys, {})
+    with pytest.raises(ValueError):
+        combine(sys, sys)
+
+
+def test_restricted_system_has_one_row_per_free_dof(mesh_hanging):
+    mesh = mesh_hanging
+    hanging = set(mesh.constraints.hanging.tolist())
+    bc = {int(n): 0.5 for n in mesh.boundary_vertices(LEFT)}
+    bc[min(hanging)] = 3.0
+    sys = apply_dirichlet(assemble_weighted_laplace(mesh, 1.0), bc)
+    free = sorted(set(range(mesh.n_vertices)) - hanging - set(bc))
+    assert len(free) == mesh.n_vertices - len(hanging | set(bc))
+    assert sys.matrix.shape == (len(free), len(free))
+    assert sys.rhs.shape == (len(free),)
+    assert sys.free.tolist() == free
+
+
+def test_dirichlet_on_hanging_vertex_is_ignored(mesh_hanging):
+    # A hanging value always comes from its masters, whatever bc says.
+    mesh = mesh_hanging
+    exact = lambda x, y: 3.0 * x - 2.0 * y + 0.5
+    base = combine(assemble_weighted_laplace(mesh, 1.0),
+                   assemble_weighted_mass(mesh, 1.0),
+                   rhs=assemble_load(mesh, 1.0))
+    bc = {int(n): exact(*mesh.vertex_coords[n])
+          for n in mesh.boundary_vertices(BOTTOM)}
+    h = int(mesh.constraints.hanging[0])
+    plain = apply_dirichlet(base, bc)
+    extra = apply_dirichlet(base, {**bc, h: 99.0})
+    assert np.array_equal(extra.free, plain.free)
+    assert (extra.matrix != plain.matrix).nnz == 0
+    assert np.array_equal(extra.rhs, plain.rhs)
+    u = solve_field(extra, method="direct")
+    a, b = mesh.constraints.masters[h]
+    assert u.values[h] == 0.5 * (u.values[a] + u.values[b])
+    assert np.array_equal(u.values, solve_field(plain, method="direct").values)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +418,7 @@ def test_manufactured_solution_second_order():
     for level in (4, 5, 6):
         mesh = build_uniform(level)
         sys = _poisson_system(mesh, rhs, lambda x, y: 0.0)
-        u = solve_spd(sys, method="direct")
-        uh = ScalarField(mesh, u)
+        uh = solve_field(sys, method="direct")
         qp = fem.quadrature_points(mesh)
         diff = fem.field_at_qp(uh) - exact(qp[..., 0], qp[..., 1])
         errors.append(np.sqrt(integrate(mesh, diff ** 2)))

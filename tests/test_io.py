@@ -272,6 +272,18 @@ def test_line_profile_linear_reproduction():
     assert np.allclose(rows[:, 1], rows[:, 0], atol=1e-13)
 
 
+def test_line_profile_matches_pointwise_eval():
+    m = refine(build_uniform(2), [0, 5])
+    m = refine(m, [m.locate(0.01, 0.01), m.locate(0.3, 0.3)])
+    f = m.constraints.apply(np.random.default_rng(2).standard_normal(
+        m.n_vertices))
+    for y in (0.0, 0.2, 0.25, 1.0):
+        rows = output.line_profile(m, f, y, 33)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 33))
+        assert np.array_equal(rows[:, 1],
+                              [m.eval_field(f, x, y) for x in rows[:, 0]])
+
+
 def test_line_profile_validates_ordinate():
     m = build_uniform(2)
     with pytest.raises(ValueError):
@@ -333,6 +345,20 @@ def test_cli_run_zero_steps(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "out" / "energies.csv").exists()
     assert (tmp_path / "out" / "run_manifest.cfg").exists()
+
+
+def test_cli_run_reports_nonconverged_steps(tmp_path, capsys):
+    # One staggered iteration never meets the tolerance from a new load.
+    rc = cli.main(["run", "--out", str(tmp_path / "out"),
+                   "--set", "loading.n_max=2",
+                   "--set", "mesh.level_start=3",
+                   "--set", "mesh.level_max=3",
+                   "--set", "solver.staggered_max_iter=1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "completed 2 steps on 64 cells; 2 did not converge" in out
+    rows = (tmp_path / "out" / "energies.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "0"]
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
 against a reference built another way: per-call ``einsum`` local kernels
-scattered through a COO matrix, or ``spsolve`` with SuperLU's default
+scattered through a COO matrix and condensed by sparse products with the
+hanging-node prolongation, or ``spsolve`` with SuperLU's default
 ordering.  Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed.
@@ -19,6 +20,8 @@ pytest.importorskip("pytest_benchmark")
 from xifrac import driver, fem, phasefield as pf  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import build_uniform, refine  # noqa: E402
+
+from conftest import sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -43,7 +46,8 @@ def _reference_matrix(mesh, local):
     a = sp.coo_matrix((local.ravel(), (np.repeat(conn, 4, axis=1).ravel(),
                                        np.tile(conn, (1, 4)).ravel())),
                       shape=(mesh.n_vertices,) * 2).tocsr()
-    return fem._condense(mesh, a, np.zeros(mesh.n_vertices))[0]
+    T = sparse_prolongation(mesh)
+    return T.T @ a @ T
 
 
 def _assert_matrix_close(got, want):
@@ -79,8 +83,7 @@ def test_bench_load_assembly(benchmark, mesh, weight):
                       mesh.cell_h ** 2, vals)
     want = np.zeros(mesh.n_vertices)
     np.add.at(want, mesh.cell_vertices.ravel(), local.ravel())
-    want = mesh.constraints.matrix().T @ want
-    want[mesh.constraints.hanging] = 0.0
+    want = sparse_prolongation(mesh).T @ want
     assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))
 
 

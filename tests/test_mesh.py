@@ -151,7 +151,8 @@ def test_constraints_reproduce_linear_fields(mesh_hanging):
 
 
 def test_constraint_matrix_matches_dense(mesh_hanging):
-    T = mesh_hanging.constraints.matrix().toarray()
+    # Constraining the identity column by column gives the prolongation T.
+    T = mesh_hanging.constraints.apply(np.eye(mesh_hanging.n_vertices))
     assert np.array_equal(T, dense_prolongation(mesh_hanging))
 
 
@@ -319,3 +320,37 @@ def test_locate_and_eval(mesh_hanging):
     assert mesh_hanging.eval_field(f, 1.0, 1.0) == pytest.approx(3.0, abs=1e-14)
     with pytest.raises(ValueError):
         mesh_hanging.locate(1.5, 0.0)
+
+
+def test_eval_field_arrays_match_pointwise_bilinear():
+    # Array points, the sides x = 1 and y = 1 and the corner (1, 1)
+    # included, against the bilinear formula in a cell found by brute force.
+    m = refine(build_uniform(2), [0, 5])
+    m = refine(m, [m.locate(0.01, 0.01), m.locate(0.3, 0.3)])
+    assert len(np.unique(m.cell_levels)) == 3
+    rng = np.random.default_rng(11)
+    f = m.constraints.apply(rng.standard_normal(m.n_vertices))
+    xs = np.concatenate([rng.uniform(0, 1, 60), [1.0, 1.0, 0.3, 0.0, 0.125]])
+    ys = np.concatenate([rng.uniform(0, 1, 60), [0.4, 1.0, 1.0, 0.0, 0.25]])
+    cells = m.locate(xs, ys)
+    got = m.eval_field(f, xs, ys)
+    assert cells.shape == got.shape == xs.shape
+    lo, hi = m.cell_origin, m.cell_origin + m.cell_h[:, None]
+    for x, y, c, g in zip(xs, ys, cells, got):
+        assert lo[c, 0] <= x <= hi[c, 0] and lo[c, 1] <= y <= hi[c, 1]
+        k = next(k for k in range(m.n_cells)
+                 if lo[k, 0] <= x <= hi[k, 0] and lo[k, 1] <= y <= hi[k, 1])
+        s = (x - lo[k, 0]) / m.cell_h[k]
+        t = (y - lo[k, 1]) / m.cell_h[k]
+        v0, v1, v2, v3 = f[m.cell_vertices[k]]
+        want = (v0 * (1 - s) * (1 - t) + v1 * s * (1 - t) + v2 * s * t
+                + v3 * (1 - s) * t)
+        assert g == pytest.approx(want, abs=1e-13)
+        # Scalar calls still give an int and a float, equal to the arrays.
+        assert m.locate(x, y) == c and isinstance(m.locate(x, y), int)
+        assert m.eval_field(f, x, y) == g
+    # A two-dimensional block of points keeps its shape.
+    block = m.eval_field(f, xs[:60].reshape(6, 10), ys[:60].reshape(6, 10))
+    assert np.array_equal(block, got[:60].reshape(6, 10))
+    with pytest.raises(ValueError):
+        m.locate(np.array([0.5, 1.5]), 0.5)

@@ -7,7 +7,8 @@ from xifrac import fem, phasefield as pf
 from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform, refine
 
-from conftest import dense_condense, dense_laplace, dense_load, dense_mass
+from conftest import dense_condense, dense_dirichlet, dense_laplace, \
+    dense_load, dense_mass
 
 
 MAT = pf.MaterialParams()
@@ -176,8 +177,7 @@ def test_displacement_system_matches_dense(mesh_hanging):
 
     A, b = dense_condense(mesh, dense_laplace(mesh, weight, order=2),
                           np.zeros(mesh.n_vertices))
-    from conftest import dense_dirichlet
-    A, b = dense_dirichlet(A, b, bc)
+    A, b = dense_dirichlet(mesh, A, b, bc)
     assert np.max(np.abs(sys.matrix.toarray() - A)) < 1e-9
     assert np.max(np.abs(sys.rhs - b)) < 1e-9
 
@@ -195,7 +195,7 @@ def test_phase_system_matches_dense(mesh_hanging):
     Al = dense_laplace(mesh, lambda px, py: 2 * MAT.g_c * 0.07 / MAT.c_v,
                        order=2)
     bl = dense_load(mesh, lambda px, py: MAT.g_c / (MAT.c_v * 0.07), order=2)
-    A, b = dense_condense(mesh, Am + Al, bl)
+    A, b = dense_dirichlet(mesh, *dense_condense(mesh, Am + Al, bl), {})
     assert np.max(np.abs(sys.matrix.toarray() - A)) < 1e-9
     assert np.max(np.abs(sys.rhs - b)) < 1e-9
 
@@ -218,6 +218,28 @@ def test_phase_solution_intact_body_exceeds_one():
     sys = pf.assemble_phase(mesh, u, xi, MAT)
     v = fem.solve_field(sys, method="direct")
     assert np.min(v.values) > 1.0
+
+
+def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
+    # Every node active (the bound of an intact body): no free dof is left,
+    # so the solve returns the bound without a factorization or CG run.
+    mesh = refine(build_uniform(2), [0])
+    assert len(mesh.constraints) > 0
+    calls = []
+    splu, pcg = fem.spla.splu, fem._pcg
+    monkeypatch.setattr(fem.spla, "splu",
+                        lambda *a, **k: calls.append("splu") or splu(*a, **k))
+    monkeypatch.setattr(fem, "_pcg",
+                        lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
+    u = ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
+    xi = pf.RegularizationState("fixed", 0.1)
+    pinned = dict.fromkeys(range(mesh.n_vertices), 1.0)
+    sys = pf.assemble_phase(mesh, u, xi, MAT, pinned)
+    assert sys.matrix.shape == (0, 0)
+    for method in ("direct", "pcg"):
+        v = fem.solve_field(sys, method=method)
+        assert np.array_equal(v.values, np.ones(mesh.n_vertices))
+    assert calls == []
 
 
 def test_phase_rejects_nonpositive_xi(mesh4x4):
