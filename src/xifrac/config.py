@@ -76,7 +76,6 @@ KEYS = {
     "solver.method": ("solver", "method", str,
                       (lambda v: v in ("direct", "pcg"),
                        "must be direct or pcg")),
-    "solver.xi_each_iteration": ("solver", "xi_each_iteration", _bool, _any),
     "solver.crack_tol": ("solver", "crack_tol", float, _positive),
     "amr.enabled": ("amr", "enabled", _bool, _any),
     "amr.fixed_point": ("amr", "fixed_point", _bool, _any),

@@ -51,7 +51,6 @@ class SolverParams:
     linear_tol: float = 1e-10
     linear_max_iter: int = 20000
     method: str = "direct"
-    xi_each_iteration: bool = True
     crack_tol: float = 0.01  # Xi_CR pinning threshold
 
     def __post_init__(self):
@@ -201,8 +200,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         state.v, state.mask = pf.enforce_irreversibility(
             v_raw, state.v_prev, state.mask, sol.crack_tol)
 
-        if sol.xi_each_iteration:
-            state.xi = update_xi(state, config)
+        state.xi = update_xi(state, config)
 
         err_u = fem.l2_relative_error(state.u, u_old)
         err_v = fem.l2_relative_error(state.v, v_old)
@@ -210,8 +208,6 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
             converged = True
             break
 
-    if not sol.xi_each_iteration:
-        state.xi = update_xi(state, config)
     if not converged:
         log.warning("step %d: staggered loop hit %d iterations without "
                     "converging (err_u=%.2e, err_v=%.2e)",

@@ -5,7 +5,10 @@ is a square of size ``h = 2**-level`` addressed by ``(level, i, j)`` where
 ``(i*h, j*h)`` is its lower-left corner.  Cells and vertices live in
 integer arrays: cell keys and exact dyadic vertex coordinates (units of
 ``2**-_MAXLEVEL``) are packed into sorted codes, so every lookup is an
-exact ``searchsorted``.
+exact ``searchsorted``.  The key array is the only representation of the
+tree: one containing-cell lookup, which probes the sorted codes level by
+level, finds the cell holding a position for refinement balance,
+coarsening checks, field transfer and point location alike.
 
 Meshes are immutable: :func:`refine` and :func:`coarsen` return new
 ``Mesh`` objects, or their input when nothing changes.  Fields carry the
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +36,7 @@ _mesh_ids = itertools.count()
 # Boundary tags (counterclockwise from the bottom edge).
 BOTTOM, RIGHT, TOP, LEFT = 1, 2, 3, 4
 
-# Child offsets (a, b) in the order of :func:`_children`.
+# Child offsets (a, b), lower-left first, x fastest.
 _CHILD_POS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
@@ -79,88 +81,45 @@ def _parent_projection() -> np.ndarray:
 _PARENT_PROJECTION = _parent_projection()
 
 
-def _children(key):
-    l, i, j = key
-    return (
-        (l + 1, 2 * i, 2 * j),
-        (l + 1, 2 * i + 1, 2 * j),
-        (l + 1, 2 * i, 2 * j + 1),
-        (l + 1, 2 * i + 1, 2 * j + 1),
-    )
+def _containing(codes, l, i, j) -> np.ndarray:
+    """Position in the sorted cell ``codes`` of the cell equal to or
+    containing each position ``(l, i, j)``; -1 where none does.
 
-
-def _find_active_at_or_above(active, l, i, j):
-    """Active cell equal to or containing ``(l, i, j)``, or None."""
-    while l >= 0:
-        if (l, i, j) in active:
-            return (l, i, j)
-        l, i, j = l - 1, i >> 1, j >> 1
-    return None
-
-
-def _edge_children(key, direction):
-    """The two children of ``key`` adjacent to the edge facing ``direction``.
-
-    ``direction`` is the outward direction of the *querying* neighbor, so
-    the children returned lie on the opposite side of ``key``.
+    A position gets -1 when it lies in a region tiled by finer cells.
+    Probes one level at a time, up to the coarsest level in ``codes``.
     """
-    l, i, j = key
-    di, dj = direction
-    if di == 1:  # query looks right, key's left edge
-        return ((l + 1, 2 * i, 2 * j), (l + 1, 2 * i, 2 * j + 1))
-    if di == -1:
-        return ((l + 1, 2 * i + 1, 2 * j), (l + 1, 2 * i + 1, 2 * j + 1))
-    if dj == 1:  # query looks up, key's bottom edge
-        return ((l + 1, 2 * i, 2 * j), (l + 1, 2 * i + 1, 2 * j))
-    return ((l + 1, 2 * i, 2 * j + 1), (l + 1, 2 * i + 1, 2 * j + 1))
+    pos = np.full(len(l), -1)
+    coarsest = int(codes[0]) >> 2 * _MAXLEVEL
+    for up in range(int(np.max(l, initial=coarsest)) - coarsest + 1):
+        todo = np.flatnonzero(pos < 0)
+        if not len(todo):
+            break
+        pos[todo] = _find(codes, _cell_code(l[todo] - up, i[todo] >> up,
+                                            j[todo] >> up))
+    return pos
 
 
-def _max_level_across_edge(active, key, direction):
-    """Max level of active cells adjacent to ``key`` across one edge.
+def _child_keys(keys: np.ndarray) -> np.ndarray:
+    """The four children of each ``(l, i, j)`` row, in :data:`_CHILD_POS`
+    order, as ``4 * len(keys)`` rows."""
+    l, i, j = keys.T[:, :, None]
+    a, b = np.array(_CHILD_POS).T
+    return np.stack(np.broadcast_arrays(l + 1, 2 * i + a, 2 * j + b),
+                    axis=-1).reshape(-1, 3)
 
-    Returns -1 for a boundary edge.
+
+def _edge_neighbours(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-level positions across the edges of each ``(l, i, j)`` row.
+
+    Returns the positions inside the unit square and, for each, the row
+    it neighbours.
     """
-    l, i, j = key
-    di, dj = direction
-    ni, nj = i + di, j + dj
-    n = 1 << l
-    if not (0 <= ni < n and 0 <= nj < n):
-        return -1
-    found = _find_active_at_or_above(active, l, ni, nj)
-    if found is not None:
-        return found[0]
-
-    # Neighbor region is subdivided; descend along the shared edge.
-    best = -1
-    stack = [(l, ni, nj)]
-    while stack:
-        cand = stack.pop()
-        if cand in active:
-            best = max(best, cand[0])
-        else:
-            stack.extend(_edge_children(cand, direction))
-    return best
-
-
-def _balance(active, seeds):
-    """Restore 2:1 edge balance by splitting too-coarse neighbors in place."""
-    queue = deque(seeds)
-    while queue:
-        key = queue.popleft()
-        if key not in active:
-            continue
-        l, i, j = key
-        n = 1 << l
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if not (0 <= ni < n and 0 <= nj < n):
-                continue
-            found = _find_active_at_or_above(active, l, ni, nj)
-            if found is not None and found[0] <= l - 2:
-                active.remove(found)
-                for ch in _children(found):
-                    active.add(ch)
-                    queue.append(ch)
+    l, i, j = keys.T
+    nbr = np.concatenate([np.stack([l, i + di, j + dj], axis=1)
+                          for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+    n = 1 << nbr[:, :1]
+    inside = np.flatnonzero(((nbr[:, 1:] >= 0) & (nbr[:, 1:] < n)).all(axis=1))
+    return nbr[inside], inside % len(keys)
 
 
 class ConstraintSet:
@@ -210,7 +169,9 @@ class Mesh:
     """
 
     def __init__(self, active, level_min: int, level_max: int):
-        keys = np.array(list(active), dtype=np.int64).reshape(-1, 3)
+        if not isinstance(active, np.ndarray):
+            active = list(active)
+        keys = np.array(active, dtype=np.int64).reshape(-1, 3)
         if not len(keys):
             raise ValueError("mesh needs at least one active cell")
         if level_min > level_max:
@@ -376,14 +337,12 @@ class Mesh:
                                    np.asarray(y, dtype=float))
         if not np.all((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)):
             raise ValueError("point outside the unit square")
-        # Exactly one level holds an active cell whose half-open box (clamped
-        # at x, y = 1) contains a point, so the search order is free.
-        cells = np.full(x.shape, -1)
-        for l in range(self.level_min, self.level_max + 1):
-            todo = cells < 0
-            n = 1 << l
-            ij = (np.stack([x[todo], y[todo]]) * n).astype(np.int64)
-            cells[todo] = self.cell_ids(l, *np.minimum(ij, n - 1))
+        # The finest-level box holding a point (half-open, clamped at
+        # x, y = 1) lies in the active cell whose box holds it.
+        n = 1 << self.level_max
+        ij = (np.stack([x.ravel(), y.ravel()]) * n).astype(np.int64)
+        cells = _containing(self._codes, np.full(x.size, self.level_max),
+                            *np.minimum(ij, n - 1)).reshape(x.shape)
         if np.any(cells < 0):
             raise RuntimeError("active cells do not tile the domain")
         return int(cells) if cells.ndim == 0 else cells
@@ -426,7 +385,8 @@ def refine(mesh: Mesh, flags) -> Mesh:
 
     ``flags`` is a sequence of cell ids.  Flags at ``level_max`` are
     skipped with a log message, and duplicate flags are idempotent.
-    Returns ``mesh`` itself when no cell is split.
+    Returns ``mesh`` itself when no cell is split.  The result is the
+    coarsest 2:1-balanced mesh in which every flagged cell is split.
     """
     cells = np.unique(np.asarray(flags, dtype=np.intp))
     at_max = mesh.cell_levels[cells] >= mesh.level_max
@@ -435,16 +395,20 @@ def refine(mesh: Mesh, flags) -> Mesh:
                  at_max.sum(), mesh.level_max)
     if at_max.all():
         return mesh
-    active = set(mesh.cell_keys)
-    seeds = []
-    for c in cells[~at_max]:
-        key = mesh.cell_keys[c]
-        active.remove(key)
-        ch = _children(key)
-        active.update(ch)
-        seeds.extend(ch)
-    _balance(active, seeds)
-    return Mesh(active, mesh.level_min, mesh.level_max)
+    keys, split = mesh._keys, cells[~at_max]
+    while len(split):
+        kids = _child_keys(keys[split])
+        keys = np.concatenate([np.delete(keys, split, axis=0), kids])
+        codes = _cell_code(*keys.T)
+        order = np.argsort(codes)
+        keys, codes = keys[order], codes[order]
+        # Only a new cell can have an edge neighbour two levels coarser;
+        # splitting that neighbour makes new cells in turn.
+        nbr, _ = _edge_neighbours(kids)
+        pos = _containing(codes, *nbr.T)
+        coarse = (pos >= 0) & (keys[pos, 0] <= nbr[:, 0] - 2)
+        split = np.unique(pos[coarse])
+    return Mesh(keys, mesh.level_min, mesh.level_max)
 
 
 def coarsen(mesh: Mesh, flags) -> Mesh:
@@ -453,45 +417,36 @@ def coarsen(mesh: Mesh, flags) -> Mesh:
     A merge happens only when all four siblings are flagged, the parent
     level stays >= ``level_min`` and 2:1 balance survives.  Anything else
     is silently skipped; ``mesh`` itself is returned when nothing merges.
+    The merged parents are the largest set of candidates whose merge
+    leaves the mesh balanced.
     """
     l, i, j = mesh._keys[np.unique(np.asarray(flags, dtype=np.intp))].T
     above = l > mesh.level_min
     parents = np.stack([l - 1, i >> 1, j >> 1], axis=1)[above]
-    _, first, count = np.unique(_cell_code(*parents.T), return_index=True,
-                                return_counts=True)
-    merged = list(map(tuple, parents[first[count == 4]].tolist()))
-    active = set(mesh.cell_keys)
-    for parent in merged:
-        active.difference_update(_children(parent))
-        active.add(parent)
+    pcodes, first, count = np.unique(_cell_code(*parents.T), return_index=True,
+                                     return_counts=True)
+    parents, pcodes = parents[first[count == 4]], pcodes[count == 4]
 
-    # Undo merges that would violate 2:1 balance against the merged set.
-    changed = True
-    while changed:
-        changed = False
-        for parent in list(merged):
-            worst = max(
-                _max_level_across_edge(active, parent, d)
-                for d in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            )
-            if worst > parent[0] + 1:
-                active.remove(parent)
-                active.update(_children(parent))
-                merged.remove(parent)
-                changed = True
-    if not merged:
+    # A parent is blocked when a cell finer than its children touches its
+    # edge: an edge neighbour of a child then lies in a region of finer
+    # cells, unless another candidate's merge covers it.  Dropping a
+    # parent only makes the mesh finer, so repeat until none is dropped.
+    nbr, owner = _edge_neighbours(_child_keys(parents))
+    finer = _containing(mesh._codes, *nbr.T) < 0
+    nbr, owner = nbr[finer], owner[finer] // 4
+    keep = np.ones(len(parents), dtype=bool)
+    while len(nbr):
+        blocked = owner[_containing(pcodes[keep], *nbr.T) < 0]
+        if not len(blocked):
+            break
+        keep[blocked] = False
+        nbr, owner = nbr[keep[owner]], owner[keep[owner]]
+    parents = parents[keep]
+    if not len(parents):
         return mesh
-    return Mesh(active, mesh.level_min, mesh.level_max)
-
-
-def boundary_nodes(mesh: Mesh, tag: int, predicate=None) -> np.ndarray:
-    """Vertex ids on one boundary, optionally filtered by ``predicate(x, y)``."""
-    ids = mesh.boundary_vertices(tag)
-    if predicate is None:
-        return ids
-    coords = mesh.vertex_coords[ids]
-    keep = [predicate(x, y) for x, y in coords]
-    return ids[np.array(keep, dtype=bool)]
+    kids = _find(mesh._codes, _cell_code(*_child_keys(parents).T))
+    return Mesh(np.concatenate([np.delete(mesh._keys, kids, axis=0), parents]),
+                mesh.level_min, mesh.level_max)
 
 
 def transfer_field(old: Mesh, new: Mesh, values: np.ndarray) -> np.ndarray:
@@ -512,16 +467,9 @@ def transfer_field(old: Mesh, new: Mesh, values: np.ndarray) -> np.ndarray:
             f"{old.n_vertices} vertices")
 
     # Old cell equal to or containing each new cell; -1 for merged parents.
-    l, i, j = new._keys.T
-    anc = np.full(new.n_cells, -1)
-    for up in range(int(l.max() - old.cell_levels.min()) + 1):
-        todo = np.flatnonzero(anc < 0)
-        anc[todo] = old.cell_ids(l[todo] - up, i[todo] >> up, j[todo] >> up)
-
+    anc = _containing(old._codes, *new._keys.T)
     merged = np.flatnonzero(anc < 0)
-    kids = np.stack([old.cell_ids(l[merged] + 1, 2 * i[merged] + a,
-                                   2 * j[merged] + b) for a, b in _CHILD_POS],
-                    axis=1)
+    kids = old.cell_ids(*_child_keys(new._keys[merged]).T).reshape(-1, 4)
     if np.any(kids < 0):
         raise ValueError(
             f"mesh {new.id} has cells with no counterpart in mesh {old.id}: "

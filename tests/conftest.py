@@ -6,6 +6,9 @@ explicit constraint elimination, so agreement with the vectorized sparse
 code is meaningful.
 """
 
+import itertools
+from collections import defaultdict
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -129,10 +132,12 @@ def dense_dirichlet(mesh, A, b, bc):
 # Mesh invariants checked by brute force
 
 
-def edges_of_cell(mesh, c):
-    """Four (axis, fixed, lo, hi) edge descriptors in physical coords."""
-    h = mesh.cell_h[c]
-    ox, oy = mesh.cell_origin[c]
+def edges_of_cell(key):
+    """Four (axis, fixed, lo, hi) edge descriptors of a ``(level, i, j)``
+    cell in physical coords."""
+    l, i, j = key
+    h = 0.5 ** l
+    ox, oy = i * h, j * h
     return [
         ("y", oy, ox, ox + h),          # bottom
         ("x", ox + h, oy, oy + h),      # right
@@ -141,21 +146,73 @@ def edges_of_cell(mesh, c):
     ]
 
 
+def unbalanced_pairs(keys):
+    """Pairs of edge-adjacent cells whose levels differ by more than one.
+
+    Two cells are edge-adjacent when edges of theirs lie on one line and
+    overlap in a segment of positive length.  Dyadic coordinates are
+    exact, so edges are grouped by their line.
+    """
+    lines = defaultdict(list)
+    for key in keys:
+        for axis, fixed, lo, hi in edges_of_cell(key):
+            lines[axis, fixed].append((lo, hi, key))
+    return [(a, b) for edges in lines.values()
+            for (lo, hi, a), (dlo, dhi, b) in itertools.combinations(edges, 2)
+            if min(hi, dhi) - max(lo, dlo) > 1e-14 and abs(a[0] - b[0]) > 1]
+
+
 def check_two_to_one(mesh):
     """Assert every pair of edge-adjacent cells differs by <= 1 level."""
-    for c in range(mesh.n_cells):
-        for axis, fixed, lo, hi in edges_of_cell(mesh, c):
-            for d in range(mesh.n_cells):
-                if d == c:
-                    continue
-                for daxis, dfixed, dlo, dhi in edges_of_cell(mesh, d):
-                    if daxis != axis or abs(dfixed - fixed) > 1e-14:
-                        continue
-                    if min(hi, dhi) - max(lo, dlo) > 1e-14:  # overlap
-                        assert abs(int(mesh.cell_levels[c])
-                                   - int(mesh.cell_levels[d])) <= 1, (
-                            f"cells {mesh.cell_keys[c]} and "
-                            f"{mesh.cell_keys[d]} break 2:1 balance")
+    pairs = unbalanced_pairs(mesh.cell_keys)
+    assert not pairs, f"cells {pairs[0][0]} and {pairs[0][1]} break 2:1 balance"
+
+
+def children(key):
+    l, i, j = key
+    return {(l + 1, 2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)}
+
+
+def reference_refine(keys, flagged, level_max):
+    """Minimal 2:1-balanced refinement splitting every flagged cell.
+
+    Flagged cells at ``level_max`` stay.  Then the coarser cell of every
+    unbalanced pair is split, until no pair is left; each such split is
+    forced in any balanced refinement.
+    """
+    active = set(keys)
+    for key in flagged:
+        if key[0] < level_max:
+            active = (active - {key}) | children(key)
+    while pairs := unbalanced_pairs(active):
+        for pair in pairs:
+            coarse = min(pair)  # the lower level sorts first
+            if coarse in active:
+                active = (active - {coarse}) | children(coarse)
+    return active
+
+
+def reference_coarsen(keys, flagged, level_min):
+    """Greatest balanced merge of the complete flagged sibling groups.
+
+    Tries every subset of the groups whose parent level is at least
+    ``level_min``, and checks that the largest balanced one contains all
+    others.  Returns the merged keys.
+    """
+    flagged = set(flagged)
+    groups = sorted({(l - 1, i // 2, j // 2) for l, i, j in flagged
+                     if l > level_min
+                     and children((l - 1, i // 2, j // 2)) <= flagged})
+
+    def merge(parents):
+        return (set(keys) - set().union(*map(children, parents))) | parents
+
+    balanced = [set(subset) for r in range(len(groups) + 1)
+                for subset in itertools.combinations(groups, r)
+                if not unbalanced_pairs(merge(set(subset)))]
+    best = max(balanced, key=len)
+    assert all(subset <= best for subset in balanced)
+    return merge(best)
 
 
 def total_area(mesh):

@@ -42,6 +42,10 @@ def test_parse_unknown_key_names_key_and_line():
         parse_config("loading.dt = 0.1\nmaterial.bogus = 3\n")
     assert "material.bogus" in str(err.value)
     assert "line 2" in str(err.value)
+    # A removed key is unknown too: xi refreshes every staggered iteration.
+    with pytest.raises(ConfigError) as err:
+        parse_config("solver.xi_each_iteration = false")
+    assert "solver.xi_each_iteration" in str(err.value)
 
 
 def test_parse_constraint_violation_names_key():

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the assembly, qp-evaluation and factorization kernels.
+"""Micro-benchmarks of the assembly, qp-evaluation, factorization and
+coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -7,8 +8,11 @@ scattered through a COO matrix and condensed by sparse products with the
 hanging-node prolongation, or ``spsolve`` with SuperLU's default
 ordering.  Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
-the timing table; it is skipped when pytest-benchmark is not installed.
+the timing table; it is skipped when pytest-benchmark is not installed
+(it is in the ``test`` extra).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,9 @@ import scipy.sparse.linalg as spla
 pytest.importorskip("pytest_benchmark")
 
 from xifrac import driver, fem, phasefield as pf  # noqa: E402
+from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
-from xifrac.mesh import build_uniform, refine  # noqa: E402
+from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
 
 from conftest import sparse_prolongation  # noqa: E402
 
@@ -105,3 +110,17 @@ def test_bench_u_system_factorization(benchmark, mesh):
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_coarsen_blocked_groups(benchmark):
+    # The field_xi_amr mesh after three AMR passes.  Its coarsening flags
+    # hold complete sibling groups, but each would merge next to cells
+    # two levels finer, so nothing merges and the input comes back.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text())
+    state = driver.initialize(cfg)
+    for _ in range(3):
+        driver.amr_pass(state, cfg)
+    _, flags = driver._amr_flags(state.mesh, state.v.values, cfg)
+    assert state.mesh.n_cells == 8800 and len(flags) == 668
+    assert _run(benchmark, coarsen, state.mesh, flags) is state.mesh

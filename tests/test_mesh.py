@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from xifrac import mesh as meshmod
-from xifrac.mesh import boundary_nodes, build_uniform, coarsen, refine, \
-    transfer_field
+from xifrac.mesh import build_uniform, coarsen, refine, transfer_field
 
 from conftest import check_two_to_one, dense_prolongation, total_area
 
@@ -71,13 +70,6 @@ def test_boundary_tags():
     assert np.all(m.vertex_coords[bottom, 1] == 0.0)
     top = m.boundary_vertices(meshmod.TOP)
     assert np.all(m.vertex_coords[top, 1] == 1.0)
-
-
-def test_boundary_nodes_predicate():
-    m = build_uniform(2)
-    left_half = boundary_nodes(m, meshmod.TOP, lambda x, y: x < 0.5)
-    assert len(left_half) == 2
-    assert np.all(m.vertex_coords[left_half, 0] < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +189,8 @@ def test_coarsen_blocked_by_balance_returns_input():
     m = refine(m, [m.cell_id((2, 0, 0)), m.cell_id((2, 1, 0))])
     m = refine(m, [m.cell_id((3, 2, 0))])
     check_two_to_one(m)
-    kids = [m.cell_id(k) for k in meshmod._children((2, 0, 0))]
+    kids = [m.cell_id(k) for k in
+            ((3, 0, 0), (3, 1, 0), (3, 0, 1), (3, 1, 1))]
     assert coarsen(m, kids) is m
 
 
@@ -282,7 +275,7 @@ def test_transfer_mixed_pass_exact_for_global_bilinears():
     old = refine(base, [base.cell_id((2, 1, 0))])
     upper = {(2, i, j) for i in range(4) for j in (2, 3)}
     keys = (set(old.cell_keys) - upper - {(2, 3, 0)}) \
-        | {(1, 0, 1), (1, 1, 1)} | set(meshmod._children((2, 3, 0)))
+        | {(1, 0, 1), (1, 1, 1), (3, 6, 0), (3, 7, 0), (3, 6, 1), (3, 7, 1)}
     new = meshmod.Mesh(keys, 1, 4)
     check_two_to_one(new)
     left, right, kept = (set(new.cell_vertices[new.cell_id(k)].tolist())

@@ -7,7 +7,8 @@ from xifrac import mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine
 
-from conftest import check_two_to_one, total_area
+from conftest import check_two_to_one, children, reference_coarsen, \
+    reference_refine, total_area
 
 MAT = pf.MaterialParams()
 REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
@@ -98,6 +99,38 @@ def test_random_refine_coarsen_sequences_keep_invariants(data):
         for h, (a, b) in m.constraints.masters.items():
             mid = 0.5 * (m.vertex_coords[a] + m.vertex_coords[b])
             assert np.allclose(m.vertex_coords[h], mid, atol=1e-15)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_refine_coarsen_match_brute_force_oracles(data):
+    # Balance alone would pass an implementation that over-splits or
+    # under-merges; the oracles pin the minimal refinement and the
+    # greatest balanced merge.
+    m = build_uniform(2, level_min=1, level_max=5)
+    for _ in range(data.draw(st.integers(1, 6))):
+        keys = m.cell_keys
+        if data.draw(st.booleans()):
+            flags = data.draw(st.lists(st.integers(0, m.n_cells - 1),
+                                       max_size=6))
+            out = refine(m, flags)
+            want = reference_refine(keys, {keys[c] for c in flags},
+                                    m.level_max)
+        else:
+            # Whole sibling groups, so that merges and blocked merges occur.
+            groups = sorted({(l - 1, i // 2, j // 2) for l, i, j in keys
+                             if children((l - 1, i // 2, j // 2)) <= set(keys)})
+            chosen = data.draw(st.lists(st.sampled_from(groups), max_size=4)
+                               if groups else st.just([]))
+            flags = [m.cell_id(k) for g in chosen for k in children(g)]
+            flags += data.draw(st.lists(st.integers(0, m.n_cells - 1),
+                                        max_size=4))
+            out = coarsen(m, flags)
+            want = reference_coarsen(keys, {keys[c] for c in flags},
+                                     m.level_min)
+        assert set(out.cell_keys) == want
+        assert (out is m) == (want == set(keys))
+        m = out
 
 
 # ---------------------------------------------------------------------------
