@@ -3,9 +3,13 @@
 One load step solves the displacement system with the phase field frozen,
 then the phase-field system with the fresh displacement, enforces
 irreversibility and refreshes xi, until both relative nodal L2 changes
-drop below the staggered tolerance.  After convergence an optional AMR
-pass refines cells whose xi falls below the refinement threshold and
-coarsens fully intact regions, transferring all fields to the new mesh.
+drop below the staggered tolerance.  An iteration that leaves v, xi and
+the crack mask bit for bit unchanged is an exact fixed point: the loop
+stops there and counts the identical iteration it skips, so the
+``stag_iters`` it reports are the iterations the plain loop would run.
+After convergence an optional AMR pass refines cells whose xi falls below
+the refinement threshold and coarsens fully intact regions, transferring
+all fields to the new mesh.
 """
 
 from __future__ import annotations
@@ -149,38 +153,51 @@ def update_xi(state: SimState, config: SimConfig) -> pf.RegularizationState:
 _MAX_ACTIVE_SET = 30
 
 
-def _solve_phase_bounded(state: SimState, mat, solve) -> fem.ScalarField:
+def _solve_phase_bounded(state: SimState, mat, solve
+                         ) -> tuple[fem.ScalarField, bool]:
     """Phase-field solve respecting the upper bound ``v <= min(v_prev, 1)``.
 
     A plain solve-then-clip treatment leaves crack-face nodes frozen at
     transient values: the unconstrained solution overshoots the bound next
     to pinned nodes, so clipping can never relax the profile.  Pinning the
     violating nodes at their bound and re-solving (a primal active set)
-    recovers the true constrained minimizer in a few sweeps.
+    recovers the true constrained minimizer in a few sweeps.  The folded
+    operator is assembled once; each sweep only restricts it.  Returns the
+    solution and False when the active set was still growing after
+    ``_MAX_ACTIVE_SET`` sweeps.
     """
     upper = np.minimum(state.v_prev.values, 1.0)
     active = dict.fromkeys(state.mask.nodes, 0.0)
     is_active = np.zeros(state.mesh.n_vertices, dtype=bool)
     is_active[list(active)] = True
+    folded = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
-        sys_v = pf.assemble_phase(state.mesh, state.u, state.xi, mat, active)
-        v = solve(sys_v)
+        v = solve(fem.apply_dirichlet(folded, active))
         grow = np.flatnonzero((v.values > upper + 1e-12) & ~is_active)
         if not grow.size:
-            return v
+            return v, True
         is_active[grow] = True
         active.update(zip(grow.tolist(), upper[grow].tolist()))
     log.warning("phase-field active set still growing after %d sweeps",
                 _MAX_ACTIVE_SET)
-    return v
+    return v, False
 
 
 def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     """Alternate u and v solves at the current load until both settle.
 
     Mutates ``state`` in place and returns (iterations, converged).
-    Non-convergence keeps the last iterate and is reported, not fatal.
+    Non-convergence keeps the last iterate and is reported, not fatal; so
+    is a phase solve that hits the active-set cap, which marks the step
+    not converged.
+
+    An iteration that leaves ``v``, xi and the crack mask exactly as it
+    found them has reached a fixed point: the next iteration would repeat
+    its u and v solves bit for bit and pass the stopping test with both
+    changes zero.  The loop stops there without running it, but counts
+    it, so iteration k returns ``k + 1`` iterations, converged, whenever
+    ``k + 1 <= staggered_max_iter``.
     """
     mat, reg, sol = config.material, config.regularization, config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
@@ -188,15 +205,17 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         sys, tol=sol.linear_tol, max_iter=sol.linear_max_iter,
         method=sol.method)
 
-    converged = False
+    converged = capped = False
     iters = 0
     for iters in range(1, sol.staggered_max_iter + 1):
         u_old, v_old = state.u, state.v
+        xi_old, mask_old = state.xi, state.mask
 
         sys_u = pf.assemble_displacement(state.mesh, state.v, mat, bc)
         state.u = solve(sys_u)
 
-        v_raw = _solve_phase_bounded(state, mat, solve)
+        v_raw, settled = _solve_phase_bounded(state, mat, solve)
+        capped |= not settled
         state.v, state.mask = pf.enforce_irreversibility(
             v_raw, state.v_prev, state.mask, sol.crack_tol)
 
@@ -207,22 +226,33 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         if err_u < sol.staggered_tol and err_v < sol.staggered_tol:
             converged = True
             break
+        # An exact fixed point: the next iteration would repeat this one.
+        if (iters < sol.staggered_max_iter
+                and np.array_equal(state.v.values, v_old.values)
+                and np.array_equal(state.xi.value, xi_old.value)
+                and state.mask.nodes == mask_old.nodes):
+            iters += 1
+            converged = True
+            break
 
     if not converged:
         log.warning("step %d: staggered loop hit %d iterations without "
                     "converging (err_u=%.2e, err_v=%.2e)",
                     state.step, iters, err_u, err_v)
-    return iters, converged
+    return iters, converged and not capped
 
 
-def _amr_flags(mesh, v_values, config: SimConfig):
-    """Refine and coarsen flags from one evaluation of the cell xi.
+def _amr_flags(mesh, v_values, config: SimConfig, xi_cells=None):
+    """Refine and coarsen flags from the cell xi of ``v_values``.
 
-    Only fully intact cells away from the refinement zone may merge back.
+    ``xi_cells`` is that xi when the caller already has it; otherwise it
+    is evaluated here.  Only fully intact cells away from the refinement
+    zone may merge back.
     """
     reg = config.regularization
-    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), config.material,
-                           reg)
+    if xi_cells is None:
+        xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values),
+                               config.material, reg)
     low = xi_cells < reg.xi_refine
     intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
     refine = np.flatnonzero(low & (mesh.cell_levels < config.mesh.level_max))
@@ -238,13 +268,17 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     unflagged cells whose children then fall below the threshold, so a
     single refine call may expose new flags one level down.  The loop is
     bounded by the level range.  ``u``, ``v`` and ``v_prev`` move together
-    as the columns of one block.
+    as the columns of one block.  In field mode ``state.xi`` is already the
+    cell xi of ``state.v`` on ``state.mesh`` (the staggered loop and every
+    mesh change leave it so), and the first flags reuse it.
     """
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values,
                               state.v_prev.values])
+    xi_cells = state.xi.value if state.xi.mode == "field" else None
     for _ in range(old.level_max - old.level_min + 1):
-        rflags, cflags = _amr_flags(mesh, fields[:, 1], config)
+        rflags, cflags = _amr_flags(mesh, fields[:, 1], config, xi_cells)
+        xi_cells = None
         nxt = meshmod.refine(mesh, rflags)
         if nxt is mesh:
             break

@@ -146,13 +146,14 @@ def _xi_at_qp(mesh, xi: RegularizationState, nq: int):
 
 
 def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
-                   mat: MaterialParams,
-                   bc: dict[int, float] | None = None) -> SparseSystem:
+                   mat: MaterialParams) -> SparseSystem:
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
     Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
     weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``.  The
-    system is restricted to the dofs free of ``bc`` (the pinned nodes).
+    system is folded but not restricted: the pinned nodes change from one
+    active-set sweep to the next, so each sweep restricts this one system
+    with :func:`fem.apply_dirichlet`.
     """
     xi_qp = _xi_at_qp(mesh, xi, len(GAUSS2.weights))
     if np.any(xi_qp <= 0.0):
@@ -163,7 +164,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
     diffusion = fem.assemble_weighted_laplace(
         mesh, 2.0 * mat.g_c * xi_qp / mat.c_v)
     rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi_qp))
-    return fem.apply_dirichlet(fem.combine(reaction, diffusion, rhs), bc or {})
+    return fem.combine(reaction, diffusion, rhs)
 
 
 def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,

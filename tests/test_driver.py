@@ -173,6 +173,155 @@ def test_xi_stays_clamped():
     assert max(highs) <= reg.xi_max + 1e-15
 
 
+def reference_staggered_step(state, config):
+    """The staggered loop as a plain oracle: no fixed-point stop, the phase
+    operator assembled on every active-set sweep, no sweep cap."""
+    mat, sol = config.material, config.solver
+    bc = boundary_displacement(state.mesh, state.t, config.loading.c)
+
+    def solve(sys):
+        return fem.solve_field(sys, tol=sol.linear_tol,
+                               max_iter=sol.linear_max_iter, method=sol.method)
+
+    upper = np.minimum(state.v_prev.values, 1.0)
+    iters = 0
+    for iters in range(1, sol.staggered_max_iter + 1):
+        u_old, v_old = state.u, state.v
+        state.u = solve(pf.assemble_displacement(state.mesh, state.v, mat, bc))
+        active = dict.fromkeys(state.mask.nodes, 0.0)
+        while True:
+            v = solve(fem.apply_dirichlet(
+                pf.assemble_phase(state.mesh, state.u, state.xi, mat), active))
+            grow = [int(n) for n in np.flatnonzero(v.values > upper + 1e-12)
+                    if n not in active]
+            if not grow:
+                break
+            active.update((n, upper[n]) for n in grow)
+        state.v, state.mask = pf.enforce_irreversibility(
+            v, state.v_prev, state.mask, sol.crack_tol)
+        state.xi = driver.update_xi(state, config)
+        if (fem.l2_relative_error(state.u, u_old) < sol.staggered_tol
+                and fem.l2_relative_error(state.v, v_old) < sol.staggered_tol):
+            return iters, True
+    return iters, False
+
+
+def _assert_same_state(a, b):
+    assert a.u.values.tobytes() == b.u.values.tobytes()
+    assert a.v.values.tobytes() == b.v.values.tobytes()
+    assert np.asarray(a.xi.value).tobytes() == np.asarray(b.xi.value).tobytes()
+    assert a.mask.nodes == b.mask.nodes
+
+
+def _adapted_field_state(**kw):
+    cfg, state = _field_state(level_start=6, level_max=7, **kw)
+    while driver.amr_pass(state, cfg):
+        pass
+    state.t = 0.01
+    return cfg, state
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 500])
+def test_elastic_amr_step_matches_reference_loop(max_iter):
+    cfg, state = _adapted_field_state(
+        solver=SolverParams(staggered_max_iter=max_iter))
+    _, ref = _adapted_field_state(
+        solver=SolverParams(staggered_max_iter=max_iter))
+    assert len(state.mesh.constraints) > 0
+    got = staggered_step(state, cfg)
+    assert got == reference_staggered_step(ref, cfg)
+    assert got == ((1, False) if max_iter == 1 else (2, True))
+    _assert_same_state(state, ref)
+
+
+def test_fracture_steps_match_reference_loop():
+    # Level 3, fixed xi, dt = 0.05: step 1 is elastic, step 4 takes 14
+    # iterations and step 5 grows the crack mask from 5 to 13 nodes.
+    cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
+                       loading=LoadingParams(c=1.0, dt=0.05, n_max=5))
+    state, ref = driver.initialize(cfg), driver.initialize(cfg)
+    counts = []
+    for n in range(1, 6):
+        for s in (state, ref):
+            s.step, s.t = n, n * cfg.loading.dt
+        got = staggered_step(state, cfg)
+        assert got == reference_staggered_step(ref, cfg)
+        _assert_same_state(state, ref)
+        counts.append((got[0], len(state.mask)))
+        for s in (state, ref):
+            s.v_prev = s.v.copy()
+    assert max(iters for iters, _ in counts) > 10
+    assert counts[-1][1] > counts[0][1]
+
+
+def test_elastic_step_solves_u_once_and_assembles_phase_once(monkeypatch):
+    cfg, state = _adapted_field_state()
+    u_systems, u_solves, phase_assemblies = [], [], []
+    assemble_u, solve_spd = pf.assemble_displacement, fem.solve_spd
+    assemble_v = pf.assemble_phase
+
+    def spy_assemble_u(*args, **kwargs):
+        u_systems.append(assemble_u(*args, **kwargs))
+        return u_systems[-1]
+
+    def spy_solve(sys, *args, **kwargs):
+        if any(sys is known for known in u_systems):
+            u_solves.append(sys)
+        return solve_spd(sys, *args, **kwargs)
+
+    def spy_assemble_v(*args, **kwargs):
+        phase_assemblies.append(1)
+        return assemble_v(*args, **kwargs)
+
+    monkeypatch.setattr(pf, "assemble_displacement", spy_assemble_u)
+    monkeypatch.setattr(fem, "solve_spd", spy_solve)
+    monkeypatch.setattr(pf, "assemble_phase", spy_assemble_v)
+    assert staggered_step(state, cfg) == (2, True)
+    assert len(u_solves) == 1
+    assert len(phase_assemblies) == 1
+
+
+def test_capped_active_set_is_recorded_as_not_converged(monkeypatch,
+                                                        tmp_path):
+    # The first elastic phase solve pins only the seeded crack and finds
+    # the intact body above its bound, so it needs a second sweep.
+    cfg = small_config(loading=LoadingParams(c=1.0, dt=0.01, n_max=1))
+
+    def converged_column(out):
+        driver.run(cfg, out_dir=out)
+        rows = (out / "energies.csv").read_text().splitlines()
+        return [row.split(",")[-1] for row in rows[1:]]
+
+    assert converged_column(tmp_path / "free") == ["1"]
+    monkeypatch.setattr(driver, "_MAX_ACTIVE_SET", 1)
+    assert converged_column(tmp_path / "capped") == ["0"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_bounded_phase_solve_is_a_kkt_point():
+    # On a 4 x 4 mesh with a seeded crack, after four load steps of 0.02,
+    # the grow-only active set keeps nodes pinned at their bound whose
+    # multiplier b - A v is negative: releasing them would lower the
+    # energy, so the solve did not reach the constrained minimizer.
+    cfg = SimConfig(mesh=MeshParams(level_start=2, level_max=2),
+                    loading=LoadingParams(c=1.0, dt=0.02, n_max=4))
+    state = driver.initialize(cfg)
+    for n in range(1, 5):
+        state.step, state.t = n, n * cfg.loading.dt
+        state.v_prev = state.v.copy()
+        staggered_step(state, cfg)
+    solve = lambda sys: fem.solve_field(sys, method="direct")
+    v, settled = driver._solve_phase_bounded(state, cfg.material, solve)
+    assert settled
+    folded = pf.assemble_phase(state.mesh, state.u, state.xi, cfg.material)
+    multiplier = folded.rhs - folded.matrix @ v.values
+    pinned = v.values == np.minimum(state.v_prev.values, 1.0)
+    pinned[state.mask.as_array()] = False
+    pinned[state.mesh.constraints.hanging] = False
+    assert pinned.any()
+    assert multiplier[pinned].min() >= -1e-10
+
+
 # ---------------------------------------------------------------------------
 # xi update policy
 
@@ -253,6 +402,41 @@ def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
     assert not driver.amr_pass(state, cfg)
     assert built == []
     assert state.mesh is adapted
+
+
+def test_amr_pass_reuses_the_field_xi(monkeypatch):
+    # On a field-mode mesh the pass leaves unchanged, the flags come from
+    # the staggered loop's xi: no re-evaluation, and the same flags as an
+    # independent evaluation of the cell xi.
+    cfg, state = _field_state(level_start=6, level_max=8)
+    while driver.amr_pass(state, cfg):
+        pass
+    mesh, reg = state.mesh, cfg.regularization
+    low = pf.xi_field(mesh, state.v, cfg.material, reg) < reg.xi_refine
+    intact = state.v.values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
+    want_refine = np.flatnonzero(low & (mesh.cell_levels < 8))
+    want_coarsen = np.flatnonzero(intact & ~low
+                                  & (mesh.cell_levels > mesh.level_min))
+
+    xi_calls, flags = [], {}
+    xi_field = pf.xi_field
+    monkeypatch.setattr(pf, "xi_field",
+                        lambda *a: xi_calls.append(1) or xi_field(*a))
+
+    def spy(name):
+        adapt = getattr(meshmod, name)
+
+        def recorded(mesh, cells):
+            flags[name] = cells
+            return adapt(mesh, cells)
+        monkeypatch.setattr(meshmod, name, recorded)
+
+    spy("refine")
+    spy("coarsen")
+    assert not driver.amr_pass(state, cfg)
+    assert xi_calls == []
+    assert np.array_equal(flags["refine"], want_refine)
+    assert np.array_equal(flags["coarsen"], want_coarsen)
 
 
 def test_amr_disabled_keeps_mesh():
