@@ -7,6 +7,10 @@ drop below the staggered tolerance.  An iteration that leaves v, xi and
 the crack mask bit for bit unchanged is an exact fixed point: the loop
 stops there and counts the identical iteration it skips, so the
 ``stag_iters`` it reports are the iterations the plain loop would run.
+Each displacement solve starts from the current u (see
+:func:`fem.solve_spd`): in an elastic step the Galerkin multiple of the
+previous step's u already meets the solver's residual test, so the step
+factors no displacement system.
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
 all fields to the new mesh.
@@ -60,6 +64,9 @@ class SolverParams:
     def __post_init__(self):
         if self.staggered_tol <= 0:
             raise ValueError("staggered_tol must be positive")
+        for name in ("staggered_max_iter", "linear_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.method not in ("direct", "pcg"):
             raise ValueError(f"unknown solver method {self.method!r}")
 
@@ -192,18 +199,24 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     is a phase solve that hits the active-set cap, which marks the step
     not converged.
 
+    The u solve gets ``state.u`` as its guess; the phase solve gets none.
+
     An iteration that leaves ``v``, xi and the crack mask exactly as it
     found them has reached a fixed point: the next iteration would repeat
     its u and v solves bit for bit and pass the stopping test with both
-    changes zero.  The loop stops there without running it, but counts
-    it, so iteration k returns ``k + 1`` iterations, converged, whenever
-    ``k + 1 <= staggered_max_iter``.
+    changes zero.  The guess keeps this exact.  The skipped iteration
+    would assemble the same u system and hand it ``u_k``, which already
+    passed that system's residual test (every answer a solve returns
+    does, a CG iterate included), so the solve would return ``u_k`` bit
+    for bit and the phase solve would repeat too.  The loop stops there
+    without running it, but counts it, so iteration k returns ``k + 1``
+    iterations, converged, whenever ``k + 1 <= staggered_max_iter``.
     """
     mat, reg, sol = config.material, config.regularization, config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
-    solve = lambda sys: fem.solve_field(
+    solve = lambda sys, guess=None: fem.solve_field(
         sys, tol=sol.linear_tol, max_iter=sol.linear_max_iter,
-        method=sol.method)
+        method=sol.method, guess=guess)
 
     converged = capped = False
     iters = 0
@@ -212,7 +225,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         xi_old, mask_old = state.xi, state.mask
 
         sys_u = pf.assemble_displacement(state.mesh, state.v, mat, bc)
-        state.u = solve(sys_u)
+        state.u = solve(sys_u, state.u.values)
 
         v_raw, settled = _solve_phase_bounded(state, mat, solve)
         capped |= not settled

@@ -47,11 +47,11 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
     lines = ["# vtk DataFile Version 2.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
-    lines.extend(f"{x} {y} 0" for x, y in zip(
-        _fmt_all(mesh.vertex_coords[:, 0]), _fmt_all(mesh.vertex_coords[:, 1])))
+    lines.extend(map("{} {} 0".format, _fmt_all(mesh.vertex_coords[:, 0]),
+                     _fmt_all(mesh.vertex_coords[:, 1])))
     lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
-    for quad in mesh.cell_vertices:
-        lines.append("4 " + " ".join(str(v) for v in quad))
+    lines.extend(map("4 {} {} {} {}".format,
+                     *mesh.cell_vertices.T.tolist()))
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines.extend(["9"] * mesh.n_cells)
 
@@ -68,7 +68,7 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
             if np.issubdtype(values.dtype, np.integer):
                 lines.append(f"SCALARS {name} int 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(str(int(v)) for v in values)
+                lines.extend(map("{}".format, values.tolist()))
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")

@@ -384,6 +384,128 @@ def test_pcg_residual_contract():
         solve_spd(sys, tol=1e-14, max_iter=2, method="pcg")
 
 
+def test_pcg_meets_the_true_residual_contract():
+    # A displacement-type system with a stripe of degraded stiffness
+    # (eta = 1e-10 along the seeded crack, contrast 1e10).  At tol 1e-15
+    # the CG recurrence residual passes the test while the true residual
+    # b - A x is still above it; the solver must not stop there.
+    mesh = build_uniform(4)
+    x, y = mesh.vertex_coords.T
+    v = ScalarField(mesh, np.where((x == 0.5) & (y > 0.3), 0.0, 1.0))
+    bc = {int(n): (-1.0 if mesh.vertex_coords[n, 0] < 0.5 else 1.0)
+          for n in mesh.boundary_vertices(TOP)
+          if mesh.vertex_coords[n, 0] != 0.5}
+    weight = (1.0 - 1e-10) * fem.field_at_qp(v) ** 2 + 1e-10
+    sys = apply_dirichlet(assemble_weighted_laplace(mesh, weight), bc)
+    tol = 1e-15
+    try:
+        got = solve_spd(sys, tol=tol, method="pcg")
+    except LinearSolveError:
+        return  # an honest failure also keeps the contract
+    A, b = sys.matrix, sys.rhs
+    assert np.linalg.norm(A @ got - b) <= tol * np.linalg.norm(b)
+
+
+# ---------------------------------------------------------------------------
+# Solves from a guess
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Names of the solver kernels run, in order: "splu" or "pcg"."""
+    calls = []
+    splu, pcg = fem.spla.splu, fem._pcg
+    monkeypatch.setattr(fem.spla, "splu",
+                        lambda *a, **k: calls.append("splu") or splu(*a, **k))
+    monkeypatch.setattr(fem, "_pcg",
+                        lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
+    return calls
+
+
+def _guess_system():
+    """A Poisson system on a three-level mesh with hanging nodes."""
+    mesh = _three_level_mesh()
+    assert len(mesh.constraints) > 0
+    return _poisson_system(mesh, lambda x, y: 1.0 + np.sin(3 * x) * y,
+                           lambda x, y: np.cos(x) + x * y)
+
+
+def _nodal(sys, free_values):
+    """A full-length nodal vector with the given free values."""
+    full = sys.prescribed.copy()
+    full[sys.free] = free_values
+    return sys.mesh.constraints.apply(full)
+
+
+METHODS = ["direct", "pcg"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_exact_guess_comes_back_unsolved(method, solver_calls):
+    sys = _guess_system()
+    exact = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    u = solve_field(sys, method=method, guess=_nodal(sys, exact))
+    assert u.values[sys.free].tobytes() == exact.tobytes()
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_multiple_of_the_answer_gives_the_answer(method, solver_calls):
+    # alpha = g.b / g.Ag = 1/3 for g = 3 x*, since A x* = b.
+    sys = _guess_system()
+    exact = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    u = solve_field(sys, method=method, guess=3.0 * _nodal(sys, exact))
+    assert np.max(np.abs(u.values[sys.free] - exact)) <= 1e-12
+    assert solver_calls == []
+
+
+def test_random_guess_changes_no_direct_byte(solver_calls):
+    sys = _guess_system()
+    guess = np.random.default_rng(2).normal(size=sys.mesh.n_vertices)
+    want = solve_field(sys, method="direct")
+    got = solve_field(sys, method="direct", guess=guess)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert solver_calls == ["splu", "splu"]
+
+
+def test_random_guess_starts_cg_from_its_multiple(monkeypatch):
+    sys = _guess_system()
+    A, b = sys.matrix, sys.rhs
+    g = np.random.default_rng(3).normal(size=len(b))
+    starts = []
+    pcg = fem._pcg
+    monkeypatch.setattr(fem, "_pcg",
+                        lambda *a: starts.append(a[4]) or pcg(*a))
+    x = solve_spd(sys, tol=1e-10, method="pcg", guess=g)
+    assert np.array_equal(starts[0], (g @ b / (g @ (A @ g))) * g)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_degenerate_guess_falls_through_to_the_solver(method, scale,
+                                                      solver_calls):
+    # A zero guess has g.Ag = 0; so has a tiny one, where g.Ag underflows.
+    # Neither has a multiple, and the solver runs as without a guess.
+    sys = _guess_system()
+    g = np.full(len(sys.rhs), scale)
+    assert g @ (sys.matrix @ g) == 0.0
+    want = solve_spd(sys, method=method)
+    got = solve_spd(sys, method=method, guess=g)
+    assert got.tobytes() == want.tobytes()
+    assert solver_calls == [{"direct": "splu", "pcg": "pcg"}[method]] * 2
+
+
+def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls):
+    # An indefinite system (SuperLU still factors it) and a guess along
+    # its negative direction: g.Ag < 0, so no multiple is formed.
+    sys = fem.SparseSystem(sp.diags([1.0, -2.0, 4.0]).tocsr(),
+                           np.array([1.0, 1.0, 2.0]), mesh4x4)
+    x = solve_spd(sys, method="direct", guess=np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(x, [1.0, -0.5, 0.5])
+    assert solver_calls == ["splu"]
+
+
 def test_unknown_method_raises(mesh4x4):
     sys = assemble_weighted_mass(mesh4x4, 1.0)
     with pytest.raises(ValueError):

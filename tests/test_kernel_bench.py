@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the assembly, qp-evaluation, factorization and
-coarsening kernels.
+"""Micro-benchmarks of the assembly, qp-evaluation, factorization,
+guessed-solve and coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -108,6 +108,29 @@ def test_bench_u_system_factorization(benchmark, mesh):
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
+    want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
+    # An elastic load step: the previous step's u system with its Dirichlet
+    # data scaled by 1.5.  The Galerkin multiple of the previous u passes
+    # the residual test, so the timed solve is three products and no
+    # factorization; a missed acceptance raises instead of factoring.
+    v, _ = pf.initial_crack(mesh, 0.5)
+    mat = pf.MaterialParams()
+    before, sys = (pf.assemble_displacement(
+        mesh, v, mat, driver.boundary_displacement(mesh, t, 1.0))
+        for t in (0.04, 0.06))
+    previous = fem.solve_spd(before, method="direct")
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("the guess was not accepted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem.spla, "splu", no_factor)
+        x = _run(benchmark, fem.solve_spd, sys, method="direct",
+                 guess=previous)
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
 
