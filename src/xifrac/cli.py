@@ -100,7 +100,8 @@ def _cmd_profile(args) -> int:
         return 1
     rows = output.line_profile(mesh, point_data[args.field], args.y,
                                args.samples)
-    lines = [f"x,{args.field}"] + [f"{x:.15g},{v:.15g}" for x, v in rows]
+    lines = [f"x,{args.field}"] + [",".join(output._fmt_all(row))
+                                    for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         args.out.write_text(text)

@@ -11,6 +11,22 @@ Each displacement solve starts from the current u (see
 :func:`fem.solve_spd`): in an elastic step the Galerkin multiple of the
 previous step's u already meets the solver's residual test, so the step
 factors no displacement system.
+
+The first active-set sweep of a phase solve is projected onto
+``SimState.phase_basis``, the last few first-sweep solutions the solver
+returned (see :func:`fem.project`).  In an elastic preload the mesh, xi
+and crack mask stay fixed and only the strain drive grows with the load,
+so these systems form one family and the projection often meets the
+residual test.  If it also pins some node and every free node lies
+clear of the pin threshold by its error margin, it only decides which
+nodes to pin, and the sweep factors nothing; otherwise the sweep is
+solved.  The basis is emptied whenever the family changes, by a mesh
+change in :func:`amr_pass` or by an iteration that changes xi or the
+mask in :func:`staggered_step`.  Every returned field is a solver's
+answer to an active set that the margin makes independent of the
+basis, as long as the margin bounds the projection's true error (see
+:func:`_pins_clearly`); that is not checked at run time.
+
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
 all fields to the new mesh.
@@ -104,6 +120,8 @@ class SimState:
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
+    # First-sweep phase solutions of the current family, oldest first.
+    phase_basis: list[np.ndarray] = dc_field(default_factory=list)
 
 
 def boundary_displacement(mesh: Mesh, t: float, c: float) -> dict[int, float]:
@@ -158,9 +176,63 @@ def update_xi(state: SimState, config: SimConfig) -> pf.RegularizationState:
 
 # Cap on active-set sweeps inside one phase-field solve.
 _MAX_ACTIVE_SET = 30
+# Cap on the first-sweep phase solutions kept in SimState.phase_basis.
+_PHASE_BASIS = 8
+# Stand-in for the condition number kappa_inf(A) of a phase system in the
+# pin margin of _pins_clearly.  The amr_field phase systems (8,439 free
+# dofs) measure kappa_inf of 5.6e3 to 7.4e3.
+_COND_ALLOWANCE = 1e5
 
 
-def _solve_phase_bounded(state: SimState, mat, solve
+def _pins_clearly(sys, v: fem.ScalarField, threshold, open_, tol) -> bool:
+    """Whether ``v`` pins some node of ``open_`` and every node of ``open_``
+    lies clear of ``threshold`` by more than ``v``'s error margin.
+
+    The margin is the first-order bound ``kappa (rho + tol) ||v||_inf`` on
+    how far ``v`` and the solver's answer can lie apart, where ``rho`` is
+    the relative residual of ``v`` in the max norm, ``tol`` stands for the
+    solver's, and ``kappa`` is ``_COND_ALLOWANCE``.  When it holds, both
+    fields pin the same nodes, to first order, as long as ``kappa_inf(A)``
+    is at most the allowance and the solver's answer meets ``tol`` in the
+    max norm.  Neither is checked here.
+    """
+    r = sys.matrix @ v.values[sys.free] - sys.rhs
+    bmax = np.abs(sys.rhs).max()
+    over = v.values[open_] - threshold[open_]
+    margin = (_COND_ALLOWANCE * (np.abs(r).max() + tol * bmax)
+              * np.abs(v.values[open_]).max())
+    return bool(np.any(over > 0) and np.all(np.abs(over) * bmax > margin))
+
+
+def _first_sweep(state: SimState, sys, solve, sol: SolverParams,
+                 threshold, open_) -> fem.ScalarField:
+    """Sweep 1 of a phase solve, projected onto ``state.phase_basis`` first.
+
+    Returns either a field that depends on the basis but pins clearly
+    (:func:`_pins_clearly`), so that only its pin decision is used, or the
+    solver's answer started from nothing.  An accepted projection that
+    pins clearly comes back as it is and leaves the basis alone.  Else
+    ``pcg`` starts from a rejected projection, and that answer stays only
+    if it pins clearly; every other case is solved without the basis.
+    The solver's answer joins the basis, dropping the oldest beyond
+    ``_PHASE_BASIS``.
+    """
+    clear = lambda f: _pins_clearly(sys, f, threshold, open_, sol.linear_tol)
+    projected, accepted = fem.project(sys, state.phase_basis,
+                                      tol=sol.linear_tol, method=sol.method)
+    if accepted and clear(projected):
+        return projected
+    v = None
+    if sol.method == "pcg" and projected is not None and not accepted:
+        v = solve(sys, projected.values)
+    if v is None or not clear(v):
+        v = solve(sys)
+    state.phase_basis.append(v.values)
+    del state.phase_basis[:-_PHASE_BASIS]
+    return v
+
+
+def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
                          ) -> tuple[fem.ScalarField, bool]:
     """Phase-field solve respecting the upper bound ``v <= min(v_prev, 1)``.
 
@@ -172,16 +244,30 @@ def _solve_phase_bounded(state: SimState, mat, solve
     operator is assembled once; each sweep only restricts it.  Returns the
     solution and False when the active set was still growing after
     ``_MAX_ACTIVE_SET`` sweeps.
+
+    ``solve(sys, guess=None)`` solves one sweep.  The first sweep, which
+    pins only the crack mask, goes through :func:`_first_sweep`: it is
+    projected onto ``state.phase_basis``, and when it has to be solved,
+    the solver's answer fills the basis.  A first-sweep field that depends
+    on the basis is used only when it pins some node and clears the pin
+    threshold by its error margin; the next sweep then solves with those
+    nodes pinned, so the returned field is always a solver's answer.
+    Emptying the basis is up to the callers.
     """
     upper = np.minimum(state.v_prev.values, 1.0)
     active = dict.fromkeys(state.mask.nodes, 0.0)
     is_active = np.zeros(state.mesh.n_vertices, dtype=bool)
     is_active[list(active)] = True
     folded = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+    threshold = upper + 1e-12
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
-        v = solve(fem.apply_dirichlet(folded, active))
-        grow = np.flatnonzero((v.values > upper + 1e-12) & ~is_active)
+        sys = fem.apply_dirichlet(folded, active)
+        if sweep:
+            v = solve(sys)
+        else:
+            v = _first_sweep(state, sys, solve, sol, threshold, ~is_active)
+        grow = np.flatnonzero((v.values > threshold) & ~is_active)
         if not grow.size:
             return v, True
         is_active[grow] = True
@@ -199,7 +285,11 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     is a phase solve that hits the active-set cap, which marks the step
     not converged.
 
-    The u solve gets ``state.u`` as its guess; the phase solve gets none.
+    The u solve gets ``state.u`` as its guess; the phase solve recycles
+    ``state.phase_basis`` in its first sweep (:func:`_solve_phase_bounded`).
+    An iteration that changes xi or the crack mask empties the basis, so
+    it only holds solutions for the current diffusion operator, load and
+    free set; the comparisons are those of the fixed-point stop below.
 
     An iteration that leaves ``v``, xi and the crack mask exactly as it
     found them has reached a fixed point: the next iteration would repeat
@@ -227,12 +317,16 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         sys_u = pf.assemble_displacement(state.mesh, state.v, mat, bc)
         state.u = solve(sys_u, state.u.values)
 
-        v_raw, settled = _solve_phase_bounded(state, mat, solve)
+        v_raw, settled = _solve_phase_bounded(state, mat, solve, sol)
         capped |= not settled
         state.v, state.mask = pf.enforce_irreversibility(
             v_raw, state.v_prev, state.mask, sol.crack_tol)
 
         state.xi = update_xi(state, config)
+        same_family = (np.array_equal(state.xi.value, xi_old.value)
+                       and state.mask.nodes == mask_old.nodes)
+        if not same_family:
+            state.phase_basis.clear()
 
         err_u = fem.l2_relative_error(state.u, u_old)
         err_v = fem.l2_relative_error(state.v, v_old)
@@ -240,10 +334,8 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
             converged = True
             break
         # An exact fixed point: the next iteration would repeat this one.
-        if (iters < sol.staggered_max_iter
-                and np.array_equal(state.v.values, v_old.values)
-                and np.array_equal(state.xi.value, xi_old.value)
-                and state.mask.nodes == mask_old.nodes):
+        if (iters < sol.staggered_max_iter and same_family
+                and np.array_equal(state.v.values, v_old.values)):
             iters += 1
             converged = True
             break
@@ -283,7 +375,8 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     bounded by the level range.  ``u``, ``v`` and ``v_prev`` move together
     as the columns of one block.  In field mode ``state.xi`` is already the
     cell xi of ``state.v`` on ``state.mesh`` (the staggered loop and every
-    mesh change leave it so), and the first flags reuse it.
+    mesh change leave it so), and the first flags reuse it.  A mesh change
+    empties ``state.phase_basis``.
     """
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values,
@@ -308,6 +401,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
 
     u_vals, v_vals, vprev_vals = fields.T.copy()
     state.mesh = new
+    state.phase_basis.clear()
     state.u = ScalarField(new, u_vals)
     v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
     # Pinned nodes carry v = 0 exactly and transfers preserve that, so the

@@ -27,6 +27,17 @@ solver's own answer, which the same test checks.  In an elastic load step
 the operator repeats and the Dirichlet data scale with the load, so the
 multiple of the previous displacement already passes and nothing is
 factored.  No factor or other state is kept between solves.
+
+:func:`project` recycles earlier solutions of a family of systems, such
+as the phase systems ``(K + s M) v = b`` of an elastic preload, whose
+strain drive ``s`` grows with the load: it solves the Galerkin system on
+the span of the given fields and hands back the result with the verdict
+of the same residual test.  A caller may use an accepted projection to
+decide what to do next, but the field it returns should come from a
+solve: the projection depends on which fields happen to be in the span,
+so a run restarted with other fields would not repeat its bits.  Passing
+the test bounds the projection's error only through the condition number
+of ``A``, so a decision taken from it must allow for that error.
 """
 
 from __future__ import annotations
@@ -296,6 +307,20 @@ def _meets(Ax, b, limit) -> bool:
     return bool(np.linalg.norm(Ax - b) <= limit)
 
 
+def _limit(tol, method, bnorm) -> float:
+    """Residual bound of the contract: ``rtol ||b||``, ``rtol`` per method."""
+    if method not in ("direct", "pcg"):
+        raise ValueError(f"unknown solver method {method!r}")
+    return (max(tol, 1e-8) if method == "direct" else tol) * bnorm
+
+
+def _expand(sys: SparseSystem, x) -> ScalarField:
+    """The whole field of a restricted system with free values ``x``."""
+    full = sys.prescribed.copy()
+    full[sys.free] = x
+    return ScalarField(sys.mesh, sys.mesh.constraints.apply(full))
+
+
 def _pcg(A, b, limit, max_iter, x0=None):
     """Conjugate gradients with a Jacobi preconditioner, started from ``x0``.
 
@@ -351,13 +376,11 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
     from ``alpha g`` (or zero) instead of zero.  Every failure raises
     :class:`LinearSolveError`.  With no unknown, nothing is factored.
     """
-    if method not in ("direct", "pcg"):
-        raise ValueError(f"unknown solver method {method!r}")
     A, b = sys.matrix, sys.rhs
+    bnorm = np.linalg.norm(b)
+    limit = _limit(tol, method, bnorm)
     if not len(b):
         return np.zeros(0)
-    bnorm = np.linalg.norm(b)
-    limit = (max(tol, 1e-8) if method == "direct" else tol) * bnorm
     x0 = None
     if guess is not None:
         g = np.array(guess, dtype=float)
@@ -415,11 +438,61 @@ def solve_field(sys: SparseSystem, tol: float = 1e-10,
     """
     if sys.free is None:
         raise ValueError("solve_field takes a system from apply_dirichlet")
-    x = sys.prescribed.copy()
-    x[sys.free] = solve_spd(
+    return _expand(sys, solve_spd(
         sys, tol=tol, max_iter=max_iter, method=method,
-        guess=None if guess is None else np.asarray(guess)[sys.free])
-    return ScalarField(sys.mesh, sys.mesh.constraints.apply(x))
+        guess=None if guess is None else np.asarray(guess)[sys.free]))
+
+
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``rows``, by Gram-Schmidt run twice.
+
+    The second pass keeps the rows orthogonal to rounding.  A row that lies
+    within ``1e-12`` of the span of those before it, relative to its norm,
+    adds no direction and is dropped; so is a zero row.
+    """
+    q = np.empty_like(rows)
+    k = 0
+    for row in rows:
+        r = row
+        for _ in range(2):
+            r = r - (q[:k] @ r) @ q[:k]
+        norm = np.linalg.norm(r)
+        if norm > 1e-12 * np.linalg.norm(row):
+            q[k] = r / norm
+            k += 1
+    return q[:k]
+
+
+def project(sys: SparseSystem, basis, tol: float = 1e-10,
+            method: str = "pcg") -> tuple[ScalarField | None, bool]:
+    """Galerkin projection of a restricted system onto the span of ``basis``.
+
+    ``basis`` is a list of full-length nodal vectors on ``sys.mesh``.  Their
+    free values are orthonormalized into the columns of ``Q`` (a QR by
+    Gram-Schmidt, which drops a vector that lies in the span of those
+    before it, and all of a zero basis), and the small system
+    ``Q^T A Q c = Q^T b`` gives ``x = Q c``.  Returns the whole field of
+    ``x``, expanded as :func:`solve_field` expands a solution, and whether
+    ``x`` meets the residual test of :func:`solve_spd` for ``tol`` and
+    ``method``, taken from ``A x`` itself.  With no direction left, or no
+    unknown, it returns ``(None, False)``.  Nothing is factored.
+
+    An accepted projection meets the same contract as a solve, but its bits
+    depend on the basis.  Use it only for a decision that its error cannot
+    flip, and return a solver's answer: then a run repeats its output
+    whatever fields the basis held.
+    """
+    if sys.free is None:
+        raise ValueError("project takes a system from apply_dirichlet")
+    A, b = sys.matrix, sys.rhs
+    limit = _limit(tol, method, np.linalg.norm(b))
+    # Q^T, one orthonormal row per direction.
+    qt = _orthonormal_rows(
+        np.array([np.asarray(f, dtype=float)[sys.free] for f in basis]))
+    if not len(qt):
+        return None, False
+    x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
+    return _expand(sys, x), _meets(A @ x, b, limit)
 
 
 def integrate(mesh: Mesh, integrand, rule: QuadratureRule = GAUSS2) -> float:

@@ -180,6 +180,7 @@ class RunWriter:
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config
+        self._snapshot_step = None  # step of the last snapshot written
         self._write_manifest()
 
     def _write_manifest(self):
@@ -190,7 +191,7 @@ class RunWriter:
         _atomic_write(self.dir / "run_manifest.cfg", text)
 
     def snapshot(self, state):
-        n = state.step
+        n = self._snapshot_step = state.step
         write_vtk(state.mesh,
                   {"u": state.u.values, "v": state.v.values},
                   {"xi": state.xi.at_cells(state.mesh),
@@ -205,7 +206,8 @@ class RunWriter:
         write_profile_csv(cols, xs, self.dir / f"profiles_{n:04d}.csv")
 
     def finalize(self, state):
+        """Write the histories, and the final snapshot unless it exists."""
         write_energy_csv(state.history, self.dir / "energies.csv")
         write_xi_history(state.history, self.dir / "xi_history.csv")
-        if state.step > 0:
+        if state.step > 0 and state.step != self._snapshot_step:
             self.snapshot(state)

@@ -357,6 +357,187 @@ def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
     _assert_same_state(state, ref)
 
 
+def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
+    # Twelve elastic steps of 0.003 on the adapted field-mode mesh: mesh,
+    # xi and mask stay fixed and only the strain drive grows, so the first
+    # phase sweeps form one family.  Some of them are decided by the
+    # projection onto earlier solutions and factor nothing; the state
+    # still matches the reference loop, which keeps no basis, bit for bit.
+    cfg, state = _adapted_field_state()
+    _, ref = _adapted_field_state()
+    assert len(state.mesh.constraints) > 0
+    u_systems, factors, solving_u, counting = [], [], [False], [False]
+    assemble_u, solve_spd, splu = (pf.assemble_displacement, fem.solve_spd,
+                                   fem.spla.splu)
+
+    def spy_assemble_u(*args, **kwargs):
+        u_systems.append(assemble_u(*args, **kwargs))
+        return u_systems[-1]
+
+    def spy_solve(sys, *args, **kwargs):
+        solving_u[0] = any(sys is known for known in u_systems)
+        return solve_spd(sys, *args, **kwargs)
+
+    def spy_splu(*args, **kwargs):
+        if counting[0]:
+            factors.append("u" if solving_u[0] else "v")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(pf, "assemble_displacement", spy_assemble_u)
+    monkeypatch.setattr(fem, "solve_spd", spy_solve)
+    monkeypatch.setattr(fem.spla, "splu", spy_splu)
+    steps = 12
+    for n in range(1, steps + 1):
+        for s in (state, ref):
+            s.step, s.t = n, 0.003 * n
+        counting[0] = True
+        got = staggered_step(state, cfg)
+        counting[0] = False
+        assert got == reference_staggered_step(ref, cfg) == (2, True)
+        _assert_same_state(state, ref)
+        assert 1 <= len(state.phase_basis) <= driver._PHASE_BASIS
+        u_systems.clear()
+        for s in (state, ref):
+            s.v_prev = s.v.copy()
+    assert factors.count("u") == 1
+    assert factors.count("v") < steps
+
+
+def _basis_at_each_phase_solve(monkeypatch):
+    """Per phase solve: mesh id, xi bytes, mask and basis size on entry."""
+    seen = []
+    solve_bounded = driver._solve_phase_bounded
+
+    def spy(state, *args):
+        seen.append((state.mesh.id, np.asarray(state.xi.value).tobytes(),
+                     frozenset(state.mask.nodes), len(state.phase_basis)))
+        return solve_bounded(state, *args)
+
+    monkeypatch.setattr(driver, "_solve_phase_bounded", spy)
+    return seen
+
+
+def _family_changes(seen):
+    """Check that a phase solve finds the basis empty exactly when mesh, xi
+    or mask changed since the one before; return the kinds of change."""
+    kinds = set()
+    for before, after in zip(seen, seen[1:]):
+        changed = frozenset(
+            name for name, a, b in zip(("mesh", "xi", "mask"), before, after)
+            if a != b)
+        assert (after[3] == 0) == bool(changed), changed
+        kinds.add(changed)
+    return kinds
+
+
+@pytest.mark.parametrize("case", ["mesh", "xi", "mask"])
+def test_phase_basis_is_emptied_when_its_family_changes(case, monkeypatch):
+    seen = _basis_at_each_phase_solve(monkeypatch)
+    if case == "mesh":
+        # Step 1 runs on the start grid; its AMR pass changes the mesh.
+        cfg, _ = _field_state(level_start=6, level_max=7,
+                              loading=LoadingParams(c=1.0, dt=0.01, n_max=4))
+    else:
+        # Level 3, dt = 0.05: fracture iterations at steps 4 and 5.  In
+        # global mode every one of them moves xi; in fixed mode xi never
+        # moves and step 5 grows the mask.
+        mode = "global" if case == "xi" else "fixed"
+        cfg = small_config(
+            mesh=MeshParams(level_start=3, level_max=3),
+            loading=LoadingParams(c=1.0, dt=0.05, n_max=5),
+            regularization=pf.RegularizationParams(mode=mode))
+    driver.run(cfg)
+    kinds = _family_changes(seen)
+    assert frozenset() in kinds  # some solves did find a basis
+    assert any(case in kind for kind in kinds)
+    if case != "mesh":
+        assert frozenset({case}) in kinds
+
+
+def test_amr_pass_empties_the_phase_basis_only_on_a_mesh_change():
+    cfg, state = _field_state(level_start=6, level_max=7)
+    state.phase_basis.append(state.v.values.copy())
+    assert driver.amr_pass(state, cfg)
+    assert state.phase_basis == []
+    state.phase_basis.append(state.v.values.copy())
+    while driver.amr_pass(state, cfg):
+        state.phase_basis.append(state.v.values.copy())
+    assert len(state.phase_basis) == 1
+
+
+def _first_phase_sweep_after_an_elastic_step():
+    """A level-3 state after one elastic step at t = 0.1, its first phase
+    sweep (only the crack pinned) with the solver's answer, and a phase
+    solve that starts from a given basis."""
+    cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
+                       loading=LoadingParams(c=1.0, dt=0.1, n_max=1))
+    state = driver.initialize(cfg)
+    state.step, state.t = 1, 0.1
+    staggered_step(state, cfg)
+    sol, mat = cfg.solver, cfg.material
+    solve = lambda sys, guess=None: fem.solve_field(
+        sys, tol=sol.linear_tol, method=sol.method, guess=guess)
+
+    def first_sweep():
+        sys = fem.apply_dirichlet(
+            pf.assemble_phase(state.mesh, state.u, state.xi, mat),
+            dict.fromkeys(state.mask.nodes, 0.0))
+        return sys, solve(sys).values
+
+    def phase_solve(basis):
+        state.phase_basis = list(basis)
+        return driver._solve_phase_bounded(state, mat, solve, sol)[0].values
+
+    return state, first_sweep, phase_solve
+
+
+def _project_to(monkeypatch, values):
+    monkeypatch.setattr(fem, "project", lambda sys, basis, tol, method:
+                        (ScalarField(sys.mesh, values), True))
+
+
+def test_accepted_projection_that_pins_nothing_is_solved_again(monkeypatch):
+    # Ten times the displacement and v_prev = 1: the solver's first sweep
+    # stays below 1 and pins nothing.  A projection 1e-12 above it passes,
+    # clears the pin threshold by its error margin and pins nothing too,
+    # so it would be the returned field; instead the sweep is solved, and
+    # the phase solve returns the bytes of a solve with an empty basis.
+    state, first_sweep, phase_solve = \
+        _first_phase_sweep_after_an_elastic_step()
+    state.u = ScalarField(state.mesh, 10.0 * state.u.values)
+    state.v_prev = constant_field(state.mesh, 1.0)
+    sys, first = first_sweep()
+    want = phase_solve([])
+    assert want.tobytes() == first.tobytes() and want.max() < 1.0
+    proposed = first.copy()
+    proposed[sys.free] += 1e-12
+    _project_to(monkeypatch, proposed)
+    assert want.tobytes() == phase_solve([proposed]).tobytes()
+
+
+def test_projection_across_the_pin_threshold_is_not_trusted(monkeypatch):
+    # A node k that the solver's first sweep leaves free, 5e-10 below its
+    # pin threshold, and a projection that passes the contract but lies
+    # 5e-10 above it: trusting that projection would pin k for good.  It
+    # falls inside its error margin, so the sweep is solved, and the phase
+    # solve returns the bytes of a solve that starts with an empty basis.
+    state, first_sweep, phase_solve = \
+        _first_phase_sweep_after_an_elastic_step()
+    sys, first = first_sweep()
+    k = sys.free[np.argmin(np.abs(first[sys.free] - 0.5))]
+    assert 0.0 < first[k] < 1.0
+    state.v_prev = state.v.copy()
+    state.v_prev.values[k] = first[k] + 5e-10 - 1e-12
+    want = phase_solve([])
+    proposed = first.copy()
+    proposed[k] += 1e-9
+    _project_to(monkeypatch, proposed)
+    assert want.tobytes() == phase_solve([proposed]).tobytes()
+    # Pinning as the projection says would have given other bytes.
+    monkeypatch.setattr(driver, "_pins_clearly", lambda sys, v, *a: True)
+    assert want.tobytes() != phase_solve([proposed]).tobytes()
+
+
 def test_capped_active_set_is_recorded_as_not_converged(monkeypatch,
                                                         tmp_path):
     # The first elastic phase solve pins only the seeded crack and finds
@@ -386,8 +567,10 @@ def test_bounded_phase_solve_is_a_kkt_point():
         state.step, state.t = n, n * cfg.loading.dt
         state.v_prev = state.v.copy()
         staggered_step(state, cfg)
-    solve = lambda sys: fem.solve_field(sys, method="direct")
-    v, settled = driver._solve_phase_bounded(state, cfg.material, solve)
+    solve = lambda sys, guess=None: fem.solve_field(sys, method="direct",
+                                                    guess=guess)
+    v, settled = driver._solve_phase_bounded(state, cfg.material, solve,
+                                             cfg.solver)
     assert settled
     folded = pf.assemble_phase(state.mesh, state.u, state.xi, cfg.material)
     multiplier = folded.rhs - folded.matrix @ v.values

@@ -506,6 +506,118 @@ def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls):
     assert solver_calls == ["splu"]
 
 
+# ---------------------------------------------------------------------------
+# Projection onto earlier solutions
+
+
+def _family(s):
+    """``(K + s M) v = b`` on a three-level mesh with hanging nodes, with
+    the left edge pinned at 0, as a phase system pins its crack."""
+    mesh = _three_level_mesh()
+    stiffness = assemble_weighted_laplace(mesh, lambda x, y: 1.0 + x * y)
+    mass = assemble_weighted_mass(mesh,
+                                  lambda x, y: s * (1.0 + np.sin(3 * x)))
+    load = assemble_load(mesh, lambda x, y: 1.0 + 0.3 * y)
+    bc = dict.fromkeys(mesh.boundary_vertices(LEFT).tolist(), 0.0)
+    return apply_dirichlet(combine(stiffness, mass, rhs=load), bc)
+
+
+def _meets_contract(sys, field, rtol):
+    A, b = sys.matrix, sys.rhs
+    x = field.values[sys.free]
+    return np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
+
+
+# Drives that grow with the square of a load ramp, as an elastic preload's
+# strain drive does, and a ninth drive between two of them.
+STRAIN_DRIVES = [10.0 * (1.0 + 0.1 * k) ** 2 for k in range(8)]
+NINTH_DRIVE = 10.0 * 1.35 ** 2
+
+
+@pytest.fixture
+def family_basis():
+    """Whole fields solving the family for the eight drives."""
+    return [solve_field(_family(s), method="direct").values
+            for s in STRAIN_DRIVES]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_projection_onto_eight_solutions_solves_a_ninth(method, family_basis,
+                                                        solver_calls):
+    sys = _family(NINTH_DRIVE)
+    assert len(sys.mesh.constraints) > 0
+    got, accepted = fem.project(sys, family_basis, method=method)
+    assert accepted
+    assert solver_calls == []
+    assert _meets_contract(sys, got, 1e-10)
+    want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    assert (np.linalg.norm(got.values[sys.free] - want)
+            <= 1e-8 * np.linalg.norm(want))
+    # Prescribed and hanging values are filled as a solve fills them.
+    assert np.array_equal(got.values, _nodal(sys, got.values[sys.free]))
+
+
+def test_projection_verdict_is_the_solver_contract(family_basis):
+    # One earlier solution, nudged so that its projection misses the
+    # answer by a relative residual between the pcg tolerance (1e-10) and
+    # the direct one (1e-8): direct accepts it, pcg does not.
+    sys = _family(NINTH_DRIVE)
+    exact = solve_field(sys, method="direct").values
+    nudge = np.random.default_rng(4).normal(size=exact.shape)
+    guess = exact + 2e-10 * np.linalg.norm(exact) * nudge
+    got, accepted = fem.project(sys, [guess], tol=1e-10, method="direct")
+    assert accepted and _meets_contract(sys, got, 1e-8)
+    assert not _meets_contract(sys, got, 1e-10)
+    assert fem.project(sys, [guess], tol=1e-10, method="pcg")[1] is False
+
+
+@pytest.mark.parametrize("basis", [[], [np.zeros(1)] * 3],
+                         ids=["empty", "zero"])
+def test_projection_without_a_direction_falls_back(basis, solver_calls):
+    sys = _family(1.0)
+    basis = [np.resize(f, sys.mesh.n_vertices) for f in basis]
+    assert fem.project(sys, basis) == (None, False)
+    assert solver_calls == []
+
+
+def test_projection_drops_dependent_columns(family_basis):
+    sys = _family(NINTH_DRIVE)
+    A, b = sys.matrix, sys.rhs
+    # Three copies of one direction: the projection is its Galerkin
+    # multiple, which misses the ninth solution.
+    g = family_basis[0][sys.free]
+    got, accepted = fem.project(
+        sys, [family_basis[0], 2.0 * family_basis[0], -family_basis[0]])
+    assert not accepted
+    want = (g @ b / (g @ (A @ g))) * g
+    assert (np.max(np.abs(got.values[sys.free] - want))
+            <= 1e-12 * np.max(np.abs(want)))
+    # Repeated and combined columns neither raise nor hurt the answer.
+    extra = [family_basis[1] + family_basis[2], 3.0 * family_basis[4]]
+    got, accepted = fem.project(sys, family_basis + extra, method="direct")
+    assert accepted and _meets_contract(sys, got, 1e-8)
+
+
+def test_projection_directions_stay_orthonormal(family_basis):
+    # Eight solutions of one family are nearly dependent: the smallest
+    # singular value of their free values is about 3e-11 of the largest.
+    # One Gram-Schmidt pass loses their orthogonality; two keep it.
+    sys = _family(NINTH_DRIVE)
+    rows = np.array([f[sys.free] for f in family_basis])
+    assert np.linalg.cond(rows) > 1e10
+    q = fem._orthonormal_rows(rows)
+    assert len(q) == 8
+    assert np.max(np.abs(q @ q.T - np.eye(8))) <= 1e-14
+    assert (np.max(np.abs(rows - (rows @ q.T) @ q))
+            <= 1e-12 * np.max(np.abs(rows)))
+
+
+def test_projection_takes_a_restricted_system(mesh4x4):
+    sys = assemble_weighted_mass(mesh4x4, 1.0)
+    with pytest.raises(ValueError):
+        fem.project(sys, [np.ones(mesh4x4.n_vertices)])
+
+
 def test_unknown_method_raises(mesh4x4):
     sys = assemble_weighted_mass(mesh4x4, 1.0)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xifrac import cli, driver, output, phasefield as pf
+from xifrac import cli, driver, mesh as meshmod, output, phasefield as pf
 from xifrac.config import ConfigError, default_config, parse_config, \
     serialize_config
 from xifrac.fem import ScalarField
@@ -322,6 +322,50 @@ def test_run_writer_outputs_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+@pytest.fixture
+def snapshot_writes(monkeypatch):
+    """Names of the snapshot files written, one entry per write."""
+    names = []
+
+    def spy(fn, path_arg):
+        write = getattr(output, fn)
+
+        def recorded(*args, **kwargs):
+            names.append(args[path_arg].name)
+            return write(*args, **kwargs)
+        monkeypatch.setattr(output, fn, recorded)
+
+    spy("write_vtk", 3)
+    spy("write_profile_csv", 2)
+    return names
+
+
+def test_run_writes_each_snapshot_once(tmp_path, snapshot_writes):
+    cfg = parse_config("loading.n_max = 20, mesh.level_start = 3, "
+                       "mesh.level_max = 3, output.cadence = 10")
+    driver.run(cfg, out_dir=tmp_path)
+    assert sorted(snapshot_writes) == [
+        "fields_0010.vtk", "fields_0020.vtk",
+        "profiles_0010.csv", "profiles_0020.csv"]
+
+
+def test_early_stop_writes_its_snapshot_once(tmp_path, snapshot_writes):
+    # The crack is made to reach the bottom at step 3, between cadences.
+    cfg = parse_config("loading.n_max = 20, mesh.level_start = 3, "
+                       "mesh.level_max = 3, output.cadence = 2")
+
+    def hook(state):
+        if state.step == 3:
+            bottom = state.mesh.boundary_vertices(meshmod.BOTTOM)
+            state.mask = state.mask.union({int(bottom[0])})
+
+    hist, _ = driver.run(cfg, out_dir=tmp_path, snapshot_hook=hook)
+    assert len(hist) == 3
+    assert sorted(snapshot_writes) == [
+        "fields_0002.vtk", "fields_0003.vtk",
+        "profiles_0002.csv", "profiles_0003.csv"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -394,6 +438,24 @@ def test_cli_profile_roundtrip(tmp_path, capsys):
     assert lines[0] == "x,v"
     vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert vals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-13)
+
+
+def test_cli_profile_floats_round_trip(tmp_path, capsys):
+    # Non-dyadic values at non-dyadic sample points: the printed numbers
+    # read back to the doubles of output.line_profile, bit for bit.
+    m = refine(build_uniform(2), [0])
+    x, y = m.vertex_coords.T
+    output.write_vtk(m, {"v": np.sin(7.0 * x) + y / 3.0}, {},
+                     tmp_path / "f.vtk")
+    mesh, point_data, _ = output.read_vtk(tmp_path / "f.vtk")
+    want = output.line_profile(mesh, point_data["v"], 0.3, 7)
+    assert cli.main(["profile", "--in", str(tmp_path / "f.vtk"),
+                     "--y", "0.3", "--samples", "7"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x,v"
+    got = np.array([[float(t) for t in line.split(",")]
+                    for line in lines[1:]])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cli_keys_lists_all(capsys):

@@ -1,5 +1,5 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization,
-guessed-solve and coarsening kernels.
+guessed-solve, projection and coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -132,6 +132,44 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
         x = _run(benchmark, fem.solve_spd, sys, method="direct",
                  guess=previous)
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_phase_projection(benchmark, mesh, monkeypatch):
+    # The first active-set sweep of an elastic preload's phase solve: the
+    # crack mask pinned, the displacement scaled with the load, so the
+    # strain drive grows as t^2.  Eight earlier sweeps span a basis, and
+    # the projection of the ninth meets the residual test with no
+    # factorization; a missed acceptance fails instead of factoring.
+    v, mask = pf.initial_crack(mesh, 0.5)
+    mat = pf.MaterialParams()
+    reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
+    xi = pf.RegularizationState("field", pf.xi_field(mesh, v, mat, reg))
+    u1 = fem.solve_field(pf.assemble_displacement(
+        mesh, v, mat, driver.boundary_displacement(mesh, 1.0, 1.0)),
+        method="direct")
+    pinned = dict.fromkeys(mask.nodes, 0.0)
+
+    def first_sweep(t):
+        u = ScalarField(mesh, t * u1.values)
+        return fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, mat),
+                                   pinned)
+
+    basis = [fem.solve_field(first_sweep(0.0015 * n), method="direct").values
+             for n in range(20, 28)]
+    sys = first_sweep(0.0015 * 28)
+    assert 8000 < len(sys.rhs) < 9500
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("the projection factored")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem.spla, "splu", no_factor)
+        got, accepted = _run(benchmark, fem.project, sys, basis,
+                             method="direct")
+    assert accepted
+    want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
+    x = got.values[sys.free]
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
 
 
