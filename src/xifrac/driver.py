@@ -13,16 +13,22 @@ previous step's u already meets the solver's residual test, so the step
 factors no displacement system.
 
 The first active-set sweep of a phase solve is projected onto
-``SimState.phase_basis``, the last few first-sweep solutions the solver
-returned (see :func:`fem.project`).  In an elastic preload the mesh, xi
-and crack mask stay fixed and only the strain drive grows with the load,
-so these systems form one family and the projection often meets the
-residual test.  If it also pins some node and every free node lies
-clear of the pin threshold by its error margin, it only decides which
-nodes to pin, and the sweep factors nothing; otherwise the sweep is
-solved.  The basis is emptied whenever the family changes, by a mesh
-change in :func:`amr_pass` or by an iteration that changes xi or the
-mask in :func:`staggered_step`.  Every returned field is a solver's
+``SimState.phase_basis``, orthonormal rows spanning the latest
+first-sweep solutions the solver returned (see :func:`fem.project`).  In
+an elastic preload the mesh, xi and crack mask stay fixed and only the
+strain drive grows with the load, so these systems form one family
+``K + s R`` and the projection often meets the residual test.  If it
+also pins some node and every free node lies clear of the pin threshold
+by its error margin, it only decides which nodes to pin, and the sweep
+factors nothing; otherwise the sweep is solved.  Under ``direct`` the
+same factor also gives three tangents of the family along ``R``, the
+strain-drive mass of :func:`phasefield.assemble_phase`
+(:func:`fem.solve_with_tangents`), and they join the basis with the
+answer; they keep the projections within the pin margin for several
+load steps.  ``pcg`` has no factor: its answer joins alone, and it
+keeps no ``R``.  The basis is emptied whenever the family changes, by a
+mesh change in :func:`amr_pass` or by an iteration that changes xi or
+the mask in :func:`staggered_step`.  Every returned field is a solver's
 answer to an active set that the margin makes independent of the
 basis, as long as the margin bounds the projection's true error (see
 :func:`_pins_clearly`); that is not checked at run time.
@@ -120,7 +126,9 @@ class SimState:
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
-    # First-sweep phase solutions of the current family, oldest first.
+    # Orthonormal rows of free values, newest first, spanning the latest
+    # first-sweep phase solutions of the current family and, under direct,
+    # their tangents (fem.extend_basis).
     phase_basis: list[np.ndarray] = dc_field(default_factory=list)
 
 
@@ -176,8 +184,10 @@ def update_xi(state: SimState, config: SimConfig) -> pf.RegularizationState:
 
 # Cap on active-set sweeps inside one phase-field solve.
 _MAX_ACTIVE_SET = 30
-# Cap on the first-sweep phase solutions kept in SimState.phase_basis.
+# Cap on the orthonormal rows kept in SimState.phase_basis.
 _PHASE_BASIS = 8
+# Tangents of the phase family that a direct first sweep adds to the basis.
+_TANGENTS = 3
 # Stand-in for the condition number kappa_inf(A) of a phase system in the
 # pin margin of _pins_clearly.  The amr_field phase systems (8,439 free
 # dofs) measure kappa_inf of 5.6e3 to 7.4e3.
@@ -205,30 +215,36 @@ def _pins_clearly(sys, v: fem.ScalarField, threshold, open_, tol) -> bool:
 
 
 def _first_sweep(state: SimState, sys, solve, sol: SolverParams,
-                 threshold, open_) -> fem.ScalarField:
+                 threshold, open_, reaction) -> fem.ScalarField:
     """Sweep 1 of a phase solve, projected onto ``state.phase_basis`` first.
 
     Returns either a field that depends on the basis but pins clearly
     (:func:`_pins_clearly`), so that only its pin decision is used, or the
     solver's answer started from nothing.  An accepted projection that
     pins clearly comes back as it is and leaves the basis alone.  Else
-    ``pcg`` starts from a rejected projection, and that answer stays only
-    if it pins clearly; every other case is solved without the basis.
-    The solver's answer joins the basis, dropping the oldest beyond
-    ``_PHASE_BASIS``.
+    ``direct`` solves with :func:`fem.solve_with_tangents`, and the answer
+    and its ``_TANGENTS`` tangents along the reaction ``reaction`` join
+    the basis; ``pcg`` starts from a rejected projection, that answer
+    stays only if it pins clearly, every other case is solved without the
+    basis, and the answer alone joins it.  The basis keeps at most
+    ``_PHASE_BASIS`` orthonormal rows (:func:`fem.extend_basis`).
     """
     clear = lambda f: _pins_clearly(sys, f, threshold, open_, sol.linear_tol)
     projected, accepted = fem.project(sys, state.phase_basis,
                                       tol=sol.linear_tol, method=sol.method)
     if accepted and clear(projected):
         return projected
-    v = None
-    if sol.method == "pcg" and projected is not None and not accepted:
-        v = solve(sys, projected.values)
-    if v is None or not clear(v):
-        v = solve(sys)
-    state.phase_basis.append(v.values)
-    del state.phase_basis[:-_PHASE_BASIS]
+    if sol.method == "direct":
+        v, tangents = fem.solve_with_tangents(sys, reaction, _TANGENTS,
+                                              tol=sol.linear_tol)
+    else:
+        v, tangents = None, []
+        if projected is not None and not accepted:
+            v = solve(sys, projected.values)
+        if v is None or not clear(v):
+            v = solve(sys)
+    fem.extend_basis(state.phase_basis, [v.values[sys.free], *tangents],
+                     _PHASE_BASIS)
     return v
 
 
@@ -248,7 +264,8 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     ``solve(sys, guess=None)`` solves one sweep.  The first sweep, which
     pins only the crack mask, goes through :func:`_first_sweep`: it is
     projected onto ``state.phase_basis``, and when it has to be solved,
-    the solver's answer fills the basis.  A first-sweep field that depends
+    the solver's answer (under ``direct`` with its tangents along the
+    strain-drive mass) fills the basis.  A first-sweep field that depends
     on the basis is used only when it pins some node and clears the pin
     threshold by its error margin; the next sweep then solves with those
     nodes pinned, so the returned field is always a solver's answer.
@@ -258,7 +275,9 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     active = dict.fromkeys(state.mask.nodes, 0.0)
     is_active = np.zeros(state.mesh.n_vertices, dtype=bool)
     is_active[list(active)] = True
-    folded = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+    folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+    if sol.method != "direct":
+        reaction = None  # only a factor makes tangents: pcg keeps no R
     threshold = upper + 1e-12
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
@@ -266,7 +285,8 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
         if sweep:
             v = solve(sys)
         else:
-            v = _first_sweep(state, sys, solve, sol, threshold, ~is_active)
+            v = _first_sweep(state, sys, solve, sol, threshold, ~is_active,
+                             reaction)
         grow = np.flatnonzero((v.values > threshold) & ~is_active)
         if not grow.size:
             return v, True

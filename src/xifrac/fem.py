@@ -29,15 +29,21 @@ multiple of the previous displacement already passes and nothing is
 factored.  No factor or other state is kept between solves.
 
 :func:`project` recycles earlier solutions of a family of systems, such
-as the phase systems ``(K + s M) v = b`` of an elastic preload, whose
+as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
 strain drive ``s`` grows with the load: it solves the Galerkin system on
-the span of the given fields and hands back the result with the verdict
-of the same residual test.  A caller may use an accepted projection to
-decide what to do next, but the field it returns should come from a
-solve: the projection depends on which fields happen to be in the span,
-so a run restarted with other fields would not repeat its bits.  Passing
-the test bounds the projection's error only through the condition number
-of ``A``, so a decision taken from it must allow for that error.
+the span of orthonormal rows, kept up to date by :func:`extend_basis` as
+vectors enter, and hands back the result with the verdict of the same
+residual test.  :func:`solve_with_tangents` feeds such a basis: with the
+factor of one direct solve in hand, a few triangular solves give the
+tangents ``(A^-1 R)^j x`` of the family at that member, so a projection
+onto the answer and its tangents matches the family's Taylor series to
+that order (moment matching, as in Pade-via-Lanczos model reduction).
+A caller may use an accepted projection to decide what to do next, but
+the field it returns should come from a solve: the projection depends
+on which fields happen to be in the span, so a run restarted with other
+fields would not repeat its bits.  Passing the test bounds the
+projection's error only through the condition number of ``A``, so a
+decision taken from it must allow for that error.
 """
 
 from __future__ import annotations
@@ -359,6 +365,38 @@ def _pcg(A, b, limit, max_iter, x0=None):
             rz = rz_new
 
 
+def _factor(A):
+    """SuperLU factor of an SPD block, or :class:`LinearSolveError`.
+
+    Every system here is SPD, so SuperLU may keep the diagonal pivots of
+    a symmetric fill-reducing ordering.  A zero pivot column still raises,
+    and is reported like any other failed solve.
+    """
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise LinearSolveError(
+            f"direct factorization failed: {exc}", np.inf) from exc
+
+
+def _relative_residual(A, x, b) -> float:
+    bnorm = np.linalg.norm(b)
+    return np.linalg.norm(A @ x - b) / bnorm if bnorm > 0 else np.inf
+
+
+def _direct(A, b, limit):
+    """Factor ``A`` and solve; returns the checked answer and the factor."""
+    lu = _factor(A)
+    x = lu.solve(b)
+    if not _meets(A @ x, b, limit):
+        rel = _relative_residual(A, x, b)
+        raise LinearSolveError(
+            f"direct solve residual {rel:.3e} exceeds tolerance", rel)
+    return x, lu
+
+
 def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
               method: str = "pcg", guess: np.ndarray | None = None
               ) -> np.ndarray:
@@ -377,8 +415,7 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
     :class:`LinearSolveError`.  With no unknown, nothing is factored.
     """
     A, b = sys.matrix, sys.rhs
-    bnorm = np.linalg.norm(b)
-    limit = _limit(tol, method, bnorm)
+    limit = _limit(tol, method, np.linalg.norm(b))
     if not len(b):
         return np.zeros(0)
     x0 = None
@@ -395,29 +432,11 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
             if _meets(A @ x0, b, limit):
                 return x0
 
-    def relative_residual(x):
-        return np.linalg.norm(A @ x - b) / bnorm if bnorm > 0 else np.inf
-
     if method == "direct":
-        # Every system here is SPD, so SuperLU may keep the diagonal pivots
-        # of a symmetric fill-reducing ordering.  A zero pivot column still
-        # raises, and is reported like any other failed solve.
-        try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise LinearSolveError(
-                f"direct factorization failed: {exc}", np.inf) from exc
-        x = lu.solve(b)
-        if not _meets(A @ x, b, limit):
-            rel = relative_residual(x)
-            raise LinearSolveError(
-                f"direct solve residual {rel:.3e} exceeds tolerance", rel)
-        return x
+        return _direct(A, b, limit)[0]
     x, met, iters = _pcg(A, b, limit, max_iter, x0)
     if not met:
-        rel = relative_residual(x)
+        rel = _relative_residual(A, x, b)
         raise LinearSolveError(
             f"PCG stopped after {iters} iterations with relative residual "
             f"{rel:.3e} > {tol:.1e}", rel)
@@ -443,39 +462,78 @@ def solve_field(sys: SparseSystem, tol: float = 1e-10,
         guess=None if guess is None else np.asarray(guess)[sys.free]))
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning ``rows``, by Gram-Schmidt run twice.
+def solve_with_tangents(sys: SparseSystem, reaction: sp.spmatrix,
+                        count: int, tol: float = 1e-10
+                        ) -> tuple[ScalarField, list[np.ndarray]]:
+    """Direct solve of a restricted system, and tangents of its family.
 
-    The second pass keeps the rows orthogonal to rounding.  A row that lies
-    within ``1e-12`` of the span of those before it, relative to its norm,
-    adds no direction and is dropped; so is a zero row.
+    The system is one member of a family ``(K + s R) x = b`` whose matrix
+    moves along ``R``, given folded and unrestricted as ``reaction``; for
+    a phase system that is the strain-drive mass.  The field is the one
+    :func:`solve_field` returns with ``method="direct"``, bit for bit.
+    The same factor, before it is released, also gives the free values of
+    ``t_j = (A^-1 R)^j x`` for ``j = 1..count``, where ``R`` acts on free
+    values through the unrestricted matrix, ``(R x_full)[free]`` with
+    ``x_full`` zero off the free dofs.  When the prescribed values are
+    zero, as a crack pins them, ``(-1)^j t_j`` is the ``j``-th Taylor
+    coefficient of ``x`` in ``s``, so a Galerkin projection onto
+    ``x, t_1, ..., t_count`` has an error of order ``count + 1`` in the
+    change of ``s``.  With no unknown, nothing is factored and there is no
+    tangent.
     """
-    q = np.empty_like(rows)
-    k = 0
+    if sys.free is None:
+        raise ValueError("solve_with_tangents takes a system from "
+                         "apply_dirichlet")
+    A, b = sys.matrix, sys.rhs
+    if not len(b):
+        return _expand(sys, np.zeros(0)), []
+    x, lu = _direct(A, b, _limit(tol, "direct", np.linalg.norm(b)))
+    full = np.zeros(reaction.shape[1])
+    tangents = [x]
+    for _ in range(count):
+        full[sys.free] = tangents[-1]
+        tangents.append(lu.solve((reaction @ full)[sys.free]))
+    return _expand(sys, x), tangents[1:]
+
+
+def extend_basis(basis: list[np.ndarray], vectors, cap: int) -> None:
+    """Put ``vectors`` in front of the orthonormal rows ``basis``, in place.
+
+    The rows are kept newest first, each orthogonal to every row before
+    it, so that the first rows always span the latest vectors.  The
+    vectors, then the old rows, are orthonormalized in that order by
+    Gram-Schmidt, run twice to keep the rows orthogonal to rounding.  One
+    that lies within ``1e-12`` of the span of the rows before it, relative
+    to its norm, adds no direction and is dropped; so is a zero vector.
+    Past ``cap`` rows the oldest are dropped, which leaves the span of the
+    newer vectors intact.
+    """
+    rows = [*vectors, *basis]
+    basis.clear()
     for row in rows:
-        r = row
+        r = np.array(row, dtype=float)
         for _ in range(2):
-            r = r - (q[:k] @ r) @ q[:k]
+            for q in basis:
+                r -= (q @ r) * q
         norm = np.linalg.norm(r)
         if norm > 1e-12 * np.linalg.norm(row):
-            q[k] = r / norm
-            k += 1
-    return q[:k]
+            basis.append(r / norm)
+            if len(basis) == cap:
+                return
 
 
 def project(sys: SparseSystem, basis, tol: float = 1e-10,
             method: str = "pcg") -> tuple[ScalarField | None, bool]:
     """Galerkin projection of a restricted system onto the span of ``basis``.
 
-    ``basis`` is a list of full-length nodal vectors on ``sys.mesh``.  Their
-    free values are orthonormalized into the columns of ``Q`` (a QR by
-    Gram-Schmidt, which drops a vector that lies in the span of those
-    before it, and all of a zero basis), and the small system
-    ``Q^T A Q c = Q^T b`` gives ``x = Q c``.  Returns the whole field of
-    ``x``, expanded as :func:`solve_field` expands a solution, and whether
-    ``x`` meets the residual test of :func:`solve_spd` for ``tol`` and
-    ``method``, taken from ``A x`` itself.  With no direction left, or no
-    unknown, it returns ``(None, False)``.  Nothing is factored.
+    ``basis`` is a list of orthonormal rows of free values on ``sys``, as
+    :func:`extend_basis` keeps them; they are the rows of ``Q^T``, used as
+    they are, and the small system ``Q^T A Q c = Q^T b`` gives
+    ``x = Q c``.  Returns the whole field of ``x``, expanded as
+    :func:`solve_field` expands a solution, and whether ``x`` meets the
+    residual test of :func:`solve_spd` for ``tol`` and ``method``, taken
+    from ``A x`` itself.  With an empty basis it returns ``(None, False)``.
+    Nothing is factored.
 
     An accepted projection meets the same contract as a solve, but its bits
     depend on the basis.  Use it only for a decision that its error cannot
@@ -484,13 +542,11 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10,
     """
     if sys.free is None:
         raise ValueError("project takes a system from apply_dirichlet")
+    if not basis:
+        return None, False
     A, b = sys.matrix, sys.rhs
     limit = _limit(tol, method, np.linalg.norm(b))
-    # Q^T, one orthonormal row per direction.
-    qt = _orthonormal_rows(
-        np.array([np.asarray(f, dtype=float)[sys.free] for f in basis]))
-    if not len(qt):
-        return None, False
+    qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
     return _expand(sys, x), _meets(A @ x, b, limit)
 

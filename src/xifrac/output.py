@@ -19,9 +19,16 @@ from .mesh import Mesh
 
 
 def _fmt_all(values) -> list[str]:
-    """Shortest round-trip text of each float (``1.0`` prints as ``1``)."""
-    return [repr(x).removesuffix(".0")
-            for x in np.asarray(values, dtype=float).tolist()]
+    """Shortest round-trip text of each float (``1.0`` prints as ``1``).
+
+    Each distinct bit pattern is formatted once.  Values that compare
+    equal but differ in their bits, ``0.0`` and ``-0.0``, keep their own
+    text, which deduplicating by value would merge.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    text = [repr(x).removesuffix(".0") for x in patterns.view(float).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def _atomic_write(path, text):
@@ -37,16 +44,9 @@ def _atomic_write(path, text):
         raise
 
 
-def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
-              title: str = "xifrac fields") -> None:
-    """Legacy ASCII VTK unstructured grid with quad cells.
-
-    Hanging nodes are exported as-is; viewers tolerate the nonconforming
-    quads.
-    """
-    lines = ["# vtk DataFile Version 2.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
+def vtk_geometry(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of a mesh's VTK file."""
+    lines = [f"POINTS {mesh.n_vertices} double"]
     lines.extend(map("{} {} 0".format, _fmt_all(mesh.vertex_coords[:, 0]),
                      _fmt_all(mesh.vertex_coords[:, 1])))
     lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
@@ -54,7 +54,21 @@ def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
                      *mesh.cell_vertices.T.tolist()))
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines.extend(["9"] * mesh.n_cells)
+    return "\n".join(lines)
 
+
+def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
+              title: str = "xifrac fields", geometry: str | None = None
+              ) -> None:
+    """Legacy ASCII VTK unstructured grid with quad cells.
+
+    Hanging nodes are exported as-is; viewers tolerate the nonconforming
+    quads.  ``geometry`` is :func:`vtk_geometry` of ``mesh`` when the
+    caller keeps it from an earlier file; else it is formatted here.
+    """
+    lines = ["# vtk DataFile Version 2.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID",
+             vtk_geometry(mesh) if geometry is None else geometry]
     if point_data:
         lines.append(f"POINT_DATA {mesh.n_vertices}")
         for name, values in point_data.items():
@@ -166,8 +180,10 @@ def line_profile(mesh: Mesh, values, y: float, samples: int) -> np.ndarray:
 def write_profile_csv(columns: dict[str, np.ndarray], xs: np.ndarray, path
                       ) -> None:
     table = np.column_stack([xs, *columns.values()])
+    cells, width = _fmt_all(table.ravel()), table.shape[1]
     lines = ["x," + ",".join(columns)]
-    lines.extend(",".join(_fmt_all(row)) for row in table)
+    lines.extend(",".join(cells[i:i + width])
+                 for i in range(0, len(cells), width))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -181,6 +197,9 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self._snapshot_step = None  # step of the last snapshot written
+        # (mesh id, vtk_geometry text) of the last snapshot's mesh.  The
+        # writer keeps it rather than the mesh, so it lives with the run.
+        self._geometry = (None, "")
         self._write_manifest()
 
     def _write_manifest(self):
@@ -192,12 +211,15 @@ class RunWriter:
 
     def snapshot(self, state):
         n = self._snapshot_step = state.step
-        write_vtk(state.mesh,
+        mesh = state.mesh
+        if self._geometry[0] != mesh.id:
+            self._geometry = (mesh.id, vtk_geometry(mesh))
+        write_vtk(mesh,
                   {"u": state.u.values, "v": state.v.values},
-                  {"xi": state.xi.at_cells(state.mesh),
-                   "level": state.mesh.cell_levels},
+                  {"xi": state.xi.at_cells(mesh), "level": mesh.cell_levels},
                   self.dir / f"fields_{n:04d}.vtk",
-                  title=f"step {n} t={state.t:g}")
+                  title=f"step {n} t={state.t:g}",
+                  geometry=self._geometry[1])
         xs = np.linspace(0.0, 1.0, 201)
         cols = {}
         for y in self.PROFILE_LINES:

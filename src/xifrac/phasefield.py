@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .fem import GAUSS2, ScalarField, SparseSystem
@@ -133,6 +134,16 @@ def degradation(v, eta: float):
     return (1.0 - eta) * np.asarray(v) ** 2 + eta
 
 
+def _grad_sq(f: ScalarField) -> np.ndarray:
+    """``|grad f|^2`` at the quadrature points, shape (n_cells, nq).
+
+    The two squares are added as ``np.sum(g ** 2, axis=2)`` adds them,
+    bit for bit, without its reduction overhead.
+    """
+    g = fem.grad_at_qp(f)
+    return g[..., 0] ** 2 + g[..., 1] ** 2
+
+
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
                           bc: dict[int, float]) -> SparseSystem:
     """Degraded shear system for u, restricted to the dofs free of ``bc``."""
@@ -146,7 +157,8 @@ def _xi_at_qp(mesh, xi: RegularizationState, nq: int):
 
 
 def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
-                   mat: MaterialParams) -> SparseSystem:
+                   mat: MaterialParams
+                   ) -> tuple[SparseSystem, sp.csr_matrix]:
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
     Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
@@ -154,17 +166,21 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
     system is folded but not restricted: the pinned nodes change from one
     active-set sweep to the next, so each sweep restricts this one system
     with :func:`fem.apply_dirichlet`.
+
+    Returns the system and its reaction part ``R``, the folded strain-drive
+    mass.  In an elastic step the drive scales with the load, so the phase
+    systems of a preload form the family ``K + s R``
+    (:func:`fem.solve_with_tangents`).
     """
     xi_qp = _xi_at_qp(mesh, xi, len(GAUSS2.weights))
     if np.any(xi_qp <= 0.0):
         raise ValueError("xi must be strictly positive")
-    grad_u = fem.grad_at_qp(u)
-    drive = mat.mu * (1.0 - mat.eta) * np.sum(grad_u ** 2, axis=2)
+    drive = mat.mu * (1.0 - mat.eta) * _grad_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
     diffusion = fem.assemble_weighted_laplace(
         mesh, 2.0 * mat.g_c * xi_qp / mat.c_v)
     rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi_qp))
-    return fem.combine(reaction, diffusion, rhs)
+    return fem.combine(reaction, diffusion, rhs), reaction.matrix
 
 
 def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
@@ -172,9 +188,8 @@ def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     """Globally optimal xi from the stationarity of the three-field energy."""
     ratio = mat.g_c / mat.c_v
     v_qp = fem.field_at_qp(v)
-    grad_v = fem.grad_at_qp(v)
     numer = ratio * fem.integrate(mesh, 1.0 - v_qp + reg.zeta)
-    denom = (ratio * fem.integrate(mesh, np.sum(grad_v ** 2, axis=2))
+    denom = (ratio * fem.integrate(mesh, _grad_sq(v))
              + reg.alpha * fem.integrate(mesh, 1.0))
     return float(reg.clamp(np.sqrt(numer / denom)))
 
@@ -192,8 +207,7 @@ def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
              reg: RegularizationParams) -> np.ndarray:
     """Per-cell xi: mean of the pointwise formula over the quadrature points."""
     v_qp = fem.field_at_qp(v)
-    grad_sq = np.sum(fem.grad_at_qp(v) ** 2, axis=2)
-    return xi_pointwise(v_qp, grad_sq, mat, reg).mean(axis=1)
+    return xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1)
 
 
 def calibrate_alpha(h: float, g_c: float, c_v: float = AT1_NORMALIZATION
@@ -248,8 +262,8 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     nq = len(GAUSS2.weights)
     xi_qp = _xi_at_qp(mesh, xi, nq)
     v_qp = fem.field_at_qp(v)
-    grad_u_sq = np.sum(fem.grad_at_qp(u) ** 2, axis=2)
-    grad_v_sq = np.sum(fem.grad_at_qp(v) ** 2, axis=2)
+    grad_u_sq = _grad_sq(u)
+    grad_v_sq = _grad_sq(v)
     ratio = mat.g_c / mat.c_v
 
     strain = 0.5 * mat.mu * fem.integrate(

@@ -224,7 +224,7 @@ def test_criterion_6_numerical_bedrock(capsys):
                  meshmod.refine(build_uniform(2), [0])):
         u = fem.ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
         folded = pf.assemble_phase(mesh, u, pf.RegularizationState(
-            "fixed", 0.1), pf.MaterialParams())
+            "fixed", 0.1), pf.MaterialParams())[0]
         A = fem.apply_dirichlet(folded, {}).matrix.toarray()
         spd_ok &= bool(np.allclose(A, A.T, atol=1e-10))
         try:

@@ -510,16 +510,27 @@ def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls):
 # Projection onto earlier solutions
 
 
-def _family(s):
+def _family(s, *, reaction=False):
     """``(K + s M) v = b`` on a three-level mesh with hanging nodes, with
-    the left edge pinned at 0, as a phase system pins its crack."""
+    the left edge pinned at 0, as a phase system pins its crack.  With
+    ``reaction``, also the folded ``M`` that the family moves along."""
     mesh = _three_level_mesh()
+    weight = lambda x, y: 1.0 + np.sin(3 * x)
     stiffness = assemble_weighted_laplace(mesh, lambda x, y: 1.0 + x * y)
-    mass = assemble_weighted_mass(mesh,
-                                  lambda x, y: s * (1.0 + np.sin(3 * x)))
+    mass = assemble_weighted_mass(mesh, lambda x, y: s * weight(x, y))
     load = assemble_load(mesh, lambda x, y: 1.0 + 0.3 * y)
     bc = dict.fromkeys(mesh.boundary_vertices(LEFT).tolist(), 0.0)
-    return apply_dirichlet(combine(stiffness, mass, rhs=load), bc)
+    sys = apply_dirichlet(combine(stiffness, mass, rhs=load), bc)
+    if not reaction:
+        return sys
+    return sys, assemble_weighted_mass(mesh, weight).matrix
+
+
+def _basis(sys, fields):
+    """Orthonormal rows spanning the free values of whole fields."""
+    rows = []
+    fem.extend_basis(rows, [f[sys.free] for f in fields], len(fields))
+    return rows
 
 
 def _meets_contract(sys, field, rtol):
@@ -546,7 +557,8 @@ def test_projection_onto_eight_solutions_solves_a_ninth(method, family_basis,
                                                         solver_calls):
     sys = _family(NINTH_DRIVE)
     assert len(sys.mesh.constraints) > 0
-    got, accepted = fem.project(sys, family_basis, method=method)
+    basis = _basis(sys, family_basis)
+    got, accepted = fem.project(sys, basis, method=method)
     assert accepted
     assert solver_calls == []
     assert _meets_contract(sys, got, 1e-10)
@@ -564,18 +576,20 @@ def test_projection_verdict_is_the_solver_contract(family_basis):
     sys = _family(NINTH_DRIVE)
     exact = solve_field(sys, method="direct").values
     nudge = np.random.default_rng(4).normal(size=exact.shape)
-    guess = exact + 2e-10 * np.linalg.norm(exact) * nudge
-    got, accepted = fem.project(sys, [guess], tol=1e-10, method="direct")
+    basis = _basis(sys, [exact + 2e-10 * np.linalg.norm(exact) * nudge])
+    got, accepted = fem.project(sys, basis, tol=1e-10, method="direct")
     assert accepted and _meets_contract(sys, got, 1e-8)
     assert not _meets_contract(sys, got, 1e-10)
-    assert fem.project(sys, [guess], tol=1e-10, method="pcg")[1] is False
+    assert fem.project(sys, basis, tol=1e-10, method="pcg")[1] is False
 
 
 @pytest.mark.parametrize("basis", [[], [np.zeros(1)] * 3],
                          ids=["empty", "zero"])
 def test_projection_without_a_direction_falls_back(basis, solver_calls):
+    # Zero fields add no direction to the basis.
     sys = _family(1.0)
-    basis = [np.resize(f, sys.mesh.n_vertices) for f in basis]
+    basis = _basis(sys, [np.resize(f, sys.mesh.n_vertices) for f in basis])
+    assert basis == []
     assert fem.project(sys, basis) == (None, False)
     assert solver_calls == []
 
@@ -586,15 +600,19 @@ def test_projection_drops_dependent_columns(family_basis):
     # Three copies of one direction: the projection is its Galerkin
     # multiple, which misses the ninth solution.
     g = family_basis[0][sys.free]
-    got, accepted = fem.project(
-        sys, [family_basis[0], 2.0 * family_basis[0], -family_basis[0]])
+    basis = _basis(sys, [family_basis[0], 2.0 * family_basis[0],
+                         -family_basis[0]])
+    assert len(basis) == 1
+    got, accepted = fem.project(sys, basis)
     assert not accepted
     want = (g @ b / (g @ (A @ g))) * g
     assert (np.max(np.abs(got.values[sys.free] - want))
             <= 1e-12 * np.max(np.abs(want)))
     # Repeated and combined columns neither raise nor hurt the answer.
     extra = [family_basis[1] + family_basis[2], 3.0 * family_basis[4]]
-    got, accepted = fem.project(sys, family_basis + extra, method="direct")
+    basis = _basis(sys, family_basis + extra)
+    assert len(basis) == 8
+    got, accepted = fem.project(sys, basis, method="direct")
     assert accepted and _meets_contract(sys, got, 1e-8)
 
 
@@ -605,17 +623,95 @@ def test_projection_directions_stay_orthonormal(family_basis):
     sys = _family(NINTH_DRIVE)
     rows = np.array([f[sys.free] for f in family_basis])
     assert np.linalg.cond(rows) > 1e10
-    q = fem._orthonormal_rows(rows)
+    q = np.array(_basis(sys, family_basis))
     assert len(q) == 8
     assert np.max(np.abs(q @ q.T - np.eye(8))) <= 1e-14
     assert (np.max(np.abs(rows - (rows @ q.T) @ q))
             <= 1e-12 * np.max(np.abs(rows)))
 
 
+def test_basis_at_its_cap_spans_the_newest_vectors(family_basis):
+    # Two solutions at a time enter a basis capped at five rows: the rows
+    # stay orthonormal, and the oldest go, but the first rows always span
+    # the vectors that entered last.  The old rows are orthogonalized
+    # against the new ones, so what is dropped never held a new direction.
+    sys = _family(NINTH_DRIVE)
+    rows = [f[sys.free] for f in family_basis]
+    basis = []
+    for k in range(0, 8, 2):
+        fem.extend_basis(basis, rows[k:k + 2], 5)
+        q = np.array(basis)
+        assert len(q) == min(k + 2, 5)
+        assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-14
+        for row in rows[max(k - 2, 0):k + 2]:
+            assert (np.max(np.abs(row - (q.T @ (q @ row))))
+                    <= 1e-12 * np.max(np.abs(row)))
+    # Once full, each pair that enters pushes out two rows.
+    assert len(basis) == 5
+
+
+# ---------------------------------------------------------------------------
+# Tangents of a family from one factor
+
+
+def _dense_free_block(sys, matrix):
+    return matrix[sys.free][:, sys.free].toarray()
+
+
+@pytest.mark.parametrize("s", [0.5, 40.0])
+def test_tangents_are_powers_of_the_family_operator(s, solver_calls):
+    sys, reaction = _family(s, reaction=True)
+    assert len(sys.mesh.constraints) > 0
+    v, tangents = fem.solve_with_tangents(sys, reaction, 3)
+    assert solver_calls == ["splu"]
+    # The field is the direct solve's, bit for bit.
+    assert v.values.tobytes() == solve_field(sys, method="direct").values \
+        .tobytes()
+    A = sys.matrix.toarray()
+    R = _dense_free_block(sys, reaction)
+    want = v.values[sys.free]
+    assert len(tangents) == 3
+    for t in tangents:
+        want = np.linalg.solve(A, R @ want)
+        assert np.max(np.abs(t - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_tangent_projection_error_falls_as_the_fourth_power():
+    # Galerkin projection onto the solution at s0 and its three tangents
+    # matches the family's Taylor series to third order, so its error at
+    # s0 + delta falls 16-fold when delta halves.
+    s0 = 20.0
+    sys0, reaction = _family(s0, reaction=True)
+    v, tangents = fem.solve_with_tangents(sys0, reaction, 3)
+    basis = []
+    fem.extend_basis(basis, [v.values[sys0.free], *tangents], 4)
+    assert len(basis) == 4
+    errors = []
+    for delta in (2.0, 1.0, 0.5):
+        sys = _family(s0 + delta)
+        got, _ = fem.project(sys, basis)
+        want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        errors.append(np.max(np.abs(got.values[sys.free] - want))
+                      / np.max(np.abs(want)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_tangents_of_a_system_without_unknowns(mesh4x4, solver_calls):
+    mass = assemble_weighted_mass(mesh4x4, 1.0)
+    sys = apply_dirichlet(mass, dict.fromkeys(range(mesh4x4.n_vertices),
+                                              2.0))
+    v, tangents = fem.solve_with_tangents(sys, mass.matrix, 3)
+    assert tangents == [] and solver_calls == []
+    assert np.all(v.values == 2.0)
+
+
 def test_projection_takes_a_restricted_system(mesh4x4):
     sys = assemble_weighted_mass(mesh4x4, 1.0)
     with pytest.raises(ValueError):
         fem.project(sys, [np.ones(mesh4x4.n_vertices)])
+    with pytest.raises(ValueError):
+        fem.solve_with_tangents(sys, sys.matrix, 3)
 
 
 def test_unknown_method_raises(mesh4x4):

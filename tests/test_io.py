@@ -1,5 +1,7 @@
 """Config parsing, VTK/CSV outputs, line profiles and the CLI."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,51 @@ def test_vtk_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(pdata["u"], u)
     assert np.array_equal(pdata["v"], v)
     assert np.array_equal(cdata["xi"], xi)
+
+
+def test_fmt_all_keeps_each_bit_pattern():
+    # Formatting each distinct value once must not merge -0.0 with 0.0.
+    values = [0.0, -0.0, 1.0, float("nan"), 0.5] * 100
+    got = output._fmt_all(values)
+    assert got == [repr(x).removesuffix(".0") for x in values]
+    assert got[:5] == ["0", "-0", "1", "nan", "0.5"]
+
+
+def _snapshot_state(mesh, step, rng):
+    u = rng.standard_normal(mesh.n_vertices)
+    u[::7] = -0.0
+    v = np.where(rng.uniform(size=mesh.n_vertices) < 0.5, 1.0,
+                 rng.uniform(size=mesh.n_vertices))
+    xi = pf.RegularizationState("field",
+                                rng.uniform(0.011, 0.15, mesh.n_cells))
+    return SimpleNamespace(mesh=mesh, step=step, t=0.01 * step,
+                           u=ScalarField(mesh, u), v=ScalarField(mesh, v),
+                           xi=xi)
+
+
+def test_run_writer_formats_each_mesh_once(tmp_path, monkeypatch):
+    # Three snapshots, the third after a mesh change: the writer formats
+    # the geometry once per mesh, and every file has the bytes of a
+    # write_vtk call that formats it afresh.
+    calls = []
+    geometry = output.vtk_geometry
+    monkeypatch.setattr(output, "vtk_geometry",
+                        lambda mesh: calls.append(mesh.id) or geometry(mesh))
+    rng = np.random.default_rng(5)
+    coarse = refine(build_uniform(3), [0, 9, 30])
+    fine = refine(coarse, [coarse.locate(0.6, 0.6)])
+    writer = output.RunWriter(tmp_path / "run", default_config())
+    for step, mesh in enumerate([coarse, coarse, fine], start=1):
+        state = _snapshot_state(mesh, step, rng)
+        writer.snapshot(state)
+        want = tmp_path / f"want_{step}.vtk"
+        output.write_vtk(mesh, {"u": state.u.values, "v": state.v.values},
+                         {"xi": state.xi.value, "level": mesh.cell_levels},
+                         want, title=f"step {step} t={state.t:g}")
+        got = tmp_path / "run" / f"fields_{step:04d}.vtk"
+        assert got.read_bytes() == want.read_bytes()
+    # Once per mesh in the writer, once per call outside it.
+    assert calls == [coarse.id, coarse.id, coarse.id, fine.id, fine.id]
 
 
 # ---------------------------------------------------------------------------

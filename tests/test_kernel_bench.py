@@ -1,5 +1,5 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization,
-guessed-solve, projection and coarsening kernels.
+guessed-solve, projection, tangent and coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -135,12 +135,11 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-def test_bench_phase_projection(benchmark, mesh, monkeypatch):
-    # The first active-set sweep of an elastic preload's phase solve: the
-    # crack mask pinned, the displacement scaled with the load, so the
-    # strain drive grows as t^2.  Eight earlier sweeps span a basis, and
-    # the projection of the ninth meets the residual test with no
-    # factorization; a missed acceptance fails instead of factoring.
+def _preload_first_sweeps(mesh):
+    """The first active-set sweep of an elastic preload's phase solve as a
+    function of the load t: the crack mask pinned, the displacement scaled
+    with the load, so the strain drive grows as t^2.  Each call returns
+    the restricted system and its reaction matrix."""
     v, mask = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
@@ -152,12 +151,23 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
 
     def first_sweep(t):
         u = ScalarField(mesh, t * u1.values)
-        return fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, mat),
-                                   pinned)
+        folded, reaction = pf.assemble_phase(mesh, u, xi, mat)
+        return fem.apply_dirichlet(folded, pinned), reaction
 
-    basis = [fem.solve_field(first_sweep(0.0015 * n), method="direct").values
-             for n in range(20, 28)]
-    sys = first_sweep(0.0015 * 28)
+    return first_sweep
+
+
+def test_bench_phase_projection(benchmark, mesh, monkeypatch):
+    # Eight earlier first sweeps span a basis, and the projection of the
+    # ninth meets the residual test with no factorization; a missed
+    # acceptance fails instead of factoring.
+    first_sweep = _preload_first_sweeps(mesh)
+    basis = []
+    for n in range(20, 28):
+        sys, _ = first_sweep(0.0015 * n)
+        x = fem.solve_spd(sys, method="direct")
+        fem.extend_basis(basis, [x], driver._PHASE_BASIS)
+    sys, _ = first_sweep(0.0015 * 28)
     assert 8000 < len(sys.rhs) < 9500
 
     def no_factor(*args, **kwargs):
@@ -171,6 +181,25 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     x = got.values[sys.free]
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_phase_tangents(benchmark, mesh):
+    # A solved first sweep: one factorization gives the answer and three
+    # tangents (A^-1 R)^j x of the family.  The reference solves each
+    # power with SuperLU's default ordering, R acting on the free values
+    # through its free block.
+    sys, reaction = _preload_first_sweeps(mesh)(0.0015 * 20)
+    got, tangents = _run(benchmark, fem.solve_with_tangents, sys, reaction,
+                         driver._TANGENTS, rounds=5)
+    A = sys.matrix.tocsc()
+    r_free = reaction[sys.free][:, sys.free]
+    want = spla.spsolve(A, sys.rhs)
+    x = got.values[sys.free]
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+    assert len(tangents) == 3
+    for t in tangents:
+        want = spla.spsolve(A, r_free @ want)
+        assert np.max(np.abs(t - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_bench_coarsen_blocked_groups(benchmark):

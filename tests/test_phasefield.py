@@ -187,7 +187,7 @@ def test_phase_system_matches_dense(mesh_hanging):
     x, y = mesh.vertex_coords.T
     u = ScalarField(mesh, 0.3 * x - 0.1 * y)  # constant gradient (0.3, -0.1)
     xi = pf.RegularizationState("fixed", 0.07)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT), {})
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0], {})
 
     gsq = 0.3 ** 2 + 0.1 ** 2
     drive = MAT.mu * (1.0 - MAT.eta) * gsq
@@ -204,8 +204,8 @@ def test_phase_system_is_spd(mesh_hanging):
     x, _ = mesh_hanging.vertex_coords.T
     u = ScalarField(mesh_hanging, 0.1 * x)
     xi = pf.RegularizationState("fixed", 0.1)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh_hanging, u, xi, MAT),
-                              {})
+    folded, _ = pf.assemble_phase(mesh_hanging, u, xi, MAT)
+    sys = fem.apply_dirichlet(folded, {})
     np.linalg.cholesky(sys.matrix.toarray())  # raises if not SPD
 
 
@@ -216,7 +216,7 @@ def test_phase_solution_intact_body_exceeds_one():
     x, _ = mesh.vertex_coords.T
     u = ScalarField(mesh, 1e-3 * x)  # tiny uniform strain
     xi = pf.RegularizationState("fixed", 0.13687)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT), {})
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0], {})
     v = fem.solve_field(sys, method="direct")
     assert np.min(v.values) > 1.0
 
@@ -235,7 +235,8 @@ def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
     u = ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
     xi = pf.RegularizationState("fixed", 0.1)
     pinned = dict.fromkeys(range(mesh.n_vertices), 1.0)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT), pinned)
+    folded, _ = pf.assemble_phase(mesh, u, xi, MAT)
+    sys = fem.apply_dirichlet(folded, pinned)
     assert sys.matrix.shape == (0, 0)
     for method in ("direct", "pcg"):
         v = fem.solve_field(sys, method=method)
