@@ -78,7 +78,6 @@ KEYS = {
                        "must be direct or pcg")),
     "solver.crack_tol": ("solver", "crack_tol", float, _positive),
     "amr.enabled": ("amr", "enabled", _bool, _any),
-    "amr.fixed_point": ("amr", "fixed_point", _bool, _any),
     "output.cadence": ("output", "cadence", int, _positive),
 }
 
@@ -159,11 +158,6 @@ def serialize_config(config: driver.SimConfig) -> str:
         value = getattr(getattr(config, section), attr)
         lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def default_config() -> driver.SimConfig:
-    """The built-in benchmark configuration (every key at its default)."""
-    return driver.SimConfig()
 
 
 def describe_keys() -> str:

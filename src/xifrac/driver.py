@@ -96,7 +96,6 @@ class SolverParams:
 @dataclass(frozen=True)
 class AmrParams:
     enabled: bool = False
-    fixed_point: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,23 +131,19 @@ class SimState:
     phase_basis: list[np.ndarray] = dc_field(default_factory=list)
 
 
-def boundary_displacement(mesh: Mesh, t: float, c: float) -> dict[int, float]:
-    """Opposing Dirichlet data on the top boundary halves.
-
-    Left half gets ``-c t``, right half ``+c t``; the crack-mouth node at
-    ``x = 0.5`` is left free.
+def boundary_displacement(mesh: Mesh, t: float, c: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Opposing Dirichlet data on the top boundary halves, as
+    ``(pinned, values)``: left half ``-c t``, right half ``+c t``, and the
+    crack-mouth node at ``x = 0.5`` left free.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    bc: dict[int, float] = {}
-    top = mesh.boundary_vertices(meshmod.TOP)
-    x = mesh.vertex_coords[top, 0]
-    for node, xi_ in zip(top, x):
-        if xi_ < 0.5:
-            bc[int(node)] = -c * t
-        elif xi_ > 0.5:
-            bc[int(node)] = c * t
-    return bc
+    x = mesh.vertex_coords[:, 0]
+    pinned = np.zeros(mesh.n_vertices, dtype=bool)
+    pinned[mesh.boundary_vertices(meshmod.TOP)] = True
+    pinned &= x != 0.5
+    return pinned, np.where(pinned, np.copysign(c * t, x - 0.5), 0.0)
 
 
 def initialize(config: SimConfig) -> SimState:
@@ -256,10 +251,12 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     transient values: the unconstrained solution overshoots the bound next
     to pinned nodes, so clipping can never relax the profile.  Pinning the
     violating nodes at their bound and re-solving (a primal active set)
-    recovers the true constrained minimizer in a few sweeps.  The folded
-    operator is assembled once; each sweep only restricts it.  Returns the
-    solution and False when the active set was still growing after
-    ``_MAX_ACTIVE_SET`` sweeps.
+    recovers the true constrained minimizer in a few sweeps.  The active
+    set, one bool per vertex, starts from a copy of the crack mask (pinned
+    at zero) and grows by the violating nodes (pinned at their bound).
+    The folded operator is assembled once; each sweep only restricts it.
+    Returns the solution and False when the active set was still growing
+    after ``_MAX_ACTIVE_SET`` sweeps.
 
     ``solve(sys, guess=None)`` solves one sweep.  The first sweep, which
     pins only the crack mask, goes through :func:`_first_sweep`: it is
@@ -272,26 +269,24 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     Emptying the basis is up to the callers.
     """
     upper = np.minimum(state.v_prev.values, 1.0)
-    active = dict.fromkeys(state.mask.nodes, 0.0)
-    is_active = np.zeros(state.mesh.n_vertices, dtype=bool)
-    is_active[list(active)] = True
+    pinned = state.mask.pinned.copy()
+    values = np.where(pinned, 0.0, upper)
     folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
     if sol.method != "direct":
         reaction = None  # only a factor makes tangents: pcg keeps no R
     threshold = upper + 1e-12
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
-        sys = fem.apply_dirichlet(folded, active)
+        sys = fem.apply_dirichlet(folded, pinned, values)
         if sweep:
             v = solve(sys)
         else:
-            v = _first_sweep(state, sys, solve, sol, threshold, ~is_active,
+            v = _first_sweep(state, sys, solve, sol, threshold, ~pinned,
                              reaction)
-        grow = np.flatnonzero((v.values > threshold) & ~is_active)
-        if not grow.size:
+        grow = (v.values > threshold) & ~pinned
+        if not grow.any():
             return v, True
-        is_active[grow] = True
-        active.update(zip(grow.tolist(), upper[grow].tolist()))
+        pinned |= grow
     log.warning("phase-field active set still growing after %d sweeps",
                 _MAX_ACTIVE_SET)
     return v, False
@@ -334,7 +329,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         u_old, v_old = state.u, state.v
         xi_old, mask_old = state.xi, state.mask
 
-        sys_u = pf.assemble_displacement(state.mesh, state.v, mat, bc)
+        sys_u = pf.assemble_displacement(state.mesh, state.v, mat, *bc)
         state.u = solve(sys_u, state.u.values)
 
         v_raw, settled = _solve_phase_bounded(state, mat, solve, sol)
@@ -344,7 +339,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
 
         state.xi = update_xi(state, config)
         same_family = (np.array_equal(state.xi.value, xi_old.value)
-                       and state.mask.nodes == mask_old.nodes)
+                       and np.array_equal(state.mask.pinned, mask_old.pinned))
         if not same_family:
             state.phase_basis.clear()
 
@@ -436,8 +431,8 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
 
 
 def crack_reached_bottom(state: SimState) -> bool:
-    bottom = set(state.mesh.boundary_vertices(meshmod.BOTTOM).tolist())
-    return bool(bottom & state.mask.nodes)
+    bottom = state.mesh.boundary_vertices(meshmod.BOTTOM)
+    return bool(state.mask.pinned[bottom].any())
 
 
 def run(config: SimConfig, out_dir=None, snapshot_hook=None
@@ -461,9 +456,8 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
 
         passes = 0
         if config.amr.enabled:
-            max_passes = (config.mesh.level_max - config.mesh.level_start
-                          if config.amr.fixed_point else 1)
-            for passes in range(1, max(max_passes, 1) + 1):
+            max_passes = max(config.mesh.level_max - config.mesh.level_start, 1)
+            for passes in range(1, max_passes + 1):
                 if not amr_pass(state, config):
                     passes -= 1
                     break

@@ -12,8 +12,9 @@ matrices straight into ``T^T A T``, with ``T`` the hanging-node
 prolongation, through a map cached per mesh (:attr:`Mesh.csr_pattern`),
 and loads into ``T^T b``; hanging rows and columns stay empty.
 *Restrict*: :func:`apply_dirichlet` keeps the free dofs, neither hanging
-nor prescribed, so the solvers only ever see that SPD block;
-:func:`solve_field` expands the solution again.
+nor pinned (one bool per vertex, with a full-length value array), so the
+solvers only ever see that SPD block; :func:`solve_field` expands the
+solution again.
 
 The direct solver factors the free block with SuperLU in symmetric mode:
 a minimum-degree ordering of ``A^T + A`` and diagonal pivots, which gives
@@ -280,23 +281,24 @@ def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
     return SparseSystem(a.matrix + b.matrix, combined_rhs, a.mesh)
 
 
-def apply_dirichlet(sys: SparseSystem, bc: dict[int, float]) -> SparseSystem:
+def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values
+                    ) -> SparseSystem:
     """Restrict a folded system to its free dofs.
 
-    The free dofs are the vertices that neither hang nor carry a value in
-    ``bc``; an entry of ``bc`` on a hanging vertex is ignored, because a
-    hanging value always comes from its masters.  With ``x0`` holding the
-    prescribed values, the result is ``A[free][:, free]`` with right-hand
-    side ``b[free] - A[free, :] x0``.  This is the only form the solvers
-    take: call it with ``{}`` when there is no data.
+    ``pinned`` holds one bool per vertex and ``values`` the prescribed
+    values, full length or broadcast against ``pinned``.  The free dofs
+    are the vertices that neither hang nor are pinned; a pinned hanging
+    vertex is ignored, because a hanging value always comes from its
+    masters.  With ``x0 = where(pinned, values, 0)``, the result is
+    ``A[free][:, free]`` with right-hand side ``b[free] - A[free, :] x0``.
+    This is the only form the solvers take: pin nothing when there is no
+    data.
     """
     if sys.free is not None:
         raise ValueError("system is already restricted to its free dofs")
-    nodes = np.fromiter(bc, dtype=np.intp, count=len(bc))
-    x0 = np.zeros(sys.matrix.shape[0])
-    x0[nodes] = np.fromiter(bc.values(), dtype=float, count=len(bc))
-    is_free = np.ones(len(x0), dtype=bool)
-    is_free[nodes] = is_free[sys.mesh.constraints.hanging] = False
+    x0 = np.where(pinned, values, 0.0)
+    is_free = ~pinned
+    is_free[sys.mesh.constraints.hanging] = False
     free = np.flatnonzero(is_free)
     rows = sys.matrix[free]
     return SparseSystem(rows[:, free], sys.rhs[free] - rows @ x0, sys.mesh,

@@ -12,7 +12,7 @@ irreversibility bookkeeping and energy accounting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,21 +91,27 @@ class RegularizationState:
         return float(cells.min()), float(cells.max()), float(cells.mean())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CrackMask:
-    """Nodes where v is pinned to zero; grows monotonically."""
+    """Vertices where v is pinned to zero, one bool per vertex.
 
-    nodes: set[int] = field(default_factory=set)
+    A mask is replaced, never changed in place: its array is read-only.
+    """
+
+    pinned: np.ndarray
+
+    def __post_init__(self):
+        view = np.asarray(self.pinned, dtype=bool).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "pinned", view)
 
     def __len__(self):
-        return len(self.nodes)
+        return int(np.count_nonzero(self.pinned))
 
-    def union(self, other) -> "CrackMask":
-        extra = other.nodes if isinstance(other, CrackMask) else set(other)
-        return CrackMask(self.nodes | extra)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(sorted(self.nodes), dtype=int)
+    @property
+    def nodes(self) -> np.ndarray:
+        """Ids of the pinned vertices, ascending."""
+        return np.flatnonzero(self.pinned)
 
 
 @dataclass
@@ -145,11 +151,11 @@ def _grad_sq(f: ScalarField) -> np.ndarray:
 
 
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
-                          bc: dict[int, float]) -> SparseSystem:
-    """Degraded shear system for u, restricted to the dofs free of ``bc``."""
+                          pinned: np.ndarray, values) -> SparseSystem:
+    """Degraded shear system for u, restricted to the dofs not ``pinned``."""
     weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
     sys = fem.assemble_weighted_laplace(mesh, weight)
-    return fem.apply_dirichlet(sys, bc)
+    return fem.apply_dirichlet(sys, pinned, values)
 
 
 def _xi_at_qp(mesh, xi: RegularizationState, nq: int):
@@ -231,22 +237,20 @@ def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
     """Clamp v to [0,1], forbid healing, and pin sub-threshold nodes.
 
     Nodes dropping below ``xi_cr`` are set to zero and join the mask
-    permanently; the mask only grows.
+    permanently.  The grown mask is a new one; ``mask`` is left as it is.
     """
     if v_new.mesh is not v_prev.mesh:
         raise ValueError("fields live on different meshes")
     v = np.clip(v_new.values, 0.0, 1.0)
     v = np.minimum(v, v_prev.values)
-    pinned = set(np.flatnonzero(v < xi_cr).tolist())
-    new_mask = mask.union(pinned)
-    if new_mask.nodes:
-        v[new_mask.as_array()] = 0.0
-    return ScalarField(v_new.mesh, v), new_mask
+    pinned = mask.pinned | (v < xi_cr)
+    v[pinned] = 0.0
+    return ScalarField(v_new.mesh, v), CrackMask(pinned)
 
 
 def crack_set(v: ScalarField, xi_cr: float) -> CrackMask:
     """Nodes with ``v <= xi_cr``."""
-    return CrackMask(set(np.flatnonzero(v.values <= xi_cr).tolist()))
+    return CrackMask(v.values <= xi_cr)
 
 
 def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
@@ -287,18 +291,14 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5
     """
     if not 0.0 <= y_tip <= 1.0:
         raise ValueError("y_tip must lie inside the closed unit interval")
-    v = np.ones(mesh.n_vertices)
-    if y_tip >= 1.0:
-        return ScalarField(mesh, v), CrackMask()
-
     local_h = np.full(mesh.n_vertices, np.inf)
     np.minimum.at(local_h, mesh.cell_vertices, mesh.cell_h[:, None])
     x = mesh.vertex_coords[:, 0]
     y = mesh.vertex_coords[:, 1]
     on_seed = (np.abs(x - 0.5) <= 0.5 * local_h + 1e-15) & \
-              (y >= y_tip - 0.5 * local_h - 1e-15)
-    v[on_seed] = 0.0
-    return ScalarField(mesh, v), CrackMask(set(np.flatnonzero(on_seed).tolist()))
+              (y >= y_tip - 0.5 * local_h - 1e-15) & (y_tip < 1.0)
+    v = np.where(on_seed, 0.0, 1.0)
+    return ScalarField(mesh, v), CrackMask(on_seed)
 
 
 def transfer_regularization(state: RegularizationState, mesh: Mesh,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from xifrac import mesh as meshmod
+from xifrac import mesh as meshmod, phasefield as pf
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,29 @@ def dense_dirichlet(mesh, A, b, bc):
     fixed = set(bc) | set(mesh.constraints.masters)
     free = [i for i in range(len(b)) if i not in fixed]
     return A[np.ix_(free, free)], (b - A @ x0)[free]
+
+
+def nothing_pinned(mesh):
+    """A ``pinned`` mask that pins no vertex of ``mesh``."""
+    return np.zeros(mesh.n_vertices, dtype=bool)
+
+
+def pin_a_bottom_vertex(state):
+    """Replace ``state.mask`` by one that also pins a bottom-edge vertex,
+    as a crack that has run through the body does."""
+    pinned = state.mask.pinned.copy()
+    pinned[state.mesh.boundary_vertices(meshmod.BOTTOM)[0]] = True
+    state.mask = pf.CrackMask(pinned)
+
+
+def dirichlet_arrays(n, bc):
+    """``(pinned, values)`` of a ``{vertex: value}`` dict on ``n``
+    vertices, the form ``fem.apply_dirichlet`` takes."""
+    pinned = np.zeros(n, dtype=bool)
+    values = np.zeros(n)
+    for node, val in bc.items():
+        pinned[node], values[node] = True, val
+    return pinned, values
 
 
 # ---------------------------------------------------------------------------

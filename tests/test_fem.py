@@ -12,7 +12,8 @@ from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
 from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass, sparse_prolongation
+    dense_load, dense_mass, dirichlet_arrays, nothing_pinned, \
+    sparse_prolongation
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,8 @@ def test_matrices_symmetric_spd(mesh_hanging):
         assert np.max(np.abs(A - A.T)) < 1e-10
     # laplace alone is only semi-definite; mass + laplace is SPD on the
     # free dofs
-    np.linalg.cholesky(apply_dirichlet(both, {}).matrix.toarray())
+    np.linalg.cholesky(apply_dirichlet(
+        both, nothing_pinned(mesh_hanging), 0.0).matrix.toarray())
 
 
 def test_laplace_rejects_nonpositive_weight(mesh4x4):
@@ -271,7 +273,7 @@ def test_dirichlet_matches_dense_oracle(mesh_hanging):
     sys = combine(lap, mass, rhs=assemble_load(mesh, 1.0))
     bc = {int(n): 1.5 for n in mesh.boundary_vertices(TOP)}
 
-    fixed = apply_dirichlet(sys, bc)
+    fixed = apply_dirichlet(sys, *dirichlet_arrays(mesh.n_vertices, bc))
     Ad, bd = dense_dirichlet(mesh, sys.matrix.toarray(), sys.rhs, bc)
     assert np.max(np.abs(fixed.matrix.toarray() - Ad)) < 1e-12
     assert np.max(np.abs(fixed.rhs - bd)) < 1e-12
@@ -282,11 +284,13 @@ def test_dirichlet_matches_dense_oracle(mesh_hanging):
 
 
 def test_restricting_restricted_system_raises(mesh4x4):
-    sys = apply_dirichlet(assemble_weighted_mass(mesh4x4, 1.0), {0: 1.0})
+    pinned = nothing_pinned(mesh4x4)
+    pinned[0] = True
+    sys = apply_dirichlet(assemble_weighted_mass(mesh4x4, 1.0), pinned, 1.0)
     with pytest.raises(ValueError):
-        apply_dirichlet(sys, {0: 1.0})
+        apply_dirichlet(sys, pinned, 1.0)
     with pytest.raises(ValueError):
-        apply_dirichlet(sys, {})
+        apply_dirichlet(sys, nothing_pinned(mesh4x4), 0.0)
     with pytest.raises(ValueError):
         combine(sys, sys)
 
@@ -296,7 +300,8 @@ def test_restricted_system_has_one_row_per_free_dof(mesh_hanging):
     hanging = set(mesh.constraints.hanging.tolist())
     bc = {int(n): 0.5 for n in mesh.boundary_vertices(LEFT)}
     bc[min(hanging)] = 3.0
-    sys = apply_dirichlet(assemble_weighted_laplace(mesh, 1.0), bc)
+    sys = apply_dirichlet(assemble_weighted_laplace(mesh, 1.0),
+                          *dirichlet_arrays(mesh.n_vertices, bc))
     free = sorted(set(range(mesh.n_vertices)) - hanging - set(bc))
     assert len(free) == mesh.n_vertices - len(hanging | set(bc))
     assert sys.matrix.shape == (len(free), len(free))
@@ -314,8 +319,9 @@ def test_dirichlet_on_hanging_vertex_is_ignored(mesh_hanging):
     bc = {int(n): exact(*mesh.vertex_coords[n])
           for n in mesh.boundary_vertices(BOTTOM)}
     h = int(mesh.constraints.hanging[0])
-    plain = apply_dirichlet(base, bc)
-    extra = apply_dirichlet(base, {**bc, h: 99.0})
+    plain = apply_dirichlet(base, *dirichlet_arrays(mesh.n_vertices, bc))
+    extra = apply_dirichlet(
+        base, *dirichlet_arrays(mesh.n_vertices, {**bc, h: 99.0}))
     assert np.array_equal(extra.free, plain.free)
     assert (extra.matrix != plain.matrix).nnz == 0
     assert np.array_equal(extra.rhs, plain.rhs)
@@ -333,12 +339,10 @@ def _poisson_system(mesh, f, g_boundary):
     sys = assemble_weighted_laplace(mesh, 1.0)
     sys = combine(sys, assemble_weighted_mass(mesh, 0.0),
                   rhs=assemble_load(mesh, f))
-    bc = {}
+    pinned = nothing_pinned(mesh)
     for tag in (BOTTOM, RIGHT, TOP, LEFT):
-        for n in mesh.boundary_vertices(tag):
-            x, y = mesh.vertex_coords[n]
-            bc[int(n)] = g_boundary(x, y)
-    return apply_dirichlet(sys, bc)
+        pinned[mesh.boundary_vertices(tag)] = True
+    return apply_dirichlet(sys, pinned, g_boundary(*mesh.vertex_coords.T))
 
 
 def test_pcg_matches_direct(mesh_hanging):
@@ -392,11 +396,10 @@ def test_pcg_meets_the_true_residual_contract():
     mesh = build_uniform(4)
     x, y = mesh.vertex_coords.T
     v = ScalarField(mesh, np.where((x == 0.5) & (y > 0.3), 0.0, 1.0))
-    bc = {int(n): (-1.0 if mesh.vertex_coords[n, 0] < 0.5 else 1.0)
-          for n in mesh.boundary_vertices(TOP)
-          if mesh.vertex_coords[n, 0] != 0.5}
+    pinned = (y == 1.0) & (x != 0.5)
     weight = (1.0 - 1e-10) * fem.field_at_qp(v) ** 2 + 1e-10
-    sys = apply_dirichlet(assemble_weighted_laplace(mesh, weight), bc)
+    sys = apply_dirichlet(assemble_weighted_laplace(mesh, weight), pinned,
+                          np.sign(x - 0.5))
     tol = 1e-15
     try:
         got = solve_spd(sys, tol=tol, method="pcg")
@@ -519,8 +522,9 @@ def _family(s, *, reaction=False):
     stiffness = assemble_weighted_laplace(mesh, lambda x, y: 1.0 + x * y)
     mass = assemble_weighted_mass(mesh, lambda x, y: s * weight(x, y))
     load = assemble_load(mesh, lambda x, y: 1.0 + 0.3 * y)
-    bc = dict.fromkeys(mesh.boundary_vertices(LEFT).tolist(), 0.0)
-    sys = apply_dirichlet(combine(stiffness, mass, rhs=load), bc)
+    pinned = nothing_pinned(mesh)
+    pinned[mesh.boundary_vertices(LEFT)] = True
+    sys = apply_dirichlet(combine(stiffness, mass, rhs=load), pinned, 0.0)
     if not reaction:
         return sys
     return sys, assemble_weighted_mass(mesh, weight).matrix
@@ -699,8 +703,7 @@ def test_tangent_projection_error_falls_as_the_fourth_power():
 
 def test_tangents_of_a_system_without_unknowns(mesh4x4, solver_calls):
     mass = assemble_weighted_mass(mesh4x4, 1.0)
-    sys = apply_dirichlet(mass, dict.fromkeys(range(mesh4x4.n_vertices),
-                                              2.0))
+    sys = apply_dirichlet(mass, ~nothing_pinned(mesh4x4), 2.0)
     v, tangents = fem.solve_with_tangents(sys, mass.matrix, 3)
     assert tangents == [] and solver_calls == []
     assert np.all(v.values == 2.0)

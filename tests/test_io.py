@@ -1,15 +1,17 @@
 """Config parsing, VTK/CSV outputs, line profiles and the CLI."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from xifrac import cli, driver, mesh as meshmod, output, phasefield as pf
-from xifrac.config import ConfigError, default_config, parse_config, \
-    serialize_config
+from xifrac import cli, driver, output, phasefield as pf
+from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
 from xifrac.mesh import build_uniform, refine
+
+from conftest import pin_a_bottom_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -17,7 +19,7 @@ from xifrac.mesh import build_uniform, refine
 
 
 def test_empty_config_is_default():
-    assert parse_config("") == default_config()
+    assert parse_config("") == driver.SimConfig()
 
 
 def test_parse_sets_material_values():
@@ -83,6 +85,14 @@ def test_config_round_trip():
     assert parse_config(text) == cfg
     # and the canonical form is a fixed point
     assert serialize_config(parse_config(text)) == text
+
+
+def test_bundled_configs_parse_and_round_trip():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        cfg = parse_config(path.read_text())
+        assert parse_config(serialize_config(cfg)) == cfg, path.name
 
 
 def test_cross_field_constraint_reported():
@@ -247,7 +257,7 @@ def test_run_writer_formats_each_mesh_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     coarse = refine(build_uniform(3), [0, 9, 30])
     fine = refine(coarse, [coarse.locate(0.6, 0.6)])
-    writer = output.RunWriter(tmp_path / "run", default_config())
+    writer = output.RunWriter(tmp_path / "run", driver.SimConfig())
     for step, mesh in enumerate([coarse, coarse, fine], start=1):
         state = _snapshot_state(mesh, step, rng)
         writer.snapshot(state)
@@ -403,8 +413,7 @@ def test_early_stop_writes_its_snapshot_once(tmp_path, snapshot_writes):
 
     def hook(state):
         if state.step == 3:
-            bottom = state.mesh.boundary_vertices(meshmod.BOTTOM)
-            state.mask = state.mask.union({int(bottom[0])})
+            pin_a_bottom_vertex(state)
 
     hist, _ = driver.run(cfg, out_dir=tmp_path, snapshot_hook=hook)
     assert len(hist) == 3

@@ -106,7 +106,7 @@ def test_bench_u_system_factorization(benchmark, mesh):
     # The displacement system of a cracked body under the benchmark load.
     v, _ = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
-    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), bc)
+    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
@@ -120,7 +120,7 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
     v, _ = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     before, sys = (pf.assemble_displacement(
-        mesh, v, mat, driver.boundary_displacement(mesh, t, 1.0))
+        mesh, v, mat, *driver.boundary_displacement(mesh, t, 1.0))
         for t in (0.04, 0.06))
     previous = fem.solve_spd(before, method="direct")
 
@@ -145,14 +145,13 @@ def _preload_first_sweeps(mesh):
     reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
     xi = pf.RegularizationState("field", pf.xi_field(mesh, v, mat, reg))
     u1 = fem.solve_field(pf.assemble_displacement(
-        mesh, v, mat, driver.boundary_displacement(mesh, 1.0, 1.0)),
+        mesh, v, mat, *driver.boundary_displacement(mesh, 1.0, 1.0)),
         method="direct")
-    pinned = dict.fromkeys(mask.nodes, 0.0)
 
     def first_sweep(t):
         u = ScalarField(mesh, t * u1.values)
         folded, reaction = pf.assemble_phase(mesh, u, xi, mat)
-        return fem.apply_dirichlet(folded, pinned), reaction
+        return fem.apply_dirichlet(folded, mask.pinned, 0.0), reaction
 
     return first_sweep
 

@@ -8,7 +8,7 @@ from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform, refine
 
 from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass
+    dense_load, dense_mass, dirichlet_arrays, nothing_pinned
 
 
 MAT = pf.MaterialParams()
@@ -169,7 +169,8 @@ def test_displacement_system_matches_dense(mesh_hanging):
     x, y = mesh.vertex_coords.T
     v = ScalarField(mesh, np.clip(x + 0.2, 0.0, 1.0))
     bc = {0: 0.25}
-    sys = pf.assemble_displacement(mesh, v, MAT, bc)
+    sys = pf.assemble_displacement(mesh, v, MAT,
+                                   *dirichlet_arrays(mesh.n_vertices, bc))
 
     def weight(px, py):
         vv = mesh.eval_field(v.values, min(px, 1 - 1e-12), min(py, 1 - 1e-12))
@@ -187,7 +188,8 @@ def test_phase_system_matches_dense(mesh_hanging):
     x, y = mesh.vertex_coords.T
     u = ScalarField(mesh, 0.3 * x - 0.1 * y)  # constant gradient (0.3, -0.1)
     xi = pf.RegularizationState("fixed", 0.07)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0], {})
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
+                              nothing_pinned(mesh), 0.0)
 
     gsq = 0.3 ** 2 + 0.1 ** 2
     drive = MAT.mu * (1.0 - MAT.eta) * gsq
@@ -205,7 +207,7 @@ def test_phase_system_is_spd(mesh_hanging):
     u = ScalarField(mesh_hanging, 0.1 * x)
     xi = pf.RegularizationState("fixed", 0.1)
     folded, _ = pf.assemble_phase(mesh_hanging, u, xi, MAT)
-    sys = fem.apply_dirichlet(folded, {})
+    sys = fem.apply_dirichlet(folded, nothing_pinned(mesh_hanging), 0.0)
     np.linalg.cholesky(sys.matrix.toarray())  # raises if not SPD
 
 
@@ -216,7 +218,8 @@ def test_phase_solution_intact_body_exceeds_one():
     x, _ = mesh.vertex_coords.T
     u = ScalarField(mesh, 1e-3 * x)  # tiny uniform strain
     xi = pf.RegularizationState("fixed", 0.13687)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0], {})
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
+                              nothing_pinned(mesh), 0.0)
     v = fem.solve_field(sys, method="direct")
     assert np.min(v.values) > 1.0
 
@@ -234,9 +237,8 @@ def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
                         lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
     u = ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
     xi = pf.RegularizationState("fixed", 0.1)
-    pinned = dict.fromkeys(range(mesh.n_vertices), 1.0)
     folded, _ = pf.assemble_phase(mesh, u, xi, MAT)
-    sys = fem.apply_dirichlet(folded, pinned)
+    sys = fem.apply_dirichlet(folded, ~nothing_pinned(mesh), 1.0)
     assert sys.matrix.shape == (0, 0)
     for method in ("direct", "pcg"):
         v = fem.solve_field(sys, method=method)
@@ -295,6 +297,10 @@ def test_energy_record_checks_sum():
 # Irreversibility and the crack mask
 
 
+def _no_crack(mesh):
+    return pf.CrackMask(nothing_pinned(mesh))
+
+
 def _fields(mesh, new, prev):
     return (ScalarField(mesh, np.asarray(new, float)),
             ScalarField(mesh, np.asarray(prev, float)))
@@ -305,7 +311,7 @@ def test_irreversibility_clamps_and_heals_nothing(mesh2x2):
     prev = np.full(9, 0.8)
     prev[0] = 0.2
     vn, mask = pf.enforce_irreversibility(*_fields(mesh2x2, new, prev),
-                                          pf.CrackMask(), 0.01)
+                                          _no_crack(mesh2x2), 0.01)
     assert np.all(vn.values <= prev + 1e-12)
     assert vn.values[0] == pytest.approx(0.2)
     assert len(mask) == 0
@@ -315,20 +321,28 @@ def test_irreversibility_pins_below_threshold(mesh2x2):
     new = np.ones(9)
     new[3] = 0.005
     vn, mask = pf.enforce_irreversibility(
-        *_fields(mesh2x2, new, np.ones(9)), pf.CrackMask(), 0.01)
+        *_fields(mesh2x2, new, np.ones(9)), _no_crack(mesh2x2), 0.01)
     assert vn.values[3] == 0.0
-    assert mask.nodes == {3}
+    assert mask.nodes.tolist() == [3]
     # the mask never shrinks, even if a later solve proposes v = 1 there
     vn2, mask2 = pf.enforce_irreversibility(
         *_fields(mesh2x2, np.ones(9), np.ones(9)), mask, 0.01)
     assert vn2.values[3] == 0.0
-    assert mask2.nodes == {3}
+    assert mask2.nodes.tolist() == [3]
+
+
+def test_crack_mask_is_read_only(mesh2x2):
+    pinned = nothing_pinned(mesh2x2)
+    mask = pf.CrackMask(pinned)
+    with pytest.raises(ValueError):
+        mask.pinned[0] = True
+    assert len(mask) == 0 and mask.nodes.size == 0
 
 
 def test_crack_set_threshold(mesh2x2):
     v = ScalarField(mesh2x2, np.array([0.0, 0.01, 0.011, 1, 1, 1, 1, 1, 1]))
     mask = pf.crack_set(v, 0.01)
-    assert mask.nodes == {0, 1}
+    assert mask.nodes.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +352,13 @@ def test_crack_set_threshold(mesh2x2):
 def test_initial_crack_default_tip():
     mesh = build_uniform(4)  # h = 1/16, crack x=0.5, y in [0.5, 1]
     v, mask = pf.initial_crack(mesh, 0.5)
-    coords = mesh.vertex_coords[sorted(mask.nodes)]
+    coords = mesh.vertex_coords[mask.pinned]
     assert np.all(coords[:, 0] == 0.5)
     assert np.all(coords[:, 1] >= 0.5 - 1.0 / 32 - 1e-12)
     # 9 nodes on x=0.5 with y in {0.5, ..., 1.0}
     assert len(mask) == 9
-    assert np.all(v.values[sorted(mask.nodes)] == 0.0)
-    untouched = sorted(set(range(mesh.n_vertices)) - mask.nodes)
-    assert np.all(v.values[untouched] == 1.0)
+    assert np.all(v.values[mask.pinned] == 0.0)
+    assert np.all(v.values[~mask.pinned] == 1.0)
 
 
 def test_initial_crack_intact():
