@@ -25,13 +25,13 @@ same factor also gives three tangents of the family along ``R``, the
 strain-drive mass of :func:`phasefield.assemble_phase`
 (:func:`fem.solve_with_tangents`), and they join the basis with the
 answer; they keep the projections within the pin margin for several
-load steps.  ``pcg`` has no factor: its answer joins alone, and it
-keeps no ``R``.  The basis is emptied whenever the family changes, by a
-mesh change in :func:`amr_pass` or by an iteration that changes xi or
-the mask in :func:`staggered_step`.  Every returned field is a solver's
-answer to an active set that the margin makes independent of the
-basis, as long as the margin bounds the projection's true error (see
-:func:`_pins_clearly`); that is not checked at run time.
+load steps.  ``pcg`` has no factor of the fine system: its answer joins
+alone, and it keeps no ``R``.  The basis is emptied whenever the family
+changes, by a mesh change in :func:`amr_pass` or by an iteration that
+changes xi or the mask in :func:`staggered_step`.  Every returned field
+is a solver's answer to an active set that the margin makes independent
+of the basis, as long as the margin bounds the projection's true error
+(see :func:`_pins_clearly`); that is not checked at run time.
 
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
@@ -219,10 +219,11 @@ def _first_sweep(state: SimState, sys, solve, sol: SolverParams,
     pins clearly comes back as it is and leaves the basis alone.  Else
     ``direct`` solves with :func:`fem.solve_with_tangents`, and the answer
     and its ``_TANGENTS`` tangents along the reaction ``reaction`` join
-    the basis; ``pcg`` starts from a rejected projection, that answer
-    stays only if it pins clearly, every other case is solved without the
-    basis, and the answer alone joins it.  The basis keeps at most
-    ``_PHASE_BASIS`` orthonormal rows (:func:`fem.extend_basis`).
+    the basis; ``pcg``, which has no factor of the fine system, starts
+    from a rejected projection, that answer stays only if it pins
+    clearly, every other case is solved without the basis, and the answer
+    alone joins it.  The basis keeps at most ``_PHASE_BASIS`` orthonormal
+    rows (:func:`fem.extend_basis`).
     """
     clear = lambda f: _pins_clearly(sys, f, threshold, open_, sol.linear_tol)
     projected, accepted = fem.project(sys, state.phase_basis,
@@ -273,7 +274,7 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     values = np.where(pinned, 0.0, upper)
     folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
     if sol.method != "direct":
-        reaction = None  # only a factor makes tangents: pcg keeps no R
+        reaction = None  # tangents need a fine factor: pcg keeps no R
     threshold = upper + 1e-12
     v = None
     for sweep in range(_MAX_ACTIVE_SET):

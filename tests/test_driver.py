@@ -405,13 +405,18 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
     assert factors.count("v") <= 3
 
 
-def test_pcg_first_sweeps_factor_nothing_and_get_no_tangents(monkeypatch):
-    # The same preload under pcg: no factor exists, so a solved first
-    # sweep adds its answer alone to the basis and nothing is factored.
+def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
+        monkeypatch):
+    # The same preload under pcg: its only factors are the coarse operators
+    # of the CG preconditioner, one row per aggregate (at most 16 x 16 on a
+    # level-6 start grid), so a solved first sweep gets no tangents and
+    # adds its answer alone to the basis.
     cfg, state = _adapted_field_state(solver=SolverParams(method="pcg"))
-    extra = []
+    rows, extra = [], []
+    splu = fem.spla.splu
     monkeypatch.setattr(fem.spla, "splu",
-                        lambda *a, **k: extra.append("splu"))
+                        lambda A, *a, **k: rows.append(A.shape[0])
+                        or splu(A, *a, **k))
     monkeypatch.setattr(fem, "solve_with_tangents",
                         lambda *a, **k: extra.append("tangents"))
     sizes = [0]
@@ -422,6 +427,7 @@ def test_pcg_first_sweeps_factor_nothing_and_get_no_tangents(monkeypatch):
         state.v_prev = state.v.copy()
     assert extra == [] and sizes[-1] > 0
     assert all(0 <= b - a <= 1 for a, b in zip(sizes, sizes[1:]))
+    assert rows and max(rows) <= 4 ** (state.mesh.level_min - 2)
 
 
 def _basis_at_each_phase_solve(monkeypatch):

@@ -1,10 +1,13 @@
 """Q1 assembly, constraint folding, restriction to free dofs and solvers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from xifrac import fem
+from xifrac import driver, fem, phasefield as pf
+from xifrac.config import parse_config
 from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
     apply_dirichlet, assemble_load, assemble_weighted_laplace, \
     assemble_weighted_mass, combine, constant_field, integrate, \
@@ -388,18 +391,23 @@ def test_pcg_residual_contract():
         solve_spd(sys, tol=1e-14, max_iter=2, method="pcg")
 
 
-def test_pcg_meets_the_true_residual_contract():
-    # A displacement-type system with a stripe of degraded stiffness
-    # (eta = 1e-10 along the seeded crack, contrast 1e10).  At tol 1e-15
-    # the CG recurrence residual passes the test while the true residual
-    # b - A x is still above it; the solver must not stop there.
+def _stripe_system():
+    """A displacement-type system with a stripe of degraded stiffness
+    (eta = 1e-10 along the seeded crack, contrast 1e10)."""
     mesh = build_uniform(4)
     x, y = mesh.vertex_coords.T
     v = ScalarField(mesh, np.where((x == 0.5) & (y > 0.3), 0.0, 1.0))
     pinned = (y == 1.0) & (x != 0.5)
     weight = (1.0 - 1e-10) * fem.field_at_qp(v) ** 2 + 1e-10
-    sys = apply_dirichlet(assemble_weighted_laplace(mesh, weight), pinned,
-                          np.sign(x - 0.5))
+    return apply_dirichlet(assemble_weighted_laplace(mesh, weight), pinned,
+                           np.sign(x - 0.5))
+
+
+def test_pcg_meets_the_true_residual_contract():
+    # At tol 1e-15 the CG recurrence residual of the stripe system may pass
+    # the test while the true residual b - A x is still above it; the
+    # solver must not stop there.
+    sys = _stripe_system()
     tol = 1e-15
     try:
         got = solve_spd(sys, tol=tol, method="pcg")
@@ -407,6 +415,133 @@ def test_pcg_meets_the_true_residual_contract():
         return  # an honest failure also keeps the contract
     A, b = sys.matrix, sys.rhs
     assert np.linalg.norm(A @ got - b) <= tol * np.linalg.norm(b)
+
+
+# ---------------------------------------------------------------------------
+# The two-level preconditioner
+
+
+def _cracked_phase_system(pinned_box=None):
+    """A phase system on a level-3 mesh refined along the crack, so with
+    hanging nodes, and 2 x 2 aggregates; the crack nodes are pinned, and
+    so is every vertex inside ``pinned_box`` (x0, x1, y0, y1) if given."""
+    m = build_uniform(3)
+    centre = m.cell_origin + 0.5 * m.cell_h[:, None]
+    m = refine(m, np.flatnonzero((np.abs(centre[:, 0] - 0.5) < 0.2)
+                                 & (centre[:, 1] > 0.4)))
+    assert len(m.constraints) > 0 and m.level_min == 3
+    u = ScalarField(m, 0.1 * m.vertex_coords[:, 0] ** 2)
+    xi = pf.RegularizationState("fixed", 0.1)
+    folded, _ = pf.assemble_phase(m, u, xi, pf.MaterialParams())
+    pinned = pf.initial_crack(m, 0.5)[1].pinned.copy()
+    assert pinned.any()
+    if pinned_box is not None:
+        x, y = m.vertex_coords.T
+        x0, x1, y0, y1 = pinned_box
+        pinned |= (x0 <= x) & (x < x1) & (y0 <= y) & (y < y1)
+    return apply_dirichlet(folded, pinned, 0.0)
+
+
+def _aggregates(sys):
+    """The aggregate of each free dof, built vertex by vertex: the index,
+    among the cells holding a free dof, of the cell two levels above the
+    start grid that holds its vertex (closed on the far sides of the
+    square)."""
+    n = 2 ** max(sys.mesh.level_min - 2, 0)
+    cells = [(min(int(x * n), n - 1), min(int(y * n), n - 1))
+             for x, y in sys.mesh.vertex_coords[sys.free]]
+    held = sorted(set(cells))
+    return np.array([held.index(c) for c in cells]), len(held)
+
+
+def _dense_preconditioner(sys):
+    """``D^-1 + Z (Z^T A Z)^-1 Z^T`` with dense matrices."""
+    agg, count = _aggregates(sys)
+    Z = np.zeros((len(agg), count))
+    Z[np.arange(len(agg)), agg] = 1.0
+    A = sys.matrix.toarray()
+    return np.diag(1.0 / np.diag(A)) + Z @ np.linalg.solve(Z.T @ A @ Z, Z.T)
+
+
+def _preconditioner_columns(sys):
+    """``M^-1`` as fem applies it, one unit vector at a time."""
+    apply = fem._preconditioner(sys.matrix, fem._coarse(sys))
+    return np.column_stack([apply(e)[0] for e in np.eye(len(sys.rhs))])
+
+
+def test_two_level_preconditioner_is_spd_and_matches_dense_oracle():
+    sys = _cracked_phase_system()
+    got = _preconditioner_columns(sys)
+    assert np.max(np.abs(got - got.T)) <= 1e-12 * np.max(np.abs(got))
+    assert np.linalg.eigvalsh(0.5 * (got + got.T)).min() > 0.0
+    want = _dense_preconditioner(sys)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("make", [_cracked_phase_system, _stripe_system])
+def test_pcg_matches_dense_solve(make):
+    sys = make()
+    want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    got = solve_spd(sys, tol=1e-12, method="pcg")
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_aggregate_without_free_dof_is_dropped():
+    # Every vertex of the lower-left aggregate is pinned: three of the four
+    # aggregates hold a free dof, and the coarse operator has three rows.
+    sys = _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5))
+    agg, lu = fem._coarse(sys)
+    want, count = _aggregates(sys)
+    assert count == 3 and lu.shape == (3, 3)
+    assert np.array_equal(agg, want)
+    got = _preconditioner_columns(sys)
+    assert np.max(np.abs(got - _dense_preconditioner(sys))) \
+        <= 1e-12 * np.max(np.abs(got))
+    x = solve_spd(sys, tol=1e-12, method="pcg")
+    assert np.linalg.norm(sys.matrix @ x - sys.rhs) \
+        <= 1e-12 * np.linalg.norm(sys.rhs)
+
+
+def _jacobi_cg_iterations(A, b, limit):
+    """Iterations of plain Jacobi-preconditioned CG from zero, the
+    one-level reference, stopping on the recurrence residual."""
+    minv = 1.0 / A.diagonal()
+    x, r = np.zeros(len(b)), b.copy()
+    z = minv * r
+    p, rz = z.copy(), r @ z
+    for k in range(1, 20001):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x, r = x + alpha * p, r - alpha * Ap
+        if np.linalg.norm(r) <= limit:
+            return k
+        z = minv * r
+        p, rz = z + (r @ z / rz) * p, r @ z
+    raise AssertionError("Jacobi CG did not converge")
+
+
+def test_coarse_space_cuts_cg_iterations_on_64x64_systems():
+    # The u and first phase systems of the global-xi benchmark state on the
+    # 64 x 64 grid (256 aggregates), loaded to t = 0.1.
+    path = Path(__file__).parents[1] / "configs" / "global_xi_128.cfg"
+    cfg = parse_config(path.read_text(), {
+        "mesh.level_start": "6", "mesh.level_max": "6",
+        "solver.method": "pcg"})
+    state = driver.initialize(cfg)
+    u_sys = pf.assemble_displacement(
+        state.mesh, state.v, cfg.material,
+        *driver.boundary_displacement(state.mesh, 0.1, cfg.loading.c))
+    u = solve_field(u_sys, method="direct")
+    folded, _ = pf.assemble_phase(state.mesh, u, state.xi, cfg.material)
+    v_sys = apply_dirichlet(folded, state.mask.pinned, 0.0)
+    for sys in (u_sys, v_sys):
+        A, b = sys.matrix, sys.rhs
+        limit = 1e-10 * np.linalg.norm(b)
+        coarse = fem._coarse(sys)
+        assert coarse[1].shape == (256, 256)
+        _, met, iters = fem._pcg(A, b, limit, 20000, None, coarse)
+        assert met
+        assert 3 * iters <= _jacobi_cg_iterations(A, b, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +558,17 @@ def solver_calls(monkeypatch):
     monkeypatch.setattr(fem, "_pcg",
                         lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
     return calls
+
+
+@pytest.fixture
+def factored_rows(solver_calls, monkeypatch):
+    """Rows of each matrix factored, in order, alongside ``solver_calls``."""
+    rows = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu",
+                        lambda A, *a, **k: rows.append(A.shape[0])
+                        or splu(A, *a, **k))
+    return rows
 
 
 def _guess_system():
@@ -487,16 +633,24 @@ def test_random_guess_starts_cg_from_its_multiple(monkeypatch):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scale", [0.0, 1e-170])
 def test_degenerate_guess_falls_through_to_the_solver(method, scale,
-                                                      solver_calls):
+                                                      solver_calls,
+                                                      factored_rows):
     # A zero guess has g.Ag = 0; so has a tiny one, where g.Ag underflows.
-    # Neither has a multiple, and the solver runs as without a guess.
+    # Neither has a multiple, and the solver runs as without a guess:
+    # direct factors the system, and pcg factors only its coarse operator,
+    # never more rows than there are aggregates.
     sys = _guess_system()
     g = np.full(len(sys.rhs), scale)
     assert g @ (sys.matrix @ g) == 0.0
     want = solve_spd(sys, method=method)
     got = solve_spd(sys, method=method, guess=g)
     assert got.tobytes() == want.tobytes()
-    assert solver_calls == [{"direct": "splu", "pcg": "pcg"}[method]] * 2
+    if method == "direct":
+        assert solver_calls == ["splu"] * 2
+        assert factored_rows == [len(sys.rhs)] * 2
+    else:
+        assert solver_calls == ["splu", "pcg"] * 2
+        assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)
 
 
 def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls):

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the assembly, qp-evaluation, factorization,
+"""Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, projection, tangent and coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
@@ -110,6 +110,17 @@ def test_bench_u_system_factorization(benchmark, mesh):
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_u_system_pcg(benchmark, mesh):
+    # The same system solved cold by CG with the two-level preconditioner:
+    # one coarse factorization of at most 16 x 16 aggregates per solve.
+    v, _ = pf.initial_crack(mesh, 0.5)
+    bc = driver.boundary_displacement(mesh, 0.05, 1.0)
+    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
+    x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="pcg")
+    want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
+    assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
