@@ -34,7 +34,7 @@ def main():
           f"{'h_at_min':>9} {'dist_to_steepest':>16}")
 
     def hook(state):
-        xi_cells = state.xi.at_cells(state.mesh)
+        xi_cells = state.xi
         k = int(np.argmin(xi_cells))
         grad = fem.grad_at_qp(state.v)
         gmag = np.sqrt((grad ** 2).sum(axis=2)).mean(axis=1)

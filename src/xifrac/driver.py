@@ -53,54 +53,45 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class MeshParams:
-    level_start: int = 7
-    level_max: int = 7
-    crack_y_tip: float = 0.5
+class MeshParams(pf.Params):
+    level_start: int = pf.param(7, pf.POSITIVE)
+    level_max: int = pf.param(7, pf.POSITIVE)
+    crack_y_tip: float = pf.param(0.5, (lambda v: 0.0 <= v <= 1.0,
+                                        "must lie in [0, 1]"))
 
     def __post_init__(self):
-        if self.level_start < 1 or self.level_start > self.level_max:
-            raise ValueError("need 1 <= level_start <= level_max")
+        super().__post_init__()
+        if self.level_start > self.level_max:
+            raise ValueError("need level_start <= level_max")
 
 
 @dataclass(frozen=True)
-class LoadingParams:
-    c: float = 1.0
-    dt: float = 0.01
-    n_max: int = 120
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.c < 0 or self.n_max < 0:
-            raise ValueError("need dt > 0, c >= 0 and n_max >= 0")
+class LoadingParams(pf.Params):
+    c: float = pf.param(1.0, pf.NONNEGATIVE)
+    dt: float = pf.param(0.01, pf.POSITIVE)
+    n_max: int = pf.param(120, pf.NONNEGATIVE)
 
 
 @dataclass(frozen=True)
-class SolverParams:
-    staggered_tol: float = 1e-4
-    staggered_max_iter: int = 500
-    linear_tol: float = 1e-10
-    linear_max_iter: int = 20000
-    method: str = "direct"
-    crack_tol: float = 0.01  # Xi_CR pinning threshold
-
-    def __post_init__(self):
-        if self.staggered_tol <= 0:
-            raise ValueError("staggered_tol must be positive")
-        for name in ("staggered_max_iter", "linear_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.method not in ("direct", "pcg"):
-            raise ValueError(f"unknown solver method {self.method!r}")
+class SolverParams(pf.Params):
+    staggered_tol: float = pf.param(1e-4, pf.POSITIVE)
+    staggered_max_iter: int = pf.param(500, pf.POSITIVE)
+    linear_tol: float = pf.param(1e-10, pf.POSITIVE)
+    linear_max_iter: int = pf.param(20000, pf.POSITIVE)
+    method: str = pf.param("direct", (lambda v: v in ("direct", "pcg"),
+                                      "must be direct or pcg"))
+    crack_tol: float = pf.param(0.01, pf.POSITIVE)  # Xi_CR pinning threshold
 
 
 @dataclass(frozen=True)
-class AmrParams:
-    enabled: bool = False
+class AmrParams(pf.Params):
+    enabled: bool = pf.param(False, (lambda v: isinstance(v, bool),
+                                     "must be true or false"))
 
 
 @dataclass(frozen=True)
-class OutputParams:
-    cadence: int = 10
+class OutputParams(pf.Params):
+    cadence: int = pf.param(10, pf.POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,7 @@ class SimState:
     v: ScalarField
     v_prev: ScalarField
     mask: pf.CrackMask
-    xi: pf.RegularizationState
+    xi: np.ndarray  # one value per cell, in every mode
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
@@ -152,29 +143,14 @@ def initialize(config: SimConfig) -> SimState:
                                  level_max=mp.level_max)
     v0, mask = pf.initial_crack(grid, mp.crack_y_tip)
     u0 = fem.constant_field(grid, 0.0)
-    xi = _initial_xi(grid, v0, config)
+    xi = pf.cell_xi(grid, v0, config.material, config.regularization)
     return SimState(mesh=grid, u=u0, v=v0, v_prev=v0.copy(), mask=mask, xi=xi)
 
 
-def _initial_xi(grid, v, config) -> pf.RegularizationState:
-    reg, mat = config.regularization, config.material
-    if reg.mode == "fixed":
-        return pf.RegularizationState("fixed", reg.clamp(reg.xi_fixed))
-    if reg.mode == "global":
-        return pf.RegularizationState("global", pf.xi_global(grid, v, mat, reg))
-    return pf.RegularizationState("field", pf.xi_field(grid, v, mat, reg))
-
-
-def update_xi(state: SimState, config: SimConfig) -> pf.RegularizationState:
-    """Refresh xi from the current phase field, per mode."""
-    reg, mat = config.regularization, config.material
-    if state.xi.mode == "fixed":
-        return state.xi
-    if state.xi.mode == "global":
-        return pf.RegularizationState(
-            "global", pf.xi_global(state.mesh, state.v, mat, reg))
-    return pf.RegularizationState(
-        "field", pf.xi_field(state.mesh, state.v, mat, reg))
+def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
+    """Refresh the cell xi from the current phase field, per mode."""
+    return pf.cell_xi(state.mesh, state.v, config.material,
+                      config.regularization)
 
 
 # Cap on active-set sweeps inside one phase-field solve.
@@ -217,28 +193,23 @@ def _first_sweep(state: SimState, sys, solve, sol: SolverParams,
     (:func:`_pins_clearly`), so that only its pin decision is used, or the
     solver's answer started from nothing.  An accepted projection that
     pins clearly comes back as it is and leaves the basis alone.  Else
-    ``direct`` solves with :func:`fem.solve_with_tangents`, and the answer
-    and its ``_TANGENTS`` tangents along the reaction ``reaction`` join
-    the basis; ``pcg``, which has no factor of the fine system, starts
-    from a rejected projection, that answer stays only if it pins
-    clearly, every other case is solved without the basis, and the answer
-    alone joins it.  The basis keeps at most ``_PHASE_BASIS`` orthonormal
-    rows (:func:`fem.extend_basis`).
+    the sweep is solved once, without the basis: ``direct`` solves with
+    :func:`fem.solve_with_tangents`, and the answer and its ``_TANGENTS``
+    tangents along the reaction ``reaction`` join the basis; ``pcg``,
+    which has no factor of the fine system, solves from zero and the
+    answer alone joins it.  The basis keeps at most ``_PHASE_BASIS``
+    orthonormal rows (:func:`fem.extend_basis`).
     """
-    clear = lambda f: _pins_clearly(sys, f, threshold, open_, sol.linear_tol)
     projected, accepted = fem.project(sys, state.phase_basis,
                                       tol=sol.linear_tol, method=sol.method)
-    if accepted and clear(projected):
+    if accepted and _pins_clearly(sys, projected, threshold, open_,
+                                  sol.linear_tol):
         return projected
     if sol.method == "direct":
         v, tangents = fem.solve_with_tangents(sys, reaction, _TANGENTS,
                                               tol=sol.linear_tol)
     else:
-        v, tangents = None, []
-        if projected is not None and not accepted:
-            v = solve(sys, projected.values)
-        if v is None or not clear(v):
-            v = solve(sys)
+        v, tangents = solve(sys), []
     fem.extend_basis(state.phase_basis, [v.values[sys.free], *tangents],
                      _PHASE_BASIS)
     return v
@@ -339,7 +310,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
             v_raw, state.v_prev, state.mask, sol.crack_tol)
 
         state.xi = update_xi(state, config)
-        same_family = (np.array_equal(state.xi.value, xi_old.value)
+        same_family = (np.array_equal(state.xi, xi_old)
                        and np.array_equal(state.mask.pinned, mask_old.pinned))
         if not same_family:
             state.phase_basis.clear()
@@ -397,7 +368,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values,
                               state.v_prev.values])
-    xi_cells = state.xi.value if state.xi.mode == "field" else None
+    xi_cells = state.xi if config.regularization.mode == "field" else None
     for _ in range(old.level_max - old.level_min + 1):
         rflags, cflags = _amr_flags(mesh, fields[:, 1], config, xi_cells)
         xi_cells = None

@@ -216,7 +216,7 @@ class RunWriter:
             self._geometry = (mesh.id, vtk_geometry(mesh))
         write_vtk(mesh,
                   {"u": state.u.values, "v": state.v.values},
-                  {"xi": state.xi.at_cells(mesh), "level": mesh.cell_levels},
+                  {"xi": state.xi, "level": mesh.cell_levels},
                   self.dir / f"fields_{n:04d}.vtk",
                   title=f"step {n} t={state.t:g}",
                   geometry=self._geometry[1])

@@ -2,17 +2,23 @@
 
 The three-field energy couples the out-of-plane displacement ``u``, the
 phase field ``v`` (1 intact, 0 broken) and the regularization length
-``xi``, which is either one global scalar or a per-cell field.  ``xi``
-carries penalty parameters ``zeta`` (lower bound) and ``alpha`` (upper
-bound); closed-form optimality conditions are evaluated here together
-with the two coupled weak-form systems, calibration helpers,
-irreversibility bookkeeping and energy accounting.
+``xi``, held as one value per cell in every mode: constant (``fixed``),
+one optimal scalar spread over the cells (``global``) or the per-cell
+optimum (``field``).  ``xi`` carries penalty parameters ``zeta`` (lower
+bound) and ``alpha`` (upper bound); closed-form optimality conditions are
+evaluated here together with the two coupled weak-form systems,
+calibration helpers, irreversibility bookkeeping and energy accounting.
+
+Each run parameter is declared once, as a field of a frozen
+:class:`Params` dataclass made with :func:`param`: its default, its range
+and, where it differs from the attribute name, its config key.
+:mod:`xifrac.config` builds its key table from these fields.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,69 +32,65 @@ log = logging.getLogger(__name__)
 #: AT1 dissipation normalization so diffuse surface energy matches G_c.
 AT1_NORMALIZATION = 8.0 / 3.0
 
+#: Ranges as ``(test, reason)``: ``test(value)`` is True for a valid value.
+POSITIVE = (lambda v: v > 0, "must be > 0")
+NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 
-@dataclass(frozen=True)
-class MaterialParams:
-    mu: float = 80.8
-    g_c: float = 2.7
-    c_v: float = AT1_NORMALIZATION
-    eta: float = 1e-10
+
+def param(default, bounds, key=None):
+    """A run parameter: its default, its range ``bounds`` as
+    ``(test, reason)`` and its config key when that is not the attribute
+    name."""
+    return field(default=default, metadata={"range": bounds, "key": key})
+
+
+class Params:
+    """Base of the parameter dataclasses: checks every field's range.
+
+    A subclass with a check across fields runs it after this one.
+    """
 
     def __post_init__(self):
-        if self.mu <= 0 or self.g_c <= 0 or self.c_v <= 0:
-            raise ValueError("mu, g_c and c_v must be positive")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must lie in (0, 1)")
+        for f in fields(self):
+            test, reason = f.metadata["range"]
+            value = getattr(self, f.name)
+            if not test(value):
+                raise ValueError(f"{f.name} = {value!r} {reason}")
 
 
 @dataclass(frozen=True)
-class RegularizationParams:
+class MaterialParams(Params):
+    mu: float = param(80.8, POSITIVE)
+    g_c: float = param(2.7, POSITIVE, key="G_c")
+    c_v: float = param(AT1_NORMALIZATION, POSITIVE)
+    eta: float = param(1e-10, (lambda v: 0 < v < 1, "must lie in (0, 1)"))
+
+
+@dataclass(frozen=True)
+class RegularizationParams(Params):
     """Length-scale bounds, penalties and the update mode.
 
     ``mode`` is one of ``fixed`` (xi_fixed held constant), ``global``
-    (one optimal scalar per update) or ``field`` (per-cell values).
+    (one optimal scalar per update) or ``field`` (per-cell optima); it
+    only decides how :func:`cell_xi` fills the one value per cell.
     """
 
-    zeta: float = 9.36
-    alpha: float = 493.75
-    mode: str = "fixed"
-    xi_fixed: float = 0.13687
-    xi_min: float = 0.011
-    xi_max: float = 0.15
-    xi_refine: float = 0.03
+    mode: str = param("fixed", (lambda v: v in ("fixed", "global", "field"),
+                                "must be fixed, global or field"))
+    zeta: float = param(9.36, NONNEGATIVE)
+    alpha: float = param(493.75, POSITIVE)
+    xi_fixed: float = param(0.13687, POSITIVE)
+    xi_min: float = param(0.011, POSITIVE)
+    xi_max: float = param(0.15, POSITIVE)
+    xi_refine: float = param(0.03, POSITIVE)
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "global", "field"):
-            raise ValueError(f"unknown regularization mode {self.mode!r}")
-        if self.zeta < 0 or self.alpha <= 0:
-            raise ValueError("zeta must be >= 0 and alpha > 0")
-        if not 0 < self.xi_min < self.xi_max:
-            raise ValueError("need 0 < xi_min < xi_max")
+        super().__post_init__()
+        if not self.xi_min < self.xi_max:
+            raise ValueError("need xi_min < xi_max")
 
     def clamp(self, xi):
         return np.clip(xi, self.xi_min, self.xi_max)
-
-
-@dataclass
-class RegularizationState:
-    """Current xi: one scalar (fixed/global) or one value per cell (field)."""
-
-    mode: str
-    value: float | np.ndarray
-
-    def at_cells(self, mesh: Mesh) -> np.ndarray:
-        if np.ndim(self.value) == 0:
-            return np.full(mesh.n_cells, float(self.value))
-        value = np.asarray(self.value, dtype=float)
-        if value.shape != (mesh.n_cells,):
-            raise ValueError(
-                f"xi field has {value.shape[0]} entries for a mesh with "
-                f"{mesh.n_cells} cells")
-        return value
-
-    def stats(self, mesh: Mesh):
-        cells = self.at_cells(mesh)
-        return float(cells.min()), float(cells.max()), float(cells.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,17 +160,14 @@ def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     return fem.apply_dirichlet(sys, pinned, values)
 
 
-def _xi_at_qp(mesh, xi: RegularizationState, nq: int):
-    return np.repeat(xi.at_cells(mesh)[:, None], nq, axis=1)
-
-
-def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
+def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
                    mat: MaterialParams
                    ) -> tuple[SparseSystem, sp.csr_matrix]:
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
     Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
-    weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``.  The
+    weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``, with
+    ``xi`` one value per cell.  The
     system is folded but not restricted: the pinned nodes change from one
     active-set sweep to the next, so each sweep restricts this one system
     with :func:`fem.apply_dirichlet`.
@@ -178,14 +177,13 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: RegularizationState,
     systems of a preload form the family ``K + s R``
     (:func:`fem.solve_with_tangents`).
     """
-    xi_qp = _xi_at_qp(mesh, xi, len(GAUSS2.weights))
-    if np.any(xi_qp <= 0.0):
+    if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive")
     drive = mat.mu * (1.0 - mat.eta) * _grad_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
     diffusion = fem.assemble_weighted_laplace(
-        mesh, 2.0 * mat.g_c * xi_qp / mat.c_v)
-    rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi_qp))
+        mesh, 2.0 * mat.g_c * xi / mat.c_v)
+    rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi))
     return fem.combine(reaction, diffusion, rhs), reaction.matrix
 
 
@@ -214,6 +212,17 @@ def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     """Per-cell xi: mean of the pointwise formula over the quadrature points."""
     v_qp = fem.field_at_qp(v)
     return xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1)
+
+
+def cell_xi(mesh: Mesh, v: ScalarField, mat: MaterialParams,
+            reg: RegularizationParams) -> np.ndarray:
+    """xi of ``reg.mode`` on each cell: the clamped ``xi_fixed``, the
+    global optimum or the per-cell field."""
+    if reg.mode == "field":
+        return xi_field(mesh, v, mat, reg)
+    if reg.mode == "global":
+        return np.full(mesh.n_cells, xi_global(mesh, v, mat, reg))
+    return np.full(mesh.n_cells, reg.clamp(reg.xi_fixed))
 
 
 def calibrate_alpha(h: float, g_c: float, c_v: float = AT1_NORMALIZATION
@@ -254,7 +263,7 @@ def crack_set(v: ScalarField, xi_cr: float) -> CrackMask:
 
 
 def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
-             xi: RegularizationState, mat: MaterialParams,
+             xi: np.ndarray, mat: MaterialParams,
              reg: RegularizationParams, *, t: float = 0.0,
              stag_iters: int = 0, converged: bool = True) -> EnergyRecord:
     """Strain / surface / penalty split of the three-field energy.
@@ -263,8 +272,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     from the surface term so the surface energy starts near zero for an
     intact body.
     """
-    nq = len(GAUSS2.weights)
-    xi_qp = _xi_at_qp(mesh, xi, nq)
+    xi_qp = fem._coefficient(mesh, xi, GAUSS2)
     v_qp = fem.field_at_qp(v)
     grad_u_sq = _grad_sq(u)
     grad_v_sq = _grad_sq(v)
@@ -275,10 +283,10 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     surface = ratio * fem.integrate(
         mesh, (1.0 - v_qp) / xi_qp + xi_qp * grad_v_sq)
     penalty = fem.integrate(mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
-    xmin, xmax, xmean = xi.stats(mesh)
     return EnergyRecord(t=t, strain=strain, surface=surface, penalty=penalty,
-                        total=strain + surface + penalty, xi_min=xmin,
-                        xi_max=xmax, xi_mean=xmean, cells=mesh.n_cells,
+                        total=strain + surface + penalty,
+                        xi_min=float(xi.min()), xi_max=float(xi.max()),
+                        xi_mean=float(xi.mean()), cells=mesh.n_cells,
                         stag_iters=stag_iters, converged=converged)
 
 
@@ -301,10 +309,11 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5
     return ScalarField(mesh, v), CrackMask(on_seed)
 
 
-def transfer_regularization(state: RegularizationState, mesh: Mesh,
-                            v: ScalarField, mat: MaterialParams,
-                            reg: RegularizationParams) -> RegularizationState:
-    """Recompute xi on a new mesh (field mode); scalars pass through."""
-    if state.mode == "field":
-        return RegularizationState("field", xi_field(mesh, v, mat, reg))
-    return replace(state)
+def transfer_regularization(xi: np.ndarray, mesh: Mesh, v: ScalarField,
+                            mat: MaterialParams, reg: RegularizationParams
+                            ) -> np.ndarray:
+    """Cell xi on a new mesh: recomputed in field mode; the one value of
+    the fixed and global modes is carried over, not re-optimized."""
+    if reg.mode == "field":
+        return xi_field(mesh, v, mat, reg)
+    return np.full(mesh.n_cells, xi[0])

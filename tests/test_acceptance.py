@@ -40,7 +40,7 @@ def field_run():
     trace = []
 
     def hook(state):
-        xi_cells = state.xi.at_cells(state.mesh)
+        xi_cells = state.xi
         k = int(np.argmin(xi_cells))
         grad = fem.grad_at_qp(state.v)
         gmag = np.sqrt((grad ** 2).sum(axis=2)).mean(axis=1)
@@ -99,7 +99,7 @@ def test_criterion_1_closed_form_and_step1_global_xi(capsys):
         loading=driver.LoadingParams(c=1.0, dt=0.01, n_max=1),
     )
     _, state = driver.run(cfg)
-    step1 = float(state.xi.value)
+    step1 = float(state.xi[0])
     rel = abs(step1 - 0.13687) / 0.13687
     _report(capsys, 1, rel < 0.02,
             f"closed-form xi = {vals[1975.0]:.5f}/{vals[7900.0]:.5f} "
@@ -134,7 +134,7 @@ def test_criterion_3_field_xi_initial_value(capsys):
                                                alpha=7900.0),
     )
     state = driver.initialize(cfg)
-    cells = state.xi.at_cells(state.mesh)
+    cells = state.xi
     uniform = float(np.ptp(cells)) < 1e-12
     closed = float(pf.xi_pointwise(1.0, 0.0, cfg.material, cfg.regularization))
     rel = abs(cells[0] - 0.03464) / 0.03464
@@ -221,8 +221,8 @@ def test_criterion_6_numerical_bedrock(capsys):
     for mesh in (build_uniform(2),
                  meshmod.refine(build_uniform(2), [0])):
         u = fem.ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
-        folded = pf.assemble_phase(mesh, u, pf.RegularizationState(
-            "fixed", 0.1), pf.MaterialParams())[0]
+        folded = pf.assemble_phase(mesh, u, np.full(mesh.n_cells, 0.1),
+                                   pf.MaterialParams())[0]
         A = fem.apply_dirichlet(folded, np.zeros(mesh.n_vertices, bool),
                                 0.0).matrix.toarray()
         spd_ok &= bool(np.allclose(A, A.T, atol=1e-10))
@@ -270,7 +270,7 @@ def test_criterion_7_invariant_suites(capsys, field_run):
     seen = []
     driver.run(cfg, snapshot_hook=lambda s: seen.append(
         (s.v.values.copy(), s.mask.pinned, s.mesh.id,
-         s.xi.at_cells(s.mesh))))
+         s.xi)))
     irrev = True
     mask_mono = True
     for (v0, m0, id0, _), (v1, m1, id1, _) in zip(seen, seen[1:]):

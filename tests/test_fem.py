@@ -431,7 +431,7 @@ def _cracked_phase_system(pinned_box=None):
                                  & (centre[:, 1] > 0.4)))
     assert len(m.constraints) > 0 and m.level_min == 3
     u = ScalarField(m, 0.1 * m.vertex_coords[:, 0] ** 2)
-    xi = pf.RegularizationState("fixed", 0.1)
+    xi = np.full(m.n_cells, 0.1)
     folded, _ = pf.assemble_phase(m, u, xi, pf.MaterialParams())
     pinned = pf.initial_crack(m, 0.5)[1].pinned.copy()
     assert pinned.any()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xifrac import cli, driver, output, phasefield as pf
+from xifrac import cli, config, driver, output, phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
 from xifrac.mesh import build_uniform, refine
@@ -98,6 +98,127 @@ def test_bundled_configs_parse_and_round_trip():
 def test_cross_field_constraint_reported():
     with pytest.raises(ConfigError):
         parse_config("mesh.level_start = 8, mesh.level_max = 7")
+
+
+# One out-of-range value per key: its config text and its Python value.
+_OUT_OF_RANGE = {
+    "material.mu": ("0", 0.0),
+    "material.G_c": ("-2.7", -2.7),
+    "material.c_v": ("0", 0.0),
+    "material.eta": ("1", 1.0),
+    "regularization.mode": ("adaptive", "adaptive"),
+    "regularization.zeta": ("-1", -1.0),
+    "regularization.alpha": ("0", 0.0),
+    "regularization.xi_fixed": ("0", 0.0),
+    "regularization.xi_min": ("0", 0.0),
+    "regularization.xi_max": ("-0.15", -0.15),
+    "regularization.xi_refine": ("0", 0.0),
+    "mesh.level_start": ("0", 0),
+    "mesh.level_max": ("0", 0),
+    "mesh.crack_y_tip": ("1.5", 1.5),
+    "loading.c": ("-1", -1.0),
+    "loading.dt": ("0", 0.0),
+    "loading.n_max": ("-1", -1),
+    "solver.staggered_tol": ("0", 0.0),
+    "solver.staggered_max_iter": ("0", 0),
+    "solver.linear_tol": ("0", 0.0),
+    "solver.linear_max_iter": ("0", 0),
+    "solver.method": ("lu", "lu"),
+    "solver.crack_tol": ("0", 0.0),
+    "amr.enabled": ("maybe", "maybe"),
+    "output.cadence": ("0", 0),
+}
+
+
+@pytest.mark.parametrize("key", list(config.KEYS))
+def test_every_key_rejects_an_out_of_range_value(key):
+    text, value = _OUT_OF_RANGE[key]
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"loading.n_max = 3\n{key} = {text}\n")
+    assert key in str(err.value) and "line 2" in str(err.value)
+    section, f, _ = config.KEYS[key]
+    params = type(getattr(driver.SimConfig(), section))
+    with pytest.raises(ValueError, match=f.name):
+        params(**{f.name: value})
+
+
+DEFAULT_MANIFEST = """# [material]
+material.mu = 80.8
+material.G_c = 2.7
+material.c_v = 2.6666666666666665
+material.eta = 1e-10
+
+# [regularization]
+regularization.mode = fixed
+regularization.zeta = 9.36
+regularization.alpha = 493.75
+regularization.xi_fixed = 0.13687
+regularization.xi_min = 0.011
+regularization.xi_max = 0.15
+regularization.xi_refine = 0.03
+
+# [mesh]
+mesh.level_start = 7
+mesh.level_max = 7
+mesh.crack_y_tip = 0.5
+
+# [loading]
+loading.c = 1.0
+loading.dt = 0.01
+loading.n_max = 120
+
+# [solver]
+solver.staggered_tol = 0.0001
+solver.staggered_max_iter = 500
+solver.linear_tol = 1e-10
+solver.linear_max_iter = 20000
+solver.method = direct
+solver.crack_tol = 0.01
+
+# [amr]
+amr.enabled = false
+
+# [output]
+output.cadence = 10
+"""
+
+KEY_REFERENCE = """\
+material.mu                      float  default=80.8
+material.G_c                     float  default=2.7
+material.c_v                     float  default=2.6666666666666665
+material.eta                     float  default=1e-10
+regularization.mode              str    default=fixed
+regularization.zeta              float  default=9.36
+regularization.alpha             float  default=493.75
+regularization.xi_fixed          float  default=0.13687
+regularization.xi_min            float  default=0.011
+regularization.xi_max            float  default=0.15
+regularization.xi_refine         float  default=0.03
+mesh.level_start                 int    default=7
+mesh.level_max                   int    default=7
+mesh.crack_y_tip                 float  default=0.5
+loading.c                        float  default=1.0
+loading.dt                       float  default=0.01
+loading.n_max                    int    default=120
+solver.staggered_tol             float  default=0.0001
+solver.staggered_max_iter        int    default=500
+solver.linear_tol                float  default=1e-10
+solver.linear_max_iter           int    default=20000
+solver.method                    str    default=direct
+solver.crack_tol                 float  default=0.01
+amr.enabled                      bool   default=false
+output.cadence                   int    default=10"""
+
+
+def test_serialized_default_config_golden():
+    # The bytes of every run_manifest.cfg after its header line.
+    assert serialize_config(driver.SimConfig()) == DEFAULT_MANIFEST
+
+
+def test_key_reference_golden(capsys):
+    assert config.describe_keys() == KEY_REFERENCE
+    assert cli.main(["keys"]) == 0
+    assert capsys.readouterr().out == KEY_REFERENCE + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +360,7 @@ def _snapshot_state(mesh, step, rng):
     u[::7] = -0.0
     v = np.where(rng.uniform(size=mesh.n_vertices) < 0.5, 1.0,
                  rng.uniform(size=mesh.n_vertices))
-    xi = pf.RegularizationState("field",
-                                rng.uniform(0.011, 0.15, mesh.n_cells))
+    xi = rng.uniform(0.011, 0.15, mesh.n_cells)
     return SimpleNamespace(mesh=mesh, step=step, t=0.01 * step,
                            u=ScalarField(mesh, u), v=ScalarField(mesh, v),
                            xi=xi)
@@ -263,7 +383,7 @@ def test_run_writer_formats_each_mesh_once(tmp_path, monkeypatch):
         writer.snapshot(state)
         want = tmp_path / f"want_{step}.vtk"
         output.write_vtk(mesh, {"u": state.u.values, "v": state.v.values},
-                         {"xi": state.xi.value, "level": mesh.cell_levels},
+                         {"xi": state.xi, "level": mesh.cell_levels},
                          want, title=f"step {step} t={state.t:g}")
         got = tmp_path / "run" / f"fields_{step:04d}.vtk"
         assert got.read_bytes() == want.read_bytes()

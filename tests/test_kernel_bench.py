@@ -154,7 +154,7 @@ def _preload_first_sweeps(mesh):
     v, mask = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
-    xi = pf.RegularizationState("field", pf.xi_field(mesh, v, mat, reg))
+    xi = pf.xi_field(mesh, v, mat, reg)
     u1 = fem.solve_field(pf.assemble_displacement(
         mesh, v, mat, *driver.boundary_displacement(mesh, 1.0, 1.0)),
         method="direct")

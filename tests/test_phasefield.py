@@ -114,16 +114,44 @@ def test_xi_field_uniform_matches_scalar():
     assert np.allclose(cells, 0.03463553454423011, atol=1e-12)
 
 
-def test_regularization_state_cells_and_stats():
+@pytest.mark.parametrize("alpha, xi0", [(7900.0, 0.0346355),
+                                        (493.75, 0.138542)])
+def test_xi_pointwise_returns_xi0_on_the_at1_profile(alpha, xi0):
+    # On the 1-D AT1 optimal profile 1 - v = (1 - |x| / 2 xi0)^2, where
+    # |grad v|^2 = (1 - v) / xi0^2, the pointwise optimum is
+    # xi0 = sqrt(G_c zeta / (c_v alpha)) at every point of |x| < 2 xi0.
+    reg = _reg(zeta=9.36, alpha=alpha, xi_max=1.0)
+    closed = np.sqrt(MAT.g_c * reg.zeta / (MAT.c_v * alpha))
+    assert closed == pytest.approx(xi0, rel=1e-5)
+    x = np.linspace(-2.0 * closed, 2.0 * closed, 11)[1:-1]
+    s = 1.0 - np.abs(x) / (2.0 * closed)
+    v, grad_sq = 1.0 - s ** 2, (s / closed) ** 2
+    xi = pf.xi_pointwise(v, grad_sq, MAT, reg)
+    assert np.max(np.abs(xi / closed - 1.0)) <= 1e-14
+
+
+def test_cell_xi_per_mode_stats_and_length():
+    # xi is one value per cell in every mode: fixed spreads the clamped
+    # xi_fixed and global its optimum.  The energies report the array's
+    # min, max and mean, and an array of the wrong length is rejected.
     mesh = build_uniform(2)
-    scalar = pf.RegularizationState("fixed", 0.1)
-    assert np.all(scalar.at_cells(mesh) == 0.1)
-    fieldlike = pf.RegularizationState("field", np.linspace(0.02, 0.05, 16))
-    lo, hi, mean = fieldlike.stats(mesh)
-    assert lo == pytest.approx(0.02)
-    assert hi == pytest.approx(0.05)
-    with pytest.raises(ValueError):
-        pf.RegularizationState("field", np.zeros(3)).at_cells(mesh)
+    u, v = constant_field(mesh, 0.0), constant_field(mesh, 1.0)
+    fixed = _reg(xi_fixed=0.5)
+    assert np.array_equal(pf.cell_xi(mesh, v, MAT, fixed),
+                          np.full(16, fixed.xi_max))
+    glob = _reg(mode="global", zeta=9.36, alpha=7900.0)
+    assert np.array_equal(pf.cell_xi(mesh, v, MAT, glob),
+                          np.full(16, pf.xi_global(mesh, v, MAT, glob)))
+    field = _reg(mode="field", zeta=9.36, alpha=7900.0)
+    assert np.array_equal(pf.cell_xi(mesh, v, MAT, field),
+                          pf.xi_field(mesh, v, MAT, field))
+    rec = pf.energies(mesh, u, v, np.linspace(0.02, 0.05, 16), MAT, _reg())
+    assert rec.xi_min == 0.02 and rec.xi_max == 0.05
+    assert rec.xi_mean == pytest.approx(0.035)
+    with pytest.raises(ValueError, match="coefficient shape"):
+        pf.energies(mesh, u, v, np.full(3, 0.1), MAT, _reg())
+    with pytest.raises(ValueError, match="coefficient shape"):
+        pf.assemble_phase(mesh, u, np.full(3, 0.1), MAT)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +215,7 @@ def test_phase_system_matches_dense(mesh_hanging):
     mesh = mesh_hanging
     x, y = mesh.vertex_coords.T
     u = ScalarField(mesh, 0.3 * x - 0.1 * y)  # constant gradient (0.3, -0.1)
-    xi = pf.RegularizationState("fixed", 0.07)
+    xi = np.full(mesh.n_cells, 0.07)
     sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
                               nothing_pinned(mesh), 0.0)
 
@@ -205,7 +233,7 @@ def test_phase_system_matches_dense(mesh_hanging):
 def test_phase_system_is_spd(mesh_hanging):
     x, _ = mesh_hanging.vertex_coords.T
     u = ScalarField(mesh_hanging, 0.1 * x)
-    xi = pf.RegularizationState("fixed", 0.1)
+    xi = np.full(mesh_hanging.n_cells, 0.1)
     folded, _ = pf.assemble_phase(mesh_hanging, u, xi, MAT)
     sys = fem.apply_dirichlet(folded, nothing_pinned(mesh_hanging), 0.0)
     np.linalg.cholesky(sys.matrix.toarray())  # raises if not SPD
@@ -217,7 +245,7 @@ def test_phase_solution_intact_body_exceeds_one():
     mesh = build_uniform(4)
     x, _ = mesh.vertex_coords.T
     u = ScalarField(mesh, 1e-3 * x)  # tiny uniform strain
-    xi = pf.RegularizationState("fixed", 0.13687)
+    xi = np.full(mesh.n_cells, 0.13687)
     sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
                               nothing_pinned(mesh), 0.0)
     v = fem.solve_field(sys, method="direct")
@@ -236,7 +264,7 @@ def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
     monkeypatch.setattr(fem, "_pcg",
                         lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
     u = ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
-    xi = pf.RegularizationState("fixed", 0.1)
+    xi = np.full(mesh.n_cells, 0.1)
     folded, _ = pf.assemble_phase(mesh, u, xi, MAT)
     sys = fem.apply_dirichlet(folded, ~nothing_pinned(mesh), 1.0)
     assert sys.matrix.shape == (0, 0)
@@ -248,7 +276,7 @@ def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
 
 def test_phase_rejects_nonpositive_xi(mesh4x4):
     u = constant_field(mesh4x4, 0.0)
-    xi = pf.RegularizationState("field", np.zeros(mesh4x4.n_cells))
+    xi = np.zeros(mesh4x4.n_cells)
     with pytest.raises(ValueError):
         pf.assemble_phase(mesh4x4, u, xi, MAT)
 
@@ -263,7 +291,7 @@ def test_energy_components_analytic():
     x, _ = mesh.vertex_coords.T
     u = ScalarField(mesh, x)
     v = constant_field(mesh, 1.0)
-    xi = pf.RegularizationState("fixed", 0.1)
+    xi = np.full(mesh.n_cells, 0.1)
     reg = _reg(zeta=9.36, alpha=493.75)
     rec = pf.energies(mesh, u, v, xi, MAT, reg)
     ratio = MAT.g_c / MAT.c_v
@@ -280,7 +308,7 @@ def test_energy_surface_term_oracle():
     x, _ = mesh.vertex_coords.T
     v = ScalarField(mesh, x)
     u = constant_field(mesh, 0.0)
-    xi = pf.RegularizationState("fixed", 0.05)
+    xi = np.full(mesh.n_cells, 0.05)
     rec = pf.energies(mesh, u, v, xi, MAT, _reg())
     ratio = MAT.g_c / MAT.c_v
     expect = ratio * (0.5 / 0.05 + 0.05)
@@ -378,11 +406,15 @@ def test_initial_crack_validates_tip():
 
 
 def test_transfer_regularization_modes():
+    # Fixed and global xi carry their one value over to the new mesh, not
+    # re-optimized; field xi is recomputed there.
     mesh = build_uniform(3)
-    reg = _reg(zeta=9.36, alpha=7900.0, mode="field")
     v = constant_field(mesh, 1.0)
-    scalar = pf.RegularizationState("global", 0.05)
-    assert pf.transfer_regularization(scalar, mesh, v, MAT, reg).value == 0.05
-    fld = pf.RegularizationState("field", np.zeros(1))
-    moved = pf.transfer_regularization(fld, mesh, v, MAT, reg)
-    assert moved.value.shape == (mesh.n_cells,)
+    old = np.full(16, 0.05)
+    for mode in ("fixed", "global"):
+        reg = _reg(zeta=9.36, alpha=7900.0, mode=mode)
+        moved = pf.transfer_regularization(old, mesh, v, MAT, reg)
+        assert np.array_equal(moved, np.full(mesh.n_cells, 0.05))
+    reg = _reg(zeta=9.36, alpha=7900.0, mode="field")
+    moved = pf.transfer_regularization(old, mesh, v, MAT, reg)
+    assert np.array_equal(moved, pf.xi_field(mesh, v, MAT, reg))
