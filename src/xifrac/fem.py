@@ -26,13 +26,17 @@ the start grid), so it factors no fine-grid system: only the small coarse
 operator ``Z^T A Z``, in the same way.  Each factor lives only for its own
 solve.
 
-A solve may be handed a guess, such as the previous load step's field.
-One residual test, ``||A x - b|| <= rtol ||b||``, decides what comes back:
-the guess itself, its Galerkin multiple ``(g.b / g.Ag) g``, or the
-solver's own answer, which the same test checks.  In an elastic load step
-the operator repeats and the Dirichlet data scale with the load, so the
+A solve may be handed a guess, such as the previous iterate of the same
+field.  One residual test, ``||A x - b|| <= rtol ||b||``, decides what
+comes back: the guess itself, its Galerkin multiple ``(g.b / g.Ag) g``,
+or else the answer of the two-level CG started from that multiple, under
+either method and to that method's ``rtol``.  In an elastic load step the
+operator repeats and the Dirichlet data scale with the load, so the
 multiple of the previous displacement already passes and nothing is
-factored.  No factor or other state is kept between solves.
+factored; in any other step CG from the multiple needs few iterations
+and factors only the coarse operator.  So the direct solver only factors
+systems that come without a guess.  No factor or other state is kept
+between solves.
 
 :func:`project` recycles earlier solutions of a family of systems, such
 as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
@@ -392,20 +396,24 @@ def _preconditioner(A, coarse):
     return precondition
 
 
-def _pcg(A, b, limit, max_iter, x0, coarse):
+def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
     """Conjugate gradients with the two-level :func:`_preconditioner` of
-    ``coarse``, started from ``x0``.
+    ``coarse``, started from ``x0``, or from zero when ``x0`` is None.
 
-    The recurrence residual only decides when to look: an iterate is
-    returned once its true residual passes :func:`_meets`, and CG restarts
-    from the true residual while it does not.  Returns the iterate,
-    whether it passed, and the number of CG iterations.
+    ``Ax0`` is ``A x0`` when the caller has already formed it; from zero,
+    ``A x`` is zero and is not formed either.  The recurrence residual
+    only decides when to look: an iterate is returned once its true
+    residual passes :func:`_meets`, and CG restarts from the true residual
+    while it does not.  Returns the iterate, whether it passed, and the
+    number of CG iterations.
     """
     precondition = _preconditioner(A, coarse)
-    x = np.zeros(b.shape[0]) if x0 is None else x0.copy()
+    if x0 is None:
+        x, Ax = np.zeros(b.shape[0]), np.zeros(b.shape[0])
+    else:
+        x, Ax = x0.copy(), (A @ x0 if Ax0 is None else Ax0)
     k = 0
     while True:
-        Ax = A @ x
         if _meets(Ax, b, limit):
             return x, True, k
         if k == max_iter:
@@ -424,6 +432,7 @@ def _pcg(A, b, limit, max_iter, x0, coarse):
             z, rz_new = precondition(r)
             p = z + (rz_new / rz) * p
             rz = rz_new
+        Ax = A @ x
 
 
 def _factor(A):
@@ -463,26 +472,35 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
               ) -> np.ndarray:
     """Solve ``sys.matrix x = sys.rhs`` to ``||Ax-b|| <= rtol ||b||``.
 
-    ``rtol`` is ``tol`` for ``"pcg"`` (CG with the two-level
-    preconditioner of :func:`_coarse` and :func:`_preconditioner`, which
-    factors only the coarse operator, once per solve) and
-    ``max(tol, 1e-8)`` for ``"direct"`` (sparse LU in symmetric mode).  On
-    a restricted system the contract applies to the free block alone.
+    ``rtol`` is ``tol`` for ``"pcg"`` and ``max(tol, 1e-8)`` for
+    ``"direct"``.  On a restricted system the contract applies to the free
+    block alone.
+
+    Without a guess, ``method`` decides: ``"direct"`` factors the system
+    (sparse LU in symmetric mode) and ``"pcg"`` runs CG with the
+    two-level preconditioner of :func:`_coarse` and
+    :func:`_preconditioner`, which factors only the coarse operator.
 
     ``guess``, one value per row, is tried before any solver work, and the
     same residual test decides each step: the guess itself is returned if
     it passes; else its Galerkin multiple ``alpha g`` with
     ``alpha = g.b / g.Ag`` (only when ``g.Ag > 0``), if that passes; else
-    the direct method factors as it would without a guess, and CG starts
-    from ``alpha g`` (or zero) instead of zero.  Every failure raises
-    :class:`LinearSolveError`, a failed coarse factorization included.
-    With no unknown, or an accepted guess, nothing is factored.
+    CG with the two-level preconditioner starts from ``alpha g`` (or from
+    zero when there is no multiple), under either method and to that
+    method's ``rtol``, so no fine system is factored.  Hand over a guess
+    that lies near the answer, such as the previous iterate of the same
+    field: CG from it then needs few iterations.  Every failure raises :class:`LinearSolveError`, a failed coarse
+    factorization and a CG that misses the contract within ``max_iter``
+    iterations included.  With no unknown, or an accepted guess, nothing
+    is factored.
     """
     A, b = sys.matrix, sys.rhs
     limit = _limit(tol, method, np.linalg.norm(b))
     if not len(b):
         return np.zeros(0)
-    x0 = None
+    if guess is None and method == "direct":
+        return _direct(A, b, limit)[0]
+    x0 = Ax0 = None
     if guess is not None:
         g = np.array(guess, dtype=float)
         Ag = A @ g
@@ -493,17 +511,16 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
             # The residual of the multiple comes from its own product, not
             # from alpha * Ag, so it is the residual of what is returned.
             x0 = (g @ b / gAg) * g
-            if _meets(A @ x0, b, limit):
+            Ax0 = A @ x0
+            if _meets(Ax0, b, limit):
                 return x0
 
-    if method == "direct":
-        return _direct(A, b, limit)[0]
-    x, met, iters = _pcg(A, b, limit, max_iter, x0, _coarse(sys))
+    x, met, iters = _pcg(A, b, limit, max_iter, x0, _coarse(sys), Ax0)
     if not met:
         rel = _relative_residual(A, x, b)
         raise LinearSolveError(
             f"PCG stopped after {iters} iterations with relative residual "
-            f"{rel:.3e} > {tol:.1e}", rel)
+            f"{rel:.3e} > {_limit(tol, method, 1.0):.1e}", rel)
     return x
 
 

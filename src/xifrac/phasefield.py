@@ -45,7 +45,8 @@ def param(default, bounds, key=None):
 
 
 class Params:
-    """Base of the parameter dataclasses: checks every field's range.
+    """Base of the parameter dataclasses: checks every field's range, and
+    that an ``int`` field holds an ``int`` and not a ``bool`` or a float.
 
     A subclass with a check across fields runs it after this one.
     """
@@ -54,6 +55,9 @@ class Params:
         for f in fields(self):
             test, reason = f.metadata["range"]
             value = getattr(self, f.name)
+            if f.type in (int, "int") and (isinstance(value, bool)
+                                           or not isinstance(value, int)):
+                raise ValueError(f"{f.name} = {value!r} must be an integer")
             if not test(value):
                 raise ValueError(f"{f.name} = {value!r} {reason}")
 

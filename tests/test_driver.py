@@ -345,8 +345,11 @@ def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
     # the step-1 operator with Dirichlet data scaled by t2 / t1 = 1.5, and
     # the Galerkin multiple of the step-1 u solves it without a
     # factorization.  The ratio is not a power of two, so that multiple and
-    # a fresh LU solve differ in their last bits, and the reference loop
-    # only matches because it passes the same guess.
+    # a fresh solve differ in their last bits, and the reference loop only
+    # matches because it passes the same guess.  The step-1 u comes from CG
+    # started at zero (u = 0 has no multiple) and meets the direct
+    # contract, rtol = 1e-8, so the step-2 u lies within kappa_2(A) rtol of
+    # the dense answer, with kappa_2 computed densely.
     cfg = small_config(
         mesh=MeshParams(level_start=3, level_max=4),
         regularization=pf.RegularizationParams(mode="field", zeta=9.36,
@@ -366,14 +369,64 @@ def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
     assert reference_staggered_step(ref, cfg) == (2, True)
 
     u_systems, factors = _label_factorizations(monkeypatch)
+    g = state.u.values
     assert staggered_step(state, cfg) == (2, True)
     assert factors == ["v"]
     assert len(u_systems) == 1
     sys = u_systems[0]
-    want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+    A, b, g = sys.matrix, sys.rhs, g[sys.free]
     got = state.u.values[sys.free]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got.tobytes() == ((g @ b / (g @ (A @ g))) * g).tobytes()
+    dense = A.toarray()
+    want = np.linalg.solve(dense, b)
+    bound = np.linalg.cond(dense) * 1e-8
+    assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
     _assert_same_state(state, ref)
+
+
+def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
+    # An elastic step at t = 0.05 on the adapted field-mode mesh, then an
+    # onset step at t = 0.07 in which v moves for several iterations, so
+    # the u guess, the previous iterate, and its multiple fail.  Every u
+    # solve then runs CG from that multiple, and factors only the coarse
+    # operator, one row per aggregate (at most 16 x 16 on the level-6
+    # start grid).  The first phase sweep is still factored, at full size,
+    # and gets its tangents.  The state matches the reference loop, which
+    # passes the same guesses, bit for bit.
+    cfg, state = _adapted_field_state()
+    _, ref = _adapted_field_state()
+    for s in (state, ref):
+        s.step, s.t = 1, 0.05
+    assert staggered_step(state, cfg) == reference_staggered_step(ref, cfg)
+    for s in (state, ref):
+        s.v_prev = s.v.copy()
+        s.step, s.t = 2, 0.07
+
+    u_systems, factors = _label_factorizations(monkeypatch)
+    rows, tangents, starts = [], [], []
+    splu, with_tangents, pcg = (fem.spla.splu, fem.solve_with_tangents,
+                                fem._pcg)
+    monkeypatch.setattr(fem.spla, "splu", lambda A, *a, **k:
+                        rows.append(A.shape[0]) or splu(A, *a, **k))
+    monkeypatch.setattr(fem, "solve_with_tangents", lambda *a, **k:
+                        tangents.append(a[0]) or with_tangents(*a, **k))
+    monkeypatch.setattr(fem, "_pcg", lambda *a: starts.append(a[4])
+                        or pcg(*a))
+    iters, converged = staggered_step(state, cfg)
+    assert (iters, converged) == reference_staggered_step(ref, cfg)
+    assert converged and iters > 2
+    _assert_same_state(state, ref)
+
+    aggregates = 4 ** (state.mesh.level_min - 2)
+    u_rows = [n for f, n in zip(factors, rows) if f == "u"]
+    assert u_rows and max(u_rows) <= aggregates
+    assert len(starts) == len(u_rows)
+    assert all(x0 is not None for x0 in starts)
+    assert tangents
+    first_sweeps = [len(sys.rhs) for sys in tangents]
+    assert min(first_sweeps) > aggregates
+    assert set(first_sweeps) <= {n for f, n in zip(factors, rows)
+                                 if f == "v"}
 
 
 def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):

@@ -608,15 +608,6 @@ def test_multiple_of_the_answer_gives_the_answer(method, solver_calls):
     assert solver_calls == []
 
 
-def test_random_guess_changes_no_direct_byte(solver_calls):
-    sys = _guess_system()
-    guess = np.random.default_rng(2).normal(size=sys.mesh.n_vertices)
-    want = solve_field(sys, method="direct")
-    got = solve_field(sys, method="direct", guess=guess)
-    assert got.values.tobytes() == want.values.tobytes()
-    assert solver_calls == ["splu", "splu"]
-
-
 def test_random_guess_starts_cg_from_its_multiple(monkeypatch):
     sys = _guess_system()
     A, b = sys.matrix, sys.rhs
@@ -636,31 +627,98 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
                                                       solver_calls,
                                                       factored_rows):
     # A zero guess has g.Ag = 0; so has a tiny one, where g.Ag underflows.
-    # Neither has a multiple, and the solver runs as without a guess:
-    # direct factors the system, and pcg factors only its coarse operator,
-    # never more rows than there are aggregates.
+    # Neither has a multiple, so CG starts from zero under either method,
+    # to that method's contract (1e-8 under direct for tol = 1e-10): the
+    # bytes of a pcg solve without a guess at that tolerance.  Only the
+    # coarse operator is factored, never more rows than there are
+    # aggregates.
     sys = _guess_system()
     g = np.full(len(sys.rhs), scale)
     assert g @ (sys.matrix @ g) == 0.0
-    want = solve_spd(sys, method=method)
-    got = solve_spd(sys, method=method, guess=g)
+    rtol = 1e-8 if method == "direct" else 1e-10
+    want = solve_spd(sys, tol=rtol, method="pcg")
+    got = solve_spd(sys, tol=1e-10, method=method, guess=g)
     assert got.tobytes() == want.tobytes()
-    if method == "direct":
-        assert solver_calls == ["splu"] * 2
-        assert factored_rows == [len(sys.rhs)] * 2
-    else:
-        assert solver_calls == ["splu", "pcg"] * 2
-        assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)
+    assert solver_calls == ["splu", "pcg"] * 2
+    assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)
 
 
-def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls):
-    # An indefinite system (SuperLU still factors it) and a guess along
-    # its negative direction: g.Ag < 0, so no multiple is formed.
+def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls,
+                                                     monkeypatch):
+    # An indefinite system and a guess along its negative direction:
+    # g.Ag < 0, so no multiple is formed and CG starts from zero, also
+    # under direct.  CG needs an SPD system, and its preconditioner
+    # refuses the negative diagonal instead of returning an answer.
     sys = fem.SparseSystem(sp.diags([1.0, -2.0, 4.0]).tocsr(),
                            np.array([1.0, 1.0, 2.0]), mesh4x4)
-    x = solve_spd(sys, method="direct", guess=np.array([0.0, 1.0, 0.0]))
-    assert np.array_equal(x, [1.0, -0.5, 0.5])
-    assert solver_calls == ["splu"]
+    starts, pcg = [], fem._pcg
+    monkeypatch.setattr(fem, "_pcg",
+                        lambda *a: starts.append(a[4]) or pcg(*a))
+    with pytest.raises(LinearSolveError, match="nonpositive diagonal"):
+        solve_spd(sys, method="direct", guess=np.array([0.0, 1.0, 0.0]))
+    assert starts == [None]
+    assert solver_calls == ["splu", "pcg"]
+
+
+def _cracked_displacement_system():
+    """The displacement system of a body broken along a band of cells, and
+    the field before it broke.
+
+    The mesh is that of :func:`_cracked_phase_system` (level 3, refined to
+    level 4 along the crack, with hanging nodes).  The band is the column
+    of level-4 cells just left of ``x = 0.5`` above ``y = 0.5``: v is 0 on
+    all their vertices, so their stiffness is ``eta mu`` with
+    ``eta = 1e-10``.  Every vertex also touches an intact cell, so the
+    system stays well conditioned.  The Dirichlet data are those of the
+    benchmark's top edge at ``t = 0.05``.  The second value is the dense
+    answer of the same load before the band broke, with v = 1
+    everywhere, as a full nodal vector: the previous staggered iterate of
+    an onset step.
+    """
+    m = _cracked_phase_system().mesh
+    x, y = m.vertex_coords.T
+    h = 1.0 / 16
+    band = (x >= 0.5 - h - 1e-12) & (x <= 0.5 + 1e-12) & (y >= 0.5 - 1e-12)
+    mat = pf.MaterialParams()
+    bc = driver.boundary_displacement(m, 0.05, 1.0)
+    before = pf.assemble_displacement(m, constant_field(m, 1.0), mat, *bc)
+    sys = pf.assemble_displacement(
+        m, ScalarField(m, np.where(band, 0.0, 1.0)), mat, *bc)
+    broken = band[m.cell_vertices].all(axis=1)
+    assert broken.any() and len(m.constraints) > 0
+    assert np.array_equal(before.free, sys.free)
+    return sys, _nodal(before, np.linalg.solve(before.matrix.toarray(),
+                                               before.rhs))
+
+
+def test_failed_guess_under_direct_runs_cg_from_its_multiple(
+        solver_calls, factored_rows, monkeypatch):
+    # The guess and its multiple both miss the direct contract (rtol
+    # 1e-8), so CG starts from the multiple, bit for bit, factors only the
+    # coarse operator and meets that contract.  Its answer then lies
+    # within kappa_2(A) rtol of the dense answer, relative in the 2-norm,
+    # with kappa_2 computed densely; the bound is far from vacuous here.
+    sys, guess = _cracked_displacement_system()
+    A, b = sys.matrix, sys.rhs
+    g = guess[sys.free]
+    rtol = 1e-8
+    multiple = (g @ b / (g @ (A @ g))) * g
+    for start in (g, multiple):
+        assert np.linalg.norm(A @ start - b) > rtol * np.linalg.norm(b)
+    starts, pcg = [], fem._pcg
+    monkeypatch.setattr(fem, "_pcg",
+                        lambda *a: starts.append(a[4]) or pcg(*a))
+    x = solve_field(sys, tol=1e-10, method="direct",
+                    guess=guess).values[sys.free]
+    assert len(starts) == 1 and starts[0].tobytes() == multiple.tobytes()
+    assert solver_calls == ["splu", "pcg"]
+    assert max(factored_rows) <= _aggregates(sys)[1] < len(b)
+    assert np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
+    dense = A.toarray()
+    want = np.linalg.solve(dense, b)
+    kappa = np.linalg.cond(dense)
+    assert kappa * rtol < 1e-3
+    assert np.linalg.norm(x - want) <= kappa * rtol * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_every_key_rejects_an_out_of_range_value(key):
         params(**{f.name: value})
 
 
+@pytest.mark.parametrize("key", [key for key, (_, _, parser) in
+                                 config.KEYS.items() if parser is int])
+def test_every_integer_key_rejects_a_float_or_a_bool(key):
+    # A config file parses with int(); a SimConfig built in code must not
+    # let 4.0 or True through either.
+    section, f, _ = config.KEYS[key]
+    params = type(getattr(driver.SimConfig(), section))
+    for value in (float(f.default), True):
+        with pytest.raises(ValueError, match=f"{f.name} = .* integer"):
+            params(**{f.name: value})
+    assert getattr(params(**{f.name: f.default}), f.name) == f.default
+
+
 DEFAULT_MANIFEST = """# [material]
 material.mu = 80.8
 material.G_c = 2.7

@@ -1,5 +1,5 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
-guessed-solve, projection, tangent and coarsening kernels.
+guessed-solve, warm-CG, projection, tangent and coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -144,6 +144,36 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
                  guess=previous)
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
+    # An onset iteration: the crack has grown from y = 0.5 to 0.45 since
+    # the previous iterate u, so neither u nor its Galerkin multiple meets
+    # the residual test, and the direct method runs CG from that multiple
+    # to its contract (rtol 1e-8).  Only the coarse operator is factored,
+    # at most 16 x 16 aggregates; a fine factorization fails the bench.
+    mat = pf.MaterialParams()
+    bc = driver.boundary_displacement(mesh, 0.05, 1.0)
+    before, sys = (pf.assemble_displacement(
+        mesh, pf.initial_crack(mesh, tip)[0], mat, *bc) for tip in (0.5, 0.45))
+    assert np.array_equal(before.free, sys.free)
+    previous = fem.solve_spd(before, method="direct")
+    A, b = sys.matrix, sys.rhs
+    multiple = (previous @ b / (previous @ (A @ previous))) * previous
+    assert np.linalg.norm(A @ multiple - b) > 1e-8 * np.linalg.norm(b)
+    splu = fem.spla.splu
+
+    def coarse_only(A, *args, **kwargs):
+        assert A.shape[0] <= 256, "a fine system was factored"
+        return splu(A, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem.spla, "splu", coarse_only)
+        x = _run(benchmark, fem.solve_spd, sys, method="direct",
+                 guess=previous)
+    assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+    want = spla.spsolve(A.tocsc(), b)
+    assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def _preload_first_sweeps(mesh):
