@@ -14,7 +14,13 @@ and loads into ``T^T b``; hanging rows and columns stay empty.
 *Restrict*: :func:`apply_dirichlet` keeps the free dofs, neither hanging
 nor pinned (one bool per vertex, with a full-length value array), so the
 solvers only ever see that SPD block; :func:`solve_field` expands the
-solution again.
+solution again.  The free sets of a run repeat (one Dirichlet set per
+mesh for u, the crack mask for each first phase sweep), so what depends
+on the free set alone is a :class:`_Plan`, cached per mesh for the few
+most recent free sets: a restriction gathers the kept values, and the
+coarse operator of the ``pcg`` solver below sums them over a cached map.
+:func:`combine` adds two systems on the mesh pattern and stays on it, so
+a folded phase operator is restricted through a cached plan as well.
 
 The direct solver factors the free block with SuperLU in symmetric mode:
 a minimum-degree ordering of ``A^T + A`` and diagonal pivots, which gives
@@ -23,8 +29,8 @@ row pivoting.  The ``pcg`` solver runs conjugate gradients with a
 two-level preconditioner, Jacobi plus a coarse solve on piecewise
 constants over aggregates of the free dofs (one per cell two levels above
 the start grid), so it factors no fine-grid system: only the small coarse
-operator ``Z^T A Z``, in the same way.  Each factor lives only for its own
-solve.
+operator ``Z^T A Z``, in the same way, summed from the free block's
+values without forming ``Z``.  Each factor lives only for its own solve.
 
 A solve may be handed a guess, such as the previous iterate of the same
 field.  One residual test, ``||A x - b|| <= rtol ||b||``, decides what
@@ -35,8 +41,8 @@ operator repeats and the Dirichlet data scale with the load, so the
 multiple of the previous displacement already passes and nothing is
 factored; in any other step CG from the multiple needs few iterations
 and factors only the coarse operator.  So the direct solver only factors
-systems that come without a guess.  No factor or other state is kept
-between solves.
+systems that come without a guess.  No factor or value is kept between
+solves: a plan holds structure only.
 
 :func:`project` recycles earlier solutions of a family of systems, such
 as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
@@ -187,8 +193,9 @@ class SparseSystem:
 
     As assembled: the folded ``T^T A T`` and ``T^T b`` over all vertices.
     After :func:`apply_dirichlet`: the free block and its reduced
-    right-hand side, with the vertex ids of its rows in ``free`` and the
-    prescribed values, full length, in ``prescribed``.
+    right-hand side, with the vertex ids of its rows in ``free``, the
+    prescribed values, full length, in ``prescribed``, and the
+    :class:`_Plan` it was restricted by in ``plan``.
     """
 
     matrix: sp.csr_matrix
@@ -196,6 +203,7 @@ class SparseSystem:
     mesh: Mesh
     free: np.ndarray | None = None
     prescribed: np.ndarray | None = None
+    plan: "_Plan | None" = None
 
 
 def quadrature_points(mesh: Mesh, rule: QuadratureRule = GAUSS2) -> np.ndarray:
@@ -279,15 +287,140 @@ def assemble_load(mesh: Mesh, density,
     return mesh.constraints.fold(b)
 
 
+def _on_pattern(A, mesh: Mesh) -> bool:
+    """Whether the CSR matrix ``A`` is built on :attr:`Mesh.csr_pattern`:
+    its index arrays are the pattern's, or the whole-array views of them
+    that scipy keeps."""
+    return all((a is b or a.base is b) and a.shape == b.shape
+               for a, b in zip((A.indptr, A.indices), mesh.csr_pattern))
+
+
 def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
             ) -> SparseSystem:
-    """Sum two folded systems assembled on the same mesh."""
+    """Sum two folded systems assembled on the same mesh.
+
+    Both matrices must lie on the mesh's pattern (:attr:`Mesh.csr_pattern`),
+    as every assembled one does; the sum adds their data and stays on it,
+    so :func:`apply_dirichlet` restricts it through a cached plan.  Unlike
+    scipy's ``a.matrix + b.matrix``, which prunes exact zeros, an entry
+    that cancels stays in the pattern as an explicit zero.
+    """
     if a.mesh is not b.mesh:
         raise ValueError("systems live on different meshes")
     if a.free is not None or b.free is not None:
         raise ValueError("combine systems before restricting them")
+    if not (_on_pattern(a.matrix, a.mesh) and _on_pattern(b.matrix, b.mesh)):
+        raise ValueError("combine takes systems on their mesh's pattern")
+    indptr, indices, _ = a.mesh.csr_pattern
     combined_rhs = a.rhs + b.rhs if rhs is None else np.array(rhs, dtype=float)
-    return SparseSystem(a.matrix + b.matrix, combined_rhs, a.mesh)
+    matrix = sp.csr_matrix((a.matrix.data + b.matrix.data, indices, indptr),
+                           shape=a.matrix.shape)
+    return SparseSystem(matrix, combined_rhs, a.mesh)
+
+
+def _frozen(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array, of ``dtype`` if given."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class _Plan:
+    """Everything that restricting and coarsening a system take from its
+    free set alone.
+
+    Built from the CSR structure ``indptr``, ``indices`` of a square
+    matrix whose row ``i`` belongs to vertex ``ids[i]`` of ``mesh``, and
+    one bool per row, ``is_free``.  It holds:
+
+    - ``free``, the vertex ids of the free rows;
+    - ``keep``, one bool per matrix entry: whether it lies in a free row
+      and a free column, so that the free block's data is ``data[keep]``;
+    - ``indptr`` and ``indices``, the CSR structure of the free block,
+      which every matrix restricted by the plan shares;
+    - ``agg``, the aggregate of each free dof (:func:`_coarse`), and
+      ``n_agg``, the number of aggregates;
+    - on first use, :attr:`coarse_pattern`.
+
+    Every array is read-only.  The CSR structures and the coarse slots are
+    int32, as scipy keeps them; ``free`` and ``agg`` are ``intp``, because
+    numpy casts any other index array on every gather, and ``agg`` is
+    gathered twice per CG iteration.
+    """
+
+    def __init__(self, mesh: Mesh, ids, indptr, indices, is_free):
+        # take() gathers by an int32 index array about twice as fast as [].
+        self.keep = _frozen(np.repeat(is_free, np.diff(indptr))
+                            & is_free.take(indices))
+        self.free = _frozen(ids[is_free], np.intp)
+        renumber = np.cumsum(is_free, dtype=np.int32) - 1
+        self.indices = _frozen(renumber.take(indices[self.keep]))
+        kept = np.zeros(len(indices) + 1, dtype=np.int32)
+        np.cumsum(self.keep, out=kept[1:])
+        self.indptr = _frozen(np.concatenate(([0], kept[indptr[1:]][is_free])),
+                              np.int32)
+        # The aggregate of a dof is the cell two levels above the start
+        # grid that holds its vertex, among the cells holding a free dof.
+        n = 1 << max(mesh.level_min - 2, 0)
+        ij = np.minimum((mesh.vertex_coords[self.free] * n).astype(np.intp),
+                        n - 1)
+        cell = ij[:, 0] * n + ij[:, 1]
+        held = np.bincount(cell, minlength=n * n) > 0
+        self.agg = _frozen((np.cumsum(held) - 1)[cell], np.intp)
+        self.n_agg = int(held.sum())
+
+    @cached_property
+    def coarse_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSC structure of the coarse operator, and where each free-block
+        entry goes in it.
+
+        Entry ``(i, j)`` of the free block adds to coarse entry
+        ``(agg[i], agg[j])``.  Returns ``(slot, indptr, indices)``: the
+        position of each free-block entry, in storage order, in the coarse
+        data, and the coarse CSC structure.  The coarse entries are found
+        by a mark over all ``n_agg^2`` codes ``column * n_agg + row``,
+        whose order is the CSC order, so nothing is sorted.
+        """
+        n = self.n_agg
+        codes = (self.agg.take(self.indices) * n
+                 + np.repeat(self.agg, np.diff(self.indptr)))
+        mark = np.zeros(n * n, dtype=bool)
+        mark[codes] = True
+        present = np.flatnonzero(mark)
+        rank = np.empty(n * n, dtype=np.int32)
+        rank[present] = np.arange(len(present))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(present // n, minlength=n), out=indptr[1:])
+        return (_frozen(rank[codes]), _frozen(indptr),
+                _frozen(present % n, np.int32))
+
+
+# Plans that apply_dirichlet keeps per mesh, the least recently used
+# dropped first.  The free sets of a run repeat: one Dirichlet set per
+# mesh for u, and the crack mask for every first phase sweep.
+_PLANS_PER_MESH = 4
+
+
+def _plan(A, mesh: Mesh, is_free: np.ndarray) -> _Plan:
+    """The plan of a folded matrix for the free set ``is_free``.
+
+    A matrix on the mesh's pattern gets a plan cached on the mesh
+    (:attr:`Mesh.restriction_plans`, ``_PLANS_PER_MESH`` of them); any
+    other gets one built from its own structure, which is not kept.
+    """
+    if not _on_pattern(A, mesh):
+        return _Plan(mesh, np.arange(A.shape[0]), A.indptr, A.indices,
+                     is_free)
+    plans = mesh.restriction_plans
+    key = is_free.tobytes()
+    if key in plans:
+        plans.move_to_end(key)
+        return plans[key]
+    plan = plans[key] = _Plan(mesh, np.arange(A.shape[0]), A.indptr,
+                              A.indices, is_free)
+    if len(plans) > _PLANS_PER_MESH:
+        plans.popitem(last=False)
+    return plan
 
 
 def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values
@@ -299,19 +432,28 @@ def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values
     are the vertices that neither hang nor are pinned; a pinned hanging
     vertex is ignored, because a hanging value always comes from its
     masters.  With ``x0 = where(pinned, values, 0)``, the result is
-    ``A[free][:, free]`` with right-hand side ``b[free] - A[free, :] x0``.
+    ``A[free][:, free]`` with right-hand side ``(b - A x0)[free]``, byte
+    for byte what scipy's indexing and ``b[free] - A[free, :] x0`` give.
     This is the only form the solvers take: pin nothing when there is no
     data.
+
+    The free set decides the :class:`_Plan` that restricts it, and only
+    the values are gathered per call: ``data[keep]`` on the plan's
+    structure.  Plans of matrices on the mesh's pattern, as assembled and
+    :func:`combine`-d systems are, are cached per mesh and free set.
     """
     if sys.free is not None:
         raise ValueError("system is already restricted to its free dofs")
     x0 = np.where(pinned, values, 0.0)
     is_free = ~pinned
     is_free[sys.mesh.constraints.hanging] = False
-    free = np.flatnonzero(is_free)
-    rows = sys.matrix[free]
-    return SparseSystem(rows[:, free], sys.rhs[free] - rows @ x0, sys.mesh,
-                        free, x0)
+    A = sys.matrix.tocsr()
+    plan = _plan(A, sys.mesh, is_free)
+    n = len(plan.free)
+    matrix = sp.csr_matrix((A.data[plan.keep], plan.indices, plan.indptr),
+                           shape=(n, n))
+    return SparseSystem(matrix, (sys.rhs - A @ x0)[plan.free], sys.mesh,
+                        plan.free, x0, plan)
 
 
 def _meets(Ax, b, limit) -> bool:
@@ -351,19 +493,28 @@ def _coarse(sys: SparseSystem):
     is.  Returns the aggregate column of each row and the SuperLU factor
     of ``A_c`` (:func:`_factor`), which never has more rows than there
     are aggregates.
+
+    Neither ``Z`` nor a sparse product is formed: the system's
+    :class:`_Plan` maps each entry of ``A`` to its coarse entry, and
+    ``A_c``'s data is one ``bincount`` of ``A``'s data over that map.  It
+    adds each coarse entry's terms in ``A``'s storage order, as scipy's
+    ``Z.T @ (A Z)`` does, and drops an exact zero as that product does,
+    so ``A_c`` is the same bit for bit.  A system restricted by
+    :func:`apply_dirichlet` brings its plan; any other gets one built
+    from its own structure.
     """
-    A, mesh = sys.matrix.tocsr(), sys.mesh
-    rows = np.arange(A.shape[0]) if sys.free is None else sys.free
-    n = 1 << max(mesh.level_min - 2, 0)
-    ij = np.minimum((mesh.vertex_coords[rows] * n).astype(np.int64), n - 1)
-    cell = ij[:, 0] * n + ij[:, 1]
-    held = np.bincount(cell, minlength=n * n) > 0
-    agg = (np.cumsum(held) - 1)[cell]
-    shape = (len(agg), int(held.sum()))
-    Z = sp.csr_matrix((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
-                      shape=shape)
-    AZ = sp.csr_matrix((A.data, agg[A.indices], A.indptr), shape=shape)
-    return agg, _factor(Z.T @ AZ)
+    A, plan = sys.matrix.tocsr(), sys.plan
+    if plan is None:
+        rows = np.arange(A.shape[0]) if sys.free is None else sys.free
+        plan = _Plan(sys.mesh, rows, A.indptr, A.indices,
+                     np.ones(A.shape[0], dtype=bool))
+    slot, indptr, indices = plan.coarse_pattern
+    data = np.bincount(slot, weights=A.data, minlength=len(indices))
+    A_c = sp.csc_matrix((data, indices, indptr), shape=(plan.n_agg,) * 2)
+    if not data.all():
+        A_c = A_c.copy()
+        A_c.eliminate_zeros()
+    return plan.agg, _factor(A_c)
 
 
 def _preconditioner(A, coarse):
@@ -489,10 +640,10 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
     zero when there is no multiple), under either method and to that
     method's ``rtol``, so no fine system is factored.  Hand over a guess
     that lies near the answer, such as the previous iterate of the same
-    field: CG from it then needs few iterations.  Every failure raises :class:`LinearSolveError`, a failed coarse
-    factorization and a CG that misses the contract within ``max_iter``
-    iterations included.  With no unknown, or an accepted guess, nothing
-    is factored.
+    field: CG from it then needs few iterations.  Every failure raises
+    :class:`LinearSolveError`, a failed coarse factorization and a CG that
+    misses the contract within ``max_iter`` iterations included.  With no
+    unknown, or an accepted guess, nothing is factored.
     """
     A, b = sys.matrix, sys.rhs
     limit = _limit(tol, method, np.linalg.norm(b))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -256,6 +257,16 @@ class Mesh:
     def cell_keys(self) -> list[tuple[int, int, int]]:
         """``(level, i, j)`` of every cell, in cell id order."""
         return list(map(tuple, self._keys.tolist()))
+
+    @cached_property
+    def restriction_plans(self) -> OrderedDict:
+        """Restriction plans of systems on this mesh, by free set, the most
+        recently used last.
+
+        An empty cache that ``fem.apply_dirichlet`` fills and bounds; kept
+        on the mesh so that the plans die with it.
+        """
+        return OrderedDict()
 
     @cached_property
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:

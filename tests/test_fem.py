@@ -1,10 +1,14 @@
 """Q1 assembly, constraint folding, restriction to free dofs and solvers."""
 
+import functools
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from xifrac import driver, fem, phasefield as pf
 from xifrac.config import parse_config
@@ -265,6 +269,101 @@ def test_combine_equals_dense_folded_sum(mesh_hanging):
     assert np.array_equal(combine(lap, mass, rhs=load).rhs, load)
 
 
+def _scipy_restriction(A, b, pinned, values, mesh):
+    """``A[free][:, free]`` and ``b[free] - A[free] x0`` by scipy's
+    indexing, the construction that ``apply_dirichlet`` replaced."""
+    x0 = np.where(pinned, values, 0.0)
+    is_free = ~pinned
+    is_free[mesh.constraints.hanging] = False
+    free = np.flatnonzero(is_free)
+    rows = A[free]
+    return fem.SparseSystem(rows[:, free], b[free] - rows @ x0, mesh, free,
+                            x0)
+
+
+def _same_bytes(got, want):
+    """Equal dtype and bytes, array by array."""
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want))
+
+
+def _csr_arrays(A):
+    return A.data, A.indices, A.indptr
+
+
+def _boundary_pins(mesh):
+    pinned = nothing_pinned(mesh)
+    pinned[mesh.boundary_vertices(BOTTOM)] = True
+    pinned[mesh.boundary_vertices(TOP)] = True
+    return pinned
+
+
+def test_combine_adds_data_on_the_mesh_pattern(mesh_hanging):
+    mesh = mesh_hanging
+    rng = np.random.default_rng(2)
+    lap = assemble_weighted_laplace(mesh, rng.uniform(0.5, 2.0,
+                                                      (mesh.n_cells, 4)))
+    mass = assemble_weighted_mass(mesh, rng.uniform(0.0, 1.0,
+                                                    (mesh.n_cells, 4)))
+    both = combine(lap, mass, rhs=assemble_load(mesh, 1.0))
+    indptr, indices, _ = mesh.csr_pattern
+    assert np.shares_memory(both.matrix.indptr, indptr)
+    assert np.shares_memory(both.matrix.indices, indices)
+    want = lap.matrix + mass.matrix
+    assert both.matrix.toarray().tobytes() == want.toarray().tobytes()
+    # Restricted and factored, it gives the bytes of scipy's sum restricted
+    # by scipy's indexing.
+    pinned = _boundary_pins(mesh)
+    got = solve_spd(apply_dirichlet(both, pinned, 0.25), method="direct")
+    old = _scipy_restriction(want, both.rhs, pinned, 0.25, mesh)
+    assert got.tobytes() == solve_spd(old, method="direct").tobytes()
+
+
+def test_combine_keeps_an_entry_that_cancels_as_an_explicit_zero(
+        mesh_hanging):
+    # The second system, on the same pattern, cancels one off-diagonal
+    # pair of the first exactly.  scipy's sum drops the pair; combine keeps
+    # it as two explicit zeros, into the free block as well.
+    mesh = mesh_hanging
+    a = combine(assemble_weighted_laplace(mesh, 1.0),
+                assemble_weighted_mass(mesh, 1.0),
+                rhs=assemble_load(mesh, 1.0))
+    indptr, indices, _ = mesh.csr_pattern
+    row = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+    pinned = _boundary_pins(mesh)
+    free = ~pinned
+    free[mesh.constraints.hanging] = False
+    p = np.flatnonzero(free[row] & free[indices] & (row != indices))[0]
+    q = np.flatnonzero((row == indices[p]) & (indices == row[p]))[0]
+    data = np.zeros(len(indices))
+    data[[p, q]] = -a.matrix.data[[p, q]]
+    b = fem.SparseSystem(sp.csr_matrix((data, indices, indptr),
+                                       shape=a.matrix.shape),
+                         np.zeros(mesh.n_vertices), mesh)
+    both = combine(a, b)
+    assert both.matrix.nnz == len(indices)
+    assert np.flatnonzero(both.matrix.data == 0.0).tolist() == sorted([p, q])
+    summed = a.matrix + b.matrix
+    assert summed.nnz == len(indices) - 2
+    assert both.matrix.toarray().tobytes() == summed.toarray().tobytes()
+    sys = apply_dirichlet(both, pinned, 0.25)
+    assert np.count_nonzero(sys.matrix.data == 0.0) == 2
+    # The explicit zeros are part of the structure that SuperLU orders, so
+    # the direct answer need not repeat the pruned system's bytes; it
+    # agrees to rounding.
+    got = solve_spd(sys, method="direct")
+    want = solve_spd(_scipy_restriction(summed, both.rhs, pinned, 0.25,
+                                        mesh), method="direct")
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_combine_takes_systems_on_the_mesh_pattern(mesh4x4):
+    a = assemble_weighted_mass(mesh4x4, 1.0)
+    copied = fem.SparseSystem(a.matrix.copy(), a.rhs, mesh4x4)
+    with pytest.raises(ValueError, match="pattern"):
+        combine(a, copied)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet conditions
 
@@ -332,6 +431,104 @@ def test_dirichlet_on_hanging_vertex_is_ignored(mesh_hanging):
     a, b = mesh.constraints.masters[h]
     assert u.values[h] == 0.5 * (u.values[a] + u.values[b])
     assert np.array_equal(u.values, solve_field(plain, method="direct").values)
+
+
+def _folded_system(mesh):
+    """A folded Laplace-plus-mass system with a load on ``mesh``, with
+    random positive weights."""
+    rng = np.random.default_rng(5)
+    return combine(
+        assemble_weighted_laplace(mesh, rng.uniform(0.5, 2.0,
+                                                    (mesh.n_cells, 4))),
+        assemble_weighted_mass(mesh, rng.uniform(0.0, 1.0,
+                                                 (mesh.n_cells, 4))),
+        rhs=assemble_load(mesh, lambda x, y: 1.0 + x * y))
+
+
+@functools.cache
+def _restriction_case():
+    return _folded_system(_crack_refined_mesh())
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_restriction_is_scipy_indexing_byte_for_byte(data):
+    # Random pinned masks and values on a mesh with hanging nodes, some of
+    # them pinned (and ignored): the plan's restriction gives the bytes of
+    # scipy's A[free][:, free] and b[free] - A[free] x0.  The same free set
+    # hits the same plan, whatever the values and the hanging pins.
+    sys = _restriction_case()
+    n = sys.mesh.n_vertices
+    pinned = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)))
+    values = np.array(data.draw(st.lists(
+        st.floats(-2.0, 2.0, allow_subnormal=False), min_size=n,
+        max_size=n)))
+    got = apply_dirichlet(sys, pinned, values)
+    want = _scipy_restriction(sys.matrix, sys.rhs, pinned, values, sys.mesh)
+    assert _same_bytes(_csr_arrays(got.matrix), _csr_arrays(want.matrix))
+    assert _same_bytes([got.rhs, got.prescribed], [want.rhs, want.prescribed])
+    assert np.array_equal(got.free, want.free)
+    pinned[sys.mesh.constraints.hanging] = data.draw(st.booleans())
+    assert apply_dirichlet(sys, pinned, -values).plan is got.plan
+
+
+def test_plan_cache_drops_the_least_recently_used_free_set():
+    sys = _folded_system(_crack_refined_mesh())
+    rng = np.random.default_rng(7)
+    masks = [rng.random(sys.mesh.n_vertices) < 0.3
+             for _ in range(fem._PLANS_PER_MESH + 1)]
+    restrict = lambda k: apply_dirichlet(sys, masks[k], 0.5)
+    first, second = restrict(0), restrict(1)
+    for k in range(2, fem._PLANS_PER_MESH):
+        restrict(k)
+    # Full; a hit makes mask 0 the most recent, so a new mask drops mask 1.
+    assert restrict(0).plan is first.plan
+    restrict(fem._PLANS_PER_MESH)
+    assert len(sys.mesh.restriction_plans) == fem._PLANS_PER_MESH
+    assert restrict(0).plan is first.plan
+    rebuilt = restrict(1)
+    assert rebuilt.plan is not second.plan
+    assert _same_bytes(_csr_arrays(rebuilt.matrix), _csr_arrays(second.matrix))
+    assert _same_bytes([rebuilt.rhs, rebuilt.free], [second.rhs, second.free])
+
+
+def test_plans_are_read_only_and_die_with_their_mesh():
+    sys = _folded_system(_crack_refined_mesh())
+    pinned = _boundary_pins(sys.mesh)
+    restricted = apply_dirichlet(sys, pinned, 1.0)
+    fem._coarse(restricted)
+    plan = restricted.plan
+    assert "coarse_pattern" in vars(plan)  # _coarse used the system's plan
+    arrays = {np.intp: (plan.free, plan.agg), np.bool_: (plan.keep,),
+              np.int32: (plan.indptr, plan.indices, *plan.coarse_pattern)}
+    for dtype, group in arrays.items():
+        for a in group:
+            assert a.dtype == dtype and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.fill(0)
+    # A mesh of the same cells is another mesh: it never sees these plans.
+    twin = _folded_system(_crack_refined_mesh())
+    assert not twin.mesh.restriction_plans
+    assert apply_dirichlet(twin, pinned, 1.0).plan is not plan
+    assert len(twin.mesh.restriction_plans) == 1
+    mesh, plan = weakref.ref(sys.mesh), weakref.ref(plan)
+    del sys, restricted
+    gc.collect()
+    assert mesh() is None and plan() is None
+
+
+def test_matrix_off_the_pattern_gets_a_plan_that_is_not_kept(mesh_hanging):
+    sys = _folded_system(mesh_hanging)
+    pinned = _boundary_pins(mesh_hanging)
+    copied = fem.SparseSystem(sys.matrix.copy(), sys.rhs, mesh_hanging)
+    got = apply_dirichlet(copied, pinned, 0.5)
+    assert not mesh_hanging.restriction_plans
+    want = apply_dirichlet(sys, pinned, 0.5)
+    assert got.plan is not want.plan
+    assert len(mesh_hanging.restriction_plans) == 1
+    assert _same_bytes(_csr_arrays(got.matrix), _csr_arrays(want.matrix))
+    assert _same_bytes([got.rhs, got.free], [want.rhs, want.free])
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +618,22 @@ def test_pcg_meets_the_true_residual_contract():
 # The two-level preconditioner
 
 
-def _cracked_phase_system(pinned_box=None):
-    """A phase system on a level-3 mesh refined along the crack, so with
-    hanging nodes, and 2 x 2 aggregates; the crack nodes are pinned, and
-    so is every vertex inside ``pinned_box`` (x0, x1, y0, y1) if given."""
+def _crack_refined_mesh():
+    """A level-3 mesh refined along the crack, so with hanging nodes, and
+    2 x 2 aggregates."""
     m = build_uniform(3)
     centre = m.cell_origin + 0.5 * m.cell_h[:, None]
     m = refine(m, np.flatnonzero((np.abs(centre[:, 0] - 0.5) < 0.2)
                                  & (centre[:, 1] > 0.4)))
     assert len(m.constraints) > 0 and m.level_min == 3
+    return m
+
+
+def _cracked_phase_system(pinned_box=None):
+    """A phase system on :func:`_crack_refined_mesh`; the crack nodes are
+    pinned, and so is every vertex inside ``pinned_box`` (x0, x1, y0, y1)
+    if given."""
+    m = _crack_refined_mesh()
     u = ScalarField(m, 0.1 * m.vertex_coords[:, 0] ** 2)
     xi = np.full(m.n_cells, 0.1)
     folded, _ = pf.assemble_phase(m, u, xi, pf.MaterialParams())
@@ -443,13 +647,14 @@ def _cracked_phase_system(pinned_box=None):
 
 
 def _aggregates(sys):
-    """The aggregate of each free dof, built vertex by vertex: the index,
-    among the cells holding a free dof, of the cell two levels above the
-    start grid that holds its vertex (closed on the far sides of the
-    square)."""
+    """The aggregate of each free dof (of each row's vertex ``i`` on a
+    system that was not restricted), built vertex by vertex: the index,
+    among the cells holding a row, of the cell two levels above the start
+    grid that holds its vertex (closed on the far sides of the square)."""
     n = 2 ** max(sys.mesh.level_min - 2, 0)
+    rows = np.arange(len(sys.rhs)) if sys.free is None else sys.free
     cells = [(min(int(x * n), n - 1), min(int(y * n), n - 1))
-             for x, y in sys.mesh.vertex_coords[sys.free]]
+             for x, y in sys.mesh.vertex_coords[rows]]
     held = sorted(set(cells))
     return np.array([held.index(c) for c in cells]), len(held)
 
@@ -500,6 +705,62 @@ def test_aggregate_without_free_dof_is_dropped():
     x = solve_spd(sys, tol=1e-12, method="pcg")
     assert np.linalg.norm(sys.matrix @ x - sys.rhs) \
         <= 1e-12 * np.linalg.norm(sys.rhs)
+
+
+def _sparse_product_coarse_operator(sys):
+    """``Z^T (A Z)`` by scipy's sparse product, with ``Z`` from
+    :func:`_aggregates` and ``A Z`` as ``A`` with each column index renamed
+    to its aggregate, duplicates kept, in canonical CSC form."""
+    A = sys.matrix.tocsr()
+    agg, count = _aggregates(sys)
+    Z = sp.csr_matrix((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
+                      shape=(len(agg), count))
+    AZ = sp.csr_matrix((A.data, agg[A.indices], A.indptr),
+                       shape=(len(agg), count))
+    want = (Z.T @ AZ).tocsc()
+    want.sum_duplicates()
+    return want
+
+
+def _hand_built_system():
+    """A 3 x 3 SPD system built by hand on a 4 x 4 mesh, not restricted:
+    rows are vertices 0 to 2, all in the one aggregate."""
+    A = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.5],
+                                [0.0, -1.5, 4.0]]))
+    return fem.SparseSystem(A, np.ones(3), build_uniform(2))
+
+
+def _cancelling_system():
+    """A 3 x 3 system built by hand on free vertices of a level-3 mesh, two
+    in aggregate 0 and one in aggregate 1, whose coupling of the two
+    aggregates sums to an exact zero."""
+    mesh = build_uniform(3)
+    free = mesh.vertex_ids(np.array([[0.125, 0.125], [0.25, 0.25],
+                                     [0.75, 0.25]]))
+    A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 2.0, -1.0],
+                                [1.0, -1.0, 3.0]]))
+    return fem.SparseSystem(A, np.ones(3), mesh, free,
+                            np.zeros(mesh.n_vertices))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _cracked_displacement_system()[0],
+    lambda: _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5)),
+    _hand_built_system,
+    _cancelling_system,
+], ids=["u", "phase-dropped-aggregate", "hand-built", "cancelling"])
+def test_coarse_operator_is_the_sparse_product_bit_for_bit(make, monkeypatch):
+    sys = make()
+    factored, factor = [], fem._factor
+    monkeypatch.setattr(fem, "_factor",
+                        lambda A: factored.append(A) or factor(A))
+    agg, _ = fem._coarse(sys)
+    assert np.array_equal(agg, _aggregates(sys)[0])
+    got, want = factored[0], _sparse_product_coarse_operator(sys)
+    assert got.format == "csc" and got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def _jacobi_cg_iterations(A, b, limit):

@@ -1,12 +1,15 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
-guessed-solve, warm-CG, projection, tangent and coarsening kernels.
+guessed-solve, warm-CG, restriction-and-coarsening, projection, tangent
+and mesh-coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
 against a reference built another way: per-call ``einsum`` local kernels
 scattered through a COO matrix and condensed by sparse products with the
-hanging-node prolongation, or ``spsolve`` with SuperLU's default
-ordering.  Rounds are fixed, so the file adds a few seconds to the suite.
+hanging-node prolongation, ``spsolve`` with SuperLU's default ordering,
+or, for the restriction and the coarse operator, scipy's fancy indexing
+and the sparse product ``Z^T (A Z)`` that the cached plans replaced.
+Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
 (it is in the ``test`` extra).
@@ -174,6 +177,66 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
     want = spla.spsolve(A.tocsc(), b)
     assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
+    # The folded u system of a cracked body, restricted to the dofs off the
+    # Dirichlet edges, and its coarse operator, on the cache-hit path: a
+    # first call outside the timing builds the plan of this free set, and
+    # each timed call gathers values only.  The result must match the old
+    # construction bit for bit: A[free][:, free] and b[free] - A[free] x0
+    # by scipy's indexing, and Z^T (A Z) by scipy's sparse product, with Z
+    # from the aggregates and A Z as A with each column index renamed to
+    # its aggregate.
+    v, _ = pf.initial_crack(mesh, 0.5)
+    mat = pf.MaterialParams()
+    weight = mat.mu * pf.degradation(fem.field_at_qp(v), mat.eta)
+    folded = fem.assemble_weighted_laplace(mesh, weight)
+    folded.rhs = fem.assemble_load(mesh, 1.0)
+    pinned, values = driver.boundary_displacement(mesh, 0.05, 1.0)
+    factored, factor = [], fem._factor
+
+    def restrict_and_coarsen():
+        sys = fem.apply_dirichlet(folded, pinned, values)
+        return sys, fem._coarse(sys)
+
+    first, _ = restrict_and_coarsen()
+    sys, (agg, _) = _run(benchmark, restrict_and_coarsen)
+    assert sys.plan is first.plan
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "_factor",
+                      lambda A: factored.append(A) or factor(A))
+        restrict_and_coarsen()
+
+    A, x0 = folded.matrix, np.where(pinned, values, 0.0)
+    is_free = ~pinned
+    is_free[mesh.constraints.hanging] = False
+    free = np.flatnonzero(is_free)
+    rows = A[free]
+    want = rows[:, free]
+    for got_a, want_a in ((sys.matrix.data, want.data),
+                          (sys.matrix.indices, want.indices),
+                          (sys.matrix.indptr, want.indptr),
+                          (sys.rhs, folded.rhs[free] - rows @ x0)):
+        assert got_a.dtype == want_a.dtype
+        assert got_a.tobytes() == want_a.tobytes()
+    n = 1 << (mesh.level_min - 2)
+    ij = np.minimum((mesh.vertex_coords[free] * n).astype(int), n - 1)
+    cell = ij[:, 0] * n + ij[:, 1]
+    held = np.bincount(cell, minlength=n * n) > 0
+    assert np.array_equal(agg, (np.cumsum(held) - 1)[cell])
+    shape = (len(free), int(held.sum()))
+    Z = sp.csr_matrix((np.ones(len(free)), agg, np.arange(len(free) + 1)),
+                      shape=shape)
+    AZ = sp.csr_matrix((want.data, agg[want.indices], want.indptr),
+                       shape=shape)
+    coarse = (Z.T @ AZ).tocsc()
+    coarse.sum_duplicates()
+    got = factored[0]
+    assert got.shape == (256, 256)
+    assert np.array_equal(got.indptr, coarse.indptr)
+    assert np.array_equal(got.indices, coarse.indices)
+    assert got.data.tobytes() == coarse.data.tobytes()
 
 
 def _preload_first_sweeps(mesh):
