@@ -128,6 +128,16 @@ def dense_dirichlet(mesh, A, b, bc):
     return A[np.ix_(free, free)], (b - A @ x0)[free]
 
 
+def lower_band(dense, k):
+    """The lower band of a square matrix in LAPACK's ``(k + 1) x n`` band
+    storage: diagonal ``-d`` in row ``d``, zero past the matrix's end."""
+    n = len(dense)
+    band = np.zeros((k + 1, n))
+    for d in range(k + 1):
+        band[d, :n - d] = np.diagonal(dense, -d)
+    return band
+
+
 def nothing_pinned(mesh):
     """A ``pinned`` mask that pins no vertex of ``mesh``."""
     return np.zeros(mesh.n_vertices, dtype=bool)

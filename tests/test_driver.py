@@ -307,13 +307,16 @@ def test_elastic_step_solves_u_once_and_assembles_phase_once(monkeypatch):
 
 
 def _label_factorizations(monkeypatch):
-    """Label each factorization "u" when it factors a displacement system
+    """Label each factorization "u" when it serves a displacement system
     assembled since the caller last cleared the returned list of them,
-    and "v" otherwise.  Returns that list and the labels, in order."""
+    and "v" otherwise; a SuperLU factor gets the label alone, the band
+    Cholesky factor of a two-level CG's coarse operator the label and
+    " coarse".  Returns that list and the labels, in order."""
     u_systems, factors, solving_u = [], [], [False]
     assemble_u, solve_spd, splu = (pf.assemble_displacement, fem.solve_spd,
                                    fem.spla.splu)
-    solve_with_tangents = fem.solve_with_tangents
+    solve_with_tangents, band_cholesky = (fem.solve_with_tangents,
+                                          fem._band_cholesky)
 
     def spy_assemble_u(*args, **kwargs):
         u_systems.append(assemble_u(*args, **kwargs))
@@ -331,10 +334,15 @@ def _label_factorizations(monkeypatch):
         factors.append("u" if solving_u[0] else "v")
         return splu(*args, **kwargs)
 
+    def spy_band_cholesky(band):
+        factors.append(("u" if solving_u[0] else "v") + " coarse")
+        return band_cholesky(band)
+
     monkeypatch.setattr(pf, "assemble_displacement", spy_assemble_u)
     monkeypatch.setattr(fem, "solve_spd", spy_solve)
     monkeypatch.setattr(fem, "solve_with_tangents", spy_solve_with_tangents)
     monkeypatch.setattr(fem.spla, "splu", spy_splu)
+    monkeypatch.setattr(fem, "_band_cholesky", spy_band_cholesky)
     return u_systems, factors
 
 
@@ -389,9 +397,10 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     # onset step at t = 0.07 in which v moves for several iterations, so
     # the u guess, the previous iterate, and its multiple fail.  Every u
     # solve then runs CG from that multiple, and factors only the coarse
-    # operator, one row per aggregate (at most 16 x 16 on the level-6
-    # start grid).  The first phase sweep is still factored, at full size,
-    # and gets its tangents.  The state matches the reference loop, which
+    # operator, by band Cholesky, one column per aggregate (at most
+    # 16 x 16 on the level-6 start grid); no u system meets SuperLU.  The
+    # first phase sweep is still factored by SuperLU, at full size, and
+    # gets its tangents.  The state matches the reference loop, which
     # passes the same guesses, bit for bit.
     cfg, state = _adapted_field_state()
     _, ref = _adapted_field_state()
@@ -404,10 +413,12 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
 
     u_systems, factors = _label_factorizations(monkeypatch)
     rows, tangents, starts = [], [], []
-    splu, with_tangents, pcg = (fem.spla.splu, fem.solve_with_tangents,
-                                fem._pcg)
+    splu, band_cholesky, with_tangents, pcg = (
+        fem.spla.splu, fem._band_cholesky, fem.solve_with_tangents, fem._pcg)
     monkeypatch.setattr(fem.spla, "splu", lambda A, *a, **k:
                         rows.append(A.shape[0]) or splu(A, *a, **k))
+    monkeypatch.setattr(fem, "_band_cholesky", lambda band:
+                        rows.append(band.shape[1]) or band_cholesky(band))
     monkeypatch.setattr(fem, "solve_with_tangents", lambda *a, **k:
                         tangents.append(a[0]) or with_tangents(*a, **k))
     monkeypatch.setattr(fem, "_pcg", lambda *a: starts.append(a[4])
@@ -418,7 +429,8 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     _assert_same_state(state, ref)
 
     aggregates = 4 ** (state.mesh.level_min - 2)
-    u_rows = [n for f, n in zip(factors, rows) if f == "u"]
+    assert "u" not in factors
+    u_rows = [n for f, n in zip(factors, rows) if f == "u coarse"]
     assert u_rows and max(u_rows) <= aggregates
     assert len(starts) == len(u_rows)
     assert all(x0 is not None for x0 in starts)
@@ -453,24 +465,32 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
         u_systems.clear()
         for s in (state, ref):
             s.v_prev = s.v.copy()
-    assert factors.count("u") == 1
+    # The one u solve, at step 1, runs CG from zero, which factors only
+    # its coarse operator.
+    assert [f for f in factors if f.startswith("u")] == ["u coarse"]
     # A solved first sweep adds its answer and three tangents, so the
     # projections meet the pin margin for several steps in a row.
-    assert factors.count("v") <= 3
+    assert len([f for f in factors if f.startswith("v")]) <= 3
 
 
 def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
         monkeypatch):
-    # The same preload under pcg: its only factors are the coarse operators
-    # of the CG preconditioner, one row per aggregate (at most 16 x 16 on a
-    # level-6 start grid), so a solved first sweep gets no tangents and
-    # adds its answer alone to the basis.
+    # The same preload under pcg: its only factors are the band Cholesky
+    # factors of the CG preconditioner's coarse operators, one column per
+    # aggregate (at most 16 x 16 on a level-6 start grid), and SuperLU is
+    # never called, so a solved first sweep gets no tangents and adds its
+    # answer alone to the basis.
     cfg, state = _adapted_field_state(solver=SolverParams(method="pcg"))
     rows, extra = [], []
-    splu = fem.spla.splu
-    monkeypatch.setattr(fem.spla, "splu",
-                        lambda A, *a, **k: rows.append(A.shape[0])
-                        or splu(A, *a, **k))
+    band_cholesky = fem._band_cholesky
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("pcg called SuperLU")
+
+    monkeypatch.setattr(fem.spla, "splu", no_splu)
+    monkeypatch.setattr(fem, "_band_cholesky",
+                        lambda band: rows.append(band.shape[1])
+                        or band_cholesky(band))
     monkeypatch.setattr(fem, "solve_with_tangents",
                         lambda *a, **k: extra.append("tangents"))
     sizes = [0]

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
 from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass, dirichlet_arrays, nothing_pinned, \
+    dense_load, dense_mass, dirichlet_arrays, lower_band, nothing_pinned, \
     sparse_prolongation
 
 
@@ -499,9 +500,9 @@ def test_plans_are_read_only_and_die_with_their_mesh():
     restricted = apply_dirichlet(sys, pinned, 1.0)
     fem._coarse(restricted)
     plan = restricted.plan
-    assert "coarse_pattern" in vars(plan)  # _coarse used the system's plan
+    assert "coarse_band" in vars(plan)  # _coarse used the system's plan
     arrays = {np.intp: (plan.free, plan.agg), np.bool_: (plan.keep,),
-              np.int32: (plan.indptr, plan.indices, *plan.coarse_pattern)}
+              np.int32: (plan.indptr, plan.indices, plan.coarse_band[0])}
     for dtype, group in arrays.items():
         for a in group:
             assert a.dtype == dtype and not a.flags.writeable
@@ -695,9 +696,9 @@ def test_aggregate_without_free_dof_is_dropped():
     # Every vertex of the lower-left aggregate is pinned: three of the four
     # aggregates hold a free dof, and the coarse operator has three rows.
     sys = _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5))
-    agg, lu = fem._coarse(sys)
+    agg, factor = fem._coarse(sys)
     want, count = _aggregates(sys)
-    assert count == 3 and lu.shape == (3, 3)
+    assert count == 3 and factor.shape[1] == 3
     assert np.array_equal(agg, want)
     got = _preconditioner_columns(sys)
     assert np.max(np.abs(got - _dense_preconditioner(sys))) \
@@ -743,24 +744,90 @@ def _cancelling_system():
                             np.zeros(mesh.n_vertices))
 
 
-@pytest.mark.parametrize("make", [
+COARSE_CASES = pytest.mark.parametrize("make", [
     lambda: _cracked_displacement_system()[0],
     lambda: _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5)),
     _hand_built_system,
     _cancelling_system,
 ], ids=["u", "phase-dropped-aggregate", "hand-built", "cancelling"])
+
+
+@COARSE_CASES
 def test_coarse_operator_is_the_sparse_product_bit_for_bit(make, monkeypatch):
+    # The band handed to the Cholesky factor is the lower triangle of
+    # Z^T (A Z), bit for bit: every entry within the band, an entry that
+    # cancels to an exact zero included, and nothing of the product
+    # outside it.
     sys = make()
-    factored, factor = [], fem._factor
-    monkeypatch.setattr(fem, "_factor",
-                        lambda A: factored.append(A) or factor(A))
+    factored, factor = [], fem._band_cholesky
+    monkeypatch.setattr(fem, "_band_cholesky",
+                        lambda band: factored.append(band.copy())
+                        or factor(band))
     agg, _ = fem._coarse(sys)
     assert np.array_equal(agg, _aggregates(sys)[0])
-    got, want = factored[0], _sparse_product_coarse_operator(sys)
-    assert got.format == "csc" and got.shape == want.shape
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
+    got, want = factored[0], _sparse_product_coarse_operator(sys).toarray()
+    k = got.shape[0] - 1
+    assert got.shape == (k + 1, len(want))
+    assert not np.tril(want, -k - 1).any()
+    assert got.tobytes() == lower_band(want, k).tobytes()
+
+
+@COARSE_CASES
+def test_banded_coarse_solve_matches_dense_solve(make):
+    sys = make()
+    _, factor = fem._coarse(sys)
+    dense = _sparse_product_coarse_operator(sys).toarray()
+    r = np.random.default_rng(11).normal(size=len(dense))
+    got, info = fem.lapack.dpbtrs(factor, r, lower=1)
+    want = np.linalg.solve(dense, r)
+    assert info == 0
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
+    # A level-4 start grid, 4 x 4 aggregates, refined twice along the
+    # crack, so with hanging nodes.  The plan's half-bandwidth is the
+    # widest coupling of the coarse operator, at most one row of
+    # aggregates and one more.
+    m = build_uniform(4, level_max=6)
+    for _ in range(2):
+        centre = m.cell_origin + 0.5 * m.cell_h[:, None]
+        m = refine(m, np.flatnonzero((np.abs(centre[:, 0] - 0.5) < 0.1)
+                                     & (centre[:, 1] > 0.4)))
+    assert len(m.constraints) > 0 and m.cell_levels.max() == 6
+    sys = apply_dirichlet(_folded_system(m), _boundary_pins(m), 1.0)
+    _, k = sys.plan.coarse_band
+    rows, cols = np.nonzero(_sparse_product_coarse_operator(sys).toarray())
+    n = 2 ** (m.level_min - 2)
+    assert k == np.max(rows - cols) <= n + 1
+
+
+def test_coarse_operator_that_is_not_spd_raises_linear_solve_error(mesh4x4):
+    # The diagonal is positive, but the one aggregate of the 4 x 4 mesh
+    # sums the matrix to A_c = -2.
+    sys = fem.SparseSystem(sp.csr_matrix(np.array([[1.0, -2.0],
+                                                   [-2.0, 1.0]])),
+                           np.ones(2), mesh4x4)
+    with pytest.raises(LinearSolveError, match="coarse Cholesky") as info:
+        solve_spd(sys, method="pcg")
+    assert info.value.residual == np.inf
+
+
+def test_coarse_map_of_a_level_8_grid_takes_a_few_megabytes():
+    # 4,096 aggregates.  A map over all n_agg^2 coarse entries peaked at
+    # 92 MB on this grid; the band map takes two int32 per free-block
+    # entry while it is built, and keeps one.
+    mesh = build_uniform(8)
+    sys = apply_dirichlet(_folded_system(mesh), _boundary_pins(mesh), 0.0)
+    assert sys.plan.n_agg == 4096
+    tracemalloc.start()
+    try:
+        slot, _ = sys.plan.coarse_band
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(slot) == sys.matrix.nnz
+    assert peak <= 3 * 4 * sys.matrix.nnz < 8e6
 
 
 def _jacobi_cg_iterations(A, b, limit):
@@ -799,7 +866,7 @@ def test_coarse_space_cuts_cg_iterations_on_64x64_systems():
         A, b = sys.matrix, sys.rhs
         limit = 1e-10 * np.linalg.norm(b)
         coarse = fem._coarse(sys)
-        assert coarse[1].shape == (256, 256)
+        assert coarse[1].shape[1] == 256
         _, met, iters = fem._pcg(A, b, limit, 20000, None, coarse)
         assert met
         assert 3 * iters <= _jacobi_cg_iterations(A, b, limit)
@@ -811,11 +878,16 @@ def test_coarse_space_cuts_cg_iterations_on_64x64_systems():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Names of the solver kernels run, in order: "splu" or "pcg"."""
+    """Names of the solver kernels run, in order: "splu" for a SuperLU
+    factor, "coarse" for the band Cholesky factor of a coarse operator,
+    or "pcg"."""
     calls = []
-    splu, pcg = fem.spla.splu, fem._pcg
+    splu, band_cholesky, pcg = fem.spla.splu, fem._band_cholesky, fem._pcg
     monkeypatch.setattr(fem.spla, "splu",
                         lambda *a, **k: calls.append("splu") or splu(*a, **k))
+    monkeypatch.setattr(fem, "_band_cholesky",
+                        lambda band: calls.append("coarse")
+                        or band_cholesky(band))
     monkeypatch.setattr(fem, "_pcg",
                         lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
     return calls
@@ -823,12 +895,16 @@ def solver_calls(monkeypatch):
 
 @pytest.fixture
 def factored_rows(solver_calls, monkeypatch):
-    """Rows of each matrix factored, in order, alongside ``solver_calls``."""
+    """Rows of each matrix factored, in order, alongside ``solver_calls``:
+    those of a SuperLU factor, or one per column of a coarse band."""
     rows = []
-    splu = fem.spla.splu
+    splu, band_cholesky = fem.spla.splu, fem._band_cholesky
     monkeypatch.setattr(fem.spla, "splu",
                         lambda A, *a, **k: rows.append(A.shape[0])
                         or splu(A, *a, **k))
+    monkeypatch.setattr(fem, "_band_cholesky",
+                        lambda band: rows.append(band.shape[1])
+                        or band_cholesky(band))
     return rows
 
 
@@ -891,8 +967,8 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
     # Neither has a multiple, so CG starts from zero under either method,
     # to that method's contract (1e-8 under direct for tol = 1e-10): the
     # bytes of a pcg solve without a guess at that tolerance.  Only the
-    # coarse operator is factored, never more rows than there are
-    # aggregates.
+    # coarse operator is factored, by band Cholesky and never by SuperLU,
+    # and it never has more rows than there are aggregates.
     sys = _guess_system()
     g = np.full(len(sys.rhs), scale)
     assert g @ (sys.matrix @ g) == 0.0
@@ -900,7 +976,7 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
     want = solve_spd(sys, tol=rtol, method="pcg")
     got = solve_spd(sys, tol=1e-10, method=method, guess=g)
     assert got.tobytes() == want.tobytes()
-    assert solver_calls == ["splu", "pcg"] * 2
+    assert solver_calls == ["coarse", "pcg"] * 2
     assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)
 
 
@@ -918,7 +994,7 @@ def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls,
     with pytest.raises(LinearSolveError, match="nonpositive diagonal"):
         solve_spd(sys, method="direct", guess=np.array([0.0, 1.0, 0.0]))
     assert starts == [None]
-    assert solver_calls == ["splu", "pcg"]
+    assert solver_calls == ["coarse", "pcg"]
 
 
 def _cracked_displacement_system():
@@ -972,7 +1048,7 @@ def test_failed_guess_under_direct_runs_cg_from_its_multiple(
     x = solve_field(sys, tol=1e-10, method="direct",
                     guess=guess).values[sys.free]
     assert len(starts) == 1 and starts[0].tobytes() == multiple.tobytes()
-    assert solver_calls == ["splu", "pcg"]
+    assert solver_calls == ["coarse", "pcg"]
     assert max(factored_rows) <= _aggregates(sys)[1] < len(b)
     assert np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
     dense = A.toarray()

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
-guessed-solve, warm-CG, restriction-and-coarsening, projection, tangent
-and mesh-coarsening kernels.
+guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
+solve, projection, tangent and mesh-coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -8,7 +8,8 @@ against a reference built another way: per-call ``einsum`` local kernels
 scattered through a COO matrix and condensed by sparse products with the
 hanging-node prolongation, ``spsolve`` with SuperLU's default ordering,
 or, for the restriction and the coarse operator, scipy's fancy indexing
-and the sparse product ``Z^T (A Z)`` that the cached plans replaced.
+and the sparse product ``Z^T (A Z)`` that the cached plans replaced,
+factored by SuperLU where the coarse level uses band Cholesky.
 Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
@@ -29,7 +30,7 @@ from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
 
-from conftest import sparse_prolongation  # noqa: E402
+from conftest import lower_band, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -143,6 +144,7 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(fem.spla, "splu", no_factor)
+        patch.setattr(fem, "_band_cholesky", no_factor)
         x = _run(benchmark, fem.solve_spd, sys, method="direct",
                  guess=previous)
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
@@ -154,7 +156,8 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     # the previous iterate u, so neither u nor its Galerkin multiple meets
     # the residual test, and the direct method runs CG from that multiple
     # to its contract (rtol 1e-8).  Only the coarse operator is factored,
-    # at most 16 x 16 aggregates; a fine factorization fails the bench.
+    # by band Cholesky, at most 16 x 16 aggregates; a SuperLU call fails
+    # the bench.
     mat = pf.MaterialParams()
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     before, sys = (pf.assemble_displacement(
@@ -164,14 +167,18 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     A, b = sys.matrix, sys.rhs
     multiple = (previous @ b / (previous @ (A @ previous))) * previous
     assert np.linalg.norm(A @ multiple - b) > 1e-8 * np.linalg.norm(b)
-    splu = fem.spla.splu
+    band_cholesky = fem._band_cholesky
 
-    def coarse_only(A, *args, **kwargs):
-        assert A.shape[0] <= 256, "a fine system was factored"
-        return splu(A, *args, **kwargs)
+    def no_splu(*args, **kwargs):
+        raise AssertionError("a system was factored by SuperLU")
+
+    def coarse_only(band):
+        assert band.shape[1] <= 256, "a fine system was factored"
+        return band_cholesky(band)
 
     with monkeypatch.context() as patch:
-        patch.setattr(fem.spla, "splu", coarse_only)
+        patch.setattr(fem.spla, "splu", no_splu)
+        patch.setattr(fem, "_band_cholesky", coarse_only)
         x = _run(benchmark, fem.solve_spd, sys, method="direct",
                  guess=previous)
     assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
@@ -179,22 +186,40 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
 
 
+def _reference_coarse(mesh, free, A):
+    """The aggregate of each free dof and ``Z^T (A Z)`` in canonical CSC
+    form, by scipy's sparse product: ``Z`` from the aggregates and ``A Z``
+    as the free block ``A`` with each column index renamed to its
+    aggregate."""
+    n = 1 << (mesh.level_min - 2)
+    ij = np.minimum((mesh.vertex_coords[free] * n).astype(int), n - 1)
+    cell = ij[:, 0] * n + ij[:, 1]
+    held = np.bincount(cell, minlength=n * n) > 0
+    agg = (np.cumsum(held) - 1)[cell]
+    shape = (len(free), int(held.sum()))
+    Z = sp.csr_matrix((np.ones(len(free)), agg, np.arange(len(free) + 1)),
+                      shape=shape)
+    AZ = sp.csr_matrix((A.data, agg[A.indices], A.indptr), shape=shape)
+    coarse = (Z.T @ AZ).tocsc()
+    coarse.sum_duplicates()
+    return agg, coarse
+
+
 def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     # The folded u system of a cracked body, restricted to the dofs off the
     # Dirichlet edges, and its coarse operator, on the cache-hit path: a
-    # first call outside the timing builds the plan of this free set, and
-    # each timed call gathers values only.  The result must match the old
-    # construction bit for bit: A[free][:, free] and b[free] - A[free] x0
-    # by scipy's indexing, and Z^T (A Z) by scipy's sparse product, with Z
-    # from the aggregates and A Z as A with each column index renamed to
-    # its aggregate.
+    # first call outside the timing builds the plan of this free set and
+    # its band map, and each timed call gathers values, sums the band and
+    # factors it.  The result must match the old construction bit for
+    # bit: A[free][:, free] and b[free] - A[free] x0 by scipy's indexing,
+    # and the lower triangle of Z^T (A Z) by scipy's sparse product.
     v, _ = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     weight = mat.mu * pf.degradation(fem.field_at_qp(v), mat.eta)
     folded = fem.assemble_weighted_laplace(mesh, weight)
     folded.rhs = fem.assemble_load(mesh, 1.0)
     pinned, values = driver.boundary_displacement(mesh, 0.05, 1.0)
-    factored, factor = [], fem._factor
+    factored, factor = [], fem._band_cholesky
 
     def restrict_and_coarsen():
         sys = fem.apply_dirichlet(folded, pinned, values)
@@ -204,8 +229,9 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     sys, (agg, _) = _run(benchmark, restrict_and_coarsen)
     assert sys.plan is first.plan
     with monkeypatch.context() as patch:
-        patch.setattr(fem, "_factor",
-                      lambda A: factored.append(A) or factor(A))
+        patch.setattr(fem, "_band_cholesky",
+                      lambda band: factored.append(band.copy())
+                      or factor(band))
         restrict_and_coarsen()
 
     A, x0 = folded.matrix, np.where(pinned, values, 0.0)
@@ -220,23 +246,40 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
                           (sys.rhs, folded.rhs[free] - rows @ x0)):
         assert got_a.dtype == want_a.dtype
         assert got_a.tobytes() == want_a.tobytes()
-    n = 1 << (mesh.level_min - 2)
-    ij = np.minimum((mesh.vertex_coords[free] * n).astype(int), n - 1)
-    cell = ij[:, 0] * n + ij[:, 1]
-    held = np.bincount(cell, minlength=n * n) > 0
-    assert np.array_equal(agg, (np.cumsum(held) - 1)[cell])
-    shape = (len(free), int(held.sum()))
-    Z = sp.csr_matrix((np.ones(len(free)), agg, np.arange(len(free) + 1)),
-                      shape=shape)
-    AZ = sp.csr_matrix((want.data, agg[want.indices], want.indptr),
-                       shape=shape)
-    coarse = (Z.T @ AZ).tocsc()
-    coarse.sum_duplicates()
+    want_agg, coarse = _reference_coarse(mesh, free, want)
+    assert np.array_equal(agg, want_agg)
+    dense = coarse.toarray()
     got = factored[0]
-    assert got.shape == (256, 256)
-    assert np.array_equal(got.indptr, coarse.indptr)
-    assert np.array_equal(got.indices, coarse.indices)
-    assert got.data.tobytes() == coarse.data.tobytes()
+    k = got.shape[0] - 1
+    assert got.shape == (k + 1, 256) and k <= 17
+    assert not np.tril(dense, -k - 1).any()
+    assert got.tobytes() == lower_band(dense, k).tobytes()
+
+
+def test_bench_coarse_factor_and_solve(benchmark, mesh):
+    # The coarse level of one two-level CG solve of the cracked u system:
+    # the band Cholesky factor of its coarse operator (256 aggregates,
+    # half-bandwidth at most 17), from a plan whose band map is built,
+    # and 40 coarse solves, about one per CG iteration.  Each answer must
+    # match SuperLU's on Z^T (A Z) from the sparse product.
+    v, _ = pf.initial_crack(mesh, 0.5)
+    bc = driver.boundary_displacement(mesh, 0.05, 1.0)
+    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
+    fem._coarse(sys)
+    _, k = sys.plan.coarse_band
+    assert sys.plan.n_agg == 256 and k <= 17
+    rhs = np.random.default_rng(2).normal(size=(40, 256))
+
+    def factor_and_solve():
+        _, factor = fem._coarse(sys)
+        return [fem.lapack.dpbtrs(factor, r, lower=1)[0] for r in rhs]
+
+    got = _run(benchmark, factor_and_solve)
+    _, coarse = _reference_coarse(mesh, sys.free, sys.matrix)
+    lu = spla.splu(coarse)
+    for x, r in zip(got, rhs):
+        want = lu.solve(r)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def _preload_first_sweeps(mesh):
