@@ -10,7 +10,7 @@ stops there and counts the identical iteration it skips, so the
 Each displacement solve starts from the current u (see
 :func:`fem.solve_spd`): in an elastic step the Galerkin multiple of the
 previous step's u already meets the solver's residual test, so the step
-factors no displacement system; otherwise the two-level CG starts from
+factors no displacement system; otherwise the deflated CG starts from
 that multiple, under ``direct`` too, and factors only its coarse
 operator.  The phase sweeps have no guess, and ``solver.method`` decides
 how they are solved.

@@ -8,12 +8,14 @@ code is meaningful.
 
 import itertools
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from xifrac import mesh as meshmod, phasefield as pf
+from xifrac import driver, fem, mesh as meshmod, phasefield as pf
+from xifrac.config import parse_config
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,23 @@ def lower_band(dense, k):
     for d in range(k + 1):
         band[d, :n - d] = np.diagonal(dense, -d)
     return band
+
+
+def global_pcg_systems():
+    """The u and first phase systems, restricted, of the global-xi
+    benchmark state on the 64 x 64 grid (256 aggregates), loaded to
+    t = 0.1."""
+    path = Path(__file__).parents[1] / "configs" / "global_xi_128.cfg"
+    cfg = parse_config(path.read_text(), {
+        "mesh.level_start": "6", "mesh.level_max": "6",
+        "solver.method": "pcg"})
+    state = driver.initialize(cfg)
+    u_sys = pf.assemble_displacement(
+        state.mesh, state.v, cfg.material,
+        *driver.boundary_displacement(state.mesh, 0.1, cfg.loading.c))
+    u = fem.solve_field(u_sys, method="direct")
+    folded, _ = pf.assemble_phase(state.mesh, u, state.xi, cfg.material)
+    return u_sys, fem.apply_dirichlet(folded, state.mask.pinned, 0.0)
 
 
 def nothing_pinned(mesh):

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, projection, tangent and mesh-coarsening kernels.
+solve, deflated-CG, projection, tangent and mesh-coarsening kernels.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -9,13 +9,18 @@ scattered through a COO matrix and condensed by sparse products with the
 hanging-node prolongation, ``spsolve`` with SuperLU's default ordering,
 or, for the restriction and the coarse operator, scipy's fancy indexing
 and the sparse product ``Z^T (A Z)`` that the cached plans replaced,
-factored by SuperLU where the coarse level uses band Cholesky.
+factored by SuperLU where the coarse level uses band Cholesky.  The
+deflated-CG bench runs on the 64 x 64 systems of the ``global_pcg``
+benchmark instead, and records its CG iterations and the cost of a
+plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``).
 Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
 (it is in the ``test`` extra).
 """
 
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +35,8 @@ from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
 
-from conftest import lower_band, sparse_prolongation  # noqa: E402
+from conftest import global_pcg_systems, lower_band, \
+    sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -226,7 +232,7 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
         return sys, fem._coarse(sys)
 
     first, _ = restrict_and_coarsen()
-    sys, (agg, _) = _run(benchmark, restrict_and_coarsen)
+    sys, (agg, _, _) = _run(benchmark, restrict_and_coarsen)
     assert sys.plan is first.plan
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_band_cholesky",
@@ -271,7 +277,7 @@ def test_bench_coarse_factor_and_solve(benchmark, mesh):
     rhs = np.random.default_rng(2).normal(size=(40, 256))
 
     def factor_and_solve():
-        _, factor = fem._coarse(sys)
+        _, factor, _ = fem._coarse(sys)
         return [fem.lapack.dpbtrs(factor, r, lower=1)[0] for r in rhs]
 
     got = _run(benchmark, factor_and_solve)
@@ -280,6 +286,57 @@ def test_bench_coarse_factor_and_solve(benchmark, mesh):
     for x, r in zip(got, rhs):
         want = lu.solve(r)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module")
+def global_pcg():
+    """The u and phase systems of the 64 x 64 global-xi benchmark state."""
+    return dict(zip(("u", "phase"), global_pcg_systems()))
+
+
+@pytest.mark.parametrize("name", ["u", "phase"])
+def test_bench_deflated_cg(benchmark, global_pcg, name):
+    # One pcg solve of a 64 x 64 system from zero at rtol 1e-10: the coarse
+    # band, W = Z^T A and the deflated CG, on the cache-hit path.  The
+    # iterations go in extra_info next to the time (29 for u, 35 for the
+    # phase system when written), and so does what the map of W costs
+    # when the plan cache misses: the best of ROUNDS builds on fresh plans
+    # of the same free set, and the build's traced peak per free-block
+    # entry.  The answer must match SuperLU's, and W the sparse product.
+    sys = global_pcg[name]
+    A, b = sys.matrix, sys.rhs
+    limit = 1e-10 * np.linalg.norm(b)
+
+    def solve():
+        return fem._pcg(A, b, limit, 20000, None, fem._coarse(sys))
+
+    x, met, iters = _run(benchmark, solve)
+    assert met
+    builds = []
+    for _ in range(ROUNDS):
+        plan = fem._Plan(sys.mesh, sys.free, A.indptr, A.indices,
+                         np.ones(len(b), dtype=bool))
+        start = time.perf_counter()
+        plan.coarse_rows
+        builds.append(time.perf_counter() - start)
+    plan = fem._Plan(sys.mesh, sys.free, A.indptr, A.indices,
+                     np.ones(len(b), dtype=bool))
+    tracemalloc.start()
+    try:
+        plan.coarse_rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info.update(
+        iterations=iters, coarse_rows_build_ms=1e3 * min(builds),
+        coarse_rows_peak_bytes_per_entry=peak / A.nnz)
+    want = spla.spsolve(A.tocsc(), b)
+    assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
+    agg, _ = _reference_coarse(sys.mesh, sys.free, A)
+    Z = sp.csr_matrix((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
+                      shape=(len(agg), 256))
+    W = fem._coarse(sys)[2]
+    assert abs(W - Z.T @ A).max() <= 1e-15 * abs(W).max()
 
 
 def _preload_first_sweeps(mesh):
