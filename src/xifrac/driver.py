@@ -15,26 +15,26 @@ that multiple, under ``direct`` too, and factors only its coarse
 operator.  The phase sweeps have no guess, and ``solver.method`` decides
 how they are solved.
 
-The first active-set sweep of a phase solve is projected onto
-``SimState.phase_basis``, orthonormal rows spanning the latest
-first-sweep solutions the solver returned (see :func:`fem.project`).  In
-an elastic preload the mesh, xi and crack mask stay fixed and only the
-strain drive grows with the load, so these systems form one family
-``K + s R`` and the projection often meets the residual test.  If it
-also pins some node and every free node lies clear of the pin threshold
-by its error margin, it only decides which nodes to pin, and the sweep
-factors nothing; otherwise the sweep is solved.  Under ``direct`` the
-same factor also gives three tangents of the family along ``R``, the
+Under ``direct``, the first active-set sweep of a phase solve is
+projected onto ``SimState.phase_basis``, orthonormal rows spanning the
+latest first-sweep solutions and their tangents (see
+:func:`fem.project`).  In an elastic preload the mesh, xi and crack mask
+stay fixed and only the strain drive grows with the load, so these
+systems form one family ``K + s R`` and the projection often meets the
+residual test.  If it also pins some node and every free node lies clear
+of the pin threshold by its error margin, it only decides which nodes to
+pin, and the sweep factors nothing; otherwise the sweep is solved, and
+the same factor also gives three tangents of the family along ``R``, the
 strain-drive mass of :func:`phasefield.assemble_phase`
-(:func:`fem.solve_with_tangents`), and they join the basis with the
-answer; they keep the projections within the pin margin for several
-load steps.  ``pcg`` has no factor of the fine system: its answer joins
-alone, and it keeps no ``R``.  The basis is emptied whenever the family
-changes, by a mesh change in :func:`amr_pass` or by an iteration that
-changes xi or the mask in :func:`staggered_step`.  Every returned field
-is a solver's answer to an active set that the margin makes independent
-of the basis, as long as the margin bounds the projection's true error
-(see :func:`_pins_clearly`); that is not checked at run time.
+(:func:`fem.solve_with_tangents`), which join the basis with the answer
+and keep the projections within the pin margin for several load steps.
+Under ``pcg``, which has no fine factor, every sweep is a plain solve.
+The basis is emptied whenever the family changes, by a mesh change in
+:func:`amr_pass` or by an iteration that changes xi or the mask in
+:func:`staggered_step`.  Every returned field is a solver's answer to an
+active set that the margin makes independent of the basis, as long as
+the margin bounds the projection's true error (see
+:func:`_pins_clearly`); that is not checked at run time.
 
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
@@ -119,9 +119,9 @@ class SimState:
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
-    # Orthonormal rows of free values, newest first, spanning the latest
-    # first-sweep phase solutions of the current family and, under direct,
-    # their tangents (fem.extend_basis).
+    # Under direct, orthonormal rows of free values, newest first, spanning
+    # the latest first-sweep phase solutions of the current family and their
+    # tangents (fem.extend_basis).
     phase_basis: list[np.ndarray] = dc_field(default_factory=list)
 
 
@@ -188,31 +188,26 @@ def _pins_clearly(sys, v: fem.ScalarField, threshold, open_, tol) -> bool:
     return bool(np.any(over > 0) and np.all(np.abs(over) * bmax > margin))
 
 
-def _first_sweep(state: SimState, sys, solve, sol: SolverParams,
-                 threshold, open_, reaction) -> fem.ScalarField:
-    """Sweep 1 of a phase solve, projected onto ``state.phase_basis`` first.
+def _first_sweep(state: SimState, sys, sol: SolverParams, threshold, open_,
+                 reaction) -> fem.ScalarField:
+    """Sweep 1 of a direct phase solve, projected onto the basis first.
 
     Returns either a field that depends on the basis but pins clearly
     (:func:`_pins_clearly`), so that only its pin decision is used, or the
-    solver's answer started from nothing.  An accepted projection that
-    pins clearly comes back as it is and leaves the basis alone.  Else
-    the sweep is solved once, without the basis: ``direct`` solves with
-    :func:`fem.solve_with_tangents`, and the answer and its ``_TANGENTS``
-    tangents along the reaction ``reaction`` join the basis; ``pcg``,
-    which has no factor of the fine system, solves from zero and the
-    answer alone joins it.  The basis keeps at most ``_PHASE_BASIS``
+    direct solver's answer.  An accepted projection that pins clearly
+    comes back as it is and leaves the basis alone.  Else the sweep is
+    solved once, without the basis, by :func:`fem.solve_with_tangents`,
+    and the answer and its ``_TANGENTS`` tangents along the reaction
+    ``reaction`` join the basis, which keeps at most ``_PHASE_BASIS``
     orthonormal rows (:func:`fem.extend_basis`).
     """
     projected, accepted = fem.project(sys, state.phase_basis,
-                                      tol=sol.linear_tol, method=sol.method)
+                                      tol=sol.linear_tol)
     if accepted and _pins_clearly(sys, projected, threshold, open_,
                                   sol.linear_tol):
         return projected
-    if sol.method == "direct":
-        v, tangents = fem.solve_with_tangents(sys, reaction, _TANGENTS,
-                                              tol=sol.linear_tol)
-    else:
-        v, tangents = solve(sys), []
+    v, tangents = fem.solve_with_tangents(sys, reaction, _TANGENTS,
+                                          tol=sol.linear_tol)
     fem.extend_basis(state.phase_basis, [v.values[sys.free], *tangents],
                      _PHASE_BASIS)
     return v
@@ -233,12 +228,12 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     Returns the solution and False when the active set was still growing
     after ``_MAX_ACTIVE_SET`` sweeps.
 
-    ``solve(sys, guess=None)`` solves one sweep.  The first sweep, which
-    pins only the crack mask, goes through :func:`_first_sweep`: it is
-    projected onto ``state.phase_basis``, and when it has to be solved,
-    the solver's answer (under ``direct`` with its tangents along the
-    strain-drive mass) fills the basis.  A first-sweep field that depends
-    on the basis is used only when it pins some node and clears the pin
+    ``solve(sys, guess=None)`` solves one sweep.  Under ``direct`` the
+    first sweep, which pins only the crack mask, goes through
+    :func:`_first_sweep`: it is projected onto ``state.phase_basis``, and
+    when it has to be solved, the answer and its tangents along the
+    strain-drive mass fill the basis.  A first-sweep field that depends on
+    the basis is used only when it pins some node and clears the pin
     threshold by its error margin; the next sweep then solves with those
     nodes pinned, so the returned field is always a solver's answer.
     Emptying the basis is up to the callers.
@@ -247,17 +242,14 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     pinned = state.mask.pinned.copy()
     values = np.where(pinned, 0.0, upper)
     folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
-    if sol.method != "direct":
-        reaction = None  # tangents need a fine factor: pcg keeps no R
     threshold = upper + 1e-12
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
         sys = fem.apply_dirichlet(folded, pinned, values)
-        if sweep:
+        if sweep or sol.method != "direct":
             v = solve(sys)
         else:
-            v = _first_sweep(state, sys, solve, sol, threshold, ~pinned,
-                             reaction)
+            v = _first_sweep(state, sys, sol, threshold, ~pinned, reaction)
         grow = (v.values > threshold) & ~pinned
         if not grow.any():
             return v, True

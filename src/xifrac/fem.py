@@ -18,8 +18,8 @@ solution again.  The free sets of a run repeat (one Dirichlet set per
 mesh for u, the crack mask for each first phase sweep), so what depends
 on the free set alone is a :class:`_Plan`, cached per mesh for the few
 most recent free sets: a restriction gathers the kept values, and the
-``pcg`` solver below sums them into its coarse operator's band and into
-``W = Z^T A`` over cached maps.
+``pcg`` solver below sums them into ``W = Z^T A``, and W's values into
+its coarse operator's band, over one cached map.
 :func:`combine` adds two systems on the mesh pattern and stays on it, so
 a folded phase operator is restricted through a cached plan as well.
 
@@ -35,9 +35,9 @@ coarse space misses.  On the 64 x 64 benchmark systems that takes about
 30 % fewer iterations than the additive coarse correction
 ``D^-1 + Z E^-1 Z^T`` on the same aggregates, at the same cost per
 iteration.  It factors no fine-grid system and calls no SuperLU: the
-small coarse operator ``E = Z^T A Z`` is banded, because the aggregates
-are numbered row by row, so it is summed straight into LAPACK's band
-storage from the free block's values, without forming ``Z``, and
+small coarse operator ``E = Z^T A Z = W Z`` is banded, because the
+aggregates are numbered row by row, so it is summed straight into
+LAPACK's band storage from W's values, without forming ``Z``, and
 factored by band Cholesky.  Each factor lives only for its own solve.
 
 A solve may be handed a guess, such as the previous iterate of the same
@@ -56,10 +56,10 @@ solves: a plan holds structure only.
 as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
 strain drive ``s`` grows with the load: it solves the Galerkin system on
 the span of orthonormal rows, kept up to date by :func:`extend_basis` as
-vectors enter, and hands back the result with the verdict of the same
-residual test.  :func:`solve_with_tangents` feeds such a basis: with the
-factor of one direct solve in hand, a few triangular solves give the
-tangents ``(A^-1 R)^j x`` of the family at that member, so a projection
+vectors enter, and hands back the result with the verdict of the direct
+solver's residual test.  :func:`solve_with_tangents` feeds such a basis:
+with the factor of one direct solve in hand, a few triangular solves give
+the tangents ``(A^-1 R)^j x`` of the family at that member, so a projection
 onto the answer and its tangents matches the family's Taylor series to
 that order (moment matching, as in Pade-via-Lanczos model reduction).
 A caller may use an accepted projection to decide what to do next, but
@@ -349,7 +349,7 @@ class _Plan:
       which every matrix restricted by the plan shares;
     - ``agg``, the aggregate of each free dof (:func:`_coarse`), and
       ``n_agg``, the number of aggregates;
-    - on first use, :attr:`coarse_band` and :attr:`coarse_rows`.
+    - on first use, :attr:`coarse_rows`.
 
     Every array is read-only.  The CSR structures and the slots are
     int32, as scipy keeps the first; ``free`` and ``agg`` are ``intp``,
@@ -379,74 +379,75 @@ class _Plan:
         self.n_agg = int(held.sum())
 
     @cached_property
-    def coarse_band(self) -> tuple[np.ndarray, int]:
-        """Where each free-block entry goes in the coarse operator's band.
+    def coarse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray, int]:
+        """Where each free-block entry goes in ``W = Z^T A``, and each entry
+        of ``W`` in the band of ``E = Z^T A Z = W Z``.
 
-        Entry ``(i, j)`` of the free block adds to coarse entry
-        ``(I, J) = (agg[i], agg[j])``.  Returns ``(slot, k)``: the
-        half-bandwidth ``k``, the largest ``I - J``, and the position of
-        each entry, in storage order, in LAPACK's lower band storage of
-        the coarse operator, ``(k + 1) x n_agg`` in column-major order:
-        ``(I - J) + (k + 1) J`` when ``I >= J``.  An entry above the
-        diagonal goes to one extra slot past the band, which is dropped.
-
-        The aggregates are cells two levels above the start grid, numbered
-        row by row, and no cell is coarser than the start grid, hanging
-        masters included, so an entry couples neighbouring aggregates
-        only and ``k`` is at most ``n + 1`` for ``n`` aggregates per side.
-        Building the map takes two int32 arrays of one value per entry,
-        and it keeps one of them.
-        """
-        agg = self.agg.astype(np.int32)
-        # [] rather than take(), which would copy the indices as intp.
-        col = agg[self.indices]
-        below = np.repeat(agg, np.diff(self.indptr))
-        below -= col
-        k = int(below.max(initial=0))
-        col *= k + 1
-        col += below
-        np.putmask(col, below < 0, (k + 1) * self.n_agg)
-        return _frozen(col), k
-
-    @cached_property
-    def coarse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where each free-block entry goes in ``W = Z^T A``.
-
-        Entry ``(i, j)`` of the free block adds to ``W[agg[i], j]``.
-        Returns ``(indptr, indices, slot)``: the CSR structure of ``W``,
+        Entry ``(i, j)`` of the free block adds to ``W[agg[i], j]``, and
+        entry ``(I, j)`` of ``W`` to ``E[I, J]``, ``J = agg[j]``.  Returns
+        ``(indptr, indices, slot, band, k)``: the CSR structure of ``W``,
         one row per aggregate and one column per free dof, with sorted
-        columns, and the position of each entry, in storage order, in
-        ``W``'s data.  An entry of ``W`` whose terms cancel stays in the
-        structure.
+        columns (an entry whose terms cancel stays in it); the position of
+        each free-block entry, in storage order, in ``W``'s data; the
+        position of each entry of ``W`` in LAPACK's lower band storage of
+        ``E``, ``(k + 1) x n_agg`` in column-major order, which is
+        ``(I - J) + (k + 1) J`` when ``I >= J`` and else one extra slot
+        past the band, which is dropped; and the half-bandwidth ``k``, the
+        largest ``I - J``.  The aggregates are cells two levels above the
+        start grid, numbered row by row, and no cell is coarser than the
+        start grid, hanging masters included, so an entry couples
+        neighbouring aggregates only and ``k`` is at most ``n + 1`` for
+        ``n`` aggregates per side.
 
-        Two stable counting sorts, scipy's CSR-to-CSC conversions of the
-        entry numbers, order the entries by column and then by aggregate,
-        so the terms of each entry of ``W`` end up next to each other:
-        O(nnz) work over int32 arrays of one value per entry, of which
-        the map keeps one.
+        The free block's rows, grouped by aggregate, are the rows of one
+        CSR matrix of entry numbers, which scipy sorts by column in place;
+        an entry of ``W`` starts at each change of column.  At most three
+        int32 arrays of one value per entry are alive at once, and the map
+        keeps one of them.
         """
-        n = len(self.free)
-        entry = np.arange(len(self.indices), dtype=np.int32)
-        by_col = sp.csr_matrix((entry, self.indices, self.indptr),
-                               shape=(n, n)).tocsc()
+        n, nnz = len(self.free), len(self.indices)
+        order = np.argsort(self.agg, kind="stable")
+        lengths = np.diff(self.indptr)[order]
+        starts = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(lengths, out=starts[1:])
+        # The entry numbers, row by row in aggregate order.
+        entry = np.arange(nnz, dtype=np.int32)
+        entry += np.repeat(self.indptr[:-1][order] - starts[:-1], lengths)
+        rows = starts[np.concatenate(([0], np.cumsum(
+            np.bincount(self.agg, minlength=self.n_agg))))]
+        del order, lengths, starts
+        # [] rather than take(), which would copy the entries as intp.
+        grouped = sp.csr_matrix((entry, self.indices[entry], rows),
+                                shape=(self.n_agg, n))
         del entry
-        agg = self.agg.astype(np.int32)
-        by_agg = sp.csc_matrix((by_col.data, agg[by_col.indices],
-                                by_col.indptr), shape=(self.n_agg, n)).tocsr()
-        del by_col
-        cols, starts = by_agg.indices, by_agg.indptr
-        # An entry of W starts at each change of column and of row.
-        new = np.empty(len(cols), dtype=bool)
+        grouped.sort_indices()
+        entry, cols = grouped.data, grouped.indices
+        del grouped
+        # An entry of W starts at each change of column and of row; W's row
+        # pointers count the starts before each row, and the slot of an
+        # entry counts those up to it.
+        new = np.empty(nnz, dtype=bool)
         new[:1] = True
         np.not_equal(cols[1:], cols[:-1], out=new[1:])
-        new[starts[:-1][np.diff(starts) > 0]] = True
-        count = np.zeros(len(cols) + 1, dtype=np.int32)
-        np.cumsum(new, out=count[1:])
-        slot = np.empty(len(cols), dtype=np.int32)
-        slot[by_agg.data] = count[1:]
-        slot -= 1
-        return (_frozen(count[starts]), _frozen(cols.compress(new)),
-                _frozen(slot))
+        new[rows[:-1][np.diff(rows) > 0]] = True
+        indptr = np.searchsorted(np.flatnonzero(new), rows).astype(np.int32)
+        cols[:] = new
+        del new
+        np.cumsum(cols, out=cols)
+        cols -= 1
+        slot = np.empty(nnz, dtype=np.int32)
+        slot[entry] = cols
+        del entry, cols
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[slot] = self.indices
+        col = self.agg.astype(np.int32)[indices]
+        row = np.repeat(np.arange(self.n_agg, dtype=np.int32), np.diff(indptr))
+        k = int((row - col).max(initial=0))
+        band = np.where(row >= col, row - col + (k + 1) * col,
+                        (k + 1) * self.n_agg)
+        return (_frozen(indptr), _frozen(indices), _frozen(slot),
+                _frozen(band, np.int32), k)
 
 
 # Plans that apply_dirichlet keeps per mesh, the least recently used
@@ -557,28 +558,26 @@ def _coarse(sys: SparseSystem):
     matrix with one row per aggregate.
 
     Neither ``Z`` nor a sparse product is formed: the system's
-    :class:`_Plan` maps each entry of ``A`` to its place in the lower
-    band of ``E`` (:attr:`_Plan.coarse_band`) and in ``W``
-    (:attr:`_Plan.coarse_rows`), and each is one ``bincount`` of ``A``'s
-    data over its map.  The band adds each coarse entry's terms in
-    ``A``'s storage order, as scipy's ``Z.T @ (A Z)`` does, so it is that
-    product's lower triangle bit for bit.  A system restricted by
-    :func:`apply_dirichlet` brings its plan; any other gets one built
-    from its own structure.
+    :class:`_Plan` maps each entry of ``A`` to its place in ``W`` and each
+    entry of ``W`` to its place in the lower band of ``E``
+    (:attr:`_Plan.coarse_rows`), so ``W`` is one ``bincount`` of ``A``'s
+    data and the band one ``bincount`` of ``W``'s.  Each sum adds its terms
+    in storage order, as scipy's ``(Z^T A) Z`` does with sorted indices in
+    ``Z^T A``, so the band is that product's lower triangle bit for bit.
+    A system restricted by :func:`apply_dirichlet` brings its plan; any
+    other gets one built from its own structure.
     """
     A, plan = sys.matrix.tocsr(), sys.plan
     if plan is None:
         rows = np.arange(A.shape[0]) if sys.free is None else sys.free
         plan = _Plan(sys.mesh, rows, A.indptr, A.indices,
                      np.ones(A.shape[0], dtype=bool))
-    slot, k = plan.coarse_band
+    indptr, indices, slot, band, k = plan.coarse_rows
+    w = np.bincount(slot, weights=A.data, minlength=len(indices))
     size = (k + 1) * plan.n_agg
-    band = np.bincount(slot, weights=A.data, minlength=size + 1)[:size]
-    factor = _band_cholesky(band.reshape((k + 1, plan.n_agg), order="F"))
-    indptr, indices, slot = plan.coarse_rows
-    W = sp.csr_matrix((np.bincount(slot, weights=A.data,
-                                   minlength=len(indices)), indices, indptr),
-                      shape=(plan.n_agg, A.shape[0]))
+    lower = np.bincount(band, weights=w, minlength=size + 1)[:size]
+    factor = _band_cholesky(lower.reshape((k + 1, plan.n_agg), order="F"))
+    W = sp.csr_matrix((w, indices, indptr), shape=(plan.n_agg, A.shape[0]))
     return plan.agg, factor, W
 
 
@@ -877,8 +876,8 @@ def extend_basis(basis: list[np.ndarray], vectors, cap: int) -> None:
                 return
 
 
-def project(sys: SparseSystem, basis, tol: float = 1e-10,
-            method: str = "pcg") -> tuple[ScalarField | None, bool]:
+def project(sys: SparseSystem, basis, tol: float = 1e-10
+            ) -> tuple[ScalarField | None, bool]:
     """Galerkin projection of a restricted system onto the span of ``basis``.
 
     ``basis`` is a list of orthonormal rows of free values on ``sys``, as
@@ -886,7 +885,7 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10,
     they are, and the small system ``Q^T A Q c = Q^T b`` gives
     ``x = Q c``.  Returns the whole field of ``x``, expanded as
     :func:`solve_field` expands a solution, and whether ``x`` meets the
-    residual test of :func:`solve_spd` for ``tol`` and ``method``, taken
+    residual test of a ``"direct"`` :func:`solve_spd` for ``tol``, taken
     from ``A x`` itself.  With an empty basis it returns ``(None, False)``.
     Nothing is factored.
 
@@ -900,7 +899,7 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10,
     if not basis:
         return None, False
     A, b = sys.matrix, sys.rhs
-    limit = _limit(tol, method, np.linalg.norm(b))
+    limit = _limit(tol, "direct", np.linalg.norm(b))
     qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
     return _expand(sys, x), _meets(A @ x, b, limit)

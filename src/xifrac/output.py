@@ -95,11 +95,12 @@ def read_vtk(path):
 
     Returns ``(mesh, point_data, cell_data)``; the mesh is reconstructed
     from the quad geometry and the data arrays are put in its numbering.
-    Points and cells are matched by exact dyadic integer keys.
+    Points and cells are matched by exact dyadic integer keys.  A file
+    without ``POINTS`` or ``CELLS`` before its data raises ``ValueError``.
     """
     lines = Path(path).read_text().splitlines()
     point_data, cell_data = {}, {}
-    target, count = None, 0
+    pts = quads = target = n_pts = n_cells = None
     i = 2  # past the version and title lines
     while i < len(lines):
         head = lines[i].split()
@@ -122,10 +123,15 @@ def read_vtk(path):
         elif head[0] == "CELL_DATA":
             target, count = cell_data, n_cells
         elif head[0] == "SCALARS" and target is not None:
+            if count is None:
+                break  # data before its geometry
             start = i + 1  # skip LOOKUP_TABLE line
             target[head[1]] = np.loadtxt(lines[start:start + count], ndmin=1)
             i = start + count
 
+    if pts is None or quads is None:
+        missing = "POINTS" if pts is None else "CELLS"
+        raise ValueError(f"{path}: no {missing} section")
     # Each quad's size and lower-left corner give its (level, i, j).
     origin = pts[quads[:, 0]]
     h = pts[quads[:, 1], 0] - origin[:, 0]

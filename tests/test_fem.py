@@ -499,10 +499,10 @@ def test_plans_are_read_only_and_die_with_their_mesh():
     fem._coarse(restricted)
     plan = restricted.plan
     # _coarse used the system's plan.
-    assert "coarse_band" in vars(plan) and "coarse_rows" in vars(plan)
+    assert "coarse_rows" in vars(plan)
+    *coarse_map, _ = plan.coarse_rows
     arrays = {np.intp: (plan.free, plan.agg), np.bool_: (plan.keep,),
-              np.int32: (plan.indptr, plan.indices, plan.coarse_band[0],
-                         *plan.coarse_rows)}
+              np.int32: (plan.indptr, plan.indices, *coarse_map)}
     for dtype, group in arrays.items():
         for a in group:
             assert a.dtype == dtype and not a.flags.writeable
@@ -808,18 +808,14 @@ def test_indefinite_matrix_raises_at_its_first_nonpositive_curvature(
 
 
 def _sparse_product_coarse_operator(sys):
-    """``Z^T (A Z)`` by scipy's sparse product, with ``Z`` from
-    :func:`_aggregates` and ``A Z`` as ``A`` with each column index renamed
-    to its aggregate, duplicates kept, in canonical CSC form."""
-    A = sys.matrix.tocsr()
+    """``(Z^T A) Z`` by scipy's sparse products, with ``Z`` from
+    :func:`_aggregates` and the column indices of ``Z^T A`` sorted."""
     agg, count = _aggregates(sys)
     Z = sp.csr_matrix((np.ones(len(agg)), agg, np.arange(len(agg) + 1)),
                       shape=(len(agg), count))
-    AZ = sp.csr_matrix((A.data, agg[A.indices], A.indptr),
-                       shape=(len(agg), count))
-    want = (Z.T @ AZ).tocsc()
-    want.sum_duplicates()
-    return want
+    W = sp.csr_matrix(Z.T @ sys.matrix.tocsr())
+    W.sort_indices()
+    return W @ Z
 
 
 def _hand_built_system():
@@ -843,18 +839,24 @@ def _cancelling_system():
                             np.zeros(mesh.n_vertices))
 
 
+_global_pcg_systems = functools.cache(global_pcg_systems)
+
+
 COARSE_CASES = pytest.mark.parametrize("make", [
     lambda: _cracked_displacement_system()[0],
     lambda: _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5)),
     _hand_built_system,
     _cancelling_system,
-], ids=["u", "phase-dropped-aggregate", "hand-built", "cancelling"])
+    lambda: _global_pcg_systems()[0],
+    lambda: _global_pcg_systems()[1],
+], ids=["u", "phase-dropped-aggregate", "hand-built", "cancelling",
+        "global-u", "global-phase"])
 
 
 @COARSE_CASES
 def test_coarse_operator_is_the_sparse_product_bit_for_bit(make, monkeypatch):
     # The band handed to the Cholesky factor is the lower triangle of
-    # Z^T (A Z), bit for bit: every entry within the band, an entry that
+    # (Z^T A) Z, bit for bit: every entry within the band, an entry that
     # cancels to an exact zero included, and nothing of the product
     # outside it.
     sys = make()
@@ -913,21 +915,25 @@ def test_coarse_rows_are_z_transpose_a(make):
 
 
 def test_coarse_rows_map_of_a_level_8_grid_is_linear_in_its_entries():
-    # 4,096 aggregates and 589k free-block entries.  The map is built by two
-    # counting sorts over int32 arrays of one value per entry, at most five
-    # of them alive at once (21 bytes per entry when measured); it keeps
-    # one, the slots, besides W's structure.
+    # 4,096 aggregates and 589k free-block entries; a map over all n_agg^2
+    # coarse entries peaked at 92 MB on this grid.  The map of W and the
+    # band is built from at most three int32 arrays of one value per
+    # free-block entry, besides arrays of one value per aggregate and
+    # numpy's fixed-size indexing buffers (12.2 bytes per entry when
+    # measured).  It keeps one, the slots, besides W's structure and the
+    # band slot of each entry of W.
     mesh = build_uniform(8)
     sys = apply_dirichlet(_folded_system(mesh), _boundary_pins(mesh), 0.0)
+    assert sys.plan.n_agg == 4096
     tracemalloc.start()
     try:
-        indptr, indices, slot = sys.plan.coarse_rows
+        indptr, indices, slot, band, _ = sys.plan.coarse_rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(slot) == sys.matrix.nnz and len(indptr) == 4096 + 1
-    assert len(indices) < sys.matrix.nnz / 3
-    assert peak <= 6 * 4 * sys.matrix.nnz
+    assert len(band) == len(indices) < sys.matrix.nnz / 3
+    assert peak <= 3 * 4 * sys.matrix.nnz + 2 ** 17 < 8e6
 
 
 def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
@@ -942,7 +948,7 @@ def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
                                      & (centre[:, 1] > 0.4)))
     assert len(m.constraints) > 0 and m.cell_levels.max() == 6
     sys = apply_dirichlet(_folded_system(m), _boundary_pins(m), 1.0)
-    _, k = sys.plan.coarse_band
+    k = sys.plan.coarse_rows[-1]
     rows, cols = np.nonzero(_sparse_product_coarse_operator(sys).toarray())
     n = 2 ** (m.level_min - 2)
     assert k == np.max(rows - cols) <= n + 1
@@ -957,23 +963,6 @@ def test_coarse_operator_that_is_not_spd_raises_linear_solve_error(mesh4x4):
     with pytest.raises(LinearSolveError, match="coarse Cholesky") as info:
         solve_spd(sys, method="pcg")
     assert info.value.residual == np.inf
-
-
-def test_coarse_map_of_a_level_8_grid_takes_a_few_megabytes():
-    # 4,096 aggregates.  A map over all n_agg^2 coarse entries peaked at
-    # 92 MB on this grid; the band map takes two int32 per free-block
-    # entry while it is built, and keeps one.
-    mesh = build_uniform(8)
-    sys = apply_dirichlet(_folded_system(mesh), _boundary_pins(mesh), 0.0)
-    assert sys.plan.n_agg == 4096
-    tracemalloc.start()
-    try:
-        slot, _ = sys.plan.coarse_band
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(slot) == sys.matrix.nnz
-    assert peak <= 3 * 4 * sys.matrix.nnz < 8e6
 
 
 def _cg_iterations(A, b, limit, precondition):
@@ -1018,7 +1007,7 @@ DEFLATION_GAIN = {"u": 0.7, "phase": 0.72}
 
 
 def test_coarse_space_cuts_cg_iterations_on_64x64_systems():
-    for name, sys in zip(("u", "phase"), global_pcg_systems()):
+    for name, sys in zip(("u", "phase"), _global_pcg_systems()):
         A, b = sys.matrix, sys.rhs
         limit = 1e-10 * np.linalg.norm(b)
         coarse = fem._coarse(sys)
@@ -1264,13 +1253,12 @@ def family_basis():
             for s in STRAIN_DRIVES]
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_projection_onto_eight_solutions_solves_a_ninth(method, family_basis,
+def test_projection_onto_eight_solutions_solves_a_ninth(family_basis,
                                                         solver_calls):
     sys = _family(NINTH_DRIVE)
     assert len(sys.mesh.constraints) > 0
     basis = _basis(sys, family_basis)
-    got, accepted = fem.project(sys, basis, method=method)
+    got, accepted = fem.project(sys, basis)
     assert accepted
     assert solver_calls == []
     assert _meets_contract(sys, got, 1e-10)
@@ -1283,16 +1271,16 @@ def test_projection_onto_eight_solutions_solves_a_ninth(method, family_basis,
 
 def test_projection_verdict_is_the_solver_contract(family_basis):
     # One earlier solution, nudged so that its projection misses the
-    # answer by a relative residual between the pcg tolerance (1e-10) and
-    # the direct one (1e-8): direct accepts it, pcg does not.
+    # answer by a relative residual between tol (1e-10) and the direct
+    # solver's floor (1e-8): the direct contract, max(tol, 1e-8), accepts
+    # it.
     sys = _family(NINTH_DRIVE)
     exact = solve_field(sys, method="direct").values
     nudge = np.random.default_rng(4).normal(size=exact.shape)
     basis = _basis(sys, [exact + 2e-10 * np.linalg.norm(exact) * nudge])
-    got, accepted = fem.project(sys, basis, tol=1e-10, method="direct")
+    got, accepted = fem.project(sys, basis, tol=1e-10)
     assert accepted and _meets_contract(sys, got, 1e-8)
     assert not _meets_contract(sys, got, 1e-10)
-    assert fem.project(sys, basis, tol=1e-10, method="pcg")[1] is False
 
 
 @pytest.mark.parametrize("basis", [[], [np.zeros(1)] * 3],
@@ -1324,7 +1312,7 @@ def test_projection_drops_dependent_columns(family_basis):
     extra = [family_basis[1] + family_basis[2], 3.0 * family_basis[4]]
     basis = _basis(sys, family_basis + extra)
     assert len(basis) == 8
-    got, accepted = fem.project(sys, basis, method="direct")
+    got, accepted = fem.project(sys, basis)
     assert accepted and _meets_contract(sys, got, 1e-8)
 
 

@@ -1,0 +1,119 @@
+"""A sharp-crack Griffith oracle for the seeded edge crack, and the
+stiffness of the crack that the solver seeds.
+
+Mode III with the opposing top loads of :func:`driver.boundary_displacement`
+is antisymmetric about x = 0.5.  So the unit square with an edge crack of
+length ``a`` down from the top, at load t = 1, is the half square
+[0.5, 1] x [0, 1] with u = 1 on its top edge, u = 0 on the ligament
+x = 0.5, y <= 1 - a, and free crack faces and outer edges.  The oracle
+solves that problem with bilinear elements on a uniform grid of N cells
+per unit length, in plain numpy/scipy rather than with xifrac's ``fem``.
+It gives the energy of the whole square, ``E(a) = mu int |grad u|^2``
+over the half square (twice its half), and the energy release rate
+``G1(a) = (E(a) - E(a + h)) / h``, a one-cell difference with h = 1/N.
+"""
+
+import functools
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from xifrac import driver, phasefield as pf
+from xifrac.config import parse_config
+
+MU = pf.MaterialParams().mu
+# The bilinear stiffness of a square cell, corners counterclockwise from
+# the lower left; it does not depend on the cell size in 2D.
+CELL_STIFFNESS = np.array([[4.0, -1.0, -2.0, -1.0],
+                           [-1.0, 4.0, -1.0, -2.0],
+                           [-2.0, -1.0, 4.0, -1.0],
+                           [-1.0, -2.0, -1.0, 4.0]]) / 6.0
+
+
+@functools.cache
+def _half_square(n):
+    """Stiffness matrix of the half square on N/2 x N cells, and the
+    column and row of each node."""
+    node = np.arange((n // 2 + 1) * (n + 1)).reshape(n // 2 + 1, n + 1)
+    cells = np.stack([node[:-1, :-1], node[1:, :-1], node[1:, 1:],
+                      node[:-1, 1:]], axis=-1).reshape(-1, 4)
+    rows = np.repeat(cells, 4, axis=1).ravel()
+    cols = np.tile(cells, 4).ravel()
+    K = sp.coo_matrix((np.tile(CELL_STIFFNESS.ravel(), len(cells)),
+                       (rows, cols))).tocsr()
+    column, row = np.divmod(np.arange(K.shape[0]), n + 1)
+    return K, column, row
+
+
+@functools.cache
+def energy(n, k):
+    """``E(a)`` at load 1 for the crack length ``a = k / n``; a crack
+    through the whole height (k = n) leaves no ligament."""
+    K, column, row = _half_square(n)
+    top = row == n
+    pinned = top | ((column == 0) & (row <= n - k) & (k < n))
+    u = top.astype(float)
+    free = ~pinned
+    u[free] = spla.spsolve(K[free][:, free].tocsc(), -(K[free] @ u))
+    return MU * (u @ (K @ u))
+
+
+def release_rate(n, k):
+    """``G1(a)`` for ``a = k / n``."""
+    return (energy(n, k) - energy(n, k + 1)) * n
+
+
+SIZES = (64, 128, 256)
+
+
+def test_griffith_oracle_converges_at_first_order():
+    # At the seeded tip, a = 0.5, each halving of h halves the change of E
+    # and of G1 (measured: E 55.257, 55.126, 55.060; G1 80.80, 81.25,
+    # 81.47).  With the crack through the whole height nothing holds u
+    # down, so u = 1 everywhere and E vanishes.
+    for f in (energy, release_rate):
+        values = [f(n, n // 2) for n in SIZES]
+        coarse, fine = np.diff(values)
+        assert 1.8 < coarse / fine < 2.2
+    assert energy(64, 64) <= 1e-9 * energy(64, 32)
+
+
+def test_griffith_release_rate_at_the_seeded_tip():
+    # G1(0.5) = 81.5, to within the spread of its two finest values.
+    coarse, fine = (release_rate(n, n // 2) for n in SIZES[1:])
+    assert abs(fine - 81.5) <= abs(fine - coarse)
+
+
+def test_griffith_release_rate_is_least_near_a_077():
+    # G1 falls from the seeded tip on and rises again as the ligament
+    # closes.  Between a = 0.69 and 0.84 at N = 128 it is least at
+    # a = 0.758, a one-cell difference centred at 0.762; at N = 64 and
+    # 256 the centres are 0.758 and 0.764.
+    n = 128
+    ks = np.arange(88, 108)
+    rates = [release_rate(n, k) for k in ks]
+    least = int(np.argmin(rates))
+    assert 0 < least < len(ks) - 1
+    assert abs((ks[least] + 0.5) / n - 0.77) <= 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_seeded_crack_stiffness_approaches_the_sharp_crack():
+    # The step-1 strain energy over t^2 with field xi on uniform grids of
+    # levels 5 to 7 should approach the sharp crack's E(0.5) with gaps
+    # that shrink.  The grow-only active set bridges the seeded crack, and
+    # the gaps grow instead (measured: 137.9, 170.6, 204.6 against 55.06).
+    text = (Path(__file__).parents[1] / "configs"
+            / "field_xi_amr.cfg").read_text()
+    gaps = []
+    for level in (5, 6, 7):
+        cfg = parse_config(text, {
+            "mesh.level_start": str(level), "mesh.level_max": str(level),
+            "amr.enabled": "false", "loading.n_max": "1"})
+        history, _ = driver.run(cfg)
+        step = history[0]
+        gaps.append(abs(step.strain / step.t ** 2 - energy(256, 128)))
+    assert gaps[2] < gaps[1] < gaps[0]

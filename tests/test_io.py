@@ -647,6 +647,36 @@ def test_cli_profile_floats_round_trip(tmp_path, capsys):
     assert got.tobytes() == want.tobytes()
 
 
+def _without_cells(tmp_path):
+    """A file written for a level-1 mesh, cut before its CELLS section."""
+    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {},
+                     tmp_path / "f.vtk")
+    text = (tmp_path / "f.vtk").read_text()
+    return text[:text.index("CELLS")]
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("# vtk DataFile Version 2.0\nxifrac fields\nASCII\n"
+     "DATASET UNSTRUCTURED_GRID\n", "POINTS"),
+    ("# vtk DataFile Version 2.0\n", "POINTS"),
+    (_without_cells, "CELLS"),
+    ("# vtk DataFile Version 2.0\nxifrac fields\nASCII\n"
+     "DATASET UNSTRUCTURED_GRID\nPOINT_DATA 1\nSCALARS v double 1\n"
+     "LOOKUP_TABLE default\n1\n", "POINTS"),
+], ids=["header-only", "one-line", "no-cells", "data-first"])
+def test_cli_profile_of_a_file_without_its_mesh_is_an_error(
+        tmp_path, capsys, text, missing):
+    # A file without a POINTS or CELLS section before its data is reported
+    # as an error that names the section, not as a traceback.
+    path = tmp_path / "bad.vtk"
+    path.write_text(text(tmp_path) if callable(text) else text)
+    with pytest.raises(ValueError, match=f"no {missing} section"):
+        output.read_vtk(path)
+    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: no {missing} section\n"
+
+
 def test_cli_keys_lists_all(capsys):
     assert cli.main(["keys"]) == 0
     out = capsys.readouterr().out

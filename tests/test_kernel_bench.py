@@ -8,7 +8,7 @@ against a reference built another way: per-call ``einsum`` local kernels
 scattered through a COO matrix and condensed by sparse products with the
 hanging-node prolongation, ``spsolve`` with SuperLU's default ordering,
 or, for the restriction and the coarse operator, scipy's fancy indexing
-and the sparse product ``Z^T (A Z)`` that the cached plans replaced,
+and the sparse products ``(Z^T A) Z`` that the cached plans replaced,
 factored by SuperLU where the coarse level uses band Cholesky.  The
 deflated-CG bench runs on the 64 x 64 systems of the ``global_pcg``
 benchmark instead, and records its CG iterations and the cost of a
@@ -193,10 +193,9 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
 
 
 def _reference_coarse(mesh, free, A):
-    """The aggregate of each free dof and ``Z^T (A Z)`` in canonical CSC
-    form, by scipy's sparse product: ``Z`` from the aggregates and ``A Z``
-    as the free block ``A`` with each column index renamed to its
-    aggregate."""
+    """The aggregate of each free dof and ``(Z^T A) Z`` in CSC form, by
+    scipy's sparse products: ``Z`` from the aggregates, and the column
+    indices of ``Z^T A`` sorted."""
     n = 1 << (mesh.level_min - 2)
     ij = np.minimum((mesh.vertex_coords[free] * n).astype(int), n - 1)
     cell = ij[:, 0] * n + ij[:, 1]
@@ -205,20 +204,20 @@ def _reference_coarse(mesh, free, A):
     shape = (len(free), int(held.sum()))
     Z = sp.csr_matrix((np.ones(len(free)), agg, np.arange(len(free) + 1)),
                       shape=shape)
-    AZ = sp.csr_matrix((A.data, agg[A.indices], A.indptr), shape=shape)
-    coarse = (Z.T @ AZ).tocsc()
-    coarse.sum_duplicates()
-    return agg, coarse
+    W = sp.csr_matrix(Z.T @ A)
+    W.sort_indices()
+    return agg, (W @ Z).tocsc()
 
 
 def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     # The folded u system of a cracked body, restricted to the dofs off the
     # Dirichlet edges, and its coarse operator, on the cache-hit path: a
     # first call outside the timing builds the plan of this free set and
-    # its band map, and each timed call gathers values, sums the band and
-    # factors it.  The result must match the old construction bit for
-    # bit: A[free][:, free] and b[free] - A[free] x0 by scipy's indexing,
-    # and the lower triangle of Z^T (A Z) by scipy's sparse product.
+    # its coarse map, and each timed call gathers values, sums W and the
+    # band and factors it.  The result must match the old construction bit
+    # for bit: A[free][:, free] and b[free] - A[free] x0 by scipy's
+    # indexing, and the lower triangle of (Z^T A) Z by scipy's sparse
+    # products.
     v, _ = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     weight = mat.mu * pf.degradation(fem.field_at_qp(v), mat.eta)
@@ -265,14 +264,14 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
 def test_bench_coarse_factor_and_solve(benchmark, mesh):
     # The coarse level of one two-level CG solve of the cracked u system:
     # the band Cholesky factor of its coarse operator (256 aggregates,
-    # half-bandwidth at most 17), from a plan whose band map is built,
+    # half-bandwidth at most 17), from a plan whose coarse map is built,
     # and 40 coarse solves, about one per CG iteration.  Each answer must
-    # match SuperLU's on Z^T (A Z) from the sparse product.
+    # match SuperLU's on (Z^T A) Z from the sparse products.
     v, _ = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     fem._coarse(sys)
-    _, k = sys.plan.coarse_band
+    k = sys.plan.coarse_rows[-1]
     assert sys.plan.n_agg == 256 and k <= 17
     rhs = np.random.default_rng(2).normal(size=(40, 256))
 
@@ -378,8 +377,7 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(fem.spla, "splu", no_factor)
-        got, accepted = _run(benchmark, fem.project, sys, basis,
-                             method="direct")
+        got, accepted = _run(benchmark, fem.project, sys, basis)
     assert accepted
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     x = got.values[sys.free]
