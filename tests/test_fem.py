@@ -914,26 +914,46 @@ def test_coarse_rows_are_z_transpose_a(make):
     assert np.array_equal(got.indices, pattern.indices)
 
 
-def test_coarse_rows_map_of_a_level_8_grid_is_linear_in_its_entries():
-    # 4,096 aggregates and 589k free-block entries; a map over all n_agg^2
-    # coarse entries peaked at 92 MB on this grid.  The map of W and the
-    # band is built from at most three int32 arrays of one value per
-    # free-block entry, besides arrays of one value per aggregate and
-    # numpy's fixed-size indexing buffers (12.2 bytes per entry when
-    # measured).  It keeps one, the slots, besides W's structure and the
-    # band slot of each entry of W.
+@functools.cache
+def _level_8_coarse_map():
+    """A level-8 grid's pinned system and the traced peak, in bytes, of
+    building its plan's coarse map."""
     mesh = build_uniform(8)
     sys = apply_dirichlet(_folded_system(mesh), _boundary_pins(mesh), 0.0)
     assert sys.plan.n_agg == 4096
     tracemalloc.start()
     try:
-        indptr, indices, slot, band, _ = sys.plan.coarse_rows
+        sys.plan.coarse_rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return sys, peak
+
+
+def test_coarse_rows_map_of_a_level_8_grid_is_linear_in_its_entries():
+    # 4,096 aggregates and 589k free-block entries.  The map of W and the
+    # band is built from at most three int32 arrays of one value per
+    # free-block entry, besides arrays of one value per aggregate and
+    # numpy's fixed-size indexing buffers (12.2 bytes per entry when
+    # measured).  It keeps one, the slots, besides W's structure and the
+    # band slot of each entry of W.
+    sys, peak = _level_8_coarse_map()
+    indptr, indices, slot, band, _ = sys.plan.coarse_rows
     assert len(slot) == sys.matrix.nnz and len(indptr) == 4096 + 1
     assert len(band) == len(indices) < sys.matrix.nnz / 3
-    assert peak <= 3 * 4 * sys.matrix.nnz + 2 ** 17 < 8e6
+    assert peak <= 3 * 4 * sys.matrix.nnz + 2 ** 17
+
+
+def test_coarse_map_of_a_level_8_grid_takes_a_few_megabytes():
+    # A map over all n_agg^2 coarse entries peaked at 92 MB on this grid.
+    # The band of E spans one row of the 64 x 64 aggregates, so what the
+    # map keeps and its peak while it is built both stay a few megabytes.
+    sys, peak = _level_8_coarse_map()
+    indptr, indices, slot, band, k = sys.plan.coarse_rows
+    assert k <= 64 + 1
+    assert np.all((0 <= band) & (band <= (k + 1) * 4096))
+    kept = sum(a.nbytes for a in (indptr, indices, slot, band))
+    assert kept < peak < 8e6
 
 
 def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
