@@ -12,8 +12,11 @@ Each displacement solve starts from the current u (see
 previous step's u already meets the solver's residual test, so the step
 factors no displacement system; otherwise the deflated CG starts from
 that multiple, under ``direct`` too, and factors only its coarse
-operator.  The phase sweeps have no guess, and ``solver.method`` decides
-how they are solved.
+operator.  Under ``pcg`` each active-set sweep of a phase solve starts
+from its own answer in the previous staggered iteration of the same load
+step, since the system changes only with a slightly changed u and xi;
+iteration 1 starts every sweep from zero.  Under ``direct`` no phase
+sweep gets a guess, for the reasons given in :func:`_solve_phase_bounded`.
 
 Under ``direct``, the first active-set sweep of a phase solve is
 projected onto ``SimState.phase_basis``, orthonormal rows spanning the
@@ -28,7 +31,8 @@ the same factor also gives three tangents of the family along ``R``, the
 strain-drive mass of :func:`phasefield.assemble_phase`
 (:func:`fem.solve_with_tangents`), which join the basis with the answer
 and keep the projections within the pin margin for several load steps.
-Under ``pcg``, which has no fine factor, every sweep is a plain solve.
+Under ``pcg``, which has no fine factor, the first sweep is solved like
+the others, from its answer in the previous iteration.
 The basis is emptied whenever the family changes, by a mesh change in
 :func:`amr_pass` or by an iteration that changes xi or the mask in
 :func:`staggered_step`.  Every returned field is a solver's answer to an
@@ -213,8 +217,8 @@ def _first_sweep(state: SimState, sys, sol: SolverParams, threshold, open_,
     return v
 
 
-def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
-                         ) -> tuple[fem.ScalarField, bool]:
+def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams,
+                         starts: dict) -> tuple[fem.ScalarField, bool]:
     """Phase-field solve respecting the upper bound ``v <= min(v_prev, 1)``.
 
     A plain solve-then-clip treatment leaves crack-face nodes frozen at
@@ -237,16 +241,31 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams
     threshold by its error margin; the next sweep then solves with those
     nodes pinned, so the returned field is always a solver's answer.
     Emptying the basis is up to the callers.
+
+    ``starts`` maps a sweep index to the full-length answer of that sweep
+    in the previous call, and this call replaces its contents with its
+    own answers.  Under ``pcg`` sweep k gets ``starts[k]`` as its guess,
+    and a sweep without an entry starts from zero: the answer of another
+    sweep pins other nodes.  Under ``direct`` no sweep gets a guess and
+    ``starts`` stays empty.  A first-sweep guess there would exist only
+    when the previous first sweep was solved rather than projected, so
+    the bits would depend on the basis again; and a later sweep factors a
+    small system cheaply, which a guess would turn into a CG solve.
     """
     upper = np.minimum(state.v_prev.values, 1.0)
     pinned = state.mask.pinned.copy()
     values = np.where(pinned, 0.0, upper)
     folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
     threshold = upper + 1e-12
+    previous = starts.copy()
+    starts.clear()
     v = None
     for sweep in range(_MAX_ACTIVE_SET):
         sys = fem.apply_dirichlet(folded, pinned, values)
-        if sweep or sol.method != "direct":
+        if sol.method == "pcg":
+            v = solve(sys, previous.get(sweep))
+            starts[sweep] = v.values
+        elif sweep:
             v = solve(sys)
         else:
             v = _first_sweep(state, sys, sol, threshold, ~pinned, reaction)
@@ -267,7 +286,10 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     is a phase solve that hits the active-set cap, which marks the step
     not converged.
 
-    The u solve gets ``state.u`` as its guess; the phase solve recycles
+    The u solve gets ``state.u`` as its guess.  Under ``pcg`` each phase
+    sweep starts from its own answer in the previous iteration of this
+    call, kept in a local dict, so no start crosses a load step, a mesh
+    change or a restart; under ``direct`` the phase solve recycles
     ``state.phase_basis`` in its first sweep (:func:`_solve_phase_bounded`).
     An iteration that changes xi or the crack mask empties the basis, so
     it only holds solutions for the current diffusion operator, load and
@@ -280,7 +302,9 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     would assemble the same u system and hand it ``u_k``, which already
     passed that system's residual test (every answer a solve returns
     does, a CG iterate included), so the solve would return ``u_k`` bit
-    for bit and the phase solve would repeat too.  The loop stops there
+    for bit and the phase solve would repeat too: each of its sweeps
+    would meet the system it met before and, under ``pcg``, be handed the
+    answer it gave then, which passes the same test.  The loop stops there
     without running it, but counts it, so iteration k returns ``k + 1``
     iterations, converged, whenever ``k + 1 <= staggered_max_iter``.
     """
@@ -292,6 +316,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
 
     converged = capped = False
     iters = 0
+    starts = {}
     for iters in range(1, sol.staggered_max_iter + 1):
         u_old, v_old = state.u, state.v
         xi_old, mask_old = state.xi, state.mask
@@ -299,7 +324,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         sys_u = pf.assemble_displacement(state.mesh, state.v, mat, *bc)
         state.u = solve(sys_u, state.u.values)
 
-        v_raw, settled = _solve_phase_bounded(state, mat, solve, sol)
+        v_raw, settled = _solve_phase_bounded(state, mat, solve, sol, starts)
         capped |= not settled
         state.v, state.mask = pf.enforce_irreversibility(
             v_raw, state.v_prev, state.mask, sol.crack_tol)

@@ -96,7 +96,9 @@ def read_vtk(path):
     Returns ``(mesh, point_data, cell_data)``; the mesh is reconstructed
     from the quad geometry and the data arrays are put in its numbering.
     Points and cells are matched by exact dyadic integer keys.  A file
-    without ``POINTS`` or ``CELLS`` before its data raises ``ValueError``.
+    without ``POINTS`` or ``CELLS`` before its data, a section with fewer
+    rows than its header says, or a quad that indexes past the points
+    raises ``ValueError``.
     """
     lines = Path(path).read_text().splitlines()
     point_data, cell_data = {}, {}
@@ -109,12 +111,13 @@ def read_vtk(path):
             continue
         if head[0] == "POINTS":
             n_pts = int(head[1])
-            pts = np.loadtxt(lines[i:i + n_pts], usecols=(0, 1), ndmin=2)
+            pts = _rows(path, "POINTS", lines[i:i + n_pts], n_pts,
+                        usecols=(0, 1), ndmin=2)
             i += n_pts
         elif head[0] == "CELLS":
             n_cells = int(head[1])
-            quads = np.loadtxt(lines[i:i + n_cells], dtype=np.int64,
-                               usecols=(1, 2, 3, 4), ndmin=2)
+            quads = _rows(path, "CELLS", lines[i:i + n_cells], n_cells,
+                          dtype=np.int64, usecols=(1, 2, 3, 4), ndmin=2)
             i += n_cells
         elif head[0] == "CELL_TYPES":
             i += int(head[1])
@@ -132,6 +135,9 @@ def read_vtk(path):
     if pts is None or quads is None:
         missing = "POINTS" if pts is None else "CELLS"
         raise ValueError(f"{path}: no {missing} section")
+    if quads.size and (quads.min() < 0 or quads.max() >= len(pts)):
+        raise ValueError(f"{path}: the CELLS section indexes past its "
+                         f"{len(pts)} POINTS")
     # Each quad's size and lower-left corner give its (level, i, j).
     origin = pts[quads[:, 0]]
     h = pts[quads[:, 1], 0] - origin[:, 0]
@@ -143,6 +149,19 @@ def read_vtk(path):
     point_data = {k: v[perm] for k, v in point_data.items()}
     cell_data = {k: v[cperm] for k, v in cell_data.items()}
     return mesh, point_data, cell_data
+
+
+def _rows(path, section, lines, count, **kwargs):
+    """The ``count`` numeric rows of a section, or ``ValueError`` naming
+    the section when it holds fewer."""
+    try:
+        table = np.loadtxt(lines, **kwargs)
+    except ValueError:
+        table = None
+    if table is None or len(table) < count:
+        raise ValueError(f"{path}: the {section} section holds fewer than "
+                         f"the {count} rows of its header")
+    return table
 
 
 def _permutation(ids, n, what):

@@ -186,7 +186,9 @@ def test_xi_stays_clamped():
 
 def reference_staggered_step(state, config):
     """The staggered loop as a plain oracle: no fixed-point stop, the phase
-    operator assembled on every active-set sweep, no sweep cap."""
+    operator assembled on every active-set sweep, no sweep cap.  Under pcg
+    the n-th sweep of an iteration is handed the n-th sweep's answer of
+    the iteration before, when there was one."""
     mat, sol = config.material, config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
 
@@ -196,16 +198,23 @@ def reference_staggered_step(state, config):
                                guess=guess)
 
     upper = np.minimum(state.v_prev.values, 1.0)
+    answers = []
     iters = 0
     for iters in range(1, sol.staggered_max_iter + 1):
         u_old, v_old = state.u, state.v
         state.u = solve(pf.assemble_displacement(state.mesh, state.v, mat,
                                                  *bc), state.u.values)
         active = dict.fromkeys(state.mask.nodes.tolist(), 0.0)
+        earlier, answers = answers, []
         while True:
             folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+            k = len(answers)
+            start = (earlier[k] if sol.method == "pcg" and k < len(earlier)
+                     else None)
             v = solve(fem.apply_dirichlet(
-                folded, *dirichlet_arrays(state.mesh.n_vertices, active)))
+                folded, *dirichlet_arrays(state.mesh.n_vertices, active)),
+                start)
+            answers.append(v.values)
             grow = [int(n) for n in np.flatnonzero(v.values > upper + 1e-12)
                     if n not in active]
             if not grow:
@@ -235,12 +244,15 @@ def _adapted_field_state(**kw):
     return cfg, state
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 500])
-def test_elastic_amr_step_matches_reference_loop(max_iter):
+@pytest.mark.parametrize("max_iter, method", [
+    (1, "direct"), (2, "direct"), (500, "direct"),
+    (1, "pcg"), (2, "pcg"), (500, "pcg"),
+], ids=["1", "2", "500", "1-pcg", "2-pcg", "500-pcg"])
+def test_elastic_amr_step_matches_reference_loop(max_iter, method):
     cfg, state = _adapted_field_state(
-        solver=SolverParams(staggered_max_iter=max_iter))
+        solver=SolverParams(staggered_max_iter=max_iter, method=method))
     _, ref = _adapted_field_state(
-        solver=SolverParams(staggered_max_iter=max_iter))
+        solver=SolverParams(staggered_max_iter=max_iter, method=method))
     assert len(state.mesh.constraints) > 0
     got = staggered_step(state, cfg)
     assert got == reference_staggered_step(ref, cfg)
@@ -248,18 +260,72 @@ def test_elastic_amr_step_matches_reference_loop(max_iter):
     _assert_same_state(state, ref)
 
 
-def _fracture_steps_match_reference_loop(method):
-    # Level 3, fixed xi, dt = 0.05: step 1 is elastic, step 4 takes 14
-    # iterations and step 5 grows the crack mask from 5 to 13 nodes.
-    cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
-                       loading=LoadingParams(c=1.0, dt=0.05, n_max=5),
-                       solver=SolverParams(method=method))
+def _fracture_config(method):
+    # Level 3, fixed xi, dt = 0.05: step 1 is elastic, step 4 takes 26
+    # iterations under direct and 14 under pcg, and by step 5 the crack
+    # mask has grown from 5 to 9 and 13 nodes.
+    return small_config(mesh=MeshParams(level_start=3, level_max=3),
+                        loading=LoadingParams(c=1.0, dt=0.05, n_max=5),
+                        solver=SolverParams(method=method))
+
+
+def _phase_sweeps(monkeypatch):
+    """Spy on the driver's phase solves: per phase solve, a list with the
+    guess (None when there is none) and the answer of each sweep that goes
+    through fem.solve_field, in order, as bytes."""
+    solves, current = [], [None]
+    solve_field, solve_bounded = fem.solve_field, driver._solve_phase_bounded
+
+    def spy_bounded(*args):
+        current[0] = []
+        solves.append(current[0])
+        try:
+            return solve_bounded(*args)
+        finally:
+            current[0] = None
+
+    def spy_solve(sys, *args, guess=None, **kwargs):
+        v = solve_field(sys, *args, guess=guess, **kwargs)
+        if current[0] is not None:
+            current[0].append((None if guess is None
+                               else np.asarray(guess).tobytes(),
+                               v.values.tobytes()))
+        return v
+
+    monkeypatch.setattr(driver, "_solve_phase_bounded", spy_bounded)
+    monkeypatch.setattr(fem, "solve_field", spy_solve)
+    return solves
+
+
+def _cg_iterations(monkeypatch):
+    """Spy on fem._pcg: the list of CG iterations of each call."""
+    counts, pcg = [], fem._pcg
+
+    def spy(*args):
+        x, met, k = pcg(*args)
+        counts.append(k)
+        return x, met, k
+
+    monkeypatch.setattr(fem, "_pcg", spy)
+    return counts
+
+
+def _fracture_steps_match_reference_loop(method, monkeypatch):
+    """Run the fracture steps with the driver and the reference loop, which
+    must agree bit for bit.  Returns, per load step, the driver's phase
+    sweeps per staggered iteration (see _phase_sweeps), and the number of
+    CG iterations the driver ran."""
+    cfg = _fracture_config(method)
+    sweeps, cg = _phase_sweeps(monkeypatch), _cg_iterations(monkeypatch)
     state, ref = driver.initialize(cfg), driver.initialize(cfg)
-    counts = []
+    counts, steps, driver_cg = [], [], 0
     for n in range(1, 6):
         for s in (state, ref):
             s.step, s.t = n, n * cfg.loading.dt
+        first, before = len(sweeps), sum(cg)
         got = staggered_step(state, cfg)
+        steps.append(sweeps[first:])
+        driver_cg += sum(cg) - before
         assert got == reference_staggered_step(ref, cfg)
         _assert_same_state(state, ref)
         counts.append((got[0], len(state.mask)))
@@ -267,16 +333,48 @@ def _fracture_steps_match_reference_loop(method):
             s.v_prev = s.v.copy()
     assert max(iters for iters, _ in counts) > 10
     assert counts[-1][1] > counts[0][1]
+    return steps, driver_cg
 
 
-def test_fracture_steps_match_reference_loop():
-    _fracture_steps_match_reference_loop("direct")
+def test_fracture_steps_match_reference_loop(monkeypatch):
+    # Under direct no phase sweep gets a guess (first sweeps go through
+    # driver._first_sweep and never reach fem.solve_field).
+    steps, _ = _fracture_steps_match_reference_loop("direct", monkeypatch)
+    sweeps = [sweep for step in steps for solve in step for sweep in solve]
+    assert sweeps and all(guess is None for guess, _ in sweeps)
 
 
-def test_pcg_fracture_steps_match_reference_loop():
+def test_pcg_fracture_steps_match_reference_loop(monkeypatch):
     # Under CG the stop stays exact only because every returned iterate
     # meets the true residual test that accepts it as the next guess.
-    _fracture_steps_match_reference_loop("pcg")
+    # Sweep k of iteration j >= 2 starts from sweep k's answer in iteration
+    # j - 1, or from zero when that iteration had fewer sweeps; iteration 1
+    # of a load step starts every sweep from zero.
+    steps, warm_cg = _fracture_steps_match_reference_loop("pcg", monkeypatch)
+    started = 0
+    for solves in steps:
+        assert all(guess is None for guess, _ in solves[0])
+        for before, after in zip(solves, solves[1:]):
+            for k, (guess, _) in enumerate(after):
+                want = before[k][1] if k < len(before) else None
+                assert guess == want
+                started += guess is not None
+    assert started > 10
+
+    # The same steps with every phase sweep started from zero take more CG
+    # iterations.
+    cfg = _fracture_config("pcg")
+    bounded = driver._solve_phase_bounded
+    monkeypatch.setattr(driver, "_solve_phase_bounded",
+                        lambda state, mat, solve, sol, starts:
+                        bounded(state, mat, solve, sol, {}))
+    cg = _cg_iterations(monkeypatch)
+    cold = driver.initialize(cfg)
+    for n in range(1, 6):
+        cold.step, cold.t = n, n * cfg.loading.dt
+        staggered_step(cold, cfg)
+        cold.v_prev = cold.v.copy()
+    assert warm_cg < sum(cg)
 
 
 def test_elastic_step_solves_u_once_and_assembles_phase_once(monkeypatch):
@@ -592,7 +690,8 @@ def _first_phase_sweep_after_an_elastic_step():
         fem.extend_basis(state.phase_basis,
                          [f[restricted().free] for f in fields],
                          driver._PHASE_BASIS)
-        return driver._solve_phase_bounded(state, mat, solve, sol)[0].values
+        return driver._solve_phase_bounded(state, mat, solve, sol,
+                                           {})[0].values
 
     return state, first_sweep, phase_solve
 
@@ -679,7 +778,7 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     monkeypatch.setattr(fem, "apply_dirichlet", lambda sys, pinned, values:
                         sweeps.append(pinned.sum())
                         or apply_dirichlet(sys, pinned, values))
-    v, _ = driver._solve_phase_bounded(state, mat, solve, sol)
+    v, _ = driver._solve_phase_bounded(state, mat, solve, sol, {})
     assert max(sweeps) > before.sum()  # the active set grew past the mask
     assert state.mask is mask and np.array_equal(mask.pinned, before)
 
@@ -707,7 +806,7 @@ def test_bounded_phase_solve_is_a_kkt_point():
     solve = lambda sys, guess=None: fem.solve_field(sys, method="direct",
                                                     guess=guess)
     v, settled = driver._solve_phase_bounded(state, cfg.material, solve,
-                                             cfg.solver)
+                                             cfg.solver, {})
     assert settled
     folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi,
                                   cfg.material)

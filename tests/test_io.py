@@ -677,6 +677,28 @@ def test_cli_profile_of_a_file_without_its_mesh_is_an_error(
         f"error: {path}: no {missing} section\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("POINTS 9", "POINTS 7", "the CELLS section indexes past its 7 POINTS"),
+    ("POINTS 9", "POINTS 12",
+     "the POINTS section holds fewer than the 12 rows of its header"),
+    ("CELLS 4", "CELLS 6",
+     "the CELLS section holds fewer than the 6 rows of its header"),
+], ids=["points-short", "points-long", "cells-long"])
+def test_cli_profile_of_a_file_with_wrong_counts_is_an_error(
+        tmp_path, capsys, old, new, message):
+    # A level-1 snapshot whose POINTS or CELLS header count was edited is
+    # reported as an error that names the section, not as a traceback.
+    path = tmp_path / "f.vtk"
+    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {}, path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=message):
+        output.read_vtk(path)
+    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_cli_keys_lists_all(capsys):
     assert cli.main(["keys"]) == 0
     out = capsys.readouterr().out
