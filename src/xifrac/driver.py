@@ -27,17 +27,23 @@ systems form one family ``K + s R`` and the projection often meets the
 residual test.  If it also pins some node and every free node lies clear
 of the pin threshold by its error margin, it only decides which nodes to
 pin, and the sweep factors nothing; otherwise the sweep is solved, and
-the same factor also gives three tangents of the family along ``R``, the
-strain-drive mass of :func:`phasefield.assemble_phase`
-(:func:`fem.solve_with_tangents`), which join the basis with the answer
-and keep the projections within the pin margin for several load steps.
+its factor, answer and ``R``, the strain-drive mass of
+:func:`phasefield.assemble_phase`, wait on ``SimState.phase_seed`` until
+the end of the staggered iteration.  Only a family that the iteration
+keeps takes the seed into its basis.  When the basis is empty, or has
+served an accepted projection since its last extension, the same factor
+first gives the Krylov sequence ``(A^-1 R)^j x``, ``j = 1..7``
+(:func:`fem.family_tangents`): the answer and these seven tangents fill
+the basis and keep the projections within the pin margin across long
+stretches of the preload.  Otherwise the answer enters alone, so a
+family whose basis decides no first sweep pays for no more tangents.
 Under ``pcg``, which has no fine factor, the first sweep is solved like
 the others, from its answer in the previous iteration.
-The basis is emptied whenever the family changes, by a mesh change in
-:func:`amr_pass` or by an iteration that changes xi or the mask in
-:func:`staggered_step`.  Every returned field is a solver's answer to an
-active set that the margin makes independent of the basis, as long as
-the margin bounds the projection's true error (see
+The basis and the seed are dropped whenever the family changes, by a
+mesh change in :func:`amr_pass` or by an iteration that changes xi or
+the mask in :func:`staggered_step`.  Every returned field is a solver's
+answer to an active set that the margin makes independent of the basis,
+as long as the margin bounds the projection's true error (see
 :func:`_pins_clearly`); that is not checked at run time.
 
 After convergence an optional AMR pass refines cells whose xi falls below
@@ -124,9 +130,14 @@ class SimState:
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
     # Under direct, orthonormal rows of free values, newest first, spanning
-    # the latest first-sweep phase solutions of the current family and their
-    # tangents (fem.extend_basis).
+    # the latest first-sweep phase solutions of the current family and the
+    # Krylov tangents of some of them (fem.extend_basis, _settle_seed).
     phase_basis: list[np.ndarray] = dc_field(default_factory=list)
+    # Whether phase_basis decided a first sweep since it was last extended.
+    basis_served: bool = False
+    # The factor, free dofs, free values and reaction of the first sweep
+    # solved in the current staggered iteration, until _settle_seed.
+    phase_seed: tuple | None = None
 
 
 def boundary_displacement(mesh: Mesh, t: float, c: float
@@ -162,10 +173,9 @@ def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
 
 # Cap on active-set sweeps inside one phase-field solve.
 _MAX_ACTIVE_SET = 30
-# Cap on the orthonormal rows kept in SimState.phase_basis.
+# Cap on the orthonormal rows kept in SimState.phase_basis: a solved first
+# sweep and the _PHASE_BASIS - 1 tangents of its Krylov sequence fill it.
 _PHASE_BASIS = 8
-# Tangents of the phase family that a direct first sweep adds to the basis.
-_TANGENTS = 3
 # Stand-in for the condition number kappa_inf(A) of a phase system in the
 # pin margin of _pins_clearly.  The amr_field phase systems (8,439 free
 # dofs) measure kappa_inf of 5.6e3 to 7.4e3.
@@ -199,22 +209,49 @@ def _first_sweep(state: SimState, sys, sol: SolverParams, threshold, open_,
     Returns either a field that depends on the basis but pins clearly
     (:func:`_pins_clearly`), so that only its pin decision is used, or the
     direct solver's answer.  An accepted projection that pins clearly
-    comes back as it is and leaves the basis alone.  Else the sweep is
-    solved once, without the basis, by :func:`fem.solve_with_tangents`,
-    and the answer and its ``_TANGENTS`` tangents along the reaction
-    ``reaction`` join the basis, which keeps at most ``_PHASE_BASIS``
-    orthonormal rows (:func:`fem.extend_basis`).
+    comes back as it is, leaves the basis alone and marks it as served.
+    Else the sweep is solved once, without the basis, by
+    :func:`fem.solve_factored`, and its factor, free dofs, free values and
+    the reaction ``reaction`` become ``state.phase_seed``, for
+    :func:`_settle_seed` at the end of the staggered iteration; a system
+    without unknowns leaves no seed.
     """
     projected, accepted = fem.project(sys, state.phase_basis,
                                       tol=sol.linear_tol)
     if accepted and _pins_clearly(sys, projected, threshold, open_,
                                   sol.linear_tol):
+        state.basis_served = True
         return projected
-    v, tangents = fem.solve_with_tangents(sys, reaction, _TANGENTS,
-                                          tol=sol.linear_tol)
-    fem.extend_basis(state.phase_basis, [v.values[sys.free], *tangents],
-                     _PHASE_BASIS)
+    v, factor = fem.solve_factored(sys, tol=sol.linear_tol)
+    if factor is not None:
+        state.phase_seed = (factor, sys.free, v.values[sys.free], reaction)
     return v
+
+
+def _settle_seed(state: SimState, same_family: bool) -> None:
+    """End a staggered iteration's hold on ``state.phase_seed``.
+
+    When the iteration changed the family, the seed is dropped with the
+    basis and no tangent is built.  When it kept the family, the seed's
+    answer joins the basis (:func:`fem.extend_basis`, at most
+    ``_PHASE_BASIS`` rows): with its ``_PHASE_BASIS - 1`` tangents
+    (:func:`fem.family_tangents`) if the basis is empty or served an
+    accepted projection since its last extension, and alone otherwise,
+    since a basis that decides no first sweep would only buy tangents
+    that fail too.  Either way the seed's factor is released.
+    """
+    seed, state.phase_seed = state.phase_seed, None
+    if not same_family:
+        state.phase_basis.clear()
+    elif seed is not None:
+        factor, free, x, reaction = seed
+        count = (_PHASE_BASIS - 1
+                 if state.basis_served or not state.phase_basis else 0)
+        fem.extend_basis(
+            state.phase_basis,
+            [x, *fem.family_tangents(factor, reaction, free, x, count)],
+            _PHASE_BASIS)
+        state.basis_served = False
 
 
 def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams,
@@ -235,12 +272,13 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams,
     ``solve(sys, guess=None)`` solves one sweep.  Under ``direct`` the
     first sweep, which pins only the crack mask, goes through
     :func:`_first_sweep`: it is projected onto ``state.phase_basis``, and
-    when it has to be solved, the answer and its tangents along the
-    strain-drive mass fill the basis.  A first-sweep field that depends on
+    when it has to be solved, its factor, answer and the strain-drive
+    mass become ``state.phase_seed``, which keeps the factor alive until
+    the caller settles it.  A first-sweep field that depends on
     the basis is used only when it pins some node and clears the pin
     threshold by its error margin; the next sweep then solves with those
     nodes pinned, so the returned field is always a solver's answer.
-    Emptying the basis is up to the callers.
+    Settling the seed and emptying the basis are up to the callers.
 
     ``starts`` maps a sweep index to the full-length answer of that sweep
     in the previous call, and this call replaces its contents with its
@@ -291,9 +329,13 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     call, kept in a local dict, so no start crosses a load step, a mesh
     change or a restart; under ``direct`` the phase solve recycles
     ``state.phase_basis`` in its first sweep (:func:`_solve_phase_bounded`).
-    An iteration that changes xi or the crack mask empties the basis, so
-    it only holds solutions for the current diffusion operator, load and
-    free set; the comparisons are those of the fixed-point stop below.
+    Each iteration ends by settling the seed of a first sweep it solved
+    (:func:`_settle_seed`), so the seed's factor lives until then.  An
+    iteration that changes xi or the crack mask drops the seed and
+    empties the basis, so the basis only holds solutions for the current
+    diffusion operator, load and free set, and no tangent is built for a
+    family that is gone; an iteration that keeps them adds the seed to
+    the basis.  The comparisons are those of the fixed-point stop below.
 
     An iteration that leaves ``v``, xi and the crack mask exactly as it
     found them has reached a fixed point: the next iteration would repeat
@@ -332,8 +374,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         state.xi = update_xi(state, config)
         same_family = (np.array_equal(state.xi, xi_old)
                        and np.array_equal(state.mask.pinned, mask_old.pinned))
-        if not same_family:
-            state.phase_basis.clear()
+        _settle_seed(state, same_family)
 
         err_u = fem.l2_relative_error(state.u, u_old)
         err_v = fem.l2_relative_error(state.v, v_old)
@@ -383,7 +424,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     as the columns of one block.  In field mode ``state.xi`` is already the
     cell xi of ``state.v`` on ``state.mesh`` (the staggered loop and every
     mesh change leave it so), and the first flags reuse it.  A mesh change
-    empties ``state.phase_basis``.
+    empties ``state.phase_basis`` and drops ``state.phase_seed``.
     """
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values,
@@ -409,6 +450,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     u_vals, v_vals, vprev_vals = fields.T.copy()
     state.mesh = new
     state.phase_basis.clear()
+    state.phase_seed = None
     state.u = ScalarField(new, u_vals)
     v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
     # Pinned nodes carry v = 0 exactly and transfers preserve that, so the

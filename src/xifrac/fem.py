@@ -49,19 +49,21 @@ operator repeats and the Dirichlet data scale with the load, so the
 multiple of the previous displacement already passes and nothing is
 factored; in any other step CG from the multiple needs few iterations
 and factors only the coarse operator.  So the direct solver only factors
-systems that come without a guess.  No factor or value is kept between
-solves: a plan holds structure only.
+systems that come without a guess.  This module keeps no factor or
+value between solves: a plan holds structure only, and the one factor
+that outlives its solve, that of :func:`solve_factored`, is the caller's.
 
 :func:`project` recycles earlier solutions of a family of systems, such
 as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
 strain drive ``s`` grows with the load: it solves the Galerkin system on
 the span of orthonormal rows, kept up to date by :func:`extend_basis` as
 vectors enter, and hands back the result with the verdict of the direct
-solver's residual test.  :func:`solve_with_tangents` feeds such a basis:
-with the factor of one direct solve in hand, a few triangular solves give
-the tangents ``(A^-1 R)^j x`` of the family at that member, so a projection
-onto the answer and its tangents matches the family's Taylor series to
-that order (moment matching, as in Pade-via-Lanczos model reduction).
+solver's residual test.  :func:`solve_factored` and
+:func:`family_tangents` feed such a basis: with the factor of one direct
+solve in hand, a few triangular solves give the tangents
+``(A^-1 R)^j x`` of the family at that member, so a projection onto the
+answer and its tangents matches the family's Taylor series to that order
+(moment matching, as in Pade-via-Lanczos model reduction).
 A caller may use an accepted projection to decide what to do next, but
 the field it returns should come from a solve: the projection depends
 on which fields happen to be in the span, so a run restarted with other
@@ -662,31 +664,51 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
     holds one dof, the correction is the answer, and CG would have no
     direction left.  The recurrence residual only decides when to look:
     an iterate is returned once its true residual passes :func:`_meets`,
-    and CG restarts from the true residual while it does not.  A
+    and CG restarts from the true residual while it does not.  CG also
+    restarts when the recurrence residual, having fallen below the one
+    its pass started from, climbs back above it: the pass has lost all
+    its progress.  On a near-singular system, such as a phase system with
+    no pinned node, the deflated recurrence does that once it nears the
+    floor that rounding leaves, and then grows without bound.  A
     direction whose curvature ``p.Ap`` is not positive and finite raises
-    :class:`LinearSolveError`, since ``A`` is then not SPD.  Returns the
-    iterate, whether it passed, and the number of CG iterations.
+    :class:`LinearSolveError`, since ``A`` is then not SPD.  So does a
+    restart whose true residual is not below the previous restart's: the
+    iterates have reached that floor, above ``limit``, and more restarts
+    would only spend ``max_iter``.  The error carries the relative
+    residual reached.  Returns the iterate, whether it passed, and the
+    number of CG iterations.
     """
     deflate, precondition = _preconditioner(A, coarse)
     if x0 is None:
         x, Ax = np.zeros(b.shape[0]), np.zeros(b.shape[0])
     else:
         x, Ax = x0.copy(), (A @ x0 if Ax0 is None else Ax0)
-    k = 0
+    k, previous = 0, np.inf
     while True:
         if _meets(Ax, b, limit):
             return x, True, k
         if k == max_iter:
             return x, False, k
         r = b - Ax
+        if k:
+            rnorm = np.linalg.norm(r)
+            if not rnorm < previous:
+                rel = rnorm / np.linalg.norm(b)
+                raise LinearSolveError(
+                    f"PCG stalled after {k} iterations: a restart left the "
+                    f"relative residual at {rel:.3e}, no lower than the "
+                    f"restart before it", rel)
+            previous = rnorm
         deflate(x, r)
-        if np.linalg.norm(r) <= limit:
+        start = np.linalg.norm(r)
+        if start <= limit:
             Ax = A @ x
             if _meets(Ax, b, limit):
                 return x, True, k
             r = b - Ax
+            start = np.linalg.norm(r)
         z, rz = precondition(r)
-        p = z
+        p, low = z, start
         while k < max_iter:
             k += 1
             Ap = A @ p
@@ -698,8 +720,10 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            if np.linalg.norm(r) <= limit:
+            rnorm = np.linalg.norm(r)
+            if rnorm <= limit or rnorm > start > low:
                 break
+            low = min(low, rnorm)
             z, rz_new = precondition(r)
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -816,38 +840,49 @@ def solve_field(sys: SparseSystem, tol: float = 1e-10,
         guess=None if guess is None else np.asarray(guess)[sys.free]))
 
 
-def solve_with_tangents(sys: SparseSystem, reaction: sp.spmatrix,
-                        count: int, tol: float = 1e-10
-                        ) -> tuple[ScalarField, list[np.ndarray]]:
-    """Direct solve of a restricted system, and tangents of its family.
+def solve_factored(sys: SparseSystem, tol: float = 1e-10
+                   ) -> tuple[ScalarField, object | None]:
+    """Direct solve of a restricted system that also hands back its factor.
 
-    The system is one member of a family ``(K + s R) x = b`` whose matrix
-    moves along ``R``, given folded and unrestricted as ``reaction``; for
-    a phase system that is the strain-drive mass.  The field is the one
-    :func:`solve_field` returns with ``method="direct"``, bit for bit.
-    The same factor, before it is released, also gives the free values of
-    ``t_j = (A^-1 R)^j x`` for ``j = 1..count``, where ``R`` acts on free
-    values through the unrestricted matrix, ``(R x_full)[free]`` with
-    ``x_full`` zero off the free dofs.  When the prescribed values are
-    zero, as a crack pins them, ``(-1)^j t_j`` is the ``j``-th Taylor
-    coefficient of ``x`` in ``s``, so a Galerkin projection onto
-    ``x, t_1, ..., t_count`` has an error of order ``count + 1`` in the
-    change of ``s``.  With no unknown, nothing is factored and there is no
-    tangent.
+    The field is the one :func:`solve_field` returns with
+    ``method="direct"``, bit for bit.  The factor is SuperLU's, for
+    :func:`family_tangents`; it lives as long as the caller keeps it.  With
+    no unknown, nothing is factored and the factor is None.
     """
     if sys.free is None:
-        raise ValueError("solve_with_tangents takes a system from "
-                         "apply_dirichlet")
+        raise ValueError("solve_factored takes a system from apply_dirichlet")
     A, b = sys.matrix, sys.rhs
     if not len(b):
-        return _expand(sys, np.zeros(0)), []
+        return _expand(sys, np.zeros(0)), None
     x, lu = _direct(A, b, _limit(tol, "direct", np.linalg.norm(b)))
+    return _expand(sys, x), lu
+
+
+def family_tangents(factor, reaction: sp.spmatrix, free: np.ndarray,
+                    x: np.ndarray, count: int) -> list[np.ndarray]:
+    """Tangents of a family of systems at a member solved by ``factor``.
+
+    The member ``A x = b`` belongs to a family ``(K + s R) x = b`` whose
+    matrix moves along ``R``, given folded and unrestricted as
+    ``reaction``; for a phase system that is the strain-drive mass.
+    ``factor`` is the factor of ``A`` from :func:`solve_factored`, ``free``
+    the free dofs of ``A``'s system and ``x`` the free values of its answer.
+    Returns the free values of ``t_j = (A^-1 R)^j x`` for
+    ``j = 1..count``, the Krylov sequence of ``A^-1 R`` from ``x``, where
+    ``R`` acts on free values through the unrestricted matrix,
+    ``(R x_full)[free]`` with ``x_full`` zero off the free dofs.  When the
+    prescribed values are zero, as a crack pins them, ``(-1)^j t_j`` is the
+    ``j``-th Taylor coefficient of ``x`` in ``s``, so a Galerkin projection
+    onto ``x, t_1, ..., t_count`` has an error of order ``count + 1`` in the
+    change of ``s``.  Each tangent costs one product with ``R`` and one
+    pair of triangular solves; nothing is factored.
+    """
     full = np.zeros(reaction.shape[1])
     tangents = [x]
     for _ in range(count):
-        full[sys.free] = tangents[-1]
-        tangents.append(lu.solve((reaction @ full)[sys.free]))
-    return _expand(sys, x), tangents[1:]
+        full[free] = tangents[-1]
+        tangents.append(factor.solve((reaction @ full)[free]))
+    return tangents[1:]
 
 
 def extend_basis(basis: list[np.ndarray], vectors, cap: int) -> None:

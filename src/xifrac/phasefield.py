@@ -179,7 +179,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
     Returns the system and its reaction part ``R``, the folded strain-drive
     mass.  In an elastic step the drive scales with the load, so the phase
     systems of a preload form the family ``K + s R``
-    (:func:`fem.solve_with_tangents`).
+    (:func:`fem.family_tangents`).
     """
     if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive")

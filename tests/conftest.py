@@ -157,6 +157,40 @@ def global_pcg_systems():
     return u_sys, fem.apply_dirichlet(folded, state.mask.pinned, 0.0)
 
 
+def solved_with_tangents(sys, reaction, count):
+    """The direct answer of a restricted system and the first ``count``
+    tangents of its family that its factor gives."""
+    v, factor = fem.solve_factored(sys)
+    return v, fem.family_tangents(factor, reaction, sys.free,
+                                  v.values[sys.free], count)
+
+
+def cg_passes(monkeypatch):
+    """Spy on the deflated CG of ``fem``: per solve, in order, a list
+    ``[passes, iterations]``, where a pass is the start or a restart (one
+    coarse correction each) and an iteration one preconditioned
+    direction."""
+    solves, preconditioner = [], fem._preconditioner
+
+    def spy(A, coarse):
+        deflate, precondition = preconditioner(A, coarse)
+        counts = [0, 0]
+        solves.append(counts)
+
+        def counted_deflate(x, r):
+            counts[0] += 1
+            return deflate(x, r)
+
+        def counted_precondition(r):
+            counts[1] += 1
+            return precondition(r)
+
+        return counted_deflate, counted_precondition
+
+    monkeypatch.setattr(fem, "_preconditioner", spy)
+    return solves
+
+
 def nothing_pinned(mesh):
     """A ``pinned`` mask that pins no vertex of ``mesh``."""
     return np.zeros(mesh.n_vertices, dtype=bool)

@@ -17,9 +17,10 @@ from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
     l2_relative_error, shape_eval, solve_field, solve_spd
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
-from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass, dirichlet_arrays, global_pcg_systems, \
-    lower_band, nothing_pinned, sparse_prolongation
+from conftest import cg_passes, dense_condense, dense_dirichlet, \
+    dense_laplace, dense_load, dense_mass, dirichlet_arrays, \
+    global_pcg_systems, lower_band, nothing_pinned, solved_with_tangents, \
+    sparse_prolongation
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +614,32 @@ def test_pcg_meets_the_true_residual_contract():
         return  # an honest failure also keeps the contract
     A, b = sys.matrix, sys.rhs
     assert np.linalg.norm(A @ got - b) <= tol * np.linalg.norm(b)
+
+
+def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
+        monkeypatch):
+    # A pure-Neumann Laplacian plus a 1e-4 mass on a level-4 grid: kappa is
+    # about 1e7, and the floor of any computed answer, eps ||A|| ||x|| /
+    # ||b|| from a dense solve, lies above a tolerance of a tenth of it.
+    # The deflated CG reaches that floor within a few restarts and raises
+    # there with the residual it reached, instead of running on to
+    # max_iter.
+    mesh = build_uniform(4)
+    sys = combine(assemble_weighted_laplace(mesh, 1.0),
+                  assemble_weighted_mass(mesh, 1e-4),
+                  rhs=assemble_load(
+                      mesh, lambda x, y: 1.0 + np.cos(np.pi * x) * y))
+    A, b = sys.matrix.toarray(), sys.rhs
+    assert 5e6 < np.linalg.cond(A) < 5e7
+    x = np.linalg.solve(A, b)
+    floor = (np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
+             / np.linalg.norm(b))
+    solves = cg_passes(monkeypatch)
+    with pytest.raises(LinearSolveError, match="stalled") as info:
+        solve_spd(sys, tol=floor / 10, method="pcg")
+    assert floor / 10 < info.value.residual <= floor
+    [(passes, iterations)] = solves
+    assert passes <= 10 and iterations <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -1382,7 +1409,8 @@ def _dense_free_block(sys, matrix):
 def test_tangents_are_powers_of_the_family_operator(s, solver_calls):
     sys, reaction = _family(s, reaction=True)
     assert len(sys.mesh.constraints) > 0
-    v, tangents = fem.solve_with_tangents(sys, reaction, 3)
+    count = driver._PHASE_BASIS - 1
+    v, tangents = solved_with_tangents(sys, reaction, count)
     assert solver_calls == ["splu"]
     # The field is the direct solve's, bit for bit.
     assert v.values.tobytes() == solve_field(sys, method="direct").values \
@@ -1390,38 +1418,61 @@ def test_tangents_are_powers_of_the_family_operator(s, solver_calls):
     A = sys.matrix.toarray()
     R = _dense_free_block(sys, reaction)
     want = v.values[sys.free]
-    assert len(tangents) == 3
+    assert len(tangents) == count
     for t in tangents:
         want = np.linalg.solve(A, R @ want)
-        assert np.max(np.abs(t - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(t - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _tangent_projection_errors(count, deltas):
+    """Relative max errors, against dense solves, of the projection onto
+    the answer at s0 = 20 and its first ``count`` tangents, at
+    s0 + delta for each delta."""
+    s0 = 20.0
+    sys0, reaction = _family(s0, reaction=True)
+    v, tangents = solved_with_tangents(sys0, reaction, count)
+    basis = []
+    fem.extend_basis(basis, [v.values[sys0.free], *tangents], count + 1)
+    assert len(basis) == count + 1
+    errors = []
+    for delta in deltas:
+        sys = _family(s0 + delta)
+        got, _ = fem.project(sys, basis)
+        want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
+        errors.append(np.max(np.abs(got.values[sys.free] - want))
+                      / np.max(np.abs(want)))
+    return errors
 
 
 def test_tangent_projection_error_falls_as_the_fourth_power():
     # Galerkin projection onto the solution at s0 and its three tangents
     # matches the family's Taylor series to third order, so its error at
     # s0 + delta falls 16-fold when delta halves.
-    s0 = 20.0
-    sys0, reaction = _family(s0, reaction=True)
-    v, tangents = fem.solve_with_tangents(sys0, reaction, 3)
-    basis = []
-    fem.extend_basis(basis, [v.values[sys0.free], *tangents], 4)
-    assert len(basis) == 4
-    errors = []
-    for delta in (2.0, 1.0, 0.5):
-        sys = _family(s0 + delta)
-        got, _ = fem.project(sys, basis)
-        want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
-        errors.append(np.max(np.abs(got.values[sys.free] - want))
-                      / np.max(np.abs(want)))
+    errors = _tangent_projection_errors(3, (2.0, 1.0, 0.5))
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 < coarse / fine < 18.0
+
+
+def test_tangent_projection_error_falls_as_the_eighth_power():
+    # With the seven tangents that fill a basis of driver._PHASE_BASIS
+    # rows, the projection matches the Taylor series to seventh order, so
+    # its error falls 256-fold when delta halves once delta is small
+    # enough.  The errors reach rounding (about 1e-15) before that shows
+    # in full, so the local order log2(e(2 delta) / e(delta)) is checked
+    # to lie between 7 and 9 and to rise toward 8 as delta falls.
+    errors = _tangent_projection_errors(driver._PHASE_BASIS - 1,
+                                        (12.0, 6.0, 3.0))
+    assert errors[-1] > 1e-14
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(128.0 < r < 512.0 for r in ratios)
+    assert ratios[0] < ratios[1]
 
 
 def test_tangents_of_a_system_without_unknowns(mesh4x4, solver_calls):
     mass = assemble_weighted_mass(mesh4x4, 1.0)
     sys = apply_dirichlet(mass, ~nothing_pinned(mesh4x4), 2.0)
-    v, tangents = fem.solve_with_tangents(sys, mass.matrix, 3)
-    assert tangents == [] and solver_calls == []
+    v, factor = fem.solve_factored(sys)
+    assert factor is None and solver_calls == []
     assert np.all(v.values == 2.0)
 
 
@@ -1430,7 +1481,7 @@ def test_projection_takes_a_restricted_system(mesh4x4):
     with pytest.raises(ValueError):
         fem.project(sys, [np.ones(mesh4x4.n_vertices)])
     with pytest.raises(ValueError):
-        fem.solve_with_tangents(sys, sys.matrix, 3)
+        fem.solve_factored(sys)
 
 
 def test_unknown_method_raises(mesh4x4):

@@ -36,7 +36,7 @@ from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
 
 from conftest import global_pcg_systems, lower_band, \
-    sparse_prolongation  # noqa: E402
+    solved_with_tangents, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -385,19 +385,20 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
 
 
 def test_bench_phase_tangents(benchmark, mesh):
-    # A solved first sweep: one factorization gives the answer and three
-    # tangents (A^-1 R)^j x of the family.  The reference solves each
-    # power with SuperLU's default ordering, R acting on the free values
-    # through its free block.
+    # A solved first sweep: one factorization gives the answer and the
+    # seven tangents (A^-1 R)^j x of the family that fill a phase basis.
+    # The reference solves each power with SuperLU's default ordering, R
+    # acting on the free values through its free block.
     sys, reaction = _preload_first_sweeps(mesh)(0.0015 * 20)
-    got, tangents = _run(benchmark, fem.solve_with_tangents, sys, reaction,
-                         driver._TANGENTS, rounds=5)
+    count = driver._PHASE_BASIS - 1
+    got, tangents = _run(benchmark, solved_with_tangents, sys, reaction,
+                         count, rounds=5)
     A = sys.matrix.tocsc()
     r_free = reaction[sys.free][:, sys.free]
     want = spla.spsolve(A, sys.rhs)
     x = got.values[sys.free]
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
-    assert len(tangents) == 3
+    assert len(tangents) == count
     for t in tangents:
         want = spla.spsolve(A, r_free @ want)
         assert np.max(np.abs(t - want)) <= 1e-9 * np.max(np.abs(want))
