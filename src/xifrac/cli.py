@@ -7,7 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, driver, output, phasefield as pf
+from . import __version__, driver, fem, output, phasefield as pf
 from .config import ConfigError, describe_keys, parse_config
 
 log = logging.getLogger(__name__)
@@ -70,7 +70,12 @@ def _cmd_run(args) -> int:
         overrides["regularization.mode"] = args.mode
     config = parse_config(text, overrides)
     out_dir = args.out or Path("xifrac-out")
-    history, state = driver.run(config, out_dir=out_dir)
+    try:
+        history, state = driver.run(config, out_dir=out_dir)
+    except fem.LinearSolveError as exc:
+        print(f"error: {exc}; the run stopped at its failed step, which is "
+              f"recorded with the outputs in {out_dir}", file=sys.stderr)
+        return 1
     failed = sum(not rec.converged for rec in history)
     print(f"completed {len(history)} steps on {state.mesh.n_cells} cells; "
           f"{failed} did not converge; outputs in {out_dir}")

@@ -3,8 +3,8 @@
 One load step solves the displacement system with the phase field frozen,
 then the phase-field system with the fresh displacement, enforces
 irreversibility and refreshes xi, until both relative nodal L2 changes
-drop below the staggered tolerance.  An iteration that leaves v, xi and
-the crack mask bit for bit unchanged is an exact fixed point: the loop
+drop below the staggered tolerance.  An iteration that leaves v and xi
+bit for bit unchanged is an exact fixed point: the loop
 stops there and counts the identical iteration it skips, so the
 ``stag_iters`` it reports are the iterations the plain loop would run.
 Each displacement solve starts from the current u (see
@@ -18,33 +18,39 @@ step, since the system changes only with a slightly changed u and xi;
 iteration 1 starts every sweep from zero.  Under ``direct`` no phase
 sweep gets a guess, for the reasons given in :func:`_solve_phase_bounded`.
 
+The crack is the set where v is exactly zero, and irreversibility keeps
+it growing: a load step bounds v from above by v as the step started, a
+node that drops below the pin threshold is set to zero, and a zero stays
+zero (:func:`phasefield.enforce_irreversibility`).  Neither the crack nor
+the bound is stored beside v (:class:`SimState`).
+
 Under ``direct``, the first active-set sweep of a phase solve is
-projected onto ``SimState.phase_basis``, orthonormal rows spanning the
-latest first-sweep solutions and their tangents (see
-:func:`fem.project`).  In an elastic preload the mesh, xi and crack mask
-stay fixed and only the strain drive grows with the load, so these
-systems form one family ``K + s R`` and the projection often meets the
-residual test.  If it also pins some node and every free node lies clear
-of the pin threshold by its error margin, it only decides which nodes to
-pin, and the sweep factors nothing; otherwise the sweep is solved, and
-its factor, answer and ``R``, the strain-drive mass of
-:func:`phasefield.assemble_phase`, wait on ``SimState.phase_seed`` until
-the end of the staggered iteration.  Only a family that the iteration
-keeps takes the seed into its basis.  When the basis is empty, or has
-served an accepted projection since its last extension, the same factor
-first gives the Krylov sequence ``(A^-1 R)^j x``, ``j = 1..7``
-(:func:`fem.family_tangents`): the answer and these seven tangents fill
-the basis and keep the projections within the pin margin across long
-stretches of the preload.  Otherwise the answer enters alone, so a
-family whose basis decides no first sweep pays for no more tangents.
-Under ``pcg``, which has no fine factor, the first sweep is solved like
-the others, from its answer in the previous iteration.
-The basis and the seed are dropped whenever the family changes, by a
-mesh change in :func:`amr_pass` or by an iteration that changes xi or
-the mask in :func:`staggered_step`.  Every returned field is a solver's
-answer to an active set that the margin makes independent of the basis,
-as long as the margin bounds the projection's true error (see
-:func:`_pins_clearly`); that is not checked at run time.
+projected onto ``SimState.phase_basis``, orthonormal rows spanning one
+solved first sweep and its tangents (see :func:`fem.project`).  In an
+elastic preload the mesh, xi and crack stay fixed and only the strain
+drive grows with the load, so these systems form one family ``K + s R``
+and the projection often meets the residual test.  If it also pins some
+node and every free node lies clear of the pin threshold by its error
+margin, it only decides which nodes to pin, and the sweep factors
+nothing; otherwise the sweep is solved, and its factor, answer and
+``R``, the strain-drive mass of :func:`phasefield.assemble_phase`, wait
+on ``SimState.phase_seed`` until the end of the staggered iteration.
+When the iteration keeps the family and the basis is empty, or has
+decided a first sweep since it was built, the seed replaces the basis:
+the same factor gives the Krylov sequence ``(A^-1 R)^j x``,
+``j = 1..7`` (:func:`fem.family_tangents`), and the answer and these
+seven tangents keep the projections within the pin margin across long
+stretches of the preload.  Any other seed is dropped, so a family whose
+basis decides no first sweep pays for no more tangents.  Under ``pcg``,
+which has no fine factor, the first sweep is solved like the others,
+from its answer in the previous iteration.  The basis and the seed are
+dropped whenever the family changes, by a mesh change in
+:func:`amr_pass` or by an iteration that changes xi or the crack in
+:func:`staggered_step`.  Every returned field is a solver's answer to
+an active set that the margin makes independent of the basis, as long
+as the margin bounds the projection's true error (see
+:func:`_pins_clearly`).  That is not checked at run time; the tests
+check it on runs restarted with an empty basis.
 
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
@@ -120,24 +126,37 @@ class SimConfig:
 
 @dataclass
 class SimState:
+    """The state of a run.
+
+    The crack is the set where ``v`` vanishes, read as :attr:`mask`, and a
+    load step's irreversibility bound is ``v`` as the step starts, so
+    neither is stored beside ``v``.  ``phase_basis``, ``basis_served``
+    and ``phase_seed`` only decide whether a direct first phase sweep is
+    factored; a state rebuilt from the other fields with an empty basis
+    returns the same fields.
+    """
+
     mesh: Mesh
     u: ScalarField
     v: ScalarField
-    v_prev: ScalarField
-    mask: pf.CrackMask
     xi: np.ndarray  # one value per cell, in every mode
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
-    # Under direct, orthonormal rows of free values, newest first, spanning
-    # the latest first-sweep phase solutions of the current family and the
-    # Krylov tangents of some of them (fem.extend_basis, _settle_seed).
+    # Under direct, orthonormal rows of free values spanning one solved
+    # first sweep of the current family and its _TANGENTS Krylov tangents
+    # (_settle_seed); empty until a sweep is solved.
     phase_basis: list[np.ndarray] = dc_field(default_factory=list)
-    # Whether phase_basis decided a first sweep since it was last extended.
+    # Whether phase_basis decided a first sweep since it was built.
     basis_served: bool = False
     # The factor, free dofs, free values and reaction of the first sweep
     # solved in the current staggered iteration, until _settle_seed.
     phase_seed: tuple | None = None
+
+    @property
+    def mask(self) -> pf.CrackMask:
+        """The crack: the vertices where ``v`` is exactly zero."""
+        return pf.CrackMask(self.v.values == 0.0)
 
 
 def boundary_displacement(mesh: Mesh, t: float, c: float
@@ -159,10 +178,10 @@ def initialize(config: SimConfig) -> SimState:
     mp = config.mesh
     grid = meshmod.build_uniform(mp.level_start, level_min=mp.level_start,
                                  level_max=mp.level_max)
-    v0, mask = pf.initial_crack(grid, mp.crack_y_tip)
+    v0 = pf.initial_crack(grid, mp.crack_y_tip)
     u0 = fem.constant_field(grid, 0.0)
     xi = pf.cell_xi(grid, v0, config.material, config.regularization)
-    return SimState(mesh=grid, u=u0, v=v0, v_prev=v0.copy(), mask=mask, xi=xi)
+    return SimState(mesh=grid, u=u0, v=v0, xi=xi)
 
 
 def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
@@ -173,9 +192,9 @@ def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
 
 # Cap on active-set sweeps inside one phase-field solve.
 _MAX_ACTIVE_SET = 30
-# Cap on the orthonormal rows kept in SimState.phase_basis: a solved first
-# sweep and the _PHASE_BASIS - 1 tangents of its Krylov sequence fill it.
-_PHASE_BASIS = 8
+# Krylov tangents of a solved first sweep that join its answer in
+# SimState.phase_basis.
+_TANGENTS = 7
 # Stand-in for the condition number kappa_inf(A) of a phase system in the
 # pin margin of _pins_clearly.  The amr_field phase systems (8,439 free
 # dofs) measure kappa_inf of 5.6e3 to 7.4e3.
@@ -232,45 +251,46 @@ def _settle_seed(state: SimState, same_family: bool) -> None:
     """End a staggered iteration's hold on ``state.phase_seed``.
 
     When the iteration changed the family, the seed is dropped with the
-    basis and no tangent is built.  When it kept the family, the seed's
-    answer joins the basis (:func:`fem.extend_basis`, at most
-    ``_PHASE_BASIS`` rows): with its ``_PHASE_BASIS - 1`` tangents
-    (:func:`fem.family_tangents`) if the basis is empty or served an
-    accepted projection since its last extension, and alone otherwise,
-    since a basis that decides no first sweep would only buy tangents
-    that fail too.  Either way the seed's factor is released.
+    basis and no tangent is built.  When it kept the family and the basis
+    is empty or decided a first sweep since it was built, the seed
+    replaces the basis: its answer ``x`` and the ``_TANGENTS`` tangents
+    ``(A^-1 R)^j x`` (:func:`fem.family_tangents`), orthonormalized
+    (:func:`fem.orthonormalize`).  Otherwise the seed is dropped and the
+    basis stays as it is, since a basis that decides no first sweep would
+    only buy tangents that fail too.  Either way the seed's factor is
+    released.
     """
     seed, state.phase_seed = state.phase_seed, None
     if not same_family:
         state.phase_basis.clear()
-    elif seed is not None:
+    elif seed is not None and (state.basis_served or not state.phase_basis):
         factor, free, x, reaction = seed
-        count = (_PHASE_BASIS - 1
-                 if state.basis_served or not state.phase_basis else 0)
-        fem.extend_basis(
-            state.phase_basis,
-            [x, *fem.family_tangents(factor, reaction, free, x, count)],
-            _PHASE_BASIS)
+        state.phase_basis = fem.orthonormalize(
+            [x, *fem.family_tangents(factor, reaction, free, x, _TANGENTS)])
         state.basis_served = False
 
 
-def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams,
-                         starts: dict) -> tuple[fem.ScalarField, bool]:
-    """Phase-field solve respecting the upper bound ``v <= min(v_prev, 1)``.
+def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
+                         sol: SolverParams, starts: dict
+                         ) -> tuple[fem.ScalarField, bool]:
+    """Phase-field solve respecting the upper bound ``v <= min(bound, 1)``.
+
+    ``bound`` is ``v`` as the load step started (:func:`staggered_step`).
 
     A plain solve-then-clip treatment leaves crack-face nodes frozen at
     transient values: the unconstrained solution overshoots the bound next
     to pinned nodes, so clipping can never relax the profile.  Pinning the
     violating nodes at their bound and re-solving (a primal active set)
     recovers the true constrained minimizer in a few sweeps.  The active
-    set, one bool per vertex, starts from a copy of the crack mask (pinned
-    at zero) and grows by the violating nodes (pinned at their bound).
+    set, one bool per vertex, starts from the crack, the zeros of
+    ``state.v`` (pinned at zero), and grows by the violating nodes (pinned
+    at their bound).
     The folded operator is assembled once; each sweep only restricts it.
     Returns the solution and False when the active set was still growing
     after ``_MAX_ACTIVE_SET`` sweeps.
 
     ``solve(sys, guess=None)`` solves one sweep.  Under ``direct`` the
-    first sweep, which pins only the crack mask, goes through
+    first sweep, which pins only the crack, goes through
     :func:`_first_sweep`: it is projected onto ``state.phase_basis``, and
     when it has to be solved, its factor, answer and the strain-drive
     mass become ``state.phase_seed``, which keeps the factor alive until
@@ -290,8 +310,8 @@ def _solve_phase_bounded(state: SimState, mat, solve, sol: SolverParams,
     the bits would depend on the basis again; and a later sweep factors a
     small system cheaply, which a guess would turn into a CG solve.
     """
-    upper = np.minimum(state.v_prev.values, 1.0)
-    pinned = state.mask.pinned.copy()
+    upper = np.minimum(bound.values, 1.0)
+    pinned = state.v.values == 0.0
     values = np.where(pinned, 0.0, upper)
     folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
     threshold = upper + 1e-12
@@ -324,6 +344,10 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     is a phase solve that hits the active-set cap, which marks the step
     not converged.
 
+    The irreversibility bound of every iteration is ``state.v`` as this
+    call finds it, and the crack each iteration starts from is the zeros
+    of the iteration's starting ``v``.
+
     The u solve gets ``state.u`` as its guess.  Under ``pcg`` each phase
     sweep starts from its own answer in the previous iteration of this
     call, kept in a local dict, so no start crosses a load step, a mesh
@@ -331,14 +355,14 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     ``state.phase_basis`` in its first sweep (:func:`_solve_phase_bounded`).
     Each iteration ends by settling the seed of a first sweep it solved
     (:func:`_settle_seed`), so the seed's factor lives until then.  An
-    iteration that changes xi or the crack mask drops the seed and
-    empties the basis, so the basis only holds solutions for the current
-    diffusion operator, load and free set, and no tangent is built for a
-    family that is gone; an iteration that keeps them adds the seed to
-    the basis.  The comparisons are those of the fixed-point stop below.
+    iteration that changes xi or the crack drops the seed and empties the
+    basis, so the basis only holds solutions for the current diffusion
+    operator, load and free set, and no tangent is built for a family
+    that is gone; an iteration that keeps them may rebuild the basis from
+    the seed.
 
-    An iteration that leaves ``v``, xi and the crack mask exactly as it
-    found them has reached a fixed point: the next iteration would repeat
+    An iteration that leaves ``v`` and xi exactly as it found them has
+    reached a fixed point: the next iteration would repeat
     its u and v solves bit for bit and pass the stopping test with both
     changes zero.  The guess keeps this exact.  The skipped iteration
     would assemble the same u system and hand it ``u_k``, which already
@@ -356,24 +380,26 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         sys, tol=sol.linear_tol, max_iter=sol.linear_max_iter,
         method=sol.method, guess=guess)
 
+    bound = state.v
     converged = capped = False
     iters = 0
     starts = {}
     for iters in range(1, sol.staggered_max_iter + 1):
-        u_old, v_old = state.u, state.v
-        xi_old, mask_old = state.xi, state.mask
+        u_old, v_old, xi_old = state.u, state.v, state.xi
+        cracked = v_old.values == 0.0
 
         sys_u = pf.assemble_displacement(state.mesh, state.v, mat, *bc)
         state.u = solve(sys_u, state.u.values)
 
-        v_raw, settled = _solve_phase_bounded(state, mat, solve, sol, starts)
+        v_raw, settled = _solve_phase_bounded(state, bound, mat, solve, sol,
+                                              starts)
         capped |= not settled
-        state.v, state.mask = pf.enforce_irreversibility(
-            v_raw, state.v_prev, state.mask, sol.crack_tol)
+        state.v = pf.enforce_irreversibility(v_raw, bound, cracked,
+                                             sol.crack_tol)
 
         state.xi = update_xi(state, config)
         same_family = (np.array_equal(state.xi, xi_old)
-                       and np.array_equal(state.mask.pinned, mask_old.pinned))
+                       and np.array_equal(state.v.values == 0.0, cracked))
         _settle_seed(state, same_family)
 
         err_u = fem.l2_relative_error(state.u, u_old)
@@ -420,15 +446,15 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     Refinement iterates until no cell is flagged: 2:1 balancing can split
     unflagged cells whose children then fall below the threshold, so a
     single refine call may expose new flags one level down.  The loop is
-    bounded by the level range.  ``u``, ``v`` and ``v_prev`` move together
-    as the columns of one block.  In field mode ``state.xi`` is already the
+    bounded by the level range.  ``u`` and ``v`` move together as the
+    columns of one block; transfers keep the exact zeros of v, so the crack
+    moves with it.  In field mode ``state.xi`` is already the
     cell xi of ``state.v`` on ``state.mesh`` (the staggered loop and every
     mesh change leave it so), and the first flags reuse it.  A mesh change
     empties ``state.phase_basis`` and drops ``state.phase_seed``.
     """
     old = mesh = state.mesh
-    fields = np.column_stack([state.u.values, state.v.values,
-                              state.v_prev.values])
+    fields = np.column_stack([state.u.values, state.v.values])
     xi_cells = state.xi if config.regularization.mode == "field" else None
     for _ in range(old.level_max - old.level_min + 1):
         rflags, cflags = _amr_flags(mesh, fields[:, 1], config, xi_cells)
@@ -447,20 +473,14 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     if new is old:
         return False
 
-    u_vals, v_vals, vprev_vals = fields.T.copy()
+    u_vals, v_vals = fields.T.copy()
     state.mesh = new
     state.phase_basis.clear()
     state.phase_seed = None
     state.u = ScalarField(new, u_vals)
-    v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
-    # Pinned nodes carry v = 0 exactly and transfers preserve that, so the
-    # mask is re-derived from exact zeros (a tolerance here would re-pin
-    # interpolated near-zero nodes and sharpen the transferred profile).
-    state.mask = pf.crack_set(v, 0.0)
-    state.v = v
-    state.v_prev = ScalarField(new, np.clip(vprev_vals, 0.0, 1.0))
+    state.v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
     state.xi = pf.transfer_regularization(
-        state.xi, new, v, config.material, config.regularization)
+        state.xi, new, state.v, config.material, config.regularization)
     return True
 
 
@@ -473,9 +493,14 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
         ) -> tuple[list[pf.EnergyRecord], SimState]:
     """Execute the quasi-static load loop.
 
-    Stops early when the crack mask reaches the bottom boundary.  When
+    Stops early when the crack reaches the bottom boundary.  When
     ``out_dir`` is given, field snapshots, energy and xi histories, and a
     reproduction manifest are written there (see :mod:`xifrac.output`).
+    A step whose linear solve fails (:class:`fem.LinearSolveError`) ends
+    the run as recorded: its row joins the history with
+    ``converged=False`` and ``stag_iters=0``, the outputs are finalized
+    (which writes that step's snapshot), ``snapshot_hook`` is not called
+    for it, and the error propagates.
     """
     from . import output as out  # local import to keep the core IO-free
 
@@ -483,10 +508,22 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
     writer = out.RunWriter(out_dir, config) if out_dir is not None else None
     mat, reg = config.material, config.regularization
 
+    def record(iters, converged):
+        state.history.append(pf.energies(
+            state.mesh, state.u, state.v, state.xi, mat, reg, t=state.t,
+            stag_iters=iters, converged=converged))
+        return state.history[-1]
+
     for n in range(1, config.loading.n_max + 1):
         state.step = n
         state.t = n * config.loading.dt
-        iters, converged = staggered_step(state, config)
+        try:
+            iters, converged = staggered_step(state, config)
+        except fem.LinearSolveError:
+            record(0, False)
+            if writer is not None:
+                writer.finalize(state)
+            raise
 
         passes = 0
         if config.amr.enabled:
@@ -496,13 +533,7 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
                     passes -= 1
                     break
 
-        # The converged phase field becomes the irreversibility bound for
-        # the next load step.
-        state.v_prev = state.v.copy()
-
-        rec = pf.energies(state.mesh, state.u, state.v, state.xi, mat, reg,
-                          t=state.t, stag_iters=iters, converged=converged)
-        state.history.append(rec)
+        rec = record(iters, converged)
         log.info("step %3d t=%.3f iters=%d cells=%d E=(%.4g, %.4g, %.4g) "
                  "xi=[%.4g, %.4g] amr_passes=%d",
                  n, state.t, iters, state.mesh.n_cells, rec.strain,

@@ -53,17 +53,17 @@ systems that come without a guess.  This module keeps no factor or
 value between solves: a plan holds structure only, and the one factor
 that outlives its solve, that of :func:`solve_factored`, is the caller's.
 
-:func:`project` recycles earlier solutions of a family of systems, such
-as the phase systems ``(K + s R) v = b`` of an elastic preload, whose
-strain drive ``s`` grows with the load: it solves the Galerkin system on
-the span of orthonormal rows, kept up to date by :func:`extend_basis` as
-vectors enter, and hands back the result with the verdict of the direct
-solver's residual test.  :func:`solve_factored` and
-:func:`family_tangents` feed such a basis: with the factor of one direct
-solve in hand, a few triangular solves give the tangents
-``(A^-1 R)^j x`` of the family at that member, so a projection onto the
-answer and its tangents matches the family's Taylor series to that order
-(moment matching, as in Pade-via-Lanczos model reduction).
+:func:`project` recycles an earlier solution of a family of systems,
+such as the phase systems ``(K + s R) v = b`` of an elastic preload,
+whose strain drive ``s`` grows with the load: it solves the Galerkin
+system on the span of orthonormal rows (:func:`orthonormalize`) and
+hands back the result with the verdict of the direct solver's residual
+test.  :func:`solve_factored` and :func:`family_tangents` build such a
+basis: with the factor of one direct solve in hand, a few triangular
+solves give the tangents ``(A^-1 R)^j x`` of the family at that member,
+so a projection onto the answer and its tangents matches the family's
+Taylor series to that order (moment matching, as in Pade-via-Lanczos
+model reduction).
 A caller may use an accepted projection to decide what to do next, but
 the field it returns should come from a solve: the projection depends
 on which fields happen to be in the span, so a run restarted with other
@@ -885,30 +885,24 @@ def family_tangents(factor, reaction: sp.spmatrix, free: np.ndarray,
     return tangents[1:]
 
 
-def extend_basis(basis: list[np.ndarray], vectors, cap: int) -> None:
-    """Put ``vectors`` in front of the orthonormal rows ``basis``, in place.
+def orthonormalize(vectors) -> list[np.ndarray]:
+    """Orthonormal rows spanning ``vectors``, taken in order.
 
-    The rows are kept newest first, each orthogonal to every row before
-    it, so that the first rows always span the latest vectors.  The
-    vectors, then the old rows, are orthonormalized in that order by
-    Gram-Schmidt, run twice to keep the rows orthogonal to rounding.  One
-    that lies within ``1e-12`` of the span of the rows before it, relative
-    to its norm, adds no direction and is dropped; so is a zero vector.
-    Past ``cap`` rows the oldest are dropped, which leaves the span of the
-    newer vectors intact.
+    Gram-Schmidt, run twice to keep the rows orthogonal to rounding.  A
+    vector that lies within ``1e-12`` of the span of the rows before it,
+    relative to its norm, adds no direction and is dropped; so is a zero
+    vector.
     """
-    rows = [*vectors, *basis]
-    basis.clear()
-    for row in rows:
-        r = np.array(row, dtype=float)
+    rows = []
+    for vector in vectors:
+        r = np.array(vector, dtype=float)
         for _ in range(2):
-            for q in basis:
+            for q in rows:
                 r -= (q @ r) * q
         norm = np.linalg.norm(r)
-        if norm > 1e-12 * np.linalg.norm(row):
-            basis.append(r / norm)
-            if len(basis) == cap:
-                return
+        if norm > 1e-12 * np.linalg.norm(vector):
+            rows.append(r / norm)
+    return rows
 
 
 def project(sys: SparseSystem, basis, tol: float = 1e-10
@@ -916,7 +910,7 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10
     """Galerkin projection of a restricted system onto the span of ``basis``.
 
     ``basis`` is a list of orthonormal rows of free values on ``sys``, as
-    :func:`extend_basis` keeps them; they are the rows of ``Q^T``, used as
+    :func:`orthonormalize` gives them; they are the rows of ``Q^T``, used as
     they are, and the small system ``Q^T A Q c = Q^T b`` gives
     ``x = Q c``.  Returns the whole field of ``x``, expanded as
     :func:`solve_field` expands a solution, and whether ``x`` meets the

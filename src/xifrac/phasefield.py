@@ -99,9 +99,10 @@ class RegularizationParams(Params):
 
 @dataclass(frozen=True, eq=False)
 class CrackMask:
-    """Vertices where v is pinned to zero, one bool per vertex.
+    """The crack as one bool per vertex: where v is zero.
 
-    A mask is replaced, never changed in place: its array is read-only.
+    The crack is not stored beside v; :attr:`driver.SimState.mask` builds
+    one from the zeros of v.  Its array is read-only.
     """
 
     pinned: np.ndarray
@@ -245,25 +246,23 @@ def calibrate_zeta(h: float, c_v: float, alpha: float, g_c: float) -> float:
 
 
 def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
-                            mask: CrackMask, xi_cr: float
-                            ) -> tuple[ScalarField, CrackMask]:
+                            cracked: np.ndarray, xi_cr: float
+                            ) -> ScalarField:
     """Clamp v to [0,1], forbid healing, and pin sub-threshold nodes.
 
-    Nodes dropping below ``xi_cr`` are set to zero and join the mask
-    permanently.  The grown mask is a new one; ``mask`` is left as it is.
+    ``cracked`` holds one bool per vertex, the crack as it stands: those
+    nodes, and the nodes dropping below ``xi_cr``, are set to zero, which
+    adds them to the crack (the zeros of v) for good.  A hanging node
+    needs ``cracked``: its value is its masters' average, which can rise
+    again, and a node pinned since ``v_prev`` was taken is not a zero of
+    ``v_prev``.  Neither input is changed.
     """
     if v_new.mesh is not v_prev.mesh:
         raise ValueError("fields live on different meshes")
     v = np.clip(v_new.values, 0.0, 1.0)
     v = np.minimum(v, v_prev.values)
-    pinned = mask.pinned | (v < xi_cr)
-    v[pinned] = 0.0
-    return ScalarField(v_new.mesh, v), CrackMask(pinned)
-
-
-def crack_set(v: ScalarField, xi_cr: float) -> CrackMask:
-    """Nodes with ``v <= xi_cr``."""
-    return CrackMask(v.values <= xi_cr)
+    v[cracked | (v < xi_cr)] = 0.0
+    return ScalarField(v_new.mesh, v)
 
 
 def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
@@ -294,9 +293,9 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
                         stag_iters=stag_iters, converged=converged)
 
 
-def initial_crack(mesh: Mesh, y_tip: float = 0.5
-                  ) -> tuple[ScalarField, CrackMask]:
-    """Seed v = 0 on the edge crack ``x = 0.5, y in [y_tip, 1]``.
+def initial_crack(mesh: Mesh, y_tip: float = 0.5) -> ScalarField:
+    """v seeded with zeros on the edge crack ``x = 0.5, y in [y_tip, 1]``
+    and 1 elsewhere.
 
     A node is seeded when it lies within half its local cell size of the
     segment.  ``y_tip = 1`` gives an intact body.
@@ -309,8 +308,7 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5
     y = mesh.vertex_coords[:, 1]
     on_seed = (np.abs(x - 0.5) <= 0.5 * local_h + 1e-15) & \
               (y >= y_tip - 0.5 * local_h - 1e-15) & (y_tip < 1.0)
-    v = np.where(on_seed, 0.0, 1.0)
-    return ScalarField(mesh, v), CrackMask(on_seed)
+    return ScalarField(mesh, np.where(on_seed, 0.0, 1.0))
 
 
 def transfer_regularization(xi: np.ndarray, mesh: Mesh, v: ScalarField,

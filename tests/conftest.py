@@ -197,11 +197,11 @@ def nothing_pinned(mesh):
 
 
 def pin_a_bottom_vertex(state):
-    """Replace ``state.mask`` by one that also pins a bottom-edge vertex,
-    as a crack that has run through the body does."""
-    pinned = state.mask.pinned.copy()
-    pinned[state.mesh.boundary_vertices(meshmod.BOTTOM)[0]] = True
-    state.mask = pf.CrackMask(pinned)
+    """Replace ``state.v`` by one that is also zero at a bottom-edge
+    vertex, as a crack that has run through the body is."""
+    v = state.v.copy()
+    v.values[state.mesh.boundary_vertices(meshmod.BOTTOM)[0]] = 0.0
+    state.v = v
 
 
 def dirichlet_arrays(n, bc):

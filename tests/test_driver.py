@@ -189,9 +189,10 @@ def test_xi_stays_clamped():
 
 def reference_staggered_step(state, config):
     """The staggered loop as a plain oracle: no fixed-point stop, the phase
-    operator assembled on every active-set sweep, no sweep cap.  Under pcg
-    the n-th sweep of an iteration is handed the n-th sweep's answer of
-    the iteration before, when there was one."""
+    operator assembled on every active-set sweep, no sweep cap.  The bound
+    is v as the step starts, and each iteration's crack the zeros of its
+    starting v.  Under pcg the n-th sweep of an iteration is handed the
+    n-th sweep's answer of the iteration before, when there was one."""
     mat, sol = config.material, config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
 
@@ -200,14 +201,16 @@ def reference_staggered_step(state, config):
                                max_iter=sol.linear_max_iter, method=sol.method,
                                guess=guess)
 
-    upper = np.minimum(state.v_prev.values, 1.0)
+    bound = state.v
+    upper = np.minimum(bound.values, 1.0)
     answers = []
     iters = 0
     for iters in range(1, sol.staggered_max_iter + 1):
         u_old, v_old = state.u, state.v
         state.u = solve(pf.assemble_displacement(state.mesh, state.v, mat,
                                                  *bc), state.u.values)
-        active = dict.fromkeys(state.mask.nodes.tolist(), 0.0)
+        cracked = v_old.values == 0.0
+        active = dict.fromkeys(np.flatnonzero(cracked).tolist(), 0.0)
         earlier, answers = answers, []
         while True:
             folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
@@ -223,8 +226,8 @@ def reference_staggered_step(state, config):
             if not grow:
                 break
             active.update((n, upper[n]) for n in grow)
-        state.v, state.mask = pf.enforce_irreversibility(
-            v, state.v_prev, state.mask, sol.crack_tol)
+        state.v = pf.enforce_irreversibility(v, bound, cracked,
+                                             sol.crack_tol)
         state.xi = driver.update_xi(state, config)
         if (fem.l2_relative_error(state.u, u_old) < sol.staggered_tol
                 and fem.l2_relative_error(state.v, v_old) < sol.staggered_tol):
@@ -332,8 +335,6 @@ def _fracture_steps_match_reference_loop(method, monkeypatch):
         assert got == reference_staggered_step(ref, cfg)
         _assert_same_state(state, ref)
         counts.append((got[0], len(state.mask)))
-        for s in (state, ref):
-            s.v_prev = s.v.copy()
     assert max(iters for iters, _ in counts) > 10
     assert counts[-1][1] > counts[0][1]
     return steps, driver_cg
@@ -369,14 +370,13 @@ def test_pcg_fracture_steps_match_reference_loop(monkeypatch):
     cfg = _fracture_config("pcg")
     bounded = driver._solve_phase_bounded
     monkeypatch.setattr(driver, "_solve_phase_bounded",
-                        lambda state, mat, solve, sol, starts:
-                        bounded(state, mat, solve, sol, {}))
+                        lambda state, bound, mat, solve, sol, starts:
+                        bounded(state, bound, mat, solve, sol, {}))
     cg = _cg_iterations(monkeypatch)
     cold = driver.initialize(cfg)
     for n in range(1, 6):
         cold.step, cold.t = n, n * cfg.loading.dt
         staggered_step(cold, cfg)
-        cold.v_prev = cold.v.copy()
     assert warm_cg < sum(cg)
 
 
@@ -472,7 +472,6 @@ def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
     assert staggered_step(state, cfg) == (2, True)
     assert reference_staggered_step(ref, cfg) == (2, True)
     for s in (state, ref):
-        s.v_prev = s.v.copy()
         s.step, s.t = 2, 0.03
     assert reference_staggered_step(ref, cfg) == (2, True)
 
@@ -511,7 +510,6 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
         s.step, s.t = 1, 0.05
     assert staggered_step(state, cfg) == reference_staggered_step(ref, cfg)
     for s in (state, ref):
-        s.v_prev = s.v.copy()
         s.step, s.t = 2, 0.07
 
     u_systems, factors = _label_factorizations(monkeypatch)
@@ -563,10 +561,8 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
         assert got == reference_staggered_step(ref, cfg) == (2, True)
         del factors[counted:]
         _assert_same_state(state, ref)
-        assert 1 <= len(state.phase_basis) <= driver._PHASE_BASIS
+        assert 1 <= len(state.phase_basis) <= driver._TANGENTS + 1
         u_systems.clear()
-        for s in (state, ref):
-            s.v_prev = s.v.copy()
     # The one u solve, at step 1, runs CG from zero, which factors only
     # its coarse operator.
     assert [f for f in factors if f.startswith("u")] == ["u coarse"]
@@ -593,7 +589,7 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
     monkeypatch.setattr(fem, "_band_cholesky",
                         lambda band: rows.append(band.shape[1])
                         or band_cholesky(band))
-    for name in ("project", "extend_basis", "solve_factored",
+    for name in ("project", "orthonormalize", "solve_factored",
                  "family_tangents"):
         monkeypatch.setattr(fem, name,
                             lambda *a, name=name, **k: extra.append(name))
@@ -601,7 +597,6 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
         state.step, state.t = n, 0.003 * n
         assert staggered_step(state, cfg) == (2, True)
         assert state.phase_basis == []
-        state.v_prev = state.v.copy()
     assert extra == []
     assert rows and max(rows) <= 4 ** (state.mesh.level_min - 2)
 
@@ -704,37 +699,45 @@ def test_phase_basis_is_emptied_when_its_family_changes(case, monkeypatch):
 def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
         monkeypatch):
     # The level-3 fixed-xi fracture steps.  A first sweep solved in an
-    # iteration that keeps its family enters the basis with its seven
-    # tangents only when the basis was empty or decided a first sweep
-    # since it was last extended; otherwise it enters alone.
-    events = []
-    first_sweep, family_tangents = driver._first_sweep, fem.family_tangents
+    # iteration that keeps its family replaces the basis with its answer
+    # and seven tangents, orthonormalized, when the basis is empty or
+    # decided a first sweep since it was built.  Any other seed is
+    # dropped: no tangent is built and the basis stays as it is.
+    outcomes, built = [], []
+    settle, family_tangents = driver._settle_seed, fem.family_tangents
 
-    def spy_first_sweep(state, *args):
-        entry = len(state.phase_basis)
-        v = first_sweep(state, *args)
-        events.append(("sweep", entry, state.phase_seed is None))
-        return v
+    def spy_settle(state, same_family):
+        before, served = list(state.phase_basis), state.basis_served
+        seed, calls = state.phase_seed, len(built)
+        settle(state, same_family)
+        after = state.phase_basis
+        if not same_family:
+            assert built[calls:] == [] and after == []
+            outcomes.append("family changed")
+        elif seed is not None and (served or not before):
+            assert built[calls:] == [driver._TANGENTS]
+            x = seed[2]
+            assert after[0].tobytes() == (x / np.linalg.norm(x)).tobytes()
+            q = np.array(after)
+            assert 1 < len(q) <= driver._TANGENTS + 1
+            assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-14
+            assert not state.basis_served
+            outcomes.append("rebuilt after serving" if before else "built")
+        else:
+            assert built[calls:] == []
+            assert len(after) == len(before)
+            assert all(a is b for a, b in zip(after, before))
+            assert state.basis_served == served
+            outcomes.append("seed dropped" if seed is not None else "no seed")
 
     def spy_family_tangents(factor, reaction, free, x, count):
-        events.append(("tangents", count))
+        built.append(count)
         return family_tangents(factor, reaction, free, x, count)
 
-    monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
+    monkeypatch.setattr(driver, "_settle_seed", spy_settle)
     monkeypatch.setattr(fem, "family_tangents", spy_family_tangents)
     driver.run(_fracture_config("direct"))
-    counts, served, projected = [], False, 0
-    for event in events:
-        if event[0] == "sweep":
-            entry, decided = event[1:]
-            served |= decided
-            projected += decided
-        else:
-            full = entry == 0 or served
-            assert event[1] == (driver._PHASE_BASIS - 1 if full else 0)
-            counts.append(event[1])
-            served = False
-    assert projected and 0 in counts and driver._PHASE_BASIS - 1 in counts
+    assert {"built", "rebuilt after serving", "seed dropped"} <= set(outcomes)
 
 
 def test_amr_pass_empties_the_phase_basis_only_on_a_mesh_change():
@@ -751,7 +754,8 @@ def test_amr_pass_empties_the_phase_basis_only_on_a_mesh_change():
 def _first_phase_sweep_after_an_elastic_step():
     """A level-3 state after one elastic step at t = 0.1, its first phase
     sweep (only the crack pinned) with the solver's answer, and a phase
-    solve that starts from a basis spanning the given fields."""
+    solve that starts from a basis spanning the given fields, under a
+    bound that defaults to the state's v."""
     cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
                        loading=LoadingParams(c=1.0, dt=0.1, n_max=1))
     state = driver.initialize(cfg)
@@ -770,13 +774,12 @@ def _first_phase_sweep_after_an_elastic_step():
         sys = restricted()
         return sys, solve(sys).values
 
-    def phase_solve(fields):
-        state.phase_basis = []
-        fem.extend_basis(state.phase_basis,
-                         [f[restricted().free] for f in fields],
-                         driver._PHASE_BASIS)
-        return driver._solve_phase_bounded(state, mat, solve, sol,
-                                           {})[0].values
+    def phase_solve(fields, bound=None):
+        state.phase_basis = fem.orthonormalize(
+            [f[restricted().free] for f in fields])
+        return driver._solve_phase_bounded(
+            state, state.v if bound is None else bound, mat, solve, sol,
+            {})[0].values
 
     return state, first_sweep, phase_solve
 
@@ -787,7 +790,7 @@ def _project_to(monkeypatch, values):
 
 
 def test_accepted_projection_that_pins_nothing_is_solved_again(monkeypatch):
-    # Ten times the displacement and v_prev = 1: the solver's first sweep
+    # Ten times the displacement and a bound of 1: the solver's first sweep
     # stays below 1 and pins nothing.  A projection 1e-12 above it passes,
     # clears the pin threshold by its error margin and pins nothing too,
     # so it would be the returned field; instead the sweep is solved, and
@@ -795,14 +798,14 @@ def test_accepted_projection_that_pins_nothing_is_solved_again(monkeypatch):
     state, first_sweep, phase_solve = \
         _first_phase_sweep_after_an_elastic_step()
     state.u = ScalarField(state.mesh, 10.0 * state.u.values)
-    state.v_prev = constant_field(state.mesh, 1.0)
+    bound = constant_field(state.mesh, 1.0)
     sys, first = first_sweep()
-    want = phase_solve([])
+    want = phase_solve([], bound)
     assert want.tobytes() == first.tobytes() and want.max() < 1.0
     proposed = first.copy()
     proposed[sys.free] += 1e-12
     _project_to(monkeypatch, proposed)
-    assert want.tobytes() == phase_solve([proposed]).tobytes()
+    assert want.tobytes() == phase_solve([proposed], bound).tobytes()
 
 
 def test_projection_across_the_pin_threshold_is_not_trusted(monkeypatch):
@@ -816,16 +819,16 @@ def test_projection_across_the_pin_threshold_is_not_trusted(monkeypatch):
     sys, first = first_sweep()
     k = sys.free[np.argmin(np.abs(first[sys.free] - 0.5))]
     assert 0.0 < first[k] < 1.0
-    state.v_prev = state.v.copy()
-    state.v_prev.values[k] = first[k] + 5e-10 - 1e-12
-    want = phase_solve([])
+    bound = state.v.copy()
+    bound.values[k] = first[k] + 5e-10 - 1e-12
+    want = phase_solve([], bound)
     proposed = first.copy()
     proposed[k] += 1e-9
     _project_to(monkeypatch, proposed)
-    assert want.tobytes() == phase_solve([proposed]).tobytes()
+    assert want.tobytes() == phase_solve([proposed], bound).tobytes()
     # Pinning as the projection says would have given other bytes.
     monkeypatch.setattr(driver, "_pins_clearly", lambda sys, v, *a: True)
-    assert want.tobytes() != phase_solve([proposed]).tobytes()
+    assert want.tobytes() != phase_solve([proposed], bound).tobytes()
 
 
 def test_capped_active_set_is_recorded_as_not_converged(monkeypatch,
@@ -845,9 +848,10 @@ def test_capped_active_set_is_recorded_as_not_converged(monkeypatch,
 
 
 def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
-    # The staggered loop compares each iteration's mask with the one before
-    # it, and a snapshot hook may keep old masks: a mask is replaced, never
-    # changed in place.
+    # The staggered loop compares each iteration's crack, the zeros of v,
+    # with the one before it, and a snapshot hook may keep old fields:
+    # neither the phase solve nor the irreversibility projection changes
+    # state.v or the crack array it is given.
     cfg = small_config(mesh=MeshParams(level_start=3, level_max=3))
     state = driver.initialize(cfg)
     state.t, sol, mat = 0.1, cfg.solver, cfg.material
@@ -856,23 +860,25 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     state.u = solve(pf.assemble_displacement(
         state.mesh, state.v, mat,
         *boundary_displacement(state.mesh, state.t, cfg.loading.c)))
-    mask = state.mask
-    before = mask.pinned.copy()
+    v0 = state.v
+    before = v0.values.copy()
+    cracked = before == 0.0
     sweeps = []
     apply_dirichlet = fem.apply_dirichlet
     monkeypatch.setattr(fem, "apply_dirichlet", lambda sys, pinned, values:
                         sweeps.append(pinned.sum())
                         or apply_dirichlet(sys, pinned, values))
-    v, _ = driver._solve_phase_bounded(state, mat, solve, sol, {})
-    assert max(sweeps) > before.sum()  # the active set grew past the mask
-    assert state.mask is mask and np.array_equal(mask.pinned, before)
+    v, _ = driver._solve_phase_bounded(state, v0, mat, solve, sol, {})
+    assert max(sweeps) > cracked.sum()  # the active set grew past the crack
+    assert state.v is v0 and v0.values.tobytes() == before.tobytes()
 
     damaged = v.copy()
-    damaged.values[np.flatnonzero(~before)[0]] = 0.0
-    _, grown = pf.enforce_irreversibility(damaged, state.v_prev, mask,
-                                          sol.crack_tol)
-    assert len(grown) > before.sum()
-    assert np.array_equal(mask.pinned, before)
+    damaged.values[np.flatnonzero(~cracked)[0]] = 0.0
+    given = cracked.copy()
+    grown = pf.enforce_irreversibility(damaged, v0, given, sol.crack_tol)
+    assert np.count_nonzero(grown.values == 0.0) > cracked.sum()
+    assert np.array_equal(given, cracked)
+    assert v0.values.tobytes() == before.tobytes()
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
@@ -886,21 +892,143 @@ def test_bounded_phase_solve_is_a_kkt_point():
     state = driver.initialize(cfg)
     for n in range(1, 5):
         state.step, state.t = n, n * cfg.loading.dt
-        state.v_prev = state.v.copy()
+        bound = state.v
         staggered_step(state, cfg)
     solve = lambda sys, guess=None: fem.solve_field(sys, method="direct",
                                                     guess=guess)
-    v, settled = driver._solve_phase_bounded(state, cfg.material, solve,
-                                             cfg.solver, {})
+    v, settled = driver._solve_phase_bounded(state, bound, cfg.material,
+                                             solve, cfg.solver, {})
     assert settled
     folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi,
                                   cfg.material)
     multiplier = folded.rhs - folded.matrix @ v.values
-    pinned = v.values == np.minimum(state.v_prev.values, 1.0)
+    pinned = v.values == np.minimum(bound.values, 1.0)
     pinned[state.mask.pinned] = False
     pinned[state.mesh.constraints.hanging] = False
     assert pinned.any()
     assert multiplier[pinned].min() >= -1e-10
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_a_zero_of_v_stays_zero_on_an_unchanged_mesh(method, monkeypatch):
+    # The crack is the set where v vanishes, and it only grows: on the
+    # level-3 fracture steps (one mesh throughout) a vertex that is 0 after
+    # some staggered iteration is 0 after every later one, across steps.
+    cfg = _fracture_config(method)
+    zeros, enforce = [driver.initialize(cfg).v.values == 0.0], \
+        pf.enforce_irreversibility
+
+    def spy(*args):
+        v = enforce(*args)
+        zeros.append(v.values == 0.0)
+        return v
+
+    monkeypatch.setattr(pf, "enforce_irreversibility", spy)
+    history, state = driver.run(cfg)
+    assert sum(rec.stag_iters for rec in history) + 1 >= len(zeros) > 20
+    for before, after in zip(zeros, zeros[1:]):
+        assert np.all(after[before])
+    assert zeros[-1].sum() > zeros[0].sum()
+    assert np.array_equal(state.mask.pinned, zeros[-1])
+
+
+def _load_steps(state, config, last):
+    """Load steps ``state.step + 1 .. last`` taken as driver.run takes
+    them, without output; returns their energy records."""
+    records = []
+    mat, reg = config.material, config.regularization
+    for n in range(state.step + 1, last + 1):
+        state.step, state.t = n, n * config.loading.dt
+        iters, converged = staggered_step(state, config)
+        if config.amr.enabled:
+            for _ in range(max(config.mesh.level_max
+                               - config.mesh.level_start, 1)):
+                if not driver.amr_pass(state, config):
+                    break
+        records.append(pf.energies(
+            state.mesh, state.u, state.v, state.xi, mat, reg, t=state.t,
+            stag_iters=iters, converged=converged))
+        if driver.crack_reached_bottom(state):
+            break
+    return records
+
+
+@pytest.mark.parametrize("overrides, split", [
+    ({"mesh.level_start": "6", "mesh.level_max": "7",
+      "loading.dt": "0.0015", "loading.n_max": "20"}, 8),
+    ({"mesh.level_start": "4", "mesh.level_max": "6",
+      "loading.dt": "0.01", "loading.n_max": "14"}, 5),
+], ids=["preload", "fracture"])
+def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
+                                                       monkeypatch):
+    # field_xi_amr.cfg, cut short.  A state rebuilt at step ``split`` from
+    # its mesh, u, v, xi, t and step, with an empty phase basis, stepped on
+    # to the end repeats the uninterrupted run byte for byte, although the
+    # uninterrupted run's basis decides first sweeps after the split: the
+    # returned fields do not depend on the basis.  The preload case is
+    # elastic after the step-1 adaptation; in the fracture case damage
+    # grows from the seeded tip after the split (the surface energy rises
+    # and steps take up to 6 staggered iterations) on the level-4 grid.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), overrides)
+    decided, solved = [], [0]
+    first_sweep, solve_factored = driver._first_sweep, fem.solve_factored
+
+    def spy_first_sweep(state, *args):
+        before = solved[0]
+        v = first_sweep(state, *args)
+        if solved[0] == before:
+            decided.append(state.step)
+        return v
+
+    def spy_solve_factored(*args, **kwargs):
+        solved[0] += 1
+        return solve_factored(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
+    monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
+    saved = {}
+
+    def keep(state):
+        if state.step == split:
+            saved.update(mesh=state.mesh, u=state.u.copy(), v=state.v.copy(),
+                         xi=state.xi.copy(), t=state.t, step=state.step)
+
+    history, final = driver.run(cfg, snapshot_hook=keep)
+    assert len(history) == cfg.loading.n_max
+    assert any(n > split for n in decided)
+
+    state = driver.SimState(**saved)
+    assert state.phase_basis == [] and not state.basis_served
+    records = _load_steps(state, cfg, cfg.loading.n_max)
+    assert records == history[split:]
+    for a, b in ((state.u.values, final.u.values),
+                 (state.v.values, final.v.values), (state.xi, final.xi)):
+        assert a.tobytes() == b.tobytes()
+    if split == 5:
+        assert history[-1].surface > history[split - 1].surface
+        assert max(rec.stag_iters for rec in records) > 2
+
+
+def test_failed_solve_ends_the_run_as_recorded(tmp_path):
+    # Step 1 of the level-6 intact energy trace under pcg raises (see the
+    # stall test above): the run writes that step's row as not converged,
+    # finalizes its outputs and re-raises, and the snapshot hook never sees
+    # the failed step.
+    path = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
+    cfg = parse_config(path.read_text(), {
+        "mesh.level_start": "6", "mesh.level_max": "6",
+        "solver.method": "pcg"})
+    seen = []
+    with pytest.raises(fem.LinearSolveError, match="stalled"):
+        driver.run(cfg, out_dir=tmp_path, snapshot_hook=seen.append)
+    assert seen == []
+    rows = (tmp_path / "energies.csv").read_text().splitlines()
+    assert rows[0].endswith("stag_iters,converged")
+    assert len(rows) == 2 and rows[1].endswith(",0,0")
+    assert (tmp_path / "xi_history.csv").is_file()
+    assert sorted(p.name for p in tmp_path.glob("fields_*.vtk")) == \
+        ["fields_0001.vtk"]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,9 +1175,8 @@ def test_amr_coarsens_intact_regions():
     state = driver.initialize(cfg)
     # rebuild the same state on a mesh with headroom to coarsen
     fine = meshmod.Mesh(set(state.mesh.cell_keys), 4, 7)
-    v, mask = pf.initial_crack(fine, 0.5)
+    v = pf.initial_crack(fine, 0.5)
     state = driver.SimState(mesh=fine, u=constant_field(fine, 0.0), v=v,
-                            v_prev=v.copy(), mask=mask,
                             xi=pf.xi_field(fine, v, cfg.material,
                                            cfg.regularization))
     n_before = state.mesh.n_cells

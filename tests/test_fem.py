@@ -665,7 +665,7 @@ def _cracked_phase_system(pinned_box=None):
     u = ScalarField(m, 0.1 * m.vertex_coords[:, 0] ** 2)
     xi = np.full(m.n_cells, 0.1)
     folded, _ = pf.assemble_phase(m, u, xi, pf.MaterialParams())
-    pinned = pf.initial_crack(m, 0.5)[1].pinned.copy()
+    pinned = pf.initial_crack(m, 0.5).values == 0.0
     assert pinned.any()
     if pinned_box is not None:
         x, y = m.vertex_coords.T
@@ -1276,9 +1276,7 @@ def _family(s, *, reaction=False):
 
 def _basis(sys, fields):
     """Orthonormal rows spanning the free values of whole fields."""
-    rows = []
-    fem.extend_basis(rows, [f[sys.free] for f in fields], len(fields))
-    return rows
+    return fem.orthonormalize([f[sys.free] for f in fields])
 
 
 def _meets_contract(sys, field, rtol):
@@ -1377,26 +1375,6 @@ def test_projection_directions_stay_orthonormal(family_basis):
             <= 1e-12 * np.max(np.abs(rows)))
 
 
-def test_basis_at_its_cap_spans_the_newest_vectors(family_basis):
-    # Two solutions at a time enter a basis capped at five rows: the rows
-    # stay orthonormal, and the oldest go, but the first rows always span
-    # the vectors that entered last.  The old rows are orthogonalized
-    # against the new ones, so what is dropped never held a new direction.
-    sys = _family(NINTH_DRIVE)
-    rows = [f[sys.free] for f in family_basis]
-    basis = []
-    for k in range(0, 8, 2):
-        fem.extend_basis(basis, rows[k:k + 2], 5)
-        q = np.array(basis)
-        assert len(q) == min(k + 2, 5)
-        assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-14
-        for row in rows[max(k - 2, 0):k + 2]:
-            assert (np.max(np.abs(row - (q.T @ (q @ row))))
-                    <= 1e-12 * np.max(np.abs(row)))
-    # Once full, each pair that enters pushes out two rows.
-    assert len(basis) == 5
-
-
 # ---------------------------------------------------------------------------
 # Tangents of a family from one factor
 
@@ -1409,7 +1387,7 @@ def _dense_free_block(sys, matrix):
 def test_tangents_are_powers_of_the_family_operator(s, solver_calls):
     sys, reaction = _family(s, reaction=True)
     assert len(sys.mesh.constraints) > 0
-    count = driver._PHASE_BASIS - 1
+    count = driver._TANGENTS
     v, tangents = solved_with_tangents(sys, reaction, count)
     assert solver_calls == ["splu"]
     # The field is the direct solve's, bit for bit.
@@ -1431,8 +1409,7 @@ def _tangent_projection_errors(count, deltas):
     s0 = 20.0
     sys0, reaction = _family(s0, reaction=True)
     v, tangents = solved_with_tangents(sys0, reaction, count)
-    basis = []
-    fem.extend_basis(basis, [v.values[sys0.free], *tangents], count + 1)
+    basis = fem.orthonormalize([v.values[sys0.free], *tangents])
     assert len(basis) == count + 1
     errors = []
     for delta in deltas:
@@ -1454,13 +1431,13 @@ def test_tangent_projection_error_falls_as_the_fourth_power():
 
 
 def test_tangent_projection_error_falls_as_the_eighth_power():
-    # With the seven tangents that fill a basis of driver._PHASE_BASIS
+    # With the driver._TANGENTS = 7 tangents of a phase basis
     # rows, the projection matches the Taylor series to seventh order, so
     # its error falls 256-fold when delta halves once delta is small
     # enough.  The errors reach rounding (about 1e-15) before that shows
     # in full, so the local order log2(e(2 delta) / e(delta)) is checked
     # to lie between 7 and 9 and to rise toward 8 as delta falls.
-    errors = _tangent_projection_errors(driver._PHASE_BASIS - 1,
+    errors = _tangent_projection_errors(driver._TANGENTS,
                                         (12.0, 6.0, 3.0))
     assert errors[-1] > 1e-14
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]

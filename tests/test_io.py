@@ -598,6 +598,24 @@ def test_cli_run_reports_nonconverged_steps(tmp_path, capsys):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "0"]
 
 
+def test_cli_run_reports_a_failed_solve(tmp_path, capsys):
+    # Step 1 of the level-6 intact energy trace under pcg stalls: the run
+    # returns 1, names the error and the output directory, and leaves the
+    # failed step's row, the xi history and that step's snapshot.
+    out = tmp_path / "out"
+    config = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
+    rc = cli.main(["run", "--config", str(config), "--out", str(out),
+                   "--set", "mesh.level_start=6", "--set", "mesh.level_max=6",
+                   "--set", "solver.method=pcg"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "stalled" in err and str(out) in err
+    rows = (out / "energies.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0"]
+    assert (out / "xi_history.csv").is_file()
+    assert (out / "fields_0001.vtk").is_file()
+
+
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("loading.dt = -1\n")

@@ -114,7 +114,7 @@ def test_bench_grad_at_qp(benchmark, mesh):
 
 def test_bench_u_system_factorization(benchmark, mesh):
     # The displacement system of a cracked body under the benchmark load.
-    v, _ = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
@@ -125,7 +125,7 @@ def test_bench_u_system_factorization(benchmark, mesh):
 def test_bench_u_system_pcg(benchmark, mesh):
     # The same system solved cold by CG with the two-level preconditioner:
     # one coarse factorization of at most 16 x 16 aggregates per solve.
-    v, _ = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="pcg")
@@ -138,7 +138,7 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
     # data scaled by 1.5.  The Galerkin multiple of the previous u passes
     # the residual test, so the timed solve is three products and no
     # factorization; a missed acceptance raises instead of factoring.
-    v, _ = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     before, sys = (pf.assemble_displacement(
         mesh, v, mat, *driver.boundary_displacement(mesh, t, 1.0))
@@ -167,7 +167,7 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     mat = pf.MaterialParams()
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     before, sys = (pf.assemble_displacement(
-        mesh, pf.initial_crack(mesh, tip)[0], mat, *bc) for tip in (0.5, 0.45))
+        mesh, pf.initial_crack(mesh, tip), mat, *bc) for tip in (0.5, 0.45))
     assert np.array_equal(before.free, sys.free)
     previous = fem.solve_spd(before, method="direct")
     A, b = sys.matrix, sys.rhs
@@ -218,7 +218,7 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     # for bit: A[free][:, free] and b[free] - A[free] x0 by scipy's
     # indexing, and the lower triangle of (Z^T A) Z by scipy's sparse
     # products.
-    v, _ = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     weight = mat.mu * pf.degradation(fem.field_at_qp(v), mat.eta)
     folded = fem.assemble_weighted_laplace(mesh, weight)
@@ -267,7 +267,7 @@ def test_bench_coarse_factor_and_solve(benchmark, mesh):
     # half-bandwidth at most 17), from a plan whose coarse map is built,
     # and 40 coarse solves, about one per CG iteration.  Each answer must
     # match SuperLU's on (Z^T A) Z from the sparse products.
-    v, _ = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     fem._coarse(sys)
@@ -343,7 +343,7 @@ def _preload_first_sweeps(mesh):
     function of the load t: the crack mask pinned, the displacement scaled
     with the load, so the strain drive grows as t^2.  Each call returns
     the restricted system and its reaction matrix."""
-    v, mask = pf.initial_crack(mesh, 0.5)
+    v = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
     reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
     xi = pf.xi_field(mesh, v, mat, reg)
@@ -354,7 +354,7 @@ def _preload_first_sweeps(mesh):
     def first_sweep(t):
         u = ScalarField(mesh, t * u1.values)
         folded, reaction = pf.assemble_phase(mesh, u, xi, mat)
-        return fem.apply_dirichlet(folded, mask.pinned, 0.0), reaction
+        return fem.apply_dirichlet(folded, v.values == 0.0, 0.0), reaction
 
     return first_sweep
 
@@ -364,11 +364,9 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
     # ninth meets the residual test with no factorization; a missed
     # acceptance fails instead of factoring.
     first_sweep = _preload_first_sweeps(mesh)
-    basis = []
-    for n in range(20, 28):
-        sys, _ = first_sweep(0.0015 * n)
-        x = fem.solve_spd(sys, method="direct")
-        fem.extend_basis(basis, [x], driver._PHASE_BASIS)
+    basis = fem.orthonormalize(
+        [fem.solve_spd(first_sweep(0.0015 * n)[0], method="direct")
+         for n in range(20, 28)])
     sys, _ = first_sweep(0.0015 * 28)
     assert 8000 < len(sys.rhs) < 9500
 
@@ -390,7 +388,7 @@ def test_bench_phase_tangents(benchmark, mesh):
     # The reference solves each power with SuperLU's default ordering, R
     # acting on the free values through its free block.
     sys, reaction = _preload_first_sweeps(mesh)(0.0015 * 20)
-    count = driver._PHASE_BASIS - 1
+    count = driver._TANGENTS
     got, tangents = _run(benchmark, solved_with_tangents, sys, reaction,
                          count, rounds=5)
     A = sys.matrix.tocsc()
