@@ -55,6 +55,18 @@ check it on runs restarted with an empty basis.
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
 all fields to the new mesh.
+
+Most steps of a preload are elastic: the mesh, v and xi come out of the
+step bit for bit as they went in.  What depends on them alone is kept on
+the mesh with its inputs and handed back for the same inputs
+(:meth:`mesh.Mesh.reuse`): the folded u operator ``K(v)``, the diffusion
+matrix and load of the phase system, the cell xi of v, the parts of the
+energies that do not involve u, and the verdict of an AMR pass that
+changed nothing.  An elastic step then does only the load's work: the u
+solve, the strain-drive reaction, the phase solve and the strain energy.
+Inputs match bit for bit (``-0.0`` is not ``0.0``), so a kept
+output is always the one a fresh evaluation would give, and no entry
+refers to its mesh, so the entries die with it.
 """
 
 from __future__ import annotations
@@ -421,17 +433,14 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     return iters, converged and not capped
 
 
-def _amr_flags(mesh, v_values, config: SimConfig, xi_cells=None):
+def _amr_flags(mesh, v_values, config: SimConfig):
     """Refine and coarsen flags from the cell xi of ``v_values``.
 
-    ``xi_cells`` is that xi when the caller already has it; otherwise it
-    is evaluated here.  Only fully intact cells away from the refinement
-    zone may merge back.
+    Only fully intact cells away from the refinement zone may merge back.
     """
     reg = config.regularization
-    if xi_cells is None:
-        xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values),
-                               config.material, reg)
+    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values),
+                           config.material, reg)
     low = xi_cells < reg.xi_refine
     intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
     refine = np.flatnonzero(low & (mesh.cell_levels < config.mesh.level_max))
@@ -448,17 +457,29 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     single refine call may expose new flags one level down.  The loop is
     bounded by the level range.  ``u`` and ``v`` move together as the
     columns of one block; transfers keep the exact zeros of v, so the crack
-    moves with it.  In field mode ``state.xi`` is already the
-    cell xi of ``state.v`` on ``state.mesh`` (the staggered loop and every
-    mesh change leave it so), and the first flags reuse it.  A mesh change
-    empties ``state.phase_basis`` and drops ``state.phase_seed``.
+    moves with it.  A mesh change empties ``state.phase_basis`` and drops
+    ``state.phase_seed``.
+
+    A pass that leaves the mesh as it is changes nothing in ``state``, and
+    the mesh keeps that verdict for the next pass with the same v, xi and
+    config, which then returns False at once (:meth:`Mesh.reuse`).  The
+    first flags of a pass take xi from :func:`phasefield.xi_field`, which
+    in field mode returns what the staggered loop's last xi update kept.
     """
+    old = state.mesh
+    old.reuse("amr_pass", (state.v.values, state.xi, repr(config)),
+              lambda: _adapt(state, config))
+    return state.mesh is not old
+
+
+def _adapt(state: SimState, config: SimConfig) -> bool | None:
+    """The work of :func:`amr_pass`: True when it leaves the mesh as it is,
+    else None, which :meth:`Mesh.reuse` does not keep, after moving
+    ``state`` to the new mesh."""
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values])
-    xi_cells = state.xi if config.regularization.mode == "field" else None
     for _ in range(old.level_max - old.level_min + 1):
-        rflags, cflags = _amr_flags(mesh, fields[:, 1], config, xi_cells)
-        xi_cells = None
+        rflags, cflags = _amr_flags(mesh, fields[:, 1], config)
         nxt = meshmod.refine(mesh, rflags)
         if nxt is mesh:
             break
@@ -471,7 +492,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     if new is not mesh:
         fields = meshmod.transfer_field(mesh, new, fields)
     if new is old:
-        return False
+        return True
 
     u_vals, v_vals = fields.T.copy()
     state.mesh = new
@@ -481,7 +502,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     state.v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
     state.xi = pf.transfer_regularization(
         state.xi, new, state.v, config.material, config.regularization)
-    return True
+    return None
 
 
 def crack_reached_bottom(state: SimState) -> bool:

@@ -55,6 +55,14 @@ def _find(sorted_codes, codes):
     return np.where(sorted_codes[pos] == codes, pos, -1)
 
 
+def _bits(a):
+    """``a`` as a key that equals another key only for the same bits: an
+    array as its dtype, shape and bytes, anything else as it is."""
+    if isinstance(a, np.ndarray):
+        return a.dtype.str, a.shape, a.tobytes()
+    return a
+
+
 def _q1(s, t):
     """The four bilinear basis values at ``(s, t)``, stacked on a last axis."""
     return np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t],
@@ -267,6 +275,51 @@ class Mesh:
         on the mesh so that the plans die with it.
         """
         return OrderedDict()
+
+    @cached_property
+    def products(self) -> dict:
+        """The last inputs and output of each named product of fields on
+        this mesh, as :meth:`reuse` keeps them.
+
+        The products are those of fields that an elastic load step leaves
+        unchanged: the folded displacement operator of v, the diffusion
+        matrix and load of xi, the cell xi of v, the parts of the energies
+        that depend on v and xi alone (see :mod:`xifrac.phasefield`), and
+        the verdict of an AMR pass that left the mesh as it was (see
+        :func:`xifrac.driver.amr_pass`).  Kept on the mesh so that the
+        entries die with it.  An entry holds its inputs' bytes and strings
+        and an output of arrays, matrices and numbers, never the mesh or an
+        object that refers to it (a ``SparseSystem`` or a
+        ``ScalarField``): that would make a reference cycle, and the mesh
+        and its entries would then live until the cyclic garbage collector
+        runs.
+        """
+        return {}
+
+    def reuse(self, name: str, inputs: tuple, compute):
+        """``compute()``, or what it returned for the same ``inputs``.
+
+        ``inputs`` holds the arrays and strings that the product ``name``
+        depends on besides the mesh.  When they equal, bit for bit, the
+        inputs last kept under ``name``, the output kept with them comes
+        back and ``compute`` is not called.  Otherwise ``compute()``'s
+        output is kept with the inputs, unless it is None, and returned.
+        Arrays are kept and compared as their bytes, so ``-0.0`` and
+        ``0.0``, which ``np.array_equal`` calls equal, differ, as they may
+        in what the product computes; and since the bytes are a copy that
+        nothing can change, an in-place edit of the caller's arrays
+        cannot make a stale match.  The output is handed out on every
+        match, so it must be immutable (read-only arrays, numbers, tuples
+        of them) or left unchanged by its users.
+        """
+        key = tuple(map(_bits, inputs))
+        last = self.products.get(name)
+        if last is not None and last[0] == key:
+            return last[1]
+        out = compute()
+        if out is not None:
+            self.products[name] = (key, out)
+        return out
 
     @cached_property
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:

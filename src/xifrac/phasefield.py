@@ -157,12 +157,28 @@ def _grad_sq(f: ScalarField) -> np.ndarray:
     return g[..., 0] ** 2 + g[..., 1] ** 2
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: :meth:`Mesh.reuse` hands it to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
                           pinned: np.ndarray, values) -> SparseSystem:
-    """Degraded shear system for u, restricted to the dofs not ``pinned``."""
-    weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
-    sys = fem.assemble_weighted_laplace(mesh, weight)
-    return fem.apply_dirichlet(sys, pinned, values)
+    """Degraded shear system for u, restricted to the dofs not ``pinned``.
+
+    The folded operator ``K(v)`` depends on v alone, so the mesh keeps it
+    for the next call with the same v (:meth:`Mesh.reuse`).
+    """
+    def operator():
+        weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
+        matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
+        _read_only(matrix.data)
+        return matrix
+
+    matrix = mesh.reuse("displacement", (v.values, repr(mat)), operator)
+    return fem.apply_dirichlet(
+        SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh), pinned, values)
 
 
 def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
@@ -180,16 +196,24 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
     Returns the system and its reaction part ``R``, the folded strain-drive
     mass.  In an elastic step the drive scales with the load, so the phase
     systems of a preload form the family ``K + s R``
-    (:func:`fem.family_tangents`).
+    (:func:`fem.family_tangents`).  The diffusion matrix and the load
+    depend on xi alone, so the mesh keeps them for the next call with the
+    same xi (:meth:`Mesh.reuse`); the reaction is assembled every time.
     """
-    if np.any(xi <= 0.0):
-        raise ValueError("xi must be strictly positive")
+    def diffusion_and_load():
+        if np.any(xi <= 0.0):
+            raise ValueError("xi must be strictly positive")
+        diffusion = fem.assemble_weighted_laplace(
+            mesh, 2.0 * mat.g_c * xi / mat.c_v).matrix
+        rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi))
+        _read_only(diffusion.data)
+        return diffusion, _read_only(rhs)
+
+    diffusion, rhs = mesh.reuse("phase", (xi, repr(mat)), diffusion_and_load)
     drive = mat.mu * (1.0 - mat.eta) * _grad_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
-    diffusion = fem.assemble_weighted_laplace(
-        mesh, 2.0 * mat.g_c * xi / mat.c_v)
-    rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi))
-    return fem.combine(reaction, diffusion, rhs), reaction.matrix
+    return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh), rhs),
+            reaction.matrix)
 
 
 def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
@@ -214,9 +238,17 @@ def xi_pointwise(v, grad_sq, mat: MaterialParams,
 
 def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
              reg: RegularizationParams) -> np.ndarray:
-    """Per-cell xi: mean of the pointwise formula over the quadrature points."""
-    v_qp = fem.field_at_qp(v)
-    return xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1)
+    """Per-cell xi: mean of the pointwise formula over the quadrature points.
+
+    The mesh keeps the read-only result for the next call with the same v
+    (:meth:`Mesh.reuse`).
+    """
+    def cells():
+        v_qp = fem.field_at_qp(v)
+        return _read_only(
+            xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1))
+
+    return mesh.reuse("xi_field", (v.values, repr(mat), repr(reg)), cells)
 
 
 def cell_xi(mesh: Mesh, v: ScalarField, mat: MaterialParams,
@@ -273,19 +305,24 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
 
     The ``zeta/xi`` and ``alpha xi`` bound penalties are logged separately
     from the surface term so the surface energy starts near zero for an
-    intact body.
+    intact body.  What depends on v and xi alone (the degradation at the
+    quadrature points, the surface and the penalty terms) is kept on the
+    mesh for the next call with the same v and xi (:meth:`Mesh.reuse`);
+    the strain term is integrated every time.
     """
-    xi_qp = fem._coefficient(mesh, xi, GAUSS2)
-    v_qp = fem.field_at_qp(v)
-    grad_u_sq = _grad_sq(u)
-    grad_v_sq = _grad_sq(v)
-    ratio = mat.g_c / mat.c_v
+    def frozen_parts():
+        xi_qp = fem._coefficient(mesh, xi, GAUSS2)
+        v_qp = fem.field_at_qp(v)
+        ratio = mat.g_c / mat.c_v
+        surface = ratio * fem.integrate(
+            mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
+        penalty = fem.integrate(
+            mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
+        return _read_only(degradation(v_qp, mat.eta)), surface, penalty
 
-    strain = 0.5 * mat.mu * fem.integrate(
-        mesh, degradation(v_qp, mat.eta) * grad_u_sq)
-    surface = ratio * fem.integrate(
-        mesh, (1.0 - v_qp) / xi_qp + xi_qp * grad_v_sq)
-    penalty = fem.integrate(mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
+    deg, surface, penalty = mesh.reuse(
+        "energies", (v.values, xi, repr(mat), repr(reg)), frozen_parts)
+    strain = 0.5 * mat.mu * fem.integrate(mesh, deg * _grad_sq(u))
     return EnergyRecord(t=t, strain=strain, surface=surface, penalty=penalty,
                         total=strain + surface + penalty,
                         xi_min=float(xi.min()), xi_max=float(xi.max()),

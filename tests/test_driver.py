@@ -1,5 +1,7 @@
 """Load stepping, staggered convergence, AMR passes and run orchestration."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1032,6 +1034,113 @@ def test_failed_solve_ends_the_run_as_recorded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Products kept on the mesh
+
+
+def _field_preload():
+    # field_xi_amr.cfg, cut short: step 1 adapts the mesh and the other
+    # eleven steps are elastic, so they meet the same mesh, v and xi.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    return parse_config(path.read_text(), {
+        "mesh.level_start": "6", "mesh.level_max": "7",
+        "loading.dt": "0.0015", "loading.n_max": "12"})
+
+
+def _global_pcg_fracture():
+    # global_xi_128.cfg on the level-4 grid under pcg: the crack grows from
+    # 9 to 17 nodes, and step 18 takes 27 staggered iterations.
+    path = Path(__file__).parents[1] / "configs" / "global_xi_128.cfg"
+    return parse_config(path.read_text(), {
+        "mesh.level_start": "4", "mesh.level_max": "4",
+        "solver.method": "pcg", "loading.n_max": "24"})
+
+
+@pytest.mark.parametrize("make_config", [
+    _field_preload, _global_pcg_fracture,
+    lambda: _fracture_config("direct"),
+], ids=["field-amr-direct", "global-pcg", "fixed"])
+def test_a_cold_cache_gives_the_same_run(make_config, monkeypatch):
+    # A run whose every lookup of a kept product misses, because the mesh
+    # forgets all it keeps before each lookup, repeats a normal run byte
+    # for byte, which reuses some of them.
+    cfg = make_config()
+    reuse = meshmod.Mesh.reuse
+    lookups, computed = [], []
+
+    def counted(self, name, inputs, compute):
+        lookups.append(name)
+        return reuse(self, name, inputs,
+                     lambda: computed.append(name) or compute())
+
+    monkeypatch.setattr(meshmod.Mesh, "reuse", counted)
+    history, state = driver.run(cfg)
+    assert len(computed) < len(lookups)
+
+    def forgetful(self, name, inputs, compute):
+        self.products.clear()
+        return reuse(self, name, inputs, compute)
+
+    monkeypatch.setattr(meshmod.Mesh, "reuse", forgetful)
+    cold_history, cold = driver.run(cfg)
+    assert repr(cold_history) == repr(history)
+    for a, b in ((cold.u.values, state.u.values),
+                 (cold.v.values, state.v.values), (cold.xi, state.xi)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_finished_run_leaves_no_reference_cycle():
+    # What a mesh keeps never refers back to the mesh, so with the cyclic
+    # garbage collector off the mesh of a finished run dies as soon as the
+    # returned state is dropped.
+    cfg = _field_preload()
+    gc.disable()
+    try:
+        history, state = driver.run(cfg)
+        assert {"displacement", "phase", "xi_field", "energies",
+                "amr_pass"} <= set(state.mesh.products)
+        mesh = weakref.ref(state.mesh)
+        del history, state
+        assert mesh() is None
+    finally:
+        gc.enable()
+
+
+def test_elastic_steps_balance_the_work_of_the_loads():
+    # ROADMAP item 2's balance on the elastic steps of a field-xi preload.
+    # The power of the loads is P_n = sum_i (A_u(v_n) u_n)_i c_i over the
+    # non-hanging pinned top nodes, with the load rate c_i = +-c, and A_u is
+    # assembled afresh, not taken from what the mesh keeps.  While mesh, v
+    # and xi stay fixed, u grows linearly with the load, so the trapezoid
+    # rule's work (P_{n-1} + P_n) dt / 2 is the change of the energy.
+    cfg = _field_preload()
+    mat, c = cfg.material, cfg.loading.c
+    steps = []
+
+    def power(state):
+        mesh = state.mesh
+        weight = mat.mu * pf.degradation(fem.field_at_qp(state.v), mat.eta)
+        reaction = fem.assemble_weighted_laplace(mesh, weight).matrix \
+            @ state.u.values
+        pinned, _ = boundary_displacement(mesh, state.t, c)
+        pinned[mesh.constraints.hanging] = False
+        rate = np.copysign(c, mesh.vertex_coords[:, 0] - 0.5)
+        steps.append((mesh, state.v.values.tobytes(), state.xi.tobytes(),
+                      float(reaction[pinned] @ rate[pinned])))
+
+    history, _ = driver.run(cfg, snapshot_hook=power)
+    # A step is elastic when it leaves mesh, v and xi as it found them.
+    elastic = [False] + [a[:3] == b[:3] for a, b in zip(steps, steps[1:])]
+    checked = 0
+    for n in range(1, len(steps)):
+        if elastic[n - 1] and elastic[n]:
+            change = history[n].total - history[n - 1].total
+            work = 0.5 * (steps[n - 1][3] + steps[n][3]) * cfg.loading.dt
+            assert abs(change - work) <= 1e-12 * history[n].total
+            checked += 1
+    assert checked == len(steps) - 2
+
+
+# ---------------------------------------------------------------------------
 # xi update policy
 
 
@@ -1114,23 +1223,35 @@ def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
 
 
 def test_amr_pass_reuses_the_field_xi(monkeypatch):
-    # On a field-mode mesh the pass leaves unchanged, the flags come from
-    # the staggered loop's xi: no re-evaluation, and the same flags as an
-    # independent evaluation of the cell xi.
+    # On a field-mode mesh that the pass leaves unchanged, the first pass
+    # after a staggered step takes its flags from the xi that the step's
+    # last xi update evaluated: no gradient is evaluated again, and the
+    # flags are those of an independent evaluation of the cell xi.  The
+    # mesh keeps that verdict, so the next pass with the same v, xi and
+    # config evaluates nothing and adapts nothing.
     cfg, state = _field_state(level_start=6, level_max=8)
     while driver.amr_pass(state, cfg):
         pass
     mesh, reg = state.mesh, cfg.regularization
-    low = pf.xi_field(mesh, state.v, cfg.material, reg) < reg.xi_refine
+    # Forget the adaptation's verdict and xi: the step's xi update is then
+    # the only evaluation the pass can reuse.
+    mesh.products.clear()
+    state.t = 0.01
+    staggered_step(state, cfg)
+    assert state.mesh is mesh
+    g = fem.grad_at_qp(state.v)
+    xi = pf.xi_pointwise(fem.field_at_qp(state.v), np.sum(g ** 2, axis=2),
+                         cfg.material, reg).mean(axis=1)
+    low = xi < reg.xi_refine
     intact = state.v.values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
     want_refine = np.flatnonzero(low & (mesh.cell_levels < 8))
     want_coarsen = np.flatnonzero(intact & ~low
                                   & (mesh.cell_levels > mesh.level_min))
 
-    xi_calls, flags = [], {}
-    xi_field = pf.xi_field
-    monkeypatch.setattr(pf, "xi_field",
-                        lambda *a: xi_calls.append(1) or xi_field(*a))
+    gradients, flags = [], {}
+    grad_at_qp = fem.grad_at_qp
+    monkeypatch.setattr(fem, "grad_at_qp",
+                        lambda *a: gradients.append(1) or grad_at_qp(*a))
 
     def spy(name):
         adapt = getattr(meshmod, name)
@@ -1143,9 +1264,12 @@ def test_amr_pass_reuses_the_field_xi(monkeypatch):
     spy("refine")
     spy("coarsen")
     assert not driver.amr_pass(state, cfg)
-    assert xi_calls == []
-    assert np.array_equal(flags["refine"], want_refine)
-    assert np.array_equal(flags["coarsen"], want_coarsen)
+    assert gradients == []
+    assert np.array_equal(flags.pop("refine"), want_refine)
+    assert np.array_equal(flags.pop("coarsen"), want_coarsen)
+    assert not driver.amr_pass(state, cfg)
+    assert gradients == [] and flags == {}
+    assert state.mesh is mesh
 
 
 def test_amr_disabled_keeps_mesh():

@@ -1,6 +1,7 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, deflated-CG, projection, tangent and mesh-coarsening kernels.
+solve, deflated-CG, projection, tangent and mesh-coarsening kernels, and
+of one warm elastic load step.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -414,3 +415,37 @@ def test_bench_coarsen_blocked_groups(benchmark):
     _, flags = driver._amr_flags(state.mesh, state.v.values, cfg)
     assert state.mesh.n_cells == 8800 and len(flags) == 668
     assert _run(benchmark, coarsen, state.mesh, flags) is state.mesh
+
+
+def test_bench_elastic_step(benchmark):
+    # One warm elastic load step of the amr_field window on its adapted
+    # 8,800-cell mesh: the staggered loop, one AMR pass and the energies,
+    # each round one load increment further.  Mesh, v and xi come out as
+    # they went in, so what the mesh keeps (Mesh.reuse) leaves each round
+    # only the load's work; the last round's record matches one computed
+    # with nothing kept.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
+                                          "loading.n_max": "2"})
+    _, state = driver.run(cfg)
+    mesh, v, xi = state.mesh, state.v.values, state.xi
+    assert mesh.n_cells == 8800
+
+    def elastic_step():
+        state.step += 1
+        state.t = state.step * cfg.loading.dt
+        iters, converged = driver.staggered_step(state, cfg)
+        changed = driver.amr_pass(state, cfg)
+        return iters, converged, changed, pf.energies(
+            state.mesh, state.u, state.v, state.xi, cfg.material,
+            cfg.regularization, t=state.t)
+
+    *verdict, record = _run(benchmark, elastic_step)
+    assert verdict == [2, True, False] and state.step == 2 + 1 + ROUNDS
+    assert state.mesh is mesh
+    assert state.v.values.tobytes() == v.tobytes()
+    assert state.xi.tobytes() == xi.tobytes()
+    mesh.products.clear()
+    assert repr(record) == repr(pf.energies(
+        mesh, state.u, state.v, state.xi, cfg.material, cfg.regularization,
+        t=state.t))

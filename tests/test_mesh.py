@@ -40,6 +40,47 @@ def test_level_bounds_enforced():
         meshmod.Mesh(set(), 1, 2)
 
 
+def test_reuse_matches_its_inputs_bit_for_bit():
+    # A kept product comes back only for inputs equal bit for bit to the
+    # last ones: a one-ulp change in one entry misses, and so does a
+    # +0.0 -> -0.0 swap that np.array_equal calls equal.  The kept inputs
+    # are copies, so an in-place edit of the caller's array misses too.
+    mesh = build_uniform(2)
+    computed = []
+
+    def product(v, tag="a"):
+        return mesh.reuse("sum", (v, tag),
+                          lambda: computed.append(1) or float(v.sum()))
+
+    v = np.linspace(0.0, 1.0, mesh.n_vertices)
+    product(v)
+    product(v.copy())
+    product(np.column_stack([v, v])[:, 1])
+    assert len(computed) == 1
+
+    one_ulp = v.copy()
+    one_ulp[3] = np.nextafter(v[3], 2.0)
+    product(one_ulp)
+    assert len(computed) == 2
+    product(v)
+    assert len(computed) == 3
+
+    signed = v.copy()
+    signed[0] = -0.0
+    assert v[0] == 0.0 and np.array_equal(signed, v)
+    product(signed)
+    assert len(computed) == 4
+
+    edited = v.copy()
+    product(edited)
+    edited[1] += 0.5
+    product(edited)
+    product(edited, "b")
+    product(edited[:-1])
+    assert len(computed) == 8
+    assert list(mesh.products) == ["sum"]
+
+
 def test_numbering_matches_first_appearance_loop():
     # Reference: cells in sorted key order, vertices numbered by first
     # appearance over each cell's corners, counterclockwise.
