@@ -25,32 +25,27 @@ zero (:func:`phasefield.enforce_irreversibility`).  Neither the crack nor
 the bound is stored beside v (:class:`SimState`).
 
 Under ``direct``, the first active-set sweep of a phase solve is
-projected onto ``SimState.phase_basis``, orthonormal rows spanning one
-solved first sweep and its tangents (see :func:`fem.project`).  In an
-elastic preload the mesh, xi and crack stay fixed and only the strain
+projected onto a basis of orthonormal rows (see :func:`fem.project`)
+that the mesh keeps for the sweep's family (:func:`_first_sweep`).  In
+an elastic preload the mesh, xi and crack stay fixed and only the strain
 drive grows with the load, so these systems form one family ``K + s R``
 and the projection often meets the residual test.  If it also pins some
 node and every free node lies clear of the pin threshold by its error
 margin, it only decides which nodes to pin, and the sweep factors
-nothing; otherwise the sweep is solved, and its factor, answer and
-``R``, the strain-drive mass of :func:`phasefield.assemble_phase`, wait
-on ``SimState.phase_seed`` until the end of the staggered iteration.
-When the iteration keeps the family and the basis is empty, or has
-decided a first sweep since it was built, the seed replaces the basis:
-the same factor gives the Krylov sequence ``(A^-1 R)^j x``,
-``j = 1..7`` (:func:`fem.family_tangents`), and the answer and these
-seven tangents keep the projections within the pin margin across long
-stretches of the preload.  Any other seed is dropped, so a family whose
-basis decides no first sweep pays for no more tangents.  Under ``pcg``,
-which has no fine factor, the first sweep is solved like the others,
-from its answer in the previous iteration.  The basis and the seed are
-dropped whenever the family changes, by a mesh change in
-:func:`amr_pass` or by an iteration that changes xi or the crack in
-:func:`staggered_step`.  Every returned field is a solver's answer to
-an active set that the margin makes independent of the basis, as long
-as the margin bounds the projection's true error (see
-:func:`_pins_clearly`).  That is not checked at run time; the tests
-check it on runs restarted with an empty basis.
+nothing.  Otherwise the sweep is solved.  A solved answer that lies
+above the pin threshold at every free node leaves v at its bound, so the
+next first sweep meets the same family; when the basis is empty or has
+decided a first sweep since it was built, that answer and its seven
+Krylov tangents ``(A^-1 R)^j x`` (:func:`fem.family_tangents`), built
+from the factor while it is in hand, become the basis.  The basis is
+kept under the sweep's xi, free set and material (:meth:`Mesh.reuse`),
+so a change of mesh, xi or crack finds a fresh, empty one, and nothing
+has to clear it.  Under ``pcg``, which has no fine factor, the first
+sweep is solved like the others, from its answer in the previous
+iteration.  Every returned field is a solver's answer to an active set
+that the margin makes independent of the basis, as long as the margin
+bounds the projection's true error (see :func:`_pins_clearly`).  That is
+not checked at run time; the tests check it on runs that keep no basis.
 
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold and coarsens fully intact regions, transferring
@@ -136,15 +131,13 @@ class SimConfig:
     output: OutputParams = OutputParams()
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """The state of a run.
 
     The crack is the set where ``v`` vanishes, read as :attr:`mask`, and a
     load step's irreversibility bound is ``v`` as the step starts, so
-    neither is stored beside ``v``.  ``phase_basis``, ``basis_served``
-    and ``phase_seed`` only decide whether a direct first phase sweep is
-    factored; a state rebuilt from the other fields with an empty basis
+    neither is stored beside ``v``.  A state rebuilt from these fields
     returns the same fields.
     """
 
@@ -155,15 +148,6 @@ class SimState:
     t: float = 0.0
     step: int = 0
     history: list[pf.EnergyRecord] = dc_field(default_factory=list)
-    # Under direct, orthonormal rows of free values spanning one solved
-    # first sweep of the current family and its _TANGENTS Krylov tangents
-    # (_settle_seed); empty until a sweep is solved.
-    phase_basis: list[np.ndarray] = dc_field(default_factory=list)
-    # Whether phase_basis decided a first sweep since it was built.
-    basis_served: bool = False
-    # The factor, free dofs, free values and reaction of the first sweep
-    # solved in the current staggered iteration, until _settle_seed.
-    phase_seed: tuple | None = None
 
     @property
     def mask(self) -> pf.CrackMask:
@@ -204,8 +188,8 @@ def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
 
 # Cap on active-set sweeps inside one phase-field solve.
 _MAX_ACTIVE_SET = 30
-# Krylov tangents of a solved first sweep that join its answer in
-# SimState.phase_basis.
+# Krylov tangents of a solved first sweep that join its answer in the
+# basis of its family (_first_sweep).
 _TANGENTS = 7
 # Stand-in for the condition number kappa_inf(A) of a phase system in the
 # pin margin of _pins_clearly.  The amr_field phase systems (8,439 free
@@ -233,53 +217,55 @@ def _pins_clearly(sys, v: fem.ScalarField, threshold, open_, tol) -> bool:
     return bool(np.any(over > 0) and np.all(np.abs(over) * bmax > margin))
 
 
-def _first_sweep(state: SimState, sys, sol: SolverParams, threshold, open_,
-                 reaction) -> fem.ScalarField:
-    """Sweep 1 of a direct phase solve, projected onto the basis first.
+@dataclass(slots=True)
+class _Basis:
+    """The basis that first sweeps of one family are projected onto."""
 
-    Returns either a field that depends on the basis but pins clearly
-    (:func:`_pins_clearly`), so that only its pin decision is used, or the
-    direct solver's answer.  An accepted projection that pins clearly
-    comes back as it is, leaves the basis alone and marks it as served.
-    Else the sweep is solved once, without the basis, by
-    :func:`fem.solve_factored`, and its factor, free dofs, free values and
-    the reaction ``reaction`` become ``state.phase_seed``, for
-    :func:`_settle_seed` at the end of the staggered iteration; a system
-    without unknowns leaves no seed.
+    # Orthonormal rows of free values: one solved first sweep and its
+    # _TANGENTS Krylov tangents; empty until such a sweep is solved.
+    rows: list[np.ndarray] = dc_field(default_factory=list)
+    # Whether the rows decided a first sweep since they were built.
+    served: bool = False
+
+
+def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
+                 open_, reaction) -> fem.ScalarField:
+    """Sweep 1 of a direct phase solve, projected onto its family's basis
+    first.
+
+    The basis is a :class:`_Basis` that the mesh keeps under the sweep's
+    xi, free set and ``mat`` (:meth:`Mesh.reuse`), so a sweep of another
+    family finds a fresh, empty one.  Returns either a field that depends
+    on the basis but pins clearly (:func:`_pins_clearly`), so that only
+    its pin decision is used, or the direct solver's answer.  An accepted
+    projection that pins clearly comes back as it is and marks the basis
+    as served.  Else the sweep is solved once, without the basis, by
+    :func:`fem.solve_factored`.  When its answer ``x`` lies above
+    ``threshold`` at every free node, the next sweep has no unknown and v
+    stays at its bound, so the next first sweep meets this family again;
+    then, if the basis is empty or has served, ``x`` and the
+    ``_TANGENTS`` tangents ``(A^-1 R)^j x`` (:func:`fem.family_tangents`,
+    with ``R`` the strain-drive mass ``reaction``), orthonormalized
+    (:func:`fem.orthonormalize`), replace it.  A basis that decides no
+    first sweep would only buy tangents that fail too.  The factor is
+    released on return.
     """
-    projected, accepted = fem.project(sys, state.phase_basis,
-                                      tol=sol.linear_tol)
+    basis = state.mesh.reuse("first_sweep", (state.xi, sys.free, repr(mat)),
+                             _Basis)
+    projected, accepted = fem.project(sys, basis.rows, tol=sol.linear_tol)
     if accepted and _pins_clearly(sys, projected, threshold, open_,
                                   sol.linear_tol):
-        state.basis_served = True
+        basis.served = True
         return projected
     v, factor = fem.solve_factored(sys, tol=sol.linear_tol)
-    if factor is not None:
-        state.phase_seed = (factor, sys.free, v.values[sys.free], reaction)
+    x = v.values[sys.free]
+    if (factor is not None and (basis.served or not basis.rows)
+            and np.all(x > threshold[sys.free])):
+        basis.rows = fem.orthonormalize(
+            [x, *fem.family_tangents(factor, reaction, sys.free, x,
+                                     _TANGENTS)])
+        basis.served = False
     return v
-
-
-def _settle_seed(state: SimState, same_family: bool) -> None:
-    """End a staggered iteration's hold on ``state.phase_seed``.
-
-    When the iteration changed the family, the seed is dropped with the
-    basis and no tangent is built.  When it kept the family and the basis
-    is empty or decided a first sweep since it was built, the seed
-    replaces the basis: its answer ``x`` and the ``_TANGENTS`` tangents
-    ``(A^-1 R)^j x`` (:func:`fem.family_tangents`), orthonormalized
-    (:func:`fem.orthonormalize`).  Otherwise the seed is dropped and the
-    basis stays as it is, since a basis that decides no first sweep would
-    only buy tangents that fail too.  Either way the seed's factor is
-    released.
-    """
-    seed, state.phase_seed = state.phase_seed, None
-    if not same_family:
-        state.phase_basis.clear()
-    elif seed is not None and (state.basis_served or not state.phase_basis):
-        factor, free, x, reaction = seed
-        state.phase_basis = fem.orthonormalize(
-            [x, *fem.family_tangents(factor, reaction, free, x, _TANGENTS)])
-        state.basis_served = False
 
 
 def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
@@ -303,14 +289,12 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
 
     ``solve(sys, guess=None)`` solves one sweep.  Under ``direct`` the
     first sweep, which pins only the crack, goes through
-    :func:`_first_sweep`: it is projected onto ``state.phase_basis``, and
-    when it has to be solved, its factor, answer and the strain-drive
-    mass become ``state.phase_seed``, which keeps the factor alive until
-    the caller settles it.  A first-sweep field that depends on
-    the basis is used only when it pins some node and clears the pin
-    threshold by its error margin; the next sweep then solves with those
-    nodes pinned, so the returned field is always a solver's answer.
-    Settling the seed and emptying the basis are up to the callers.
+    :func:`_first_sweep`, which projects it onto the basis the mesh keeps
+    for its family and may rebuild that basis from its answer.  A
+    first-sweep field that depends on the basis is used only when it pins
+    some node and clears the pin threshold by its error margin; the next
+    sweep then solves with those nodes pinned, so the returned field is
+    always a solver's answer.
 
     ``starts`` maps a sweep index to the full-length answer of that sweep
     in the previous call, and this call replaces its contents with its
@@ -338,7 +322,8 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
         elif sweep:
             v = solve(sys)
         else:
-            v = _first_sweep(state, sys, sol, threshold, ~pinned, reaction)
+            v = _first_sweep(state, mat, sys, sol, threshold, ~pinned,
+                             reaction)
         grow = (v.values > threshold) & ~pinned
         if not grow.any():
             return v, True
@@ -363,15 +348,9 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     The u solve gets ``state.u`` as its guess.  Under ``pcg`` each phase
     sweep starts from its own answer in the previous iteration of this
     call, kept in a local dict, so no start crosses a load step, a mesh
-    change or a restart; under ``direct`` the phase solve recycles
-    ``state.phase_basis`` in its first sweep (:func:`_solve_phase_bounded`).
-    Each iteration ends by settling the seed of a first sweep it solved
-    (:func:`_settle_seed`), so the seed's factor lives until then.  An
-    iteration that changes xi or the crack drops the seed and empties the
-    basis, so the basis only holds solutions for the current diffusion
-    operator, load and free set, and no tangent is built for a family
-    that is gone; an iteration that keeps them may rebuild the basis from
-    the seed.
+    change or a restart; under ``direct`` the first phase sweep is
+    projected onto the basis the mesh keeps for its family
+    (:func:`_first_sweep`).
 
     An iteration that leaves ``v`` and xi exactly as it found them has
     reached a fixed point: the next iteration would repeat
@@ -410,9 +389,6 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
                                              sol.crack_tol)
 
         state.xi = update_xi(state, config)
-        same_family = (np.array_equal(state.xi, xi_old)
-                       and np.array_equal(state.v.values == 0.0, cracked))
-        _settle_seed(state, same_family)
 
         err_u = fem.l2_relative_error(state.u, u_old)
         err_v = fem.l2_relative_error(state.v, v_old)
@@ -420,7 +396,8 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
             converged = True
             break
         # An exact fixed point: the next iteration would repeat this one.
-        if (iters < sol.staggered_max_iter and same_family
+        if (iters < sol.staggered_max_iter
+                and np.array_equal(state.xi, xi_old)
                 and np.array_equal(state.v.values, v_old.values)):
             iters += 1
             converged = True
@@ -457,8 +434,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     single refine call may expose new flags one level down.  The loop is
     bounded by the level range.  ``u`` and ``v`` move together as the
     columns of one block; transfers keep the exact zeros of v, so the crack
-    moves with it.  A mesh change empties ``state.phase_basis`` and drops
-    ``state.phase_seed``.
+    moves with it.
 
     A pass that leaves the mesh as it is changes nothing in ``state``, and
     the mesh keeps that verdict for the next pass with the same v, xi and
@@ -496,8 +472,6 @@ def _adapt(state: SimState, config: SimConfig) -> bool | None:
 
     u_vals, v_vals = fields.T.copy()
     state.mesh = new
-    state.phase_basis.clear()
-    state.phase_seed = None
     state.u = ScalarField(new, u_vals)
     state.v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
     state.xi = pf.transfer_regularization(

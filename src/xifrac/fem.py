@@ -51,7 +51,8 @@ factored; in any other step CG from the multiple needs few iterations
 and factors only the coarse operator.  So the direct solver only factors
 systems that come without a guess.  This module keeps no factor or
 value between solves: a plan holds structure only, and the one factor
-that outlives its solve, that of :func:`solve_factored`, is the caller's.
+that outlives its solve, that of :func:`solve_factored`, is the
+caller's, for the tangents below.
 
 :func:`project` recycles an earlier solution of a family of systems,
 such as the phase systems ``(K + s R) v = b`` of an elastic preload,
@@ -63,7 +64,9 @@ basis: with the factor of one direct solve in hand, a few triangular
 solves give the tangents ``(A^-1 R)^j x`` of the family at that member,
 so a projection onto the answer and its tangents matches the family's
 Taylor series to that order (moment matching, as in Pade-via-Lanczos
-model reduction).
+model reduction).  The driver builds one such basis per family while the
+factor is in hand and keeps the rows, not the factor, on the mesh
+(:func:`xifrac.driver._first_sweep`).
 A caller may use an accepted projection to decide what to do next, but
 the field it returns should come from a solve: the projection depends
 on which fields happen to be in the span, so a run restarted with other

@@ -284,15 +284,17 @@ class Mesh:
         The products are those of fields that an elastic load step leaves
         unchanged: the folded displacement operator of v, the diffusion
         matrix and load of xi, the cell xi of v, the parts of the energies
-        that depend on v and xi alone (see :mod:`xifrac.phasefield`), and
-        the verdict of an AMR pass that left the mesh as it was (see
-        :func:`xifrac.driver.amr_pass`).  Kept on the mesh so that the
+        that depend on v and xi alone (see :mod:`xifrac.phasefield`), the
+        verdict of an AMR pass that left the mesh as it was (see
+        :func:`xifrac.driver.amr_pass`), and the basis that the direct
+        first phase sweeps of one xi and crack are projected onto (see
+        :func:`xifrac.driver._first_sweep`).  Kept on the mesh so that the
         entries die with it.  An entry holds its inputs' bytes and strings
-        and an output of arrays, matrices and numbers, never the mesh or an
-        object that refers to it (a ``SparseSystem`` or a
-        ``ScalarField``): that would make a reference cycle, and the mesh
-        and its entries would then live until the cyclic garbage collector
-        runs.
+        and an output of arrays, matrices and numbers, or a record of them
+        that its one caller updates, never the mesh or an object that
+        refers to it (a ``SparseSystem`` or a ``ScalarField``): that would
+        make a reference cycle, and the mesh and its entries would then
+        live until the cyclic garbage collector runs.
         """
         return {}
 
@@ -310,7 +312,8 @@ class Mesh:
         nothing can change, an in-place edit of the caller's arrays
         cannot make a stale match.  The output is handed out on every
         match, so it must be immutable (read-only arrays, numbers, tuples
-        of them) or left unchanged by its users.
+        of them) or left unchanged by its users, unless it is a record
+        that only the one caller of ``name`` updates.
         """
         key = tuple(map(_bits, inputs))
         last = self.products.get(name)

@@ -97,8 +97,9 @@ def read_vtk(path):
     from the quad geometry and the data arrays are put in its numbering.
     Points and cells are matched by exact dyadic integer keys.  A file
     without ``POINTS`` or ``CELLS`` before its data, a section with fewer
-    rows than its header says, or a quad that indexes past the points
-    raises ``ValueError``.
+    rows than its header says, a quad that indexes past the points, or a
+    quad that is not the dyadic square its corners give it raises
+    ``ValueError``.
     """
     lines = Path(path).read_text().splitlines()
     point_data, cell_data = {}, {}
@@ -141,11 +142,17 @@ def read_vtk(path):
     # Each quad's size and lower-left corner give its (level, i, j).
     origin = pts[quads[:, 0]]
     h = pts[quads[:, 1], 0] - origin[:, 0]
+    not_square = ValueError(f"{path}: the CELLS section holds a quad that "
+                            f"is not a square of a quadtree mesh")
+    if not np.all(h > 0):
+        raise not_square
     keys = np.column_stack([-np.log2(h), origin / h[:, None]])
     keys = keys.round().astype(np.int64)
     mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
     perm = _permutation(mesh.vertex_ids(pts), mesh.n_vertices, "points")
     cperm = _permutation(mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
+    if not np.array_equal(perm[mesh.cell_vertices], quads[cperm]):
+        raise not_square
     point_data = {k: v[perm] for k, v in point_data.items()}
     cell_data = {k: v[cperm] for k, v in cell_data.items()}
     return mesh, point_data, cell_data

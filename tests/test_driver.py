@@ -543,6 +543,12 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
                                  if f == "v"}
 
 
+def _kept_basis(state):
+    """The first-sweep basis that ``state.mesh`` keeps, or None."""
+    entry = state.mesh.products.get("first_sweep")
+    return None if entry is None else entry[1]
+
+
 def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
     # Twelve elastic steps of 0.003 on the adapted field-mode mesh: mesh,
     # xi and mask stay fixed and only the strain drive grows, so the first
@@ -563,7 +569,7 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
         assert got == reference_staggered_step(ref, cfg) == (2, True)
         del factors[counted:]
         _assert_same_state(state, ref)
-        assert 1 <= len(state.phase_basis) <= driver._TANGENTS + 1
+        assert 1 <= len(_kept_basis(state).rows) <= driver._TANGENTS + 1
         u_systems.clear()
     # The one u solve, at step 1, runs CG from zero, which factors only
     # its coarse operator.
@@ -576,7 +582,7 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
 def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
         monkeypatch):
     # The same preload under pcg: every phase sweep is a plain solve.  No
-    # projection, basis update or tangent runs and the basis stays empty;
+    # projection, basis update or tangent runs and the mesh keeps no basis;
     # the only factors are the band Cholesky factors of the CG
     # preconditioner's coarse operators, one column per aggregate (at most
     # 16 x 16 on a level-6 start grid), and SuperLU is never called.
@@ -598,7 +604,7 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
     for n in range(1, 7):
         state.step, state.t = n, 0.003 * n
         assert staggered_step(state, cfg) == (2, True)
-        assert state.phase_basis == []
+        assert _kept_basis(state) is None
     assert extra == []
     assert rows and max(rows) <= 4 ** (state.mesh.level_min - 2)
 
@@ -627,17 +633,24 @@ def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
 
 
 def _basis_at_each_phase_solve(monkeypatch):
-    """Per phase solve: mesh id, xi bytes, mask and basis size on entry,
-    and the numbers of first sweeps solved and of tangents built so far."""
+    """Per phase solve, a list: mesh id, xi bytes and mask on entry, the
+    number of rows its first sweep is projected onto, the numbers of first
+    sweeps solved and of tangents built before it, and the number of rows
+    of the basis it built (0 when it built none)."""
     seen, solved, built = [], [0], [0]
-    solve_bounded, solve_factored, family_tangents = (
-        driver._solve_phase_bounded, fem.solve_factored, fem.family_tangents)
+    solve_bounded, project, solve_factored, family_tangents, orthonormalize = (
+        driver._solve_phase_bounded, fem.project, fem.solve_factored,
+        fem.family_tangents, fem.orthonormalize)
 
     def spy(state, *args):
-        seen.append((state.mesh.id, state.xi.tobytes(),
-                     state.mask.pinned.tobytes(), len(state.phase_basis),
-                     solved[0], built[0]))
+        seen.append([state.mesh.id, state.xi.tobytes(),
+                     state.mask.pinned.tobytes(), None, solved[0], built[0],
+                     0])
         return solve_bounded(state, *args)
+
+    def spy_project(sys, basis, tol):
+        seen[-1][3] = len(basis)
+        return project(sys, basis, tol=tol)
 
     def spy_solve_factored(*args, **kwargs):
         solved[0] += 1
@@ -647,27 +660,36 @@ def _basis_at_each_phase_solve(monkeypatch):
         built[0] += count
         return family_tangents(factor, reaction, free, x, count)
 
+    def spy_orthonormalize(vectors):
+        rows = orthonormalize(vectors)
+        seen[-1][6] = len(rows)
+        return rows
+
     monkeypatch.setattr(driver, "_solve_phase_bounded", spy)
+    monkeypatch.setattr(fem, "project", spy_project)
     monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
     monkeypatch.setattr(fem, "family_tangents", spy_family_tangents)
+    monkeypatch.setattr(fem, "orthonormalize", spy_orthonormalize)
     return seen
 
 
 def _family_changes(seen):
-    """Check that a phase solve finds the basis empty exactly when mesh, xi
-    or mask changed since the one before; return the kinds of change."""
+    """Check that a phase solve's first sweep finds an empty basis when
+    mesh, xi or mask changed since the phase solve before, and otherwise
+    the basis that one left; return the kinds of change."""
     kinds = set()
     for before, after in zip(seen, seen[1:]):
         changed = frozenset(
             name for name, a, b in zip(("mesh", "xi", "mask"), before, after)
             if a != b)
-        assert (after[3] == 0) == bool(changed), changed
+        assert after[3] == (0 if changed else before[6] or before[3]), changed
         kinds.add(changed)
     return kinds
 
 
 @pytest.mark.parametrize("case", ["mesh", "xi", "mask"])
-def test_phase_basis_is_emptied_when_its_family_changes(case, monkeypatch):
+def test_first_sweep_basis_is_fresh_when_its_family_changes(case,
+                                                            monkeypatch):
     seen = _basis_at_each_phase_solve(monkeypatch)
     if case == "mesh":
         # Step 1 runs on the start grid; its AMR pass changes the mesh.
@@ -684,7 +706,8 @@ def test_phase_basis_is_emptied_when_its_family_changes(case, monkeypatch):
             regularization=pf.RegularizationParams(mode=mode))
     driver.run(cfg)
     kinds = _family_changes(seen)
-    assert frozenset() in kinds  # some solves did find a basis
+    assert frozenset() in kinds
+    assert any(entry[3] for entry in seen)  # some solves did find a basis
     assert any(case in kind for kind in kinds)
     if case != "mesh":
         assert frozenset({case}) in kinds
@@ -700,57 +723,93 @@ def test_phase_basis_is_emptied_when_its_family_changes(case, monkeypatch):
 
 def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
         monkeypatch):
-    # The level-3 fixed-xi fracture steps.  A first sweep solved in an
-    # iteration that keeps its family replaces the basis with its answer
-    # and seven tangents, orthonormalized, when the basis is empty or
-    # decided a first sweep since it was built.  Any other seed is
-    # dropped: no tangent is built and the basis stays as it is.
-    outcomes, built = [], []
-    settle, family_tangents = driver._settle_seed, fem.family_tangents
+    # Level 3, fixed xi, dt = 0.01: 25 steps, elastic up to onset, then
+    # fracture iterations.  A first sweep that is solved, with an answer
+    # above the pin threshold at every free node, replaces its family's
+    # basis with that answer and seven tangents, orthonormalized, when the
+    # basis is empty or decided a first sweep since it was built.  Any
+    # other first sweep builds no tangent and leaves the basis as it is.
+    # Run again with no projection trusted, no basis ever serves, so every
+    # later solved sweep of a family keeps the basis it finds.
+    outcomes, built, answers = [], [], []
+    first_sweep, solve_factored, family_tangents = (
+        driver._first_sweep, fem.solve_factored, fem.family_tangents)
 
-    def spy_settle(state, same_family):
-        before, served = list(state.phase_basis), state.basis_served
-        seed, calls = state.phase_seed, len(built)
-        settle(state, same_family)
-        after = state.phase_basis
-        if not same_family:
-            assert built[calls:] == [] and after == []
-            outcomes.append("family changed")
-        elif seed is not None and (served or not before):
+    def spy_first_sweep(state, mat, sys, sol, threshold, *args):
+        kept = _kept_basis(state)
+        before = [] if kept is None else list(kept.rows)
+        served = kept is not None and kept.served
+        calls, solves = len(built), len(answers)
+        v = first_sweep(state, mat, sys, sol, threshold, *args)
+        basis = _kept_basis(state)
+        if basis is not kept:  # the sweep's family found a fresh basis
+            before, served = [], False
+        if len(answers) == solves:
+            assert built[calls:] == [] and basis.served
+            assert [a is b for a, b in zip(basis.rows, before)] == \
+                [True] * len(before) == [True] * len(basis.rows)
+            outcomes.append("projected")
+            return v
+        x, factored = answers[-1]
+        pins_all = factored and np.all(x > threshold[sys.free])
+        if pins_all and (served or not before):
             assert built[calls:] == [driver._TANGENTS]
-            x = seed[2]
-            assert after[0].tobytes() == (x / np.linalg.norm(x)).tobytes()
-            q = np.array(after)
+            assert basis.rows[0].tobytes() == \
+                (x / np.linalg.norm(x)).tobytes()
+            q = np.array(basis.rows)
             assert 1 < len(q) <= driver._TANGENTS + 1
             assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-14
-            assert not state.basis_served
+            assert not basis.served
             outcomes.append("rebuilt after serving" if before else "built")
         else:
             assert built[calls:] == []
-            assert len(after) == len(before)
-            assert all(a is b for a, b in zip(after, before))
-            assert state.basis_served == served
-            outcomes.append("seed dropped" if seed is not None else "no seed")
+            assert len(basis.rows) == len(before)
+            assert all(a is b for a, b in zip(basis.rows, before))
+            assert basis.served == served
+            outcomes.append("basis kept" if pins_all else "pins not all")
+        return v
+
+    def spy_solve_factored(sys, *args, **kwargs):
+        v, factor = solve_factored(sys, *args, **kwargs)
+        answers.append((v.values[sys.free], factor is not None))
+        return v, factor
 
     def spy_family_tangents(factor, reaction, free, x, count):
         built.append(count)
         return family_tangents(factor, reaction, free, x, count)
 
-    monkeypatch.setattr(driver, "_settle_seed", spy_settle)
+    monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
+    monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
     monkeypatch.setattr(fem, "family_tangents", spy_family_tangents)
-    driver.run(_fracture_config("direct"))
-    assert {"built", "rebuilt after serving", "seed dropped"} <= set(outcomes)
+    cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
+                       loading=LoadingParams(c=1.0, dt=0.01, n_max=25))
+    driver.run(cfg)
+    assert {"built", "rebuilt after serving", "projected",
+            "pins not all"} <= set(outcomes)
+    outcomes.clear()
+    monkeypatch.setattr(driver, "_pins_clearly", lambda *args: False)
+    driver.run(cfg)
+    assert {"built", "basis kept", "pins not all"} == set(outcomes)
 
 
-def test_amr_pass_empties_the_phase_basis_only_on_a_mesh_change():
+def test_amr_pass_keeps_the_first_sweep_basis_only_on_an_unchanged_mesh():
+    # The basis lives on the mesh: a pass that changes the mesh leaves it
+    # behind, and a pass that keeps the mesh keeps it as it was.
     cfg, state = _field_state(level_start=6, level_max=7)
-    state.phase_basis.append(state.v.values.copy())
+
+    def seed_basis():
+        basis = state.mesh.reuse("first_sweep", (state.xi,), driver._Basis)
+        basis.rows.append(state.v.values.copy())
+        return basis
+
+    seed_basis()
     assert driver.amr_pass(state, cfg)
-    assert state.phase_basis == []
-    state.phase_basis.append(state.v.values.copy())
+    assert _kept_basis(state) is None
+    basis = seed_basis()
     while driver.amr_pass(state, cfg):
-        state.phase_basis.append(state.v.values.copy())
-    assert len(state.phase_basis) == 1
+        assert _kept_basis(state) is None
+        basis = seed_basis()
+    assert _kept_basis(state) is basis and len(basis.rows) == 1
 
 
 def _first_phase_sweep_after_an_elastic_step():
@@ -777,8 +836,10 @@ def _first_phase_sweep_after_an_elastic_step():
         return sys, solve(sys).values
 
     def phase_solve(fields, bound=None):
-        state.phase_basis = fem.orthonormalize(
-            [f[restricted().free] for f in fields])
+        free = restricted().free
+        basis = state.mesh.reuse("first_sweep", (state.xi, free, repr(mat)),
+                                 driver._Basis)
+        basis.rows = fem.orthonormalize([f[free] for f in fields])
         return driver._solve_phase_bounded(
             state, state.v if bound is None else bound, mat, solve, sol,
             {})[0].values
@@ -955,24 +1016,9 @@ def _load_steps(state, config, last):
     return records
 
 
-@pytest.mark.parametrize("overrides, split", [
-    ({"mesh.level_start": "6", "mesh.level_max": "7",
-      "loading.dt": "0.0015", "loading.n_max": "20"}, 8),
-    ({"mesh.level_start": "4", "mesh.level_max": "6",
-      "loading.dt": "0.01", "loading.n_max": "14"}, 5),
-], ids=["preload", "fracture"])
-def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
-                                                       monkeypatch):
-    # field_xi_amr.cfg, cut short.  A state rebuilt at step ``split`` from
-    # its mesh, u, v, xi, t and step, with an empty phase basis, stepped on
-    # to the end repeats the uninterrupted run byte for byte, although the
-    # uninterrupted run's basis decides first sweeps after the split: the
-    # returned fields do not depend on the basis.  The preload case is
-    # elastic after the step-1 adaptation; in the fracture case damage
-    # grows from the seeded tip after the split (the surface energy rises
-    # and steps take up to 6 staggered iterations) on the level-4 grid.
-    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
-    cfg = parse_config(path.read_text(), overrides)
+def _projected_first_sweeps(monkeypatch):
+    """Spy on the direct first sweeps: the list of the load steps of those
+    decided by projection, that is, without a solve."""
     decided, solved = [], [0]
     first_sweep, solve_factored = driver._first_sweep, fem.solve_factored
 
@@ -989,11 +1035,39 @@ def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
 
     monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
     monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
+    return decided
+
+
+@pytest.mark.parametrize("overrides, split", [
+    ({"mesh.level_start": "6", "mesh.level_max": "7",
+      "loading.dt": "0.0015", "loading.n_max": "20"}, 8),
+    ({"mesh.level_start": "4", "mesh.level_max": "6",
+      "loading.dt": "0.01", "loading.n_max": "14"}, 5),
+], ids=["preload", "fracture"])
+def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
+                                                       monkeypatch):
+    # field_xi_amr.cfg, cut short.  A state rebuilt at step ``split`` from
+    # its u, v, xi, t and step, on a mesh rebuilt from its cell keys as a
+    # VTK restart would rebuild it, which keeps no basis, stepped on to the
+    # end repeats the uninterrupted run byte for byte, although the
+    # uninterrupted run's basis decides first sweeps after the split: the
+    # returned fields do not depend on the basis.  The preload case is
+    # elastic after the step-1 adaptation; in the fracture case damage
+    # grows from the seeded tip after the split (the surface energy rises
+    # and steps take up to 6 staggered iterations) on the level-4 grid.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), overrides)
+    decided = _projected_first_sweeps(monkeypatch)
     saved = {}
 
     def keep(state):
         if state.step == split:
-            saved.update(mesh=state.mesh, u=state.u.copy(), v=state.v.copy(),
+            old = state.mesh
+            mesh = meshmod.Mesh(old.cell_keys, old.level_min, old.level_max)
+            assert np.array_equal(mesh.cell_vertices, old.cell_vertices)
+            assert np.array_equal(mesh.vertex_coords, old.vertex_coords)
+            saved.update(mesh=mesh, u=ScalarField(mesh, state.u.values.copy()),
+                         v=ScalarField(mesh, state.v.values.copy()),
                          xi=state.xi.copy(), t=state.t, step=state.step)
 
     history, final = driver.run(cfg, snapshot_hook=keep)
@@ -1001,7 +1075,7 @@ def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
     assert any(n > split for n in decided)
 
     state = driver.SimState(**saved)
-    assert state.phase_basis == [] and not state.basis_served
+    assert _kept_basis(state) is None
     records = _load_steps(state, cfg, cfg.loading.n_max)
     assert records == history[split:]
     for a, b in ((state.u.values, final.u.values),
@@ -1066,6 +1140,7 @@ def test_a_cold_cache_gives_the_same_run(make_config, monkeypatch):
     cfg = make_config()
     reuse = meshmod.Mesh.reuse
     lookups, computed = [], []
+    decided = _projected_first_sweeps(monkeypatch)
 
     def counted(self, name, inputs, compute):
         lookups.append(name)
@@ -1075,13 +1150,18 @@ def test_a_cold_cache_gives_the_same_run(make_config, monkeypatch):
     monkeypatch.setattr(meshmod.Mesh, "reuse", counted)
     history, state = driver.run(cfg)
     assert len(computed) < len(lookups)
+    # Warm direct runs decide some first sweeps by projection; cold runs
+    # find every basis empty, so their output owes nothing to a basis.
+    assert bool(decided) == (cfg.solver.method == "direct")
 
     def forgetful(self, name, inputs, compute):
         self.products.clear()
         return reuse(self, name, inputs, compute)
 
     monkeypatch.setattr(meshmod.Mesh, "reuse", forgetful)
+    decided.clear()
     cold_history, cold = driver.run(cfg)
+    assert decided == []
     assert repr(cold_history) == repr(history)
     for a, b in ((cold.u.values, state.u.values),
                  (cold.v.values, state.v.values), (cold.xi, state.xi)):
@@ -1097,7 +1177,7 @@ def test_a_finished_run_leaves_no_reference_cycle():
     try:
         history, state = driver.run(cfg)
         assert {"displacement", "phase", "xi_field", "energies",
-                "amr_pass"} <= set(state.mesh.products)
+                "amr_pass", "first_sweep"} <= set(state.mesh.products)
         mesh = weakref.ref(state.mesh)
         del history, state
         assert mesh() is None

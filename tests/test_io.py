@@ -717,6 +717,26 @@ def test_cli_profile_of_a_file_with_wrong_counts_is_an_error(
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_cli_profile_of_a_file_with_a_degenerate_quad_is_an_error(
+        tmp_path, capsys):
+    # A level-1 snapshot whose first quad has corner 1 equal to corner 0:
+    # its cell key would say nothing of its corners, so the file is
+    # reported as an error, not read as a mesh.
+    path = tmp_path / "f.vtk"
+    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {}, path)
+    lines = path.read_text().splitlines()
+    row = lines.index("CELLS 4 20") + 1
+    count, a, _, c, d = lines[row].split()
+    lines[row] = " ".join((count, a, a, c, d))
+    path.write_text("\n".join(lines) + "\n")
+    message = "the CELLS section holds a quad that is not a square"
+    with pytest.raises(ValueError, match=message):
+        output.read_vtk(path)
+    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}")
+
+
 def test_cli_keys_lists_all(capsys):
     assert cli.main(["keys"]) == 0
     out = capsys.readouterr().out
