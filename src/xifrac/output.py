@@ -1,15 +1,17 @@
 """On-disk outputs: legacy VTK snapshots, CSV histories, line profiles.
 
 All files are written atomically (temp file + rename) so an interrupted
-run never leaves truncated output behind.  Floats are printed as the
-shortest string that reads back to the same double (Python's ``repr``,
-with a trailing ``.0`` dropped), so a written field is read back bit for
-bit and golden comparisons stay stable.
+run never leaves truncated output behind.  Snapshots are legacy binary
+VTK, so their fields read back bit for bit.  In the CSV files, floats are
+printed as the shortest string that reads back to the same double
+(Python's ``repr``, with a trailing ``.0`` dropped), so they round-trip
+through their text too and golden comparisons stay stable.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,111 +33,127 @@ def _fmt_all(values) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, data):
+    """Write ``data`` (bytes, or text encoded as UTF-8) to ``path``."""
+    if isinstance(data, str):
+        data = data.encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def vtk_geometry(mesh: Mesh) -> str:
-    """The POINTS, CELLS and CELL_TYPES sections of a mesh's VTK file."""
-    lines = [f"POINTS {mesh.n_vertices} double"]
-    lines.extend(map("{} {} 0".format, _fmt_all(mesh.vertex_coords[:, 0]),
-                     _fmt_all(mesh.vertex_coords[:, 1])))
-    lines.append(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}")
-    lines.extend(map("4 {} {} {} {}".format,
-                     *mesh.cell_vertices.T.tolist()))
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend(["9"] * mesh.n_cells)
-    return "\n".join(lines)
+# Each section's values are one big-endian block of these types.
+_DOUBLE, _INT = np.dtype(">f8"), np.dtype(">i4")
+_SCALAR_TYPES = {b"double": _DOUBLE, b"int": _INT}
+# The width, type and unit of the geometry sections' blocks.
+_GEOMETRY = {b"POINTS": (3, _DOUBLE, "rows"), b"CELLS": (5, _INT, "rows"),
+             b"CELL_TYPES": (1, _INT, "values")}
+# The newline that ends a block and the header of the section after it.
+_NEXT_SECTION = re.compile(
+    rb"\n(?:POINTS|CELLS|CELL_TYPES|POINT_DATA|CELL_DATA|SCALARS) ")
+
+
+def _section(header: str, values, dtype) -> list[bytes]:
+    return [header.encode(), b"\n",
+            np.ascontiguousarray(values, dtype=dtype).tobytes(), b"\n"]
 
 
 def write_vtk(mesh: Mesh, point_data: dict, cell_data: dict, path,
-              title: str = "xifrac fields", geometry: str | None = None
-              ) -> None:
-    """Legacy ASCII VTK unstructured grid with quad cells.
+              title: str = "xifrac fields") -> None:
+    """Legacy binary VTK unstructured grid with quad cells.
 
-    Hanging nodes are exported as-is; viewers tolerate the nonconforming
-    quads.  ``geometry`` is :func:`vtk_geometry` of ``mesh`` when the
-    caller keeps it from an earlier file; else it is formatted here.
+    Each section's values are one big-endian block (``double`` as
+    float64, ``int`` as int32) followed by a newline, as ParaView reads
+    them.  Hanging nodes are exported as-is; viewers tolerate the
+    nonconforming quads.
     """
-    lines = ["# vtk DataFile Version 2.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             vtk_geometry(mesh) if geometry is None else geometry]
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
-        for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt_all(values))
-    if cell_data:
-        lines.append(f"CELL_DATA {mesh.n_cells}")
-        for name, values in cell_data.items():
+    points = np.column_stack([mesh.vertex_coords, np.zeros(mesh.n_vertices)])
+    cells = np.column_stack([np.full(mesh.n_cells, 4), mesh.cell_vertices])
+    parts = [f"# vtk DataFile Version 2.0\n{title}\nBINARY\n"
+             f"DATASET UNSTRUCTURED_GRID\n".encode()]
+    parts += _section(f"POINTS {mesh.n_vertices} double", points, _DOUBLE)
+    parts += _section(f"CELLS {mesh.n_cells} {5 * mesh.n_cells}", cells,
+                      _INT)
+    parts += _section(f"CELL_TYPES {mesh.n_cells}",
+                      np.full(mesh.n_cells, 9), _INT)
+    for kind, count, data in (("POINT_DATA", mesh.n_vertices, point_data),
+                              ("CELL_DATA", mesh.n_cells, cell_data)):
+        if data:
+            parts.append(f"{kind} {count}\n".encode())
+        for name, values in data.items():
             values = np.asarray(values)
-            if np.issubdtype(values.dtype, np.integer):
-                lines.append(f"SCALARS {name} int 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(map("{}".format, values.tolist()))
-            else:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(_fmt_all(values))
-    _atomic_write(path, "\n".join(lines) + "\n")
+            scalar = ("int" if np.issubdtype(values.dtype, np.integer)
+                      else "double")
+            parts += _section(f"SCALARS {name} {scalar} 1\n"
+                              f"LOOKUP_TABLE default", values,
+                              _SCALAR_TYPES[scalar.encode()])
+    _atomic_write(path, b"".join(parts))
 
 
 def read_vtk(path):
     """Parse a file produced by :func:`write_vtk`.
 
     Returns ``(mesh, point_data, cell_data)``; the mesh is reconstructed
-    from the quad geometry and the data arrays are put in its numbering.
-    Points and cells are matched by exact dyadic integer keys.  A file
-    without ``POINTS`` or ``CELLS`` before its data, a section with fewer
-    rows than its header says, a quad that indexes past the points, or a
-    quad that is not the dyadic square its corners give it raises
-    ``ValueError``.
+    from the quad geometry and the data arrays are put in its numbering,
+    in native byte order.  Points and cells are matched by exact dyadic
+    integer keys.  Every error is a ``ValueError`` that starts with the
+    path: a file whose third line is not ``BINARY``, a file without
+    ``POINTS`` or ``CELLS`` before its data, a header without its count
+    or type, a section whose block holds fewer or more values than its
+    header says, a quad that indexes past the points, cells that repeat,
+    or a quad that is not the dyadic square its corners give it.
     """
-    lines = Path(path).read_text().splitlines()
-    point_data, cell_data = {}, {}
-    pts = quads = target = n_pts = n_cells = None
-    i = 2  # past the version and title lines
-    while i < len(lines):
-        head = lines[i].split()
-        i += 1
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n", 3)  # version, title, format, the rest
+    if len(lines) > 2 and lines[2].strip() != b"BINARY":
+        raise ValueError(f"{path}: not a legacy VTK file in BINARY format "
+                         f"(its third line is "
+                         f"{lines[2][:40].decode(errors='replace')!r})")
+    geometry, point_data, cell_data = {}, {}, {}
+    target = section = None  # the data dict and the geometry it counts
+    pos = len(data) - len(lines[3]) if len(lines) > 3 else len(data)
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        head, pos = data[pos:end].split(), end + 1
         if not head:
             continue
-        if head[0] == "POINTS":
-            n_pts = int(head[1])
-            pts = _rows(path, "POINTS", lines[i:i + n_pts], n_pts,
-                        usecols=(0, 1), ndmin=2)
-            i += n_pts
-        elif head[0] == "CELLS":
-            n_cells = int(head[1])
-            quads = _rows(path, "CELLS", lines[i:i + n_cells], n_cells,
-                          dtype=np.int64, usecols=(1, 2, 3, 4), ndmin=2)
-            i += n_cells
-        elif head[0] == "CELL_TYPES":
-            i += int(head[1])
-        elif head[0] == "POINT_DATA":
-            target, count = point_data, n_pts
-        elif head[0] == "CELL_DATA":
-            target, count = cell_data, n_cells
-        elif head[0] == "SCALARS" and target is not None:
-            if count is None:
+        if head[0] in _GEOMETRY:
+            geometry[head[0]], pos = _block(path, data, pos,
+                                            head[0].decode(),
+                                            _count(path, head),
+                                            *_GEOMETRY[head[0]])
+        elif head[0] == b"POINT_DATA":
+            target, section = point_data, geometry.get(b"POINTS")
+        elif head[0] == b"CELL_DATA":
+            target, section = cell_data, geometry.get(b"CELLS")
+        elif head[0] == b"SCALARS" and target is not None:
+            if section is None:
                 break  # data before its geometry
-            start = i + 1  # skip LOOKUP_TABLE line
-            target[head[1]] = np.loadtxt(lines[start:start + count], ndmin=1)
-            i = start + count
+            if len(head) < 3 or head[2] not in _SCALAR_TYPES:
+                line = b" ".join(head).decode(errors="replace")
+                raise ValueError(f"{path}: the header '{line}' gives no "
+                                 f"double or int type")
+            name = head[1].decode(errors="replace")
+            end = data.find(b"\n", pos)  # past the LOOKUP_TABLE line
+            pos = len(data) if end < 0 else end + 1
+            values, pos = _block(path, data, pos, f"SCALARS {name}",
+                                 len(section), 1, _SCALAR_TYPES[head[2]],
+                                 "values")
+            target[name] = values[:, 0]
 
+    pts, quads = geometry.get(b"POINTS"), geometry.get(b"CELLS")
     if pts is None or quads is None:
         missing = "POINTS" if pts is None else "CELLS"
         raise ValueError(f"{path}: no {missing} section")
+    pts, quads = pts[:, :2], quads[:, 1:]
     if quads.size and (quads.min() < 0 or quads.max() >= len(pts)):
         raise ValueError(f"{path}: the CELLS section indexes past its "
                          f"{len(pts)} POINTS")
@@ -149,8 +167,9 @@ def read_vtk(path):
     keys = np.column_stack([-np.log2(h), origin / h[:, None]])
     keys = keys.round().astype(np.int64)
     mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
-    perm = _permutation(mesh.vertex_ids(pts), mesh.n_vertices, "points")
-    cperm = _permutation(mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
+    cperm = _permutation(path, mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
+    perm = _permutation(path, mesh.vertex_ids(pts), mesh.n_vertices,
+                        "points")
     if not np.array_equal(perm[mesh.cell_vertices], quads[cperm]):
         raise not_square
     point_data = {k: v[perm] for k, v in point_data.items()}
@@ -158,23 +177,39 @@ def read_vtk(path):
     return mesh, point_data, cell_data
 
 
-def _rows(path, section, lines, count, **kwargs):
-    """The ``count`` numeric rows of a section, or ``ValueError`` naming
-    the section when it holds fewer."""
-    try:
-        table = np.loadtxt(lines, **kwargs)
-    except ValueError:
-        table = None
-    if table is None or len(table) < count:
-        raise ValueError(f"{path}: the {section} section holds fewer than "
-                         f"the {count} rows of its header")
-    return table
+def _count(path, head):
+    """The count of a geometry section's header line ``head``."""
+    if len(head) < 2 or not head[1].isdigit():
+        raise ValueError(f"{path}: the {head[0].decode()} header gives no "
+                         f"count")
+    return int(head[1])
 
 
-def _permutation(ids, n, what):
+def _block(path, data, pos, section, count, width, dtype, unit):
+    """The ``count`` rows of ``width`` values of the block at ``pos``, in
+    native byte order, and the position after the block's newline.
+
+    A block that does not end where its header says, at a newline or at
+    the end of the file, raises ``ValueError`` naming the section and
+    whether it holds fewer or more than the header's count.
+    """
+    end = pos + count * width * dtype.itemsize
+    if end > len(data) or data[end:end + 1] not in (b"\n", b""):
+        after = _NEXT_SECTION.search(data, pos)
+        fewer = end > len(data) or (after is not None and after.start() < end)
+        raise ValueError(f"{path}: the {section} section holds "
+                         f"{'fewer' if fewer else 'more'} than the {count} "
+                         f"{unit} of its header")
+    values = np.frombuffer(data, dtype, count * width, pos)
+    native = values.astype(dtype.newbyteorder("="))
+    return native.reshape(count, width), end + 1
+
+
+def _permutation(path, ids, n, what):
     """Map from mesh ids to file positions, given the mesh id of each entry."""
     if not np.array_equal(np.sort(ids), np.arange(n)):
-        raise ValueError(f"the {what} of the file do not form a quadtree mesh")
+        raise ValueError(f"{path}: the {what} of the file do not form a "
+                         f"quadtree mesh")
     perm = np.empty(n, dtype=np.intp)
     perm[ids] = np.arange(n)
     return perm
@@ -229,9 +264,6 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self._snapshot_step = None  # step of the last snapshot written
-        # (mesh id, vtk_geometry text) of the last snapshot's mesh.  The
-        # writer keeps it rather than the mesh, so it lives with the run.
-        self._geometry = (None, "")
         self._write_manifest()
 
     def _write_manifest(self):
@@ -243,15 +275,11 @@ class RunWriter:
 
     def snapshot(self, state):
         n = self._snapshot_step = state.step
-        mesh = state.mesh
-        if self._geometry[0] != mesh.id:
-            self._geometry = (mesh.id, vtk_geometry(mesh))
-        write_vtk(mesh,
+        write_vtk(state.mesh,
                   {"u": state.u.values, "v": state.v.values},
-                  {"xi": state.xi, "level": mesh.cell_levels},
+                  {"xi": state.xi, "level": state.mesh.cell_levels},
                   self.dir / f"fields_{n:04d}.vtk",
-                  title=f"step {n} t={state.t:g}",
-                  geometry=self._geometry[1])
+                  title=f"step {n} t={state.t:g}")
         xs = np.linspace(0.0, 1.0, 201)
         cols = {}
         for y in self.PROFILE_LINES:

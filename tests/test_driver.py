@@ -944,7 +944,7 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     assert v0.values.tobytes() == before.tobytes()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_bounded_phase_solve_is_a_kkt_point():
     # On a 4 x 4 mesh with a seeded crack, after four load steps of 0.02,
     # the grow-only active set keeps nodes pinned at their bound whose

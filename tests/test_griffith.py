@@ -100,7 +100,7 @@ def test_griffith_release_rate_is_least_near_a_077():
     assert abs((ks[least] + 0.5) / n - 0.77) <= 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_seeded_crack_stiffness_approaches_the_sharp_crack():
     # The step-1 strain energy over t^2 with field xi on uniform grids of
     # levels 5 to 7 should approach the sharp crack's E(0.5) with gaps

@@ -1,5 +1,6 @@
 """Config parsing, VTK/CSV outputs, line profiles and the CLI."""
 
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -238,76 +239,43 @@ def test_key_reference_golden(capsys):
 # VTK writer / reader
 
 
-GOLDEN_VTK = """# vtk DataFile Version 2.0
-golden 4-cell
-ASCII
-DATASET UNSTRUCTURED_GRID
-POINTS 9 double
-0 0 0
-0.5 0 0
-0.5 0.5 0
-0 0.5 0
-0.5 1 0
-0 1 0
-1 0 0
-1 0.5 0
-1 1 0
-CELLS 4 20
-4 0 1 2 3
-4 3 2 4 5
-4 1 6 7 2
-4 2 7 8 4
-CELL_TYPES 4
-9
-9
-9
-9
-POINT_DATA 9
-SCALARS u double 1
-LOOKUP_TABLE default
-0
-0
-0
-0
-0
-0
-0
-0
-0
-SCALARS v double 1
-LOOKUP_TABLE default
-1
-1
-1
-1
-1
-1
-1
-1
-1
-CELL_DATA 4
-SCALARS xi double 1
-LOOKUP_TABLE default
-0.13687
-0.13687
-0.13687
-0.13687
-SCALARS level int 1
-LOOKUP_TABLE default
-1
-1
-1
-1
-"""
+def _block(fmt, values):
+    """A big-endian binary block and the newline that ends it."""
+    return struct.pack(f">{len(values)}{fmt}", *values) + b"\n"
+
+
+def _quads(*rows):
+    """The CELLS header and the first rows of its block, without newline."""
+    values = [x for row in rows for x in (4, *row)]
+    return b"CELLS 4 20\n" + struct.pack(f">{len(values)}i", *values)
 
 
 def test_write_vtk_golden(tmp_path):
+    # The expected bytes are built here from the legacy VTK 2.0 layout:
+    # header text, and each section's values as one big-endian block.
+    want = b"".join([
+        b"# vtk DataFile Version 2.0\ngolden 4-cell\nBINARY\n"
+        b"DATASET UNSTRUCTURED_GRID\n",
+        b"POINTS 9 double\n", _block("d", [0, 0, 0, 0.5, 0, 0, 0.5, 0.5, 0,
+                                           0, 0.5, 0, 0.5, 1, 0, 0, 1, 0,
+                                           1, 0, 0, 1, 0.5, 0, 1, 1, 0]),
+        b"CELLS 4 20\n", _block("i", [4, 0, 1, 2, 3, 4, 3, 2, 4, 5,
+                                      4, 1, 6, 7, 2, 4, 2, 7, 8, 4]),
+        b"CELL_TYPES 4\n", _block("i", [9] * 4),
+        b"POINT_DATA 9\n",
+        b"SCALARS u double 1\nLOOKUP_TABLE default\n", _block("d", [0] * 9),
+        b"SCALARS v double 1\nLOOKUP_TABLE default\n", _block("d", [1] * 9),
+        b"CELL_DATA 4\n",
+        b"SCALARS xi double 1\nLOOKUP_TABLE default\n",
+        _block("d", [0.13687] * 4),
+        b"SCALARS level int 1\nLOOKUP_TABLE default\n", _block("i", [1] * 4),
+    ])
     m = build_uniform(1)
     path = tmp_path / "golden.vtk"
     output.write_vtk(m, {"u": np.zeros(9), "v": np.ones(9)},
                      {"xi": np.full(4, 0.13687), "level": m.cell_levels},
                      path, title="golden 4-cell")
-    assert path.read_text() == GOLDEN_VTK
+    assert path.read_bytes() == want
 
 
 def test_vtk_cell_count_matches_mesh(tmp_path):
@@ -315,8 +283,8 @@ def test_vtk_cell_count_matches_mesh(tmp_path):
     m = refine(m, [0, 5])
     path = tmp_path / "f.vtk"
     output.write_vtk(m, {"u": np.zeros(m.n_vertices)}, {}, path)
-    text = path.read_text()
-    line = next(l for l in text.splitlines() if l.startswith("CELLS"))
+    data = path.read_bytes()
+    line = data[data.index(b"\nCELLS ") + 1:].split(b"\n", 1)[0]
     assert int(line.split()[1]) == m.n_cells
 
 
@@ -379,14 +347,9 @@ def _snapshot_state(mesh, step, rng):
                            xi=xi)
 
 
-def test_run_writer_formats_each_mesh_once(tmp_path, monkeypatch):
-    # Three snapshots, the third after a mesh change: the writer formats
-    # the geometry once per mesh, and every file has the bytes of a
-    # write_vtk call that formats it afresh.
-    calls = []
-    geometry = output.vtk_geometry
-    monkeypatch.setattr(output, "vtk_geometry",
-                        lambda mesh: calls.append(mesh.id) or geometry(mesh))
+def test_run_writer_snapshots_equal_write_vtk(tmp_path):
+    # Three snapshots, the third after a mesh change: every file has the
+    # bytes of a write_vtk call with the same fields.
     rng = np.random.default_rng(5)
     coarse = refine(build_uniform(3), [0, 9, 30])
     fine = refine(coarse, [coarse.locate(0.6, 0.6)])
@@ -400,8 +363,6 @@ def test_run_writer_formats_each_mesh_once(tmp_path, monkeypatch):
                          want, title=f"step {step} t={state.t:g}")
         got = tmp_path / "run" / f"fields_{step:04d}.vtk"
         assert got.read_bytes() == want.read_bytes()
-    # Once per mesh in the writer, once per call outside it.
-    assert calls == [coarse.id, coarse.id, coarse.id, fine.id, fine.id]
 
 
 # ---------------------------------------------------------------------------
@@ -665,56 +626,105 @@ def test_cli_profile_floats_round_trip(tmp_path, capsys):
     assert got.tobytes() == want.tobytes()
 
 
+def _level1_file(path, point_data=None):
+    """The bytes of a snapshot of the level-1 mesh, written to ``path``."""
+    output.write_vtk(build_uniform(1), point_data or {"v": np.ones(9)}, {},
+                     path)
+    return path.read_bytes()
+
+
 def _without_cells(tmp_path):
     """A file written for a level-1 mesh, cut before its CELLS section."""
-    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {},
-                     tmp_path / "f.vtk")
-    text = (tmp_path / "f.vtk").read_text()
-    return text[:text.index("CELLS")]
+    data = _level1_file(tmp_path / "f.vtk")
+    return data[:data.index(b"CELLS")]
 
 
-@pytest.mark.parametrize("text, missing", [
-    ("# vtk DataFile Version 2.0\nxifrac fields\nASCII\n"
-     "DATASET UNSTRUCTURED_GRID\n", "POINTS"),
-    ("# vtk DataFile Version 2.0\n", "POINTS"),
+def _assert_profile_error(path, capsys, message):
+    """``read_vtk`` and ``xifrac profile`` both report ``path: message``."""
+    with pytest.raises(ValueError) as err:
+        output.read_vtk(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("data, missing", [
+    (b"# vtk DataFile Version 2.0\nxifrac fields\nBINARY\n"
+     b"DATASET UNSTRUCTURED_GRID\n", "POINTS"),
+    (b"# vtk DataFile Version 2.0\n", "POINTS"),
     (_without_cells, "CELLS"),
-    ("# vtk DataFile Version 2.0\nxifrac fields\nASCII\n"
-     "DATASET UNSTRUCTURED_GRID\nPOINT_DATA 1\nSCALARS v double 1\n"
-     "LOOKUP_TABLE default\n1\n", "POINTS"),
+    (b"# vtk DataFile Version 2.0\nxifrac fields\nBINARY\n"
+     b"DATASET UNSTRUCTURED_GRID\nPOINT_DATA 1\nSCALARS v double 1\n"
+     b"LOOKUP_TABLE default\n" + _block("d", [1]), "POINTS"),
 ], ids=["header-only", "one-line", "no-cells", "data-first"])
 def test_cli_profile_of_a_file_without_its_mesh_is_an_error(
-        tmp_path, capsys, text, missing):
+        tmp_path, capsys, data, missing):
     # A file without a POINTS or CELLS section before its data is reported
     # as an error that names the section, not as a traceback.
     path = tmp_path / "bad.vtk"
-    path.write_text(text(tmp_path) if callable(text) else text)
-    with pytest.raises(ValueError, match=f"no {missing} section"):
-        output.read_vtk(path)
-    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: {path}: no {missing} section\n"
+    path.write_bytes(data(tmp_path) if callable(data) else data)
+    _assert_profile_error(path, capsys, f"no {missing} section")
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("POINTS 9", "POINTS 7", "the CELLS section indexes past its 7 POINTS"),
-    ("POINTS 9", "POINTS 12",
+    (b"POINTS 9", b"POINTS 7",
+     "the POINTS section holds more than the 7 rows of its header"),
+    (b"POINTS 9", b"POINTS 12",
      "the POINTS section holds fewer than the 12 rows of its header"),
-    ("CELLS 4", "CELLS 6",
+    (b"CELLS 4", b"CELLS 6",
      "the CELLS section holds fewer than the 6 rows of its header"),
-], ids=["points-short", "points-long", "cells-long"])
+    (_quads((0,)), _quads((9,)),
+     "the CELLS section indexes past its 9 POINTS"),
+    (b"POINTS 9", b"POINTS nine", "the POINTS header gives no count"),
+], ids=["points-short", "points-long", "cells-long", "index-past",
+        "points-no-count"])
 def test_cli_profile_of_a_file_with_wrong_counts_is_an_error(
         tmp_path, capsys, old, new, message):
-    # A level-1 snapshot whose POINTS or CELLS header count was edited is
-    # reported as an error that names the section, not as a traceback.
+    # A level-1 snapshot whose POINTS or CELLS header count, or one of
+    # whose quad indices, was edited is reported as an error that names
+    # the section, not as a traceback.
     path = tmp_path / "f.vtk"
-    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {}, path)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new, 1))
-    with pytest.raises(ValueError, match=message):
-        output.read_vtk(path)
-    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    data = _level1_file(path)
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    _assert_profile_error(path, capsys, message)
+
+
+_SCALARS_U = b"SCALARS u double 1\nLOOKUP_TABLE default\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data[:-9],
+     "the SCALARS v section holds fewer than the 9 values of its header"),
+    (lambda data: data.replace(_SCALARS_U + _block("d", [0] * 9),
+                               _SCALARS_U + _block("d", [0] * 8)),
+     "the SCALARS u section holds fewer than the 9 values of its header"),
+    (lambda data: data.replace(_SCALARS_U + _block("d", [0] * 9),
+                               _SCALARS_U + _block("d", [0] * 10)),
+     "the SCALARS u section holds more than the 9 values of its header"),
+    (lambda data: data.replace(b"SCALARS v double", b"SCALARS v float"),
+     "the header 'SCALARS v float 1' gives no double or int type"),
+], ids=["last-short", "middle-short", "middle-long", "float"])
+def test_cli_profile_of_a_file_with_a_wrong_data_section_is_an_error(
+        tmp_path, capsys, edit, message):
+    # A level-1 snapshot with u and v whose data block does not hold what
+    # its header says is reported as an error that names the section.
+    path = tmp_path / "f.vtk"
+    data = _level1_file(path, {"u": np.zeros(9), "v": np.ones(9)})
+    edited = edit(data)
+    assert edited != data
+    path.write_bytes(edited)
+    _assert_profile_error(path, capsys, message)
+
+
+def test_cli_profile_of_an_ascii_snapshot_is_an_error(tmp_path, capsys):
+    # Snapshots written before the binary format are not read as garbage.
+    path = tmp_path / "f.vtk"
+    path.write_text("# vtk DataFile Version 2.0\nstep 10 t=0.1\nASCII\n"
+                    "DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n0 0 0\n")
+    _assert_profile_error(
+        path, capsys,
+        "not a legacy VTK file in BINARY format (its third line is 'ASCII')")
 
 
 def test_cli_profile_of_a_file_with_a_degenerate_quad_is_an_error(
@@ -723,18 +733,25 @@ def test_cli_profile_of_a_file_with_a_degenerate_quad_is_an_error(
     # its cell key would say nothing of its corners, so the file is
     # reported as an error, not read as a mesh.
     path = tmp_path / "f.vtk"
-    output.write_vtk(build_uniform(1), {"v": np.ones(9)}, {}, path)
-    lines = path.read_text().splitlines()
-    row = lines.index("CELLS 4 20") + 1
-    count, a, _, c, d = lines[row].split()
-    lines[row] = " ".join((count, a, a, c, d))
-    path.write_text("\n".join(lines) + "\n")
-    message = "the CELLS section holds a quad that is not a square"
-    with pytest.raises(ValueError, match=message):
-        output.read_vtk(path)
-    assert cli.main(["profile", "--in", str(path), "--y", "0.5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: {message}")
+    data = _level1_file(path)
+    assert data.count(_quads((0, 1, 2, 3))) == 1
+    path.write_bytes(data.replace(_quads((0, 1, 2, 3)), _quads((0, 0, 2, 3))))
+    _assert_profile_error(path, capsys, "the CELLS section holds a quad that "
+                          "is not a square of a quadtree mesh")
+
+
+def test_cli_profile_of_a_file_with_a_repeated_quad_is_an_error(
+        tmp_path, capsys):
+    # A level-1 snapshot whose second quad repeats the first: the cells
+    # are checked before the points, so the error names the cells.
+    path = tmp_path / "f.vtk"
+    data = _level1_file(path)
+    first_two = _quads((0, 1, 2, 3), (3, 2, 4, 5))
+    assert data.count(first_two) == 1
+    path.write_bytes(data.replace(first_two,
+                                  _quads((0, 1, 2, 3), (0, 1, 2, 3))))
+    _assert_profile_error(path, capsys,
+                          "the cells of the file do not form a quadtree mesh")
 
 
 def test_cli_keys_lists_all(capsys):

@@ -1,7 +1,7 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, deflated-CG, projection, tangent and mesh-coarsening kernels, and
-of one warm elastic load step.
+solve, deflated-CG, projection, tangent and mesh-coarsening kernels, of
+the VTK snapshot round trip, and of one warm elastic load step.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 pytest.importorskip("pytest_benchmark")
 
-from xifrac import driver, fem, phasefield as pf  # noqa: E402
+from xifrac import driver, fem, output, phasefield as pf  # noqa: E402
 from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
@@ -415,6 +415,35 @@ def test_bench_coarsen_blocked_groups(benchmark):
     _, flags = driver._amr_flags(state.mesh, state.v.values, cfg)
     assert state.mesh.n_cells == 8800 and len(flags) == 668
     assert _run(benchmark, coarsen, state.mesh, flags) is state.mesh
+
+
+def test_bench_snapshot_round_trip(benchmark, mesh, tmp_path):
+    # A snapshot of the adapted mesh as RunWriter.snapshot writes it, and
+    # its read-back as `xifrac profile` does it: the mesh comes back with
+    # the same cells and the fields with the same bits, -0.0 included.
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.integers(
+        -8, 8, mesh.n_vertices)
+    u[::7] = -0.0
+    v = np.where(rng.uniform(size=mesh.n_vertices) < 0.5, 1.0,
+                 rng.uniform(size=mesh.n_vertices))
+    xi = rng.uniform(0.011, 0.15, mesh.n_cells)
+    path = tmp_path / "fields.vtk"
+
+    def round_trip():
+        output.write_vtk(mesh, {"u": u, "v": v},
+                         {"xi": xi, "level": mesh.cell_levels}, path,
+                         title="step 1 t=0.01")
+        return output.read_vtk(path)
+
+    got, point_data, cell_data = _run(benchmark, round_trip)
+    assert got.cell_keys == mesh.cell_keys
+    assert np.array_equal(got.cell_vertices, mesh.cell_vertices)
+    assert point_data["u"].tobytes() == u.tobytes()
+    assert np.signbit(point_data["u"][::7]).all()
+    assert point_data["v"].tobytes() == v.tobytes()
+    assert cell_data["xi"].tobytes() == xi.tobytes()
+    assert np.array_equal(cell_data["level"], mesh.cell_levels)
 
 
 def test_bench_elastic_step(benchmark):
