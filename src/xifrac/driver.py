@@ -54,14 +54,18 @@ all fields to the new mesh.
 Most steps of a preload are elastic: the mesh, v and xi come out of the
 step bit for bit as they went in.  What depends on them alone is kept on
 the mesh with its inputs and handed back for the same inputs
-(:meth:`mesh.Mesh.reuse`): the folded u operator ``K(v)``, the diffusion
-matrix and load of the phase system, the cell xi of v, the parts of the
-energies that do not involve u, and the verdict of an AMR pass that
-changed nothing.  An elastic step then does only the load's work: the u
-solve, the strain-drive reaction, the phase solve and the strain energy.
-Inputs match bit for bit (``-0.0`` is not ``0.0``), so a kept
-output is always the one a fresh evaluation would give, and no entry
-refers to its mesh, so the entries die with it.
+(:meth:`mesh.Mesh.reuse`): the folded u operator ``K(v)`` with its free
+block for the Dirichlet set of u, the diffusion matrix and load of the
+phase system, the cell xi of v, the parts of the energies that do not
+involve u, and the verdict of an AMR pass that changed nothing.  The
+mesh also keeps ``|grad u|^2`` of the last u, which the strain-drive
+reaction and the strain energy share.  An elastic step then does only
+the load's work, each part once: the right-hand side and solve of u, one
+``|grad u|^2``, the strain-drive reaction, the phase solve and the strain
+energy.  Its second phase sweep pins every node, so it restricts and
+solves nothing.  Inputs match bit for bit (``-0.0`` is not ``0.0``), so a
+kept output is always the one a fresh evaluation would give, and no
+entry refers to its mesh, so the entries die with it.
 """
 
 from __future__ import annotations
@@ -197,22 +201,24 @@ _TANGENTS = 7
 _COND_ALLOWANCE = 1e5
 
 
-def _pins_clearly(sys, v: fem.ScalarField, threshold, open_, tol) -> bool:
+def _pins_clearly(sys, v: fem.ScalarField, residual, threshold, open_,
+                  tol) -> bool:
     """Whether ``v`` pins some node of ``open_`` and every node of ``open_``
     lies clear of ``threshold`` by more than ``v``'s error margin.
 
-    The margin is the first-order bound ``kappa (rho + tol) ||v||_inf`` on
-    how far ``v`` and the solver's answer can lie apart, where ``rho`` is
-    the relative residual of ``v`` in the max norm, ``tol`` stands for the
-    solver's, and ``kappa`` is ``_COND_ALLOWANCE``.  When it holds, both
-    fields pin the same nodes, to first order, as long as ``kappa_inf(A)``
-    is at most the allowance and the solver's answer meets ``tol`` in the
-    max norm.  Neither is checked here.
+    ``residual`` is ``A x - b`` for the free values ``x`` of ``v``, as
+    :func:`fem.project` hands it back.  The margin is the first-order
+    bound ``kappa (rho + tol) ||v||_inf`` on how far ``v`` and the
+    solver's answer can lie apart, where ``rho`` is the relative residual
+    of ``v`` in the max norm, ``tol`` stands for the solver's, and
+    ``kappa`` is ``_COND_ALLOWANCE``.  When it holds, both fields pin the
+    same nodes, to first order, as long as ``kappa_inf(A)`` is at most the
+    allowance and the solver's answer meets ``tol`` in the max norm.
+    Neither is checked here.
     """
-    r = sys.matrix @ v.values[sys.free] - sys.rhs
     bmax = np.abs(sys.rhs).max()
     over = v.values[open_] - threshold[open_]
-    margin = (_COND_ALLOWANCE * (np.abs(r).max() + tol * bmax)
+    margin = (_COND_ALLOWANCE * (np.abs(residual).max() + tol * bmax)
               * np.abs(v.values[open_]).max())
     return bool(np.any(over > 0) and np.all(np.abs(over) * bmax > margin))
 
@@ -252,8 +258,9 @@ def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
     """
     basis = state.mesh.reuse("first_sweep", (state.xi, sys.free, repr(mat)),
                              _Basis)
-    projected, accepted = fem.project(sys, basis.rows, tol=sol.linear_tol)
-    if accepted and _pins_clearly(sys, projected, threshold, open_,
+    projected, accepted, residual = fem.project(sys, basis.rows,
+                                                tol=sol.linear_tol)
+    if accepted and _pins_clearly(sys, projected, residual, threshold, open_,
                                   sol.linear_tol):
         basis.served = True
         return projected

@@ -19,7 +19,10 @@ mesh for u, the crack mask for each first phase sweep), so what depends
 on the free set alone is a :class:`_Plan`, cached per mesh for the few
 most recent free sets: a restriction gathers the kept values, and the
 ``pcg`` solver below sums them into ``W = Z^T A``, and W's values into
-its coarse operator's band, over one cached map.
+its coarse operator's band, over one cached map.  A caller that keeps
+the free block of a matrix (:func:`free_block`), as the displacement
+assembly keeps that of ``K(v)``, hands it back and pays only for the
+right-hand side.
 :func:`combine` adds two systems on the mesh pattern and stays on it, so
 a folded phase operator is restricted through a cached plan as well.
 
@@ -80,6 +83,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,7 +213,8 @@ class SparseSystem:
     After :func:`apply_dirichlet`: the free block and its reduced
     right-hand side, with the vertex ids of its rows in ``free``, the
     prescribed values, full length, in ``prescribed``, and the
-    :class:`_Plan` it was restricted by in ``plan``.
+    :class:`_Plan` it was restricted by in ``plan``, None when no dof is
+    free.
     """
 
     matrix: sp.csr_matrix
@@ -234,10 +239,14 @@ def field_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray
 
 
 def grad_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
-    """Field gradients at quadrature points, shape (n_cells, nq, 2)."""
+    """Field gradients at quadrature points, shape (n_cells, nq, 2).
+
+    The reference gradients are scaled by ``1 / h``, which is a power of
+    two, so the product gives the bits of a division by ``h``.
+    """
     mesh = field.mesh
     g = field.values[mesh.cell_vertices] @ rule.grad_table
-    g /= mesh.cell_h[:, None]
+    g *= mesh.cell_inv_h[:, None]
     return g.reshape(mesh.n_cells, -1, 2)
 
 
@@ -352,20 +361,25 @@ class _Plan:
       and a free column, so that the free block's data is ``data[keep]``;
     - ``indptr`` and ``indices``, the CSR structure of the free block,
       which every matrix restricted by the plan shares;
+    - ``coupling``, the entries of the free rows in the other columns, in
+      storage order, and ``coupling_indptr`` and ``coupling_indices``,
+      the CSR structure of those rows restricted to those entries, with
+      the columns of the whole matrix;
     - ``agg``, the aggregate of each free dof (:func:`_coarse`), and
       ``n_agg``, the number of aggregates;
     - on first use, :attr:`coarse_rows`.
 
     Every array is read-only.  The CSR structures and the slots are
-    int32, as scipy keeps the first; ``free`` and ``agg`` are ``intp``,
-    because numpy casts any other index array on every gather, and
-    ``agg`` is gathered once per CG iteration.
+    int32, as scipy keeps the first; ``free``, ``coupling`` and ``agg``
+    are ``intp``, because numpy casts any other index array on every
+    gather, and ``agg`` is gathered once per CG iteration.
     """
 
     def __init__(self, mesh: Mesh, ids, indptr, indices, is_free):
         # take() gathers by an int32 index array about twice as fast as [].
-        self.keep = _frozen(np.repeat(is_free, np.diff(indptr))
-                            & is_free.take(indices))
+        free_row = np.repeat(is_free, np.diff(indptr))
+        free_column = is_free.take(indices)
+        self.keep = _frozen(free_row & free_column)
         self.free = _frozen(ids[is_free], np.intp)
         renumber = np.cumsum(is_free, dtype=np.int32) - 1
         self.indices = _frozen(renumber.take(indices[self.keep]))
@@ -373,6 +387,12 @@ class _Plan:
         np.cumsum(self.keep, out=kept[1:])
         self.indptr = _frozen(np.concatenate(([0], kept[indptr[1:]][is_free])),
                               np.int32)
+        # The entries of a free row that the free block does not keep.
+        self.coupling = _frozen(np.flatnonzero(free_row > free_column))
+        self.coupling_indices = _frozen(indices.take(self.coupling))
+        lengths = np.diff(indptr)[is_free] - np.diff(self.indptr)
+        self.coupling_indptr = _frozen(
+            np.concatenate(([0], np.cumsum(lengths))), np.int32)
         # The aggregate of a dof is the cell two levels above the start
         # grid that holds its vertex, among the cells holding a free dof.
         n = 1 << max(mesh.level_min - 2, 0)
@@ -483,8 +503,52 @@ def _plan(A, mesh: Mesh, is_free: np.ndarray) -> _Plan:
     return plan
 
 
-def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values
-                    ) -> SparseSystem:
+class FreeBlock(NamedTuple):
+    """A folded matrix ``A`` restricted to its free dofs (:func:`free_block`).
+
+    ``matrix`` is ``A[free][:, free]``, ``coupling`` the free rows of
+    ``A`` in the other columns, with the columns of ``A``, ``free`` the
+    vertex ids of the free dofs and ``plan`` the :class:`_Plan` that
+    restricted ``A``, None when no dof is free.
+    """
+
+    matrix: sp.csr_matrix
+    coupling: sp.csr_matrix
+    free: np.ndarray
+    plan: _Plan | None
+
+
+def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
+    """The :class:`FreeBlock` of a folded matrix ``A`` for the dofs not
+    ``pinned``.
+
+    The free dofs are the vertices that neither hang nor are ``pinned``.
+    The free set decides the :class:`_Plan` that restricts ``A``, and
+    only the values are gathered: ``data[keep]`` and ``data[coupling]``
+    on the plan's structures.  Plans of matrices on the mesh's pattern,
+    as assembled and :func:`combine`-d systems are, are cached per mesh
+    and free set.  A set with no free dof needs no plan and does not
+    touch ``A``: both blocks are empty.
+    """
+    is_free = ~pinned
+    is_free[mesh.constraints.hanging] = False
+    if not is_free.any():
+        return FreeBlock(sp.csr_matrix((0, 0)),
+                         sp.csr_matrix((0, mesh.n_vertices)),
+                         np.zeros(0, dtype=np.intp), None)
+    A = A.tocsr()
+    plan = _plan(A, mesh, is_free)
+    n = len(plan.free)
+    return FreeBlock(
+        sp.csr_matrix((A.data[plan.keep], plan.indices, plan.indptr),
+                      shape=(n, n)),
+        sp.csr_matrix((A.data.take(plan.coupling), plan.coupling_indices,
+                       plan.coupling_indptr), shape=(n, A.shape[1])),
+        plan.free, plan)
+
+
+def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values,
+                    block: FreeBlock | None = None) -> SparseSystem:
     """Restrict a folded system to its free dofs.
 
     ``pinned`` holds one bool per vertex and ``values`` the prescribed
@@ -493,27 +557,29 @@ def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values
     vertex is ignored, because a hanging value always comes from its
     masters.  With ``x0 = where(pinned, values, 0)``, the result is
     ``A[free][:, free]`` with right-hand side ``(b - A x0)[free]``, byte
-    for byte what scipy's indexing and ``b[free] - A[free, :] x0`` give.
-    This is the only form the solvers take: pin nothing when there is no
-    data.
+    for byte what scipy's indexing and ``b[free] - A[free, :] x0`` give
+    for a finite ``A``.  This is the only form the solvers take: pin
+    nothing when there is no data.
 
-    The free set decides the :class:`_Plan` that restricts it, and only
-    the values are gathered per call: ``data[keep]`` on the plan's
-    structure.  Plans of matrices on the mesh's pattern, as assembled and
-    :func:`combine`-d systems are, are cached per mesh and free set.
+    The blocks come from :func:`free_block`, or are ``block``, what that
+    returned for ``sys.matrix`` and ``pinned``, which a caller that keeps
+    it hands back so that a call only forms the right-hand side.  That is
+    ``b[free] - C x0``, with ``C`` the block's ``coupling``: the terms of
+    ``A x0`` that ``C`` leaves out multiply a zero of ``x0``, and a zero
+    term does not change a sum that starts at ``+0``.  So the product
+    runs over the entries next to the pinned dofs only, and a set with no
+    free dof needs none.  A NaN or an infinity in ``C`` makes the
+    right-hand side non-finite; one in the free block is left to the
+    solvers, which fail on it.
     """
     if sys.free is not None:
         raise ValueError("system is already restricted to its free dofs")
     x0 = np.where(pinned, values, 0.0)
-    is_free = ~pinned
-    is_free[sys.mesh.constraints.hanging] = False
-    A = sys.matrix.tocsr()
-    plan = _plan(A, sys.mesh, is_free)
-    n = len(plan.free)
-    matrix = sp.csr_matrix((A.data[plan.keep], plan.indices, plan.indptr),
-                           shape=(n, n))
-    return SparseSystem(matrix, (sys.rhs - A @ x0)[plan.free], sys.mesh,
-                        plan.free, x0, plan)
+    if block is None:
+        block = free_block(sys.matrix, sys.mesh, pinned)
+    rhs = sys.rhs[block.free] - block.coupling @ x0
+    return SparseSystem(block.matrix, rhs, sys.mesh, block.free, x0,
+                        block.plan)
 
 
 def _meets(Ax, b, limit) -> bool:
@@ -909,17 +975,18 @@ def orthonormalize(vectors) -> list[np.ndarray]:
 
 
 def project(sys: SparseSystem, basis, tol: float = 1e-10
-            ) -> tuple[ScalarField | None, bool]:
+            ) -> tuple[ScalarField | None, bool, np.ndarray | None]:
     """Galerkin projection of a restricted system onto the span of ``basis``.
 
     ``basis`` is a list of orthonormal rows of free values on ``sys``, as
     :func:`orthonormalize` gives them; they are the rows of ``Q^T``, used as
     they are, and the small system ``Q^T A Q c = Q^T b`` gives
     ``x = Q c``.  Returns the whole field of ``x``, expanded as
-    :func:`solve_field` expands a solution, and whether ``x`` meets the
-    residual test of a ``"direct"`` :func:`solve_spd` for ``tol``, taken
-    from ``A x`` itself.  With an empty basis it returns ``(None, False)``.
-    Nothing is factored.
+    :func:`solve_field` expands a solution, whether ``x`` meets the
+    residual test of a ``"direct"`` :func:`solve_spd` for ``tol``, and the
+    residual ``A x - b`` that the test was taken from, one value per free
+    dof, for a caller that weighs the answer further.  With an empty basis
+    it returns ``(None, False, None)``.  Nothing is factored.
 
     An accepted projection meets the same contract as a solve, but its bits
     depend on the basis.  Use it only for a decision that its error cannot
@@ -929,12 +996,13 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10
     if sys.free is None:
         raise ValueError("project takes a system from apply_dirichlet")
     if not basis:
-        return None, False
+        return None, False, None
     A, b = sys.matrix, sys.rhs
     limit = _limit(tol, "direct", np.linalg.norm(b))
     qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
-    return _expand(sys, x), _meets(A @ x, b, limit)
+    Ax = A @ x
+    return _expand(sys, x), _meets(Ax, b, limit), Ax - b
 
 
 def integrate(mesh: Mesh, integrand, rule: QuadratureRule = GAUSS2) -> float:

@@ -196,6 +196,9 @@ class Mesh:
             raise ValueError("cell level outside [level_min, level_max]")
         self.cell_levels = levels
         self.cell_h = 2.0 ** (-levels.astype(float))
+        # 1 / cell_h, exactly: a product with it has the bits of a division
+        # by cell_h.
+        self.cell_inv_h = 2.0 ** levels.astype(float)
         self.n_cells = len(keys)
 
         # Corner positions in integer units, counterclockwise per cell.
@@ -282,19 +285,21 @@ class Mesh:
         this mesh, as :meth:`reuse` keeps them.
 
         The products are those of fields that an elastic load step leaves
-        unchanged: the folded displacement operator of v, the diffusion
-        matrix and load of xi, the cell xi of v, the parts of the energies
-        that depend on v and xi alone (see :mod:`xifrac.phasefield`), the
-        verdict of an AMR pass that left the mesh as it was (see
-        :func:`xifrac.driver.amr_pass`), and the basis that the direct
-        first phase sweeps of one xi and crack are projected onto (see
-        :func:`xifrac.driver._first_sweep`).  Kept on the mesh so that the
-        entries die with it.  An entry holds its inputs' bytes and strings
-        and an output of arrays, matrices and numbers, or a record of them
-        that its one caller updates, never the mesh or an object that
-        refers to it (a ``SparseSystem`` or a ``ScalarField``): that would
-        make a reference cycle, and the mesh and its entries would then
-        live until the cyclic garbage collector runs.
+        unchanged: the folded displacement operator of v with its free
+        block, the diffusion matrix and load of xi, the cell xi of v, the
+        parts of the energies that depend on v and xi alone (see
+        :mod:`xifrac.phasefield`), the verdict of an AMR pass that left
+        the mesh as it was (see :func:`xifrac.driver.amr_pass`), and the
+        basis that the direct first phase sweeps of one xi and crack are
+        projected onto (see :func:`xifrac.driver._first_sweep`); and
+        ``|grad u|^2`` of the last u, which two callers share.  Kept on
+        the mesh so that the entries die with it.  An entry holds its
+        inputs' bytes and strings and an output of arrays, matrices and
+        numbers, or a record of them that its one caller updates, never
+        the mesh or an object that refers to it (a ``SparseSystem`` or a
+        ``ScalarField``): that would make a reference cycle, and the mesh
+        and its entries would then live until the cyclic garbage
+        collector runs.
         """
         return {}
 

@@ -163,22 +163,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _strain_sq(u: ScalarField) -> np.ndarray:
+    """``|grad u|^2`` at the quadrature points, read-only.
+
+    The phase assembly and the strain energy both take it from the same
+    u, so its mesh keeps it for the next call with the same u
+    (:meth:`Mesh.reuse`).
+    """
+    return u.mesh.reuse("strain_sq", (u.values,),
+                        lambda: _read_only(_grad_sq(u)))
+
+
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
                           pinned: np.ndarray, values) -> SparseSystem:
     """Degraded shear system for u, restricted to the dofs not ``pinned``.
 
-    The folded operator ``K(v)`` depends on v alone, so the mesh keeps it
-    for the next call with the same v (:meth:`Mesh.reuse`).
+    The folded operator ``K(v)`` and its free block for ``pinned``
+    (:func:`fem.free_block`) depend on v and the pinned set alone, so the
+    mesh keeps them for the next call with the same v and set
+    (:meth:`Mesh.reuse`), which only forms the right-hand side.
     """
     def operator():
         weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
         matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
-        _read_only(matrix.data)
-        return matrix
+        block = fem.free_block(matrix, mesh, pinned)
+        for a in (matrix, block.matrix, block.coupling):
+            _read_only(a.data)
+        return matrix, block
 
-    matrix = mesh.reuse("displacement", (v.values, repr(mat)), operator)
+    matrix, block = mesh.reuse("displacement", (v.values, repr(mat), pinned),
+                               operator)
     return fem.apply_dirichlet(
-        SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh), pinned, values)
+        SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh), pinned, values,
+        block)
 
 
 def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
@@ -198,7 +215,8 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
     systems of a preload form the family ``K + s R``
     (:func:`fem.family_tangents`).  The diffusion matrix and the load
     depend on xi alone, so the mesh keeps them for the next call with the
-    same xi (:meth:`Mesh.reuse`); the reaction is assembled every time.
+    same xi (:meth:`Mesh.reuse`); the reaction is assembled every time,
+    from the ``|grad u|^2`` that the mesh keeps for u (:func:`_strain_sq`).
     """
     def diffusion_and_load():
         if np.any(xi <= 0.0):
@@ -210,7 +228,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
         return diffusion, _read_only(rhs)
 
     diffusion, rhs = mesh.reuse("phase", (xi, repr(mat)), diffusion_and_load)
-    drive = mat.mu * (1.0 - mat.eta) * _grad_sq(u)
+    drive = mat.mu * (1.0 - mat.eta) * _strain_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
     return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh), rhs),
             reaction.matrix)
@@ -308,7 +326,9 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     intact body.  What depends on v and xi alone (the degradation at the
     quadrature points, the surface and the penalty terms) is kept on the
     mesh for the next call with the same v and xi (:meth:`Mesh.reuse`);
-    the strain term is integrated every time.
+    the strain term is integrated every time, from the ``|grad u|^2``
+    that the phase assembly of the same u left on the mesh
+    (:func:`_strain_sq`).
     """
     def frozen_parts():
         xi_qp = fem._coefficient(mesh, xi, GAUSS2)
@@ -322,7 +342,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
 
     deg, surface, penalty = mesh.reuse(
         "energies", (v.values, xi, repr(mat), repr(reg)), frozen_parts)
-    strain = 0.5 * mat.mu * fem.integrate(mesh, deg * _grad_sq(u))
+    strain = 0.5 * mat.mu * fem.integrate(mesh, deg * _strain_sq(u))
     return EnergyRecord(t=t, strain=strain, surface=surface, penalty=penalty,
                         total=strain + surface + penalty,
                         xi_min=float(xi.min()), xi_max=float(xi.max()),

@@ -196,6 +196,17 @@ def nothing_pinned(mesh):
     return np.zeros(mesh.n_vertices, dtype=bool)
 
 
+class Untouchable:
+    """A stand-in for a system's matrix that fails any use of it: an
+    attribute, such as its data, or a product."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the matrix was used: .{name}")
+
+    def __matmul__(self, other):
+        raise AssertionError("the matrix was used: a product")
+
+
 def pin_a_bottom_vertex(state):
     """Replace ``state.v`` by one that is also zero at a bottom-edge
     vertex, as a crack that has run through the body is."""

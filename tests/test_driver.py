@@ -14,7 +14,8 @@ from xifrac.driver import AmrParams, LoadingParams, MeshParams, SimConfig, \
 from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform
 
-from conftest import cg_passes, dirichlet_arrays, pin_a_bottom_vertex
+from conftest import Untouchable, cg_passes, dirichlet_arrays, \
+    pin_a_bottom_vertex
 
 
 def small_config(**kw):
@@ -579,6 +580,66 @@ def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
     assert [f for f in factors if f.startswith("v")] == ["v"]
 
 
+def test_an_elastic_step_computes_each_product_once(monkeypatch):
+    # Two elastic steps on the adapted field-mode mesh, each followed by
+    # its energies as driver.run records them.  Each step evaluates
+    # |grad u|^2 once, for its u: the phase assembly and the strain energy
+    # share it.  Step 1 restricts the new K(v) to the Dirichlet set of u;
+    # step 2 finds that block kept and gathers only the first phase
+    # sweep's block, whose free set is everything off the crack.  The
+    # second sweep of each step has no free dof, and its restriction is
+    # handed a matrix that fails any use.
+    cfg, state = _adapted_field_state()
+    mesh = state.mesh
+    hanging = np.zeros(mesh.n_vertices, dtype=bool)
+    hanging[mesh.constraints.hanging] = True
+    grad_sq, gathers, emptied = [], [], []
+    real_grad_sq, real_free_block, real_apply = (
+        pf._grad_sq, fem.free_block, fem.apply_dirichlet)
+
+    def spy_grad_sq(f):
+        grad_sq.append(f.values.tobytes())
+        return real_grad_sq(f)
+
+    def spy_free_block(A, mesh, pinned):
+        block = real_free_block(A, mesh, pinned)
+        if block.plan is not None:
+            gathers.append(len(block.free))
+        return block
+
+    def spy_apply(sys, pinned, values, block=None):
+        if np.all(pinned | hanging):
+            emptied.append(len(emptied))
+            sys = fem.SparseSystem(Untouchable(), sys.rhs, sys.mesh)
+        return real_apply(sys, pinned, values, block)
+
+    monkeypatch.setattr(pf, "_grad_sq", spy_grad_sq)
+    monkeypatch.setattr(fem, "free_block", spy_free_block)
+    monkeypatch.setattr(fem, "apply_dirichlet", spy_apply)
+    u_free = np.count_nonzero(
+        ~boundary_displacement(mesh, 0.0, cfg.loading.c)[0] & ~hanging)
+    for n in (1, 2):
+        state.step, state.t = n, 0.003 * n
+        grad_sq.clear(), gathers.clear(), emptied.clear()
+        assert staggered_step(state, cfg) == (2, True)
+        pf.energies(mesh, state.u, state.v, state.xi, cfg.material,
+                    cfg.regularization, t=state.t)
+        assert state.mesh is mesh
+        u = state.u.values.tobytes()
+        assert grad_sq.count(u) == 1
+        crack_free = np.count_nonzero((state.v.values != 0.0) & ~hanging)
+        assert gathers == ([u_free, crack_free] if n == 1 else [crack_free])
+        assert emptied == [0]
+    # Step 2 evaluated nothing but its u's |grad u|^2.
+    assert grad_sq == [u]
+    # What the mesh keeps is read-only, and |grad u|^2 is a fresh one's.
+    strain_sq = mesh.products["strain_sq"][1]
+    assert strain_sq.tobytes() == real_grad_sq(state.u).tobytes()
+    K, block = mesh.products["displacement"][1]
+    for a in (strain_sq, K.data, block.matrix.data, block.coupling.data):
+        assert not a.flags.writeable
+
+
 def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
         monkeypatch):
     # The same preload under pcg: every phase sweep is a plain solve.  No
@@ -848,8 +909,10 @@ def _first_phase_sweep_after_an_elastic_step():
 
 
 def _project_to(monkeypatch, values):
-    monkeypatch.setattr(fem, "project", lambda sys, basis, tol:
-                        (ScalarField(sys.mesh, values), True))
+    # An accepted projection onto ``values``, with their own residual.
+    monkeypatch.setattr(fem, "project", lambda sys, basis, tol: (
+        ScalarField(sys.mesh, values), True,
+        sys.matrix @ values[sys.free] - sys.rhs))
 
 
 def test_accepted_projection_that_pins_nothing_is_solved_again(monkeypatch):
@@ -1177,7 +1240,8 @@ def test_a_finished_run_leaves_no_reference_cycle():
     try:
         history, state = driver.run(cfg)
         assert {"displacement", "phase", "xi_field", "energies",
-                "amr_pass", "first_sweep"} <= set(state.mesh.products)
+                "amr_pass", "first_sweep", "strain_sq"} \
+            <= set(state.mesh.products)
         mesh = weakref.ref(state.mesh)
         del history, state
         assert mesh() is None

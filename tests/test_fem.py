@@ -17,10 +17,10 @@ from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
     l2_relative_error, shape_eval, solve_field, solve_spd
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
-from conftest import cg_passes, dense_condense, dense_dirichlet, \
-    dense_laplace, dense_load, dense_mass, dirichlet_arrays, \
-    global_pcg_systems, lower_band, nothing_pinned, solved_with_tangents, \
-    sparse_prolongation
+from conftest import Untouchable, cg_passes, dense_condense, \
+    dense_dirichlet, dense_laplace, dense_load, dense_mass, \
+    dirichlet_arrays, global_pcg_systems, lower_band, nothing_pinned, \
+    solved_with_tangents, sparse_prolongation
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +502,10 @@ def test_plans_are_read_only_and_die_with_their_mesh():
     # _coarse used the system's plan.
     assert "coarse_rows" in vars(plan)
     *coarse_map, _ = plan.coarse_rows
-    arrays = {np.intp: (plan.free, plan.agg), np.bool_: (plan.keep,),
-              np.int32: (plan.indptr, plan.indices, *coarse_map)}
+    arrays = {np.intp: (plan.free, plan.agg, plan.coupling),
+              np.bool_: (plan.keep,),
+              np.int32: (plan.indptr, plan.indices, plan.coupling_indptr,
+                         plan.coupling_indices, *coarse_map)}
     for dtype, group in arrays.items():
         for a in group:
             assert a.dtype == dtype and not a.flags.writeable
@@ -531,6 +533,70 @@ def test_matrix_off_the_pattern_gets_a_plan_that_is_not_kept(mesh_hanging):
     assert len(mesh_hanging.restriction_plans) == 1
     assert _same_bytes(_csr_arrays(got.matrix), _csr_arrays(want.matrix))
     assert _same_bytes([got.rhs, got.free], [want.rhs, want.free])
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_a_system_with_every_dof_pinned_is_the_prescribed_field(method):
+    # Every vertex pinned, hanging ones included (and ignored): nothing is
+    # left to solve, so the restriction builds no plan and never touches
+    # the matrix, and the solve returns the prescribed values with each
+    # hanging node at its masters' mean.
+    folded = _restriction_case()
+    mesh = folded.mesh
+    values = np.random.default_rng(8).uniform(-2.0, 2.0, mesh.n_vertices)
+    plans = list(mesh.restriction_plans)
+    sys = apply_dirichlet(fem.SparseSystem(Untouchable(), folded.rhs, mesh),
+                          np.ones(mesh.n_vertices, dtype=bool), values)
+    assert sys.matrix.shape == (0, 0) and sys.rhs.shape == (0,)
+    assert len(sys.free) == 0 and sys.plan is None
+    assert list(mesh.restriction_plans) == plans
+    pairs = mesh.constraints.pairs
+    want = values.copy()
+    want[mesh.constraints.hanging] = 0.5 * (values[pairs[:, 0]]
+                                            + values[pairs[:, 1]])
+    assert solve_field(sys, method=method).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_prescribed_values_give_the_general_right_hand_side(zero):
+    # Random pinned sets with zero values, +0.0 and -0.0: the right-hand
+    # side, taken from the entries next to the pinned dofs alone, is byte
+    # for byte (b - A x0)[free].
+    sys = _restriction_case()
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        pinned = rng.random(sys.mesh.n_vertices) < 0.3
+        got = apply_dirichlet(sys, pinned, zero)
+        x0 = np.where(pinned, zero, 0.0)
+        want = (sys.rhs - sys.matrix @ x0)[got.free]
+        assert _same_bytes([got.rhs, got.prescribed], [want, x0])
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["coupling", "block"])
+def test_a_matrix_that_is_not_finite_still_fails_the_solve(where, bad,
+                                                           method):
+    # One entry NaN or inf, with zero prescribed values: in a free row and
+    # a pinned column ("coupling"), where only the right-hand side's
+    # product meets it, or between two free dofs ("block"), where only
+    # the solver does.  Either way the solve raises.
+    sys = _restriction_case()
+    pinned = _boundary_pins(sys.mesh)
+    is_free = ~pinned
+    is_free[sys.mesh.constraints.hanging] = False
+    A = sys.matrix
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    cols = A.indices
+    wanted = is_free[cols] if where == "block" else pinned[cols]
+    entry = np.flatnonzero(is_free[rows] & wanted & (rows != cols))[0]
+    data = A.data.copy()
+    data[entry] = bad
+    broken = fem.SparseSystem(sp.csr_matrix((data, cols, A.indptr),
+                                            shape=A.shape), sys.rhs, sys.mesh)
+    restricted = apply_dirichlet(broken, pinned, 0.0)
+    with pytest.raises(LinearSolveError):
+        solve_field(restricted, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -1303,10 +1369,13 @@ def test_projection_onto_eight_solutions_solves_a_ninth(family_basis,
     sys = _family(NINTH_DRIVE)
     assert len(sys.mesh.constraints) > 0
     basis = _basis(sys, family_basis)
-    got, accepted = fem.project(sys, basis)
+    got, accepted, residual = fem.project(sys, basis)
     assert accepted
     assert solver_calls == []
     assert _meets_contract(sys, got, 1e-10)
+    # The residual handed back is that of the returned field's free values.
+    assert residual.tobytes() == (sys.matrix @ got.values[sys.free]
+                                  - sys.rhs).tobytes()
     want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
     assert (np.linalg.norm(got.values[sys.free] - want)
             <= 1e-8 * np.linalg.norm(want))
@@ -1323,9 +1392,11 @@ def test_projection_verdict_is_the_solver_contract(family_basis):
     exact = solve_field(sys, method="direct").values
     nudge = np.random.default_rng(4).normal(size=exact.shape)
     basis = _basis(sys, [exact + 2e-10 * np.linalg.norm(exact) * nudge])
-    got, accepted = fem.project(sys, basis, tol=1e-10)
+    got, accepted, residual = fem.project(sys, basis, tol=1e-10)
     assert accepted and _meets_contract(sys, got, 1e-8)
     assert not _meets_contract(sys, got, 1e-10)
+    assert residual.tobytes() == (sys.matrix @ got.values[sys.free]
+                                  - sys.rhs).tobytes()
 
 
 @pytest.mark.parametrize("basis", [[], [np.zeros(1)] * 3],
@@ -1335,7 +1406,7 @@ def test_projection_without_a_direction_falls_back(basis, solver_calls):
     sys = _family(1.0)
     basis = _basis(sys, [np.resize(f, sys.mesh.n_vertices) for f in basis])
     assert basis == []
-    assert fem.project(sys, basis) == (None, False)
+    assert fem.project(sys, basis) == (None, False, None)
     assert solver_calls == []
 
 
@@ -1348,7 +1419,7 @@ def test_projection_drops_dependent_columns(family_basis):
     basis = _basis(sys, [family_basis[0], 2.0 * family_basis[0],
                          -family_basis[0]])
     assert len(basis) == 1
-    got, accepted = fem.project(sys, basis)
+    got, accepted, _ = fem.project(sys, basis)
     assert not accepted
     want = (g @ b / (g @ (A @ g))) * g
     assert (np.max(np.abs(got.values[sys.free] - want))
@@ -1357,7 +1428,7 @@ def test_projection_drops_dependent_columns(family_basis):
     extra = [family_basis[1] + family_basis[2], 3.0 * family_basis[4]]
     basis = _basis(sys, family_basis + extra)
     assert len(basis) == 8
-    got, accepted = fem.project(sys, basis)
+    got, accepted, _ = fem.project(sys, basis)
     assert accepted and _meets_contract(sys, got, 1e-8)
 
 
@@ -1414,7 +1485,7 @@ def _tangent_projection_errors(count, deltas):
     errors = []
     for delta in deltas:
         sys = _family(s0 + delta)
-        got, _ = fem.project(sys, basis)
+        got, _, _ = fem.project(sys, basis)
         want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
         errors.append(np.max(np.abs(got.values[sys.free] - want))
                       / np.max(np.abs(want)))

@@ -1,12 +1,16 @@
 """Config parsing, VTK/CSV outputs, line profiles and the CLI."""
 
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import xifrac
 from xifrac import cli, config, driver, output, phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
@@ -518,6 +522,21 @@ def test_early_stop_writes_its_snapshot_once(tmp_path, snapshot_writes):
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def test_importing_the_driver_does_not_load_the_io_module():
+    # A fresh interpreter that imports the solver core leaves xifrac.output
+    # unloaded; the package attribute still loads it on first use.
+    code = ("import sys, xifrac.driver, xifrac\n"
+            "print('xifrac.output' in sys.modules)\n"
+            "print(xifrac.output.write_vtk.__module__)")
+    src = str(Path(xifrac.__file__).parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "xifrac.output"]
 
 
 def test_cli_calibrate_table1_row(capsys):

@@ -13,7 +13,10 @@ and the sparse products ``(Z^T A) Z`` that the cached plans replaced,
 factored by SuperLU where the coarse level uses band Cholesky.  The
 deflated-CG bench runs on the 64 x 64 systems of the ``global_pcg``
 benchmark instead, and records its CG iterations and the cost of a
-plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``).
+plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``);
+the elastic-step bench records there, per round, how many times it
+evaluated ``|grad u|^2`` and gathered matrix data for a restriction, and
+asserts one of each.
 Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
@@ -376,11 +379,12 @@ def test_bench_phase_projection(benchmark, mesh, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(fem.spla, "splu", no_factor)
-        got, accepted = _run(benchmark, fem.project, sys, basis)
+        got, accepted, residual = _run(benchmark, fem.project, sys, basis)
     assert accepted
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     x = got.values[sys.free]
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+    assert residual.tobytes() == (sys.matrix @ x - sys.rhs).tobytes()
 
 
 def test_bench_phase_tangents(benchmark, mesh):
@@ -446,30 +450,58 @@ def test_bench_snapshot_round_trip(benchmark, mesh, tmp_path):
     assert np.array_equal(cell_data["level"], mesh.cell_levels)
 
 
-def test_bench_elastic_step(benchmark):
+def test_bench_elastic_step(benchmark, monkeypatch):
     # One warm elastic load step of the amr_field window on its adapted
     # 8,800-cell mesh: the staggered loop, one AMR pass and the energies,
     # each round one load increment further.  Mesh, v and xi come out as
     # they went in, so what the mesh keeps (Mesh.reuse) leaves each round
-    # only the load's work; the last round's record matches one computed
-    # with nothing kept.
+    # only the load's work: one |grad u|^2, shared by the phase assembly
+    # and the strain energy, and one gather of matrix data, the first
+    # phase sweep's block off the crack.  Both counts go in extra_info.
+    # The last round's record matches one computed with nothing kept.
     path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
     cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
                                           "loading.n_max": "2"})
     _, state = driver.run(cfg)
     mesh, v, xi = state.mesh, state.v.values, state.xi
     assert mesh.n_cells == 8800
+    grad_sq, free_block = pf._grad_sq, fem.free_block
+    rounds, work = [], {}
+
+    def counted_grad_sq(f):
+        work["grad_sq"] += 1
+        return grad_sq(f)
+
+    def counted_free_block(A, mesh, pinned):
+        block = free_block(A, mesh, pinned)
+        if block.plan is not None:
+            work["gathers"].append(len(block.free))
+        return block
+
+    monkeypatch.setattr(pf, "_grad_sq", counted_grad_sq)
+    monkeypatch.setattr(fem, "free_block", counted_free_block)
 
     def elastic_step():
+        work.update(grad_sq=0, gathers=[])
         state.step += 1
         state.t = state.step * cfg.loading.dt
         iters, converged = driver.staggered_step(state, cfg)
         changed = driver.amr_pass(state, cfg)
-        return iters, converged, changed, pf.energies(
-            state.mesh, state.u, state.v, state.xi, cfg.material,
-            cfg.regularization, t=state.t)
+        record = pf.energies(state.mesh, state.u, state.v, state.xi,
+                             cfg.material, cfg.regularization, t=state.t)
+        rounds.append(dict(work))
+        return iters, converged, changed, record
 
     *verdict, record = _run(benchmark, elastic_step)
+    monkeypatch.undo()
+    benchmark.extra_info.update(
+        grad_sq_per_round=[r["grad_sq"] for r in rounds],
+        gathers_per_round=[len(r["gathers"]) for r in rounds])
+    hanging = np.zeros(mesh.n_vertices, dtype=bool)
+    hanging[mesh.constraints.hanging] = True
+    off_crack = np.count_nonzero((v != 0.0) & ~hanging)
+    assert len(rounds) == 1 + ROUNDS
+    assert all(r == {"grad_sq": 1, "gathers": [off_crack]} for r in rounds)
     assert verdict == [2, True, False] and state.step == 2 + 1 + ROUNDS
     assert state.mesh is mesh
     assert state.v.values.tobytes() == v.tobytes()

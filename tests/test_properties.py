@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from xifrac import mesh as meshmod, phasefield as pf
+from xifrac import fem, mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine
 
@@ -54,6 +54,36 @@ def test_xi_pointwise_invariant_under_common_scaling(v, gsq, scale):
     a = float(pf.xi_pointwise(v, gsq, MAT, wide))
     b = float(pf.xi_pointwise(v, gsq, scaled_mat, scaled_reg))
     assert abs(a - b) <= 1e-12 * max(a, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Gradients at the quadrature points
+
+# Nodal values: ordinary ones, subnormals, both zeros and the extremes of
+# the normal range, where a scaling done in another order would round.
+NODAL = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]))
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_grad_at_qp_is_the_division_by_h_bit_for_bit(data):
+    # Random balanced meshes up to level 8 and random nodal values: the
+    # gradients equal the reference gradients divided by each cell's h.
+    m = build_uniform(1, level_min=1, level_max=8)
+    for _ in range(data.draw(st.integers(1, 8))):
+        finest = np.flatnonzero(m.cell_levels == m.cell_levels.max())
+        flags = data.draw(st.lists(st.sampled_from(finest.tolist()),
+                                   min_size=1, max_size=2))
+        m = refine(m, flags)
+    values = np.array(data.draw(st.lists(NODAL, min_size=m.n_vertices,
+                                         max_size=m.n_vertices)))
+    got = fem.grad_at_qp(fem.ScalarField(m, values))
+    want = (values[m.cell_vertices] @ fem.GAUSS2.grad_table) \
+        / m.cell_h[:, None]
+    assert got.tobytes() == want.reshape(m.n_cells, -1, 2).tobytes()
 
 
 # ---------------------------------------------------------------------------
