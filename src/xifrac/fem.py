@@ -373,26 +373,40 @@ class _Plan:
     int32, as scipy keeps the first; ``free``, ``coupling`` and ``agg``
     are ``intp``, because numpy casts any other index array on every
     gather, and ``agg`` is gathered once per CG iteration.
+
+    The free rows' entries are read from their ``indptr`` ranges, so a
+    plan costs one pass over the entries of its free rows, plus the fill
+    of ``keep``: a band sweep's plan of a few hundred dofs does not visit
+    the rest of the matrix.
     """
 
     def __init__(self, mesh: Mesh, ids, indptr, indices, is_free):
+        rows = np.flatnonzero(is_free)
+        self.free = _frozen(ids[rows], np.intp)
+        # The entries of the free rows, row by row, from their indptr
+        # ranges.
+        first = indptr[rows]
+        lengths = indptr[rows + 1] - first
+        starts = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=starts[1:])
+        entries = np.arange(starts[-1], dtype=np.intp)
+        entries += np.repeat(first - starts[:-1], lengths)
+        columns = indices.take(entries)
         # take() gathers by an int32 index array about twice as fast as [].
-        free_row = np.repeat(is_free, np.diff(indptr))
-        free_column = is_free.take(indices)
-        self.keep = _frozen(free_row & free_column)
-        self.free = _frozen(ids[is_free], np.intp)
+        inside = is_free.take(columns)
+        keep = np.zeros(len(indices), dtype=bool)
+        keep[entries] = inside
+        self.keep = _frozen(keep)
         renumber = np.cumsum(is_free, dtype=np.int32) - 1
-        self.indices = _frozen(renumber.take(indices[self.keep]))
-        kept = np.zeros(len(indices) + 1, dtype=np.int32)
-        np.cumsum(self.keep, out=kept[1:])
-        self.indptr = _frozen(np.concatenate(([0], kept[indptr[1:]][is_free])),
-                              np.int32)
+        self.indices = _frozen(renumber.take(columns[inside]))
+        kept = np.zeros(len(inside) + 1, dtype=np.int32)
+        np.cumsum(inside, dtype=np.int32, out=kept[1:])
+        self.indptr = _frozen(kept[starts])
         # The entries of a free row that the free block does not keep.
-        self.coupling = _frozen(np.flatnonzero(free_row > free_column))
-        self.coupling_indices = _frozen(indices.take(self.coupling))
-        lengths = np.diff(indptr)[is_free] - np.diff(self.indptr)
-        self.coupling_indptr = _frozen(
-            np.concatenate(([0], np.cumsum(lengths))), np.int32)
+        outside = ~inside
+        self.coupling = _frozen(entries[outside])
+        self.coupling_indices = _frozen(columns[outside])
+        self.coupling_indptr = _frozen(starts - self.indptr)
         # The aggregate of a dof is the cell two levels above the start
         # grid that holds its vertex, among the cells holding a free dof.
         n = 1 << max(mesh.level_min - 2, 0)

@@ -10,6 +10,13 @@ tree: one containing-cell lookup, which probes the sorted codes level by
 level, finds the cell holding a position for refinement balance,
 coarsening checks, field transfer and point location alike.
 
+A mesh is built from its keys in a few array passes: one stable sort of
+the cells' corner codes numbers the vertices and counts the cells at each,
+and the count finds the hanging vertices (an interior vertex at the
+corner of two cells only), whose masters follow from its coordinates.
+The folded CSR pattern (:attr:`Mesh.csr_pattern`) is built on first use,
+in passes linear in its terms.
+
 Meshes are immutable: :func:`refine` and :func:`coarsen` return new
 ``Mesh`` objects, or their input when nothing changes.  Fields carry the
 id of the mesh they live on; :func:`transfer_field` moves a block of them
@@ -174,7 +181,9 @@ class Mesh:
     ``active`` holds the ``(level, i, j)`` keys of the cells, as tuples or
     as rows of an integer array.  Cells are numbered in sorted key order,
     vertices in order of first appearance over the cells' corners
-    (counterclockwise from the lower left).
+    (counterclockwise from the lower left).  Building one sorts the corner
+    codes once; every other step is a pass over the cells' corners or the
+    vertices.  ``cell_h`` and ``cell_inv_h`` are exact powers of two.
     """
 
     def __init__(self, active, level_min: int, level_max: int):
@@ -186,7 +195,7 @@ class Mesh:
         if level_min > level_max:
             raise ValueError("level_min must not exceed level_max")
         self._codes, first = np.unique(_cell_code(*keys.T), return_index=True)
-        self._keys = keys = keys[first]
+        self._keys = keys = keys.take(first, axis=0)
         self.id = next(_mesh_ids)
         self.level_min = level_min
         self.level_max = level_max
@@ -195,10 +204,12 @@ class Mesh:
         if levels.min() < level_min or levels.max() > level_max:
             raise ValueError("cell level outside [level_min, level_max]")
         self.cell_levels = levels
-        self.cell_h = 2.0 ** (-levels.astype(float))
+        # numpy's ldexp loops take an int32 exponent.
+        exponent = levels.astype(np.int32)
+        self.cell_h = np.ldexp(1.0, -exponent)
         # 1 / cell_h, exactly: a product with it has the bits of a division
         # by cell_h.
-        self.cell_inv_h = 2.0 ** levels.astype(float)
+        self.cell_inv_h = np.ldexp(1.0, exponent)
         self.n_cells = len(keys)
 
         # Corner positions in integer units, counterclockwise per cell.
@@ -206,18 +217,35 @@ class Mesh:
         x0, y0 = keys[:, 1] * u, keys[:, 2] * u
         cx = np.stack([x0, x0 + u, x0 + u, x0], axis=1).ravel()
         cy = np.stack([y0, y0, y0 + u, y0 + u], axis=1).ravel()
-        self._vcodes, first, inverse = np.unique(
-            _vertex_code(cx, cy), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # vertex id -> sorted-code position
-        self._vrank = np.empty_like(order)
-        self._vrank[order] = np.arange(len(order))
-        self.cell_vertices = self._vrank[inverse].reshape(-1, 4)
-        self.n_vertices = len(order)
-        self._vertex_xy = np.stack([cx[first], cy[first]], axis=1)[order]
+        corners = _vertex_code(cx, cy)
+        # A stable sort groups the copies of each code with its first
+        # appearance in front; counting first appearances numbers the
+        # vertices in that order.
+        order = np.argsort(corners, kind="stable")
+        ranked = corners[order]
+        new = np.empty(len(ranked), dtype=bool)
+        new[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        copies = np.diff(starts, append=len(ranked))
+        leads = np.zeros(len(ranked), dtype=bool)
+        leads[order[starts]] = True
+        self._vcodes = ranked[starts]
+        self._vrank = (np.cumsum(leads) - 1)[order[starts]]
+        ids = np.empty(len(ranked), dtype=np.intp)
+        ids[order] = np.repeat(self._vrank, copies)
+        self.cell_vertices = ids.reshape(-1, 4)
+        self.n_vertices = len(starts)
+        coded = np.empty_like(self._vcodes)
+        coded[self._vrank] = self._vcodes
+        self._vertex_xy = np.stack([coded >> (_MAXLEVEL + 1),
+                                    coded & (2 * _SCALE - 1)], axis=1)
         self.vertex_coords = self._vertex_xy / _SCALE
         self.cell_origin = self.vertex_coords[self.cell_vertices[:, 0]]
 
-        self._constraints = self._find_hanging()
+        cells_at = np.empty(self.n_vertices, dtype=np.intp)
+        cells_at[self._vrank] = copies
+        self._constraints = self._find_hanging(cells_at)
         self._boundary = self._tag_boundary()
 
     # -- construction helpers -------------------------------------------
@@ -227,30 +255,26 @@ class Mesh:
         pos = _find(self._vcodes, _vertex_code(x, y))
         return np.where(pos >= 0, self._vrank[pos], -1)
 
-    def _find_hanging(self) -> ConstraintSet:
-        # A cell's corner is hanging when the neighbor across an edge is one
-        # level coarser: the corner is the midpoint of the coarse edge.
-        l, i, j = self._keys.T
-        u = _SCALE >> l
-        n = 1 << l
-        hanging, pairs = [], []
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ni, nj = i + di, j + dj
-            inside = (ni >= 0) & (ni < n) & (nj >= 0) & (nj < n)
-            hit = inside & (self.cell_ids(l - 1, ni >> 1, nj >> 1) >= 0)
-            uh = u[hit]
-            if di:  # vertical coarse edge at x = fixed
-                fixed = (i[hit] + (di > 0)) * uh
-                start = (j[hit] >> 1) * 2 * uh
-                ids = [self._vertex_ids(fixed, start + k * uh) for k in (1, 0, 2)]
-            else:
-                fixed = (j[hit] + (dj > 0)) * uh
-                start = (i[hit] >> 1) * 2 * uh
-                ids = [self._vertex_ids(start + k * uh, fixed) for k in (1, 0, 2)]
-            hanging.append(ids[0])
-            pairs.append(np.stack(ids[1:], axis=1))
-        hanging, first = np.unique(np.concatenate(hanging), return_index=True)
-        return ConstraintSet(hanging, np.concatenate(pairs)[first])
+    def _find_hanging(self, cells_at) -> ConstraintSet:
+        """The constraints, given the number of cells at each vertex.
+
+        An interior vertex is a corner of four cells, or of two when it
+        hangs: it is then the midpoint of an edge of the coarser cell on
+        its other side.  The coordinate along that edge is an odd multiple
+        of the two fine cells' size and the other an even one, so the size
+        is the lowest set bit of ``x | y``, and the edge's ends, the
+        masters, lie that far from the vertex along it.
+        """
+        x, y = self._vertex_xy.T
+        inside = (x > 0) & (x < _SCALE) & (y > 0) & (y < _SCALE)
+        hanging = np.flatnonzero((cells_at == 2) & inside)
+        x, y = x[hanging], y[hanging]
+        size = (x | y) & -(x | y)
+        dx = np.where(x & size, size, 0)
+        dy = size - dx
+        pairs = np.stack([self._vertex_ids(x - dx, y - dy),
+                          self._vertex_ids(x + dx, y + dy)], axis=1)
+        return ConstraintSet(hanging, pairs)
 
     def _tag_boundary(self) -> dict[int, np.ndarray]:
         x = self.vertex_coords[:, 0]
@@ -339,39 +363,78 @@ class Mesh:
         order, to the CSR data, summing in cell order.  ``indptr`` and
         ``indices`` are read-only, because every assembled matrix shares
         them.
+
+        A corner has one image, its vertex, or two, the masters of a
+        hanging corner, each of weight 1/2.  Block entry ``(c, a, b)`` has
+        a term for every pair of an image of corner ``a`` and an image of
+        corner ``b``, the images of ``a`` outermost, weighted by the
+        product of their weights; column ``16 c + 4 a + b`` of ``fold``
+        holds them.  The terms are formed directly, by an ``np.repeat`` of
+        each entry's first images over its number of terms, and found in
+        the pattern by grouping them by row and sorting each row by column:
+        no pass is longer than the list of terms, and no array is padded
+        to the four terms an entry may have.
         """
         n, nc, cons = self.n_vertices, self.n_cells, self._constraints
-        # Where each corner goes: its own vertex with weights (1, 0), or
-        # for a hanging corner its two masters with weights (1/2, 1/2).
-        ids = self.cell_vertices.ravel()
+        corner = self.cell_vertices.ravel().astype(np.int32)
         which = np.full(n, -1)
         which[cons.hanging] = np.arange(len(cons))
-        hang = np.flatnonzero(which[ids] >= 0)
-        images = np.stack([ids, ids], axis=1)
-        images[hang] = cons.pairs[which[ids[hang]]]
-        weights = np.tile([1.0, 0.0], (len(ids), 1))
-        weights[hang] = 0.5
-        # A block entry (c, a, b) goes to every pair of an image of corner a
-        # and an image of corner b, listed entry by entry.
-        row = images.reshape(nc, 4, 1, 2, 1), weights.reshape(nc, 4, 1, 2, 1)
-        col = images.reshape(nc, 1, 4, 1, 2), weights.reshape(nc, 1, 4, 1, 2)
-        keep = (row[1] != 0.0) & (col[1] != 0.0)
-        shape = keep.shape
-        codes, slot = np.unique(np.broadcast_to(row[0], shape)[keep] * n
-                                + np.broadcast_to(col[0], shape)[keep],
-                                return_inverse=True)
-        indices = (codes % n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+        hangs = np.flatnonzero(which[corner] >= 0)
+        first, second = corner, corner.copy()
+        first[hangs], second[hangs] = cons.pairs[which[corner[hangs]]].T
+        more = np.zeros(4 * nc, dtype=np.int8)
+        more[hangs] = 1
+        # Entry e = 16 c + 4 a + b joins corners ka = 4 c + a and
+        # kb = 4 c + b, and has (1 + ma) << mb terms, for corners with
+        # 1 + ma and 1 + mb images.
+        # Each array is dropped once spent, which keeps the build's peak
+        # near 40 bytes per block entry.
+        entry = np.arange(16 * nc, dtype=np.int32)
+        ka, kb = entry >> 2, (entry >> 4 << 2) | (entry & 3)
+        del entry
+        ma, mb = more.take(ka), more.take(kb)
+        per = (ma + 1) << mb
+        starts = np.zeros(16 * nc + 1, dtype=np.int32)
+        np.cumsum(per, dtype=np.int32, out=starts[1:])
+        # Every term takes the first images; with the images of a
+        # outermost, the second image of a goes to the last 1 + mb terms
+        # of its entry and that of b to the odd ones.
+        row = np.repeat(first.take(ka), per)
+        col = np.repeat(first.take(kb), per)
+        two = np.flatnonzero(ma)
+        row[starts[two + 1] - 1] = row[starts[two + 1] - 1 - mb[two]] = \
+            second.take(ka[two])
+        two = np.flatnonzero(mb)
+        col[starts[two + 1] - 1] = col[starts[two] + 1] = second.take(kb[two])
+        del ka, kb, ma, mb
+        # A term weighs 1, 1/2 or 1/4, the inverse of its entry's count.
+        weight = np.repeat(per, per)
+        del per
+        weight = np.divide(1.0, weight)
+        # Group the terms by row with scipy's conversion from COO, a
+        # counting sort, which takes the term numbers as columns; then
+        # sort each row by column.  A pattern entry starts at each change
+        # of column and at the start of each row.
+        number = np.arange(len(row), dtype=np.int32)
+        by_row = sp.csr_matrix((col, (row, number)), shape=(n, len(row)))
+        grouped = sp.csr_matrix((by_row.indices, by_row.data, by_row.indptr),
+                                shape=(n, n))
+        del by_row, row, col, number
+        grouped.sort_indices()
+        number, col, rows = grouped.data, grouped.indices, grouped.indptr
+        new = np.empty(len(col), dtype=bool)
+        np.not_equal(col[1:], col[:-1], out=new[1:])
+        new[rows[:-1][np.diff(rows) > 0]] = True
+        before = np.zeros(len(col) + 1, dtype=np.int32)
+        np.cumsum(new, dtype=np.int32, out=before[1:])
+        indptr = before[rows].astype(np.int32, copy=False)
+        indices = col[new].astype(np.int32, copy=False)
         for a in (indptr, indices):
             a.flags.writeable = False
-        # Column e of the fold holds the terms of block entry e.
-        starts = np.zeros(16 * nc + 1, dtype=np.int32)
-        np.cumsum(keep.reshape(-1, 4).sum(axis=1), out=starts[1:])
-        w = (np.broadcast_to(row[1], shape)[keep]
-             * np.broadcast_to(col[1], shape)[keep])
-        fold = sp.csc_matrix((w, slot.astype(np.int32), starts),
-                             shape=(len(codes), 16 * nc))
+        slot = np.empty(len(col), dtype=np.int32)
+        slot[number] = before[1:] - 1
+        fold = sp.csc_matrix((weight, slot, starts),
+                             shape=(len(indices), 16 * nc))
         return indptr, indices, fold
 
     @property

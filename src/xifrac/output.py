@@ -206,8 +206,13 @@ def _block(path, data, pos, section, count, width, dtype, unit):
 
 
 def _permutation(path, ids, n, what):
-    """Map from mesh ids to file positions, given the mesh id of each entry."""
-    if not np.array_equal(np.sort(ids), np.arange(n)):
+    """Map from mesh ids to file positions, given the mesh id of each entry.
+
+    The ids must hold each of ``0, ..., n - 1`` once: all in range and each
+    counted once, which takes one pass and no sort.
+    """
+    if not (np.all((ids >= 0) & (ids < n))
+            and np.all(np.bincount(ids, minlength=n) == 1)):
         raise ValueError(f"{path}: the {what} of the file do not form a "
                          f"quadtree mesh")
     perm = np.empty(n, dtype=np.intp)

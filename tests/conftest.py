@@ -6,6 +6,7 @@ explicit constraint elimination, so agreement with the vectorized sparse
 code is meaningful.
 """
 
+import bisect
 import itertools
 from collections import defaultdict
 from pathlib import Path
@@ -140,10 +141,10 @@ def lower_band(dense, k):
     return band
 
 
-def global_pcg_systems():
-    """The u and first phase systems, restricted, of the global-xi
-    benchmark state on the 64 x 64 grid (256 aggregates), loaded to
-    t = 0.1."""
+def _global_pcg_state():
+    """The global-xi benchmark state on the 64 x 64 grid (256
+    aggregates), loaded to t = 0.1: the state, its restricted u system and
+    its folded phase operator."""
     path = Path(__file__).parents[1] / "configs" / "global_xi_128.cfg"
     cfg = parse_config(path.read_text(), {
         "mesh.level_start": "6", "mesh.level_max": "6",
@@ -154,7 +155,29 @@ def global_pcg_systems():
         *driver.boundary_displacement(state.mesh, 0.1, cfg.loading.c))
     u = fem.solve_field(u_sys, method="direct")
     folded, _ = pf.assemble_phase(state.mesh, u, state.xi, cfg.material)
+    return state, u_sys, folded
+
+
+def global_pcg_systems():
+    """The u and first phase systems, restricted, of the global-xi
+    benchmark state on the 64 x 64 grid (256 aggregates), loaded to
+    t = 0.1."""
+    state, u_sys, folded = _global_pcg_state()
     return u_sys, fem.apply_dirichlet(folded, state.mask.pinned, 0.0)
+
+
+def global_pcg_band():
+    """The second phase sweep of the state of :func:`global_pcg_systems`,
+    as ``(folded, pinned, values)``: the crack pinned at 0 and every node
+    where the first sweep's direct answer passes 1 pinned at 1, as the
+    driver's active set does.  That leaves a band of 346 free dofs along
+    the crack, the size of the later sweeps of a phase solve."""
+    state, _, folded = _global_pcg_state()
+    crack = state.mask.pinned
+    first = fem.solve_field(fem.apply_dirichlet(folded, crack, 0.0),
+                            method="direct")
+    pinned = crack | (first.values > 1.0 + 1e-12)
+    return folded, pinned, np.where(crack, 0.0, 1.0)
 
 
 def solved_with_tangents(sys, reaction, count):
@@ -257,6 +280,73 @@ def unbalanced_pairs(keys):
     return [(a, b) for edges in lines.values()
             for (lo, hi, a), (dlo, dhi, b) in itertools.combinations(edges, 2)
             if min(hi, dhi) - max(lo, dlo) > 1e-14 and abs(a[0] - b[0]) > 1]
+
+
+def brute_force_hanging(mesh):
+    """``(hanging, pairs)`` of ``mesh``, found cell edge by cell edge: a
+    vertex hangs iff it lies strictly inside an edge of some cell, and its
+    masters are that edge's ends, the lower or left one first.  Dyadic
+    coordinates are exact, so the vertices are grouped by the lines they
+    lie on, and each edge bisects the sorted vertices of its line."""
+    coords = mesh.vertex_coords.tolist()
+    at = {(x, y): k for k, (x, y) in enumerate(coords)}
+    lines = defaultdict(list)
+    for k, (x, y) in enumerate(coords):
+        lines["x", x].append((y, k))
+        lines["y", y].append((x, k))
+    for line in lines.values():
+        line.sort()
+    masters = {}
+    for key in mesh.cell_keys:
+        for axis, fixed, lo, hi in edges_of_cell(key):
+            line = lines[axis, fixed]
+            ends = [at[(fixed, t) if axis == "x" else (t, fixed)]
+                    for t in (lo, hi)]
+            start = bisect.bisect_right(line, (lo, len(coords)))
+            for t, k in itertools.takewhile(lambda p: p[0] < hi,
+                                            line[start:]):
+                masters[k] = tuple(ends)
+    hanging = sorted(masters)
+    return (np.array(hanging, dtype=int),
+            np.array([masters[k] for k in hanging], dtype=int).reshape(-1, 2))
+
+
+def pattern_by_cell_loop(mesh, local):
+    """``T^T A T`` of the cell blocks ``local`` (``n_cells x 4 x 4``),
+    summed cell by cell: the value of corners ``a`` and ``b`` goes to every
+    pair of an image of ``a`` and an image of ``b``, the images of ``a``
+    outermost; a corner's image is its vertex, of weight 1, or each master
+    of a hanging corner, of weight 1/2.  Each sum adds its terms in cell
+    order, starting from ``0.0``.  Returns the CSR ``(indptr, indices,
+    data)`` of the sums, columns sorted within each row."""
+    masters = mesh.constraints.masters
+    images = [[(m, 0.5) for m in masters[v]] if v in masters else [(v, 1.0)]
+              for v in range(mesh.n_vertices)]
+    sums = {}
+    for corners, block in zip(mesh.cell_vertices.tolist(),
+                              np.asarray(local).reshape(-1, 4, 4).tolist()):
+        for a, values in zip(corners, block):
+            for b, value in zip(corners, values):
+                for r, wr in images[a]:
+                    for c, wc in images[b]:
+                        sums[r, c] = sums.get((r, c), 0.0) + wr * wc * value
+    entries = sorted(sums)
+    rows = np.array([r for r, _ in entries], dtype=int)
+    indptr = np.searchsorted(rows, np.arange(mesh.n_vertices + 1))
+    return (indptr, np.array([c for _, c in entries], dtype=int),
+            np.array([sums[e] for e in entries]))
+
+
+def scipy_coupling(A, free):
+    """The rows ``free`` of the CSR matrix ``A`` without their entries in
+    the columns ``free``, with the columns of ``A``, as CSR arrays
+    ``(data, indices, indptr)``: scipy's row indexing, then a mask."""
+    rows = A[free]
+    outside = ~np.isin(rows.indices, free)
+    row = np.repeat(np.arange(len(free)), np.diff(rows.indptr))[outside]
+    indptr = np.zeros(len(free) + 1, dtype=rows.indptr.dtype)
+    np.cumsum(np.bincount(row, minlength=len(free)), out=indptr[1:])
+    return rows.data[outside], rows.indices[outside], indptr
 
 
 def check_two_to_one(mesh):

@@ -19,7 +19,8 @@ from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
 from conftest import Untouchable, cg_passes, dense_condense, \
     dense_dirichlet, dense_laplace, dense_load, dense_mass, \
-    dirichlet_arrays, global_pcg_systems, lower_band, nothing_pinned, \
+    dirichlet_arrays, global_pcg_band, global_pcg_systems, lower_band, \
+    nothing_pinned, pattern_by_cell_loop, scipy_coupling, \
     solved_with_tangents, sparse_prolongation
 
 
@@ -116,6 +117,48 @@ def test_pattern_scatter_matches_coo_reference(maker, mesh_hanging):
     local = np.random.default_rng(3).standard_normal((mesh.n_cells, 4, 4))
     got = fem._scatter(mesh, local)
     _assert_same_structure_close(got, T.T @ _coo_scatter(mesh, local) @ T)
+
+
+def _randomly_refined_mesh():
+    """A level-3 mesh after four rounds of random splits, seeded."""
+    rng = np.random.default_rng(12)
+    m = build_uniform(3, level_max=6)
+    for _ in range(4):
+        m = refine(m, rng.choice(m.n_cells, 6, replace=False))
+    return m
+
+
+@pytest.mark.parametrize("maker", ["hanging", "three_level", "random"])
+def test_pattern_is_the_cell_loop_bit_for_bit(maker, mesh_hanging):
+    # The pattern's structure is that of the sums of a cell-by-cell loop
+    # over the folded terms, and its fold adds each entry's terms with
+    # the loop's weights (1, 1/2, 1/4) in the loop's order: the same bits.
+    mesh = {"hanging": lambda: mesh_hanging, "three_level": _three_level_mesh,
+            "random": _randomly_refined_mesh}[maker]()
+    assert len(mesh.constraints) > 0
+    indptr, indices, fold = mesh.csr_pattern
+    for seed in range(3):
+        local = np.random.default_rng(seed).standard_normal(
+            (mesh.n_cells, 4, 4))
+        want_indptr, want_indices, want = pattern_by_cell_loop(mesh, local)
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(indices, want_indices)
+        assert (fold @ local.ravel()).tobytes() == want.tobytes()
+
+
+def test_pattern_build_stays_within_its_terms():
+    # The pattern of a uniform level-7 mesh, 262,144 block entries: its
+    # build peaks under 48 bytes per entry (about 39 when written), so no
+    # array padded to the four terms an entry may have, 64 per cell,
+    # comes back (that build peaked at 66).
+    mesh = build_uniform(7)
+    tracemalloc.start()
+    try:
+        mesh.csr_pattern
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 16 * mesh.n_cells
 
 
 def test_folded_assembly_matches_sparse_prolongation():
@@ -454,13 +497,26 @@ def _restriction_case():
 @settings(max_examples=40, deadline=None)
 def test_restriction_is_scipy_indexing_byte_for_byte(data):
     # Random pinned masks and values on a mesh with hanging nodes, some of
-    # them pinned (and ignored): the plan's restriction gives the bytes of
-    # scipy's A[free][:, free] and b[free] - A[free] x0.  The same free set
-    # hits the same plan, whatever the values and the hanging pins.
+    # them pinned (and ignored), and band-like free sets, a random disc
+    # holding 1-10 % of the vertices with all others pinned, as the later
+    # sweeps of a phase solve leave: the plan's restriction gives the
+    # bytes of scipy's A[free][:, free] and b[free] - A[free] x0, and its
+    # coupling block those of A[free] without the free columns.  The same
+    # free set hits the same plan, whatever the values and the hanging
+    # pins.
     sys = _restriction_case()
     n = sys.mesh.n_vertices
-    pinned = np.array(data.draw(st.lists(st.booleans(), min_size=n,
-                                         max_size=n)))
+    if data.draw(st.booleans()):
+        pinned = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                             max_size=n)))
+    else:
+        centre = np.array(data.draw(st.tuples(st.floats(0.0, 1.0),
+                                              st.floats(0.0, 1.0))))
+        size = data.draw(st.integers(max(1, n // 100), n // 10))
+        near = np.argsort(np.linalg.norm(sys.mesh.vertex_coords - centre,
+                                         axis=1), kind="stable")
+        pinned = np.ones(n, dtype=bool)
+        pinned[near[:size]] = False
     values = np.array(data.draw(st.lists(
         st.floats(-2.0, 2.0, allow_subnormal=False), min_size=n,
         max_size=n)))
@@ -469,6 +525,10 @@ def test_restriction_is_scipy_indexing_byte_for_byte(data):
     assert _same_bytes(_csr_arrays(got.matrix), _csr_arrays(want.matrix))
     assert _same_bytes([got.rhs, got.prescribed], [want.rhs, want.prescribed])
     assert np.array_equal(got.free, want.free)
+    block = fem.free_block(sys.matrix, sys.mesh, pinned)
+    assert block.plan is got.plan
+    assert _same_bytes(_csr_arrays(block.coupling),
+                       scipy_coupling(sys.matrix, want.free))
     pinned[sys.mesh.constraints.hanging] = data.draw(st.booleans())
     assert apply_dirichlet(sys, pinned, -values).plan is got.plan
 
@@ -935,6 +995,12 @@ def _cancelling_system():
 _global_pcg_systems = functools.cache(global_pcg_systems)
 
 
+@functools.cache
+def _global_band_system():
+    """The 346-dof band sweep of the 64 x 64 global-xi state."""
+    return apply_dirichlet(*global_pcg_band())
+
+
 COARSE_CASES = pytest.mark.parametrize("make", [
     lambda: _cracked_displacement_system()[0],
     lambda: _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5)),
@@ -942,8 +1008,9 @@ COARSE_CASES = pytest.mark.parametrize("make", [
     _cancelling_system,
     lambda: _global_pcg_systems()[0],
     lambda: _global_pcg_systems()[1],
+    _global_band_system,
 ], ids=["u", "phase-dropped-aggregate", "hand-built", "cancelling",
-        "global-u", "global-phase"])
+        "global-u", "global-phase", "global-band"])
 
 
 @COARSE_CASES

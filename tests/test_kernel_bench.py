@@ -1,7 +1,8 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, deflated-CG, projection, tangent and mesh-coarsening kernels, of
-the VTK snapshot round trip, and of one warm elastic load step.
+solve, deflated-CG, projection, tangent, mesh-build, band-plan and
+mesh-coarsening kernels, of the VTK snapshot round trip, and of one warm
+elastic load step.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -11,12 +12,16 @@ hanging-node prolongation, ``spsolve`` with SuperLU's default ordering,
 or, for the restriction and the coarse operator, scipy's fancy indexing
 and the sparse products ``(Z^T A) Z`` that the cached plans replaced,
 factored by SuperLU where the coarse level uses band Cholesky.  The
-deflated-CG bench runs on the 64 x 64 systems of the ``global_pcg``
-benchmark instead, and records its CG iterations and the cost of a
+deflated-CG and band-plan benches run on the 64 x 64 systems of the
+``global_pcg`` benchmark instead; the first records its CG iterations and the cost of a
 plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``);
 the elastic-step bench records there, per round, how many times it
 evaluated ``|grad u|^2`` and gathered matrix data for a restriction, and
-asserts one of each.
+asserts one of each; the mesh-build and band-plan benches record the
+best time of each of their two parts.  Those two check against the
+brute-force oracles of ``conftest``: the hanging vertices of a search over
+every cell edge, the folded pattern of a cell-by-cell loop, and scipy's
+indexing and sparse products for the band's plan.
 Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
@@ -37,9 +42,10 @@ pytest.importorskip("pytest_benchmark")
 from xifrac import driver, fem, output, phasefield as pf  # noqa: E402
 from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
-from xifrac.mesh import build_uniform, coarsen, refine  # noqa: E402
+from xifrac.mesh import Mesh, build_uniform, coarsen, refine  # noqa: E402
 
-from conftest import global_pcg_systems, lower_band, \
+from conftest import brute_force_hanging, global_pcg_band, \
+    global_pcg_systems, lower_band, pattern_by_cell_loop, scipy_coupling, \
     solved_with_tangents, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
@@ -407,15 +413,123 @@ def test_bench_phase_tangents(benchmark, mesh):
         assert np.max(np.abs(t - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-def test_bench_coarsen_blocked_groups(benchmark):
-    # The field_xi_amr mesh after three AMR passes.  Its coarsening flags
-    # hold complete sibling groups, but each would merge next to cells
-    # two levels finer, so nothing merges and the input comes back.
+@pytest.fixture(scope="module")
+def amr_field():
+    """The field_xi_amr state after three AMR passes, on its adapted
+    8,800-cell mesh, and its config."""
     path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
     cfg = parse_config(path.read_text())
     state = driver.initialize(cfg)
     for _ in range(3):
         driver.amr_pass(state, cfg)
+    return state, cfg
+
+
+def test_bench_mesh_build(benchmark, amr_field):
+    # The adapted field_xi_amr mesh built from its 8,800 cell keys, as
+    # read_vtk, refine and coarsen build a mesh, with the folded CSR
+    # pattern that the first assembly on it builds.  The best times of
+    # the mesh alone and of the pattern alone go in extra_info.  The
+    # constraints must be those of a search over every cell edge, and
+    # the pattern that of a cell-by-cell loop over the folded terms, bit
+    # for bit.
+    adapted = amr_field[0].mesh
+    keys = np.array(adapted.cell_keys)
+    levels = adapted.level_min, adapted.level_max
+
+    def build():
+        mesh = Mesh(keys, *levels)
+        mesh.csr_pattern
+        return mesh
+
+    mesh = _run(benchmark, build)
+    parts = {"mesh": [], "pattern": []}
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        fresh = Mesh(keys, *levels)
+        parts["mesh"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        fresh.csr_pattern
+        parts["pattern"].append(time.perf_counter() - start)
+    benchmark.extra_info.update(
+        {f"{k}_ms": 1e3 * min(v) for k, v in parts.items()})
+    assert mesh.n_cells == 8800 and len(mesh.constraints) == 484
+    assert mesh.cell_keys == adapted.cell_keys
+    hanging, pairs = brute_force_hanging(mesh)
+    assert np.array_equal(mesh.constraints.hanging, hanging)
+    assert np.array_equal(mesh.constraints.pairs, pairs)
+    local = np.random.default_rng(4).standard_normal((mesh.n_cells, 4, 4))
+    indptr, indices, fold = mesh.csr_pattern
+    want_indptr, want_indices, want = pattern_by_cell_loop(mesh, local)
+    assert np.array_equal(indptr, want_indptr)
+    assert np.array_equal(indices, want_indices)
+    assert (fold @ local.ravel()).tobytes() == want.tobytes()
+
+
+def test_bench_band_plan(benchmark, monkeypatch):
+    # The plan of a band sweep, the 346 free dofs along the crack of the
+    # 64 x 64 global-xi state, with its coarse map, built afresh each
+    # round, as a sweep whose free set the mesh does not keep builds
+    # them.  The best times of the plan alone and of its coarse map go in
+    # extra_info.  The restriction must be scipy's indexing and the
+    # coarse band the lower triangle of (Z^T A) Z from scipy's sparse
+    # products, bit for bit.
+    folded, pinned, values = global_pcg_band()
+    mesh, A = folded.mesh, folded.matrix
+    is_free = ~pinned
+    is_free[mesh.constraints.hanging] = False
+    ids = np.arange(mesh.n_vertices)
+
+    def build():
+        plan = fem._Plan(mesh, ids, A.indptr, A.indices, is_free)
+        plan.coarse_rows
+        return plan
+
+    plan = _run(benchmark, build)
+    parts = {"plan": [], "coarse_rows": []}
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        fresh = fem._Plan(mesh, ids, A.indptr, A.indices, is_free)
+        parts["plan"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        fresh.coarse_rows
+        parts["coarse_rows"].append(time.perf_counter() - start)
+    benchmark.extra_info.update(
+        {f"{k}_ms": 1e3 * min(v) for k, v in parts.items()})
+    free = np.flatnonzero(is_free)
+    assert len(free) == 346 and np.array_equal(plan.free, free)
+    n = len(free)
+    block = sp.csr_matrix((A.data[plan.keep], plan.indices, plan.indptr),
+                          shape=(n, n))
+    want = A[free][:, free]
+    coupling = (A.data.take(plan.coupling), plan.coupling_indices,
+                plan.coupling_indptr)
+    for got_a, want_a in zip(
+            (block.data, block.indices, block.indptr, *coupling),
+            (want.data, want.indices, want.indptr, *scipy_coupling(A, free))):
+        assert got_a.dtype == want_a.dtype
+        assert got_a.tobytes() == want_a.tobytes()
+    factored, factor = [], fem._band_cholesky
+    monkeypatch.setattr(fem, "_band_cholesky",
+                        lambda band: factored.append(band.copy())
+                        or factor(band))
+    sys = fem.SparseSystem(block, np.zeros(n), mesh, free,
+                           np.where(pinned, values, 0.0), plan)
+    agg, _, _ = fem._coarse(sys)
+    want_agg, coarse = _reference_coarse(mesh, free, want)
+    assert np.array_equal(agg, want_agg)
+    dense = coarse.toarray()
+    got = factored[0]
+    k = got.shape[0] - 1
+    assert not np.tril(dense, -k - 1).any()
+    assert got.tobytes() == lower_band(dense, k).tobytes()
+
+
+def test_bench_coarsen_blocked_groups(benchmark, amr_field):
+    # The field_xi_amr mesh after three AMR passes.  Its coarsening flags
+    # hold complete sibling groups, but each would merge next to cells
+    # two levels finer, so nothing merges and the input comes back.
+    state, cfg = amr_field
     _, flags = driver._amr_flags(state.mesh, state.v.values, cfg)
     assert state.mesh.n_cells == 8800 and len(flags) == 668
     assert _run(benchmark, coarsen, state.mesh, flags) is state.mesh

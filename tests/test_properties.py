@@ -7,8 +7,8 @@ from xifrac import fem, mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine
 
-from conftest import check_two_to_one, children, reference_coarsen, \
-    reference_refine, total_area
+from conftest import brute_force_hanging, check_two_to_one, children, \
+    reference_coarsen, reference_refine, total_area
 
 MAT = pf.MaterialParams()
 REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
@@ -161,6 +161,44 @@ def test_refine_coarsen_match_brute_force_oracles(data):
         assert set(out.cell_keys) == want
         assert (out is m) == (want == set(keys))
         m = out
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_hanging_constraints_match_brute_force_edges(data):
+    # Random balanced meshes from refine/coarsen sequences, with splits of
+    # boundary cells and of cells at level_max (which stay) among them:
+    # the constraints found from corner counts are exactly those of a
+    # search over every cell edge for vertices strictly inside it.
+    level = data.draw(st.integers(2, 3))
+    m = build_uniform(level, level_min=data.draw(st.integers(1, level)),
+                      level_max=level + data.draw(st.integers(1, 3)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from(
+            ["any", "boundary", "finest", "coarsen"]))
+        if kind == "coarsen":
+            # Whole sibling groups, so that merges happen.
+            keys = m.cell_keys
+            groups = sorted({(l - 1, i // 2, j // 2) for l, i, j in keys
+                             if children((l - 1, i // 2, j // 2))
+                             <= set(keys)})
+            chosen = data.draw(st.lists(st.sampled_from(groups), max_size=4)
+                               if groups else st.just([]))
+            m = coarsen(m, [m.cell_id(k) for g in chosen
+                            for k in children(g)])
+        else:
+            x, y = (m.cell_origin + 0.5 * m.cell_h[:, None]).T
+            pool = {"any": np.arange(m.n_cells),
+                    "boundary": np.flatnonzero(
+                        (np.minimum(x, 1.0 - x) < m.cell_h)
+                        | (np.minimum(y, 1.0 - y) < m.cell_h)),
+                    "finest": np.flatnonzero(
+                        m.cell_levels == m.cell_levels.max())}[kind]
+            m = refine(m, data.draw(st.lists(st.sampled_from(pool.tolist()),
+                                             max_size=4)))
+        hanging, pairs = brute_force_hanging(m)
+        assert np.array_equal(m.constraints.hanging, hanging)
+        assert np.array_equal(m.constraints.pairs, pairs)
 
 
 # ---------------------------------------------------------------------------
