@@ -30,8 +30,6 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a quasi-static benchmark")
     run.add_argument("--config", type=Path, help="config file (flat "
                      "section.key = value lines); defaults when omitted")
-    run.add_argument("--mode", choices=("fixed", "global", "field"),
-                     help="override regularization.mode")
     run.add_argument("--out", type=Path, help="output directory")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                      help="override any config key (repeatable)")
@@ -66,8 +64,6 @@ def _cmd_run(args) -> int:
             return 2
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.mode:
-        overrides["regularization.mode"] = args.mode
     config = parse_config(text, overrides)
     out_dir = args.out or Path("xifrac-out")
     try:
@@ -109,7 +105,7 @@ def _cmd_profile(args) -> int:
                                     for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        args.out.write_text(text)
+        output._atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

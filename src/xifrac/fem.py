@@ -16,13 +16,13 @@ nor pinned (one bool per vertex, with a full-length value array), so the
 solvers only ever see that SPD block; :func:`solve_field` expands the
 solution again.  The free sets of a run repeat (one Dirichlet set per
 mesh for u, the crack mask for each first phase sweep), so what depends
-on the free set alone is a :class:`_Plan`, cached per mesh for the few
-most recent free sets: a restriction gathers the kept values, and the
-``pcg`` solver below sums them into ``W = Z^T A``, and W's values into
-its coarse operator's band, over one cached map.  A caller that keeps
-the free block of a matrix (:func:`free_block`), as the displacement
-assembly keeps that of ``K(v)``, hands it back and pays only for the
-right-hand side.
+on the free set alone is a :class:`_Plan`, a product that the mesh keeps
+for the few most recent free sets (:meth:`Mesh.reuse`): a restriction
+gathers the kept values, and the ``pcg`` solver below sums them into
+``W = Z^T A``, and W's values into its coarse operator's band, over one
+cached map.  A caller that keeps the free block of a matrix
+(:func:`free_block`), as the displacement assembly keeps that of
+``K(v)``, hands it back and pays only for the right-hand side.
 :func:`combine` adds two systems on the mesh pattern and stays on it, so
 a folded phase operator is restricted through a cached plan as well.
 
@@ -90,7 +90,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .mesh import Mesh
+from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
 
@@ -341,13 +341,6 @@ def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
     return SparseSystem(matrix, combined_rhs, a.mesh)
 
 
-def _frozen(a, dtype=None) -> np.ndarray:
-    """``a`` as a read-only array, of ``dtype`` if given."""
-    a = np.ascontiguousarray(a, dtype=dtype)
-    a.flags.writeable = False
-    return a
-
-
 class _Plan:
     """Everything that restricting and coarsening a system take from its
     free set alone.
@@ -382,7 +375,7 @@ class _Plan:
 
     def __init__(self, mesh: Mesh, ids, indptr, indices, is_free):
         rows = np.flatnonzero(is_free)
-        self.free = _frozen(ids[rows], np.intp)
+        self.free = frozen(ids[rows], np.intp)
         # The entries of the free rows, row by row, from their indptr
         # ranges.
         first = indptr[rows]
@@ -396,17 +389,17 @@ class _Plan:
         inside = is_free.take(columns)
         keep = np.zeros(len(indices), dtype=bool)
         keep[entries] = inside
-        self.keep = _frozen(keep)
+        self.keep = frozen(keep)
         renumber = np.cumsum(is_free, dtype=np.int32) - 1
-        self.indices = _frozen(renumber.take(columns[inside]))
+        self.indices = frozen(renumber.take(columns[inside]))
         kept = np.zeros(len(inside) + 1, dtype=np.int32)
         np.cumsum(inside, dtype=np.int32, out=kept[1:])
-        self.indptr = _frozen(kept[starts])
+        self.indptr = frozen(kept[starts])
         # The entries of a free row that the free block does not keep.
         outside = ~inside
-        self.coupling = _frozen(entries[outside])
-        self.coupling_indices = _frozen(columns[outside])
-        self.coupling_indptr = _frozen(starts - self.indptr)
+        self.coupling = frozen(entries[outside])
+        self.coupling_indices = frozen(columns[outside])
+        self.coupling_indptr = frozen(starts - self.indptr)
         # The aggregate of a dof is the cell two levels above the start
         # grid that holds its vertex, among the cells holding a free dof.
         n = 1 << max(mesh.level_min - 2, 0)
@@ -414,7 +407,7 @@ class _Plan:
                         n - 1)
         cell = ij[:, 0] * n + ij[:, 1]
         held = np.bincount(cell, minlength=n * n) > 0
-        self.agg = _frozen((np.cumsum(held) - 1)[cell], np.intp)
+        self.agg = frozen((np.cumsum(held) - 1)[cell], np.intp)
         self.n_agg = int(held.sum())
 
     @cached_property
@@ -485,36 +478,28 @@ class _Plan:
         k = int((row - col).max(initial=0))
         band = np.where(row >= col, row - col + (k + 1) * col,
                         (k + 1) * self.n_agg)
-        return (_frozen(indptr), _frozen(indices), _frozen(slot),
-                _frozen(band, np.int32), k)
+        return (frozen(indptr), frozen(indices), frozen(slot),
+                frozen(band, np.int32), k)
 
 
-# Plans that apply_dirichlet keeps per mesh, the least recently used
-# dropped first.  The free sets of a run repeat: one Dirichlet set per
-# mesh for u, and the crack mask for every first phase sweep.
+# Plans that a mesh keeps, the least recently used dropped first.  The
+# free sets of a run repeat: one Dirichlet set per mesh for u, and the
+# crack mask for every first phase sweep.
 _PLANS_PER_MESH = 4
 
 
 def _plan(A, mesh: Mesh, is_free: np.ndarray) -> _Plan:
     """The plan of a folded matrix for the free set ``is_free``.
 
-    A matrix on the mesh's pattern gets a plan cached on the mesh
-    (:attr:`Mesh.restriction_plans`, ``_PLANS_PER_MESH`` of them); any
+    A matrix on the mesh's pattern gets the mesh's product ``"plan"`` of
+    the free set (:meth:`Mesh.reuse`, ``_PLANS_PER_MESH`` of them); any
     other gets one built from its own structure, which is not kept.
     """
+    build = lambda: _Plan(mesh, np.arange(A.shape[0]), A.indptr, A.indices,
+                          is_free)
     if not _on_pattern(A, mesh):
-        return _Plan(mesh, np.arange(A.shape[0]), A.indptr, A.indices,
-                     is_free)
-    plans = mesh.restriction_plans
-    key = is_free.tobytes()
-    if key in plans:
-        plans.move_to_end(key)
-        return plans[key]
-    plan = plans[key] = _Plan(mesh, np.arange(A.shape[0]), A.indptr,
-                              A.indices, is_free)
-    if len(plans) > _PLANS_PER_MESH:
-        plans.popitem(last=False)
-    return plan
+        return build()
+    return mesh.reuse("plan", (is_free,), build, keep=_PLANS_PER_MESH)
 
 
 class FreeBlock(NamedTuple):
@@ -540,9 +525,9 @@ def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
     The free set decides the :class:`_Plan` that restricts ``A``, and
     only the values are gathered: ``data[keep]`` and ``data[coupling]``
     on the plan's structures.  Plans of matrices on the mesh's pattern,
-    as assembled and :func:`combine`-d systems are, are cached per mesh
-    and free set.  A set with no free dof needs no plan and does not
-    touch ``A``: both blocks are empty.
+    as assembled and :func:`combine`-d systems are, are kept by the mesh
+    per free set (:func:`_plan`).  A set with no free dof needs no plan
+    and does not touch ``A``: both blocks are empty.
     """
     is_free = ~pinned
     is_free[mesh.constraints.hanging] = False

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -67,6 +66,15 @@ def _bits(a):
     array as its dtype, shape and bytes, anything else as it is."""
     if isinstance(a, np.ndarray):
         return a.dtype.str, a.shape, a.tobytes()
+    return a
+
+
+def frozen(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array, of ``dtype`` if given: ``a``
+    itself when it is one already, else a copy.  What a mesh keeps is
+    frozen, because it is handed to every caller (:meth:`Mesh.reuse`)."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.flags.writeable = False
     return a
 
 
@@ -294,19 +302,10 @@ class Mesh:
         return list(map(tuple, self._keys.tolist()))
 
     @cached_property
-    def restriction_plans(self) -> OrderedDict:
-        """Restriction plans of systems on this mesh, by free set, the most
-        recently used last.
-
-        An empty cache that ``fem.apply_dirichlet`` fills and bounds; kept
-        on the mesh so that the plans die with it.
-        """
-        return OrderedDict()
-
-    @cached_property
     def products(self) -> dict:
-        """The last inputs and output of each named product of fields on
-        this mesh, as :meth:`reuse` keeps them.
+        """What :meth:`reuse` keeps of each named product of fields on this
+        mesh: a list of ``(inputs, output)`` pairs, the most recently used
+        last.
 
         The products are those of fields that an elastic load step leaves
         unchanged: the folded displacement operator of v with its free
@@ -316,41 +315,50 @@ class Mesh:
         the mesh as it was (see :func:`xifrac.driver.amr_pass`), and the
         basis that the direct first phase sweeps of one xi and crack are
         projected onto (see :func:`xifrac.driver._first_sweep`); and
-        ``|grad u|^2`` of the last u, which two callers share.  Kept on
-        the mesh so that the entries die with it.  An entry holds its
-        inputs' bytes and strings and an output of arrays, matrices and
-        numbers, or a record of them that its one caller updates, never
-        the mesh or an object that refers to it (a ``SparseSystem`` or a
-        ``ScalarField``): that would make a reference cycle, and the mesh
-        and its entries would then live until the cyclic garbage
-        collector runs.
+        ``|grad u|^2`` of the last u, which two callers share.  The
+        restriction plans of systems on the mesh's pattern are products
+        too, one per free set, for the few most recent free sets (see
+        :func:`xifrac.fem.free_block`).  Kept on the mesh so that the
+        entries die with it.  An entry holds its inputs' bytes and strings
+        and an output of arrays, matrices and numbers, or a record of them
+        that its one caller updates, never the mesh or an object that
+        refers to it (a ``SparseSystem`` or a ``ScalarField``): that would
+        make a reference cycle, and the mesh and its entries would then
+        live until the cyclic garbage collector runs.
         """
         return {}
 
-    def reuse(self, name: str, inputs: tuple, compute):
+    def reuse(self, name: str, inputs: tuple, compute, keep: int = 1):
         """``compute()``, or what it returned for the same ``inputs``.
 
         ``inputs`` holds the arrays and strings that the product ``name``
         depends on besides the mesh.  When they equal, bit for bit, the
-        inputs last kept under ``name``, the output kept with them comes
-        back and ``compute`` is not called.  Otherwise ``compute()``'s
-        output is kept with the inputs, unless it is None, and returned.
-        Arrays are kept and compared as their bytes, so ``-0.0`` and
-        ``0.0``, which ``np.array_equal`` calls equal, differ, as they may
-        in what the product computes; and since the bytes are a copy that
-        nothing can change, an in-place edit of the caller's arrays
-        cannot make a stale match.  The output is handed out on every
-        match, so it must be immutable (read-only arrays, numbers, tuples
-        of them) or left unchanged by its users, unless it is a record
-        that only the one caller of ``name`` updates.
+        inputs of one of the last ``keep`` outputs kept under ``name``,
+        that output comes back, becomes the most recently used, and
+        ``compute`` is not called.  Otherwise ``compute()``'s output is
+        kept with the inputs, unless it is None, the least recently used
+        output is dropped if ``name`` then keeps more than ``keep``, and
+        the output is returned.  Arrays are kept and compared as their
+        bytes, so ``-0.0`` and ``0.0``, which ``np.array_equal`` calls
+        equal, differ, as they may in what the product computes; and since
+        the bytes are a copy that nothing can change, an in-place edit of
+        the caller's arrays cannot make a stale match.  The output is
+        handed out on every match, so it must be immutable (read-only
+        arrays (:func:`frozen`), numbers, tuples of them) or left
+        unchanged by its users, unless it is a record that only the one
+        caller of ``name`` updates.
         """
         key = tuple(map(_bits, inputs))
-        last = self.products.get(name)
-        if last is not None and last[0] == key:
-            return last[1]
+        kept = self.products.get(name, [])
+        for i, (k, out) in enumerate(kept):
+            if k == key:
+                kept.append(kept.pop(i))
+                return out
         out = compute()
         if out is not None:
-            self.products[name] = (key, out)
+            kept = self.products.setdefault(name, [])
+            kept.append((key, out))
+            del kept[:-keep]
         return out
 
     @cached_property
@@ -427,10 +435,8 @@ class Mesh:
         new[rows[:-1][np.diff(rows) > 0]] = True
         before = np.zeros(len(col) + 1, dtype=np.int32)
         np.cumsum(new, dtype=np.int32, out=before[1:])
-        indptr = before[rows].astype(np.int32, copy=False)
-        indices = col[new].astype(np.int32, copy=False)
-        for a in (indptr, indices):
-            a.flags.writeable = False
+        indptr = frozen(before[rows], np.int32)
+        indices = frozen(col[new], np.int32)
         slot = np.empty(len(col), dtype=np.int32)
         slot[number] = before[1:] - 1
         fold = sp.csc_matrix((weight, slot, starts),

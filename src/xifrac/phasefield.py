@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from . import fem
 from .fem import GAUSS2, ScalarField, SparseSystem
-from .mesh import Mesh
+from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
 
@@ -157,12 +157,6 @@ def _grad_sq(f: ScalarField) -> np.ndarray:
     return g[..., 0] ** 2 + g[..., 1] ** 2
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only: :meth:`Mesh.reuse` hands it to every caller."""
-    a.flags.writeable = False
-    return a
-
-
 def _strain_sq(u: ScalarField) -> np.ndarray:
     """``|grad u|^2`` at the quadrature points, read-only.
 
@@ -171,7 +165,7 @@ def _strain_sq(u: ScalarField) -> np.ndarray:
     (:meth:`Mesh.reuse`).
     """
     return u.mesh.reuse("strain_sq", (u.values,),
-                        lambda: _read_only(_grad_sq(u)))
+                        lambda: frozen(_grad_sq(u)))
 
 
 def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
@@ -188,7 +182,7 @@ def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
         matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
         block = fem.free_block(matrix, mesh, pinned)
         for a in (matrix, block.matrix, block.coupling):
-            _read_only(a.data)
+            frozen(a.data)
         return matrix, block
 
     matrix, block = mesh.reuse("displacement", (v.values, repr(mat), pinned),
@@ -224,8 +218,8 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
         diffusion = fem.assemble_weighted_laplace(
             mesh, 2.0 * mat.g_c * xi / mat.c_v).matrix
         rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi))
-        _read_only(diffusion.data)
-        return diffusion, _read_only(rhs)
+        frozen(diffusion.data)
+        return diffusion, frozen(rhs)
 
     diffusion, rhs = mesh.reuse("phase", (xi, repr(mat)), diffusion_and_load)
     drive = mat.mu * (1.0 - mat.eta) * _strain_sq(u)
@@ -263,7 +257,7 @@ def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     """
     def cells():
         v_qp = fem.field_at_qp(v)
-        return _read_only(
+        return frozen(
             xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1))
 
     return mesh.reuse("xi_field", (v.values, repr(mat), repr(reg)), cells)
@@ -338,7 +332,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
             mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
         penalty = fem.integrate(
             mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
-        return _read_only(degradation(v_qp, mat.eta)), surface, penalty
+        return frozen(degradation(v_qp, mat.eta)), surface, penalty
 
     deg, surface, penalty = mesh.reuse(
         "energies", (v.values, xi, repr(mat), repr(reg)), frozen_parts)

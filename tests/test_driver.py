@@ -546,8 +546,8 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
 
 def _kept_basis(state):
     """The first-sweep basis that ``state.mesh`` keeps, or None."""
-    entry = state.mesh.products.get("first_sweep")
-    return None if entry is None else entry[1]
+    kept = state.mesh.products.get("first_sweep")
+    return kept[-1][1] if kept else None
 
 
 def test_elastic_preload_projects_first_phase_sweeps(monkeypatch):
@@ -633,9 +633,9 @@ def test_an_elastic_step_computes_each_product_once(monkeypatch):
     # Step 2 evaluated nothing but its u's |grad u|^2.
     assert grad_sq == [u]
     # What the mesh keeps is read-only, and |grad u|^2 is a fresh one's.
-    strain_sq = mesh.products["strain_sq"][1]
+    strain_sq = mesh.products["strain_sq"][-1][1]
     assert strain_sq.tobytes() == real_grad_sq(state.u).tobytes()
-    K, block = mesh.products["displacement"][1]
+    K, block = mesh.products["displacement"][-1][1]
     for a in (strain_sq, K.data, block.matrix.data, block.coupling.data):
         assert not a.flags.writeable
 
@@ -1058,6 +1058,22 @@ def test_a_zero_of_v_stays_zero_on_an_unchanged_mesh(method, monkeypatch):
     assert np.array_equal(state.mask.pinned, zeros[-1])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_direct_and_pcg_reach_the_same_crack():
+    # Both methods meet their residual contracts, so a bound-constrained
+    # phase solve that returns the constrained minimizer gives both the
+    # same crack.  The grow-only active set does not: on these five steps
+    # direct ends with 9 crack nodes and pcg with 13, and the final
+    # surface energies differ by 13 % (2.521 and 2.858), where they may
+    # differ by the staggered tolerance.
+    cfg = _fracture_config("direct")
+    direct, d_state = driver.run(cfg)
+    pcg, p_state = driver.run(_fracture_config("pcg"))
+    assert np.array_equal(d_state.mask.pinned, p_state.mask.pinned)
+    assert pcg[-1].surface == pytest.approx(direct[-1].surface,
+                                            rel=cfg.solver.staggered_tol)
+
+
 def _load_steps(state, config, last):
     """Load steps ``state.step + 1 .. last`` taken as driver.run takes
     them, without output; returns their energy records."""
@@ -1205,10 +1221,10 @@ def test_a_cold_cache_gives_the_same_run(make_config, monkeypatch):
     lookups, computed = [], []
     decided = _projected_first_sweeps(monkeypatch)
 
-    def counted(self, name, inputs, compute):
+    def counted(self, name, inputs, compute, keep=1):
         lookups.append(name)
         return reuse(self, name, inputs,
-                     lambda: computed.append(name) or compute())
+                     lambda: computed.append(name) or compute(), keep)
 
     monkeypatch.setattr(meshmod.Mesh, "reuse", counted)
     history, state = driver.run(cfg)
@@ -1217,9 +1233,9 @@ def test_a_cold_cache_gives_the_same_run(make_config, monkeypatch):
     # find every basis empty, so their output owes nothing to a basis.
     assert bool(decided) == (cfg.solver.method == "direct")
 
-    def forgetful(self, name, inputs, compute):
+    def forgetful(self, name, inputs, compute, keep=1):
         self.products.clear()
-        return reuse(self, name, inputs, compute)
+        return reuse(self, name, inputs, compute, keep)
 
     monkeypatch.setattr(meshmod.Mesh, "reuse", forgetful)
     decided.clear()
@@ -1240,7 +1256,7 @@ def test_a_finished_run_leaves_no_reference_cycle():
     try:
         history, state = driver.run(cfg)
         assert {"displacement", "phase", "xi_field", "energies",
-                "amr_pass", "first_sweep", "strain_sq"} \
+                "amr_pass", "first_sweep", "strain_sq", "plan"} \
             <= set(state.mesh.products)
         mesh = weakref.ref(state.mesh)
         del history, state

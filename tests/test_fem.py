@@ -545,7 +545,9 @@ def test_plan_cache_drops_the_least_recently_used_free_set():
     # Full; a hit makes mask 0 the most recent, so a new mask drops mask 1.
     assert restrict(0).plan is first.plan
     restrict(fem._PLANS_PER_MESH)
-    assert len(sys.mesh.restriction_plans) == fem._PLANS_PER_MESH
+    kept = [plan for _, plan in sys.mesh.products["plan"]]
+    assert len(kept) == fem._PLANS_PER_MESH
+    assert kept[-2:] == [first.plan, restrict(fem._PLANS_PER_MESH).plan]
     assert restrict(0).plan is first.plan
     rebuilt = restrict(1)
     assert rebuilt.plan is not second.plan
@@ -573,9 +575,9 @@ def test_plans_are_read_only_and_die_with_their_mesh():
                 a.fill(0)
     # A mesh of the same cells is another mesh: it never sees these plans.
     twin = _folded_system(_crack_refined_mesh())
-    assert not twin.mesh.restriction_plans
+    assert "plan" not in twin.mesh.products
     assert apply_dirichlet(twin, pinned, 1.0).plan is not plan
-    assert len(twin.mesh.restriction_plans) == 1
+    assert len(twin.mesh.products["plan"]) == 1
     mesh, plan = weakref.ref(sys.mesh), weakref.ref(plan)
     del sys, restricted
     gc.collect()
@@ -587,10 +589,10 @@ def test_matrix_off_the_pattern_gets_a_plan_that_is_not_kept(mesh_hanging):
     pinned = _boundary_pins(mesh_hanging)
     copied = fem.SparseSystem(sys.matrix.copy(), sys.rhs, mesh_hanging)
     got = apply_dirichlet(copied, pinned, 0.5)
-    assert not mesh_hanging.restriction_plans
+    assert "plan" not in mesh_hanging.products
     want = apply_dirichlet(sys, pinned, 0.5)
     assert got.plan is not want.plan
-    assert len(mesh_hanging.restriction_plans) == 1
+    assert [plan for _, plan in mesh_hanging.products["plan"]] == [want.plan]
     assert _same_bytes(_csr_arrays(got.matrix), _csr_arrays(want.matrix))
     assert _same_bytes([got.rhs, got.free], [want.rhs, want.free])
 
@@ -604,12 +606,12 @@ def test_a_system_with_every_dof_pinned_is_the_prescribed_field(method):
     folded = _restriction_case()
     mesh = folded.mesh
     values = np.random.default_rng(8).uniform(-2.0, 2.0, mesh.n_vertices)
-    plans = list(mesh.restriction_plans)
+    plans = list(mesh.products.get("plan", []))
     sys = apply_dirichlet(fem.SparseSystem(Untouchable(), folded.rhs, mesh),
                           np.ones(mesh.n_vertices, dtype=bool), values)
     assert sys.matrix.shape == (0, 0) and sys.rhs.shape == (0,)
     assert len(sys.free) == 0 and sys.plan is None
-    assert list(mesh.restriction_plans) == plans
+    assert list(mesh.products.get("plan", [])) == plans
     pairs = mesh.constraints.pairs
     want = values.copy()
     want[mesh.constraints.hanging] = 0.5 * (values[pairs[:, 0]]

@@ -645,6 +645,35 @@ def test_cli_profile_floats_round_trip(tmp_path, capsys):
     assert got.tobytes() == want.tobytes()
 
 
+def test_cli_profile_out_is_written_atomically(tmp_path, capsys, monkeypatch):
+    # --out goes through a temp file and a rename, as every output does: the
+    # file holds what stdout would, no temp file is left behind, and a
+    # write cut short before its rename leaves the old file as it was.
+    output.write_vtk(build_uniform(2), {"v": np.arange(25.0)}, {},
+                     tmp_path / "f.vtk")
+    args = ["profile", "--in", str(tmp_path / "f.vtk"), "--y", "0.3",
+            "--samples", "5"]
+    assert cli.main(args) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "p.csv"
+    replaced, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(
+        (Path(src).parent, Path(dst))) or replace(src, dst))
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert replaced == [(tmp_path, out)]
+    assert out.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.vtk", "p.csv"]
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    assert cli.main(args[:-1] + ["7", "--out", str(out)]) == 1
+    assert "interrupted" in capsys.readouterr().err
+    assert out.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.vtk", "p.csv"]
+
+
 def _level1_file(path, point_data=None):
     """The bytes of a snapshot of the level-1 mesh, written to ``path``."""
     output.write_vtk(build_uniform(1), point_data or {"v": np.ones(9)}, {},

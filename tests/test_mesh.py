@@ -81,6 +81,39 @@ def test_reuse_matches_its_inputs_bit_for_bit():
     assert list(mesh.products) == ["sum"]
 
 
+def test_reuse_keeps_the_last_keep_inputs_of_a_name():
+    # With keep=3 a name keeps the outputs of its three most recently used
+    # inputs: a hit makes its entry the most recent, and a new input drops
+    # the least recent.  A None output is neither kept nor drops anything,
+    # and another name keeps its own entries, one by default.
+    mesh = build_uniform(2)
+    computed = []
+
+    def product(k, name="sum", keep=3, out=True):
+        return mesh.reuse(name, (np.full(4, float(k)),),
+                          lambda: computed.append((name, k)) or
+                          ([k] if out else None), keep)
+
+    def kept(name="sum"):
+        return [out for _, out in mesh.products[name]]
+
+    outs = [product(k) for k in range(3)]
+    assert all(product(k) is outs[k] for k in (0, 1, 2))
+    assert len(computed) == 3 and kept() == [[0], [1], [2]]
+    assert product(0) is outs[0]
+    assert kept() == [[1], [2], [0]]
+    product(3)
+    assert kept() == [[2], [0], [3]]
+    assert product(4, out=False) is None
+    assert kept() == [[2], [0], [3]]
+    product(1)
+    assert computed[-1] == ("sum", 1) and kept() == [[0], [3], [1]]
+    product(0, "other", keep=1)
+    product(1, "other", keep=1)
+    assert kept("other") == [[1]] and kept() == [[0], [3], [1]]
+    assert len(computed) == 8
+
+
 def test_numbering_matches_first_appearance_loop():
     # Reference: cells in sorted key order, vertices numbered by first
     # appearance over each cell's corners, counterclockwise.
