@@ -101,9 +101,7 @@ def _cmd_profile(args) -> int:
         return 1
     rows = output.line_profile(mesh, point_data[args.field], args.y,
                                args.samples)
-    lines = [f"x,{args.field}"] + [",".join(output._fmt_all(row))
-                                    for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = output.csv_text(f"x,{args.field}", rows)
     if args.out:
         output._atomic_write(args.out, text)
     else:

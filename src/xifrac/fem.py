@@ -2,9 +2,10 @@
 
 Assembly is vectorized over cells: every cell is an axis-aligned square,
 so the reference-to-physical map is a pure scaling and shape data can be
-tabulated once per quadrature rule.  Each cell kernel is one matrix
-product of an ``(n_cells, nq)`` coefficient against a basis-product table
-cached on the rule (``laplace_table``, ``mass_table``, ``load_table``,
+tabulated once, at import, for :data:`GAUSS2`, the 2 x 2 Gauss rule that
+every integral here uses.  Each cell kernel is one matrix product of an
+``(n_cells, nq)`` coefficient against one of its read-only basis-product
+tables (``laplace_table``, ``mass_table``, ``load_table``,
 ``grad_table``).
 
 A linear system is built in two steps.  *Fold*: an assembly sums cell
@@ -103,71 +104,6 @@ class LinearSolveError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product Gauss rule on the reference square [0,1]^2."""
-
-    points: np.ndarray   # (nq, 2)
-    weights: np.ndarray  # (nq,), summing to 1
-
-    @classmethod
-    def gauss(cls, n: int) -> "QuadratureRule":
-        x, w = np.polynomial.legendre.leggauss(n)
-        x = 0.5 * (x + 1.0)
-        w = 0.5 * w
-        pts = np.array([(a, b) for a in x for b in x])
-        wts = np.array([wa * wb for wa in w for wb in w])
-        return cls(pts, wts)
-
-    @cached_property
-    def tabulation(self):
-        """Basis values (nq, 4) and reference gradients (nq, 4, 2) at the points.
-
-        Stored on the rule itself, so a table can never outlive its rule.
-        """
-        vals = np.empty((len(self.weights), 4))
-        grads = np.empty((len(self.weights), 4, 2))
-        for q, (s, t) in enumerate(self.points):
-            vals[q], grads[q] = shape_eval(s, t)
-        # Partition of unity / gradient consistency at the tabulated points.
-        assert np.all(np.abs(vals.sum(axis=1) - 1.0) <= 1e-14)
-        assert np.all(np.abs(grads.sum(axis=1)) <= 1e-14)
-        return vals, grads
-
-    # Weighted basis products, one row per point and one column per entry
-    # of a 4 x 4 (or 4-vector) cell block, so that each cell kernel is one
-    # matrix product of a (n_cells, nq) coefficient against a table.
-
-    @cached_property
-    def laplace_table(self) -> np.ndarray:
-        """``w_q grad(z_a).grad(z_b)`` on the reference cell, shape (nq, 16)."""
-        _, grads = self.tabulation
-        gg = grads @ grads.transpose(0, 2, 1)
-        return (self.weights[:, None, None] * gg).reshape(-1, 16)
-
-    @cached_property
-    def mass_table(self) -> np.ndarray:
-        """``w_q z_a z_b`` on the reference cell, shape (nq, 16)."""
-        vals, _ = self.tabulation
-        nn = vals[:, :, None] * vals[:, None, :]
-        return (self.weights[:, None, None] * nn).reshape(-1, 16)
-
-    @cached_property
-    def load_table(self) -> np.ndarray:
-        """``w_q z_a`` on the reference cell, shape (nq, 4)."""
-        vals, _ = self.tabulation
-        return self.weights[:, None] * vals
-
-    @cached_property
-    def grad_table(self) -> np.ndarray:
-        """Reference gradients as a (4, nq * 2) matrix, columns ``(q, d)``."""
-        _, grads = self.tabulation
-        return grads.transpose(1, 0, 2).reshape(4, -1)
-
-
-GAUSS2 = QuadratureRule.gauss(2)
-
-
 def shape_eval(s: float, t: float):
     """Values and reference gradients of the 4 bilinear basis functions.
 
@@ -181,6 +117,46 @@ def shape_eval(s: float, t: float):
         [-t, 1 - s],
     ])
     return values, grads
+
+
+class QuadratureRule(NamedTuple):
+    """A tensor-product Gauss rule on the reference square [0,1]^2 and its
+    basis tables (one row per point, one column per entry of a cell block),
+    all read-only, since every assembly shares them."""
+
+    points: np.ndarray         # (nq, 2)
+    weights: np.ndarray        # (nq,), summing to 1
+    # Basis values (nq, 4) and reference gradients (nq, 4, 2) at the points.
+    tabulation: tuple[np.ndarray, np.ndarray]
+    laplace_table: np.ndarray  # w_q grad(z_a).grad(z_b), (nq, 16)
+    mass_table: np.ndarray     # w_q z_a z_b, (nq, 16)
+    load_table: np.ndarray     # w_q z_a, (nq, 4)
+    grad_table: np.ndarray     # reference gradients, (4, nq * 2), cols (q, d)
+
+
+def _gauss2() -> QuadratureRule:
+    """The 2 x 2 Gauss rule and its tables."""
+    x, w = np.polynomial.legendre.leggauss(2)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    pts = np.array([(a, b) for a in x for b in x])
+    wts = np.array([wa * wb for wa in w for wb in w])
+    vals, grads = shape_eval(pts[:, 0], pts[:, 1])  # (4, nq), (4, 2, nq)
+    vals, grads = vals.T.copy(), grads.transpose(2, 0, 1).copy()
+    # Partition of unity / gradient consistency at the tabulated points.
+    assert np.all(np.abs(vals.sum(axis=1) - 1.0) <= 1e-14)
+    assert np.all(np.abs(grads.sum(axis=1)) <= 1e-14)
+    gg = grads @ grads.transpose(0, 2, 1)
+    nn = vals[:, :, None] * vals[:, None, :]
+    return QuadratureRule(
+        frozen(pts), frozen(wts), (frozen(vals), frozen(grads)),
+        frozen((wts[:, None, None] * gg).reshape(-1, 16)),
+        frozen((wts[:, None, None] * nn).reshape(-1, 16)),
+        frozen(wts[:, None] * vals),
+        frozen(grads.transpose(1, 0, 2).reshape(4, -1)))
+
+
+GAUSS2 = _gauss2()
 
 
 @dataclass
@@ -225,36 +201,36 @@ class SparseSystem:
     plan: "_Plan | None" = None
 
 
-def quadrature_points(mesh: Mesh, rule: QuadratureRule = GAUSS2) -> np.ndarray:
+def quadrature_points(mesh: Mesh) -> np.ndarray:
     """Physical quadrature point coordinates, shape (n_cells, nq, 2)."""
     return (mesh.cell_origin[:, None, :]
-            + mesh.cell_h[:, None, None] * rule.points[None, :, :])
+            + mesh.cell_h[:, None, None] * GAUSS2.points[None, :, :])
 
 
-def field_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
+def field_at_qp(field: ScalarField) -> np.ndarray:
     """Field values at quadrature points, shape (n_cells, nq)."""
-    vals, _ = rule.tabulation
+    vals, _ = GAUSS2.tabulation
     nodal = field.values[field.mesh.cell_vertices]  # (nc, 4)
     return nodal @ vals.T
 
 
-def grad_at_qp(field: ScalarField, rule: QuadratureRule = GAUSS2) -> np.ndarray:
+def grad_at_qp(field: ScalarField) -> np.ndarray:
     """Field gradients at quadrature points, shape (n_cells, nq, 2).
 
     The reference gradients are scaled by ``1 / h``, which is a power of
     two, so the product gives the bits of a division by ``h``.
     """
     mesh = field.mesh
-    g = field.values[mesh.cell_vertices] @ rule.grad_table
+    g = field.values[mesh.cell_vertices] @ GAUSS2.grad_table
     g *= mesh.cell_inv_h[:, None]
     return g.reshape(mesh.n_cells, -1, 2)
 
 
-def _coefficient(mesh, w, rule):
+def _coefficient(mesh, w):
     """Normalize a coefficient to an array of shape (n_cells, nq)."""
-    nq = len(rule.weights)
+    nq = len(GAUSS2.weights)
     if callable(w):
-        xy = quadrature_points(mesh, rule)
+        xy = quadrature_points(mesh)
         out = np.asarray(w(xy[..., 0], xy[..., 1]), dtype=float)
         return np.broadcast_to(out, (mesh.n_cells, nq))
     w = np.asarray(w, dtype=float)
@@ -278,33 +254,30 @@ def _scatter(mesh, local):
                          shape=(mesh.n_vertices, mesh.n_vertices))
 
 
-def assemble_weighted_laplace(mesh: Mesh, weight,
-                              rule: QuadratureRule = GAUSS2) -> SparseSystem:
+def assemble_weighted_laplace(mesh: Mesh, weight) -> SparseSystem:
     """System with entries ``sum_K int_K w grad(z_i).grad(z_j)``.
 
     The weight must be strictly positive at every quadrature point.
     """
-    w = _coefficient(mesh, weight, rule)
+    w = _coefficient(mesh, weight)
     if np.any(w <= 0.0):
         raise ValueError("weighted Laplace requires a strictly positive weight")
     # Physical gradient scaling 1/h^2 cancels the area factor h^2 in 2D.
-    local = w @ rule.laplace_table
+    local = w @ GAUSS2.laplace_table
     return SparseSystem(_scatter(mesh, local), np.zeros(mesh.n_vertices), mesh)
 
 
-def assemble_weighted_mass(mesh: Mesh, weight,
-                           rule: QuadratureRule = GAUSS2) -> SparseSystem:
+def assemble_weighted_mass(mesh: Mesh, weight) -> SparseSystem:
     """System with entries ``sum_K int_K w z_i z_j`` (w >= 0 allowed)."""
-    w = _coefficient(mesh, weight, rule)
-    local = (w * mesh.cell_h[:, None] ** 2) @ rule.mass_table
+    w = _coefficient(mesh, weight)
+    local = (w * mesh.cell_h[:, None] ** 2) @ GAUSS2.mass_table
     return SparseSystem(_scatter(mesh, local), np.zeros(mesh.n_vertices), mesh)
 
 
-def assemble_load(mesh: Mesh, density,
-                  rule: QuadratureRule = GAUSS2) -> np.ndarray:
+def assemble_load(mesh: Mesh, density) -> np.ndarray:
     """Right-hand side ``b_i = sum_K int_K rho z_i`` with constraints folded."""
-    rho = _coefficient(mesh, density, rule)
-    local = (rho * mesh.cell_h[:, None] ** 2) @ rule.load_table
+    rho = _coefficient(mesh, density)
+    local = (rho * mesh.cell_h[:, None] ** 2) @ GAUSS2.load_table
     b = np.bincount(mesh.cell_vertices.ravel(), weights=local.ravel(),
                     minlength=mesh.n_vertices)
     return mesh.constraints.fold(b)
@@ -1004,10 +977,10 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10
     return _expand(sys, x), _meets(Ax, b, limit), Ax - b
 
 
-def integrate(mesh: Mesh, integrand, rule: QuadratureRule = GAUSS2) -> float:
+def integrate(mesh: Mesh, integrand) -> float:
     """Quadrature of a per-point integrand over the whole mesh."""
-    f = _coefficient(mesh, integrand, rule)
-    return float((f @ rule.weights) @ mesh.cell_h ** 2)
+    f = _coefficient(mesh, integrand)
+    return float((f @ GAUSS2.weights) @ mesh.cell_h ** 2)
 
 
 def l2_relative_error(a, b) -> float:

@@ -468,6 +468,24 @@ class Mesh:
             raise KeyError(key)
         return c
 
+    def tiles_domain(self) -> bool:
+        """Whether the active cells tile the unit square.  In Z order each
+        cell inside it covers one interval of the finest positions; sorted
+        apart, each interval must end where the next starts."""
+        l, i, j = self._keys.T
+        if l.min() < 0 or l.max() > _MAXLEVEL or np.any((i | j) >> l):
+            return False  # a cell outside the square
+        z = np.stack([i, j])
+        for k, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+            z = (z | z << k) & mask  # spread the bits to the even places
+        shift = 2 * (l.max() - l)
+        start = (z[0] | z[1] << 1) << shift
+        start, end = np.sort(start), np.sort(start + (1 << shift))
+        return bool(start[0] == 0 and end[-1] == 1 << 2 * l.max()
+                    and np.array_equal(start[1:], end[:-1]))
+
     def locate(self, x, y):
         """Active cell ids containing the points (boundary points included).
 

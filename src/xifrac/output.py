@@ -33,6 +33,16 @@ def _fmt_all(values) -> list[str]:
     return [text[i] for i in inverse.tolist()]
 
 
+def csv_text(header: str, rows) -> str:
+    """The ``header`` line, then one line per row of numbers, printed by
+    :func:`_fmt_all` (so a count or a flag prints as the integer)."""
+    cells = _fmt_all(np.ravel(np.asarray(rows, dtype=float)))
+    width = header.count(",") + 1
+    lines = [header] + [",".join(cells[i:i + width])
+                        for i in range(0, len(cells), width)]
+    return "\n".join(lines) + "\n"
+
+
 def _atomic_write(path, data):
     """Write ``data`` (bytes, or text encoded as UTF-8) to ``path``."""
     if isinstance(data, str):
@@ -108,7 +118,8 @@ def read_vtk(path):
     ``POINTS`` or ``CELLS`` before its data, a header without its count
     or type, a section whose block holds fewer or more values than its
     header says, a quad that indexes past the points, cells that repeat,
-    or a quad that is not the dyadic square its corners give it.
+    cells that do not tile the unit square (a gap, or a cell inside
+    another), or a quad that is not the dyadic square its corners give it.
     """
     data = Path(path).read_bytes()
     lines = data.split(b"\n", 3)  # version, title, format, the rest
@@ -168,6 +179,9 @@ def read_vtk(path):
     keys = keys.round().astype(np.int64)
     mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
     cperm = _permutation(path, mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
+    if not mesh.tiles_domain():
+        raise ValueError(f"{path}: the CELLS section does not tile the unit "
+                         f"square")
     perm = _permutation(path, mesh.vertex_ids(pts), mesh.n_vertices,
                         "points")
     if not np.array_equal(perm[mesh.cell_vertices], quads[cperm]):
@@ -221,21 +235,16 @@ def _permutation(path, ids, n, what):
 
 
 def write_energy_csv(history, path) -> None:
-    lines = ["t,E_strain,E_surface,E_penalty,E_total,stag_iters,converged"]
-    for rec in history:
-        lines.append(",".join(_fmt_all([rec.t, rec.strain, rec.surface,
-                                        rec.penalty, rec.total])
-                              + [str(rec.stag_iters),
-                                 str(int(rec.converged))]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [[rec.t, rec.strain, rec.surface, rec.penalty, rec.total,
+             rec.stag_iters, rec.converged] for rec in history]
+    _atomic_write(path, csv_text("t,E_strain,E_surface,E_penalty,E_total,"
+                                 "stag_iters,converged", rows))
 
 
 def write_xi_history(history, path) -> None:
-    lines = ["t,xi_min,xi_max,xi_mean,cells"]
-    for rec in history:
-        lines.append(",".join(_fmt_all([rec.t, rec.xi_min, rec.xi_max,
-                                        rec.xi_mean]) + [str(rec.cells)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [[rec.t, rec.xi_min, rec.xi_max, rec.xi_mean, rec.cells]
+            for rec in history]
+    _atomic_write(path, csv_text("t,xi_min,xi_max,xi_mean,cells", rows))
 
 
 def line_profile(mesh: Mesh, values, y: float, samples: int) -> np.ndarray:
@@ -251,12 +260,8 @@ def line_profile(mesh: Mesh, values, y: float, samples: int) -> np.ndarray:
 
 def write_profile_csv(columns: dict[str, np.ndarray], xs: np.ndarray, path
                       ) -> None:
-    table = np.column_stack([xs, *columns.values()])
-    cells, width = _fmt_all(table.ravel()), table.shape[1]
-    lines = ["x," + ",".join(columns)]
-    lines.extend(",".join(cells[i:i + width])
-                 for i in range(0, len(cells), width))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, csv_text(",".join(["x", *columns]),
+                                 np.column_stack([xs, *columns.values()])))
 
 
 class RunWriter:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .fem import GAUSS2, ScalarField, SparseSystem
+from .fem import ScalarField, SparseSystem
 from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
@@ -274,18 +274,23 @@ def cell_xi(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     return np.full(mesh.n_cells, reg.clamp(reg.xi_fixed))
 
 
+def _check_calibration(**inputs: float) -> None:
+    """Raise a ValueError naming the first input that is not finite and > 0."""
+    for name, value in inputs.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive: {value}")
+
+
 def calibrate_alpha(h: float, g_c: float, c_v: float = AT1_NORMALIZATION
                     ) -> float:
     """Upper-bound penalty from the xi = 2h crack-zone ansatz."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _check_calibration(h=h, g_c=g_c, c_v=c_v)
     return 3.0 * g_c / (96.0 * c_v * h * h)
 
 
 def calibrate_zeta(h: float, c_v: float, alpha: float, g_c: float) -> float:
     """Lower-bound penalty from the xi = 10h far-field ansatz."""
-    if min(h, c_v, alpha, g_c) <= 0:
-        raise ValueError("all calibration inputs must be positive")
+    _check_calibration(h=h, c_v=c_v, alpha=alpha, g_c=g_c)
     return 100.0 * h * h * c_v * alpha / g_c
 
 
@@ -325,7 +330,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     (:func:`_strain_sq`).
     """
     def frozen_parts():
-        xi_qp = fem._coefficient(mesh, xi, GAUSS2)
+        xi_qp = fem._coefficient(mesh, xi)
         v_qp = fem.field_at_qp(v)
         ratio = mat.g_c / mat.c_v
         surface = ratio * fem.integrate(

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from xifrac import driver, fem, phasefield as pf
-from xifrac.fem import GAUSS2, LinearSolveError, QuadratureRule, ScalarField, \
+from xifrac.fem import GAUSS2, LinearSolveError, ScalarField, \
     apply_dirichlet, assemble_load, assemble_weighted_laplace, \
     assemble_weighted_mass, combine, constant_field, integrate, \
     l2_relative_error, shape_eval, solve_field, solve_spd
@@ -57,26 +57,24 @@ def test_shape_gradient_finite_difference():
 
 
 def test_gauss_rule_weights():
-    for n in (1, 2, 3, 4):
-        rule = QuadratureRule.gauss(n)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
-        # exactness for a polynomial of degree 2n-1 per axis
-        p = 2 * n - 1
-        val = float(np.sum(rule.weights * rule.points[:, 0] ** p))
-        assert val == pytest.approx(1.0 / (p + 1), abs=1e-13)
+    assert GAUSS2.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    # The 2-point rule is exact for x^3 (degree 2n - 1) on either axis.
+    for axis in (0, 1):
+        val = float(np.sum(GAUSS2.weights * GAUSS2.points[:, axis] ** 3))
+        assert val == pytest.approx(0.25, abs=1e-15)
 
 
-def test_transient_rules_get_their_own_tables():
-    # A rule created and dropped in each iteration may reuse the memory (and
-    # id) of an earlier one; its tabulation must still be its own.
-    mesh = build_uniform(2)
-    x = ScalarField(mesh, mesh.vertex_coords[:, 0])
-    for k in range(40):
-        rule = QuadratureRule.gauss(1 + k % 3)
-        got = fem.field_at_qp(x, rule)
-        want = fem.quadrature_points(mesh, rule)[..., 0]
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) < 1e-14
+def test_gauss_tables_are_read_only():
+    # Every assembly shares these arrays: an in-place edit must raise
+    # instead of corrupting all later assemblies.
+    vals, grads = GAUSS2.tabulation
+    arrays = [GAUSS2.points, GAUSS2.weights, vals, grads,
+              GAUSS2.laplace_table, GAUSS2.mass_table, GAUSS2.load_table,
+              GAUSS2.grad_table]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

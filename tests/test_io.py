@@ -14,7 +14,7 @@ import xifrac
 from xifrac import cli, config, driver, output, phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
-from xifrac.mesh import build_uniform, refine
+from xifrac.mesh import Mesh, build_uniform, refine
 
 from conftest import pin_a_bottom_vertex
 
@@ -546,6 +546,19 @@ def test_cli_calibrate_table1_row(capsys):
     assert "1975" in out  # comparison against the published row
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--h", "0.01", "--c-v", "0"], "c_v"),
+    (["--h", "nan"], "h"),
+    (["--h", "0.01", "--G-c", "inf"], "g_c")])
+def test_cli_calibrate_rejects_bad_input(capsys, args, name):
+    # Each of these used to divide by zero or print alpha/zeta as nan/inf.
+    assert cli.main(["calibrate", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite and "
+                                   f"positive")
+
+
 def test_cli_tables_reference_values(capsys):
     assert cli.main(["tables"]) == 0
     out = capsys.readouterr().out
@@ -800,6 +813,23 @@ def test_cli_profile_of_a_file_with_a_repeated_quad_is_an_error(
                                   _quads((0, 1, 2, 3), (0, 1, 2, 3))))
     _assert_profile_error(path, capsys,
                           "the cells of the file do not form a quadtree mesh")
+
+
+@pytest.mark.parametrize("keys, level_max", [
+    ([(1, 0, 0)], 1),                       # a gap: area 1/4
+    ([(1, 0, 0), (2, 0, 0)], 2),            # a cell inside its parent
+    ([(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (2, 2, 2), (2, 3, 2),
+      (2, 2, 3)], 2),                       # both, with area exactly 1
+])
+def test_cli_profile_of_cells_that_do_not_tile_is_an_error(
+        tmp_path, capsys, keys, level_max):
+    # Snapshots of such cell sets used to read back as meshes, on which a
+    # profile died in Mesh.locate or sampled a field twice over a region.
+    path = tmp_path / "f.vtk"
+    mesh = Mesh(keys, 1, level_max)
+    output.write_vtk(mesh, {"v": np.ones(mesh.n_vertices)}, {}, path)
+    _assert_profile_error(path, capsys,
+                          "the CELLS section does not tile the unit square")
 
 
 def test_cli_keys_lists_all(capsys):

@@ -131,6 +131,44 @@ def test_random_refine_coarsen_sequences_keep_invariants(data):
             assert np.allclose(m.vertex_coords[h], mid, atol=1e-15)
 
 
+def _tiles_by_raster(keys):
+    """Whether the cells ``(l, i, j)`` cover each square of the finest
+    level's grid exactly once: a dense oracle."""
+    top = max(l for l, _, _ in keys)
+    count = np.zeros((1 << top, 1 << top), dtype=int)
+    for l, i, j in keys:
+        s = 1 << (top - l)
+        count[i * s:(i + 1) * s, j * s:(j + 1) * s] += 1
+    return bool(np.all(count == 1))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_tiles_domain_matches_a_raster_oracle(data):
+    # A mesh, then the same cells with one removed (a gap), with a child
+    # of one added and with the parent of one added (overlaps), and with
+    # one removed and a child of a cell one level coarser added (both, at
+    # a total area of exactly 1).
+    m = build_uniform(1, level_min=1, level_max=4)
+    for _ in range(data.draw(st.integers(0, 3))):
+        m = refine(m, data.draw(st.lists(st.integers(0, m.n_cells - 1),
+                                         max_size=4)))
+    keys = m.cell_keys
+    c = data.draw(st.integers(0, len(keys) - 1))
+    l, i, j = keys[c]
+    variants = [keys, keys[:c] + keys[c + 1:], keys + [(l + 1, 2 * i, 2 * j)],
+                keys + [(l - 1, i // 2, j // 2)]]
+    coarser = [k for k in keys if k[0] == l - 1]
+    if coarser:
+        _, ci, cj = data.draw(st.sampled_from(coarser))
+        variants.append(keys[:c] + keys[c + 1:] + [(l, 2 * ci, 2 * cj)])
+    for cells in variants:
+        level_min = min(k[0] for k in cells)
+        tiles = meshmod.Mesh(cells, level_min, 5).tiles_domain()
+        assert tiles == _tiles_by_raster(cells)
+    assert m.tiles_domain()
+
+
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_refine_coarsen_match_brute_force_oracles(data):
