@@ -15,8 +15,12 @@ that multiple, under ``direct`` too, and factors only its coarse
 operator.  Under ``pcg`` each active-set sweep of a phase solve starts
 from its own answer in the previous staggered iteration of the same load
 step, since the system changes only with a slightly changed u and xi;
-iteration 1 starts every sweep from zero.  Under ``direct`` no phase
-sweep gets a guess, for the reasons given in :func:`_solve_phase_bounded`.
+iteration 1 starts every sweep from zero.  Under ``direct`` only the
+first sweep gets such a start, when its answer in the previous iteration
+was solved rather than projected: iteration 1 factors it, and later
+iterations run the deflated CG from that answer and factor only its
+coarse operator.  The later sweeps stay factored, for the reasons given
+in :func:`_solve_phase_bounded`.
 
 The crack is the set where v is exactly zero, and irreversibility keeps
 it growing: a load step bounds v from above by v as the step started, a
@@ -32,7 +36,8 @@ drive grows with the load, so these systems form one family ``K + s R``
 and the projection often meets the residual test.  If it also pins some
 node and every free node lies clear of the pin threshold by its error
 margin, it only decides which nodes to pin, and the sweep factors
-nothing.  Otherwise the sweep is solved.  A solved answer that lies
+nothing.  Otherwise the sweep is solved, by CG from its start when it
+has one and else by a factorization.  A factored answer that lies
 above the pin threshold at every free node leaves v at its bound, so the
 next first sweep meets the same family; when the basis is empty or has
 decided a first sweep since it was built, that answer and its seven
@@ -235,26 +240,31 @@ class _Basis:
 
 
 def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
-                 open_, reaction) -> fem.ScalarField:
+                 open_, reaction, start) -> tuple[fem.ScalarField, bool]:
     """Sweep 1 of a direct phase solve, projected onto its family's basis
     first.
 
     The basis is a :class:`_Basis` that the mesh keeps under the sweep's
     xi, free set and ``mat`` (:meth:`Mesh.reuse`), so a sweep of another
-    family finds a fresh, empty one.  Returns either a field that depends
-    on the basis but pins clearly (:func:`_pins_clearly`), so that only
-    its pin decision is used, or the direct solver's answer.  An accepted
-    projection that pins clearly comes back as it is and marks the basis
-    as served.  Else the sweep is solved once, without the basis, by
-    :func:`fem.solve_factored`.  When its answer ``x`` lies above
-    ``threshold`` at every free node, the next sweep has no unknown and v
-    stays at its bound, so the next first sweep meets this family again;
-    then, if the basis is empty or has served, ``x`` and the
-    ``_TANGENTS`` tangents ``(A^-1 R)^j x`` (:func:`fem.family_tangents`,
-    with ``R`` the strain-drive mass ``reaction``), orthonormalized
-    (:func:`fem.orthonormalize`), replace it.  A basis that decides no
-    first sweep would only buy tangents that fail too.  The factor is
-    released on return.
+    family finds a fresh, empty one.  Returns the field and whether it is
+    a solver's answer; if not, it depends on the basis but pins clearly
+    (:func:`_pins_clearly`), so that only its pin decision is used.  An
+    accepted projection that pins clearly comes back as it is and marks
+    the basis as served.  Else the sweep is solved once, without the
+    basis.  A ``start``, the full-length answer of this sweep in the
+    previous staggered iteration or None, goes to :func:`fem.solve_field`
+    as the guess: the guess, its Galerkin multiple or the deflated CG
+    from that multiple, to the ``direct`` contract, gives the answer,
+    which has no factor and leaves the basis as it is.  Without a start
+    the sweep is factored by :func:`fem.solve_factored`.  When that
+    answer ``x`` lies above ``threshold`` at every free node, the next
+    sweep has no unknown and v stays at its bound, so the next first
+    sweep meets this family again; then, if the basis is empty or has
+    served, ``x`` and the ``_TANGENTS`` tangents ``(A^-1 R)^j x``
+    (:func:`fem.family_tangents`, with ``R`` the strain-drive mass
+    ``reaction``), orthonormalized (:func:`fem.orthonormalize`), replace
+    it.  A basis that decides no first sweep would only buy tangents that
+    fail too.  The factor is released on return.
     """
     basis = state.mesh.reuse("first_sweep", (state.xi, sys.free, repr(mat)),
                              _Basis)
@@ -263,7 +273,11 @@ def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
     if accepted and _pins_clearly(sys, projected, residual, threshold, open_,
                                   sol.linear_tol):
         basis.served = True
-        return projected
+        return projected, False
+    if start is not None:
+        return fem.solve_field(sys, tol=sol.linear_tol,
+                               max_iter=sol.linear_max_iter,
+                               method=sol.method, guess=start), True
     v, factor = fem.solve_factored(sys, tol=sol.linear_tol)
     x = v.values[sys.free]
     if (factor is not None and (basis.served or not basis.rows)
@@ -272,7 +286,7 @@ def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
             [x, *fem.family_tangents(factor, reaction, sys.free, x,
                                      _TANGENTS)])
         basis.served = False
-    return v
+    return v, True
 
 
 def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
@@ -307,11 +321,15 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
     in the previous call, and this call replaces its contents with its
     own answers.  Under ``pcg`` sweep k gets ``starts[k]`` as its guess,
     and a sweep without an entry starts from zero: the answer of another
-    sweep pins other nodes.  Under ``direct`` no sweep gets a guess and
-    ``starts`` stays empty.  A first-sweep guess there would exist only
-    when the previous first sweep was solved rather than projected, so
-    the bits would depend on the basis again; and a later sweep factors a
-    small system cheaply, which a guess would turn into a CG solve.
+    sweep pins other nodes.  Under ``direct`` only the first sweep's
+    answer is kept, and only when it was solved: a projected answer never
+    becomes a start, so no start's bits come from the basis.  The next
+    call's first sweep then runs CG from it instead of factoring the
+    whole system again; its answer only decides which nodes the next
+    sweep pins, unless it pins none and is the returned field, as a CG
+    answer of u is.  Later sweeps get no guess: their answers are the
+    returned field, and a band of a few to a few hundred dofs factors
+    faster than CG builds its coarse plan.
     """
     upper = np.minimum(bound.values, 1.0)
     pinned = state.v.values == 0.0
@@ -329,8 +347,10 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
         elif sweep:
             v = solve(sys)
         else:
-            v = _first_sweep(state, mat, sys, sol, threshold, ~pinned,
-                             reaction)
+            v, solved = _first_sweep(state, mat, sys, sol, threshold, ~pinned,
+                                     reaction, previous.get(0))
+            if solved:
+                starts[0] = v.values
         grow = (v.values > threshold) & ~pinned
         if not grow.any():
             return v, True
@@ -356,8 +376,9 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     sweep starts from its own answer in the previous iteration of this
     call, kept in a local dict, so no start crosses a load step, a mesh
     change or a restart; under ``direct`` the first phase sweep is
-    projected onto the basis the mesh keeps for its family
-    (:func:`_first_sweep`).
+    projected onto the basis the mesh keeps for its family, and, when
+    that does not decide it, starts from its solved answer in the
+    previous iteration if it has one (:func:`_first_sweep`).
 
     An iteration that leaves ``v`` and xi exactly as it found them has
     reached a fixed point: the next iteration would repeat
@@ -367,8 +388,9 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     passed that system's residual test (every answer a solve returns
     does, a CG iterate included), so the solve would return ``u_k`` bit
     for bit and the phase solve would repeat too: each of its sweeps
-    would meet the system it met before and, under ``pcg``, be handed the
-    answer it gave then, which passes the same test.  The loop stops there
+    would meet the system it met before and be factored again, be
+    projected onto the same basis, or be handed the answer it gave then,
+    which passes the same test.  The loop stops there
     without running it, but counts it, so iteration k returns ``k + 1``
     iterations, converged, whenever ``k + 1 <= staggered_max_iter``.
     """

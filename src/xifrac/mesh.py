@@ -192,6 +192,10 @@ class Mesh:
     (counterclockwise from the lower left).  Building one sorts the corner
     codes once; every other step is a pass over the cells' corners or the
     vertices.  ``cell_h`` and ``cell_inv_h`` are exact powers of two.
+    Levels must satisfy ``0 <= level_min <= level <= level_max <=
+    _MAXLEVEL`` and every cell must lie inside the square, ``0 <= i, j <
+    2^level``; else :class:`ValueError`.  Whether the cells tile the
+    square is :meth:`tiles_domain`'s question.
     """
 
     def __init__(self, active, level_min: int, level_max: int):
@@ -200,8 +204,14 @@ class Mesh:
         keys = np.array(active, dtype=np.int64).reshape(-1, 3)
         if not len(keys):
             raise ValueError("mesh needs at least one active cell")
-        if level_min > level_max:
-            raise ValueError("level_min must not exceed level_max")
+        if not 0 <= level_min <= level_max <= _MAXLEVEL:
+            raise ValueError(f"need 0 <= level_min <= level_max <= "
+                             f"{_MAXLEVEL}, got {level_min} and {level_max}")
+        l, i, j = keys.T
+        if l.min() < level_min or l.max() > level_max:
+            raise ValueError("cell level outside [level_min, level_max]")
+        if np.any((i | j) >> l):
+            raise ValueError("cell outside the unit square")
         self._codes, first = np.unique(_cell_code(*keys.T), return_index=True)
         self._keys = keys = keys.take(first, axis=0)
         self.id = next(_mesh_ids)
@@ -209,8 +219,6 @@ class Mesh:
         self.level_max = level_max
 
         levels = keys[:, 0].copy()
-        if levels.min() < level_min or levels.max() > level_max:
-            raise ValueError("cell level outside [level_min, level_max]")
         self.cell_levels = levels
         # numpy's ldexp loops take an int32 exponent.
         exponent = levels.astype(np.int32)
@@ -362,7 +370,7 @@ class Mesh:
         return out
 
     @cached_property
-    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
+    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
         """CSR structure of ``T^T A T`` and the map from cell blocks onto it.
 
         ``A`` sums one ``4 x 4`` block per cell and ``T`` is the hanging-node
@@ -377,11 +385,14 @@ class Mesh:
         a term for every pair of an image of corner ``a`` and an image of
         corner ``b``, the images of ``a`` outermost, weighted by the
         product of their weights; column ``16 c + 4 a + b`` of ``fold``
-        holds them.  The terms are formed directly, by an ``np.repeat`` of
-        each entry's first images over its number of terms, and found in
-        the pattern by grouping them by row and sorting each row by column:
-        no pass is longer than the list of terms, and no array is padded
-        to the four terms an entry may have.
+        holds them.  ``fold`` is CSR, one row per pattern entry with its
+        block entries ascending, so a product sums each entry's terms in
+        cell order without scattering.  The terms are formed directly, by
+        an ``np.repeat`` of each entry's first images over its number of
+        terms, and found in the pattern by grouping them by row and
+        sorting each row by column: no pass is longer than the list of
+        terms, and no array is padded to the four terms an entry may
+        have.
         """
         n, nc, cons = self.n_vertices, self.n_cells, self._constraints
         corner = self.cell_vertices.ravel().astype(np.int32)
@@ -439,8 +450,11 @@ class Mesh:
         indices = frozen(col[new], np.int32)
         slot = np.empty(len(col), dtype=np.int32)
         slot[number] = before[1:] - 1
+        del grouped, number, col, new, before
+        # Transposed by a counting sort, each row lists its block entries
+        # in ascending order, so a CSR product adds them in cell order.
         fold = sp.csc_matrix((weight, slot, starts),
-                             shape=(len(indices), 16 * nc))
+                             shape=(len(indices), 16 * nc)).tocsr()
         return indptr, indices, fold
 
     @property
@@ -470,11 +484,10 @@ class Mesh:
 
     def tiles_domain(self) -> bool:
         """Whether the active cells tile the unit square.  In Z order each
-        cell inside it covers one interval of the finest positions; sorted
-        apart, each interval must end where the next starts."""
+        cell, inside the square by construction, covers one interval of the
+        finest positions; sorted apart, each interval must end where the
+        next starts."""
         l, i, j = self._keys.T
-        if l.min() < 0 or l.max() > _MAXLEVEL or np.any((i | j) >> l):
-            return False  # a cell outside the square
         z = np.stack([i, j])
         for k, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
                         (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),

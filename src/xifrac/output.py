@@ -118,8 +118,10 @@ def read_vtk(path):
     ``POINTS`` or ``CELLS`` before its data, a header without its count
     or type, a section whose block holds fewer or more values than its
     header says, a quad that indexes past the points, cells that repeat,
-    cells that do not tile the unit square (a gap, or a cell inside
-    another), or a quad that is not the dyadic square its corners give it.
+    cells that do not tile the unit square (no cell, a gap, a cell
+    inside another, a cell outside the square or one finer than
+    ``mesh._MAXLEVEL``), or a quad that is not the dyadic square its
+    corners give it.
     """
     data = Path(path).read_bytes()
     lines = data.split(b"\n", 3)  # version, title, format, the rest
@@ -177,11 +179,15 @@ def read_vtk(path):
         raise not_square
     keys = np.column_stack([-np.log2(h), origin / h[:, None]])
     keys = keys.round().astype(np.int64)
-    mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
+    not_tiling = ValueError(f"{path}: the CELLS section does not tile the "
+                            f"unit square")
+    try:
+        mesh = Mesh(keys, int(keys[:, 0].min()), int(keys[:, 0].max()))
+    except ValueError:  # no cell, or one outside the square or too fine
+        raise not_tiling from None
     cperm = _permutation(path, mesh.cell_ids(*keys.T), mesh.n_cells, "cells")
     if not mesh.tiles_domain():
-        raise ValueError(f"{path}: the CELLS section does not tile the unit "
-                         f"square")
+        raise not_tiling
     perm = _permutation(path, mesh.vertex_ids(pts), mesh.n_vertices,
                         "points")
     if not np.array_equal(perm[mesh.cell_vertices], quads[cperm]):

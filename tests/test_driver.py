@@ -280,10 +280,13 @@ def _fracture_config(method):
 
 def _phase_sweeps(monkeypatch):
     """Spy on the driver's phase solves: per phase solve, a list with the
-    guess (None when there is none) and the answer of each sweep that goes
-    through fem.solve_field, in order, as bytes."""
+    guess and the answer of each sweep, in order, as bytes.  The guess is
+    None for a sweep solved without one, through fem.solve_field or
+    fem.solve_factored, and "projected" for a direct first sweep decided
+    by projection."""
     solves, current = [], [None]
     solve_field, solve_bounded = fem.solve_field, driver._solve_phase_bounded
+    solve_factored, first_sweep = fem.solve_factored, driver._first_sweep
 
     def spy_bounded(*args):
         current[0] = []
@@ -301,8 +304,21 @@ def _phase_sweeps(monkeypatch):
                                v.values.tobytes()))
         return v
 
+    def spy_solve_factored(sys, *args, **kwargs):
+        v, factor = solve_factored(sys, *args, **kwargs)
+        current[0].append((None, v.values.tobytes()))
+        return v, factor
+
+    def spy_first_sweep(*args):
+        v, solved = first_sweep(*args)
+        if not solved:
+            current[0].append(("projected", v.values.tobytes()))
+        return v, solved
+
     monkeypatch.setattr(driver, "_solve_phase_bounded", spy_bounded)
     monkeypatch.setattr(fem, "solve_field", spy_solve)
+    monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
+    monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
     return solves
 
 
@@ -344,11 +360,23 @@ def _fracture_steps_match_reference_loop(method, monkeypatch):
 
 
 def test_fracture_steps_match_reference_loop(monkeypatch):
-    # Under direct no phase sweep gets a guess (first sweeps go through
-    # driver._first_sweep and never reach fem.solve_field).
-    steps, _ = _fracture_steps_match_reference_loop("direct", monkeypatch)
-    sweeps = [sweep for step in steps for solve in step for sweep in solve]
-    assert sweeps and all(guess is None for guess, _ in sweeps)
+    # Under direct the first sweep of iteration j >= 2 that is not decided
+    # by projection starts from the first sweep's answer in iteration
+    # j - 1, when that one was solved rather than projected; no other
+    # sweep gets a guess.  The reference loop factors every sweep, so the
+    # CG answers pin the nodes that SuperLU's answers would pin.
+    steps, cg = _fracture_steps_match_reference_loop("direct", monkeypatch)
+    started = 0
+    for solves in steps:
+        assert solves[0][0][0] in (None, "projected")
+        for before, after in zip(solves, solves[1:]):
+            assert all(guess is None for guess, _ in after[1:])
+            guess = after[0][0]
+            if guess != "projected":
+                solved = before[0][0] != "projected"
+                assert guess == (before[0][1] if solved else None)
+                started += guess is not None
+    assert started > 10 and cg > 0
 
 
 def test_pcg_fracture_steps_match_reference_loop(monkeypatch):
@@ -504,9 +532,12 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     # solve then runs CG from that multiple, and factors only the coarse
     # operator, by band Cholesky, one column per aggregate (at most
     # 16 x 16 on the level-6 start grid); no u system meets SuperLU.  The
-    # first phase sweep is still factored by SuperLU, at full size.  The
-    # state matches the reference loop, which passes the same guesses, bit
-    # for bit.
+    # first phase sweep of iteration 1 is factored by SuperLU, at full
+    # size; that of every later iteration runs CG from the first sweep's
+    # answer in the iteration before, and factors only its coarse
+    # operator.  SuperLU then sees only the small later sweeps.  The state
+    # matches the reference loop, which passes the same u guesses and
+    # factors every phase sweep, bit for bit.
     cfg, state = _adapted_field_state()
     _, ref = _adapted_field_state()
     for s in (state, ref):
@@ -526,22 +557,29 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     monkeypatch.setattr(fem, "solve_factored", lambda *a, **k:
                         first_sweeps.append(len(a[0].rhs))
                         or solve_factored(*a, **k))
-    monkeypatch.setattr(fem, "_pcg", lambda *a: starts.append(a[4])
-                        or pcg(*a))
+    monkeypatch.setattr(fem, "_pcg", lambda *a: starts.append(
+        (factors[-1], a[4])) or pcg(*a))
     iters, converged = staggered_step(state, cfg)
+    ours = len(rows), len(starts)
     assert (iters, converged) == reference_staggered_step(ref, cfg)
     assert converged and iters > 2
     _assert_same_state(state, ref)
 
+    # The driver's solves alone, without the reference loop's.
+    factors, rows, starts = (factors[:ours[0]], rows[:ours[0]],
+                             starts[:ours[1]])
     aggregates = 4 ** (state.mesh.level_min - 2)
     assert "u" not in factors
     u_rows = [n for f, n in zip(factors, rows) if f == "u coarse"]
+    v_rows = [n for f, n in zip(factors, rows) if f == "v coarse"]
     assert u_rows and max(u_rows) <= aggregates
-    assert len(starts) == len(u_rows)
-    assert all(x0 is not None for x0 in starts)
-    assert first_sweeps and min(first_sweeps) > aggregates
-    assert set(first_sweeps) <= {n for f, n in zip(factors, rows)
-                                 if f == "v"}
+    assert v_rows and max(v_rows) <= aggregates
+    assert [f for f, _ in starts] == [f for f in factors if "coarse" in f]
+    assert all(x0 is not None for _, x0 in starts)
+    assert len(v_rows) == iters - 1
+    fine_v = [n for f, n in zip(factors, rows) if f == "v"]
+    assert first_sweeps == fine_v[:1] and first_sweeps[0] > aggregates
+    assert max(fine_v[1:]) < aggregates
 
 
 def _kept_basis(state):
@@ -696,11 +734,12 @@ def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
 def _basis_at_each_phase_solve(monkeypatch):
     """Per phase solve, a list: mesh id, xi bytes and mask on entry, the
     number of rows its first sweep is projected onto, the numbers of first
-    sweeps solved and of tangents built before it, and the number of rows
-    of the basis it built (0 when it built none)."""
+    sweeps solved (factored or started by CG) and of tangents built before
+    it, and the number of rows of the basis it built (0 when it built
+    none)."""
     seen, solved, built = [], [0], [0]
-    solve_bounded, project, solve_factored, family_tangents, orthonormalize = (
-        driver._solve_phase_bounded, fem.project, fem.solve_factored,
+    solve_bounded, project, first_sweep, family_tangents, orthonormalize = (
+        driver._solve_phase_bounded, fem.project, driver._first_sweep,
         fem.family_tangents, fem.orthonormalize)
 
     def spy(state, *args):
@@ -713,9 +752,10 @@ def _basis_at_each_phase_solve(monkeypatch):
         seen[-1][3] = len(basis)
         return project(sys, basis, tol=tol)
 
-    def spy_solve_factored(*args, **kwargs):
-        solved[0] += 1
-        return solve_factored(*args, **kwargs)
+    def spy_first_sweep(*args):
+        v, was_solved = first_sweep(*args)
+        solved[0] += was_solved
+        return v, was_solved
 
     def spy_family_tangents(factor, reaction, free, x, count):
         built[0] += count
@@ -728,7 +768,7 @@ def _basis_at_each_phase_solve(monkeypatch):
 
     monkeypatch.setattr(driver, "_solve_phase_bounded", spy)
     monkeypatch.setattr(fem, "project", spy_project)
-    monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
+    monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
     monkeypatch.setattr(fem, "family_tangents", spy_family_tangents)
     monkeypatch.setattr(fem, "orthonormalize", spy_orthonormalize)
     return seen
@@ -790,27 +830,37 @@ def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
     # basis with that answer and seven tangents, orthonormalized, when the
     # basis is empty or decided a first sweep since it was built.  Any
     # other first sweep builds no tangent and leaves the basis as it is.
-    # Run again with no projection trusted, no basis ever serves, so every
-    # later solved sweep of a family keeps the basis it finds.
+    # A first sweep solved by CG from the previous iteration's answer has no
+    # factor, so it builds no tangent either.  Run again with no projection
+    # trusted, no basis ever serves, so every later solved sweep of a
+    # family keeps the basis it finds.
     outcomes, built, answers = [], [], []
     first_sweep, solve_factored, family_tangents = (
         driver._first_sweep, fem.solve_factored, fem.family_tangents)
 
-    def spy_first_sweep(state, mat, sys, sol, threshold, *args):
+    def spy_first_sweep(state, mat, sys, sol, threshold, open_, reaction,
+                        start):
         kept = _kept_basis(state)
         before = [] if kept is None else list(kept.rows)
         served = kept is not None and kept.served
         calls, solves = len(built), len(answers)
-        v = first_sweep(state, mat, sys, sol, threshold, *args)
+        v, solved = first_sweep(state, mat, sys, sol, threshold, open_,
+                                reaction, start)
         basis = _kept_basis(state)
         if basis is not kept:  # the sweep's family found a fresh basis
             before, served = [], False
         if len(answers) == solves:
-            assert built[calls:] == [] and basis.served
+            assert built[calls:] == []
             assert [a is b for a, b in zip(basis.rows, before)] == \
                 [True] * len(before) == [True] * len(basis.rows)
-            outcomes.append("projected")
-            return v
+            if solved:
+                assert start is not None and basis.served == served
+                outcomes.append("started")
+            else:
+                assert basis.served
+                outcomes.append("projected")
+            return v, solved
+        assert solved and start is None
         x, factored = answers[-1]
         pins_all = factored and np.all(x > threshold[sys.free])
         if pins_all and (served or not before):
@@ -828,7 +878,7 @@ def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
             assert all(a is b for a, b in zip(basis.rows, before))
             assert basis.served == served
             outcomes.append("basis kept" if pins_all else "pins not all")
-        return v
+        return v, solved
 
     def spy_solve_factored(sys, *args, **kwargs):
         v, factor = solve_factored(sys, *args, **kwargs)
@@ -845,12 +895,13 @@ def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
     cfg = small_config(mesh=MeshParams(level_start=3, level_max=3),
                        loading=LoadingParams(c=1.0, dt=0.01, n_max=25))
     driver.run(cfg)
-    assert {"built", "rebuilt after serving", "projected",
+    assert {"built", "rebuilt after serving", "projected", "started",
             "pins not all"} <= set(outcomes)
     outcomes.clear()
     monkeypatch.setattr(driver, "_pins_clearly", lambda *args: False)
     driver.run(cfg)
-    assert {"built", "basis kept", "pins not all"} == set(outcomes)
+    assert {"built", "basis kept", "pins not all", "started"} == \
+        set(outcomes)
 
 
 def test_amr_pass_keeps_the_first_sweep_basis_only_on_an_unchanged_mesh():
@@ -1097,23 +1148,31 @@ def _load_steps(state, config, last):
 
 def _projected_first_sweeps(monkeypatch):
     """Spy on the direct first sweeps: the list of the load steps of those
-    decided by projection, that is, without a solve."""
+    decided by projection, that is, with neither a factorization nor a CG
+    solve from the previous iteration's answer."""
     decided, solved = [], [0]
-    first_sweep, solve_factored = driver._first_sweep, fem.solve_factored
+    first_sweep, solve_factored, solve_field = (
+        driver._first_sweep, fem.solve_factored, fem.solve_field)
 
     def spy_first_sweep(state, *args):
         before = solved[0]
-        v = first_sweep(state, *args)
+        v, was_solved = first_sweep(state, *args)
+        assert was_solved == (solved[0] == before + 1)
         if solved[0] == before:
             decided.append(state.step)
-        return v
+        return v, was_solved
 
     def spy_solve_factored(*args, **kwargs):
         solved[0] += 1
         return solve_factored(*args, **kwargs)
 
+    def spy_solve_field(*args, **kwargs):
+        solved[0] += 1
+        return solve_field(*args, **kwargs)
+
     monkeypatch.setattr(driver, "_first_sweep", spy_first_sweep)
     monkeypatch.setattr(fem, "solve_factored", spy_solve_factored)
+    monkeypatch.setattr(fem, "solve_field", spy_solve_field)
     return decided
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xifrac
-from xifrac import cli, config, driver, output, phasefield as pf
+from xifrac import cli, config, driver, mesh as meshmod, output, phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
 from xifrac.mesh import Mesh, build_uniform, refine
@@ -828,6 +828,41 @@ def test_cli_profile_of_cells_that_do_not_tile_is_an_error(
     path = tmp_path / "f.vtk"
     mesh = Mesh(keys, 1, level_max)
     output.write_vtk(mesh, {"v": np.ones(mesh.n_vertices)}, {}, path)
+    _assert_profile_error(path, capsys,
+                          "the CELLS section does not tile the unit square")
+
+
+@pytest.mark.parametrize("move", [
+    lambda xy: xy + [1.0, 0.0],                   # right of the square
+    lambda xy: xy - [0.0, 0.5],                   # below it
+    lambda xy: 4.0 * xy,                          # squares larger than it
+    lambda xy: 2.0 ** -(meshmod._MAXLEVEL + 1) * xy,  # too fine a level
+], ids=["right", "below", "larger", "finer"])
+def test_cli_profile_of_squares_off_the_quadtree_is_an_error(
+        tmp_path, capsys, move):
+    # A level-1 snapshot with its points moved: the quads stay squares,
+    # but their keys lie outside the quadtree of the unit square, which
+    # the mesh constructor rejects; the error still names the file.
+    path = tmp_path / "f.vtk"
+    data = _level1_file(path)
+    head = b"POINTS 9 double\n"
+    start = data.index(head) + len(head)
+    points = np.frombuffer(data[start:start + 9 * 24], ">f8").reshape(9, 3)
+    moved = points.copy()
+    moved[:, :2] = move(points[:, :2])
+    path.write_bytes(data[:start] + moved.astype(">f8").tobytes()
+                     + data[start + 9 * 24:])
+    _assert_profile_error(path, capsys,
+                          "the CELLS section does not tile the unit square")
+
+
+def test_cli_profile_of_a_snapshot_without_cells_is_an_error(tmp_path,
+                                                            capsys):
+    # No cell gives no level to build a mesh with, and tiles nothing.
+    path = tmp_path / "f.vtk"
+    path.write_bytes(b"# vtk DataFile Version 2.0\nxifrac fields\nBINARY\n"
+                     b"DATASET UNSTRUCTURED_GRID\nPOINTS 0 double\n\n"
+                     b"CELLS 0 0\n\nCELL_TYPES 0\n\n")
     _assert_profile_error(path, capsys,
                           "the CELLS section does not tile the unit square")
 

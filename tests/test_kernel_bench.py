@@ -15,6 +15,9 @@ factored by SuperLU where the coarse level uses band Cholesky.  The
 deflated-CG and band-plan benches run on the 64 x 64 systems of the
 ``global_pcg`` benchmark instead; the first records its CG iterations and the cost of a
 plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``);
+the started-first-sweep bench, on an onset phase system of the adapted
+``amr_field`` mesh, records its CG iterations there and checks that its
+answer pins the nodes SuperLU's pins;
 the elastic-step bench records there, per round, how many times it
 evaluated ``|grad u|^2`` and gathered matrix data for a restriction, and
 asserts one of each; the mesh-build and band-plan benches record the
@@ -411,6 +414,71 @@ def test_bench_phase_tangents(benchmark, mesh):
     for t in tangents:
         want = spla.spsolve(A, r_free @ want)
         assert np.max(np.abs(t - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def onset_first_sweep():
+    """The first phase sweep of staggered iteration 2 at step 40 of the
+    amr_field window, where damage starts on the adapted 8,800-cell mesh:
+    its system, the first sweep's answer in iteration 1 as its start, the
+    pin threshold, and the solver parameters."""
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
+                                          "loading.n_max": "39"})
+    _, state = driver.run(cfg)
+    assert state.mesh.n_cells == 8800
+    state.step, state.t = 40, 40 * cfg.loading.dt
+    seen, first_sweep = [], driver._first_sweep
+
+    def spy(state, mat, sys, sol, threshold, open_, reaction, start):
+        if start is not None:
+            seen.append((sys, start, threshold))
+        return first_sweep(state, mat, sys, sol, threshold, open_, reaction,
+                           start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "_first_sweep", spy)
+        driver.staggered_step(state, cfg)
+    assert seen
+    return (*seen[0], cfg.solver)
+
+
+def test_bench_started_first_sweep(benchmark, onset_first_sweep,
+                                   monkeypatch):
+    # A first sweep of a later staggered iteration under direct: CG from
+    # the previous iteration's first-sweep answer (its Galerkin multiple)
+    # to the direct contract, rtol 1e-8, with only the coarse operator
+    # factored; a SuperLU call fails the bench.  The CG iterations go in
+    # extra_info.  The answer must pin the nodes that a SuperLU solve of
+    # the same system pins, which is all the driver uses of it.
+    sys, start, threshold, sol = onset_first_sweep
+    A, b = sys.matrix, sys.rhs
+    assert 8000 < len(b) < 9500
+    iterations, pcg = [], fem._pcg
+
+    def counted(*args):
+        x, met, k = pcg(*args)
+        iterations.append(k)
+        return x, met, k
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("a system was factored by SuperLU")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "_pcg", counted)
+        patch.setattr(fem.spla, "splu", no_splu)
+        v = _run(benchmark, fem.solve_field, sys, tol=sol.linear_tol,
+                 max_iter=sol.linear_max_iter, method=sol.method,
+                 guess=start)
+    benchmark.extra_info.update(iterations=iterations[-1])
+    assert sol.method == "direct" and iterations[-1] > 0
+    x = v.values[sys.free]
+    assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+    want = v.values.copy()
+    want[sys.free] = spla.spsolve(A.tocsc(), b)
+    pins = want > threshold
+    assert pins.any()
+    assert np.array_equal(v.values > threshold, pins)
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,23 @@ def test_level_bounds_enforced():
         meshmod.Mesh(set(), 1, 2)
 
 
+@pytest.mark.parametrize("keys, level_min, level_max", [
+    ([(-1, 0, 0)], -1, -1),
+    ([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 1)], 1, 1),
+    ([(1, 0, -1)], 1, 1),
+    ([(meshmod._MAXLEVEL + 1, 0, 0)], 0, meshmod._MAXLEVEL + 1),
+    ([(0, 0, 0)], -1, 0),
+], ids=["negative-level", "i-past-the-square", "j-below-zero",
+        "finer-than-the-finest-level", "negative-level-min"])
+def test_keys_off_the_quadtree_of_the_square_are_rejected(keys, level_min,
+                                                          level_max):
+    # These used to build degenerate meshes: a level -1 cell has all four
+    # corners at one vertex, cell (1, 2, 1) puts a vertex at x = 1.5, and
+    # a cell finer than the finest level has size 0 in integer units.
+    with pytest.raises(ValueError):
+        meshmod.Mesh(keys, level_min, level_max)
+
+
 def test_reuse_matches_its_inputs_bit_for_bit():
     # A kept product comes back only for inputs equal bit for bit to the
     # last ones: a one-ulp change in one entry misses, and so does a
