@@ -38,8 +38,6 @@ def _build_parser():
                          "mesh size")
     cal.add_argument("--h", type=float, required=True, dest="h")
     cal.add_argument("--G-c", type=float, default=2.7, dest="g_c")
-    cal.add_argument("--c-v", type=float, default=pf.AT1_NORMALIZATION,
-                     dest="c_v")
 
     prof = sub.add_parser("profile", help="sample a field snapshot along a "
                           "horizontal line")
@@ -79,8 +77,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    alpha = pf.calibrate_alpha(args.h, args.g_c, args.c_v)
-    zeta = pf.calibrate_zeta(args.h, args.c_v, alpha, args.g_c)
+    alpha = pf.calibrate_alpha(args.h, args.g_c)
+    zeta = pf.calibrate_zeta(args.h, alpha, args.g_c)
     print(f"h = {args.h}")
     print(f"alpha = {alpha:.6g}")
     print(f"zeta  = {zeta:.6g}")
@@ -115,7 +113,7 @@ def _cmd_tables(args) -> int:
           f"{'published':>10}")
     for h, a_ref in zip(_TABLE_H, _TABLE_ALPHA):
         alpha = pf.calibrate_alpha(h, 2.7)
-        zeta = pf.calibrate_zeta(h, pf.AT1_NORMALIZATION, alpha, 2.7)
+        zeta = pf.calibrate_zeta(h, alpha, 2.7)
         print(f"{h:>8g} {alpha:>10.4g} {a_ref:>10.4g} {zeta:>8.4g} "
               f"{_TABLE_ZETA:>10.4g}")
     print("note: the published zeta is ~3x the closed-form value; both are "

@@ -115,7 +115,7 @@ class SolverParams(pf.Params):
     linear_max_iter: int = pf.param(20000, pf.POSITIVE)
     method: str = pf.param("direct", (lambda v: v in ("direct", "pcg"),
                                       "must be direct or pcg"))
-    crack_tol: float = pf.param(0.01, pf.POSITIVE)  # Xi_CR pinning threshold
+    crack_tol: float = pf.param(0.01, pf.OPEN_UNIT)  # Xi_CR pinning threshold
 
 
 @dataclass(frozen=True)

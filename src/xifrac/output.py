@@ -116,12 +116,12 @@ def read_vtk(path):
     integer keys.  Every error is a ``ValueError`` that starts with the
     path: a file whose third line is not ``BINARY``, a file without
     ``POINTS`` or ``CELLS`` before its data, a header without its count
-    or type, a section whose block holds fewer or more values than its
-    header says, a quad that indexes past the points, cells that repeat,
-    cells that do not tile the unit square (no cell, a gap, a cell
-    inside another, a cell outside the square or one finer than
-    ``mesh._MAXLEVEL``), or a quad that is not the dyadic square its
-    corners give it.
+    or type, a data header whose count is not its geometry's, a section
+    whose block holds fewer or more values than its header says, a quad
+    that indexes past the points, cells that repeat, cells that do not
+    tile the unit square (no cell, a gap, a cell inside another, a cell
+    outside the square or one finer than ``mesh._MAXLEVEL``), or a quad
+    that is not the dyadic square its corners give it.
     """
     data = Path(path).read_bytes()
     lines = data.split(b"\n", 3)  # version, title, format, the rest
@@ -130,7 +130,7 @@ def read_vtk(path):
                          f"(its third line is "
                          f"{lines[2][:40].decode(errors='replace')!r})")
     geometry, point_data, cell_data = {}, {}, {}
-    target = section = None  # the data dict and the geometry it counts
+    target = count = None  # the data dict and its header's count
     pos = len(data) - len(lines[3]) if len(lines) > 3 else len(data)
     while pos < len(data):
         end = data.find(b"\n", pos)
@@ -143,13 +143,17 @@ def read_vtk(path):
                                             head[0].decode(),
                                             _count(path, head),
                                             *_GEOMETRY[head[0]])
-        elif head[0] == b"POINT_DATA":
-            target, section = point_data, geometry.get(b"POINTS")
-        elif head[0] == b"CELL_DATA":
-            target, section = cell_data, geometry.get(b"CELLS")
-        elif head[0] == b"SCALARS" and target is not None:
-            if section is None:
+        elif head[0] in (b"POINT_DATA", b"CELL_DATA"):
+            target, rows = ((point_data, b"POINTS") if head[0] == b"POINT_DATA"
+                            else (cell_data, b"CELLS"))
+            if rows not in geometry:
                 break  # data before its geometry
+            if (count := _count(path, head)) != len(geometry[rows]):
+                raise ValueError(f"{path}: the {head[0].decode()} header "
+                                 f"counts {count} values, but the "
+                                 f"{rows.decode()} section holds "
+                                 f"{len(geometry[rows])} rows")
+        elif head[0] == b"SCALARS" and target is not None:
             if len(head) < 3 or head[2] not in _SCALAR_TYPES:
                 line = b" ".join(head).decode(errors="replace")
                 raise ValueError(f"{path}: the header '{line}' gives no "
@@ -157,9 +161,8 @@ def read_vtk(path):
             name = head[1].decode(errors="replace")
             end = data.find(b"\n", pos)  # past the LOOKUP_TABLE line
             pos = len(data) if end < 0 else end + 1
-            values, pos = _block(path, data, pos, f"SCALARS {name}",
-                                 len(section), 1, _SCALAR_TYPES[head[2]],
-                                 "values")
+            values, pos = _block(path, data, pos, f"SCALARS {name}", count,
+                                 1, _SCALAR_TYPES[head[2]], "values")
             target[name] = values[:, 0]
 
     pts, quads = geometry.get(b"POINTS"), geometry.get(b"CELLS")
@@ -198,7 +201,7 @@ def read_vtk(path):
 
 
 def _count(path, head):
-    """The count of a geometry section's header line ``head``."""
+    """The count of a section's header line ``head``."""
     if len(head) < 2 or not head[1].isdigit():
         raise ValueError(f"{path}: the {head[0].decode()} header gives no "
                          f"count")

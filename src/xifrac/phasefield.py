@@ -29,12 +29,13 @@ from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
 
-#: AT1 dissipation normalization so diffuse surface energy matches G_c.
+#: c_v of the energy: AT1's normalization, so its surface energy is G_c.
 AT1_NORMALIZATION = 8.0 / 3.0
 
 #: Ranges as ``(test, reason)``: ``test(value)`` is True for a valid value.
 POSITIVE = (lambda v: v > 0, "must be > 0")
 NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
 def param(default, bounds, key=None):
@@ -66,8 +67,7 @@ class Params:
 class MaterialParams(Params):
     mu: float = param(80.8, POSITIVE)
     g_c: float = param(2.7, POSITIVE, key="G_c")
-    c_v: float = param(AT1_NORMALIZATION, POSITIVE)
-    eta: float = param(1e-10, (lambda v: 0 < v < 1, "must lie in (0, 1)"))
+    eta: float = param(1e-10, OPEN_UNIT)
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,9 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
 
     Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
     weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``, with
-    ``xi`` one value per cell.  The
-    system is folded but not restricted: the pinned nodes change from one
-    active-set sweep to the next, so each sweep restricts this one system
-    with :func:`fem.apply_dirichlet`.
+    ``xi`` one value per cell.  The system is folded but not restricted:
+    the pinned nodes change from one active-set sweep to the next, so each
+    sweep restricts this one system with :func:`fem.apply_dirichlet`.
 
     Returns the system and its reaction part ``R``, the folded strain-drive
     mass.  In an elastic step the drive scales with the load, so the phase
@@ -216,8 +215,8 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
         if np.any(xi <= 0.0):
             raise ValueError("xi must be strictly positive")
         diffusion = fem.assemble_weighted_laplace(
-            mesh, 2.0 * mat.g_c * xi / mat.c_v).matrix
-        rhs = fem.assemble_load(mesh, mat.g_c / (mat.c_v * xi))
+            mesh, 2.0 * mat.g_c * xi / AT1_NORMALIZATION).matrix
+        rhs = fem.assemble_load(mesh, mat.g_c / (AT1_NORMALIZATION * xi))
         frozen(diffusion.data)
         return diffusion, frozen(rhs)
 
@@ -231,7 +230,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
 def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
               reg: RegularizationParams) -> float:
     """Globally optimal xi from the stationarity of the three-field energy."""
-    ratio = mat.g_c / mat.c_v
+    ratio = mat.g_c / AT1_NORMALIZATION
     v_qp = fem.field_at_qp(v)
     numer = ratio * fem.integrate(mesh, 1.0 - v_qp + reg.zeta)
     denom = (ratio * fem.integrate(mesh, _grad_sq(v))
@@ -242,7 +241,7 @@ def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
 def xi_pointwise(v, grad_sq, mat: MaterialParams,
                  reg: RegularizationParams):
     """Pointwise optimal xi from local values of v and |grad v|^2, clamped."""
-    ratio = mat.g_c / mat.c_v
+    ratio = mat.g_c / AT1_NORMALIZATION
     numer = ratio * (1.0 - np.asarray(v) + reg.zeta)
     denom = ratio * np.asarray(grad_sq) + reg.alpha
     return reg.clamp(np.sqrt(np.maximum(numer, 0.0) / denom))
@@ -281,17 +280,16 @@ def _check_calibration(**inputs: float) -> None:
             raise ValueError(f"{name} must be finite and positive: {value}")
 
 
-def calibrate_alpha(h: float, g_c: float, c_v: float = AT1_NORMALIZATION
-                    ) -> float:
+def calibrate_alpha(h: float, g_c: float) -> float:
     """Upper-bound penalty from the xi = 2h crack-zone ansatz."""
-    _check_calibration(h=h, g_c=g_c, c_v=c_v)
-    return 3.0 * g_c / (96.0 * c_v * h * h)
+    _check_calibration(h=h, g_c=g_c)
+    return 3.0 * g_c / (96.0 * AT1_NORMALIZATION * h * h)
 
 
-def calibrate_zeta(h: float, c_v: float, alpha: float, g_c: float) -> float:
+def calibrate_zeta(h: float, alpha: float, g_c: float) -> float:
     """Lower-bound penalty from the xi = 10h far-field ansatz."""
-    _check_calibration(h=h, c_v=c_v, alpha=alpha, g_c=g_c)
-    return 100.0 * h * h * c_v * alpha / g_c
+    _check_calibration(h=h, alpha=alpha, g_c=g_c)
+    return 100.0 * h * h * AT1_NORMALIZATION * alpha / g_c
 
 
 def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
@@ -332,7 +330,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     def frozen_parts():
         xi_qp = fem._coefficient(mesh, xi)
         v_qp = fem.field_at_qp(v)
-        ratio = mat.g_c / mat.c_v
+        ratio = mat.g_c / AT1_NORMALIZATION
         surface = ratio * fem.integrate(
             mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
         penalty = fem.integrate(

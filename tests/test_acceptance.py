@@ -111,10 +111,10 @@ def test_criterion_2_penalty_calibration(capsys):
     mat = pf.MaterialParams()
     rel_errs = []
     for h, a_ref in ((0.008, 493.75), (0.004, 1975.0), (0.002, 7900.0)):
-        alpha = pf.calibrate_alpha(h, mat.g_c, mat.c_v)
+        alpha = pf.calibrate_alpha(h, mat.g_c)
         rel_errs.append(abs(alpha - a_ref) / a_ref)
         assert rel_errs[-1] < 0.005
-        zeta = pf.calibrate_zeta(h, mat.c_v, alpha, mat.g_c)
+        zeta = pf.calibrate_zeta(h, alpha, mat.g_c)
         assert abs(zeta - 3.125) < 1e-12  # h-independent when alpha is formula-derived
     # the benchmark zeta is ~3x the closed-form value; assert the gap
     # instead of hiding it

@@ -57,6 +57,31 @@ def test_parse_unknown_key_names_key_and_line():
     assert "solver.xi_each_iteration" in str(err.value)
 
 
+def test_material_c_v_is_an_unknown_key():
+    # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION); G_c is the one knob of
+    # the surface energy, so a config or old manifest that sets c_v is
+    # rejected, in the text with its line and through an override.
+    with pytest.raises(ConfigError) as err:
+        parse_config("material.G_c = 2.7\nmaterial.c_v = 2\n")
+    assert err.value.key == "material.c_v" and err.value.line == 2
+    assert "material.c_v" in str(err.value) and "line 2" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config("", {"material.c_v": "2.6666666666666665"})
+    assert err.value.key == "material.c_v"
+    assert "unknown configuration key" in str(err.value)
+    assert len(config.KEYS) == 24
+
+
+@pytest.mark.parametrize("text", ["1", "1.5"])
+def test_crack_tol_must_lie_below_one(text):
+    # v is pinned to zero below crack_tol; at 1 or above every damaged node
+    # would pin at once and the crack would cross the body in one step.
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"solver.crack_tol = {text}")
+    assert err.value.key == "solver.crack_tol"
+    assert "must lie in (0, 1)" in str(err.value)
+
+
 def test_parse_constraint_violation_names_key():
     with pytest.raises(ConfigError) as err:
         parse_config("loading.dt = -1")
@@ -109,7 +134,6 @@ def test_cross_field_constraint_reported():
 _OUT_OF_RANGE = {
     "material.mu": ("0", 0.0),
     "material.G_c": ("-2.7", -2.7),
-    "material.c_v": ("0", 0.0),
     "material.eta": ("1", 1.0),
     "regularization.mode": ("adaptive", "adaptive"),
     "regularization.zeta": ("-1", -1.0),
@@ -163,7 +187,6 @@ def test_every_integer_key_rejects_a_float_or_a_bool(key):
 DEFAULT_MANIFEST = """# [material]
 material.mu = 80.8
 material.G_c = 2.7
-material.c_v = 2.6666666666666665
 material.eta = 1e-10
 
 # [regularization]
@@ -203,7 +226,6 @@ output.cadence = 10
 KEY_REFERENCE = """\
 material.mu                      float  default=80.8
 material.G_c                     float  default=2.7
-material.c_v                     float  default=2.6666666666666665
 material.eta                     float  default=1e-10
 regularization.mode              str    default=fixed
 regularization.zeta              float  default=9.36
@@ -547,7 +569,7 @@ def test_cli_calibrate_table1_row(capsys):
 
 
 @pytest.mark.parametrize("args, name", [
-    (["--h", "0.01", "--c-v", "0"], "c_v"),
+    (["--h", "0.01", "--G-c", "0"], "g_c"),
     (["--h", "nan"], "h"),
     (["--h", "0.01", "--G-c", "inf"], "g_c")])
 def test_cli_calibrate_rejects_bad_input(capsys, args, name):
@@ -557,6 +579,14 @@ def test_cli_calibrate_rejects_bad_input(capsys, args, name):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must be finite and "
                                    f"positive")
+
+
+def test_cli_calibrate_has_no_c_v_flag(capsys):
+    # c_v is AT1's 8/3, not a calibration input: the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--h", "0.004", "--c-v", "2"])
+    assert exc.value.code == 2
+    assert "--c-v" in capsys.readouterr().err
 
 
 def test_cli_tables_reference_values(capsys):
@@ -687,10 +717,10 @@ def test_cli_profile_out_is_written_atomically(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.vtk", "p.csv"]
 
 
-def _level1_file(path, point_data=None):
+def _level1_file(path, point_data=None, cell_data=None):
     """The bytes of a snapshot of the level-1 mesh, written to ``path``."""
-    output.write_vtk(build_uniform(1), point_data or {"v": np.ones(9)}, {},
-                     path)
+    output.write_vtk(build_uniform(1), point_data or {"v": np.ones(9)},
+                     cell_data or {}, path)
     return path.read_bytes()
 
 
@@ -737,15 +767,23 @@ def test_cli_profile_of_a_file_without_its_mesh_is_an_error(
     (_quads((0,)), _quads((9,)),
      "the CELLS section indexes past its 9 POINTS"),
     (b"POINTS 9", b"POINTS nine", "the POINTS header gives no count"),
+    (b"POINT_DATA 9", b"POINT_DATA 5", "the POINT_DATA header counts 5 "
+     "values, but the POINTS section holds 9 rows"),
+    (b"POINT_DATA 9", b"POINT_DATA", "the POINT_DATA header gives no count"),
+    (b"POINT_DATA 9", b"POINT_DATA abc",
+     "the POINT_DATA header gives no count"),
+    (b"CELL_DATA 4", b"CELL_DATA 99", "the CELL_DATA header counts 99 "
+     "values, but the CELLS section holds 4 rows"),
 ], ids=["points-short", "points-long", "cells-long", "index-past",
-        "points-no-count"])
+        "points-no-count", "point-data-short", "point-data-no-count",
+        "point-data-word", "cell-data-long"])
 def test_cli_profile_of_a_file_with_wrong_counts_is_an_error(
         tmp_path, capsys, old, new, message):
-    # A level-1 snapshot whose POINTS or CELLS header count, or one of
-    # whose quad indices, was edited is reported as an error that names
-    # the section, not as a traceback.
+    # A level-1 snapshot whose POINTS, CELLS, POINT_DATA or CELL_DATA
+    # header count, or one of whose quad indices, was edited is reported
+    # as an error that names the section, not as a traceback.
     path = tmp_path / "f.vtk"
-    data = _level1_file(path)
+    data = _level1_file(path, cell_data={"xi": np.full(4, 0.1)})
     assert data.count(old) == 1
     path.write_bytes(data.replace(old, new))
     _assert_profile_error(path, capsys, message)

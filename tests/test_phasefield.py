@@ -25,7 +25,8 @@ def _reg(**kw):
 def test_material_defaults():
     assert MAT.mu == 80.8
     assert MAT.g_c == 2.7
-    assert MAT.c_v == pytest.approx(8.0 / 3.0)
+    assert pf.AT1_NORMALIZATION == pytest.approx(8.0 / 3.0)
+    assert not hasattr(MAT, "c_v")
 
 
 def test_material_validation():
@@ -87,7 +88,7 @@ def test_xi_global_manual_quadrature_oracle():
     x = mesh.vertex_coords[:, 0]
     v = ScalarField(mesh, x)
     reg = _reg(zeta=2.0, alpha=10.0, xi_max=1.0)
-    ratio = MAT.g_c / MAT.c_v
+    ratio = MAT.g_c / pf.AT1_NORMALIZATION
     expect = np.sqrt(ratio * 2.5 / (ratio + 10.0))
     assert pf.xi_global(mesh, v, MAT, reg) == pytest.approx(expect, abs=1e-13)
 
@@ -121,7 +122,7 @@ def test_xi_pointwise_returns_xi0_on_the_at1_profile(alpha, xi0):
     # |grad v|^2 = (1 - v) / xi0^2, the pointwise optimum is
     # xi0 = sqrt(G_c zeta / (c_v alpha)) at every point of |x| < 2 xi0.
     reg = _reg(zeta=9.36, alpha=alpha, xi_max=1.0)
-    closed = np.sqrt(MAT.g_c * reg.zeta / (MAT.c_v * alpha))
+    closed = np.sqrt(MAT.g_c * reg.zeta / (pf.AT1_NORMALIZATION * alpha))
     assert closed == pytest.approx(xi0, rel=1e-5)
     x = np.linspace(-2.0 * closed, 2.0 * closed, 11)[1:-1]
     s = 1.0 - np.abs(x) / (2.0 * closed)
@@ -170,14 +171,14 @@ def test_calibrate_zeta_h_independent():
     # the calibration formula, for any h.
     for h in (0.008, 0.004, 0.002, 0.001, 1.0 / 3.0):
         alpha = pf.calibrate_alpha(h, 2.7)
-        zeta = pf.calibrate_zeta(h, MAT.c_v, alpha, 2.7)
+        zeta = pf.calibrate_zeta(h, alpha, 2.7)
         assert zeta == pytest.approx(3.125, abs=1e-12)
 
 
 def test_calibrate_published_zeta_gap():
     # The published lower-bound penalty is 9.36, about 3x the closed form;
     # the gap is asserted here as documentation, not hidden.
-    zeta = pf.calibrate_zeta(0.008, MAT.c_v, pf.calibrate_alpha(0.008, 2.7), 2.7)
+    zeta = pf.calibrate_zeta(0.008, pf.calibrate_alpha(0.008, 2.7), 2.7)
     assert 2.9 < 9.36 / zeta < 3.1
 
 
@@ -185,7 +186,7 @@ def test_calibrate_input_validation():
     with pytest.raises(ValueError):
         pf.calibrate_alpha(0.0, 2.7)
     with pytest.raises(ValueError):
-        pf.calibrate_zeta(0.01, MAT.c_v, -1.0, 2.7)
+        pf.calibrate_zeta(0.01, -1.0, 2.7)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,9 @@ def test_phase_system_matches_dense(mesh_hanging):
     gsq = 0.3 ** 2 + 0.1 ** 2
     drive = MAT.mu * (1.0 - MAT.eta) * gsq
     Am = dense_mass(mesh, lambda px, py: drive, order=2)
-    Al = dense_laplace(mesh, lambda px, py: 2 * MAT.g_c * 0.07 / MAT.c_v,
-                       order=2)
-    bl = dense_load(mesh, lambda px, py: MAT.g_c / (MAT.c_v * 0.07), order=2)
+    c_v = pf.AT1_NORMALIZATION
+    Al = dense_laplace(mesh, lambda px, py: 2 * MAT.g_c * 0.07 / c_v, order=2)
+    bl = dense_load(mesh, lambda px, py: MAT.g_c / (c_v * 0.07), order=2)
     A, b = dense_dirichlet(mesh, *dense_condense(mesh, Am + Al, bl), {})
     assert np.max(np.abs(sys.matrix.toarray() - A)) < 1e-9
     assert np.max(np.abs(sys.rhs - b)) < 1e-9
@@ -294,7 +295,7 @@ def test_energy_components_analytic():
     xi = np.full(mesh.n_cells, 0.1)
     reg = _reg(zeta=9.36, alpha=493.75)
     rec = pf.energies(mesh, u, v, xi, MAT, reg)
-    ratio = MAT.g_c / MAT.c_v
+    ratio = MAT.g_c / pf.AT1_NORMALIZATION
     assert rec.strain == pytest.approx(0.5 * MAT.mu, rel=1e-12)
     assert rec.surface == pytest.approx(0.0, abs=1e-12)
     assert rec.penalty == pytest.approx(ratio * 9.36 / 0.1 + 493.75 * 0.1,
@@ -310,7 +311,7 @@ def test_energy_surface_term_oracle():
     u = constant_field(mesh, 0.0)
     xi = np.full(mesh.n_cells, 0.05)
     rec = pf.energies(mesh, u, v, xi, MAT, _reg())
-    ratio = MAT.g_c / MAT.c_v
+    ratio = MAT.g_c / pf.AT1_NORMALIZATION
     expect = ratio * (0.5 / 0.05 + 0.05)
     assert rec.surface == pytest.approx(expect, rel=1e-12)
 
