@@ -86,11 +86,14 @@ from .mesh import Mesh
 
 log = logging.getLogger(__name__)
 
+_LEVELS = (lambda v: 1 <= v <= meshmod._MAXLEVEL,  # all that a Mesh holds
+           f"must lie in [1, {meshmod._MAXLEVEL}]")
+
 
 @dataclass(frozen=True)
 class MeshParams(pf.Params):
-    level_start: int = pf.param(7, pf.POSITIVE)
-    level_max: int = pf.param(7, pf.POSITIVE)
+    level_start: int = pf.param(7, _LEVELS)
+    level_max: int = pf.param(7, _LEVELS)
     crack_y_tip: float = pf.param(0.5, (lambda v: 0.0 <= v <= 1.0,
                                         "must lie in [0, 1]"))
 
@@ -110,9 +113,6 @@ class LoadingParams(pf.Params):
 @dataclass(frozen=True)
 class SolverParams(pf.Params):
     staggered_tol: float = pf.param(1e-4, pf.POSITIVE)
-    staggered_max_iter: int = pf.param(500, pf.POSITIVE)
-    linear_tol: float = pf.param(1e-10, pf.POSITIVE)
-    linear_max_iter: int = pf.param(20000, pf.POSITIVE)
     method: str = pf.param("direct", (lambda v: v in ("direct", "pcg"),
                                       "must be direct or pcg"))
     crack_tol: float = pf.param(0.01, pf.OPEN_UNIT)  # Xi_CR pinning threshold
@@ -195,7 +195,9 @@ def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
                       config.regularization)
 
 
-# Cap on active-set sweeps inside one phase-field solve.
+# Caps on the staggered iterations of one load step and on the active-set
+# sweeps inside one phase-field solve.
+_MAX_STAGGERED = 500
 _MAX_ACTIVE_SET = 30
 # Krylov tangents of a solved first sweep that join its answer in the
 # basis of its family (_first_sweep).
@@ -206,24 +208,23 @@ _TANGENTS = 7
 _COND_ALLOWANCE = 1e5
 
 
-def _pins_clearly(sys, v: fem.ScalarField, residual, threshold, open_,
-                  tol) -> bool:
+def _pins_clearly(sys, v: ScalarField, residual, threshold, open_) -> bool:
     """Whether ``v`` pins some node of ``open_`` and every node of ``open_``
     lies clear of ``threshold`` by more than ``v``'s error margin.
 
     ``residual`` is ``A x - b`` for the free values ``x`` of ``v``, as
     :func:`fem.project` hands it back.  The margin is the first-order
-    bound ``kappa (rho + tol) ||v||_inf`` on how far ``v`` and the
+    bound ``kappa (rho + rtol) ||v||_inf`` on how far ``v`` and the
     solver's answer can lie apart, where ``rho`` is the relative residual
-    of ``v`` in the max norm, ``tol`` stands for the solver's, and
-    ``kappa`` is ``_COND_ALLOWANCE``.  When it holds, both fields pin the
-    same nodes, to first order, as long as ``kappa_inf(A)`` is at most the
-    allowance and the solver's answer meets ``tol`` in the max norm.
-    Neither is checked here.
+    of ``v`` in the max norm, ``rtol`` is :data:`fem.RTOL` and stands for
+    the solver's, and ``kappa`` is ``_COND_ALLOWANCE``.  When it holds,
+    both fields pin the same nodes, to first order, as long as
+    ``kappa_inf(A)`` is at most the allowance and the solver's answer
+    meets ``rtol`` in the max norm.  Neither is checked here.
     """
     bmax = np.abs(sys.rhs).max()
     over = v.values[open_] - threshold[open_]
-    margin = (_COND_ALLOWANCE * (np.abs(residual).max() + tol * bmax)
+    margin = (_COND_ALLOWANCE * (np.abs(residual).max() + fem.RTOL * bmax)
               * np.abs(v.values[open_]).max())
     return bool(np.any(over > 0) and np.all(np.abs(over) * bmax > margin))
 
@@ -239,46 +240,42 @@ class _Basis:
     served: bool = False
 
 
-def _first_sweep(state: SimState, mat, sys, sol: SolverParams, threshold,
-                 open_, reaction, start) -> tuple[fem.ScalarField, bool]:
+def _first_sweep(state: SimState, mat, sys, solve, threshold, open_,
+                 reaction, start) -> tuple[fem.ScalarField, bool]:
     """Sweep 1 of a direct phase solve, projected onto its family's basis
     first.
 
-    The basis is a :class:`_Basis` that the mesh keeps under the sweep's
-    xi, free set and ``mat`` (:meth:`Mesh.reuse`), so a sweep of another
-    family finds a fresh, empty one.  Returns the field and whether it is
-    a solver's answer; if not, it depends on the basis but pins clearly
+    The basis is a :class:`_Basis` that the mesh keeps under the sweep's xi,
+    free set and ``mat`` (:meth:`Mesh.reuse`), so a sweep of another family
+    finds a fresh, empty one.  Returns the field and whether it is a
+    solver's answer; if not, it depends on the basis but pins clearly
     (:func:`_pins_clearly`), so that only its pin decision is used.  An
-    accepted projection that pins clearly comes back as it is and marks
-    the basis as served.  Else the sweep is solved once, without the
-    basis.  A ``start``, the full-length answer of this sweep in the
-    previous staggered iteration or None, goes to :func:`fem.solve_field`
-    as the guess: the guess, its Galerkin multiple or the deflated CG
-    from that multiple, to the ``direct`` contract, gives the answer,
-    which has no factor and leaves the basis as it is.  Without a start
-    the sweep is factored by :func:`fem.solve_factored`.  When that
-    answer ``x`` lies above ``threshold`` at every free node, the next
-    sweep has no unknown and v stays at its bound, so the next first
-    sweep meets this family again; then, if the basis is empty or has
-    served, ``x`` and the ``_TANGENTS`` tangents ``(A^-1 R)^j x``
-    (:func:`fem.family_tangents`, with ``R`` the strain-drive mass
-    ``reaction``), orthonormalized (:func:`fem.orthonormalize`), replace
-    it.  A basis that decides no first sweep would only buy tangents that
-    fail too.  The factor is released on return.
+    accepted projection that pins clearly comes back as it is and marks the
+    basis as served.  Else the sweep is solved once, without the basis.  A
+    ``start``, the full-length answer of this sweep in the previous
+    staggered iteration or None, goes to ``solve``, the caller's sweep
+    solve, as the guess: the guess, its Galerkin multiple or the deflated CG
+    from that multiple, to the ``direct`` contract, gives the answer, which
+    has no factor and leaves the basis as it is.  Without a start the sweep
+    is factored by :func:`fem.solve_factored`.  When that answer ``x`` lies
+    above ``threshold`` at every free node, the next sweep has no unknown
+    and v stays at its bound, so the next first sweep meets this family
+    again; then, if the basis is empty or has served, ``x`` and the
+    ``_TANGENTS`` tangents ``(A^-1 R)^j x`` (:func:`fem.family_tangents`,
+    with ``R`` the strain-drive mass ``reaction``), orthonormalized
+    (:func:`fem.orthonormalize`), replace it.  A basis that decides no first
+    sweep would only buy tangents that fail too.  The factor is released on
+    return.
     """
     basis = state.mesh.reuse("first_sweep", (state.xi, sys.free, repr(mat)),
                              _Basis)
-    projected, accepted, residual = fem.project(sys, basis.rows,
-                                                tol=sol.linear_tol)
-    if accepted and _pins_clearly(sys, projected, residual, threshold, open_,
-                                  sol.linear_tol):
+    projected, accepted, residual = fem.project(sys, basis.rows)
+    if accepted and _pins_clearly(sys, projected, residual, threshold, open_):
         basis.served = True
         return projected, False
     if start is not None:
-        return fem.solve_field(sys, tol=sol.linear_tol,
-                               max_iter=sol.linear_max_iter,
-                               method=sol.method, guess=start), True
-    v, factor = fem.solve_factored(sys, tol=sol.linear_tol)
+        return solve(sys, start), True
+    v, factor = fem.solve_factored(sys)
     x = v.values[sys.free]
     if (factor is not None and (basis.served or not basis.rows)
             and np.all(x > threshold[sys.free])):
@@ -347,8 +344,8 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
         elif sweep:
             v = solve(sys)
         else:
-            v, solved = _first_sweep(state, mat, sys, sol, threshold, ~pinned,
-                                     reaction, previous.get(0))
+            v, solved = _first_sweep(state, mat, sys, solve, threshold,
+                                     ~pinned, reaction, previous.get(0))
             if solved:
                 starts[0] = v.values
         grow = (v.values > threshold) & ~pinned
@@ -392,19 +389,18 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     projected onto the same basis, or be handed the answer it gave then,
     which passes the same test.  The loop stops there
     without running it, but counts it, so iteration k returns ``k + 1``
-    iterations, converged, whenever ``k + 1 <= staggered_max_iter``.
+    iterations, converged, whenever ``k + 1 <= _MAX_STAGGERED``.
     """
-    mat, reg, sol = config.material, config.regularization, config.solver
+    mat, sol = config.material, config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
-    solve = lambda sys, guess=None: fem.solve_field(
-        sys, tol=sol.linear_tol, max_iter=sol.linear_max_iter,
-        method=sol.method, guess=guess)
+    solve = lambda sys, guess=None: fem.solve_field(sys, method=sol.method,
+                                                    guess=guess)
 
     bound = state.v
     converged = capped = False
     iters = 0
     starts = {}
-    for iters in range(1, sol.staggered_max_iter + 1):
+    for iters in range(1, _MAX_STAGGERED + 1):
         u_old, v_old, xi_old = state.u, state.v, state.xi
         cracked = v_old.values == 0.0
 
@@ -425,7 +421,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
             converged = True
             break
         # An exact fixed point: the next iteration would repeat this one.
-        if (iters < sol.staggered_max_iter
+        if (iters < _MAX_STAGGERED
                 and np.array_equal(state.xi, xi_old)
                 and np.array_equal(state.v.values, v_old.values)):
             iters += 1

@@ -95,6 +95,10 @@ from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
 
+# Solves meet ||A x - b|| <= RTOL ||b|| (_limit) in MAX_ITER CG iterations.
+RTOL = 1e-10
+MAX_ITER = 20000
+
 
 class LinearSolveError(RuntimeError):
     """Linear solver failed to meet the residual contract."""
@@ -803,7 +807,7 @@ def _direct(A, b, limit):
     return x, lu
 
 
-def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
+def solve_spd(sys: SparseSystem, tol: float = RTOL, max_iter: int = MAX_ITER,
               method: str = "pcg", guess: np.ndarray | None = None
               ) -> np.ndarray:
     """Solve ``sys.matrix x = sys.rhs`` to ``||Ax-b|| <= rtol ||b||``.
@@ -862,27 +866,24 @@ def solve_spd(sys: SparseSystem, tol: float = 1e-10, max_iter: int = 20000,
     return x
 
 
-def solve_field(sys: SparseSystem, tol: float = 1e-10,
-                max_iter: int = 20000, method: str = "pcg",
+def solve_field(sys: SparseSystem, method: str = "pcg",
                 guess: np.ndarray | None = None) -> ScalarField:
     """Solve a restricted system and return the whole field.
 
-    Free values come from :func:`solve_spd`, prescribed ones from
-    ``sys.prescribed`` and hanging ones from their masters.  ``guess`` is
-    a full-length nodal vector on the same mesh; its free values
-    ``guess[sys.free]`` are handed to :func:`solve_spd`, which returns
-    them, or their Galerkin multiple, untouched when they already meet the
-    residual contract and otherwise starts from them.
+    Free values come from :func:`solve_spd` with its defaults, prescribed
+    ones from ``sys.prescribed`` and hanging ones from their masters.
+    ``guess`` is a full-length nodal vector on the same mesh; its free
+    values ``guess[sys.free]`` are handed to :func:`solve_spd`, which
+    returns them, or their Galerkin multiple, untouched when they already
+    meet the residual contract and otherwise starts from them.
     """
     if sys.free is None:
         raise ValueError("solve_field takes a system from apply_dirichlet")
-    return _expand(sys, solve_spd(
-        sys, tol=tol, max_iter=max_iter, method=method,
-        guess=None if guess is None else np.asarray(guess)[sys.free]))
+    free_guess = None if guess is None else np.asarray(guess)[sys.free]
+    return _expand(sys, solve_spd(sys, method=method, guess=free_guess))
 
 
-def solve_factored(sys: SparseSystem, tol: float = 1e-10
-                   ) -> tuple[ScalarField, object | None]:
+def solve_factored(sys: SparseSystem) -> tuple[ScalarField, object | None]:
     """Direct solve of a restricted system that also hands back its factor.
 
     The field is the one :func:`solve_field` returns with
@@ -895,7 +896,7 @@ def solve_factored(sys: SparseSystem, tol: float = 1e-10
     A, b = sys.matrix, sys.rhs
     if not len(b):
         return _expand(sys, np.zeros(0)), None
-    x, lu = _direct(A, b, _limit(tol, "direct", np.linalg.norm(b)))
+    x, lu = _direct(A, b, _limit(RTOL, "direct", np.linalg.norm(b)))
     return _expand(sys, x), lu
 
 
@@ -946,7 +947,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
     return rows
 
 
-def project(sys: SparseSystem, basis, tol: float = 1e-10
+def project(sys: SparseSystem, basis
             ) -> tuple[ScalarField | None, bool, np.ndarray | None]:
     """Galerkin projection of a restricted system onto the span of ``basis``.
 
@@ -955,7 +956,7 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10
     they are, and the small system ``Q^T A Q c = Q^T b`` gives
     ``x = Q c``.  Returns the whole field of ``x``, expanded as
     :func:`solve_field` expands a solution, whether ``x`` meets the
-    residual test of a ``"direct"`` :func:`solve_spd` for ``tol``, and the
+    residual test of a ``"direct"`` :func:`solve_spd`, and the
     residual ``A x - b`` that the test was taken from, one value per free
     dof, for a caller that weighs the answer further.  With an empty basis
     it returns ``(None, False, None)``.  Nothing is factored.
@@ -970,7 +971,7 @@ def project(sys: SparseSystem, basis, tol: float = 1e-10
     if not basis:
         return None, False, None
     A, b = sys.matrix, sys.rhs
-    limit = _limit(tol, "direct", np.linalg.norm(b))
+    limit = _limit(RTOL, "direct", np.linalg.norm(b))
     qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
     Ax = A @ x

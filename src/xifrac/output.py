@@ -111,16 +111,16 @@ def read_vtk(path):
     """Parse a file produced by :func:`write_vtk`.
 
     Returns ``(mesh, point_data, cell_data)``; the mesh is reconstructed
-    from the quad geometry and the data arrays are put in its numbering,
-    in native byte order.  Points and cells are matched by exact dyadic
-    integer keys.  Every error is a ``ValueError`` that starts with the
-    path: a file whose third line is not ``BINARY``, a file without
-    ``POINTS`` or ``CELLS`` before its data, a header without its count
-    or type, a data header whose count is not its geometry's, a section
-    whose block holds fewer or more values than its header says, a quad
-    that indexes past the points, cells that repeat, cells that do not
-    tile the unit square (no cell, a gap, a cell inside another, a cell
-    outside the square or one finer than ``mesh._MAXLEVEL``), or a quad
+    from the quad geometry and the data arrays are put in its numbering, in
+    native byte order.  Points and cells are matched by exact dyadic integer
+    keys.  Every error is a ``ValueError`` that starts with the path: a file
+    whose third line is not ``BINARY``, a file without ``POINTS`` or
+    ``CELLS`` before its data, a header without its count or type, a data
+    header whose count is not its geometry's, a ``SCALARS`` section without
+    one, a section whose block holds fewer or more values than its header
+    says, a quad that indexes past the points, cells that repeat, cells that
+    do not tile the unit square (no cell, a gap, a cell inside another, a
+    cell outside the square or one finer than ``mesh._MAXLEVEL``), or a quad
     that is not the dyadic square its corners give it.
     """
     data = Path(path).read_bytes()
@@ -153,12 +153,15 @@ def read_vtk(path):
                                  f"counts {count} values, but the "
                                  f"{rows.decode()} section holds "
                                  f"{len(geometry[rows])} rows")
-        elif head[0] == b"SCALARS" and target is not None:
+        elif head[0] == b"SCALARS":
             if len(head) < 3 or head[2] not in _SCALAR_TYPES:
                 line = b" ".join(head).decode(errors="replace")
                 raise ValueError(f"{path}: the header '{line}' gives no "
                                  f"double or int type")
             name = head[1].decode(errors="replace")
+            if target is None:
+                raise ValueError(f"{path}: the SCALARS {name} section has "
+                                 f"no POINT_DATA or CELL_DATA header")
             end = data.find(b"\n", pos)  # past the LOOKUP_TABLE line
             pos = len(data) if end < 0 else end + 1
             values, pos = _block(path, data, pos, f"SCALARS {name}", count,

@@ -53,13 +53,6 @@ def test_solver_params_validation():
         SolverParams(method="bicg")
 
 
-@pytest.mark.parametrize("name", ["staggered_max_iter", "linear_max_iter"])
-def test_solver_params_reject_iteration_caps_below_one(name):
-    with pytest.raises(ValueError, match=name):
-        SolverParams(**{name: 0})
-    assert getattr(SolverParams(**{name: 1}), name) == 1
-
-
 # ---------------------------------------------------------------------------
 # Boundary displacement
 
@@ -200,15 +193,13 @@ def reference_staggered_step(state, config):
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
 
     def solve(sys, guess=None):
-        return fem.solve_field(sys, tol=sol.linear_tol,
-                               max_iter=sol.linear_max_iter, method=sol.method,
-                               guess=guess)
+        return fem.solve_field(sys, method=sol.method, guess=guess)
 
     bound = state.v
     upper = np.minimum(bound.values, 1.0)
     answers = []
     iters = 0
-    for iters in range(1, sol.staggered_max_iter + 1):
+    for iters in range(1, driver._MAX_STAGGERED + 1):
         u_old, v_old = state.u, state.v
         state.u = solve(pf.assemble_displacement(state.mesh, state.v, mat,
                                                  *bc), state.u.values)
@@ -257,11 +248,11 @@ def _adapted_field_state(**kw):
     (1, "direct"), (2, "direct"), (500, "direct"),
     (1, "pcg"), (2, "pcg"), (500, "pcg"),
 ], ids=["1", "2", "500", "1-pcg", "2-pcg", "500-pcg"])
-def test_elastic_amr_step_matches_reference_loop(max_iter, method):
-    cfg, state = _adapted_field_state(
-        solver=SolverParams(staggered_max_iter=max_iter, method=method))
-    _, ref = _adapted_field_state(
-        solver=SolverParams(staggered_max_iter=max_iter, method=method))
+def test_elastic_amr_step_matches_reference_loop(max_iter, method,
+                                                monkeypatch):
+    monkeypatch.setattr(driver, "_MAX_STAGGERED", max_iter)
+    cfg, state = _adapted_field_state(solver=SolverParams(method=method))
+    _, ref = _adapted_field_state(solver=SolverParams(method=method))
     assert len(state.mesh.constraints) > 0
     got = staggered_step(state, cfg)
     assert got == reference_staggered_step(ref, cfg)
@@ -714,8 +705,8 @@ def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
     # body pins no node, so the first phase system is near-Neumann, and
     # its deflated CG stalls at a relative residual of about 1.8e-10,
     # above the 1e-10 contract.  The solve raises within a few restarts
-    # and a few hundred iterations, where it once ran on to
-    # linear_max_iter (20,000 iterations).
+    # and a few hundred iterations, where it once ran on to fem.MAX_ITER
+    # (20,000 iterations).
     path = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
     cfg = parse_config(path.read_text(), {
         "mesh.level_start": "6", "mesh.level_max": "6",
@@ -726,7 +717,7 @@ def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
     solves = cg_passes(monkeypatch)
     with pytest.raises(fem.LinearSolveError, match="stalled") as info:
         staggered_step(state, cfg)
-    assert cfg.solver.linear_tol < info.value.residual < 1e-8
+    assert fem.RTOL < info.value.residual < 1e-8
     passes, iterations = solves[-1]
     assert passes <= 10 and iterations <= 1000
 
@@ -748,9 +739,9 @@ def _basis_at_each_phase_solve(monkeypatch):
                      0])
         return solve_bounded(state, *args)
 
-    def spy_project(sys, basis, tol):
+    def spy_project(sys, basis):
         seen[-1][3] = len(basis)
-        return project(sys, basis, tol=tol)
+        return project(sys, basis)
 
     def spy_first_sweep(*args):
         v, was_solved = first_sweep(*args)
@@ -838,13 +829,13 @@ def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
     first_sweep, solve_factored, family_tangents = (
         driver._first_sweep, fem.solve_factored, fem.family_tangents)
 
-    def spy_first_sweep(state, mat, sys, sol, threshold, open_, reaction,
+    def spy_first_sweep(state, mat, sys, solve, threshold, open_, reaction,
                         start):
         kept = _kept_basis(state)
         before = [] if kept is None else list(kept.rows)
         served = kept is not None and kept.served
         calls, solves = len(built), len(answers)
-        v, solved = first_sweep(state, mat, sys, sol, threshold, open_,
+        v, solved = first_sweep(state, mat, sys, solve, threshold, open_,
                                 reaction, start)
         basis = _kept_basis(state)
         if basis is not kept:  # the sweep's family found a fresh basis
@@ -935,8 +926,8 @@ def _first_phase_sweep_after_an_elastic_step():
     state.step, state.t = 1, 0.1
     staggered_step(state, cfg)
     sol, mat = cfg.solver, cfg.material
-    solve = lambda sys, guess=None: fem.solve_field(
-        sys, tol=sol.linear_tol, method=sol.method, guess=guess)
+    solve = lambda sys, guess=None: fem.solve_field(sys, method=sol.method,
+                                                    guess=guess)
 
     def restricted():
         return fem.apply_dirichlet(
@@ -961,7 +952,7 @@ def _first_phase_sweep_after_an_elastic_step():
 
 def _project_to(monkeypatch, values):
     # An accepted projection onto ``values``, with their own residual.
-    monkeypatch.setattr(fem, "project", lambda sys, basis, tol: (
+    monkeypatch.setattr(fem, "project", lambda sys, basis: (
         ScalarField(sys.mesh, values), True,
         sys.matrix @ values[sys.free] - sys.rhs))
 

@@ -1373,8 +1373,7 @@ def test_failed_guess_under_direct_runs_cg_from_its_multiple(
     starts, pcg = [], fem._pcg
     monkeypatch.setattr(fem, "_pcg",
                         lambda *a: starts.append(a[4]) or pcg(*a))
-    x = solve_field(sys, tol=1e-10, method="direct",
-                    guess=guess).values[sys.free]
+    x = solve_field(sys, method="direct", guess=guess).values[sys.free]
     assert len(starts) == 1 and starts[0].tobytes() == multiple.tobytes()
     assert solver_calls == ["coarse", "pcg"]
     assert max(factored_rows) <= _aggregates(sys)[1] < len(b)
@@ -1452,14 +1451,14 @@ def test_projection_onto_eight_solutions_solves_a_ninth(family_basis,
 
 def test_projection_verdict_is_the_solver_contract(family_basis):
     # One earlier solution, nudged so that its projection misses the
-    # answer by a relative residual between tol (1e-10) and the direct
-    # solver's floor (1e-8): the direct contract, max(tol, 1e-8), accepts
+    # answer by a relative residual between fem.RTOL (1e-10) and the direct
+    # solver's floor (1e-8): the direct contract, max(RTOL, 1e-8), accepts
     # it.
     sys = _family(NINTH_DRIVE)
     exact = solve_field(sys, method="direct").values
     nudge = np.random.default_rng(4).normal(size=exact.shape)
     basis = _basis(sys, [exact + 2e-10 * np.linalg.norm(exact) * nudge])
-    got, accepted, residual = fem.project(sys, basis, tol=1e-10)
+    got, accepted, residual = fem.project(sys, basis)
     assert accepted and _meets_contract(sys, got, 1e-8)
     assert not _meets_contract(sys, got, 1e-10)
     assert residual.tobytes() == (sys.matrix @ got.values[sys.free]

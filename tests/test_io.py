@@ -57,19 +57,31 @@ def test_parse_unknown_key_names_key_and_line():
     assert "solver.xi_each_iteration" in str(err.value)
 
 
-def test_material_c_v_is_an_unknown_key():
-    # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION); G_c is the one knob of
-    # the surface energy, so a config or old manifest that sets c_v is
+# Keys that are gone, with the value an old run_manifest.cfg holds.
+_REMOVED = {
+    "material.c_v": "2.6666666666666665",
+    "solver.staggered_max_iter": "500",
+    "solver.linear_tol": "1e-10",
+    "solver.linear_max_iter": "20000",
+}
+
+
+@pytest.mark.parametrize("key", list(_REMOVED))
+def test_removed_key_is_unknown(key):
+    # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION), and the solver caps and
+    # the linear tolerance are constants (driver._MAX_STAGGERED, fem.RTOL,
+    # fem.MAX_ITER), so a config or old manifest that sets one of them is
     # rejected, in the text with its line and through an override.
+    value = _REMOVED[key]
     with pytest.raises(ConfigError) as err:
-        parse_config("material.G_c = 2.7\nmaterial.c_v = 2\n")
-    assert err.value.key == "material.c_v" and err.value.line == 2
-    assert "material.c_v" in str(err.value) and "line 2" in str(err.value)
+        parse_config(f"material.G_c = 2.7\n{key} = {value}\n")
+    assert err.value.key == key and err.value.line == 2
+    assert key in str(err.value) and "line 2" in str(err.value)
     with pytest.raises(ConfigError) as err:
-        parse_config("", {"material.c_v": "2.6666666666666665"})
-    assert err.value.key == "material.c_v"
+        parse_config("", {key: value})
+    assert err.value.key == key
     assert "unknown configuration key" in str(err.value)
-    assert len(config.KEYS) == 24
+    assert len(config.KEYS) == 21
 
 
 @pytest.mark.parametrize("text", ["1", "1.5"])
@@ -143,20 +155,32 @@ _OUT_OF_RANGE = {
     "regularization.xi_max": ("-0.15", -0.15),
     "regularization.xi_refine": ("0", 0.0),
     "mesh.level_start": ("0", 0),
-    "mesh.level_max": ("0", 0),
+    "mesh.level_max": ("21", 21),
     "mesh.crack_y_tip": ("1.5", 1.5),
     "loading.c": ("-1", -1.0),
     "loading.dt": ("0", 0.0),
     "loading.n_max": ("-1", -1),
     "solver.staggered_tol": ("0", 0.0),
-    "solver.staggered_max_iter": ("0", 0),
-    "solver.linear_tol": ("0", 0.0),
-    "solver.linear_max_iter": ("0", 0),
     "solver.method": ("lu", "lu"),
     "solver.crack_tol": ("0", 0.0),
     "amr.enabled": ("maybe", "maybe"),
     "output.cadence": ("0", 0),
 }
+
+
+def test_out_of_range_table_lists_exactly_the_keys():
+    # A row whose key is gone would otherwise stay behind unread.
+    assert set(_OUT_OF_RANGE) == set(config.KEYS)
+
+
+@pytest.mark.parametrize("key", ["mesh.level_start", "mesh.level_max"])
+def test_mesh_levels_above_the_finest_are_rejected(key):
+    # A Mesh holds levels up to mesh._MAXLEVEL (20); the config names the
+    # key and the line, instead of the run failing in Mesh with neither.
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"loading.n_max = 0\n{key} = 21\n")
+    assert err.value.key == key and err.value.line == 2
+    assert "must lie in [1, 20]" in str(err.value)
 
 
 @pytest.mark.parametrize("key", list(config.KEYS))
@@ -210,9 +234,6 @@ loading.n_max = 120
 
 # [solver]
 solver.staggered_tol = 0.0001
-solver.staggered_max_iter = 500
-solver.linear_tol = 1e-10
-solver.linear_max_iter = 20000
 solver.method = direct
 solver.crack_tol = 0.01
 
@@ -241,9 +262,6 @@ loading.c                        float  default=1.0
 loading.dt                       float  default=0.01
 loading.n_max                    int    default=120
 solver.staggered_tol             float  default=0.0001
-solver.staggered_max_iter        int    default=500
-solver.linear_tol                float  default=1e-10
-solver.linear_max_iter           int    default=20000
 solver.method                    str    default=direct
 solver.crack_tol                 float  default=0.01
 amr.enabled                      bool   default=false
@@ -607,13 +625,13 @@ def test_cli_run_zero_steps(tmp_path, capsys):
     assert (tmp_path / "out" / "run_manifest.cfg").exists()
 
 
-def test_cli_run_reports_nonconverged_steps(tmp_path, capsys):
+def test_cli_run_reports_nonconverged_steps(tmp_path, capsys, monkeypatch):
     # One staggered iteration never meets the tolerance from a new load.
+    monkeypatch.setattr(driver, "_MAX_STAGGERED", 1)
     rc = cli.main(["run", "--out", str(tmp_path / "out"),
                    "--set", "loading.n_max=2",
                    "--set", "mesh.level_start=3",
-                   "--set", "mesh.level_max=3",
-                   "--set", "solver.staggered_max_iter=1"])
+                   "--set", "mesh.level_max=3"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "completed 2 steps on 64 cells; 2 did not converge" in out
@@ -803,11 +821,15 @@ _SCALARS_U = b"SCALARS u double 1\nLOOKUP_TABLE default\n"
      "the SCALARS u section holds more than the 9 values of its header"),
     (lambda data: data.replace(b"SCALARS v double", b"SCALARS v float"),
      "the header 'SCALARS v float 1' gives no double or int type"),
-], ids=["last-short", "middle-short", "middle-long", "float"])
+    (lambda data: data.replace(b"POINT_DATA 9\n", b""),
+     "the SCALARS u section has no POINT_DATA or CELL_DATA header"),
+], ids=["last-short", "middle-short", "middle-long", "float",
+        "no-data-header"])
 def test_cli_profile_of_a_file_with_a_wrong_data_section_is_an_error(
         tmp_path, capsys, edit, message):
     # A level-1 snapshot with u and v whose data block does not hold what
-    # its header says is reported as an error that names the section.
+    # its header says, or whose data header is missing, is reported as an
+    # error that names the section.
     path = tmp_path / "f.vtk"
     data = _level1_file(path, {"u": np.zeros(9), "v": np.ones(9)})
     edited = edit(data)

@@ -430,10 +430,10 @@ def onset_first_sweep():
     state.step, state.t = 40, 40 * cfg.loading.dt
     seen, first_sweep = [], driver._first_sweep
 
-    def spy(state, mat, sys, sol, threshold, open_, reaction, start):
+    def spy(state, mat, sys, solve, threshold, open_, reaction, start):
         if start is not None:
             seen.append((sys, start, threshold))
-        return first_sweep(state, mat, sys, sol, threshold, open_, reaction,
+        return first_sweep(state, mat, sys, solve, threshold, open_, reaction,
                            start)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -467,8 +467,7 @@ def test_bench_started_first_sweep(benchmark, onset_first_sweep,
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_pcg", counted)
         patch.setattr(fem.spla, "splu", no_splu)
-        v = _run(benchmark, fem.solve_field, sys, tol=sol.linear_tol,
-                 max_iter=sol.linear_max_iter, method=sol.method,
+        v = _run(benchmark, fem.solve_field, sys, method=sol.method,
                  guess=start)
     benchmark.extra_info.update(iterations=iterations[-1])
     assert sol.method == "direct" and iterations[-1] > 0

@@ -104,6 +104,25 @@ def test_constraint_apply_idempotent_random_meshes(data):
     assert np.allclose(once, twice, atol=1e-13)
 
 
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_constraint_fold_is_the_transpose_of_apply(data):
+    # assemble_load folds the load of hanging vertices onto their masters;
+    # the oracle T is built from apply alone, one unit vector per column.
+    m = build_uniform(2, level_max=4)
+    for _ in range(data.draw(st.integers(1, 3))):
+        cid = data.draw(st.integers(0, m.n_cells - 1))
+        m = refine(m, [cid])
+    c = m.constraints
+    assert len(c) > 0
+    t = np.column_stack([c.apply(e) for e in np.eye(m.n_vertices)])
+    x = np.array(data.draw(st.lists(
+        st.floats(-10, 10), min_size=m.n_vertices, max_size=m.n_vertices)))
+    got = c.fold(x)
+    assert np.linalg.norm(got - t.T @ x) <= 1e-14 * np.linalg.norm(x)
+    assert np.all(got[c.hanging] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Mesh operation sequences
 
