@@ -92,10 +92,12 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    mesh, point_data, _ = output.read_vtk(args.infile)
+    mesh, point_data, cell_data = output.read_vtk(args.infile)
     if args.field not in point_data:
-        print(f"field {args.field!r} not present in {args.infile} "
-              f"(have: {', '.join(point_data)})", file=sys.stderr)
+        what = "a cell field" if args.field in cell_data else "not present"
+        print(f"field {args.field!r} is {what} in {args.infile}; profile "
+              f"samples point fields (point: {', '.join(point_data)}; "
+              f"cell: {', '.join(cell_data)})", file=sys.stderr)
         return 1
     rows = output.line_profile(mesh, point_data[args.field], args.y,
                                args.samples)

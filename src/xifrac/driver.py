@@ -115,7 +115,6 @@ class SolverParams(pf.Params):
     staggered_tol: float = pf.param(1e-4, pf.POSITIVE)
     method: str = pf.param("direct", (lambda v: v in ("direct", "pcg"),
                                       "must be direct or pcg"))
-    crack_tol: float = pf.param(0.01, pf.OPEN_UNIT)  # Xi_CR pinning threshold
 
 
 @dataclass(frozen=True)
@@ -410,8 +409,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         v_raw, settled = _solve_phase_bounded(state, bound, mat, solve, sol,
                                               starts)
         capped |= not settled
-        state.v = pf.enforce_irreversibility(v_raw, bound, cracked,
-                                             sol.crack_tol)
+        state.v = pf.enforce_irreversibility(v_raw, bound, cracked)
 
         state.xi = update_xi(state, config)
 

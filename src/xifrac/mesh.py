@@ -537,8 +537,8 @@ def build_uniform(level: int, *, level_min: int | None = None,
                   level_max: int | None = None) -> Mesh:
     """Uniform mesh with ``4**level`` cells of size ``2**-level``.
 
-    ``level_max`` defaults to ``level + 4``, mirroring the benchmark's cap
-    of four local refinements from the starting mesh.
+    ``level_max`` defaults to ``level + 4``, room for four refinements
+    below the grid; the driver always passes its ``mesh.level_max``.
     """
     if level < 1:
         raise ValueError("level must be >= 1")

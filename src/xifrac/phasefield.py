@@ -31,11 +31,12 @@ log = logging.getLogger(__name__)
 
 #: c_v of the energy: AT1's normalization, so its surface energy is G_c.
 AT1_NORMALIZATION = 8.0 / 3.0
+CRACK_TOL = 0.01  # Xi_CR: a node whose v drops below it joins the crack
+RESIDUAL_STIFFNESS = 1e-10  # eta: the share of mu left where v = 0
 
 #: Ranges as ``(test, reason)``: ``test(value)`` is True for a valid value.
-POSITIVE = (lambda v: v > 0, "must be > 0")
-NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
-OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+POSITIVE = (lambda v: 0 < v < np.inf, "must be finite and > 0")
+NONNEGATIVE = (lambda v: 0 <= v < np.inf, "must be finite and >= 0")
 
 
 def param(default, bounds, key=None):
@@ -67,7 +68,6 @@ class Params:
 class MaterialParams(Params):
     mu: float = param(80.8, POSITIVE)
     g_c: float = param(2.7, POSITIVE, key="G_c")
-    eta: float = param(1e-10, OPEN_UNIT)
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ class EnergyRecord:
             raise ValueError("energy components do not sum to the total")
 
 
-def degradation(v, eta: float):
-    """Stiffness multiplier ``(1 - eta) v^2 + eta``."""
-    return (1.0 - eta) * np.asarray(v) ** 2 + eta
+def degradation(v):
+    """Stiffness multiplier ``(1 - eta) v^2 + eta`` (RESIDUAL_STIFFNESS)."""
+    return (1.0 - RESIDUAL_STIFFNESS) * np.asarray(v) ** 2 + RESIDUAL_STIFFNESS
 
 
 def _grad_sq(f: ScalarField) -> np.ndarray:
@@ -178,7 +178,7 @@ def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     (:meth:`Mesh.reuse`), which only forms the right-hand side.
     """
     def operator():
-        weight = mat.mu * degradation(fem.field_at_qp(v), mat.eta)
+        weight = mat.mu * degradation(fem.field_at_qp(v))
         matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
         block = fem.free_block(matrix, mesh, pinned)
         for a in (matrix, block.matrix, block.coupling):
@@ -197,11 +197,12 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
                    ) -> tuple[SparseSystem, sp.csr_matrix]:
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
-    Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` plus stiffness
-    weighted by ``2 G_c xi / c_v``; load density ``G_c / (c_v xi)``, with
-    ``xi`` one value per cell.  The system is folded but not restricted:
-    the pinned nodes change from one active-set sweep to the next, so each
-    sweep restricts this one system with :func:`fem.apply_dirichlet`.
+    Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` (eta the
+    :data:`RESIDUAL_STIFFNESS`) plus stiffness weighted by ``2 G_c xi / c_v``;
+    load density ``G_c / (c_v xi)``, with ``xi`` one value per cell.  The
+    system is folded but not restricted: the pinned nodes change from one
+    active-set sweep to the next, so each sweep restricts this one system
+    with :func:`fem.apply_dirichlet`.
 
     Returns the system and its reaction part ``R``, the folded strain-drive
     mass.  In an elastic step the drive scales with the load, so the phase
@@ -221,7 +222,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
         return diffusion, frozen(rhs)
 
     diffusion, rhs = mesh.reuse("phase", (xi, repr(mat)), diffusion_and_load)
-    drive = mat.mu * (1.0 - mat.eta) * _strain_sq(u)
+    drive = mat.mu * (1.0 - RESIDUAL_STIFFNESS) * _strain_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
     return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh), rhs),
             reaction.matrix)
@@ -293,22 +294,21 @@ def calibrate_zeta(h: float, alpha: float, g_c: float) -> float:
 
 
 def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
-                            cracked: np.ndarray, xi_cr: float
-                            ) -> ScalarField:
+                            cracked: np.ndarray) -> ScalarField:
     """Clamp v to [0,1], forbid healing, and pin sub-threshold nodes.
 
     ``cracked`` holds one bool per vertex, the crack as it stands: those
-    nodes, and the nodes dropping below ``xi_cr``, are set to zero, which
-    adds them to the crack (the zeros of v) for good.  A hanging node
-    needs ``cracked``: its value is its masters' average, which can rise
-    again, and a node pinned since ``v_prev`` was taken is not a zero of
-    ``v_prev``.  Neither input is changed.
+    nodes, and the nodes dropping below :data:`CRACK_TOL` (Xi_CR), are set
+    to zero, which adds them to the crack (the zeros of v) for good.  A
+    hanging node needs ``cracked``: its value is its masters' average, which
+    can rise again, and a node pinned since ``v_prev`` was taken is not a
+    zero of ``v_prev``.  Neither input is changed.
     """
     if v_new.mesh is not v_prev.mesh:
         raise ValueError("fields live on different meshes")
     v = np.clip(v_new.values, 0.0, 1.0)
     v = np.minimum(v, v_prev.values)
-    v[cracked | (v < xi_cr)] = 0.0
+    v[cracked | (v < CRACK_TOL)] = 0.0
     return ScalarField(v_new.mesh, v)
 
 
@@ -335,7 +335,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
             mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
         penalty = fem.integrate(
             mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
-        return frozen(degradation(v_qp, mat.eta)), surface, penalty
+        return frozen(degradation(v_qp)), surface, penalty
 
     deg, surface, penalty = mesh.reuse(
         "energies", (v.values, xi, repr(mat), repr(reg)), frozen_parts)

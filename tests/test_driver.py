@@ -220,8 +220,7 @@ def reference_staggered_step(state, config):
             if not grow:
                 break
             active.update((n, upper[n]) for n in grow)
-        state.v = pf.enforce_irreversibility(v, bound, cracked,
-                                             sol.crack_tol)
+        state.v = pf.enforce_irreversibility(v, bound, cracked)
         state.xi = driver.update_xi(state, config)
         if (fem.l2_relative_error(state.u, u_old) < sol.staggered_tol
                 and fem.l2_relative_error(state.v, v_old) < sol.staggered_tol):
@@ -1043,7 +1042,7 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     damaged = v.copy()
     damaged.values[np.flatnonzero(~cracked)[0]] = 0.0
     given = cracked.copy()
-    grown = pf.enforce_irreversibility(damaged, v0, given, sol.crack_tol)
+    grown = pf.enforce_irreversibility(damaged, v0, given)
     assert np.count_nonzero(grown.values == 0.0) > cracked.sum()
     assert np.array_equal(given, cracked)
     assert v0.values.tobytes() == before.tobytes()
@@ -1328,7 +1327,7 @@ def test_elastic_steps_balance_the_work_of_the_loads():
 
     def power(state):
         mesh = state.mesh
-        weight = mat.mu * pf.degradation(fem.field_at_qp(state.v), mat.eta)
+        weight = mat.mu * pf.degradation(fem.field_at_qp(state.v))
         reaction = fem.assemble_weighted_laplace(mesh, weight).matrix \
             @ state.u.values
         pinned, _ = boundary_displacement(mesh, state.t, c)

@@ -233,7 +233,7 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     # products.
     v = pf.initial_crack(mesh, 0.5)
     mat = pf.MaterialParams()
-    weight = mat.mu * pf.degradation(fem.field_at_qp(v), mat.eta)
+    weight = mat.mu * pf.degradation(fem.field_at_qp(v))
     folded = fem.assemble_weighted_laplace(mesh, weight)
     folded.rhs = fem.assemble_load(mesh, 1.0)
     pinned, values = driver.boundary_displacement(mesh, 0.05, 1.0)

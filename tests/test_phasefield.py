@@ -1,5 +1,7 @@
 """Model physics: energies, optimality formulas, calibration, irreversibility."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,9 @@ def test_material_defaults():
 def test_material_validation():
     with pytest.raises(ValueError):
         pf.MaterialParams(mu=-1.0)
-    with pytest.raises(ValueError):
-        pf.MaterialParams(eta=0.0)
+    # A range is finite: a config rejects inf (and 1e400) as code does.
+    with pytest.raises(ValueError, match="mu = inf must be finite and > 0"):
+        pf.MaterialParams(mu=math.inf)
 
 
 def test_regularization_validation():
@@ -48,10 +51,13 @@ def test_regularization_validation():
 
 
 def test_degradation():
-    assert pf.degradation(1.0, 1e-10) == pytest.approx(1.0)
-    assert pf.degradation(0.0, 1e-10) == pytest.approx(1e-10)
-    vals = pf.degradation(np.array([0.0, 0.5, 1.0]), 0.01)
-    assert np.allclose(vals, [0.01, 0.2575, 1.0])
+    eta = pf.RESIDUAL_STIFFNESS
+    assert eta == 1e-10
+    assert pf.degradation(1.0) == pytest.approx(1.0)
+    assert pf.degradation(0.0) == pytest.approx(1e-10)
+    vals = pf.degradation(np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_allclose(vals, [eta, 0.25 + 0.75 * eta, 1.0],
+                               rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +209,7 @@ def test_displacement_system_matches_dense(mesh_hanging):
 
     def weight(px, py):
         vv = mesh.eval_field(v.values, min(px, 1 - 1e-12), min(py, 1 - 1e-12))
-        return MAT.mu * pf.degradation(vv, MAT.eta)
+        return MAT.mu * pf.degradation(vv)
 
     A, b = dense_condense(mesh, dense_laplace(mesh, weight, order=2),
                           np.zeros(mesh.n_vertices))
@@ -221,7 +227,7 @@ def test_phase_system_matches_dense(mesh_hanging):
                               nothing_pinned(mesh), 0.0)
 
     gsq = 0.3 ** 2 + 0.1 ** 2
-    drive = MAT.mu * (1.0 - MAT.eta) * gsq
+    drive = MAT.mu * (1.0 - pf.RESIDUAL_STIFFNESS) * gsq
     Am = dense_mass(mesh, lambda px, py: drive, order=2)
     c_v = pf.AT1_NORMALIZATION
     Al = dense_laplace(mesh, lambda px, py: 2 * MAT.g_c * 0.07 / c_v, order=2)
@@ -336,22 +342,25 @@ def test_irreversibility_clamps_and_heals_nothing(mesh2x2):
     prev = np.full(9, 0.8)
     prev[0] = 0.2
     vn = pf.enforce_irreversibility(*_fields(mesh2x2, new, prev),
-                                    nothing_pinned(mesh2x2), 0.01)
+                                    nothing_pinned(mesh2x2))
     assert np.all(vn.values <= prev + 1e-12)
     assert vn.values[0] == pytest.approx(0.2)
     assert not np.any(vn.values == 0.0)
 
 
 def test_irreversibility_pins_below_threshold(mesh2x2):
+    # Below 1: at or above it every damaged node would pin at once, and
+    # the crack would cross the body in one step.
+    assert 0 < pf.CRACK_TOL < 1
     new = np.ones(9)
-    new[3] = 0.005
+    new[3] = 0.5 * pf.CRACK_TOL
     vn = pf.enforce_irreversibility(
-        *_fields(mesh2x2, new, np.ones(9)), nothing_pinned(mesh2x2), 0.01)
+        *_fields(mesh2x2, new, np.ones(9)), nothing_pinned(mesh2x2))
     assert vn.values[3] == 0.0
     assert np.flatnonzero(vn.values == 0.0).tolist() == [3]
     # the crack never shrinks, even if a later solve proposes v = 1 there
     vn2 = pf.enforce_irreversibility(
-        *_fields(mesh2x2, np.ones(9), np.ones(9)), vn.values == 0.0, 0.01)
+        *_fields(mesh2x2, np.ones(9), np.ones(9)), vn.values == 0.0)
     assert np.flatnonzero(vn2.values == 0.0).tolist() == [3]
 
 
@@ -369,7 +378,7 @@ def test_cracked_hanging_vertex_stays_at_zero():
     cracked = new == 0.0
     cracked[h] = True
     vn = pf.enforce_irreversibility(
-        *_fields(mesh, new, np.ones(mesh.n_vertices)), cracked, 0.01)
+        *_fields(mesh, new, np.ones(mesh.n_vertices)), cracked)
     assert vn.values[h] == 0.0
     assert np.array_equal(vn.values == 0.0, cracked)
 

@@ -275,13 +275,13 @@ def test_irreversibility_projection_properties(data):
     cracked[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = True
     from xifrac.fem import ScalarField
     v = pf.enforce_irreversibility(
-        ScalarField(m, new), ScalarField(m, prev), cracked.copy(), 0.01)
+        ScalarField(m, new), ScalarField(m, prev), cracked.copy())
     assert np.all(v.values >= 0.0)
     assert np.all(v.values <= 1.0)
     assert np.all(v.values <= prev + 1e-12)
     assert np.all(v.values[cracked] == 0.0)
     # Every value left below the pin threshold is a zero.
-    assert not np.any((v.values > 0.0) & (v.values < 0.01))
+    assert not np.any((v.values > 0.0) & (v.values < pf.CRACK_TOL))
 
 
 # ---------------------------------------------------------------------------
