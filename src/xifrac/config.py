@@ -2,7 +2,8 @@
 
 The format is one ``section.key = value`` assignment per line (commas may
 separate several assignments on one line, ``#`` starts a comment).
-Unknown keys are rejected; every error names the offending key and line.
+Unknown keys and keys set twice in one text are rejected; every error
+names the offending key and line.
 Resolution order is CLI override > file > built-in default.
 
 The keys are not listed here: :data:`KEYS` is built from the fields of
@@ -95,7 +96,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None
             raise ConfigError(f"value {value!r} {why}", key=key, line=lineno)
         staged.setdefault(section, {})[f.name] = value
 
+    seen = set()
     for lineno, key, raw in _assignments(text):
+        if key in seen:
+            raise ConfigError("key set twice", key=key, line=lineno)
+        seen.add(key)
         stage(key, raw, lineno)
     for key, raw in (overrides or {}).items():
         stage(key, str(raw), None)

@@ -53,8 +53,8 @@ bounds the projection's true error (see :func:`_pins_clearly`).  That is
 not checked at run time; the tests check it on runs that keep no basis.
 
 After convergence an optional AMR pass refines cells whose xi falls below
-the refinement threshold and coarsens fully intact regions, transferring
-all fields to the new mesh.
+the refinement threshold until none is flagged, then coarsens fully intact
+regions until nothing merges, transferring all fields to the new mesh.
 
 Most steps of a preload are elastic: the mesh, v and xi come out of the
 step bit for bit as they went in.  What depends on them alone is kept on
@@ -450,13 +450,16 @@ def _amr_flags(mesh, v_values, config: SimConfig):
 
 
 def amr_pass(state: SimState, config: SimConfig) -> bool:
-    """One refine-to-fixed-point + coarsen sweep; True if the mesh changed.
+    """Adapt the mesh to its fixed point; True if the mesh changed.
 
-    Refinement iterates until no cell is flagged: 2:1 balancing can split
-    unflagged cells whose children then fall below the threshold, so a
-    single refine call may expose new flags one level down.  The loop is
-    bounded by the level range.  ``u`` and ``v`` move together as the
-    columns of one block; transfers keep the exact zeros of v, so the crack
+    Cells are refined until none is flagged: 2:1 balancing can split
+    unflagged cells whose children then fall below the threshold.  This
+    ends, since :func:`mesh.refine` either returns its input or adds cells,
+    none finer than ``level_max``.  Cells are then merged until nothing
+    merges, which ends, since :func:`mesh.coarsen` either returns its input
+    or removes cells.  ``u`` and ``v`` move together as the columns of one
+    block, v is clipped to [0, 1] after every transfer, and xi moves to the
+    final mesh once; transfers keep the exact zeros of v, so the crack
     moves with it.
 
     A pass that leaves the mesh as it is changes nothing in ``state``, and
@@ -477,28 +480,21 @@ def _adapt(state: SimState, config: SimConfig) -> bool | None:
     ``state`` to the new mesh."""
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values])
-    for _ in range(old.level_max - old.level_min + 1):
-        rflags, cflags = _amr_flags(mesh, fields[:, 1], config)
-        nxt = meshmod.refine(mesh, rflags)
-        if nxt is mesh:
-            break
-        fields = meshmod.transfer_field(mesh, nxt, fields)
-        mesh = nxt
-    else:
-        _, cflags = _amr_flags(mesh, fields[:, 1], config)
-
-    new = meshmod.coarsen(mesh, cflags)
-    if new is not mesh:
-        fields = meshmod.transfer_field(mesh, new, fields)
-    if new is old:
+    for adapt, which in ((meshmod.refine, 0), (meshmod.coarsen, 1)):
+        while True:
+            new = adapt(mesh, _amr_flags(mesh, fields[:, 1], config)[which])
+            if new is mesh:
+                break
+            fields = meshmod.transfer_field(mesh, new, fields)
+            np.clip(fields[:, 1], 0.0, 1.0, out=fields[:, 1])
+            mesh = new
+    if mesh is old:
         return True
 
-    u_vals, v_vals = fields.T.copy()
-    state.mesh = new
-    state.u = ScalarField(new, u_vals)
-    state.v = ScalarField(new, np.clip(v_vals, 0.0, 1.0))
+    state.mesh = mesh
+    state.u, state.v = (ScalarField(mesh, f) for f in fields.T.copy())
     state.xi = pf.transfer_regularization(
-        state.xi, new, state.v, config.material, config.regularization)
+        state.xi, mesh, state.v, config.material, config.regularization)
     return None
 
 
@@ -543,19 +539,13 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
                 writer.finalize(state)
             raise
 
-        passes = 0
-        if config.amr.enabled:
-            max_passes = max(config.mesh.level_max - config.mesh.level_start, 1)
-            for passes in range(1, max_passes + 1):
-                if not amr_pass(state, config):
-                    passes -= 1
-                    break
+        remeshed = config.amr.enabled and amr_pass(state, config)
 
         rec = record(iters, converged)
         log.info("step %3d t=%.3f iters=%d cells=%d E=(%.4g, %.4g, %.4g) "
-                 "xi=[%.4g, %.4g] amr_passes=%d",
+                 "xi=[%.4g, %.4g] remeshed=%s",
                  n, state.t, iters, state.mesh.n_cells, rec.strain,
-                 rec.surface, rec.total, rec.xi_min, rec.xi_max, passes)
+                 rec.surface, rec.total, rec.xi_min, rec.xi_max, remeshed)
 
         if writer is not None and (n % config.output.cadence == 0
                                    or n == config.loading.n_max):

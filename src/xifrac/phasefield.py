@@ -265,13 +265,13 @@ def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
 
 def cell_xi(mesh: Mesh, v: ScalarField, mat: MaterialParams,
             reg: RegularizationParams) -> np.ndarray:
-    """xi of ``reg.mode`` on each cell: the clamped ``xi_fixed``, the
-    global optimum or the per-cell field."""
+    """xi of ``reg.mode`` on each cell: ``xi_fixed`` as configured, the
+    global optimum or the per-cell field (both clamped)."""
     if reg.mode == "field":
         return xi_field(mesh, v, mat, reg)
     if reg.mode == "global":
         return np.full(mesh.n_cells, xi_global(mesh, v, mat, reg))
-    return np.full(mesh.n_cells, reg.clamp(reg.xi_fixed))
+    return np.full(mesh.n_cells, reg.xi_fixed)
 
 
 def _check_calibration(**inputs: float) -> None:

@@ -1124,10 +1124,7 @@ def _load_steps(state, config, last):
         state.step, state.t = n, n * config.loading.dt
         iters, converged = staggered_step(state, config)
         if config.amr.enabled:
-            for _ in range(max(config.mesh.level_max
-                               - config.mesh.level_start, 1)):
-                if not driver.amr_pass(state, config):
-                    break
+            driver.amr_pass(state, config)
         records.append(pf.energies(
             state.mesh, state.u, state.v, state.xi, mat, reg, t=state.t,
             stag_iters=iters, converged=converged))
@@ -1402,22 +1399,31 @@ def test_amr_refines_low_xi_cells():
 
 
 def test_amr_reaches_fixed_point_within_level_budget():
-    # Invariant: at most level_max - level_start passes until no change.
+    # Invariant: one pass reaches the fixed point; the next changes nothing.
     cfg, state = _field_state(level_start=6, level_max=8)
-    passes = 0
-    while driver.amr_pass(state, cfg):
-        passes += 1
-        assert passes <= cfg.mesh.level_max - cfg.mesh.level_start
-    assert passes >= 1
+    assert driver.amr_pass(state, cfg)
+    assert not driver.amr_pass(state, cfg)
     assert state.mesh.cell_levels.max() == cfg.mesh.level_max
     assert state.mesh.cell_levels.min() >= state.mesh.level_min
 
 
-def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
-    cfg, state = _field_state(level_start=6, level_max=8)
-    while driver.amr_pass(state, cfg):
-        pass
-    adapted = state.mesh
+def test_one_amr_pass_leaves_no_cell_flagged(monkeypatch):
+    # Over levels 6 to 9 refinement takes five rounds, one more than the
+    # range has levels, since balancing splits cells whose children then
+    # fall below the threshold.  One pass refines until no cell below
+    # level_max is flagged, and a second pass builds no mesh.
+    cfg, state = _field_state(level_start=6, level_max=9)
+    assert driver.amr_pass(state, cfg)
+    refine_flags, _ = driver._amr_flags(state.mesh, state.v.values, cfg)
+    assert len(refine_flags) == 0
+    assert state.mesh.n_cells == 8800
+    built = _meshes_built(monkeypatch)
+    assert not driver.amr_pass(state, cfg)
+    assert built == []
+
+
+def _meshes_built(monkeypatch):
+    """The list of the meshes built from now on, one entry per build."""
     built = []
     init = meshmod.Mesh.__init__
 
@@ -1426,6 +1432,15 @@ def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(meshmod.Mesh, "__init__", counting_init)
+    return built
+
+
+def test_amr_pass_on_adapted_mesh_builds_nothing(monkeypatch):
+    cfg, state = _field_state(level_start=6, level_max=8)
+    while driver.amr_pass(state, cfg):
+        pass
+    adapted = state.mesh
+    built = _meshes_built(monkeypatch)
     assert not driver.amr_pass(state, cfg)
     assert built == []
     assert state.mesh is adapted

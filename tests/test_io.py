@@ -105,6 +105,19 @@ def test_parse_malformed_assignment():
         parse_config("just some words")
 
 
+def test_key_set_twice_in_the_text_is_rejected():
+    with pytest.raises(ConfigError, match="set twice") as exc:
+        parse_config("loading.dt = 0.02\nloading.dt = 0.05")
+    assert exc.value.key == "loading.dt" and exc.value.line == 2
+    # on one line the second assignment's line is that line
+    with pytest.raises(ConfigError, match="set twice") as exc:
+        parse_config("loading.c = 1.0\nloading.n_max = 3, loading.n_max = 4")
+    assert exc.value.key == "loading.n_max" and exc.value.line == 2
+    # an override of a key the text sets once still wins
+    cfg = parse_config("loading.dt = 0.02", {"loading.dt": "0.05"})
+    assert cfg.loading.dt == 0.05
+
+
 def test_overrides_beat_file_values():
     cfg = parse_config("loading.c = 2.0",
                        overrides={"loading.c": "0.5",
@@ -504,6 +517,20 @@ def test_run_writer_manifest_reparses(tmp_path):
     # zero steps: energies.csv holds only the header, no snapshots
     assert (tmp_path / "energies.csv").read_text().count("\n") == 1
     assert not list(tmp_path.glob("fields_*.vtk"))
+
+
+def test_fixed_xi_above_xi_max_is_run_as_configured(tmp_path):
+    # xi_min and xi_max clamp the optimized xi; a fixed xi is used as it
+    # is set, so the run, its xi history and its manifest agree.
+    cfg = parse_config("loading.n_max = 1, mesh.level_start = 3, "
+                       "mesh.level_max = 3", {"regularization.xi_fixed": "0.5"})
+    assert cfg.regularization.xi_fixed > cfg.regularization.xi_max
+    _, state = driver.run(cfg, out_dir=tmp_path)
+    assert np.all(state.xi == 0.5)
+    [row] = (tmp_path / "xi_history.csv").read_text().splitlines()[1:]
+    assert row.split(",")[1:4] == ["0.5", "0.5", "0.5"]
+    manifest = parse_config((tmp_path / "run_manifest.cfg").read_text())
+    assert manifest.regularization.xi_fixed == 0.5
 
 
 def test_run_writer_outputs_deterministic(tmp_path):

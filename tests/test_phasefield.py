@@ -138,14 +138,15 @@ def test_xi_pointwise_returns_xi0_on_the_at1_profile(alpha, xi0):
 
 
 def test_cell_xi_per_mode_stats_and_length():
-    # xi is one value per cell in every mode: fixed spreads the clamped
-    # xi_fixed and global its optimum.  The energies report the array's
+    # xi is one value per cell in every mode: fixed spreads xi_fixed as
+    # configured, even above xi_max, which clamps only the optimized xi,
+    # and global spreads its optimum.  The energies report the array's
     # min, max and mean, and an array of the wrong length is rejected.
     mesh = build_uniform(2)
     u, v = constant_field(mesh, 0.0), constant_field(mesh, 1.0)
     fixed = _reg(xi_fixed=0.5)
-    assert np.array_equal(pf.cell_xi(mesh, v, MAT, fixed),
-                          np.full(16, fixed.xi_max))
+    assert fixed.xi_fixed > fixed.xi_max
+    assert np.array_equal(pf.cell_xi(mesh, v, MAT, fixed), np.full(16, 0.5))
     glob = _reg(mode="global", zeta=9.36, alpha=7900.0)
     assert np.array_equal(pf.cell_xi(mesh, v, MAT, glob),
                           np.full(16, pf.xi_global(mesh, v, MAT, glob)))

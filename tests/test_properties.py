@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from xifrac import fem, mesh as meshmod, phasefield as pf
+from xifrac import driver, fem, mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine
 
@@ -256,6 +256,38 @@ def test_hanging_constraints_match_brute_force_edges(data):
         hanging, pairs = brute_force_hanging(m)
         assert np.array_equal(m.constraints.hanging, hanging)
         assert np.array_equal(m.constraints.pairs, pairs)
+
+
+# ---------------------------------------------------------------------------
+# AMR fixed point
+
+
+@given(level_start=st.integers(3, 4), extra=st.integers(1, 2),
+       tip=st.floats(0.2, 0.9), xi_refine=st.floats(0.0335, 0.0355))
+@settings(max_examples=20, deadline=None)
+def test_one_amr_pass_reaches_a_balanced_fixed_point(level_start, extra,
+                                                     tip, xi_refine):
+    # At levels 3 to 5 the cell xi lies between 0.033 and 0.0355, above
+    # the default threshold of 0.03, so a raised threshold flags the
+    # crack's cells, the intact ones or both, depending on the level.
+    cfg = driver.SimConfig(
+        mesh=driver.MeshParams(level_start=level_start,
+                               level_max=min(level_start + extra, 5),
+                               crack_y_tip=tip),
+        regularization=pf.RegularizationParams(
+            mode="field", zeta=9.36, alpha=7900.0, xi_refine=xi_refine),
+        amr=driver.AmrParams(enabled=True))
+    state = driver.initialize(cfg)
+    zeros = state.mesh.vertex_coords[state.v.values == 0.0]
+    flagged, _ = driver._amr_flags(state.mesh, state.v.values, cfg)
+    assert driver.amr_pass(state, cfg) == (len(flagged) > 0)
+    mesh = state.mesh
+    refine_flags, coarsen_flags = driver._amr_flags(mesh, state.v.values, cfg)
+    assert refine(mesh, refine_flags) is mesh
+    assert coarsen(mesh, coarsen_flags) is mesh
+    check_two_to_one(mesh)
+    ids = mesh.vertex_ids(zeros)
+    assert np.all(ids >= 0) and np.all(state.v.values[ids] == 0.0)
 
 
 # ---------------------------------------------------------------------------
