@@ -15,7 +15,9 @@ the cells' corner codes numbers the vertices and counts the cells at each,
 and the count finds the hanging vertices (an interior vertex at the
 corner of two cells only), whose masters follow from its coordinates.
 The folded CSR pattern (:attr:`Mesh.csr_pattern`) is built on first use,
-in passes linear in its terms.
+in passes linear in its terms, and so are the coarse squares of the
+vertices (:attr:`Mesh.coarse_squares`), the aggregates of the two-level
+CG of :mod:`xifrac.fem`.
 
 Meshes are immutable: :func:`refine` and :func:`coarsen` return new
 ``Mesh`` objects, or their input when nothing changes.  Fields carry the
@@ -456,6 +458,35 @@ class Mesh:
         fold = sp.csc_matrix((weight, slot, starts),
                              shape=(len(indices), 16 * nc)).tocsr()
         return indptr, indices, fold
+
+    @cached_property
+    def coarse_squares(self) -> tuple[np.ndarray, int]:
+        """The square two levels coarser than the finest cell at each
+        vertex, which is the aggregate of the vertex's dof in the two-level
+        CG (:func:`xifrac.fem._coarse`).
+
+        A vertex whose finest cell has level ``L`` lies in the square of
+        level ``max(L - 2, 0)`` that holds it: its left and bottom edges
+        belong to it, and a vertex on the right or top side of the unit
+        square belongs to the last square there.  Returns the number of
+        each vertex's square, read-only, and the number of squares.  The
+        squares are numbered by the ``(y, x)`` of their lower-left corners,
+        row by row, and a coarser square comes before a finer one with the
+        same corner.  On a uniform grid of level ``L >= 2`` they are the
+        ``4^(L-2)`` squares of level ``L - 2``, numbered row by row.
+        """
+        finest = np.zeros(self.n_vertices, dtype=np.int64)
+        # A vertex is the same corner of at most one cell.
+        for corner in self.cell_vertices.T:
+            finest[corner] = np.maximum(finest[corner], self.cell_levels)
+        level = np.maximum(finest - 2, 0)
+        shift = _MAXLEVEL - level
+        # The lower-left corner of the square, in the order (y, x, level).
+        x, y = (np.minimum(self._vertex_xy, _SCALE - 1) >> shift[:, None]
+                << shift[:, None]).T
+        code = ((y << _MAXLEVEL | x) << 5) | level
+        squares, number = np.unique(code, return_inverse=True)
+        return frozen(number, np.intp), len(squares)
 
     @property
     def constraints(self) -> ConstraintSet:

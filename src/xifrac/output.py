@@ -44,7 +44,12 @@ def csv_text(header: str, rows) -> str:
 
 
 def _atomic_write(path, data):
-    """Write ``data`` (bytes, or text encoded as UTF-8) to ``path``."""
+    """Write ``data`` (bytes, or text encoded as UTF-8) to ``path``.
+
+    The file gets the mode that ``open`` gives a new file, ``0o666``
+    less the umask, and not the ``0o600`` of the temp file it is renamed
+    from.  Reading the umask sets it, so it is set back at once.
+    """
     if isinstance(data, str):
         data = data.encode()
     path = Path(path)
@@ -53,6 +58,9 @@ def _atomic_write(path, data):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -131,6 +131,34 @@ def dense_dirichlet(mesh, A, b, bc):
     return A[np.ix_(free, free)], (b - A @ x0)[free]
 
 
+def aggregates_by_vertex(mesh, rows):
+    """The deflation aggregate of each vertex in ``rows``, built vertex by
+    vertex, and the number of aggregates.
+
+    A vertex whose finest cell has level ``L`` joins the square of side
+    ``4 h``, ``h = 2^-L`` (the unit square when ``L < 2``), that holds it,
+    counting a vertex on the right or top side of the unit square into
+    the last square there.  The squares that hold a vertex of ``rows`` are
+    numbered by the (y, x) of their lower-left corners, and a larger
+    square comes before a smaller one with the same corner.
+    """
+    finest = defaultdict(int)
+    for level, corners in zip(mesh.cell_levels.tolist(),
+                              mesh.cell_vertices.tolist()):
+        for v in corners:
+            finest[v] = max(finest[v], level)
+    squares = []
+    for v in np.asarray(rows).tolist():
+        side = min(4.0 * 2.0 ** -finest[v], 1.0)
+        x, y = mesh.vertex_coords[v].tolist()
+        last = 1.0 - side
+        x0 = min(np.floor(x / side) * side, last)
+        y0 = min(np.floor(y / side) * side, last)
+        squares.append((y0, x0, -side))
+    number = {s: k for k, s in enumerate(sorted(set(squares)))}
+    return np.array([number[s] for s in squares], dtype=int), len(number)
+
+
 def lower_band(dense, k):
     """The lower band of a square matrix in LAPACK's ``(k + 1) x n`` band
     storage: diagonal ``-d`` in row ``d``, zero past the matrix's end."""

@@ -14,8 +14,8 @@ from xifrac.driver import AmrParams, LoadingParams, MeshParams, SimConfig, \
 from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform
 
-from conftest import Untouchable, cg_passes, dirichlet_arrays, \
-    pin_a_bottom_vertex
+from conftest import Untouchable, aggregates_by_vertex, cg_passes, \
+    dirichlet_arrays, pin_a_bottom_vertex
 
 
 def small_config(**kw):
@@ -520,14 +520,15 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     # onset step at t = 0.07 in which v moves for several iterations, so
     # the u guess, the previous iterate, and its multiple fail.  Every u
     # solve then runs CG from that multiple, and factors only the coarse
-    # operator, by band Cholesky, one column per aggregate (at most
-    # 16 x 16 on the level-6 start grid); no u system meets SuperLU.  The
-    # first phase sweep of iteration 1 is factored by SuperLU, at full
-    # size; that of every later iteration runs CG from the first sweep's
-    # answer in the iteration before, and factors only its coarse
-    # operator.  SuperLU then sees only the small later sweeps.  The state
-    # matches the reference loop, which passes the same u guesses and
-    # factors every phase sweep, bit for bit.
+    # operator, by band Cholesky, one column per aggregate (at most one
+    # per square two levels coarser than the finest cell at a vertex, as
+    # conftest.aggregates_by_vertex counts them on the mesh); no u system
+    # meets SuperLU.  The first phase sweep of iteration 1 is factored by
+    # SuperLU, at full size; that of every later iteration runs CG from
+    # the first sweep's answer in the iteration before, and factors only
+    # its coarse operator.  SuperLU then sees only the small later sweeps.
+    # The state matches the reference loop, which passes the same u
+    # guesses and factors every phase sweep, bit for bit.
     cfg, state = _adapted_field_state()
     _, ref = _adapted_field_state()
     for s in (state, ref):
@@ -558,7 +559,8 @@ def test_onset_step_under_direct_factors_no_fine_u_system(monkeypatch):
     # The driver's solves alone, without the reference loop's.
     factors, rows, starts = (factors[:ours[0]], rows[:ours[0]],
                              starts[:ours[1]])
-    aggregates = 4 ** (state.mesh.level_min - 2)
+    mesh = state.mesh
+    aggregates = aggregates_by_vertex(mesh, np.arange(mesh.n_vertices))[1]
     assert "u" not in factors
     u_rows = [n for f, n in zip(factors, rows) if f == "u coarse"]
     v_rows = [n for f, n in zip(factors, rows) if f == "v coarse"]
@@ -674,7 +676,8 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
     # projection, basis update or tangent runs and the mesh keeps no basis;
     # the only factors are the band Cholesky factors of the CG
     # preconditioner's coarse operators, one column per aggregate (at most
-    # 16 x 16 on a level-6 start grid), and SuperLU is never called.
+    # as many as conftest.aggregates_by_vertex finds on the mesh), and
+    # SuperLU is never called.
     cfg, state = _adapted_field_state(solver=SolverParams(method="pcg"))
     rows, extra = [], []
     band_cholesky = fem._band_cholesky
@@ -695,7 +698,9 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
         assert staggered_step(state, cfg) == (2, True)
         assert _kept_basis(state) is None
     assert extra == []
-    assert rows and max(rows) <= 4 ** (state.mesh.level_min - 2)
+    mesh = state.mesh
+    assert rows and max(rows) <= aggregates_by_vertex(
+        mesh, np.arange(mesh.n_vertices))[1]
 
 
 def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(

@@ -4,6 +4,7 @@ import functools
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from xifrac import driver, fem, phasefield as pf
+from xifrac.config import parse_config
 from xifrac.fem import GAUSS2, LinearSolveError, ScalarField, \
     apply_dirichlet, assemble_load, assemble_weighted_laplace, \
     assemble_weighted_mass, combine, constant_field, integrate, \
     l2_relative_error, shape_eval, solve_field, solve_spd
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
-from conftest import Untouchable, cg_passes, dense_condense, \
-    dense_dirichlet, dense_laplace, dense_load, dense_mass, \
+from conftest import Untouchable, aggregates_by_vertex, cg_passes, \
+    dense_condense, dense_dirichlet, dense_laplace, dense_load, dense_mass, \
     dirichlet_arrays, global_pcg_band, global_pcg_systems, lower_band, \
     nothing_pinned, pattern_by_cell_loop, scipy_coupling, \
     solved_with_tangents, sparse_prolongation
@@ -774,7 +776,8 @@ def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
 
 def _crack_refined_mesh():
     """A level-3 mesh refined along the crack, so with hanging nodes, and
-    2 x 2 aggregates."""
+    aggregates of two sizes: squares of side 1/2 where the cells are of
+    level 3 and of side 1/4 along the crack."""
     m = build_uniform(3)
     centre = m.cell_origin + 0.5 * m.cell_h[:, None]
     m = refine(m, np.flatnonzero((np.abs(centre[:, 0] - 0.5) < 0.2)
@@ -802,15 +805,10 @@ def _cracked_phase_system(pinned_box=None):
 
 def _aggregates(sys):
     """The aggregate of each free dof (of each row's vertex ``i`` on a
-    system that was not restricted), built vertex by vertex: the index,
-    among the cells holding a row, of the cell two levels above the start
-    grid that holds its vertex (closed on the far sides of the square)."""
-    n = 2 ** max(sys.mesh.level_min - 2, 0)
+    system that was not restricted) and their count, built vertex by
+    vertex (:func:`conftest.aggregates_by_vertex`)."""
     rows = np.arange(len(sys.rhs)) if sys.free is None else sys.free
-    cells = [(min(int(x * n), n - 1), min(int(y * n), n - 1))
-             for x, y in sys.mesh.vertex_coords[rows]]
-    held = sorted(set(cells))
-    return np.array([held.index(c) for c in cells]), len(held)
+    return aggregates_by_vertex(sys.mesh, rows)
 
 
 def _dense_coarse_space(sys):
@@ -888,12 +886,15 @@ def test_pcg_matches_dense_solve(make):
 
 
 def test_aggregate_without_free_dof_is_dropped():
-    # Every vertex of the lower-left aggregate is pinned: three of the four
-    # aggregates hold a free dof, and the coarse operator has three rows.
+    # Every vertex in the lower-left quarter is pinned, so some aggregates
+    # of the mesh hold no free dof: the coarse operator has one row for
+    # each of the others.
     sys = _cracked_phase_system(pinned_box=(0.0, 0.5, 0.0, 0.5))
     agg, factor, W = fem._coarse(sys)
     want, count = _aggregates(sys)
-    assert count == 3 and factor.shape[1] == 3 and W.shape[0] == 3
+    mesh = sys.mesh
+    assert count < aggregates_by_vertex(mesh, np.arange(mesh.n_vertices))[1]
+    assert factor.shape[1] == count and W.shape[0] == count
     assert np.array_equal(agg, want)
     x = solve_spd(sys, tol=1e-12, method="pcg")
     assert np.linalg.norm(sys.matrix @ x - sys.rhs) \
@@ -1116,11 +1117,10 @@ def test_coarse_map_of_a_level_8_grid_takes_a_few_megabytes():
     assert kept < peak < 8e6
 
 
-def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
-    # A level-4 start grid, 4 x 4 aggregates, refined twice along the
-    # crack, so with hanging nodes.  The plan's half-bandwidth is the
-    # widest coupling of the coarse operator, at most one row of
-    # aggregates and one more.
+def test_coarse_band_is_the_half_bandwidth_of_z_transpose_a_z():
+    # A level-4 start grid refined twice along the crack, so with hanging
+    # nodes and aggregates of three sizes.  The plan's half-bandwidth is
+    # that of the dense coarse operator, its widest coupling.
     m = build_uniform(4, level_max=6)
     for _ in range(2):
         centre = m.cell_origin + 0.5 * m.cell_h[:, None]
@@ -1130,8 +1130,74 @@ def test_coarse_band_spans_one_row_of_aggregates_on_an_adapted_mesh():
     sys = apply_dirichlet(_folded_system(m), _boundary_pins(m), 1.0)
     k = sys.plan.coarse_rows[-1]
     rows, cols = np.nonzero(_sparse_product_coarse_operator(sys).toarray())
-    n = 2 ** (m.level_min - 2)
-    assert k == np.max(rows - cols) <= n + 1
+    assert k == np.max(rows - cols)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_uniform_grid_aggregates_are_the_squares_two_levels_up_by_rows(
+        level):
+    # Every vertex of a uniform grid is a corner of cells of its one level,
+    # so the aggregates are the 4^(level - 2) squares of four cells a side,
+    # numbered row by row in y; a vertex on the right side of the unit
+    # square joins the last square of its row.
+    m = build_uniform(level)
+    sys = apply_dirichlet(_folded_system(m), _boundary_pins(m), 0.0)
+    n = 2 ** (level - 2)
+    i, j = np.minimum((m.vertex_coords[sys.free] * n).astype(int), n - 1).T
+    assert sys.plan.n_agg == 4 ** (level - 2)
+    assert np.array_equal(sys.plan.agg, j * n + i)
+
+
+def test_each_aggregate_is_one_square_four_of_its_finest_cells_wide():
+    # On a mesh refined along the crack, the free dofs of one aggregate
+    # share the size h of the finest cell at their vertices and lie in one
+    # square of side 4 h, at a multiple of 4 h (the far sides of the unit
+    # square closed).  Each aggregate has its own square, and the squares
+    # are numbered by the (y, x) of their lower-left corners, a larger one
+    # before a smaller one at the same corner.
+    m = _crack_refined_mesh()
+    sys = apply_dirichlet(_folded_system(m), _boundary_pins(m), 0.0)
+    h = np.ones(m.n_vertices)
+    for size, corners in zip(m.cell_h, m.cell_vertices):
+        h[corners] = np.minimum(h[corners], size)
+    squares = []
+    for a in range(sys.plan.n_agg):
+        dofs = sys.free[sys.plan.agg == a]
+        [size] = set(h[dofs].tolist())
+        side = 4 * size
+        corner = side * np.minimum(np.floor(m.vertex_coords[dofs] / side),
+                                   1 / side - 1)
+        [(x0, y0)] = set(map(tuple, corner.tolist()))
+        squares.append((y0, x0, -side))
+    assert {side for *_, side in squares} == {-0.25, -0.5}
+    assert squares == sorted(squares) and len(set(squares)) == len(squares)
+
+
+@functools.cache
+def _adapted_u_system():
+    """The displacement system of the adapted 8,800-cell mesh of the
+    ``amr_field`` benchmark window after its first load step, levels 6 to
+    9, under that step's load."""
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
+                                          "loading.n_max": "1"})
+    _, state = driver.run(cfg)
+    assert state.mesh.n_cells == 8800
+    return pf.assemble_displacement(
+        state.mesh, state.v, cfg.material,
+        *driver.boundary_displacement(state.mesh, state.t, cfg.loading.c))
+
+
+def test_deflated_cg_of_the_adapted_u_system_takes_few_iterations():
+    # From zero to fem.RTOL, CG took 28 iterations with aggregates that
+    # follow the refinement (688 of them) and 100 with the 16 x 16 squares
+    # of the level-6 start grid, whose aggregates along the crack held up
+    # to about 1,000 level-9 dofs.
+    sys = _adapted_u_system()
+    b = sys.rhs
+    _, met, iters = fem._pcg(sys.matrix, b, fem.RTOL * np.linalg.norm(b),
+                             fem.MAX_ITER, None, fem._coarse(sys))
+    assert met and iters <= 40
 
 
 def test_coarse_operator_that_is_not_spd_raises_linear_solve_error(mesh4x4):

@@ -544,6 +544,30 @@ def test_run_writer_outputs_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_run_files_get_the_mode_of_a_plain_open(tmp_path, umask):
+    # Every file of a run is written through a temp file, which mkstemp
+    # creates 0o600; renamed into place, each still gets the mode that
+    # open() gives a new file under the umask, which is left as it was.
+    cfg = parse_config("loading.n_max = 1, mesh.level_start = 3, "
+                       "mesh.level_max = 3, output.cadence = 1")
+    before = os.umask(umask)
+    try:
+        open(tmp_path / "plain", "w").close()
+        driver.run(cfg, out_dir=tmp_path / "run")
+        assert os.umask(before) == umask
+    finally:
+        os.umask(before)
+    mode = (tmp_path / "plain").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    written = sorted((tmp_path / "run").iterdir())
+    assert [p.name for p in written] == [
+        "energies.csv", "fields_0001.vtk", "profiles_0001.csv",
+        "run_manifest.cfg", "xi_history.csv"]
+    assert {p.name: p.stat().st_mode & 0o777 for p in written} == \
+        dict.fromkeys((p.name for p in written), mode)
+
+
 @pytest.fixture
 def snapshot_writes(monkeypatch):
     """Names of the snapshot files written, one entry per write."""

@@ -47,9 +47,9 @@ from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import Mesh, build_uniform, coarsen, refine  # noqa: E402
 
-from conftest import brute_force_hanging, global_pcg_band, \
-    global_pcg_systems, lower_band, pattern_by_cell_loop, scipy_coupling, \
-    solved_with_tangents, sparse_prolongation  # noqa: E402
+from conftest import aggregates_by_vertex, brute_force_hanging, \
+    global_pcg_band, global_pcg_systems, lower_band, pattern_by_cell_loop, \
+    scipy_coupling, solved_with_tangents, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -137,7 +137,8 @@ def test_bench_u_system_factorization(benchmark, mesh):
 
 def test_bench_u_system_pcg(benchmark, mesh):
     # The same system solved cold by CG with the two-level preconditioner:
-    # one coarse factorization of at most 16 x 16 aggregates per solve.
+    # one factorization of the coarse operator, one row per aggregate, per
+    # solve.
     v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
@@ -175,8 +176,8 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     # the previous iterate u, so neither u nor its Galerkin multiple meets
     # the residual test, and the direct method runs CG from that multiple
     # to its contract (rtol 1e-8).  Only the coarse operator is factored,
-    # by band Cholesky, at most 16 x 16 aggregates; a SuperLU call fails
-    # the bench.
+    # by band Cholesky, with one column per aggregate; a SuperLU call
+    # fails the bench.
     mat = pf.MaterialParams()
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     before, sys = (pf.assemble_displacement(
@@ -187,12 +188,13 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     multiple = (previous @ b / (previous @ (A @ previous))) * previous
     assert np.linalg.norm(A @ multiple - b) > 1e-8 * np.linalg.norm(b)
     band_cholesky = fem._band_cholesky
+    _, aggregates = aggregates_by_vertex(mesh, sys.free)
 
     def no_splu(*args, **kwargs):
         raise AssertionError("a system was factored by SuperLU")
 
     def coarse_only(band):
-        assert band.shape[1] <= 256, "a fine system was factored"
+        assert band.shape[1] <= aggregates, "a fine system was factored"
         return band_cholesky(band)
 
     with monkeypatch.context() as patch:
@@ -206,15 +208,12 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
 
 
 def _reference_coarse(mesh, free, A):
-    """The aggregate of each free dof and ``(Z^T A) Z`` in CSC form, by
-    scipy's sparse products: ``Z`` from the aggregates, and the column
-    indices of ``Z^T A`` sorted."""
-    n = 1 << (mesh.level_min - 2)
-    ij = np.minimum((mesh.vertex_coords[free] * n).astype(int), n - 1)
-    cell = ij[:, 0] * n + ij[:, 1]
-    held = np.bincount(cell, minlength=n * n) > 0
-    agg = (np.cumsum(held) - 1)[cell]
-    shape = (len(free), int(held.sum()))
+    """The aggregate of each free dof, built vertex by vertex
+    (:func:`conftest.aggregates_by_vertex`), and ``(Z^T A) Z`` in CSC
+    form, by scipy's sparse products: ``Z`` from the aggregates, and the
+    column indices of ``Z^T A`` sorted."""
+    agg, count = aggregates_by_vertex(mesh, free)
+    shape = (len(free), count)
     Z = sp.csr_matrix((np.ones(len(free)), agg, np.arange(len(free) + 1)),
                       shape=shape)
     W = sp.csr_matrix(Z.T @ A)
@@ -269,31 +268,33 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     dense = coarse.toarray()
     got = factored[0]
     k = got.shape[0] - 1
-    assert got.shape == (k + 1, 256) and k <= 17
-    assert not np.tril(dense, -k - 1).any()
+    rows, cols = np.nonzero(dense)
+    assert got.shape == (k + 1, len(dense)) and k == np.max(rows - cols)
     assert got.tobytes() == lower_band(dense, k).tobytes()
 
 
 def test_bench_coarse_factor_and_solve(benchmark, mesh):
     # The coarse level of one two-level CG solve of the cracked u system:
-    # the band Cholesky factor of its coarse operator (256 aggregates,
-    # half-bandwidth at most 17), from a plan whose coarse map is built,
-    # and 40 coarse solves, about one per CG iteration.  Each answer must
-    # match SuperLU's on (Z^T A) Z from the sparse products.
+    # the band Cholesky factor of its coarse operator (one row per
+    # aggregate, half-bandwidth that of (Z^T A) Z), from a plan whose
+    # coarse map is built, and 40 coarse solves, about one per CG
+    # iteration.  Each answer must match SuperLU's on (Z^T A) Z from the
+    # sparse products.
     v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
     fem._coarse(sys)
     k = sys.plan.coarse_rows[-1]
-    assert sys.plan.n_agg == 256 and k <= 17
-    rhs = np.random.default_rng(2).normal(size=(40, 256))
+    _, coarse = _reference_coarse(mesh, sys.free, sys.matrix)
+    rows, cols = coarse.nonzero()
+    assert sys.plan.n_agg == coarse.shape[0] and k == np.max(rows - cols)
+    rhs = np.random.default_rng(2).normal(size=(40, sys.plan.n_agg))
 
     def factor_and_solve():
         _, factor, _ = fem._coarse(sys)
         return [fem.lapack.dpbtrs(factor, r, lower=1)[0] for r in rhs]
 
     got = _run(benchmark, factor_and_solve)
-    _, coarse = _reference_coarse(mesh, sys.free, sys.matrix)
     lu = spla.splu(coarse)
     for x, r in zip(got, rhs):
         want = lu.solve(r)
@@ -418,27 +419,27 @@ def test_bench_phase_tangents(benchmark, mesh):
 
 @pytest.fixture(scope="module")
 def onset_first_sweep():
-    """The first phase sweep of staggered iteration 2 at step 40 of the
-    amr_field window, where damage starts on the adapted 8,800-cell mesh:
-    its system, the first sweep's answer in iteration 1 as its start, the
-    pin threshold, and the solver parameters."""
+    """The first phase sweep of the amr_field window that CG solves from
+    its answer in the staggered iteration before, where damage starts on
+    the adapted 8,800-cell mesh: its system, that start, the pin
+    threshold, and the solver parameters."""
     path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
     cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
-                                          "loading.n_max": "39"})
-    _, state = driver.run(cfg)
-    assert state.mesh.n_cells == 8800
-    state.step, state.t = 40, 40 * cfg.loading.dt
+                                          "loading.n_max": "42"})
     seen, first_sweep = [], driver._first_sweep
 
     def spy(state, mat, sys, solve, threshold, open_, reaction, start):
-        if start is not None:
+        def started(sys, start):
             seen.append((sys, start, threshold))
-        return first_sweep(state, mat, sys, solve, threshold, open_, reaction,
-                           start)
+            return solve(sys, start)
+
+        return first_sweep(state, mat, sys, started, threshold, open_,
+                           reaction, start)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(driver, "_first_sweep", spy)
-        driver.staggered_step(state, cfg)
+        _, state = driver.run(cfg)
+    assert state.mesh.n_cells == 8800
     assert seen
     return (*seen[0], cfg.solver)
 
