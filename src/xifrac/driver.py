@@ -53,24 +53,24 @@ bounds the projection's true error (see :func:`_pins_clearly`).  That is
 not checked at run time; the tests check it on runs that keep no basis.
 
 After convergence an optional AMR pass refines cells whose xi falls below
-the refinement threshold until none is flagged, then coarsens fully intact
-regions until nothing merges, transferring all fields to the new mesh.
+the refinement threshold until none is flagged, transferring all fields to
+the new mesh.  It never coarsens: no cell it refined can become intact
+again (:func:`amr_pass`).
 
 Most steps of a preload are elastic: the mesh, v and xi come out of the
 step bit for bit as they went in.  What depends on them alone is kept on
 the mesh with its inputs and handed back for the same inputs
 (:meth:`mesh.Mesh.reuse`): the folded u operator ``K(v)`` with its free
 block for the Dirichlet set of u, the diffusion matrix and load of the
-phase system, the cell xi of v, the parts of the energies that do not
-involve u, and the verdict of an AMR pass that changed nothing.  The
-mesh also keeps ``|grad u|^2`` of the last u, which the strain-drive
-reaction and the strain energy share.  An elastic step then does only
-the load's work, each part once: the right-hand side and solve of u, one
-``|grad u|^2``, the strain-drive reaction, the phase solve and the strain
-energy.  Its second phase sweep pins every node, so it restricts and
-solves nothing.  Inputs match bit for bit (``-0.0`` is not ``0.0``), so a
-kept output is always the one a fresh evaluation would give, and no
-entry refers to its mesh, so the entries die with it.
+phase system, the cell xi of v, and the parts of the energies that do not
+involve u.  The mesh also keeps ``|grad u|^2`` of the last u, which the
+strain-drive reaction and the strain energy share.  An elastic step then
+does only the load's work, each part once: the right-hand side and solve
+of u, one ``|grad u|^2``, the strain-drive reaction, the phase solve and
+the strain energy.  Its second phase sweep pins every node, so it
+restricts and solves nothing.  Inputs match bit for bit (``-0.0`` is not
+``0.0``), so a kept output is always the one a fresh evaluation would
+give, and no entry refers to its mesh, so the entries die with it.
 """
 
 from __future__ import annotations
@@ -433,69 +433,52 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     return iters, converged and not capped
 
 
-def _amr_flags(mesh, v_values, config: SimConfig):
-    """Refine and coarsen flags from the cell xi of ``v_values``.
-
-    Only fully intact cells away from the refinement zone may merge back.
-    """
+def _amr_flags(mesh, v_values, config: SimConfig) -> np.ndarray:
+    """The cells below ``level_max`` whose xi, the cell xi of ``v_values``,
+    falls below the refinement threshold."""
     reg = config.regularization
     xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values),
                            config.material, reg)
-    low = xi_cells < reg.xi_refine
-    intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
-    refine = np.flatnonzero(low & (mesh.cell_levels < config.mesh.level_max))
-    coarsen = np.flatnonzero(intact & ~low
-                             & (mesh.cell_levels > mesh.level_min))
-    return refine, coarsen
+    return np.flatnonzero((xi_cells < reg.xi_refine)
+                          & (mesh.cell_levels < config.mesh.level_max))
 
 
 def amr_pass(state: SimState, config: SimConfig) -> bool:
-    """Adapt the mesh to its fixed point; True if the mesh changed.
+    """Refine the mesh to its fixed point; True if the mesh changed.
 
     Cells are refined until none is flagged: 2:1 balancing can split
     unflagged cells whose children then fall below the threshold.  This
     ends, since :func:`mesh.refine` either returns its input or adds cells,
-    none finer than ``level_max``.  Cells are then merged until nothing
-    merges, which ends, since :func:`mesh.coarsen` either returns its input
-    or removes cells.  ``u`` and ``v`` move together as the columns of one
-    block, v is clipped to [0, 1] after every transfer, and xi moves to the
-    final mesh once; transfers keep the exact zeros of v, so the crack
-    moves with it.
+    none finer than ``level_max``.  ``u`` and ``v`` move together as the
+    columns of one block after each refinement, v is clipped to [0, 1]
+    after every transfer, and xi moves to the final mesh once; transfers
+    keep the exact zeros of v, so the crack moves with it.
 
-    A pass that leaves the mesh as it is changes nothing in ``state``, and
-    the mesh keeps that verdict for the next pass with the same v, xi and
-    config, which then returns False at once (:meth:`Mesh.reuse`).  The
-    first flags of a pass take xi from :func:`phasefield.xi_field`, which
-    in field mode returns what the staggered loop's last xi update kept.
+    Nothing is merged back.  A cell whose vertices all have v >= 1 - 1e-6
+    has xi = xi_0 to about 1e-6, so either every such cell is low or every
+    low cell has a vertex with v < 1 - 1e-6.  Irreversibility never raises
+    that v and refinement keeps it, so the children of a refined cell are
+    never all intact and would never merge.  A pass that leaves the mesh
+    as it is changes nothing in ``state``.  Its flags take xi from
+    :func:`phasefield.xi_field`, which the mesh keeps for the last v; in
+    field mode that is what the staggered loop's last xi update evaluated,
+    so such a pass evaluates nothing.
     """
-    old = state.mesh
-    old.reuse("amr_pass", (state.v.values, state.xi, repr(config)),
-              lambda: _adapt(state, config))
-    return state.mesh is not old
-
-
-def _adapt(state: SimState, config: SimConfig) -> bool | None:
-    """The work of :func:`amr_pass`: True when it leaves the mesh as it is,
-    else None, which :meth:`Mesh.reuse` does not keep, after moving
-    ``state`` to the new mesh."""
     old = mesh = state.mesh
     fields = np.column_stack([state.u.values, state.v.values])
-    for adapt, which in ((meshmod.refine, 0), (meshmod.coarsen, 1)):
-        while True:
-            new = adapt(mesh, _amr_flags(mesh, fields[:, 1], config)[which])
-            if new is mesh:
-                break
-            fields = meshmod.transfer_field(mesh, new, fields)
-            np.clip(fields[:, 1], 0.0, 1.0, out=fields[:, 1])
-            mesh = new
+    while (new := meshmod.refine(
+            mesh, _amr_flags(mesh, fields[:, 1], config))) is not mesh:
+        fields = meshmod.transfer_field(mesh, new, fields)
+        np.clip(fields[:, 1], 0.0, 1.0, out=fields[:, 1])
+        mesh = new
     if mesh is old:
-        return True
+        return False
 
     state.mesh = mesh
     state.u, state.v = (ScalarField(mesh, f) for f in fields.T.copy())
     state.xi = pf.transfer_regularization(
         state.xi, mesh, state.v, config.material, config.regularization)
-    return None
+    return True
 
 
 def crack_reached_bottom(state: SimState) -> bool:

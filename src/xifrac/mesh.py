@@ -321,20 +321,19 @@ class Mesh:
         unchanged: the folded displacement operator of v with its free
         block, the diffusion matrix and load of xi, the cell xi of v, the
         parts of the energies that depend on v and xi alone (see
-        :mod:`xifrac.phasefield`), the verdict of an AMR pass that left
-        the mesh as it was (see :func:`xifrac.driver.amr_pass`), and the
-        basis that the direct first phase sweeps of one xi and crack are
-        projected onto (see :func:`xifrac.driver._first_sweep`); and
-        ``|grad u|^2`` of the last u, which two callers share.  The
-        restriction plans of systems on the mesh's pattern are products
-        too, one per free set, for the few most recent free sets (see
-        :func:`xifrac.fem.free_block`).  Kept on the mesh so that the
-        entries die with it.  An entry holds its inputs' bytes and strings
-        and an output of arrays, matrices and numbers, or a record of them
-        that its one caller updates, never the mesh or an object that
-        refers to it (a ``SparseSystem`` or a ``ScalarField``): that would
-        make a reference cycle, and the mesh and its entries would then
-        live until the cyclic garbage collector runs.
+        :mod:`xifrac.phasefield`), and the basis that the direct first
+        phase sweeps of one xi and crack are projected onto (see
+        :func:`xifrac.driver._first_sweep`); and ``|grad u|^2`` of the
+        last u, which two callers share.  The restriction plans of systems
+        on the mesh's pattern are products too, one per free set, for the
+        few most recent free sets (see :func:`xifrac.fem.free_block`).
+        Kept on the mesh so that the entries die with it.  An entry holds
+        its inputs' bytes and strings and an output of arrays, matrices
+        and numbers, or a record of them that its one caller updates,
+        never the mesh or an object that refers to it (a ``SparseSystem``
+        or a ``ScalarField``): that would make a reference cycle, and the
+        mesh and its entries would then live until the cyclic garbage
+        collector runs.
         """
         return {}
 
@@ -346,29 +345,27 @@ class Mesh:
         inputs of one of the last ``keep`` outputs kept under ``name``,
         that output comes back, becomes the most recently used, and
         ``compute`` is not called.  Otherwise ``compute()``'s output is
-        kept with the inputs, unless it is None, the least recently used
-        output is dropped if ``name`` then keeps more than ``keep``, and
-        the output is returned.  Arrays are kept and compared as their
-        bytes, so ``-0.0`` and ``0.0``, which ``np.array_equal`` calls
-        equal, differ, as they may in what the product computes; and since
-        the bytes are a copy that nothing can change, an in-place edit of
-        the caller's arrays cannot make a stale match.  The output is
+        kept with the inputs, the least recently used output is dropped if
+        ``name`` then keeps more than ``keep``, and the output is
+        returned.  Arrays are kept and compared as their bytes, so
+        ``-0.0`` and ``0.0``, which ``np.array_equal`` calls equal,
+        differ, as they may in what the product computes; and since the
+        bytes are a copy that nothing can change, an in-place edit of the
+        caller's arrays cannot make a stale match.  The output is
         handed out on every match, so it must be immutable (read-only
         arrays (:func:`frozen`), numbers, tuples of them) or left
         unchanged by its users, unless it is a record that only the one
         caller of ``name`` updates.
         """
         key = tuple(map(_bits, inputs))
-        kept = self.products.get(name, [])
+        kept = self.products.setdefault(name, [])
         for i, (k, out) in enumerate(kept):
             if k == key:
                 kept.append(kept.pop(i))
                 return out
         out = compute()
-        if out is not None:
-            kept = self.products.setdefault(name, [])
-            kept.append((key, out))
-            del kept[:-keep]
+        kept.append((key, out))
+        del kept[:-keep]
         return out
 
     @cached_property

@@ -75,8 +75,9 @@ class RegularizationParams(Params):
     """Length-scale bounds, penalties and the update mode.
 
     ``mode`` is one of ``fixed`` (xi_fixed held constant), ``global``
-    (one optimal scalar per update) or ``field`` (per-cell optima); it
-    only decides how :func:`cell_xi` fills the one value per cell.
+    (one optimal scalar per update) or ``field`` (per cell, the mean over
+    the cell's four Gauss points of the pointwise optimum); it only
+    decides how :func:`cell_xi` fills the one value per cell.
     """
 
     mode: str = param("fixed", (lambda v: v in ("fixed", "global", "field"),

@@ -87,7 +87,7 @@ def test_fixed_xi_surface_error_is_second_order_in_h():
 def test_field_xi_step_is_the_at1_profile_of_xi0():
     config, _, state = _zero_load_step(7, "field")
     xi0 = np.sqrt(config.material.g_c / C_V * ZETA / ALPHA)
-    assert xi0 == pytest.approx(0.034636, rel=1e-5)
+    assert xi0 == pytest.approx(0.0346355, rel=1e-5)
     # A converged bound-constrained solve leaves 1.6e-4: the discrete v
     # is the profile only to second order, and xi is its cell mean.
     assert np.max(np.abs(state.xi / xi0 - 1.0)) <= 3e-4

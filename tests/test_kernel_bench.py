@@ -48,8 +48,9 @@ from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import Mesh, build_uniform, coarsen, refine  # noqa: E402
 
 from conftest import aggregates_by_vertex, brute_force_hanging, \
-    global_pcg_band, global_pcg_systems, lower_band, pattern_by_cell_loop, \
-    scipy_coupling, solved_with_tangents, sparse_prolongation  # noqa: E402
+    coarsen_rule_flags, global_pcg_band, global_pcg_systems, lower_band, \
+    pattern_by_cell_loop, scipy_coupling, solved_with_tangents, \
+    sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -594,11 +595,12 @@ def test_bench_band_plan(benchmark, monkeypatch):
 
 
 def test_bench_coarsen_blocked_groups(benchmark, amr_field):
-    # The field_xi_amr mesh after three AMR passes.  Its coarsening flags
-    # hold complete sibling groups, but each would merge next to cells
-    # two levels finer, so nothing merges and the input comes back.
+    # The field_xi_amr mesh after three AMR passes.  The cells that the
+    # coarsening rule flags (conftest.coarsen_rule_flags) hold complete
+    # sibling groups, but each would merge next to cells two levels finer,
+    # so nothing merges and the input comes back.
     state, cfg = amr_field
-    _, flags = driver._amr_flags(state.mesh, state.v.values, cfg)
+    flags = coarsen_rule_flags(state.mesh, state.v.values, cfg)
     assert state.mesh.n_cells == 8800 and len(flags) == 668
     assert _run(benchmark, coarsen, state.mesh, flags) is state.mesh
 

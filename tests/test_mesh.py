@@ -101,15 +101,14 @@ def test_reuse_matches_its_inputs_bit_for_bit():
 def test_reuse_keeps_the_last_keep_inputs_of_a_name():
     # With keep=3 a name keeps the outputs of its three most recently used
     # inputs: a hit makes its entry the most recent, and a new input drops
-    # the least recent.  A None output is neither kept nor drops anything,
-    # and another name keeps its own entries, one by default.
+    # the least recent.  Another name keeps its own entries, one by
+    # default.
     mesh = build_uniform(2)
     computed = []
 
-    def product(k, name="sum", keep=3, out=True):
+    def product(k, name="sum", keep=3):
         return mesh.reuse(name, (np.full(4, float(k)),),
-                          lambda: computed.append((name, k)) or
-                          ([k] if out else None), keep)
+                          lambda: computed.append((name, k)) or [k], keep)
 
     def kept(name="sum"):
         return [out for _, out in mesh.products[name]]
@@ -121,14 +120,12 @@ def test_reuse_keeps_the_last_keep_inputs_of_a_name():
     assert kept() == [[1], [2], [0]]
     product(3)
     assert kept() == [[2], [0], [3]]
-    assert product(4, out=False) is None
-    assert kept() == [[2], [0], [3]]
     product(1)
     assert computed[-1] == ("sum", 1) and kept() == [[0], [3], [1]]
     product(0, "other", keep=1)
     product(1, "other", keep=1)
     assert kept("other") == [[1]] and kept() == [[0], [3], [1]]
-    assert len(computed) == 8
+    assert len(computed) == 7
 
 
 def test_numbering_matches_first_appearance_loop():

@@ -8,7 +8,7 @@ from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine
 
 from conftest import brute_force_hanging, check_two_to_one, children, \
-    reference_coarsen, reference_refine, total_area
+    coarsen_rule_flags, reference_coarsen, reference_refine, total_area
 
 MAT = pf.MaterialParams()
 REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
@@ -279,15 +279,45 @@ def test_one_amr_pass_reaches_a_balanced_fixed_point(level_start, extra,
         amr=driver.AmrParams(enabled=True))
     state = driver.initialize(cfg)
     zeros = state.mesh.vertex_coords[state.v.values == 0.0]
-    flagged, _ = driver._amr_flags(state.mesh, state.v.values, cfg)
+    flagged = driver._amr_flags(state.mesh, state.v.values, cfg)
     assert driver.amr_pass(state, cfg) == (len(flagged) > 0)
     mesh = state.mesh
-    refine_flags, coarsen_flags = driver._amr_flags(mesh, state.v.values, cfg)
-    assert refine(mesh, refine_flags) is mesh
-    assert coarsen(mesh, coarsen_flags) is mesh
+    assert refine(mesh, driver._amr_flags(mesh, state.v.values, cfg)) is mesh
     check_two_to_one(mesh)
     ids = mesh.vertex_ids(zeros)
     assert np.all(ids >= 0) and np.all(state.v.values[ids] == 0.0)
+
+
+@given(level_start=st.integers(3, 6), extra=st.integers(1, 3),
+       tip=st.floats(0.2, 0.9), xi_refine=st.floats(0.03, 0.0355),
+       steps=st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_coarsening_merges_nothing_that_a_run_reaches(level_start, extra,
+                                                      tip, xi_refine, steps):
+    # amr_pass only refines.  On every state that a run with AMR reaches,
+    # mesh.coarsen returns its input for the cells that a coarsening pass
+    # would flag, so a coarsening loop after the refinement could never
+    # change a run.  The threshold ranges over both sides of the intact
+    # xi_0 = 0.0346: above it every intact cell is low and none is
+    # flagged; below it every low cell keeps a vertex with v < 1 - 1e-6,
+    # so the children of a refined cell are never all flagged.
+    cfg = driver.SimConfig(
+        mesh=driver.MeshParams(level_start=level_start,
+                               level_max=min(level_start + extra, 9),
+                               crack_y_tip=tip),
+        regularization=pf.RegularizationParams(
+            mode="field", zeta=9.36, alpha=7900.0, xi_refine=xi_refine),
+        loading=driver.LoadingParams(n_max=steps),
+        amr=driver.AmrParams(enabled=True))
+    seen = []
+
+    def merges_nothing(state):
+        flags = coarsen_rule_flags(state.mesh, state.v.values, cfg)
+        assert coarsen(state.mesh, flags) is state.mesh
+        seen.append(state.step)
+
+    driver.run(cfg, snapshot_hook=merges_nothing)
+    assert seen == list(range(1, steps + 1))
 
 
 # ---------------------------------------------------------------------------
