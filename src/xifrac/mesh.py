@@ -22,7 +22,7 @@ CG of :mod:`xifrac.fem`.
 Meshes are immutable: :func:`refine` and :func:`coarsen` return new
 ``Mesh`` objects, or their input when nothing changes.  Fields carry the
 id of the mesh they live on; :func:`transfer_field` moves a block of them
-between the meshes of one pass with a single sparse operator.
+from a mesh onto a refinement of it with a single sparse operator.
 """
 
 from __future__ import annotations
@@ -84,27 +84,6 @@ def _q1(s, t):
     """The four bilinear basis values at ``(s, t)``, stacked on a last axis."""
     return np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t],
                     axis=-1)
-
-
-def _parent_projection() -> np.ndarray:
-    """4x16 map from four children's corner values to the parent's L2 projection.
-
-    Columns hold child ``k`` (in :data:`_CHILD_POS` order), corner ``a`` at
-    ``4 k + a``.  Two-point Gauss per axis is exact for the products of
-    bilinears integrated child by child.
-    """
-    g = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    s, t = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
-    child = _q1(s, t)
-    # Each point weighs 1/4 on a child a quarter of the parent's area.
-    rhs = np.hstack([_q1((a + s) / 2, (b + t) / 2).T @ child / 16.0
-                     for a, b in _CHILD_POS])
-    mass = np.array([[4, 2, 1, 2], [2, 4, 2, 1],
-                     [1, 2, 4, 2], [2, 1, 2, 4]]) / 36.0
-    return np.linalg.solve(mass, rhs)
-
-
-_PARENT_PROJECTION = _parent_projection()
 
 
 def _containing(codes, l, i, j) -> np.ndarray:
@@ -619,6 +598,10 @@ def coarsen(mesh: Mesh, flags) -> Mesh:
     is silently skipped; ``mesh`` itself is returned when nothing merges.
     The merged parents are the largest set of candidates whose merge
     leaves the mesh balanced.
+
+    No run calls it and no field transfer follows it:
+    :func:`transfer_field` rejects a merged mesh.  It is kept only because
+    the benchmark's layer trace times it as the ``mesh.coarsen`` span.
     """
     l, i, j = mesh._keys[np.unique(np.asarray(flags, dtype=np.intp))].T
     above = l > mesh.level_min
@@ -650,15 +633,16 @@ def coarsen(mesh: Mesh, flags) -> Mesh:
 
 
 def transfer_field(old: Mesh, new: Mesh, values: np.ndarray) -> np.ndarray:
-    """Move nodal values from ``old`` to ``new`` after one refine/coarsen pass.
+    """Move nodal values from ``old`` onto ``new``, a refinement of it.
 
     ``values`` is one field of shape ``(n_old,)`` or a block of fields of
     shape ``(n_old, k)``; all go through one sparse operator.  A vertex
-    present in both meshes keeps its value; a new vertex in a refined cell
-    gets the exact bilinear embedding of its old ancestor; a corner of a
-    coarsened parent gets the cell-local L2 projection of the four old
-    children, averaged over the coarsened parents sharing that corner.
-    Hanging-node constraints of ``new`` are applied to the result.
+    present in both meshes keeps its value; every other vertex takes the
+    bilinear value of the old cell that holds a new cell at it, which is
+    exact for a field that satisfies the constraints of ``old``.
+    Hanging-node constraints of ``new`` are applied to the result.  A
+    ``ValueError`` is raised when a cell of ``new`` lies in no cell of
+    ``old``, as after :func:`coarsen`.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[:1] != (old.n_vertices,):
@@ -666,40 +650,29 @@ def transfer_field(old: Mesh, new: Mesh, values: np.ndarray) -> np.ndarray:
             f"field of shape {values.shape} does not fit mesh {old.id} with "
             f"{old.n_vertices} vertices")
 
-    # Old cell equal to or containing each new cell; -1 for merged parents.
+    # Old cell equal to or containing each new cell.
     anc = _containing(old._codes, *new._keys.T)
-    merged = np.flatnonzero(anc < 0)
-    kids = old.cell_ids(*_child_keys(new._keys[merged]).T).reshape(-1, 4)
-    if np.any(kids < 0):
+    if np.any(anc < 0):
         raise ValueError(
-            f"mesh {new.id} has cells with no counterpart in mesh {old.id}: "
-            f"not a one-pass refine/coarsen result")
-    corners = new.cell_vertices[merged]
-    count = np.bincount(corners.ravel(), minlength=new.n_vertices)
-    shape = (len(merged), 4, 16)
-    proj_rows = np.broadcast_to(corners[:, :, None], shape)
-    proj_cols = np.broadcast_to(
-        old.cell_vertices[kids].reshape(-1, 1, 16), shape)
-    proj_data = _PARENT_PROJECTION / count[corners][:, :, None]
+            f"mesh {new.id} has cells in no cell of mesh {old.id}: "
+            f"not a refinement of it")
 
+    # A vertex of old keeps its value; every other one takes the bilinear
+    # of the old cell that holds any new cell at it.
     old_vid = old._vertex_ids(*new._vertex_xy.T)
-    copy = np.flatnonzero((count == 0) & (old_vid >= 0))
-
-    # The other vertices are corners of refined cells only; each takes the
-    # bilinear of the old cell containing one of them.
+    copy = np.flatnonzero(old_vid >= 0)
     ancestor = np.empty(new.n_vertices, dtype=np.intp)
     ancestor[new.cell_vertices] = anc[:, None]
-    embed = np.flatnonzero((count == 0) & (old_vid < 0))
+    embed = np.flatnonzero(old_vid < 0)
     akey = old._keys[ancestor[embed]]
     ua = _SCALE >> akey[:, 0]
     s = (new._vertex_xy[embed, 0] - akey[:, 1] * ua) / ua
     t = (new._vertex_xy[embed, 1] - akey[:, 2] * ua) / ua
 
-    rows = np.concatenate([proj_rows.ravel(), copy, np.repeat(embed, 4)])
-    cols = np.concatenate([proj_cols.ravel(), old_vid[copy],
+    rows = np.concatenate([copy, np.repeat(embed, 4)])
+    cols = np.concatenate([old_vid[copy],
                            old.cell_vertices[ancestor[embed]].ravel()])
-    data = np.concatenate([proj_data.ravel(), np.ones(len(copy)),
-                           _q1(s, t).ravel()])
+    data = np.concatenate([np.ones(len(copy)), _q1(s, t).ravel()])
     op = sp.csr_matrix((data, (rows, cols)),
                        shape=(new.n_vertices, old.n_vertices))
     return new.constraints.apply(op @ values)

@@ -443,6 +443,26 @@ def coarsen_rule_flags(mesh, v_values, cfg):
                           & (mesh.cell_levels > mesh.level_min))
 
 
+def check_refinement_transfer(old, new, values, got):
+    """Assert that ``got`` is the block ``values`` on ``old`` moved onto
+    ``new``, a refinement of it.  ``got`` meets the constraints of ``new``
+    bit for bit.  A vertex of both meshes that does not hang in ``new``
+    keeps its value bit for bit (a -0.0 comes back as +0.0, as from any
+    sparse product); every other vertex matches ``old.eval_field``, which
+    goes through ``locate``, to 1e-13 of the largest value."""
+    values = values.reshape(old.n_vertices, -1)
+    got = got.reshape(new.n_vertices, -1)
+    assert new.constraints.apply(got).tobytes() == got.tobytes()
+    old_ids = old.vertex_ids(new.vertex_coords)
+    kept = old_ids >= 0
+    kept[new.constraints.hanging] = False
+    assert got[kept].tobytes() == (values[old_ids[kept]] + 0.0).tobytes()
+    x, y = new.vertex_coords[~kept].T
+    want = np.column_stack([old.eval_field(f, x, y) for f in values.T])
+    assert np.all(np.abs(got[~kept] - want)
+                  <= 1e-13 * np.abs(values).max(initial=0.0))
+
+
 def total_area(mesh):
     return float(np.sum(mesh.cell_h ** 2))
 

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
 guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, deflated-CG, projection, tangent, mesh-build, band-plan and
-mesh-coarsening kernels, of the VTK snapshot round trip, and of one warm
-elastic load step.
+solve, deflated-CG, projection, tangent, mesh-build, band-plan,
+mesh-coarsening and refinement-transfer kernels, of the VTK snapshot round
+trip, and of one warm elastic load step.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -24,7 +24,9 @@ asserts one of each; the mesh-build and band-plan benches record the
 best time of each of their two parts.  Those two check against the
 brute-force oracles of ``conftest``: the hanging vertices of a search over
 every cell edge, the folded pattern of a cell-by-cell loop, and scipy's
-indexing and sparse products for the band's plan.
+indexing and sparse products for the band's plan; the transfer bench,
+against the old mesh's interpolant evaluated point by point through
+``locate``.
 Rounds are fixed, so the file adds a few seconds to the suite.
 Run it alone with ``python3 -m pytest tests/test_kernel_bench.py`` to see
 the timing table; it is skipped when pytest-benchmark is not installed
@@ -45,12 +47,13 @@ pytest.importorskip("pytest_benchmark")
 from xifrac import driver, fem, output, phasefield as pf  # noqa: E402
 from xifrac.config import parse_config  # noqa: E402
 from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
-from xifrac.mesh import Mesh, build_uniform, coarsen, refine  # noqa: E402
+from xifrac.mesh import Mesh, build_uniform, coarsen, refine, \
+    transfer_field  # noqa: E402
 
 from conftest import aggregates_by_vertex, brute_force_hanging, \
-    coarsen_rule_flags, global_pcg_band, global_pcg_systems, lower_band, \
-    pattern_by_cell_loop, scipy_coupling, solved_with_tangents, \
-    sparse_prolongation  # noqa: E402
+    check_refinement_transfer, coarsen_rule_flags, global_pcg_band, \
+    global_pcg_systems, lower_band, pattern_by_cell_loop, scipy_coupling, \
+    solved_with_tangents, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -592,6 +595,22 @@ def test_bench_band_plan(benchmark, monkeypatch):
     k = got.shape[0] - 1
     assert not np.tril(dense, -k - 1).any()
     assert got.tobytes() == lower_band(dense, k).tobytes()
+
+
+def test_bench_refinement_transfer(benchmark, amr_field):
+    # The (u, v) block moved in one transfer from the 4,096-cell start grid
+    # onto the 8,800-cell mesh that the first AMR pass of field_xi_amr
+    # reaches in five refinements.  v is the initial crack; u, zero at the
+    # start, is a seeded random field, as the grid has no constraints to
+    # meet.  The result is checked against the old mesh's interpolant.
+    state, cfg = amr_field
+    start = driver.initialize(cfg)
+    old = start.mesh
+    u = np.random.default_rng(5).standard_normal(old.n_vertices)
+    block = np.column_stack([u, start.v.values])
+    got = _run(benchmark, transfer_field, old, state.mesh, block)
+    assert old.n_cells == 4096 and state.mesh.n_cells == 8800
+    check_refinement_transfer(old, state.mesh, block, got)
 
 
 def test_bench_coarsen_blocked_groups(benchmark, amr_field):

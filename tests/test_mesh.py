@@ -1,4 +1,5 @@
-"""Quadtree mesh construction, refinement, coarsening and field transfer."""
+"""Quadtree mesh construction, refinement, coarsening, and field transfer
+onto a refinement (a coarsened mesh is refused)."""
 
 import numpy as np
 import pytest
@@ -308,67 +309,38 @@ def test_transfer_refine_exact_for_bilinear(mesh4x4):
     assert np.max(np.abs(g - (1.0 + 2.0 * xf - yf))) < 1e-12
 
 
-def test_transfer_roundtrip_identity_for_coarse_fields(mesh4x4):
-    """refine then coarsen returns the exact coarse field."""
-    c = mesh4x4.cell_id((2, 1, 2))
-    fine = refine(mesh4x4, [c])
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=mesh4x4.n_vertices)
-    f = mesh4x4.constraints.apply(f)
-    up = transfer_field(mesh4x4, fine, f)
+def test_transfer_onto_a_coarsened_mesh_raises(mesh4x4):
+    # Refine, then merge the children back: the merged parent lies in no
+    # cell of the refined mesh, so the transfer back is refused, and the
+    # message names both meshes.
+    fine = refine(mesh4x4, [mesh4x4.cell_id((2, 1, 2))])
     kids = [fine.cell_id(k) for k in fine.cell_keys if k[0] == 3]
-    down = transfer_field(fine, mesh4x4, up)
-    assert np.max(np.abs(down - f)) < 1e-12
-
-
-def test_cell_projection_is_l2_optimal():
-    """Per-parent projection residual is L2-orthogonal to the parent basis.
-
-    (The assembled coarse field then averages shared corners between
-    neighboring parents, so global per-cell optimality is deliberately
-    not claimed; this pins the building block.)
-    """
-    rng = np.random.default_rng(11)
-    kids = {pos: rng.normal(size=4) for pos in
-            [(0, 0), (1, 0), (0, 1), (1, 1)]}
-    coeff = meshmod._PARENT_PROJECTION @ np.concatenate(
-        [kids[pos] for pos in meshmod._CHILD_POS])
-
-    def parent_shape(s, t):
-        return np.array([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
-
-    gx, gw = np.polynomial.legendre.leggauss(6)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    # integrate child by child: the composite field is only piecewise
-    # bilinear, so one rule across the whole parent would not be exact
-    moments = np.zeros(4)
-    for (a, b), cvals in kids.items():
-        for cs, ws in zip(gx, gw):
-            for ct, wt in zip(gx, gw):
-                s, t = (a + cs) / 2.0, (b + ct) / 2.0
-                f_val = parent_shape(cs, ct) @ cvals
-                g_val = parent_shape(s, t) @ coeff
-                moments += 0.25 * ws * wt * (f_val - g_val) * parent_shape(s, t)
-    assert np.max(np.abs(moments)) < 1e-12
+    back = coarsen(fine, kids)
+    assert back.cell_keys == mesh4x4.cell_keys
+    f = fine.constraints.apply(
+        np.random.default_rng(3).normal(size=fine.n_vertices))
+    with pytest.raises(ValueError,
+                       match=rf"mesh {back.id} .*mesh {fine.id}\b"):
+        transfer_field(fine, back, f)
 
 
 def test_transfer_mixed_pass_exact_for_global_bilinears():
     # Closed-form oracle: a global bilinear a + bx + cy + dxy lies in the
-    # constrained Q1 space of every mesh, so copy, embedding and projection
-    # must all reproduce it.  One pass coarsens both upper quadrants, whose
-    # parents share the vertex (0.5, 0.5) with each other and with kept
-    # cells, and refines cell (2, 3, 0).
+    # constrained Q1 space of every mesh, so copy and embedding must both
+    # reproduce it.  The pass refines cell (2, 0, 0), next to the refined
+    # (2, 1, 0): the old hanging vertex on their shared edge stops
+    # hanging, and new ones appear on the other edges of its children.
+    # Refining child (3, 3, 0) of (2, 1, 0) too makes level-4 cells, and
+    # balance splits its neighbour (2, 2, 0).
     base = build_uniform(2, level_min=1, level_max=4)
     old = refine(base, [base.cell_id((2, 1, 0))])
-    upper = {(2, i, j) for i in range(4) for j in (2, 3)}
-    keys = (set(old.cell_keys) - upper - {(2, 3, 0)}) \
-        | {(1, 0, 1), (1, 1, 1), (3, 6, 0), (3, 7, 0), (3, 6, 1), (3, 7, 1)}
-    new = meshmod.Mesh(keys, 1, 4)
+    new = refine(old, [old.cell_id((2, 0, 0)), old.cell_id((3, 3, 0))])
     check_two_to_one(new)
-    left, right, kept = (set(new.cell_vertices[new.cell_id(k)].tolist())
-                         for k in ((1, 0, 1), (1, 1, 1), (2, 1, 1)))
-    assert left & right & kept
+    assert new.n_cells == old.n_cells + 9
+    old_hanging = set(map(tuple, old.vertex_coords[old.constraints.hanging]))
+    new_hanging = set(map(tuple, new.vertex_coords[new.constraints.hanging]))
+    assert (0.25, 0.125) in old_hanging - new_hanging
+    assert new_hanging - old_hanging
 
     coeffs = [(0.3, -1.2, 0.7, 2.5), (1.0, 0.5, -2.0, -4.0)]
 

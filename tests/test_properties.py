@@ -1,14 +1,16 @@
 """Property-based tests over random inputs (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from xifrac import driver, fem, mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
-from xifrac.mesh import build_uniform, coarsen, refine
+from xifrac.mesh import build_uniform, coarsen, refine, transfer_field
 
-from conftest import brute_force_hanging, check_two_to_one, children, \
-    coarsen_rule_flags, reference_coarsen, reference_refine, total_area
+from conftest import brute_force_hanging, check_refinement_transfer, \
+    check_two_to_one, children, coarsen_rule_flags, reference_coarsen, \
+    reference_refine, total_area
 
 MAT = pf.MaterialParams()
 REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
@@ -256,6 +258,45 @@ def test_hanging_constraints_match_brute_force_edges(data):
         hanging, pairs = brute_force_hanging(m)
         assert np.array_equal(m.constraints.hanging, hanging)
         assert np.array_equal(m.constraints.pairs, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Field transfer
+
+
+def _drawn_refinement(data, m, least, most):
+    for _ in range(data.draw(st.integers(least, most))):
+        m = refine(m, data.draw(st.lists(st.integers(0, m.n_cells - 1),
+                                         min_size=1, max_size=4)))
+    return m
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_transfer_onto_a_refinement_matches_the_old_interpolant(data):
+    # Both meshes come from drawn refine sequences, the new one from the
+    # old, and the (u, v) block satisfies the old mesh's constraints, as
+    # every field of a run does.  A merged mesh is no refinement, so a
+    # transfer onto it is refused, naming both meshes.
+    old = _drawn_refinement(
+        data, build_uniform(2, level_min=1, level_max=5), 0, 3)
+    new = _drawn_refinement(data, old, 1, 3)
+    values = old.constraints.apply(np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3), min_size=2 * old.n_vertices,
+        max_size=2 * old.n_vertices))).reshape(-1, 2))
+    got = transfer_field(old, new, values)
+    check_refinement_transfer(old, new, values, got)
+    single = [transfer_field(old, new, f) for f in values.T]
+    assert got.tobytes() == np.column_stack(single).tobytes()
+
+    # The finest cells hold a complete sibling group, and nothing finer
+    # can block its merge.
+    finest = np.flatnonzero(new.cell_levels == new.cell_levels.max())
+    merged = coarsen(new, finest)
+    assert merged is not new
+    with pytest.raises(ValueError,
+                       match=rf"mesh {merged.id} .*mesh {new.id}\b"):
+        transfer_field(new, merged, got)
 
 
 # ---------------------------------------------------------------------------
