@@ -451,8 +451,9 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     ends, since :func:`mesh.refine` either returns its input or adds cells,
     none finer than ``level_max``.  ``u`` and ``v`` move together as the
     columns of one block after each refinement, v is clipped to [0, 1]
-    after every transfer, and xi moves to the final mesh once; transfers
-    keep the exact zeros of v, so the crack moves with it.
+    after every transfer, and xi on the final mesh is
+    :func:`phasefield.cell_xi` of the transferred v, in every mode;
+    transfers keep the exact zeros of v, so the crack moves with it.
 
     Nothing is merged back.  A cell whose vertices all have v >= 1 - 1e-6
     has xi = xi_0 to about 1e-6, so either every such cell is low or every
@@ -477,7 +478,7 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
     state.mesh = mesh
     state.u, state.v = (ScalarField(mesh, f) for f in fields.T.copy())
     state.xi = pf.transfer_regularization(
-        state.xi, mesh, state.v, config.material, config.regularization)
+        mesh, state.v, config.material, config.regularization)
     return True
 
 

@@ -21,16 +21,9 @@ from .mesh import Mesh
 
 
 def _fmt_all(values) -> list[str]:
-    """Shortest round-trip text of each float (``1.0`` prints as ``1``).
-
-    Each distinct bit pattern is formatted once.  Values that compare
-    equal but differ in their bits, ``0.0`` and ``-0.0``, keep their own
-    text, which deduplicating by value would merge.
-    """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    patterns, inverse = np.unique(bits, return_inverse=True)
-    text = [repr(x).removesuffix(".0") for x in patterns.view(float).tolist()]
-    return [text[i] for i in inverse.tolist()]
+    """Shortest round-trip text of each float (``1.0`` prints as ``1``)."""
+    return [repr(x).removesuffix(".0")
+            for x in np.asarray(values, dtype=float).tolist()]
 
 
 def csv_text(header: str, rows) -> str:

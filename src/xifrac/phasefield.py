@@ -366,11 +366,8 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5) -> ScalarField:
     return ScalarField(mesh, np.where(on_seed, 0.0, 1.0))
 
 
-def transfer_regularization(xi: np.ndarray, mesh: Mesh, v: ScalarField,
-                            mat: MaterialParams, reg: RegularizationParams
-                            ) -> np.ndarray:
-    """Cell xi on a new mesh: recomputed in field mode; the one value of
-    the fixed and global modes is carried over, not re-optimized."""
-    if reg.mode == "field":
-        return xi_field(mesh, v, mat, reg)
-    return np.full(mesh.n_cells, xi[0])
+def transfer_regularization(mesh: Mesh, v: ScalarField, mat: MaterialParams,
+                            reg: RegularizationParams) -> np.ndarray:
+    """Cell xi on a new mesh: :func:`cell_xi` of the transferred ``v``, in
+    every mode (a name of its own, which ``perfbench/layers.py`` traces)."""
+    return cell_xi(mesh, v, mat, reg)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import xifrac
 from xifrac import cli, config, driver, mesh as meshmod, output, phasefield as pf
@@ -385,12 +386,35 @@ def test_vtk_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(cdata["xi"], xi)
 
 
-def test_fmt_all_keeps_each_bit_pattern():
-    # Formatting each distinct value once must not merge -0.0 with 0.0.
-    values = [0.0, -0.0, 1.0, float("nan"), 0.5] * 100
-    got = output._fmt_all(values)
-    assert got == [repr(x).removesuffix(".0") for x in values]
-    assert got[:5] == ["0", "-0", "1", "nan", "0.5"]
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   float("inf"), float("-inf"), float("nan"), 1.0, -3.0,
+                   2.0 ** 53, 1e22]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+                          st.integers(-10 ** 6, 10 ** 6).map(float)),
+                min_size=1))
+def test_fmt_all_keeps_each_bit_pattern(values):
+    # Every CSV cell reads back to its value's bits (a nan to a nan), so
+    # 0.0 and -0.0 and each repeat keep their own text; -0.0 prints as
+    # -0 and an integral float without its ".0".  The special values come
+    # first and last, so both zeros always appear, in both orders.
+    values = _SPECIAL_FLOATS + values + _SPECIAL_FLOATS[::-1]
+    rows = np.array(values * 3).reshape(3, -1).T
+    lines = output.csv_text("a,b,c", rows).split("\n")
+    assert lines[0] == "a,b,c" and lines[-1] == ""
+    cells = [c for line in lines[1:-1] for c in line.split(",")]
+    assert len(cells) == rows.size
+    for x, text in zip(rows.ravel().tolist(), cells):
+        back = float(text)
+        if np.isnan(x):
+            assert np.isnan(back)
+        else:
+            assert struct.pack("<d", back) == struct.pack("<d", x)
+        if x == 0.0 and np.signbit(x):
+            assert text == "-0"
+        if np.isfinite(x) and x == int(x):
+            assert not text.endswith(".0")
 
 
 def _snapshot_state(mesh, step, rng):

@@ -7,7 +7,7 @@ import pytest
 
 from xifrac import fem, phasefield as pf
 from xifrac.fem import ScalarField, constant_field
-from xifrac.mesh import build_uniform, refine
+from xifrac.mesh import build_uniform, refine, transfer_field
 
 from conftest import dense_condense, dense_dirichlet, dense_laplace, \
     dense_load, dense_mass, dirichlet_arrays, nothing_pinned
@@ -424,15 +424,18 @@ def test_initial_crack_validates_tip():
 
 
 def test_transfer_regularization_modes():
-    # Fixed and global xi carry their one value over to the new mesh, not
-    # re-optimized; field xi is recomputed there.
-    mesh = build_uniform(3)
-    v = constant_field(mesh, 1.0)
-    old = np.full(16, 0.05)
-    for mode in ("fixed", "global"):
+    # On a refinement, xi is cell_xi of the transferred v in every mode:
+    # xi_fixed on every cell, the global optimum of the new mesh, or its
+    # per-cell field.
+    old = build_uniform(3)
+    v_old = pf.initial_crack(old)
+    mesh = refine(old, [27, 28, 35, 36])
+    v = ScalarField(mesh, transfer_field(old, mesh, v_old.values))
+    for mode in ("fixed", "global", "field"):
         reg = _reg(zeta=9.36, alpha=7900.0, mode=mode)
-        moved = pf.transfer_regularization(old, mesh, v, MAT, reg)
-        assert np.array_equal(moved, np.full(mesh.n_cells, 0.05))
-    reg = _reg(zeta=9.36, alpha=7900.0, mode="field")
-    moved = pf.transfer_regularization(old, mesh, v, MAT, reg)
-    assert np.array_equal(moved, pf.xi_field(mesh, v, MAT, reg))
+        moved = pf.transfer_regularization(mesh, v, MAT, reg)
+        assert moved.shape == (mesh.n_cells,)
+        assert np.array_equal(moved, pf.cell_xi(mesh, v, MAT, reg))
+    reg = _reg(zeta=9.36, alpha=7900.0, mode="fixed")
+    fixed = pf.transfer_regularization(mesh, v, MAT, reg)
+    assert np.array_equal(fixed, np.full(mesh.n_cells, reg.xi_fixed))

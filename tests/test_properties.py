@@ -1,5 +1,7 @@
 """Property-based tests over random inputs (hypothesis)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,31 @@ def test_transfer_onto_a_refinement_matches_the_old_interpolant(data):
     with pytest.raises(ValueError,
                        match=rf"mesh {merged.id} .*mesh {new.id}\b"):
         transfer_field(new, merged, got)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_xi_after_a_refinement_is_cell_xi_of_the_transferred_v(data):
+    # A v in [0, 1] on the old mesh moves onto a refinement of it.  2 x 2
+    # Gauss integrates the global-xi integrands of a bilinear v exactly,
+    # so the unclamped global optimum stays put up to rounding, and xi on
+    # the new mesh is cell_xi of the transferred v in every mode.
+    old = _drawn_refinement(
+        data, build_uniform(2, level_min=2, level_max=7), 0, 3)
+    new = _drawn_refinement(data, old, 1, 3)
+    v_old = fem.ScalarField(old, old.constraints.apply(data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=old.n_vertices,
+        max_size=old.n_vertices))))
+    v_new = fem.ScalarField(new, transfer_field(old, new, v_old.values))
+    wide = replace(REG, mode="global", xi_min=1e-3, xi_max=1.0)
+    before = pf.xi_global(old, v_old, MAT, wide)
+    assert wide.xi_min < before < wide.xi_max
+    assert pf.xi_global(new, v_new, MAT, wide) == pytest.approx(
+        before, rel=1e-14, abs=0.0)
+    for mode in ("fixed", "global", "field"):
+        reg = replace(REG, mode=mode)
+        moved = pf.transfer_regularization(new, v_new, MAT, reg)
+        assert moved.tobytes() == pf.cell_xi(new, v_new, MAT, reg).tobytes()
 
 
 # ---------------------------------------------------------------------------
