@@ -37,7 +37,6 @@ def _build_parser():
     cal = sub.add_parser("calibrate", help="print penalty parameters for a "
                          "mesh size")
     cal.add_argument("--h", type=float, required=True, dest="h")
-    cal.add_argument("--G-c", type=float, default=2.7, dest="g_c")
 
     prof = sub.add_parser("profile", help="sample a field snapshot along a "
                           "horizontal line")
@@ -60,8 +59,11 @@ def _cmd_run(args) -> int:
         if "=" not in item:
             print(f"--set expects KEY=VALUE, got {item!r}", file=sys.stderr)
             return 2
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            print(f"--set gives {key!r} twice", file=sys.stderr)
+            return 2
+        overrides[key] = value
     config = parse_config(text, overrides)
     out_dir = args.out or Path("xifrac-out")
     try:
@@ -77,8 +79,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    alpha = pf.calibrate_alpha(args.h, args.g_c)
-    zeta = pf.calibrate_zeta(args.h, alpha, args.g_c)
+    alpha = pf.calibrate_alpha(args.h)
+    zeta = pf.calibrate_zeta(args.h, alpha)
     print(f"h = {args.h}")
     print(f"alpha = {alpha:.6g}")
     print(f"zeta  = {zeta:.6g}")
@@ -114,8 +116,8 @@ def _cmd_tables(args) -> int:
     print(f"{'h':>8} {'alpha':>10} {'published':>10} {'zeta':>8} "
           f"{'published':>10}")
     for h, a_ref in zip(_TABLE_H, _TABLE_ALPHA):
-        alpha = pf.calibrate_alpha(h, 2.7)
-        zeta = pf.calibrate_zeta(h, alpha, 2.7)
+        alpha = pf.calibrate_alpha(h)
+        zeta = pf.calibrate_zeta(h, alpha)
         print(f"{h:>8g} {alpha:>10.4g} {a_ref:>10.4g} {zeta:>8.4g} "
               f"{_TABLE_ZETA:>10.4g}")
     print("note: the published zeta is ~3x the closed-form value; both are "
@@ -123,11 +125,10 @@ def _cmd_tables(args) -> int:
 
     print("Closed-form optimal xi for an intact body "
           "(sqrt(G_c*zeta / (c_v*alpha))):")
-    mat = pf.MaterialParams()
     for a_ref, target in zip(_TABLE_ALPHA, (0.13687, 0.06927, 0.03464)):
         reg = pf.RegularizationParams(zeta=_TABLE_ZETA, alpha=a_ref,
                                       xi_max=1.0)
-        xi = float(pf.xi_pointwise(1.0, 0.0, mat, reg))
+        xi = float(pf.xi_pointwise(1.0, 0.0, reg))
         print(f"alpha={a_ref:>8g}: xi = {xi:.5f}  (published {target})")
     print("note: for alpha=493.75 the published 0.13687 reflects the seeded "
           "crack; the closed form gives 0.13854.")

@@ -8,9 +8,9 @@ Resolution order is CLI override > file > built-in default.
 
 The keys are not listed here: :data:`KEYS` is built from the fields of
 :class:`driver.SimConfig`'s sections, each declared once with
-:func:`phasefield.param` (default, range and, where it is not the
-attribute name, key).  A key's parser comes from its field's annotation,
-and a value is checked against its field's own range.
+:func:`phasefield.param` (default and range), and a key is its section's
+name and its field's name.  A key's parser comes from its field's
+annotation, and a value is checked against its field's own range.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ _PARSERS = {"float": float, "int": int, "str": str, "bool": _bool}
 
 # key -> (section attr, field, parser), in SimConfig's field order
 KEYS = {
-    f"{section.name}.{f.metadata['key'] or f.name}":
-        (section.name, f, _PARSERS[f.type])
+    f"{section.name}.{f.name}": (section.name, f, _PARSERS[f.type])
     for section in dc_fields(driver.SimConfig)
     for f in dc_fields(section.default)
 }

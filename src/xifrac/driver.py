@@ -43,14 +43,14 @@ next first sweep meets the same family; when the basis is empty or has
 decided a first sweep since it was built, that answer and its seven
 Krylov tangents ``(A^-1 R)^j x`` (:func:`fem.family_tangents`), built
 from the factor while it is in hand, become the basis.  The basis is
-kept under the sweep's xi, free set and material (:meth:`Mesh.reuse`),
-so a change of mesh, xi or crack finds a fresh, empty one, and nothing
-has to clear it.  Under ``pcg``, which has no fine factor, the first
-sweep is solved like the others, from its answer in the previous
-iteration.  Every returned field is a solver's answer to an active set
-that the margin makes independent of the basis, as long as the margin
-bounds the projection's true error (see :func:`_pins_clearly`).  That is
-not checked at run time; the tests check it on runs that keep no basis.
+kept under the sweep's xi and free set (:meth:`Mesh.reuse`), so a change
+of mesh, xi or crack finds a fresh, empty one, and nothing has to clear
+it.  Under ``pcg``, which has no fine factor, the first sweep is solved
+like the others, from its answer in the previous iteration.  Every
+returned field is a solver's answer to an active set that the margin
+makes independent of the basis, as long as the margin bounds the
+projection's true error (see :func:`_pins_clearly`).  That is not
+checked at run time; the tests check it on runs that keep no basis.
 
 After convergence an optional AMR pass refines cells whose xi falls below
 the refinement threshold until none is flagged, transferring all fields to
@@ -130,7 +130,6 @@ class OutputParams(pf.Params):
 
 @dataclass(frozen=True)
 class SimConfig:
-    material: pf.MaterialParams = pf.MaterialParams()
     regularization: pf.RegularizationParams = pf.RegularizationParams()
     mesh: MeshParams = MeshParams()
     loading: LoadingParams = LoadingParams()
@@ -184,14 +183,13 @@ def initialize(config: SimConfig) -> SimState:
                                  level_max=mp.level_max)
     v0 = pf.initial_crack(grid, mp.crack_y_tip)
     u0 = fem.constant_field(grid, 0.0)
-    xi = pf.cell_xi(grid, v0, config.material, config.regularization)
+    xi = pf.cell_xi(grid, v0, config.regularization)
     return SimState(mesh=grid, u=u0, v=v0, xi=xi)
 
 
 def update_xi(state: SimState, config: SimConfig) -> np.ndarray:
     """Refresh the cell xi from the current phase field, per mode."""
-    return pf.cell_xi(state.mesh, state.v, config.material,
-                      config.regularization)
+    return pf.cell_xi(state.mesh, state.v, config.regularization)
 
 
 # Caps on the staggered iterations of one load step and on the active-set
@@ -239,15 +237,15 @@ class _Basis:
     served: bool = False
 
 
-def _first_sweep(state: SimState, mat, sys, solve, threshold, open_,
-                 reaction, start) -> tuple[fem.ScalarField, bool]:
+def _first_sweep(state: SimState, sys, solve, threshold, open_, reaction,
+                 start) -> tuple[fem.ScalarField, bool]:
     """Sweep 1 of a direct phase solve, projected onto its family's basis
     first.
 
-    The basis is a :class:`_Basis` that the mesh keeps under the sweep's xi,
-    free set and ``mat`` (:meth:`Mesh.reuse`), so a sweep of another family
-    finds a fresh, empty one.  Returns the field and whether it is a
-    solver's answer; if not, it depends on the basis but pins clearly
+    The basis is a :class:`_Basis` that the mesh keeps under the sweep's xi
+    and free set (:meth:`Mesh.reuse`), so a sweep of another family finds a
+    fresh, empty one.  Returns the field and whether it is a solver's
+    answer; if not, it depends on the basis but pins clearly
     (:func:`_pins_clearly`), so that only its pin decision is used.  An
     accepted projection that pins clearly comes back as it is and marks the
     basis as served.  Else the sweep is solved once, without the basis.  A
@@ -266,8 +264,7 @@ def _first_sweep(state: SimState, mat, sys, solve, threshold, open_,
     sweep would only buy tangents that fail too.  The factor is released on
     return.
     """
-    basis = state.mesh.reuse("first_sweep", (state.xi, sys.free, repr(mat)),
-                             _Basis)
+    basis = state.mesh.reuse("first_sweep", (state.xi, sys.free), _Basis)
     projected, accepted, residual = fem.project(sys, basis.rows)
     if accepted and _pins_clearly(sys, projected, residual, threshold, open_):
         basis.served = True
@@ -285,7 +282,7 @@ def _first_sweep(state: SimState, mat, sys, solve, threshold, open_,
     return v, True
 
 
-def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
+def _solve_phase_bounded(state: SimState, bound: ScalarField, solve,
                          sol: SolverParams, starts: dict
                          ) -> tuple[fem.ScalarField, bool]:
     """Phase-field solve respecting the upper bound ``v <= min(bound, 1)``.
@@ -330,7 +327,7 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
     upper = np.minimum(bound.values, 1.0)
     pinned = state.v.values == 0.0
     values = np.where(pinned, 0.0, upper)
-    folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+    folded, reaction = pf.assemble_phase(state.mesh, state.u, state.xi)
     threshold = upper + 1e-12
     previous = starts.copy()
     starts.clear()
@@ -343,8 +340,8 @@ def _solve_phase_bounded(state: SimState, bound: ScalarField, mat, solve,
         elif sweep:
             v = solve(sys)
         else:
-            v, solved = _first_sweep(state, mat, sys, solve, threshold,
-                                     ~pinned, reaction, previous.get(0))
+            v, solved = _first_sweep(state, sys, solve, threshold, ~pinned,
+                                     reaction, previous.get(0))
             if solved:
                 starts[0] = v.values
         grow = (v.values > threshold) & ~pinned
@@ -390,7 +387,7 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
     without running it, but counts it, so iteration k returns ``k + 1``
     iterations, converged, whenever ``k + 1 <= _MAX_STAGGERED``.
     """
-    mat, sol = config.material, config.solver
+    sol = config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
     solve = lambda sys, guess=None: fem.solve_field(sys, method=sol.method,
                                                     guess=guess)
@@ -403,11 +400,10 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
         u_old, v_old, xi_old = state.u, state.v, state.xi
         cracked = v_old.values == 0.0
 
-        sys_u = pf.assemble_displacement(state.mesh, state.v, mat, *bc)
+        sys_u = pf.assemble_displacement(state.mesh, state.v, *bc)
         state.u = solve(sys_u, state.u.values)
 
-        v_raw, settled = _solve_phase_bounded(state, bound, mat, solve, sol,
-                                              starts)
+        v_raw, settled = _solve_phase_bounded(state, bound, solve, sol, starts)
         capped |= not settled
         state.v = pf.enforce_irreversibility(v_raw, bound, cracked)
 
@@ -437,8 +433,7 @@ def _amr_flags(mesh, v_values, config: SimConfig) -> np.ndarray:
     """The cells below ``level_max`` whose xi, the cell xi of ``v_values``,
     falls below the refinement threshold."""
     reg = config.regularization
-    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values),
-                           config.material, reg)
+    xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), reg)
     return np.flatnonzero((xi_cells < reg.xi_refine)
                           & (mesh.cell_levels < config.mesh.level_max))
 
@@ -477,8 +472,8 @@ def amr_pass(state: SimState, config: SimConfig) -> bool:
 
     state.mesh = mesh
     state.u, state.v = (ScalarField(mesh, f) for f in fields.T.copy())
-    state.xi = pf.transfer_regularization(
-        mesh, state.v, config.material, config.regularization)
+    state.xi = pf.transfer_regularization(mesh, state.v,
+                                          config.regularization)
     return True
 
 
@@ -504,11 +499,11 @@ def run(config: SimConfig, out_dir=None, snapshot_hook=None
 
     state = initialize(config)
     writer = out.RunWriter(out_dir, config) if out_dir is not None else None
-    mat, reg = config.material, config.regularization
+    reg = config.regularization
 
     def record(iters, converged):
         state.history.append(pf.energies(
-            state.mesh, state.u, state.v, state.xi, mat, reg, t=state.t,
+            state.mesh, state.u, state.v, state.xi, reg, t=state.t,
             stag_iters=iters, converged=converged))
         return state.history[-1]
 

@@ -10,9 +10,10 @@ evaluated here together with the two coupled weak-form systems,
 calibration helpers, irreversibility bookkeeping and energy accounting.
 
 Each run parameter is declared once, as a field of a frozen
-:class:`Params` dataclass made with :func:`param`: its default, its range
-and, where it differs from the attribute name, its config key.
-:mod:`xifrac.config` builds its key table from these fields.
+:class:`Params` dataclass made with :func:`param`: its default and its
+range.  :mod:`xifrac.config` builds its key table from these fields.  The
+material is not a run parameter: its shear modulus and toughness are the
+constants :data:`SHEAR_MODULUS` and :data:`TOUGHNESS`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ log = logging.getLogger(__name__)
 
 #: c_v of the energy: AT1's normalization, so its surface energy is G_c.
 AT1_NORMALIZATION = 8.0 / 3.0
+SHEAR_MODULUS = 80.8  # mu
+TOUGHNESS = 2.7  # G_c
 CRACK_TOL = 0.01  # Xi_CR: a node whose v drops below it joins the crack
 RESIDUAL_STIFFNESS = 1e-10  # eta: the share of mu left where v = 0
 
@@ -39,11 +42,10 @@ POSITIVE = (lambda v: 0 < v < np.inf, "must be finite and > 0")
 NONNEGATIVE = (lambda v: 0 <= v < np.inf, "must be finite and >= 0")
 
 
-def param(default, bounds, key=None):
-    """A run parameter: its default, its range ``bounds`` as
-    ``(test, reason)`` and its config key when that is not the attribute
-    name."""
-    return field(default=default, metadata={"range": bounds, "key": key})
+def param(default, bounds):
+    """A run parameter: its default and its range ``bounds`` as
+    ``(test, reason)``."""
+    return field(default=default, metadata={"range": bounds})
 
 
 class Params:
@@ -62,12 +64,6 @@ class Params:
                 raise ValueError(f"{f.name} = {value!r} must be an integer")
             if not test(value):
                 raise ValueError(f"{f.name} = {value!r} {reason}")
-
-
-@dataclass(frozen=True)
-class MaterialParams(Params):
-    mu: float = param(80.8, POSITIVE)
-    g_c: float = param(2.7, POSITIVE, key="G_c")
 
 
 @dataclass(frozen=True)
@@ -169,9 +165,10 @@ def _strain_sq(u: ScalarField) -> np.ndarray:
                         lambda: frozen(_grad_sq(u)))
 
 
-def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
-                          pinned: np.ndarray, values) -> SparseSystem:
-    """Degraded shear system for u, restricted to the dofs not ``pinned``.
+def assemble_displacement(mesh: Mesh, v: ScalarField, pinned: np.ndarray,
+                          values) -> SparseSystem:
+    """Degraded shear system for u, restricted to the dofs not ``pinned``:
+    stiffness weighted by ``mu g(v)``, with mu the :data:`SHEAR_MODULUS`.
 
     The folded operator ``K(v)`` and its free block for ``pinned``
     (:func:`fem.free_block`) depend on v and the pinned set alone, so the
@@ -179,27 +176,26 @@ def assemble_displacement(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     (:meth:`Mesh.reuse`), which only forms the right-hand side.
     """
     def operator():
-        weight = mat.mu * degradation(fem.field_at_qp(v))
+        weight = SHEAR_MODULUS * degradation(fem.field_at_qp(v))
         matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
         block = fem.free_block(matrix, mesh, pinned)
         for a in (matrix, block.matrix, block.coupling):
             frozen(a.data)
         return matrix, block
 
-    matrix, block = mesh.reuse("displacement", (v.values, repr(mat), pinned),
-                               operator)
+    matrix, block = mesh.reuse("displacement", (v.values, pinned), operator)
     return fem.apply_dirichlet(
         SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh), pinned, values,
         block)
 
 
-def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
-                   mat: MaterialParams
+def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray
                    ) -> tuple[SparseSystem, sp.csr_matrix]:
     """Phase-field system: reaction from the strain energy, xi diffusion.
 
-    Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` (eta the
-    :data:`RESIDUAL_STIFFNESS`) plus stiffness weighted by ``2 G_c xi / c_v``;
+    Matrix = mass weighted by ``mu (1-eta) |grad u|^2`` (mu the
+    :data:`SHEAR_MODULUS`, eta the :data:`RESIDUAL_STIFFNESS`) plus
+    stiffness weighted by ``2 G_c xi / c_v`` (G_c the :data:`TOUGHNESS`);
     load density ``G_c / (c_v xi)``, with ``xi`` one value per cell.  The
     system is folded but not restricted: the pinned nodes change from one
     active-set sweep to the next, so each sweep restricts this one system
@@ -217,22 +213,21 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray,
         if np.any(xi <= 0.0):
             raise ValueError("xi must be strictly positive")
         diffusion = fem.assemble_weighted_laplace(
-            mesh, 2.0 * mat.g_c * xi / AT1_NORMALIZATION).matrix
-        rhs = fem.assemble_load(mesh, mat.g_c / (AT1_NORMALIZATION * xi))
+            mesh, 2.0 * TOUGHNESS * xi / AT1_NORMALIZATION).matrix
+        rhs = fem.assemble_load(mesh, TOUGHNESS / (AT1_NORMALIZATION * xi))
         frozen(diffusion.data)
         return diffusion, frozen(rhs)
 
-    diffusion, rhs = mesh.reuse("phase", (xi, repr(mat)), diffusion_and_load)
-    drive = mat.mu * (1.0 - RESIDUAL_STIFFNESS) * _strain_sq(u)
+    diffusion, rhs = mesh.reuse("phase", (xi,), diffusion_and_load)
+    drive = SHEAR_MODULUS * (1.0 - RESIDUAL_STIFFNESS) * _strain_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
     return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh), rhs),
             reaction.matrix)
 
 
-def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
-              reg: RegularizationParams) -> float:
+def xi_global(mesh: Mesh, v: ScalarField, reg: RegularizationParams) -> float:
     """Globally optimal xi from the stationarity of the three-field energy."""
-    ratio = mat.g_c / AT1_NORMALIZATION
+    ratio = TOUGHNESS / AT1_NORMALIZATION
     v_qp = fem.field_at_qp(v)
     numer = ratio * fem.integrate(mesh, 1.0 - v_qp + reg.zeta)
     denom = (ratio * fem.integrate(mesh, _grad_sq(v))
@@ -240,16 +235,15 @@ def xi_global(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     return float(reg.clamp(np.sqrt(numer / denom)))
 
 
-def xi_pointwise(v, grad_sq, mat: MaterialParams,
-                 reg: RegularizationParams):
+def xi_pointwise(v, grad_sq, reg: RegularizationParams):
     """Pointwise optimal xi from local values of v and |grad v|^2, clamped."""
-    ratio = mat.g_c / AT1_NORMALIZATION
+    ratio = TOUGHNESS / AT1_NORMALIZATION
     numer = ratio * (1.0 - np.asarray(v) + reg.zeta)
     denom = ratio * np.asarray(grad_sq) + reg.alpha
     return reg.clamp(np.sqrt(np.maximum(numer, 0.0) / denom))
 
 
-def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
+def xi_field(mesh: Mesh, v: ScalarField,
              reg: RegularizationParams) -> np.ndarray:
     """Per-cell xi: mean of the pointwise formula over the quadrature points.
 
@@ -258,20 +252,19 @@ def xi_field(mesh: Mesh, v: ScalarField, mat: MaterialParams,
     """
     def cells():
         v_qp = fem.field_at_qp(v)
-        return frozen(
-            xi_pointwise(v_qp, _grad_sq(v), mat, reg).mean(axis=1))
+        return frozen(xi_pointwise(v_qp, _grad_sq(v), reg).mean(axis=1))
 
-    return mesh.reuse("xi_field", (v.values, repr(mat), repr(reg)), cells)
+    return mesh.reuse("xi_field", (v.values, repr(reg)), cells)
 
 
-def cell_xi(mesh: Mesh, v: ScalarField, mat: MaterialParams,
+def cell_xi(mesh: Mesh, v: ScalarField,
             reg: RegularizationParams) -> np.ndarray:
     """xi of ``reg.mode`` on each cell: ``xi_fixed`` as configured, the
     global optimum or the per-cell field (both clamped)."""
     if reg.mode == "field":
-        return xi_field(mesh, v, mat, reg)
+        return xi_field(mesh, v, reg)
     if reg.mode == "global":
-        return np.full(mesh.n_cells, xi_global(mesh, v, mat, reg))
+        return np.full(mesh.n_cells, xi_global(mesh, v, reg))
     return np.full(mesh.n_cells, reg.xi_fixed)
 
 
@@ -282,16 +275,18 @@ def _check_calibration(**inputs: float) -> None:
             raise ValueError(f"{name} must be finite and positive: {value}")
 
 
-def calibrate_alpha(h: float, g_c: float) -> float:
-    """Upper-bound penalty from the xi = 2h crack-zone ansatz."""
-    _check_calibration(h=h, g_c=g_c)
-    return 3.0 * g_c / (96.0 * AT1_NORMALIZATION * h * h)
+def calibrate_alpha(h: float) -> float:
+    """Upper-bound penalty from the xi = 2h crack-zone ansatz, for the
+    :data:`TOUGHNESS`."""
+    _check_calibration(h=h)
+    return 3.0 * TOUGHNESS / (96.0 * AT1_NORMALIZATION * h * h)
 
 
-def calibrate_zeta(h: float, alpha: float, g_c: float) -> float:
-    """Lower-bound penalty from the xi = 10h far-field ansatz."""
-    _check_calibration(h=h, alpha=alpha, g_c=g_c)
-    return 100.0 * h * h * AT1_NORMALIZATION * alpha / g_c
+def calibrate_zeta(h: float, alpha: float) -> float:
+    """Lower-bound penalty from the xi = 10h far-field ansatz, for the
+    :data:`TOUGHNESS`."""
+    _check_calibration(h=h, alpha=alpha)
+    return 100.0 * h * h * AT1_NORMALIZATION * alpha / TOUGHNESS
 
 
 def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
@@ -314,8 +309,7 @@ def enforce_irreversibility(v_new: ScalarField, v_prev: ScalarField,
 
 
 def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
-             xi: np.ndarray, mat: MaterialParams,
-             reg: RegularizationParams, *, t: float = 0.0,
+             xi: np.ndarray, reg: RegularizationParams, *, t: float = 0.0,
              stag_iters: int = 0, converged: bool = True) -> EnergyRecord:
     """Strain / surface / penalty split of the three-field energy.
 
@@ -331,7 +325,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
     def frozen_parts():
         xi_qp = fem._coefficient(mesh, xi)
         v_qp = fem.field_at_qp(v)
-        ratio = mat.g_c / AT1_NORMALIZATION
+        ratio = TOUGHNESS / AT1_NORMALIZATION
         surface = ratio * fem.integrate(
             mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
         penalty = fem.integrate(
@@ -339,8 +333,8 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
         return frozen(degradation(v_qp)), surface, penalty
 
     deg, surface, penalty = mesh.reuse(
-        "energies", (v.values, xi, repr(mat), repr(reg)), frozen_parts)
-    strain = 0.5 * mat.mu * fem.integrate(mesh, deg * _strain_sq(u))
+        "energies", (v.values, xi, repr(reg)), frozen_parts)
+    strain = 0.5 * SHEAR_MODULUS * fem.integrate(mesh, deg * _strain_sq(u))
     return EnergyRecord(t=t, strain=strain, surface=surface, penalty=penalty,
                         total=strain + surface + penalty,
                         xi_min=float(xi.min()), xi_max=float(xi.max()),
@@ -366,8 +360,8 @@ def initial_crack(mesh: Mesh, y_tip: float = 0.5) -> ScalarField:
     return ScalarField(mesh, np.where(on_seed, 0.0, 1.0))
 
 
-def transfer_regularization(mesh: Mesh, v: ScalarField, mat: MaterialParams,
+def transfer_regularization(mesh: Mesh, v: ScalarField,
                             reg: RegularizationParams) -> np.ndarray:
     """Cell xi on a new mesh: :func:`cell_xi` of the transferred ``v``, in
     every mode (a name of its own, which ``perfbench/layers.py`` traces)."""
-    return cell_xi(mesh, v, mat, reg)
+    return cell_xi(mesh, v, reg)

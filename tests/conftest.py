@@ -179,10 +179,10 @@ def _global_pcg_state():
         "solver.method": "pcg"})
     state = driver.initialize(cfg)
     u_sys = pf.assemble_displacement(
-        state.mesh, state.v, cfg.material,
+        state.mesh, state.v,
         *driver.boundary_displacement(state.mesh, 0.1, cfg.loading.c))
     u = fem.solve_field(u_sys, method="direct")
-    folded, _ = pf.assemble_phase(state.mesh, u, state.xi, cfg.material)
+    folded, _ = pf.assemble_phase(state.mesh, u, state.xi)
     return state, u_sys, folded
 
 
@@ -436,8 +436,7 @@ def coarsen_rule_flags(mesh, v_values, cfg):
     the level is above ``level_min``.  ``driver.amr_pass`` only refines;
     this is the rule that it dropped."""
     reg = cfg.regularization
-    xi = pf.xi_field(mesh, fem.ScalarField(mesh, v_values), cfg.material,
-                     reg)
+    xi = pf.xi_field(mesh, fem.ScalarField(mesh, v_values), reg)
     intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
     return np.flatnonzero(intact & (xi >= reg.xi_refine)
                           & (mesh.cell_levels > mesh.level_min))

@@ -77,20 +77,19 @@ def energy_run():
 
 
 def test_criterion_1_closed_form_and_step1_global_xi(capsys):
-    mat = pf.MaterialParams()
     mesh = build_uniform(2)
     ones = constant_field(mesh, 1.0)
     vals = {}
     for alpha, published in ((1975.0, 0.06927), (7900.0, 0.03464)):
         reg = pf.RegularizationParams(mode="global", zeta=9.36, alpha=alpha,
                                       xi_max=1.0)
-        vals[alpha] = xi = pf.xi_global(mesh, ones, mat, reg)
+        vals[alpha] = xi = pf.xi_global(mesh, ones, reg)
         assert abs(xi - published) < 5e-5
     # for alpha=493.75 the closed form gives 0.13854; the published 0.13687
     # reflects the seeded crack, so compare the full step-1 optimum instead
     reg = pf.RegularizationParams(mode="global", zeta=9.36, alpha=493.75,
                                   xi_max=1.0)
-    closed = pf.xi_global(mesh, ones, mat, reg)
+    closed = pf.xi_global(mesh, ones, reg)
     assert closed == pytest.approx(0.13854, abs=5e-5)
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=7, level_max=7),
@@ -108,13 +107,12 @@ def test_criterion_1_closed_form_and_step1_global_xi(capsys):
 
 
 def test_criterion_2_penalty_calibration(capsys):
-    mat = pf.MaterialParams()
     rel_errs = []
     for h, a_ref in ((0.008, 493.75), (0.004, 1975.0), (0.002, 7900.0)):
-        alpha = pf.calibrate_alpha(h, mat.g_c)
+        alpha = pf.calibrate_alpha(h)
         rel_errs.append(abs(alpha - a_ref) / a_ref)
         assert rel_errs[-1] < 0.005
-        zeta = pf.calibrate_zeta(h, alpha, mat.g_c)
+        zeta = pf.calibrate_zeta(h, alpha)
         assert abs(zeta - 3.125) < 1e-12  # h-independent when alpha is formula-derived
     # the benchmark zeta is ~3x the closed-form value; assert the gap
     # instead of hiding it
@@ -136,7 +134,7 @@ def test_criterion_3_field_xi_initial_value(capsys):
     state = driver.initialize(cfg)
     cells = state.xi
     uniform = float(np.ptp(cells)) < 1e-12
-    closed = float(pf.xi_pointwise(1.0, 0.0, cfg.material, cfg.regularization))
+    closed = float(pf.xi_pointwise(1.0, 0.0, cfg.regularization))
     rel = abs(cells[0] - 0.03464) / 0.03464
     ok = uniform and abs(cells[0] - closed) < 1e-12 and rel < 0.02
     _report(capsys, 3, ok,
@@ -221,8 +219,7 @@ def test_criterion_6_numerical_bedrock(capsys):
     for mesh in (build_uniform(2),
                  meshmod.refine(build_uniform(2), [0])):
         u = fem.ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
-        folded = pf.assemble_phase(mesh, u, np.full(mesh.n_cells, 0.1),
-                                   pf.MaterialParams())[0]
+        folded = pf.assemble_phase(mesh, u, np.full(mesh.n_cells, 0.1))[0]
         A = fem.apply_dirichlet(folded, np.zeros(mesh.n_vertices, bool),
                                 0.0).matrix.toarray()
         spd_ok &= bool(np.allclose(A, A.T, atol=1e-10))

@@ -138,7 +138,7 @@ def test_staggered_solution_satisfies_weak_residual():
     _, converged = staggered_step(state, cfg)
     assert converged
     bc = boundary_displacement(state.mesh, state.t, cfg.loading.c)
-    sys = pf.assemble_displacement(state.mesh, state.v, cfg.material, *bc)
+    sys = pf.assemble_displacement(state.mesh, state.v, *bc)
     u_dense = sys.prescribed.copy()
     u_dense[sys.free] = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
     u_dense = state.mesh.constraints.apply(u_dense)
@@ -189,7 +189,7 @@ def reference_staggered_step(state, config):
     is v as the step starts, and each iteration's crack the zeros of its
     starting v.  Under pcg the n-th sweep of an iteration is handed the
     n-th sweep's answer of the iteration before, when there was one."""
-    mat, sol = config.material, config.solver
+    sol = config.solver
     bc = boundary_displacement(state.mesh, state.t, config.loading.c)
 
     def solve(sys, guess=None):
@@ -201,13 +201,13 @@ def reference_staggered_step(state, config):
     iters = 0
     for iters in range(1, driver._MAX_STAGGERED + 1):
         u_old, v_old = state.u, state.v
-        state.u = solve(pf.assemble_displacement(state.mesh, state.v, mat,
-                                                 *bc), state.u.values)
+        state.u = solve(pf.assemble_displacement(state.mesh, state.v, *bc),
+                        state.u.values)
         cracked = v_old.values == 0.0
         active = dict.fromkeys(np.flatnonzero(cracked).tolist(), 0.0)
         earlier, answers = answers, []
         while True:
-            folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi, mat)
+            folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi)
             k = len(answers)
             start = (earlier[k] if sol.method == "pcg" and k < len(earlier)
                      else None)
@@ -391,8 +391,8 @@ def test_pcg_fracture_steps_match_reference_loop(monkeypatch):
     cfg = _fracture_config("pcg")
     bounded = driver._solve_phase_bounded
     monkeypatch.setattr(driver, "_solve_phase_bounded",
-                        lambda state, bound, mat, solve, sol, starts:
-                        bounded(state, bound, mat, solve, sol, {}))
+                        lambda state, bound, solve, sol, starts:
+                        bounded(state, bound, solve, sol, {}))
     cg = _cg_iterations(monkeypatch)
     cold = driver.initialize(cfg)
     for n in range(1, 6):
@@ -652,8 +652,8 @@ def test_an_elastic_step_computes_each_product_once(monkeypatch):
         state.step, state.t = n, 0.003 * n
         grad_sq.clear(), gathers.clear(), emptied.clear()
         assert staggered_step(state, cfg) == (2, True)
-        pf.energies(mesh, state.u, state.v, state.xi, cfg.material,
-                    cfg.regularization, t=state.t)
+        pf.energies(mesh, state.u, state.v, state.xi, cfg.regularization,
+                    t=state.t)
         assert state.mesh is mesh
         u = state.u.values.tobytes()
         assert grad_sq.count(u) == 1
@@ -833,13 +833,12 @@ def test_fixed_xi_fracture_builds_tangents_only_for_a_basis_that_serves(
     first_sweep, solve_factored, family_tangents = (
         driver._first_sweep, fem.solve_factored, fem.family_tangents)
 
-    def spy_first_sweep(state, mat, sys, solve, threshold, open_, reaction,
-                        start):
+    def spy_first_sweep(state, sys, solve, threshold, open_, reaction, start):
         kept = _kept_basis(state)
         before = [] if kept is None else list(kept.rows)
         served = kept is not None and kept.served
         calls, solves = len(built), len(answers)
-        v, solved = first_sweep(state, mat, sys, solve, threshold, open_,
+        v, solved = first_sweep(state, sys, solve, threshold, open_,
                                 reaction, start)
         basis = _kept_basis(state)
         if basis is not kept:  # the sweep's family found a fresh basis
@@ -929,13 +928,13 @@ def _first_phase_sweep_after_an_elastic_step():
     state = driver.initialize(cfg)
     state.step, state.t = 1, 0.1
     staggered_step(state, cfg)
-    sol, mat = cfg.solver, cfg.material
+    sol = cfg.solver
     solve = lambda sys, guess=None: fem.solve_field(sys, method=sol.method,
                                                     guess=guess)
 
     def restricted():
         return fem.apply_dirichlet(
-            pf.assemble_phase(state.mesh, state.u, state.xi, mat)[0],
+            pf.assemble_phase(state.mesh, state.u, state.xi)[0],
             state.mask.pinned, 0.0)
 
     def first_sweep():
@@ -944,11 +943,11 @@ def _first_phase_sweep_after_an_elastic_step():
 
     def phase_solve(fields, bound=None):
         free = restricted().free
-        basis = state.mesh.reuse("first_sweep", (state.xi, free, repr(mat)),
+        basis = state.mesh.reuse("first_sweep", (state.xi, free),
                                  driver._Basis)
         basis.rows = fem.orthonormalize([f[free] for f in fields])
         return driver._solve_phase_bounded(
-            state, state.v if bound is None else bound, mat, solve, sol,
+            state, state.v if bound is None else bound, solve, sol,
             {})[0].values
 
     return state, first_sweep, phase_solve
@@ -1026,11 +1025,11 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     # state.v or the crack array it is given.
     cfg = small_config(mesh=MeshParams(level_start=3, level_max=3))
     state = driver.initialize(cfg)
-    state.t, sol, mat = 0.1, cfg.solver, cfg.material
+    state.t, sol = 0.1, cfg.solver
     solve = lambda sys, guess=None: fem.solve_field(sys, method=sol.method,
                                                     guess=guess)
     state.u = solve(pf.assemble_displacement(
-        state.mesh, state.v, mat,
+        state.mesh, state.v,
         *boundary_displacement(state.mesh, state.t, cfg.loading.c)))
     v0 = state.v
     before = v0.values.copy()
@@ -1040,7 +1039,7 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     monkeypatch.setattr(fem, "apply_dirichlet", lambda sys, pinned, values:
                         sweeps.append(pinned.sum())
                         or apply_dirichlet(sys, pinned, values))
-    v, _ = driver._solve_phase_bounded(state, v0, mat, solve, sol, {})
+    v, _ = driver._solve_phase_bounded(state, v0, solve, sol, {})
     assert max(sweeps) > cracked.sum()  # the active set grew past the crack
     assert state.v is v0 and v0.values.tobytes() == before.tobytes()
 
@@ -1068,11 +1067,10 @@ def test_bounded_phase_solve_is_a_kkt_point():
         staggered_step(state, cfg)
     solve = lambda sys, guess=None: fem.solve_field(sys, method="direct",
                                                     guess=guess)
-    v, settled = driver._solve_phase_bounded(state, bound, cfg.material,
-                                             solve, cfg.solver, {})
+    v, settled = driver._solve_phase_bounded(state, bound, solve,
+                                             cfg.solver, {})
     assert settled
-    folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi,
-                                  cfg.material)
+    folded, _ = pf.assemble_phase(state.mesh, state.u, state.xi)
     multiplier = folded.rhs - folded.matrix @ v.values
     pinned = v.values == np.minimum(bound.values, 1.0)
     pinned[state.mask.pinned] = False
@@ -1124,14 +1122,14 @@ def _load_steps(state, config, last):
     """Load steps ``state.step + 1 .. last`` taken as driver.run takes
     them, without output; returns their energy records."""
     records = []
-    mat, reg = config.material, config.regularization
+    reg = config.regularization
     for n in range(state.step + 1, last + 1):
         state.step, state.t = n, n * config.loading.dt
         iters, converged = staggered_step(state, config)
         if config.amr.enabled:
             driver.amr_pass(state, config)
         records.append(pf.energies(
-            state.mesh, state.u, state.v, state.xi, mat, reg, t=state.t,
+            state.mesh, state.u, state.v, state.xi, reg, t=state.t,
             stag_iters=iters, converged=converged))
         if driver.crack_reached_bottom(state):
             break
@@ -1237,6 +1235,29 @@ def test_failed_solve_ends_the_run_as_recorded(tmp_path):
         ["fields_0001.vtk"]
 
 
+def test_an_intact_step_scales_u_with_the_load_and_the_strain_energy_as_c2():
+    # The shear modulus is a constant; the load enters as mu c^2.  On an
+    # intact body the phase solve leaves v at its bound 1, so the u system
+    # is the same at c and 2c and only its Dirichlet data doubles: a solve
+    # linear in the load returns 2 u, and the strain energy quadruples.
+    runs = []
+    for c in (1.0, 2.0):
+        cfg = parse_config("", {
+            "mesh.crack_y_tip": "1.0", "mesh.level_start": "4",
+            "mesh.level_max": "4", "regularization.mode": "fixed",
+            "solver.method": "direct", "loading.n_max": "1",
+            "loading.c": repr(c)})
+        history, state = driver.run(cfg)
+        runs.append((history[-1], state))
+    (once, state1), (twice, state2) = runs
+    assert np.all(state1.v.values == 1.0) and np.all(state2.v.values == 1.0)
+    u1, u2 = state1.u.values, state2.u.values
+    assert np.abs(u1).max() > 0
+    assert np.abs(u2 - 2.0 * u1).max() <= 1e-13 * np.abs(u2).max()
+    assert twice.strain == pytest.approx(4.0 * once.strain, rel=1e-13)
+    assert once.surface == twice.surface == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Products kept on the mesh
 
@@ -1324,12 +1345,12 @@ def test_elastic_steps_balance_the_work_of_the_loads():
     # and xi stay fixed, u grows linearly with the load, so the trapezoid
     # rule's work (P_{n-1} + P_n) dt / 2 is the change of the energy.
     cfg = _field_preload()
-    mat, c = cfg.material, cfg.loading.c
+    c = cfg.loading.c
     steps = []
 
     def power(state):
         mesh = state.mesh
-        weight = mat.mu * pf.degradation(fem.field_at_qp(state.v))
+        weight = pf.SHEAR_MODULUS * pf.degradation(fem.field_at_qp(state.v))
         reaction = fem.assemble_weighted_laplace(mesh, weight).matrix \
             @ state.u.values
         pinned, _ = boundary_displacement(mesh, state.t, c)
@@ -1468,7 +1489,7 @@ def test_amr_pass_reuses_the_field_xi(monkeypatch):
     assert state.mesh is mesh
     g = fem.grad_at_qp(state.v)
     xi = pf.xi_pointwise(fem.field_at_qp(state.v), np.sum(g ** 2, axis=2),
-                         cfg.material, reg).mean(axis=1)
+                         reg).mean(axis=1)
     want = np.flatnonzero((xi < reg.xi_refine) & (mesh.cell_levels < 8))
 
     gradients, flags = [], []

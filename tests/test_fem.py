@@ -793,7 +793,7 @@ def _cracked_phase_system(pinned_box=None):
     m = _crack_refined_mesh()
     u = ScalarField(m, 0.1 * m.vertex_coords[:, 0] ** 2)
     xi = np.full(m.n_cells, 0.1)
-    folded, _ = pf.assemble_phase(m, u, xi, pf.MaterialParams())
+    folded, _ = pf.assemble_phase(m, u, xi)
     pinned = pf.initial_crack(m, 0.5).values == 0.0
     assert pinned.any()
     if pinned_box is not None:
@@ -1184,7 +1184,7 @@ def _adapted_u_system():
     _, state = driver.run(cfg)
     assert state.mesh.n_cells == 8800
     return pf.assemble_displacement(
-        state.mesh, state.v, cfg.material,
+        state.mesh, state.v,
         *driver.boundary_displacement(state.mesh, state.t, cfg.loading.c))
 
 
@@ -1410,11 +1410,10 @@ def _cracked_displacement_system():
     x, y = m.vertex_coords.T
     h = 1.0 / 16
     band = (x >= 0.5 - h - 1e-12) & (x <= 0.5 + 1e-12) & (y >= 0.5 - 1e-12)
-    mat = pf.MaterialParams()
     bc = driver.boundary_displacement(m, 0.05, 1.0)
-    before = pf.assemble_displacement(m, constant_field(m, 1.0), mat, *bc)
+    before = pf.assemble_displacement(m, constant_field(m, 1.0), *bc)
     sys = pf.assemble_displacement(
-        m, ScalarField(m, np.where(band, 0.0, 1.0)), mat, *bc)
+        m, ScalarField(m, np.where(band, 0.0, 1.0)), *bc)
     broken = band[m.cell_vertices].all(axis=1)
     assert broken.any() and len(m.constraints) > 0
     assert np.array_equal(before.free, sys.free)

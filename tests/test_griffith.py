@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from xifrac import driver, phasefield as pf
 from xifrac.config import parse_config
 
-MU = pf.MaterialParams().mu
+MU = pf.SHEAR_MODULUS
 # The bilinear stiffness of a square cell, corners counterclockwise from
 # the lower left; it does not depend on the cell size in 2D.
 CELL_STIFFNESS = np.array([[4.0, -1.0, -2.0, -1.0],

@@ -28,10 +28,10 @@ def test_empty_config_is_default():
     assert parse_config("") == driver.SimConfig()
 
 
-def test_parse_sets_material_values():
-    cfg = parse_config("material.G_c = 2.7, material.mu = 80.8")
-    assert cfg.material.g_c == 2.7
-    assert cfg.material.mu == 80.8
+def test_parse_sets_values_on_one_line():
+    cfg = parse_config("loading.c = 2.5, regularization.alpha = 329.0")
+    assert cfg.loading.c == 2.5
+    assert cfg.regularization.alpha == 329.0
 
 
 def test_parse_comments_and_blank_lines():
@@ -60,6 +60,8 @@ def test_parse_unknown_key_names_key_and_line():
 
 # Keys that are gone, with the value an old run_manifest.cfg holds.
 _REMOVED = {
+    "material.mu": "80.8",
+    "material.G_c": "2.7",
     "material.c_v": "2.6666666666666665",
     "solver.staggered_max_iter": "500",
     "solver.linear_tol": "1e-10",
@@ -70,23 +72,28 @@ _REMOVED = {
 
 
 @pytest.mark.parametrize("key", list(_REMOVED))
-def test_removed_key_is_unknown(key):
-    # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION), and the solver caps, the
-    # linear tolerance, the pin threshold and the residual stiffness are
-    # constants (driver._MAX_STAGGERED, fem.RTOL, fem.MAX_ITER,
-    # pf.CRACK_TOL, pf.RESIDUAL_STIFFNESS), so a config or old manifest
-    # that sets one of them is rejected, in the text with its line and
-    # through an override.
+def test_removed_key_is_unknown(key, tmp_path, capsys):
+    # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION), and the material, the
+    # solver caps, the linear tolerance, the pin threshold and the residual
+    # stiffness are constants (pf.SHEAR_MODULUS, pf.TOUGHNESS,
+    # driver._MAX_STAGGERED, fem.RTOL, fem.MAX_ITER, pf.CRACK_TOL,
+    # pf.RESIDUAL_STIFFNESS), so a config or old manifest that sets one of
+    # them is rejected, in the text with its line, through an override and
+    # through --set, before the run writes anything.
     value = _REMOVED[key]
     with pytest.raises(ConfigError) as err:
-        parse_config(f"material.G_c = 2.7\n{key} = {value}\n")
+        parse_config(f"loading.c = 1.0\n{key} = {value}\n")
     assert err.value.key == key and err.value.line == 2
     assert key in str(err.value) and "line 2" in str(err.value)
     with pytest.raises(ConfigError) as err:
         parse_config("", {key: value})
     assert err.value.key == key
     assert "unknown configuration key" in str(err.value)
-    assert len(config.KEYS) == 19
+    assert cli.main(["run", "--out", str(tmp_path / "out"),
+                     "--set", f"{key}={value}"]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert len(config.KEYS) == 17
 
 
 def test_parse_constraint_violation_names_key():
@@ -152,8 +159,6 @@ def test_cross_field_constraint_reported():
 
 # One out-of-range value per key: its config text and its Python value.
 _OUT_OF_RANGE = {
-    "material.mu": ("0", 0.0),
-    "material.G_c": ("-2.7", -2.7),
     "regularization.mode": ("adaptive", "adaptive"),
     "regularization.zeta": ("-1", -1.0),
     "regularization.alpha": ("0", 0.0),
@@ -226,11 +231,7 @@ def test_every_integer_key_rejects_a_float_or_a_bool(key):
     assert getattr(params(**{f.name: f.default}), f.name) == f.default
 
 
-DEFAULT_MANIFEST = """# [material]
-material.mu = 80.8
-material.G_c = 2.7
-
-# [regularization]
+DEFAULT_MANIFEST = """# [regularization]
 regularization.mode = fixed
 regularization.zeta = 9.36
 regularization.alpha = 493.75
@@ -261,8 +262,6 @@ output.cadence = 10
 """
 
 KEY_REFERENCE = """\
-material.mu                      float  default=80.8
-material.G_c                     float  default=2.7
 regularization.mode              str    default=fixed
 regularization.zeta              float  default=9.36
 regularization.alpha             float  default=493.75
@@ -654,6 +653,23 @@ def test_importing_the_driver_does_not_load_the_io_module():
     assert done.stdout.split() == ["False", "xifrac.output"]
 
 
+def test_amr_history_script_prints_one_row_per_step():
+    # The README's mesh-adaptation trace: one step refines the 4096-cell
+    # start grid of field_xi_amr.cfg to 8800 cells.
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(root / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "amr_history.py"),
+         "--steps", "1"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[:2] == ["step", "cells"]
+    assert [row.split()[:2] for row in rows] == [["1", "8800"]]
+
+
 def test_cli_calibrate_table1_row(capsys):
     assert cli.main(["calibrate", "--h", "0.004"]) == 0
     out = capsys.readouterr().out
@@ -662,9 +678,9 @@ def test_cli_calibrate_table1_row(capsys):
 
 
 @pytest.mark.parametrize("args, name", [
-    (["--h", "0.01", "--G-c", "0"], "g_c"),
+    (["--h", "0"], "h"),
     (["--h", "nan"], "h"),
-    (["--h", "0.01", "--G-c", "inf"], "g_c")])
+    (["--h", "inf"], "h")])
 def test_cli_calibrate_rejects_bad_input(capsys, args, name):
     # Each of these used to divide by zero or print alpha/zeta as nan/inf.
     assert cli.main(["calibrate", *args]) == 1
@@ -680,6 +696,14 @@ def test_cli_calibrate_has_no_c_v_flag(capsys):
         cli.main(["calibrate", "--h", "0.004", "--c-v", "2"])
     assert exc.value.code == 2
     assert "--c-v" in capsys.readouterr().err
+
+
+def test_cli_calibrate_has_no_g_c_flag(capsys):
+    # G_c is the constant pf.TOUGHNESS: the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--h", "0.004", "--G-c", "2.7"])
+    assert exc.value.code == 2
+    assert "--G-c" in capsys.readouterr().err
 
 
 def test_cli_tables_reference_values(capsys):
@@ -748,6 +772,28 @@ def test_cli_set_overrides(tmp_path):
     assert rc == 0
     manifest = (tmp_path / "out" / "run_manifest.cfg").read_text()
     assert "loading.n_max = 0" in manifest
+
+
+def test_cli_set_of_a_key_twice_is_rejected(tmp_path, capsys):
+    # The second value used to overwrite the first without a word.
+    rc = cli.main(["run", "--out", str(tmp_path / "out"),
+                   "--set", "loading.n_max=0", "--set", "mesh.level_start=3",
+                   "--set", "mesh.level_max=3", "--set", "loading.n_max = 1"])
+    assert rc == 2
+    assert "'loading.n_max' twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_manifest_with_a_material_section_is_rejected():
+    # A run_manifest.cfg written while the material was configurable opens
+    # with its material section; the first of its keys is reported.
+    old = ("# xifrac 0.1.0 run manifest; parseable as a config file\n"
+           "# [material]\nmaterial.mu = 80.8\nmaterial.G_c = 2.7\n\n"
+           + DEFAULT_MANIFEST)
+    with pytest.raises(ConfigError) as err:
+        parse_config(old)
+    assert err.value.key == "material.mu" and err.value.line == 3
+    assert "unknown configuration key" in str(err.value)
 
 
 def test_cli_profile_roundtrip(tmp_path, capsys):
@@ -1023,6 +1069,8 @@ def test_cli_profile_of_a_snapshot_without_cells_is_an_error(tmp_path,
 def test_cli_keys_lists_all(capsys):
     assert cli.main(["keys"]) == 0
     out = capsys.readouterr().out
-    for key in ("material.mu", "regularization.mode", "solver.method",
-                "amr.enabled", "output.cadence"):
+    for key in ("regularization.mode", "solver.method", "amr.enabled",
+                "output.cadence"):
         assert key in out
+    assert len(out.splitlines()) == len(config.KEYS) == 17
+    assert "material." not in out

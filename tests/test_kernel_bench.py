@@ -133,7 +133,7 @@ def test_bench_u_system_factorization(benchmark, mesh):
     # The displacement system of a cracked body under the benchmark load.
     v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
-    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
+    sys = pf.assemble_displacement(mesh, v, *bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="direct")
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
@@ -145,7 +145,7 @@ def test_bench_u_system_pcg(benchmark, mesh):
     # solve.
     v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
-    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
+    sys = pf.assemble_displacement(mesh, v, *bc)
     x = _run(benchmark, fem.solve_spd, sys, rounds=5, method="pcg")
     want = spla.spsolve(sys.matrix.tocsc(), sys.rhs)
     assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
@@ -157,9 +157,8 @@ def test_bench_u_system_guess(benchmark, mesh, monkeypatch):
     # the residual test, so the timed solve is three products and no
     # factorization; a missed acceptance raises instead of factoring.
     v = pf.initial_crack(mesh, 0.5)
-    mat = pf.MaterialParams()
     before, sys = (pf.assemble_displacement(
-        mesh, v, mat, *driver.boundary_displacement(mesh, t, 1.0))
+        mesh, v, *driver.boundary_displacement(mesh, t, 1.0))
         for t in (0.04, 0.06))
     previous = fem.solve_spd(before, method="direct")
 
@@ -182,10 +181,9 @@ def test_bench_u_system_warm_cg(benchmark, mesh, monkeypatch):
     # to its contract (rtol 1e-8).  Only the coarse operator is factored,
     # by band Cholesky, with one column per aggregate; a SuperLU call
     # fails the bench.
-    mat = pf.MaterialParams()
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
     before, sys = (pf.assemble_displacement(
-        mesh, pf.initial_crack(mesh, tip), mat, *bc) for tip in (0.5, 0.45))
+        mesh, pf.initial_crack(mesh, tip), *bc) for tip in (0.5, 0.45))
     assert np.array_equal(before.free, sys.free)
     previous = fem.solve_spd(before, method="direct")
     A, b = sys.matrix, sys.rhs
@@ -235,8 +233,7 @@ def test_bench_restrict_and_coarsen(benchmark, mesh, monkeypatch):
     # indexing, and the lower triangle of (Z^T A) Z by scipy's sparse
     # products.
     v = pf.initial_crack(mesh, 0.5)
-    mat = pf.MaterialParams()
-    weight = mat.mu * pf.degradation(fem.field_at_qp(v))
+    weight = pf.SHEAR_MODULUS * pf.degradation(fem.field_at_qp(v))
     folded = fem.assemble_weighted_laplace(mesh, weight)
     folded.rhs = fem.assemble_load(mesh, 1.0)
     pinned, values = driver.boundary_displacement(mesh, 0.05, 1.0)
@@ -286,7 +283,7 @@ def test_bench_coarse_factor_and_solve(benchmark, mesh):
     # sparse products.
     v = pf.initial_crack(mesh, 0.5)
     bc = driver.boundary_displacement(mesh, 0.05, 1.0)
-    sys = pf.assemble_displacement(mesh, v, pf.MaterialParams(), *bc)
+    sys = pf.assemble_displacement(mesh, v, *bc)
     fem._coarse(sys)
     k = sys.plan.coarse_rows[-1]
     _, coarse = _reference_coarse(mesh, sys.free, sys.matrix)
@@ -362,16 +359,15 @@ def _preload_first_sweeps(mesh):
     with the load, so the strain drive grows as t^2.  Each call returns
     the restricted system and its reaction matrix."""
     v = pf.initial_crack(mesh, 0.5)
-    mat = pf.MaterialParams()
     reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
-    xi = pf.xi_field(mesh, v, mat, reg)
+    xi = pf.xi_field(mesh, v, reg)
     u1 = fem.solve_field(pf.assemble_displacement(
-        mesh, v, mat, *driver.boundary_displacement(mesh, 1.0, 1.0)),
+        mesh, v, *driver.boundary_displacement(mesh, 1.0, 1.0)),
         method="direct")
 
     def first_sweep(t):
         u = ScalarField(mesh, t * u1.values)
-        folded, reaction = pf.assemble_phase(mesh, u, xi, mat)
+        folded, reaction = pf.assemble_phase(mesh, u, xi)
         return fem.apply_dirichlet(folded, v.values == 0.0, 0.0), reaction
 
     return first_sweep
@@ -432,12 +428,12 @@ def onset_first_sweep():
                                           "loading.n_max": "42"})
     seen, first_sweep = [], driver._first_sweep
 
-    def spy(state, mat, sys, solve, threshold, open_, reaction, start):
+    def spy(state, sys, solve, threshold, open_, reaction, start):
         def started(sys, start):
             seen.append((sys, start, threshold))
             return solve(sys, start)
 
-        return first_sweep(state, mat, sys, started, threshold, open_,
+        return first_sweep(state, sys, started, threshold, open_,
                            reaction, start)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -691,7 +687,7 @@ def test_bench_elastic_step(benchmark, monkeypatch):
         iters, converged = driver.staggered_step(state, cfg)
         changed = driver.amr_pass(state, cfg)
         record = pf.energies(state.mesh, state.u, state.v, state.xi,
-                             cfg.material, cfg.regularization, t=state.t)
+                             cfg.regularization, t=state.t)
         rounds.append(dict(work))
         return iters, converged, changed, record
 
@@ -711,5 +707,5 @@ def test_bench_elastic_step(benchmark, monkeypatch):
     assert state.xi.tobytes() == xi.tobytes()
     mesh.products.clear()
     assert repr(record) == repr(pf.energies(
-        mesh, state.u, state.v, state.xi, cfg.material, cfg.regularization,
+        mesh, state.u, state.v, state.xi, cfg.regularization,
         t=state.t))

@@ -1,7 +1,5 @@
 """Model physics: energies, optimality formulas, calibration, irreversibility."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,6 @@ from conftest import dense_condense, dense_dirichlet, dense_laplace, \
     dense_load, dense_mass, dirichlet_arrays, nothing_pinned
 
 
-MAT = pf.MaterialParams()
-
-
 def _reg(**kw):
     return pf.RegularizationParams(**kw)
 
@@ -25,18 +20,11 @@ def _reg(**kw):
 
 
 def test_material_defaults():
-    assert MAT.mu == 80.8
-    assert MAT.g_c == 2.7
+    # The material is two constants, not a parameter section.
+    assert pf.SHEAR_MODULUS == 80.8
+    assert pf.TOUGHNESS == 2.7
     assert pf.AT1_NORMALIZATION == pytest.approx(8.0 / 3.0)
-    assert not hasattr(MAT, "c_v")
-
-
-def test_material_validation():
-    with pytest.raises(ValueError):
-        pf.MaterialParams(mu=-1.0)
-    # A range is finite: a config rejects inf (and 1e400) as code does.
-    with pytest.raises(ValueError, match="mu = inf must be finite and > 0"):
-        pf.MaterialParams(mu=math.inf)
+    assert not hasattr(pf, "MaterialParams")
 
 
 def test_regularization_validation():
@@ -70,11 +58,11 @@ def test_xi_closed_forms_reference_values():
     reg1 = _reg(zeta=9.36, alpha=493.75, xi_max=1.0)
     reg2 = _reg(zeta=9.36, alpha=1975.0, xi_max=1.0)
     reg3 = _reg(zeta=9.36, alpha=7900.0, xi_max=1.0)
-    assert float(pf.xi_pointwise(1.0, 0.0, MAT, reg1)) == pytest.approx(
+    assert float(pf.xi_pointwise(1.0, 0.0, reg1)) == pytest.approx(
         0.13854213817692043, abs=1e-12)
-    assert float(pf.xi_pointwise(1.0, 0.0, MAT, reg2)) == pytest.approx(
+    assert float(pf.xi_pointwise(1.0, 0.0, reg2)) == pytest.approx(
         0.06927106908846022, abs=1e-12)
-    assert float(pf.xi_pointwise(1.0, 0.0, MAT, reg3)) == pytest.approx(
+    assert float(pf.xi_pointwise(1.0, 0.0, reg3)) == pytest.approx(
         0.03463553454423011, abs=1e-12)
 
 
@@ -82,8 +70,8 @@ def test_xi_global_equals_pointwise_for_uniform_v():
     mesh = build_uniform(3)
     reg = _reg(zeta=9.36, alpha=1975.0, xi_max=1.0)
     v = constant_field(mesh, 1.0)
-    assert pf.xi_global(mesh, v, MAT, reg) == pytest.approx(
-        float(pf.xi_pointwise(1.0, 0.0, MAT, reg)), abs=1e-13)
+    assert pf.xi_global(mesh, v, reg) == pytest.approx(
+        float(pf.xi_pointwise(1.0, 0.0, reg)), abs=1e-13)
 
 
 def test_xi_global_manual_quadrature_oracle():
@@ -94,29 +82,29 @@ def test_xi_global_manual_quadrature_oracle():
     x = mesh.vertex_coords[:, 0]
     v = ScalarField(mesh, x)
     reg = _reg(zeta=2.0, alpha=10.0, xi_max=1.0)
-    ratio = MAT.g_c / pf.AT1_NORMALIZATION
+    ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
     expect = np.sqrt(ratio * 2.5 / (ratio + 10.0))
-    assert pf.xi_global(mesh, v, MAT, reg) == pytest.approx(expect, abs=1e-13)
+    assert pf.xi_global(mesh, v, reg) == pytest.approx(expect, abs=1e-13)
 
 
 def test_xi_global_clamps():
     mesh = build_uniform(2)
     v = constant_field(mesh, 1.0)
     tight = _reg(zeta=9.36, alpha=493.75, xi_min=0.011, xi_max=0.05)
-    assert pf.xi_global(mesh, v, MAT, tight) == 0.05
+    assert pf.xi_global(mesh, v, tight) == 0.05
 
 
 def test_xi_pointwise_monotone_in_damage():
     # Lower v (more damage) -> larger optimal xi when gradients are equal.
     reg = _reg(zeta=9.36, alpha=7900.0)
-    xs = pf.xi_pointwise(np.array([1.0, 0.5, 0.0]), 0.0, MAT, reg)
+    xs = pf.xi_pointwise(np.array([1.0, 0.5, 0.0]), 0.0, reg)
     assert xs[0] < xs[1] < xs[2]
 
 
 def test_xi_field_uniform_matches_scalar():
     mesh = build_uniform(4)
     reg = _reg(zeta=9.36, alpha=7900.0)
-    cells = pf.xi_field(mesh, constant_field(mesh, 1.0), MAT, reg)
+    cells = pf.xi_field(mesh, constant_field(mesh, 1.0), reg)
     assert cells.shape == (mesh.n_cells,)
     assert np.allclose(cells, 0.03463553454423011, atol=1e-12)
 
@@ -128,12 +116,12 @@ def test_xi_pointwise_returns_xi0_on_the_at1_profile(alpha, xi0):
     # |grad v|^2 = (1 - v) / xi0^2, the pointwise optimum is
     # xi0 = sqrt(G_c zeta / (c_v alpha)) at every point of |x| < 2 xi0.
     reg = _reg(zeta=9.36, alpha=alpha, xi_max=1.0)
-    closed = np.sqrt(MAT.g_c * reg.zeta / (pf.AT1_NORMALIZATION * alpha))
+    closed = np.sqrt(pf.TOUGHNESS * reg.zeta / (pf.AT1_NORMALIZATION * alpha))
     assert closed == pytest.approx(xi0, rel=1e-5)
     x = np.linspace(-2.0 * closed, 2.0 * closed, 11)[1:-1]
     s = 1.0 - np.abs(x) / (2.0 * closed)
     v, grad_sq = 1.0 - s ** 2, (s / closed) ** 2
-    xi = pf.xi_pointwise(v, grad_sq, MAT, reg)
+    xi = pf.xi_pointwise(v, grad_sq, reg)
     assert np.max(np.abs(xi / closed - 1.0)) <= 1e-14
 
 
@@ -146,20 +134,20 @@ def test_cell_xi_per_mode_stats_and_length():
     u, v = constant_field(mesh, 0.0), constant_field(mesh, 1.0)
     fixed = _reg(xi_fixed=0.5)
     assert fixed.xi_fixed > fixed.xi_max
-    assert np.array_equal(pf.cell_xi(mesh, v, MAT, fixed), np.full(16, 0.5))
+    assert np.array_equal(pf.cell_xi(mesh, v, fixed), np.full(16, 0.5))
     glob = _reg(mode="global", zeta=9.36, alpha=7900.0)
-    assert np.array_equal(pf.cell_xi(mesh, v, MAT, glob),
-                          np.full(16, pf.xi_global(mesh, v, MAT, glob)))
+    assert np.array_equal(pf.cell_xi(mesh, v, glob),
+                          np.full(16, pf.xi_global(mesh, v, glob)))
     field = _reg(mode="field", zeta=9.36, alpha=7900.0)
-    assert np.array_equal(pf.cell_xi(mesh, v, MAT, field),
-                          pf.xi_field(mesh, v, MAT, field))
-    rec = pf.energies(mesh, u, v, np.linspace(0.02, 0.05, 16), MAT, _reg())
+    assert np.array_equal(pf.cell_xi(mesh, v, field),
+                          pf.xi_field(mesh, v, field))
+    rec = pf.energies(mesh, u, v, np.linspace(0.02, 0.05, 16), _reg())
     assert rec.xi_min == 0.02 and rec.xi_max == 0.05
     assert rec.xi_mean == pytest.approx(0.035)
     with pytest.raises(ValueError, match="coefficient shape"):
-        pf.energies(mesh, u, v, np.full(3, 0.1), MAT, _reg())
+        pf.energies(mesh, u, v, np.full(3, 0.1), _reg())
     with pytest.raises(ValueError, match="coefficient shape"):
-        pf.assemble_phase(mesh, u, np.full(3, 0.1), MAT)
+        pf.assemble_phase(mesh, u, np.full(3, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +157,7 @@ def test_cell_xi_per_mode_stats_and_length():
 def test_calibrate_alpha_reference_values():
     # Within 0.5% of the published 493.75 / 1975 / 7900 table.
     for h, ref in ((0.008, 493.75), (0.004, 1975.0), (0.002, 7900.0)):
-        val = pf.calibrate_alpha(h, 2.7)
+        val = pf.calibrate_alpha(h)
         assert abs(val - ref) / ref < 0.005
 
 
@@ -177,23 +165,23 @@ def test_calibrate_zeta_h_independent():
     # zeta = 100 h^2 c_v alpha / G_c is exactly 3.125 when alpha comes from
     # the calibration formula, for any h.
     for h in (0.008, 0.004, 0.002, 0.001, 1.0 / 3.0):
-        alpha = pf.calibrate_alpha(h, 2.7)
-        zeta = pf.calibrate_zeta(h, alpha, 2.7)
+        alpha = pf.calibrate_alpha(h)
+        zeta = pf.calibrate_zeta(h, alpha)
         assert zeta == pytest.approx(3.125, abs=1e-12)
 
 
 def test_calibrate_published_zeta_gap():
     # The published lower-bound penalty is 9.36, about 3x the closed form;
     # the gap is asserted here as documentation, not hidden.
-    zeta = pf.calibrate_zeta(0.008, pf.calibrate_alpha(0.008, 2.7), 2.7)
+    zeta = pf.calibrate_zeta(0.008, pf.calibrate_alpha(0.008))
     assert 2.9 < 9.36 / zeta < 3.1
 
 
 def test_calibrate_input_validation():
     with pytest.raises(ValueError):
-        pf.calibrate_alpha(0.0, 2.7)
+        pf.calibrate_alpha(0.0)
     with pytest.raises(ValueError):
-        pf.calibrate_zeta(0.01, -1.0, 2.7)
+        pf.calibrate_zeta(0.01, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +193,12 @@ def test_displacement_system_matches_dense(mesh_hanging):
     x, y = mesh.vertex_coords.T
     v = ScalarField(mesh, np.clip(x + 0.2, 0.0, 1.0))
     bc = {0: 0.25}
-    sys = pf.assemble_displacement(mesh, v, MAT,
+    sys = pf.assemble_displacement(mesh, v,
                                    *dirichlet_arrays(mesh.n_vertices, bc))
 
     def weight(px, py):
         vv = mesh.eval_field(v.values, min(px, 1 - 1e-12), min(py, 1 - 1e-12))
-        return MAT.mu * pf.degradation(vv)
+        return pf.SHEAR_MODULUS * pf.degradation(vv)
 
     A, b = dense_condense(mesh, dense_laplace(mesh, weight, order=2),
                           np.zeros(mesh.n_vertices))
@@ -224,15 +212,16 @@ def test_phase_system_matches_dense(mesh_hanging):
     x, y = mesh.vertex_coords.T
     u = ScalarField(mesh, 0.3 * x - 0.1 * y)  # constant gradient (0.3, -0.1)
     xi = np.full(mesh.n_cells, 0.07)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi)[0],
                               nothing_pinned(mesh), 0.0)
 
     gsq = 0.3 ** 2 + 0.1 ** 2
-    drive = MAT.mu * (1.0 - pf.RESIDUAL_STIFFNESS) * gsq
+    drive = pf.SHEAR_MODULUS * (1.0 - pf.RESIDUAL_STIFFNESS) * gsq
     Am = dense_mass(mesh, lambda px, py: drive, order=2)
     c_v = pf.AT1_NORMALIZATION
-    Al = dense_laplace(mesh, lambda px, py: 2 * MAT.g_c * 0.07 / c_v, order=2)
-    bl = dense_load(mesh, lambda px, py: MAT.g_c / (c_v * 0.07), order=2)
+    g_c = pf.TOUGHNESS
+    Al = dense_laplace(mesh, lambda px, py: 2 * g_c * 0.07 / c_v, order=2)
+    bl = dense_load(mesh, lambda px, py: g_c / (c_v * 0.07), order=2)
     A, b = dense_dirichlet(mesh, *dense_condense(mesh, Am + Al, bl), {})
     assert np.max(np.abs(sys.matrix.toarray() - A)) < 1e-9
     assert np.max(np.abs(sys.rhs - b)) < 1e-9
@@ -242,7 +231,7 @@ def test_phase_system_is_spd(mesh_hanging):
     x, _ = mesh_hanging.vertex_coords.T
     u = ScalarField(mesh_hanging, 0.1 * x)
     xi = np.full(mesh_hanging.n_cells, 0.1)
-    folded, _ = pf.assemble_phase(mesh_hanging, u, xi, MAT)
+    folded, _ = pf.assemble_phase(mesh_hanging, u, xi)
     sys = fem.apply_dirichlet(folded, nothing_pinned(mesh_hanging), 0.0)
     np.linalg.cholesky(sys.matrix.toarray())  # raises if not SPD
 
@@ -254,7 +243,7 @@ def test_phase_solution_intact_body_exceeds_one():
     x, _ = mesh.vertex_coords.T
     u = ScalarField(mesh, 1e-3 * x)  # tiny uniform strain
     xi = np.full(mesh.n_cells, 0.13687)
-    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi, MAT)[0],
+    sys = fem.apply_dirichlet(pf.assemble_phase(mesh, u, xi)[0],
                               nothing_pinned(mesh), 0.0)
     v = fem.solve_field(sys, method="direct")
     assert np.min(v.values) > 1.0
@@ -273,7 +262,7 @@ def test_fully_pinned_phase_solve_factors_nothing(monkeypatch):
                         lambda *a, **k: calls.append("pcg") or pcg(*a, **k))
     u = ScalarField(mesh, 0.1 * mesh.vertex_coords[:, 0])
     xi = np.full(mesh.n_cells, 0.1)
-    folded, _ = pf.assemble_phase(mesh, u, xi, MAT)
+    folded, _ = pf.assemble_phase(mesh, u, xi)
     sys = fem.apply_dirichlet(folded, ~nothing_pinned(mesh), 1.0)
     assert sys.matrix.shape == (0, 0)
     for method in ("direct", "pcg"):
@@ -286,7 +275,7 @@ def test_phase_rejects_nonpositive_xi(mesh4x4):
     u = constant_field(mesh4x4, 0.0)
     xi = np.zeros(mesh4x4.n_cells)
     with pytest.raises(ValueError):
-        pf.assemble_phase(mesh4x4, u, xi, MAT)
+        pf.assemble_phase(mesh4x4, u, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +290,9 @@ def test_energy_components_analytic():
     v = constant_field(mesh, 1.0)
     xi = np.full(mesh.n_cells, 0.1)
     reg = _reg(zeta=9.36, alpha=493.75)
-    rec = pf.energies(mesh, u, v, xi, MAT, reg)
-    ratio = MAT.g_c / pf.AT1_NORMALIZATION
-    assert rec.strain == pytest.approx(0.5 * MAT.mu, rel=1e-12)
+    rec = pf.energies(mesh, u, v, xi, reg)
+    ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
+    assert rec.strain == pytest.approx(0.5 * pf.SHEAR_MODULUS, rel=1e-12)
     assert rec.surface == pytest.approx(0.0, abs=1e-12)
     assert rec.penalty == pytest.approx(ratio * 9.36 / 0.1 + 493.75 * 0.1,
                                         rel=1e-12)
@@ -317,8 +306,8 @@ def test_energy_surface_term_oracle():
     v = ScalarField(mesh, x)
     u = constant_field(mesh, 0.0)
     xi = np.full(mesh.n_cells, 0.05)
-    rec = pf.energies(mesh, u, v, xi, MAT, _reg())
-    ratio = MAT.g_c / pf.AT1_NORMALIZATION
+    rec = pf.energies(mesh, u, v, xi, _reg())
+    ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
     expect = ratio * (0.5 / 0.05 + 0.05)
     assert rec.surface == pytest.approx(expect, rel=1e-12)
 
@@ -433,9 +422,9 @@ def test_transfer_regularization_modes():
     v = ScalarField(mesh, transfer_field(old, mesh, v_old.values))
     for mode in ("fixed", "global", "field"):
         reg = _reg(zeta=9.36, alpha=7900.0, mode=mode)
-        moved = pf.transfer_regularization(mesh, v, MAT, reg)
+        moved = pf.transfer_regularization(mesh, v, reg)
         assert moved.shape == (mesh.n_cells,)
-        assert np.array_equal(moved, pf.cell_xi(mesh, v, MAT, reg))
+        assert np.array_equal(moved, pf.cell_xi(mesh, v, reg))
     reg = _reg(zeta=9.36, alpha=7900.0, mode="fixed")
-    fixed = pf.transfer_regularization(mesh, v, MAT, reg)
+    fixed = pf.transfer_regularization(mesh, v, reg)
     assert np.array_equal(fixed, np.full(mesh.n_cells, reg.xi_fixed))

@@ -1,6 +1,7 @@
 """Property-based tests over random inputs (hypothesis)."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from conftest import brute_force_hanging, check_refinement_transfer, \
     check_two_to_one, children, coarsen_rule_flags, reference_coarsen, \
     reference_refine, total_area
 
-MAT = pf.MaterialParams()
 REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
 
 
@@ -24,15 +24,15 @@ REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
 
 @given(v=st.floats(0.0, 1.0), gsq=st.floats(0.0, 1e6))
 def test_xi_pointwise_always_clamped(v, gsq):
-    xi = float(pf.xi_pointwise(v, gsq, MAT, REG))
+    xi = float(pf.xi_pointwise(v, gsq, REG))
     assert REG.xi_min <= xi <= REG.xi_max
 
 
 @given(v=st.floats(0.0, 1.0), g1=st.floats(0.0, 1e4), g2=st.floats(0.0, 1e4))
 def test_xi_pointwise_decreasing_in_gradient(v, g1, g2):
     lo, hi = sorted((g1, g2))
-    xi_lo = float(pf.xi_pointwise(v, lo, MAT, REG))
-    xi_hi = float(pf.xi_pointwise(v, hi, MAT, REG))
+    xi_lo = float(pf.xi_pointwise(v, lo, REG))
+    xi_hi = float(pf.xi_pointwise(v, hi, REG))
     assert xi_hi <= xi_lo + 1e-15
 
 
@@ -40,8 +40,8 @@ def test_xi_pointwise_decreasing_in_gradient(v, g1, g2):
        gsq=st.floats(0.0, 1e4))
 def test_xi_pointwise_increasing_in_damage(v1, v2, gsq):
     lo, hi = sorted((v1, v2))  # hi = less damaged
-    xi_damaged = float(pf.xi_pointwise(lo, gsq, MAT, REG))
-    xi_intact = float(pf.xi_pointwise(hi, gsq, MAT, REG))
+    xi_damaged = float(pf.xi_pointwise(lo, gsq, REG))
+    xi_intact = float(pf.xi_pointwise(hi, gsq, REG))
     assert xi_intact <= xi_damaged + 1e-15
 
 
@@ -52,11 +52,11 @@ def test_xi_pointwise_invariant_under_common_scaling(v, gsq, scale):
     # factor leaves the optimum unchanged: the formula is a ratio.
     wide = pf.RegularizationParams(zeta=9.36, alpha=7900.0, xi_min=1e-6,
                                    xi_max=1e3)
-    scaled_mat = pf.MaterialParams(mu=MAT.mu, g_c=MAT.g_c * scale)
     scaled_reg = pf.RegularizationParams(zeta=9.36, alpha=7900.0 * scale,
                                          xi_min=1e-6, xi_max=1e3)
-    a = float(pf.xi_pointwise(v, gsq, MAT, wide))
-    b = float(pf.xi_pointwise(v, gsq, scaled_mat, scaled_reg))
+    a = float(pf.xi_pointwise(v, gsq, wide))
+    with mock.patch.object(pf, "TOUGHNESS", pf.TOUGHNESS * scale):
+        b = float(pf.xi_pointwise(v, gsq, scaled_reg))
     assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
 
@@ -316,14 +316,14 @@ def test_xi_after_a_refinement_is_cell_xi_of_the_transferred_v(data):
         max_size=old.n_vertices))))
     v_new = fem.ScalarField(new, transfer_field(old, new, v_old.values))
     wide = replace(REG, mode="global", xi_min=1e-3, xi_max=1.0)
-    before = pf.xi_global(old, v_old, MAT, wide)
+    before = pf.xi_global(old, v_old, wide)
     assert wide.xi_min < before < wide.xi_max
-    assert pf.xi_global(new, v_new, MAT, wide) == pytest.approx(
+    assert pf.xi_global(new, v_new, wide) == pytest.approx(
         before, rel=1e-14, abs=0.0)
     for mode in ("fixed", "global", "field"):
         reg = replace(REG, mode=mode)
-        moved = pf.transfer_regularization(new, v_new, MAT, reg)
-        assert moved.tobytes() == pf.cell_xi(new, v_new, MAT, reg).tobytes()
+        moved = pf.transfer_regularization(new, v_new, reg)
+        assert moved.tobytes() == pf.cell_xi(new, v_new, reg).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +419,8 @@ def test_irreversibility_projection_properties(data):
 
 
 _FLOAT_KEYS = st.sampled_from([
-    ("material.mu", 0.1, 500.0),
-    ("material.G_c", 0.1, 10.0),
+    ("regularization.zeta", 0.0, 50.0),
+    ("regularization.alpha", 1.0, 1e4),
     ("loading.c", 0.0, 4.0),
     ("loading.dt", 1e-4, 1.0),
     ("solver.staggered_tol", 1e-8, 1e-2),
