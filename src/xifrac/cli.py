@@ -15,7 +15,6 @@ log = logging.getLogger(__name__)
 # Calibration rows reported for n = 128 / 256 / 512 grids.
 _TABLE_H = (0.008, 0.004, 0.002)
 _TABLE_ALPHA = (493.75, 1975.0, 7900.0)
-_TABLE_ZETA = 9.36
 
 
 def _build_parser():
@@ -88,7 +87,7 @@ def _cmd_calibrate(args) -> int:
         if abs(args.h - h_ref) < 1e-12:
             print(f"note: published value for h={h_ref} is alpha={a_ref} "
                   f"({100 * abs(alpha - a_ref) / a_ref:.2f}% off) with "
-                  f"zeta={_TABLE_ZETA} (~3x the formula value; the gap is "
+                  f"zeta={pf.ZETA} (~3x the formula value; the gap is "
                   f"documented, not resolved)")
     return 0
 
@@ -119,15 +118,14 @@ def _cmd_tables(args) -> int:
         alpha = pf.calibrate_alpha(h)
         zeta = pf.calibrate_zeta(h, alpha)
         print(f"{h:>8g} {alpha:>10.4g} {a_ref:>10.4g} {zeta:>8.4g} "
-              f"{_TABLE_ZETA:>10.4g}")
+              f"{pf.ZETA:>10.4g}")
     print("note: the published zeta is ~3x the closed-form value; both are "
           "reported as-is.\n")
 
     print("Closed-form optimal xi for an intact body "
           "(sqrt(G_c*zeta / (c_v*alpha))):")
     for a_ref, target in zip(_TABLE_ALPHA, (0.13687, 0.06927, 0.03464)):
-        reg = pf.RegularizationParams(zeta=_TABLE_ZETA, alpha=a_ref,
-                                      xi_max=1.0)
+        reg = pf.RegularizationParams(alpha=a_ref)
         xi = float(pf.xi_pointwise(1.0, 0.0, reg))
         print(f"alpha={a_ref:>8g}: xi = {xi:.5f}  (published {target})")
     print("note: for alpha=493.75 the published 0.13687 reflects the seeded "

@@ -431,10 +431,10 @@ def staggered_step(state: SimState, config: SimConfig) -> tuple[int, bool]:
 
 def _amr_flags(mesh, v_values, config: SimConfig) -> np.ndarray:
     """The cells below ``level_max`` whose xi, the cell xi of ``v_values``,
-    falls below the refinement threshold."""
+    falls below the refinement threshold :data:`phasefield.XI_REFINE`."""
     reg = config.regularization
     xi_cells = pf.xi_field(mesh, ScalarField(mesh, v_values), reg)
-    return np.flatnonzero((xi_cells < reg.xi_refine)
+    return np.flatnonzero((xi_cells < pf.XI_REFINE)
                           & (mesh.cell_levels < config.mesh.level_max))
 
 

@@ -575,7 +575,7 @@ def _meets(Ax, b, limit) -> bool:
     return bool(np.linalg.norm(Ax - b) <= limit)
 
 
-def _limit(tol, method, bnorm) -> float:
+def _limit(method, bnorm) -> float:
     """Residual bound of the contract: ``rtol ||b||``, ``rtol`` per method.
 
     A right-hand side that is not finite has no bound: it raises
@@ -586,7 +586,7 @@ def _limit(tol, method, bnorm) -> float:
     if not np.isfinite(bnorm):
         raise LinearSolveError(
             f"right-hand side of norm {bnorm!r} is not finite", np.inf)
-    return (max(tol, 1e-8) if method == "direct" else tol) * bnorm
+    return (max(RTOL, 1e-8) if method == "direct" else RTOL) * bnorm
 
 
 def _expand(sys: SparseSystem, x) -> ScalarField:
@@ -816,14 +816,13 @@ def _direct(A, b, limit):
     return x, lu
 
 
-def solve_spd(sys: SparseSystem, tol: float = RTOL, max_iter: int = MAX_ITER,
-              method: str = "pcg", guess: np.ndarray | None = None
-              ) -> np.ndarray:
+def solve_spd(sys: SparseSystem, method: str = "pcg",
+              guess: np.ndarray | None = None) -> np.ndarray:
     """Solve ``sys.matrix x = sys.rhs`` to ``||Ax-b|| <= rtol ||b||``.
 
-    ``rtol`` is ``tol`` for ``"pcg"`` and ``max(tol, 1e-8)`` for
-    ``"direct"``.  On a restricted system the contract applies to the free
-    block alone.
+    ``rtol`` is :data:`RTOL` for ``"pcg"`` and ``max(RTOL, 1e-8)`` for
+    ``"direct"``, both read at call time.  On a restricted system the
+    contract applies to the free block alone.
 
     Without a guess, ``method`` decides: ``"direct"`` factors the system
     (sparse LU in symmetric mode) and ``"pcg"`` runs CG with Jacobi,
@@ -841,12 +840,12 @@ def solve_spd(sys: SparseSystem, tol: float = RTOL, max_iter: int = MAX_ITER,
     then needs few iterations.  Every failure raises
     :class:`LinearSolveError`: a right-hand side that is not finite, a
     failed coarse factorization, a CG direction of nonpositive curvature
-    and a CG that misses the contract within ``max_iter`` iterations
+    and a CG that misses the contract within :data:`MAX_ITER` iterations
     included.  With no unknown, or an accepted guess, nothing is
     factored.
     """
     A, b = sys.matrix, sys.rhs
-    limit = _limit(tol, method, np.linalg.norm(b))
+    limit = _limit(method, np.linalg.norm(b))
     if not len(b):
         return np.zeros(0)
     if guess is None and method == "direct":
@@ -866,12 +865,12 @@ def solve_spd(sys: SparseSystem, tol: float = RTOL, max_iter: int = MAX_ITER,
             if _meets(Ax0, b, limit):
                 return x0
 
-    x, met, iters = _pcg(A, b, limit, max_iter, x0, _coarse(sys), Ax0)
+    x, met, iters = _pcg(A, b, limit, MAX_ITER, x0, _coarse(sys), Ax0)
     if not met:
         rel = _relative_residual(A, x, b)
         raise LinearSolveError(
             f"PCG stopped after {iters} iterations with relative residual "
-            f"{rel:.3e} > {_limit(tol, method, 1.0):.1e}", rel)
+            f"{rel:.3e} > {_limit(method, 1.0):.1e}", rel)
     return x
 
 
@@ -879,8 +878,8 @@ def solve_field(sys: SparseSystem, method: str = "pcg",
                 guess: np.ndarray | None = None) -> ScalarField:
     """Solve a restricted system and return the whole field.
 
-    Free values come from :func:`solve_spd` with its defaults, prescribed
-    ones from ``sys.prescribed`` and hanging ones from their masters.
+    Free values come from :func:`solve_spd`, prescribed ones from
+    ``sys.prescribed`` and hanging ones from their masters.
     ``guess`` is a full-length nodal vector on the same mesh; its free
     values ``guess[sys.free]`` are handed to :func:`solve_spd`, which
     returns them, or their Galerkin multiple, untouched when they already
@@ -905,7 +904,7 @@ def solve_factored(sys: SparseSystem) -> tuple[ScalarField, object | None]:
     A, b = sys.matrix, sys.rhs
     if not len(b):
         return _expand(sys, np.zeros(0)), None
-    x, lu = _direct(A, b, _limit(RTOL, "direct", np.linalg.norm(b)))
+    x, lu = _direct(A, b, _limit("direct", np.linalg.norm(b)))
     return _expand(sys, x), lu
 
 
@@ -980,7 +979,7 @@ def project(sys: SparseSystem, basis
     if not basis:
         return None, False, None
     A, b = sys.matrix, sys.rhs
-    limit = _limit(RTOL, "direct", np.linalg.norm(b))
+    limit = _limit("direct", np.linalg.norm(b))
     qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
     Ax = A @ x

@@ -13,7 +13,9 @@ Each run parameter is declared once, as a field of a frozen
 :class:`Params` dataclass made with :func:`param`: its default and its
 range.  :mod:`xifrac.config` builds its key table from these fields.  The
 material is not a run parameter: its shear modulus and toughness are the
-constants :data:`SHEAR_MODULUS` and :data:`TOUGHNESS`.
+constants :data:`SHEAR_MODULUS` and :data:`TOUGHNESS`.  Nor are zeta, the
+clamp on the optimized xi and the refinement threshold: :data:`ZETA`,
+:data:`XI_MIN`, :data:`XI_MAX` and :data:`XI_REFINE`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ SHEAR_MODULUS = 80.8  # mu
 TOUGHNESS = 2.7  # G_c
 CRACK_TOL = 0.01  # Xi_CR: a node whose v drops below it joins the crack
 RESIDUAL_STIFFNESS = 1e-10  # eta: the share of mu left where v = 0
+ZETA = 9.36  # the zeta/xi penalty weight, bounding xi from below
+XI_MIN, XI_MAX = 0.011, 0.15  # clamp on the optimized xi
+XI_REFINE = 0.03  # with AMR, cells whose field xi lies below it are split
 
 #: Ranges as ``(test, reason)``: ``test(value)`` is True for a valid value.
 POSITIVE = (lambda v: 0 < v < np.inf, "must be finite and > 0")
@@ -68,7 +73,7 @@ class Params:
 
 @dataclass(frozen=True)
 class RegularizationParams(Params):
-    """Length-scale bounds, penalties and the update mode.
+    """The update mode, the upper-bound penalty ``alpha`` and the fixed xi.
 
     ``mode`` is one of ``fixed`` (xi_fixed held constant), ``global``
     (one optimal scalar per update) or ``field`` (per cell, the mean over
@@ -78,20 +83,8 @@ class RegularizationParams(Params):
 
     mode: str = param("fixed", (lambda v: v in ("fixed", "global", "field"),
                                 "must be fixed, global or field"))
-    zeta: float = param(9.36, NONNEGATIVE)
     alpha: float = param(493.75, POSITIVE)
     xi_fixed: float = param(0.13687, POSITIVE)
-    xi_min: float = param(0.011, POSITIVE)
-    xi_max: float = param(0.15, POSITIVE)
-    xi_refine: float = param(0.03, POSITIVE)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.xi_min < self.xi_max:
-            raise ValueError("need xi_min < xi_max")
-
-    def clamp(self, xi):
-        return np.clip(xi, self.xi_min, self.xi_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,18 +222,18 @@ def xi_global(mesh: Mesh, v: ScalarField, reg: RegularizationParams) -> float:
     """Globally optimal xi from the stationarity of the three-field energy."""
     ratio = TOUGHNESS / AT1_NORMALIZATION
     v_qp = fem.field_at_qp(v)
-    numer = ratio * fem.integrate(mesh, 1.0 - v_qp + reg.zeta)
+    numer = ratio * fem.integrate(mesh, 1.0 - v_qp + ZETA)
     denom = (ratio * fem.integrate(mesh, _grad_sq(v))
              + reg.alpha * fem.integrate(mesh, 1.0))
-    return float(reg.clamp(np.sqrt(numer / denom)))
+    return float(np.clip(np.sqrt(numer / denom), XI_MIN, XI_MAX))
 
 
 def xi_pointwise(v, grad_sq, reg: RegularizationParams):
     """Pointwise optimal xi from local values of v and |grad v|^2, clamped."""
     ratio = TOUGHNESS / AT1_NORMALIZATION
-    numer = ratio * (1.0 - np.asarray(v) + reg.zeta)
+    numer = ratio * (1.0 - np.asarray(v) + ZETA)
     denom = ratio * np.asarray(grad_sq) + reg.alpha
-    return reg.clamp(np.sqrt(np.maximum(numer, 0.0) / denom))
+    return np.clip(np.sqrt(np.maximum(numer, 0.0) / denom), XI_MIN, XI_MAX)
 
 
 def xi_field(mesh: Mesh, v: ScalarField,
@@ -329,7 +322,7 @@ def energies(mesh: Mesh, u: ScalarField, v: ScalarField,
         surface = ratio * fem.integrate(
             mesh, (1.0 - v_qp) / xi_qp + xi_qp * _grad_sq(v))
         penalty = fem.integrate(
-            mesh, ratio * reg.zeta / xi_qp + reg.alpha * xi_qp)
+            mesh, ratio * ZETA / xi_qp + reg.alpha * xi_qp)
         return frozen(degradation(v_qp)), surface, penalty
 
     deg, surface, penalty = mesh.reuse(

@@ -432,13 +432,13 @@ def reference_coarsen(keys, flagged, level_min):
 
 def coarsen_rule_flags(mesh, v_values, cfg):
     """The cells that a coarsening AMR pass would flag on ``mesh``: every
-    vertex has v >= 1 - 1e-6, the cell xi is not below ``xi_refine``, and
+    vertex has v >= 1 - 1e-6, the cell xi is not below ``XI_REFINE``, and
     the level is above ``level_min``.  ``driver.amr_pass`` only refines;
     this is the rule that it dropped."""
     reg = cfg.regularization
     xi = pf.xi_field(mesh, fem.ScalarField(mesh, v_values), reg)
     intact = v_values[mesh.cell_vertices].min(axis=1) >= 1.0 - 1e-6
-    return np.flatnonzero(intact & (xi >= reg.xi_refine)
+    return np.flatnonzero(intact & (xi >= pf.XI_REFINE)
                           & (mesh.cell_levels > mesh.level_min))
 
 

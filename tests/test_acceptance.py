@@ -33,8 +33,7 @@ def field_run():
     """
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=6, level_max=9),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         amr=driver.AmrParams(enabled=True),
     )
     trace = []
@@ -81,20 +80,17 @@ def test_criterion_1_closed_form_and_step1_global_xi(capsys):
     ones = constant_field(mesh, 1.0)
     vals = {}
     for alpha, published in ((1975.0, 0.06927), (7900.0, 0.03464)):
-        reg = pf.RegularizationParams(mode="global", zeta=9.36, alpha=alpha,
-                                      xi_max=1.0)
+        reg = pf.RegularizationParams(mode="global", alpha=alpha)
         vals[alpha] = xi = pf.xi_global(mesh, ones, reg)
         assert abs(xi - published) < 5e-5
     # for alpha=493.75 the closed form gives 0.13854; the published 0.13687
     # reflects the seeded crack, so compare the full step-1 optimum instead
-    reg = pf.RegularizationParams(mode="global", zeta=9.36, alpha=493.75,
-                                  xi_max=1.0)
+    reg = pf.RegularizationParams(mode="global", alpha=493.75)
     closed = pf.xi_global(mesh, ones, reg)
     assert closed == pytest.approx(0.13854, abs=5e-5)
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=7, level_max=7),
-        regularization=pf.RegularizationParams(mode="global", zeta=9.36,
-                                               alpha=493.75),
+        regularization=pf.RegularizationParams(mode="global", alpha=493.75),
         loading=driver.LoadingParams(c=1.0, dt=0.01, n_max=1),
     )
     _, state = driver.run(cfg)
@@ -128,8 +124,7 @@ def test_criterion_3_field_xi_initial_value(capsys):
     # equals the closed form
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=6, level_max=9, crack_y_tip=1.0),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
     )
     state = driver.initialize(cfg)
     cells = state.xi
@@ -259,8 +254,7 @@ def test_criterion_7_invariant_suites(capsys, field_run):
     # instrumented run (nodal comparison needs a fixed mesh between steps)
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=5, level_max=6),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         loading=driver.LoadingParams(c=1.0, dt=0.05, n_max=6),
         amr=driver.AmrParams(enabled=True),
     )
@@ -275,9 +269,8 @@ def test_criterion_7_invariant_suites(capsys, field_run):
             continue
         irrev &= bool(np.all(v1 <= v0 + 1e-12))
         mask_mono &= bool(np.all(m1[m0]))
-    reg = cfg.regularization
-    clamped = all(xi.min() >= reg.xi_min - 1e-15
-                  and xi.max() <= reg.xi_max + 1e-15 for *_, xi in seen)
+    clamped = all(xi.min() >= pf.XI_MIN - 1e-15
+                  and xi.max() <= pf.XI_MAX + 1e-15 for *_, xi in seen)
 
     # mesh level bounds on the full benchmark's final mesh
     levels_ok = (state.mesh.cell_levels.min() >= 6
@@ -286,8 +279,7 @@ def test_criterion_7_invariant_suites(capsys, field_run):
     # AMR fixed point in one pass: the next pass changes nothing
     fcfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=6, level_max=8),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         amr=driver.AmrParams(enabled=True),
     )
     fstate = driver.initialize(fcfg)

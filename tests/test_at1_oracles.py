@@ -10,8 +10,8 @@ crack length: G_c on the unit square.  The discrete solution meets both
 to second order in h/xi.
 
 In field mode the pointwise optimum on that profile is the intact value
-``xi0 = sqrt((G_c/c_v) zeta/alpha)`` everywhere, so every cell's xi is xi0
-and v is the profile of xi0.
+``xi0 = sqrt((G_c/c_v) zeta/alpha)`` everywhere, with zeta the constant
+``pf.ZETA``, so every cell's xi is xi0 and v is the profile of xi0.
 
 The profile and xi0 are computed here from these formulas, never taken
 from a run.  The grow-only active set pins the seeded line and never
@@ -30,7 +30,7 @@ from xifrac.config import parse_config
 
 C_V = 8.0 / 3.0  # AT1's normalization of the dissipation
 XI_FIXED = 0.05
-ZETA, ALPHA = 9.36, 7900.0
+ALPHA = 7900.0
 
 at1_xfail = pytest.mark.xfail(
     strict=True, raises=AssertionError,
@@ -45,7 +45,6 @@ def _zero_load_step(level, mode):
                  "mesh.crack_y_tip": "0", "mesh.level_start": str(level),
                  "mesh.level_max": str(level), "regularization.mode": mode,
                  "regularization.xi_fixed": repr(XI_FIXED),
-                 "regularization.zeta": repr(ZETA),
                  "regularization.alpha": repr(ALPHA)}
     history, state = driver.run(parse_config("", overrides))
     assert len(history) == 1
@@ -85,7 +84,7 @@ def test_fixed_xi_surface_error_is_second_order_in_h():
 @at1_xfail
 def test_field_xi_step_is_the_at1_profile_of_xi0():
     _, state = _zero_load_step(7, "field")
-    xi0 = np.sqrt(pf.TOUGHNESS / C_V * ZETA / ALPHA)
+    xi0 = np.sqrt(pf.TOUGHNESS / C_V * pf.ZETA / ALPHA)
     assert xi0 == pytest.approx(0.0346355, rel=1e-5)
     # A converged bound-constrained solve leaves 1.6e-4: the discrete v
     # is the profile only to second order, and xi is its cell mean.

@@ -167,8 +167,7 @@ def test_irreversibility_across_steps():
 
 
 def test_xi_stays_clamped():
-    reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0,
-                                  xi_min=0.011, xi_max=0.15)
+    reg = pf.RegularizationParams(mode="field", alpha=7900.0)
     cfg = small_config(regularization=reg,
                        loading=LoadingParams(c=1.0, dt=0.05, n_max=5))
     lows, highs = [], []
@@ -179,8 +178,8 @@ def test_xi_stays_clamped():
         highs.append(cells.max())
 
     driver.run(cfg, snapshot_hook=hook)
-    assert min(lows) >= reg.xi_min - 1e-15
-    assert max(highs) <= reg.xi_max + 1e-15
+    assert min(lows) >= pf.XI_MIN - 1e-15
+    assert max(highs) <= pf.XI_MAX + 1e-15
 
 
 def reference_staggered_step(state, config):
@@ -468,7 +467,7 @@ def _label_factorizations(monkeypatch):
 
 
 def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
-    # A level 3-4 field-mode mesh adapted around the seeded crack (xi_refine
+    # A level 3-4 field-mode mesh adapted around the seeded crack (XI_REFINE
     # sits between its cell xi values), small enough for a dense oracle.
     # Both steps are elastic: v does not change, so the step-2 u system is
     # the step-1 operator with Dirichlet data scaled by t2 / t1 = 1.5, and
@@ -479,10 +478,10 @@ def test_second_elastic_step_reuses_the_scaled_displacement(monkeypatch):
     # started at zero (u = 0 has no multiple) and meets the direct
     # contract, rtol = 1e-8, so the step-2 u lies within kappa_2(A) rtol of
     # the dense answer, with kappa_2 computed densely.
+    monkeypatch.setattr(pf, "XI_REFINE", 0.0348)
     cfg = small_config(
         mesh=MeshParams(level_start=3, level_max=4),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0, xi_refine=0.0348),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         amr=AmrParams(enabled=True))
     state, ref = driver.initialize(cfg), driver.initialize(cfg)
     for s in (state, ref):
@@ -1385,7 +1384,7 @@ def test_update_xi_fixed_is_inert():
 
 def test_update_xi_global_tracks_damage():
     cfg = small_config(regularization=pf.RegularizationParams(
-        mode="global", zeta=9.36, alpha=7900.0))
+        mode="global", alpha=7900.0))
     state = driver.initialize(cfg)
     xi_seeded = state.xi[0]
     state.v = constant_field(state.mesh, 1.0)
@@ -1404,8 +1403,7 @@ def _field_state(level_start=6, level_max=8, **kw):
     # threshold only once h <= 1/64, so AMR tests start at level 6.
     cfg = small_config(
         mesh=MeshParams(level_start=level_start, level_max=level_max),
-        regularization=pf.RegularizationParams(mode="field", zeta=9.36,
-                                               alpha=7900.0),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         amr=AmrParams(enabled=True), **kw)
     return cfg, driver.initialize(cfg)
 
@@ -1490,7 +1488,7 @@ def test_amr_pass_reuses_the_field_xi(monkeypatch):
     g = fem.grad_at_qp(state.v)
     xi = pf.xi_pointwise(fem.field_at_qp(state.v), np.sum(g ** 2, axis=2),
                          reg).mean(axis=1)
-    want = np.flatnonzero((xi < reg.xi_refine) & (mesh.cell_levels < 8))
+    want = np.flatnonzero((xi < pf.XI_REFINE) & (mesh.cell_levels < 8))
 
     gradients, flags = [], []
     grad_at_qp, refine = fem.grad_at_qp, meshmod.refine

@@ -2,9 +2,11 @@
 
 import functools
 import gc
+import inspect
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -680,7 +682,8 @@ def test_pcg_matches_direct(mesh_hanging):
                           lambda x, y: np.sin(np.pi * x) * np.cos(y),
                           lambda x, y: 0.0)
     xd = solve_spd(sys, method="direct")
-    xp = solve_spd(sys, tol=1e-12, method="pcg")
+    with mock.patch.object(fem, "RTOL", 1e-12):
+        xp = solve_spd(sys, method="pcg")
     assert np.max(np.abs(xd - xp)) < 1e-9
 
 
@@ -712,10 +715,16 @@ def test_direct_pure_neumann_raises_linear_solve_error():
 
 
 def test_pcg_residual_contract():
+    # The tolerance and the iteration cap are the constants fem.RTOL and
+    # fem.MAX_ITER, read at call time, and not parameters.
+    assert list(inspect.signature(solve_spd).parameters) == \
+        ["sys", "method", "guess"]
     mesh = build_uniform(3)
     sys = _poisson_system(mesh, lambda x, y: 1.0, lambda x, y: 0.0)
-    with pytest.raises(LinearSolveError):
-        solve_spd(sys, tol=1e-14, max_iter=2, method="pcg")
+    with pytest.raises(LinearSolveError), \
+            mock.patch.object(fem, "RTOL", 1e-14), \
+            mock.patch.object(fem, "MAX_ITER", 2):
+        solve_spd(sys, method="pcg")
 
 
 def _stripe_system():
@@ -737,7 +746,8 @@ def test_pcg_meets_the_true_residual_contract():
     sys = _stripe_system()
     tol = 1e-15
     try:
-        got = solve_spd(sys, tol=tol, method="pcg")
+        with mock.patch.object(fem, "RTOL", tol):
+            got = solve_spd(sys, method="pcg")
     except LinearSolveError:
         return  # an honest failure also keeps the contract
     A, b = sys.matrix, sys.rhs
@@ -763,8 +773,9 @@ def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
     floor = (np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
              / np.linalg.norm(b))
     solves = cg_passes(monkeypatch)
-    with pytest.raises(LinearSolveError, match="stalled") as info:
-        solve_spd(sys, tol=floor / 10, method="pcg")
+    with pytest.raises(LinearSolveError, match="stalled") as info, \
+            mock.patch.object(fem, "RTOL", floor / 10):
+        solve_spd(sys, method="pcg")
     assert floor / 10 < info.value.residual <= floor
     [(passes, iterations)] = solves
     assert passes <= 10 and iterations <= 200
@@ -881,7 +892,8 @@ def test_deflated_cg_directions_are_a_orthogonal_to_the_coarse_space(make):
 def test_pcg_matches_dense_solve(make):
     sys = make()
     want = np.linalg.solve(sys.matrix.toarray(), sys.rhs)
-    got = solve_spd(sys, tol=1e-12, method="pcg")
+    with mock.patch.object(fem, "RTOL", 1e-12):
+        got = solve_spd(sys, method="pcg")
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -896,7 +908,8 @@ def test_aggregate_without_free_dof_is_dropped():
     assert count < aggregates_by_vertex(mesh, np.arange(mesh.n_vertices))[1]
     assert factor.shape[1] == count and W.shape[0] == count
     assert np.array_equal(agg, want)
-    x = solve_spd(sys, tol=1e-12, method="pcg")
+    with mock.patch.object(fem, "RTOL", 1e-12):
+        x = solve_spd(sys, method="pcg")
     assert np.linalg.norm(sys.matrix @ x - sys.rhs) \
         <= 1e-12 * np.linalg.norm(sys.rhs)
 
@@ -929,7 +942,8 @@ def test_coarse_space_of_every_dof_solves_at_the_start_correction(start):
     assert met and iters == 0
     want = np.linalg.solve(A.toarray(), b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    got = solve_spd(sys, tol=1e-12, method="pcg")
+    with mock.patch.object(fem, "RTOL", 1e-12):
+        got = solve_spd(sys, method="pcg")
     assert np.linalg.norm(A @ got - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -1347,7 +1361,7 @@ def test_random_guess_starts_cg_from_its_multiple(monkeypatch):
     pcg = fem._pcg
     monkeypatch.setattr(fem, "_pcg",
                         lambda *a: starts.append(a[4]) or pcg(*a))
-    x = solve_spd(sys, tol=1e-10, method="pcg", guess=g)
+    x = solve_spd(sys, method="pcg", guess=g)
     assert np.array_equal(starts[0], (g @ b / (g @ (A @ g))) * g)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -1359,7 +1373,7 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
                                                       factored_rows):
     # A zero guess has g.Ag = 0; so has a tiny one, where g.Ag underflows.
     # Neither has a multiple, so CG starts from zero under either method,
-    # to that method's contract (1e-8 under direct for tol = 1e-10): the
+    # to that method's contract (1e-8 under direct for RTOL = 1e-10): the
     # bytes of a pcg solve without a guess at that tolerance.  Only the
     # coarse operator is factored, by band Cholesky and never by SuperLU,
     # and it never has more rows than there are aggregates.
@@ -1367,8 +1381,9 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
     g = np.full(len(sys.rhs), scale)
     assert g @ (sys.matrix @ g) == 0.0
     rtol = 1e-8 if method == "direct" else 1e-10
-    want = solve_spd(sys, tol=rtol, method="pcg")
-    got = solve_spd(sys, tol=1e-10, method=method, guess=g)
+    with mock.patch.object(fem, "RTOL", rtol):
+        want = solve_spd(sys, method="pcg")
+    got = solve_spd(sys, method=method, guess=g)
     assert got.tobytes() == want.tobytes()
     assert solver_calls == ["coarse", "pcg"] * 2
     assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)

@@ -68,18 +68,23 @@ _REMOVED = {
     "solver.linear_max_iter": "20000",
     "solver.crack_tol": "0.01",
     "material.eta": "1e-10",
+    "regularization.zeta": "9.36",
+    "regularization.xi_min": "0.011",
+    "regularization.xi_max": "0.15",
+    "regularization.xi_refine": "0.03",
 }
 
 
 @pytest.mark.parametrize("key", list(_REMOVED))
 def test_removed_key_is_unknown(key, tmp_path, capsys):
     # AT1 fixes c_v at 8/3 (pf.AT1_NORMALIZATION), and the material, the
-    # solver caps, the linear tolerance, the pin threshold and the residual
-    # stiffness are constants (pf.SHEAR_MODULUS, pf.TOUGHNESS,
-    # driver._MAX_STAGGERED, fem.RTOL, fem.MAX_ITER, pf.CRACK_TOL,
-    # pf.RESIDUAL_STIFFNESS), so a config or old manifest that sets one of
-    # them is rejected, in the text with its line, through an override and
-    # through --set, before the run writes anything.
+    # solver caps, the linear tolerance, the pin threshold, the residual
+    # stiffness, zeta, the xi clamp and the refinement threshold are
+    # constants (pf.SHEAR_MODULUS, pf.TOUGHNESS, driver._MAX_STAGGERED,
+    # fem.RTOL, fem.MAX_ITER, pf.CRACK_TOL, pf.RESIDUAL_STIFFNESS, pf.ZETA,
+    # pf.XI_MIN, pf.XI_MAX, pf.XI_REFINE), so a config or old manifest that
+    # sets one of them is rejected, in the text with its line, through an
+    # override and through --set, before the run writes anything.
     value = _REMOVED[key]
     with pytest.raises(ConfigError) as err:
         parse_config(f"loading.c = 1.0\n{key} = {value}\n")
@@ -93,7 +98,7 @@ def test_removed_key_is_unknown(key, tmp_path, capsys):
                      "--set", f"{key}={value}"]) == 1
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert len(config.KEYS) == 17
+    assert len(config.KEYS) == 13
 
 
 def test_parse_constraint_violation_names_key():
@@ -160,12 +165,8 @@ def test_cross_field_constraint_reported():
 # One out-of-range value per key: its config text and its Python value.
 _OUT_OF_RANGE = {
     "regularization.mode": ("adaptive", "adaptive"),
-    "regularization.zeta": ("-1", -1.0),
     "regularization.alpha": ("0", 0.0),
     "regularization.xi_fixed": ("0", 0.0),
-    "regularization.xi_min": ("0", 0.0),
-    "regularization.xi_max": ("-0.15", -0.15),
-    "regularization.xi_refine": ("0", 0.0),
     "mesh.level_start": ("0", 0),
     "mesh.level_max": ("21", 21),
     "mesh.crack_y_tip": ("1.5", 1.5),
@@ -233,12 +234,8 @@ def test_every_integer_key_rejects_a_float_or_a_bool(key):
 
 DEFAULT_MANIFEST = """# [regularization]
 regularization.mode = fixed
-regularization.zeta = 9.36
 regularization.alpha = 493.75
 regularization.xi_fixed = 0.13687
-regularization.xi_min = 0.011
-regularization.xi_max = 0.15
-regularization.xi_refine = 0.03
 
 # [mesh]
 mesh.level_start = 7
@@ -263,12 +260,8 @@ output.cadence = 10
 
 KEY_REFERENCE = """\
 regularization.mode              str    default=fixed
-regularization.zeta              float  default=9.36
 regularization.alpha             float  default=493.75
 regularization.xi_fixed          float  default=0.13687
-regularization.xi_min            float  default=0.011
-regularization.xi_max            float  default=0.15
-regularization.xi_refine         float  default=0.03
 mesh.level_start                 int    default=7
 mesh.level_max                   int    default=7
 mesh.crack_y_tip                 float  default=0.5
@@ -543,11 +536,11 @@ def test_run_writer_manifest_reparses(tmp_path):
 
 
 def test_fixed_xi_above_xi_max_is_run_as_configured(tmp_path):
-    # xi_min and xi_max clamp the optimized xi; a fixed xi is used as it
-    # is set, so the run, its xi history and its manifest agree.
+    # pf.XI_MIN and pf.XI_MAX clamp the optimized xi; a fixed xi is used as
+    # it is set, so the run, its xi history and its manifest agree.
     cfg = parse_config("loading.n_max = 1, mesh.level_start = 3, "
                        "mesh.level_max = 3", {"regularization.xi_fixed": "0.5"})
-    assert cfg.regularization.xi_fixed > cfg.regularization.xi_max
+    assert cfg.regularization.xi_fixed > pf.XI_MAX
     _, state = driver.run(cfg, out_dir=tmp_path)
     assert np.all(state.xi == 0.5)
     [row] = (tmp_path / "xi_history.csv").read_text().splitlines()[1:]
@@ -706,11 +699,30 @@ def test_cli_calibrate_has_no_g_c_flag(capsys):
     assert "--G-c" in capsys.readouterr().err
 
 
+TABLES = """\
+Calibration of the xi bound penalties (G_c=2.7, c_v=8/3):
+       h      alpha  published     zeta  published
+   0.008      494.4      493.8    3.125       9.36
+   0.004       1978       1975    3.125       9.36
+   0.002       7910       7900    3.125       9.36
+note: the published zeta is ~3x the closed-form value; both are reported as-is.
+
+Closed-form optimal xi for an intact body (sqrt(G_c*zeta / (c_v*alpha))):
+alpha=  493.75: xi = 0.13854  (published 0.13687)
+alpha=    1975: xi = 0.06927  (published 0.06927)
+alpha=    7900: xi = 0.03464  (published 0.03464)
+note: for alpha=493.75 the published 0.13687 reflects the seeded crack; the closed form gives 0.13854.
+"""
+
+
 def test_cli_tables_reference_values(capsys):
     assert cli.main(["tables"]) == 0
     out = capsys.readouterr().out
     for digits in ("0.13854", "0.06927", "0.03464"):
         assert digits in out
+    # Every digit: the optimal-xi rows lie inside the clamp [XI_MIN,
+    # XI_MAX], which they share with the runs.
+    assert out == TABLES
 
 
 def test_cli_run_zero_steps(tmp_path, capsys):
@@ -793,6 +805,23 @@ def test_a_manifest_with_a_material_section_is_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(old)
     assert err.value.key == "material.mu" and err.value.line == 3
+    assert "unknown configuration key" in str(err.value)
+
+
+def test_a_manifest_with_the_former_regularization_keys_is_rejected():
+    # A run_manifest.cfg written while zeta, the xi clamp and the
+    # refinement threshold were keys; zeta, the first of them, is reported.
+    old = ("# xifrac 0.1.0 run manifest; parseable as a config file\n"
+           "# [regularization]\nregularization.mode = fixed\n"
+           "regularization.zeta = 9.36\nregularization.alpha = 493.75\n"
+           "regularization.xi_fixed = 0.13687\n"
+           "regularization.xi_min = 0.011\nregularization.xi_max = 0.15\n"
+           "regularization.xi_refine = 0.03\n\n"
+           + DEFAULT_MANIFEST.split("\n\n", 1)[1])
+    with pytest.raises(ConfigError) as err:
+        parse_config(old)
+    assert err.value.key == "regularization.zeta" and err.value.line == 4
+    assert "'regularization.zeta', line 4" in str(err.value)
     assert "unknown configuration key" in str(err.value)
 
 
@@ -1072,5 +1101,5 @@ def test_cli_keys_lists_all(capsys):
     for key in ("regularization.mode", "solver.method", "amr.enabled",
                 "output.cadence"):
         assert key in out
-    assert len(out.splitlines()) == len(config.KEYS) == 17
+    assert len(out.splitlines()) == len(config.KEYS) == 13
     assert "material." not in out

@@ -359,7 +359,7 @@ def _preload_first_sweeps(mesh):
     with the load, so the strain drive grows as t^2.  Each call returns
     the restricted system and its reaction matrix."""
     v = pf.initial_crack(mesh, 0.5)
-    reg = pf.RegularizationParams(mode="field", zeta=9.36, alpha=7900.0)
+    reg = pf.RegularizationParams(mode="field", alpha=7900.0)
     xi = pf.xi_field(mesh, v, reg)
     u1 = fem.solve_field(pf.assemble_displacement(
         mesh, v, *driver.boundary_displacement(mesh, 1.0, 1.0)),

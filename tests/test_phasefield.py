@@ -1,5 +1,8 @@
 """Model physics: energies, optimality formulas, calibration, irreversibility."""
 
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -30,12 +33,19 @@ def test_material_defaults():
 def test_regularization_validation():
     with pytest.raises(ValueError):
         _reg(mode="adaptive")
-    with pytest.raises(ValueError):
-        _reg(xi_min=0.2, xi_max=0.1)
-    r = _reg(xi_min=0.011, xi_max=0.15)
-    assert r.clamp(0.001) == 0.011
-    assert r.clamp(0.5) == 0.15
-    assert r.clamp(0.1) == 0.1
+    # zeta, the clamp and the refinement threshold are constants.
+    assert [f.name for f in fields(pf.RegularizationParams)] == \
+        ["mode", "alpha", "xi_fixed"]
+    assert (pf.ZETA, pf.XI_MIN, pf.XI_MAX, pf.XI_REFINE) == \
+        (9.36, 0.011, 0.15, 0.03)
+    # The optimized xi is clamped to [XI_MIN, XI_MAX]: a steep gradient
+    # meets the floor, a tiny alpha the ceiling, and the intact optimum
+    # of alpha = 7900 lies inside and passes as it is.
+    r = _reg(alpha=7900.0)
+    assert pf.xi_pointwise(1.0, 1e9, r) == 0.011
+    assert pf.xi_pointwise(1.0, 0.0, _reg(alpha=1e-3)) == 0.15
+    ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
+    assert pf.xi_pointwise(1.0, 0.0, r) == np.sqrt(ratio * pf.ZETA / 7900.0)
 
 
 def test_degradation():
@@ -55,9 +65,9 @@ def test_degradation():
 def test_xi_closed_forms_reference_values():
     # For an intact body the optimal xi is sqrt(G_c*(1+zeta) ... ) evaluated
     # with zeta=9.36 and the three tabulated alpha values; frozen digits.
-    reg1 = _reg(zeta=9.36, alpha=493.75, xi_max=1.0)
-    reg2 = _reg(zeta=9.36, alpha=1975.0, xi_max=1.0)
-    reg3 = _reg(zeta=9.36, alpha=7900.0, xi_max=1.0)
+    reg1 = _reg(alpha=493.75)
+    reg2 = _reg(alpha=1975.0)
+    reg3 = _reg(alpha=7900.0)
     assert float(pf.xi_pointwise(1.0, 0.0, reg1)) == pytest.approx(
         0.13854213817692043, abs=1e-12)
     assert float(pf.xi_pointwise(1.0, 0.0, reg2)) == pytest.approx(
@@ -68,7 +78,7 @@ def test_xi_closed_forms_reference_values():
 
 def test_xi_global_equals_pointwise_for_uniform_v():
     mesh = build_uniform(3)
-    reg = _reg(zeta=9.36, alpha=1975.0, xi_max=1.0)
+    reg = _reg(alpha=1975.0)
     v = constant_field(mesh, 1.0)
     assert pf.xi_global(mesh, v, reg) == pytest.approx(
         float(pf.xi_pointwise(1.0, 0.0, reg)), abs=1e-13)
@@ -81,29 +91,31 @@ def test_xi_global_manual_quadrature_oracle():
     mesh = build_uniform(3)
     x = mesh.vertex_coords[:, 0]
     v = ScalarField(mesh, x)
-    reg = _reg(zeta=2.0, alpha=10.0, xi_max=1.0)
+    reg = _reg(alpha=10.0)
     ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
     expect = np.sqrt(ratio * 2.5 / (ratio + 10.0))
-    assert pf.xi_global(mesh, v, reg) == pytest.approx(expect, abs=1e-13)
+    with mock.patch.object(pf, "ZETA", 2.0), \
+            mock.patch.object(pf, "XI_MAX", 1.0):
+        assert pf.xi_global(mesh, v, reg) == pytest.approx(expect, abs=1e-13)
 
 
 def test_xi_global_clamps():
     mesh = build_uniform(2)
     v = constant_field(mesh, 1.0)
-    tight = _reg(zeta=9.36, alpha=493.75, xi_min=0.011, xi_max=0.05)
-    assert pf.xi_global(mesh, v, tight) == 0.05
+    with mock.patch.object(pf, "XI_MAX", 0.05):
+        assert pf.xi_global(mesh, v, _reg(alpha=493.75)) == 0.05
 
 
 def test_xi_pointwise_monotone_in_damage():
     # Lower v (more damage) -> larger optimal xi when gradients are equal.
-    reg = _reg(zeta=9.36, alpha=7900.0)
+    reg = _reg(alpha=7900.0)
     xs = pf.xi_pointwise(np.array([1.0, 0.5, 0.0]), 0.0, reg)
     assert xs[0] < xs[1] < xs[2]
 
 
 def test_xi_field_uniform_matches_scalar():
     mesh = build_uniform(4)
-    reg = _reg(zeta=9.36, alpha=7900.0)
+    reg = _reg(alpha=7900.0)
     cells = pf.xi_field(mesh, constant_field(mesh, 1.0), reg)
     assert cells.shape == (mesh.n_cells,)
     assert np.allclose(cells, 0.03463553454423011, atol=1e-12)
@@ -115,8 +127,8 @@ def test_xi_pointwise_returns_xi0_on_the_at1_profile(alpha, xi0):
     # On the 1-D AT1 optimal profile 1 - v = (1 - |x| / 2 xi0)^2, where
     # |grad v|^2 = (1 - v) / xi0^2, the pointwise optimum is
     # xi0 = sqrt(G_c zeta / (c_v alpha)) at every point of |x| < 2 xi0.
-    reg = _reg(zeta=9.36, alpha=alpha, xi_max=1.0)
-    closed = np.sqrt(pf.TOUGHNESS * reg.zeta / (pf.AT1_NORMALIZATION * alpha))
+    reg = _reg(alpha=alpha)
+    closed = np.sqrt(pf.TOUGHNESS * pf.ZETA / (pf.AT1_NORMALIZATION * alpha))
     assert closed == pytest.approx(xi0, rel=1e-5)
     x = np.linspace(-2.0 * closed, 2.0 * closed, 11)[1:-1]
     s = 1.0 - np.abs(x) / (2.0 * closed)
@@ -133,12 +145,12 @@ def test_cell_xi_per_mode_stats_and_length():
     mesh = build_uniform(2)
     u, v = constant_field(mesh, 0.0), constant_field(mesh, 1.0)
     fixed = _reg(xi_fixed=0.5)
-    assert fixed.xi_fixed > fixed.xi_max
+    assert fixed.xi_fixed > pf.XI_MAX
     assert np.array_equal(pf.cell_xi(mesh, v, fixed), np.full(16, 0.5))
-    glob = _reg(mode="global", zeta=9.36, alpha=7900.0)
+    glob = _reg(mode="global", alpha=7900.0)
     assert np.array_equal(pf.cell_xi(mesh, v, glob),
                           np.full(16, pf.xi_global(mesh, v, glob)))
-    field = _reg(mode="field", zeta=9.36, alpha=7900.0)
+    field = _reg(mode="field", alpha=7900.0)
     assert np.array_equal(pf.cell_xi(mesh, v, field),
                           pf.xi_field(mesh, v, field))
     rec = pf.energies(mesh, u, v, np.linspace(0.02, 0.05, 16), _reg())
@@ -289,7 +301,7 @@ def test_energy_components_analytic():
     u = ScalarField(mesh, x)
     v = constant_field(mesh, 1.0)
     xi = np.full(mesh.n_cells, 0.1)
-    reg = _reg(zeta=9.36, alpha=493.75)
+    reg = _reg(alpha=493.75)
     rec = pf.energies(mesh, u, v, xi, reg)
     ratio = pf.TOUGHNESS / pf.AT1_NORMALIZATION
     assert rec.strain == pytest.approx(0.5 * pf.SHEAR_MODULUS, rel=1e-12)
@@ -421,10 +433,10 @@ def test_transfer_regularization_modes():
     mesh = refine(old, [27, 28, 35, 36])
     v = ScalarField(mesh, transfer_field(old, mesh, v_old.values))
     for mode in ("fixed", "global", "field"):
-        reg = _reg(zeta=9.36, alpha=7900.0, mode=mode)
+        reg = _reg(alpha=7900.0, mode=mode)
         moved = pf.transfer_regularization(mesh, v, reg)
         assert moved.shape == (mesh.n_cells,)
         assert np.array_equal(moved, pf.cell_xi(mesh, v, reg))
-    reg = _reg(zeta=9.36, alpha=7900.0, mode="fixed")
+    reg = _reg(alpha=7900.0, mode="fixed")
     fixed = pf.transfer_regularization(mesh, v, reg)
     assert np.array_equal(fixed, np.full(mesh.n_cells, reg.xi_fixed))

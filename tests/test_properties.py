@@ -15,7 +15,7 @@ from conftest import brute_force_hanging, check_refinement_transfer, \
     check_two_to_one, children, coarsen_rule_flags, reference_coarsen, \
     reference_refine, total_area
 
-REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
+REG = pf.RegularizationParams(alpha=7900.0)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,7 @@ REG = pf.RegularizationParams(zeta=9.36, alpha=7900.0)
 @given(v=st.floats(0.0, 1.0), gsq=st.floats(0.0, 1e6))
 def test_xi_pointwise_always_clamped(v, gsq):
     xi = float(pf.xi_pointwise(v, gsq, REG))
-    assert REG.xi_min <= xi <= REG.xi_max
+    assert pf.XI_MIN <= xi <= pf.XI_MAX
 
 
 @given(v=st.floats(0.0, 1.0), g1=st.floats(0.0, 1e4), g2=st.floats(0.0, 1e4))
@@ -49,14 +49,14 @@ def test_xi_pointwise_increasing_in_damage(v1, v2, gsq):
        scale=st.floats(0.5, 2.0))
 def test_xi_pointwise_invariant_under_common_scaling(v, gsq, scale):
     # Multiplying G_c, alpha (and implicitly both integrand groups) by one
-    # factor leaves the optimum unchanged: the formula is a ratio.
-    wide = pf.RegularizationParams(zeta=9.36, alpha=7900.0, xi_min=1e-6,
-                                   xi_max=1e3)
-    scaled_reg = pf.RegularizationParams(zeta=9.36, alpha=7900.0 * scale,
-                                         xi_min=1e-6, xi_max=1e3)
-    a = float(pf.xi_pointwise(v, gsq, wide))
-    with mock.patch.object(pf, "TOUGHNESS", pf.TOUGHNESS * scale):
-        b = float(pf.xi_pointwise(v, gsq, scaled_reg))
+    # factor leaves the optimum unchanged: the formula is a ratio.  The
+    # clamp is widened to [1e-6, 1e3].
+    scaled_reg = pf.RegularizationParams(alpha=7900.0 * scale)
+    with mock.patch.object(pf, "XI_MIN", 1e-6), \
+            mock.patch.object(pf, "XI_MAX", 1e3):
+        a = float(pf.xi_pointwise(v, gsq, REG))
+        with mock.patch.object(pf, "TOUGHNESS", pf.TOUGHNESS * scale):
+            b = float(pf.xi_pointwise(v, gsq, scaled_reg))
     assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
 
@@ -315,11 +315,13 @@ def test_xi_after_a_refinement_is_cell_xi_of_the_transferred_v(data):
         st.floats(0.0, 1.0), min_size=old.n_vertices,
         max_size=old.n_vertices))))
     v_new = fem.ScalarField(new, transfer_field(old, new, v_old.values))
-    wide = replace(REG, mode="global", xi_min=1e-3, xi_max=1.0)
-    before = pf.xi_global(old, v_old, wide)
-    assert wide.xi_min < before < wide.xi_max
-    assert pf.xi_global(new, v_new, wide) == pytest.approx(
-        before, rel=1e-14, abs=0.0)
+    glob = replace(REG, mode="global")
+    with mock.patch.object(pf, "XI_MIN", 1e-3), \
+            mock.patch.object(pf, "XI_MAX", 1.0):
+        before = pf.xi_global(old, v_old, glob)
+        assert pf.XI_MIN < before < pf.XI_MAX
+        assert pf.xi_global(new, v_new, glob) == pytest.approx(
+            before, rel=1e-14, abs=0.0)
     for mode in ("fixed", "global", "field"):
         reg = replace(REG, mode=mode)
         moved = pf.transfer_regularization(new, v_new, reg)
@@ -336,21 +338,22 @@ def test_xi_after_a_refinement_is_cell_xi_of_the_transferred_v(data):
 def test_one_amr_pass_reaches_a_balanced_fixed_point(level_start, extra,
                                                      tip, xi_refine):
     # At levels 3 to 5 the cell xi lies between 0.033 and 0.0355, above
-    # the default threshold of 0.03, so a raised threshold flags the
+    # XI_REFINE = 0.03, so a raised threshold (patched in) flags the
     # crack's cells, the intact ones or both, depending on the level.
     cfg = driver.SimConfig(
         mesh=driver.MeshParams(level_start=level_start,
                                level_max=min(level_start + extra, 5),
                                crack_y_tip=tip),
-        regularization=pf.RegularizationParams(
-            mode="field", zeta=9.36, alpha=7900.0, xi_refine=xi_refine),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         amr=driver.AmrParams(enabled=True))
-    state = driver.initialize(cfg)
-    zeros = state.mesh.vertex_coords[state.v.values == 0.0]
-    flagged = driver._amr_flags(state.mesh, state.v.values, cfg)
-    assert driver.amr_pass(state, cfg) == (len(flagged) > 0)
-    mesh = state.mesh
-    assert refine(mesh, driver._amr_flags(mesh, state.v.values, cfg)) is mesh
+    with mock.patch.object(pf, "XI_REFINE", xi_refine):
+        state = driver.initialize(cfg)
+        zeros = state.mesh.vertex_coords[state.v.values == 0.0]
+        flagged = driver._amr_flags(state.mesh, state.v.values, cfg)
+        assert driver.amr_pass(state, cfg) == (len(flagged) > 0)
+        mesh = state.mesh
+        assert refine(mesh, driver._amr_flags(mesh, state.v.values,
+                                              cfg)) is mesh
     check_two_to_one(mesh)
     ids = mesh.vertex_ids(zeros)
     assert np.all(ids >= 0) and np.all(state.v.values[ids] == 0.0)
@@ -373,8 +376,7 @@ def test_coarsening_merges_nothing_that_a_run_reaches(level_start, extra,
         mesh=driver.MeshParams(level_start=level_start,
                                level_max=min(level_start + extra, 9),
                                crack_y_tip=tip),
-        regularization=pf.RegularizationParams(
-            mode="field", zeta=9.36, alpha=7900.0, xi_refine=xi_refine),
+        regularization=pf.RegularizationParams(mode="field", alpha=7900.0),
         loading=driver.LoadingParams(n_max=steps),
         amr=driver.AmrParams(enabled=True))
     seen = []
@@ -384,7 +386,8 @@ def test_coarsening_merges_nothing_that_a_run_reaches(level_start, extra,
         assert coarsen(state.mesh, flags) is state.mesh
         seen.append(state.step)
 
-    driver.run(cfg, snapshot_hook=merges_nothing)
+    with mock.patch.object(pf, "XI_REFINE", xi_refine):
+        driver.run(cfg, snapshot_hook=merges_nothing)
     assert seen == list(range(1, steps + 1))
 
 
@@ -419,12 +422,10 @@ def test_irreversibility_projection_properties(data):
 
 
 _FLOAT_KEYS = st.sampled_from([
-    ("regularization.zeta", 0.0, 50.0),
     ("regularization.alpha", 1.0, 1e4),
     ("loading.c", 0.0, 4.0),
     ("loading.dt", 1e-4, 1.0),
     ("solver.staggered_tol", 1e-8, 1e-2),
-    ("regularization.xi_refine", 1e-3, 0.2),
 ])
 
 
