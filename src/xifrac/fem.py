@@ -48,16 +48,23 @@ aggregates are numbered row by row, so it is summed straight into
 LAPACK's band storage from W's values, without forming ``Z``, and
 factored by band Cholesky.  Each factor lives only for its own solve.
 
+Every answer meets one residual test, ``||A x - b|| <= eps_b ||b|| +
+eps_A ||A||_inf ||x||``, with one pair of coefficients per method
+(:func:`_limit`).  Under ``pcg`` both are ``RTOL``, so ``RTOL`` bounds
+the normwise backward error: rounding can meet that on any system, while
+a relative residual of ``RTOL`` lies below the rounding floor of a
+near-Neumann phase system.  Under ``direct`` they are ``max(RTOL, 1e-8)``
+and 0, a relative residual, and no norm of ``A`` is taken.
+
 A solve may be handed a guess, such as the previous iterate of the same
-field.  One residual test, ``||A x - b|| <= rtol ||b||``, decides what
-comes back: the guess itself, its Galerkin multiple ``(g.b / g.Ag) g``,
-or else the answer of the deflated CG started from that multiple, under
-either method and to that method's ``rtol``.  In an elastic load step the
-operator repeats and the Dirichlet data scale with the load, so the
-multiple of the previous displacement already passes and nothing is
-factored; in any other step CG from the multiple needs few iterations
-and factors only the coarse operator.  So the direct solver only factors
-systems that come without a guess.  This module keeps no factor or
+field.  The test decides what comes back: the guess itself, its Galerkin
+multiple ``(g.b / g.Ag) g``, or else the answer of the deflated CG
+started from that multiple, under either method and to that method's
+test.  In an elastic load step the operator repeats and the Dirichlet
+data scale with the load, so the multiple of the previous displacement
+already passes and nothing is factored; in any other step CG from the
+multiple needs few iterations and factors only the coarse operator.  So
+the direct solver only factors systems that come without a guess.  This module keeps no factor or
 value between solves: a plan holds structure only, and the one factor
 that outlives its solve, that of :func:`solve_factored`, is the
 caller's, for the tangents below.
@@ -99,13 +106,19 @@ from .mesh import Mesh, frozen
 
 log = logging.getLogger(__name__)
 
-# Solves meet ||A x - b|| <= RTOL ||b|| (_limit) in MAX_ITER CG iterations.
+# pcg answers meet ||A x - b|| <= RTOL (||A||_inf ||x|| + ||b||), direct
+# ones ||A x - b|| <= max(RTOL, 1e-8) ||b|| (_limit); CG stops at MAX_ITER.
 RTOL = 1e-10
 MAX_ITER = 20000
 
 
 class LinearSolveError(RuntimeError):
-    """Linear solver failed to meet the residual contract."""
+    """Linear solver failed to meet the residual contract.
+
+    ``residual`` is the backward error reached under ``pcg``, the
+    relative residual under ``direct`` (:meth:`_Limit.error`), or
+    infinity when the failure left no answer to measure.
+    """
 
     def __init__(self, message, residual):
         super().__init__(message)
@@ -565,28 +578,77 @@ def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values,
                         block.plan)
 
 
-def _meets(Ax, b, limit) -> bool:
-    """The one residual test, ``||A x - b|| <= limit``, given ``A x``.
+class _Limit(NamedTuple):
+    """The residual bound of one system: ``||A x - b|| <= rtol s(x)``,
+    with the scale ``s(x) = a ||x|| + ||b||`` (:func:`_limit`).
+
+    ``a`` is ``||A||_inf`` under ``"pcg"``, so that ``rtol`` bounds the
+    normwise backward error, and 0 under ``"direct"``, so that it bounds
+    the relative residual and no norm of ``x`` is taken.
+    """
+
+    rtol: float
+    anorm: float
+    bnorm: float
+
+    def scale(self, x) -> float:
+        """``a ||x|| + ||b||``; NaN when ``||x||`` is not finite, so that
+        an infinite entry of ``x`` cannot make the bound infinite."""
+        if not self.anorm:
+            return self.bnorm
+        xnorm = np.linalg.norm(x)
+        if not np.isfinite(xnorm):
+            return np.nan
+        return self.anorm * xnorm + self.bnorm
+
+    def bound(self, x) -> float:
+        return self.rtol * self.scale(x)
+
+    def error(self, rnorm, x) -> float:
+        """The residual norm ``rnorm`` of ``x`` over the scale: the backward
+        error reached under ``"pcg"``, the relative residual under
+        ``"direct"``."""
+        scale = self.scale(x)
+        return rnorm / scale if scale > 0 else np.inf
+
+
+def _meets(Ax, b, x, limit: _Limit) -> bool:
+    """The one residual test, ``||A x - b|| <= limit.bound(x)``, given
+    ``A x``.
 
     Every answer the solvers hand out passes it: an accepted guess, its
     Galerkin multiple, a CG iterate and a direct solution alike.  A NaN
-    anywhere fails it.
+    anywhere fails it, and so does an ``x`` of infinite norm.
     """
-    return bool(np.linalg.norm(Ax - b) <= limit)
+    return bool(np.linalg.norm(Ax - b) <= limit.bound(x))
 
 
-def _limit(method, bnorm) -> float:
-    """Residual bound of the contract: ``rtol ||b||``, ``rtol`` per method.
+def _limit(method, b, A=None) -> _Limit:
+    """The :class:`_Limit` of the contract for ``A x = b``.
 
-    A right-hand side that is not finite has no bound: it raises
-    :class:`LinearSolveError`, where an infinite bound would pass anything.
+    It is ``||A x - b|| <= eps_b ||b|| + eps_A ||A||_inf ||x||``, with the
+    pair ``(eps_b, eps_A)`` per method, read at call time: ``(RTOL, RTOL)``
+    under ``"pcg"``, the normwise backward-error test of Rigal & Gaches
+    (1967), which rounding can meet on a system of any condition, and
+    ``(max(RTOL, 1e-8), 0)`` under ``"direct"``, where ``A`` is not read.
+    ``||A||_inf``, the largest absolute row sum, takes one pass over
+    ``A``'s data.  A right-hand side or a matrix norm that is not finite
+    has no bound: it raises :class:`LinearSolveError`, where an infinite
+    bound would pass anything.
     """
     if method not in ("direct", "pcg"):
         raise ValueError(f"unknown solver method {method!r}")
+    bnorm = np.linalg.norm(b)
     if not np.isfinite(bnorm):
         raise LinearSolveError(
             f"right-hand side of norm {bnorm!r} is not finite", np.inf)
-    return (max(RTOL, 1e-8) if method == "direct" else RTOL) * bnorm
+    if method == "direct":
+        return _Limit(max(RTOL, 1e-8), 0.0, bnorm)
+    anorm = (abs(A) @ np.ones(A.shape[1])).max(initial=0.0)
+    if not np.isfinite(anorm):
+        raise LinearSolveError(
+            f"matrix of norm {anorm!r} is not finite", np.inf)
+    return _Limit(RTOL, anorm, bnorm)
 
 
 def _expand(sys: SparseSystem, x) -> ScalarField:
@@ -728,9 +790,16 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
     :class:`LinearSolveError`, since ``A`` is then not SPD.  So does a
     restart whose true residual is not below the previous restart's: the
     iterates have reached that floor, above ``limit``, and more restarts
-    would only spend ``max_iter``.  The error carries the relative
-    residual reached.  Returns the iterate, whether it passed, and the
-    number of CG iterations.
+    would only spend ``max_iter``.  The error carries the backward error
+    reached (:meth:`_Limit.error`).
+
+    ``limit`` is the :class:`_Limit` of the contract.  Its bound depends
+    on the iterate through ``||x||``, so each of the three tests, on the
+    true residual at the top of a pass, on the residual after the
+    coarse correction and on the recurrence residual after each update,
+    takes the norm of the iterate it tests, as it stands after its
+    update.  Returns the iterate, whether it passed, and the number of
+    CG iterations.
     """
     deflate, precondition = _preconditioner(A, coarse)
     if x0 is None:
@@ -739,7 +808,7 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
         x, Ax = x0.copy(), (A @ x0 if Ax0 is None else Ax0)
     k, previous = 0, np.inf
     while True:
-        if _meets(Ax, b, limit):
+        if _meets(Ax, b, x, limit):
             return x, True, k
         if k == max_iter:
             return x, False, k
@@ -747,17 +816,17 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
         if k:
             rnorm = np.linalg.norm(r)
             if not rnorm < previous:
-                rel = rnorm / np.linalg.norm(b)
+                error = limit.error(rnorm, x)
                 raise LinearSolveError(
                     f"PCG stalled after {k} iterations: a restart left the "
-                    f"relative residual at {rel:.3e}, no lower than the "
-                    f"restart before it", rel)
+                    f"backward error at {error:.3e}, no lower than the "
+                    f"restart before it", error)
             previous = rnorm
         deflate(x, r)
         start = np.linalg.norm(r)
-        if start <= limit:
+        if start <= limit.bound(x):
             Ax = A @ x
-            if _meets(Ax, b, limit):
+            if _meets(Ax, b, x, limit):
                 return x, True, k
             r = b - Ax
             start = np.linalg.norm(r)
@@ -775,7 +844,7 @@ def _pcg(A, b, limit, max_iter, x0, coarse, Ax0=None):
             x += alpha * p
             r -= alpha * Ap
             rnorm = np.linalg.norm(r)
-            if rnorm <= limit or rnorm > start > low:
+            if rnorm <= limit.bound(x) or rnorm > start > low:
                 break
             low = min(low, rnorm)
             z, rz_new = precondition(r)
@@ -800,17 +869,13 @@ def _factor(A):
             f"direct factorization failed: {exc}", np.inf) from exc
 
 
-def _relative_residual(A, x, b) -> float:
-    bnorm = np.linalg.norm(b)
-    return np.linalg.norm(A @ x - b) / bnorm if bnorm > 0 else np.inf
-
-
 def _direct(A, b, limit):
     """Factor ``A`` and solve; returns the checked answer and the factor."""
     lu = _factor(A)
     x = lu.solve(b)
-    if not _meets(A @ x, b, limit):
-        rel = _relative_residual(A, x, b)
+    Ax = A @ x
+    if not _meets(Ax, b, x, limit):
+        rel = limit.error(np.linalg.norm(Ax - b), x)
         raise LinearSolveError(
             f"direct solve residual {rel:.3e} exceeds tolerance", rel)
     return x, lu
@@ -818,11 +883,14 @@ def _direct(A, b, limit):
 
 def solve_spd(sys: SparseSystem, method: str = "pcg",
               guess: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``sys.matrix x = sys.rhs`` to ``||Ax-b|| <= rtol ||b||``.
+    """Solve ``sys.matrix x = sys.rhs`` to the method's residual test.
 
-    ``rtol`` is :data:`RTOL` for ``"pcg"`` and ``max(RTOL, 1e-8)`` for
-    ``"direct"``, both read at call time.  On a restricted system the
-    contract applies to the free block alone.
+    Under ``"pcg"`` that is ``||Ax-b|| <= RTOL (||A||_inf ||x|| + ||b||)``,
+    a normwise backward error of at most :data:`RTOL`, with ``||A||_inf``
+    computed once per call; under ``"direct"``, ``||Ax-b|| <=
+    max(RTOL, 1e-8) ||b||`` (:func:`_limit`).  ``RTOL`` is read at call
+    time.  On a restricted system the contract applies to the free block
+    alone.
 
     Without a guess, ``method`` decides: ``"direct"`` factors the system
     (sparse LU in symmetric mode) and ``"pcg"`` runs CG with Jacobi,
@@ -831,21 +899,22 @@ def solve_spd(sys: SparseSystem, method: str = "pcg",
 
     ``guess``, one value per row, is tried before any solver work, and the
     same residual test decides each step: the guess itself is returned if
-    it passes; else its Galerkin multiple ``alpha g`` with
-    ``alpha = g.b / g.Ag`` (only when ``g.Ag > 0``), if that passes; else
+    it passes (never when its norm is infinite); else its Galerkin
+    multiple ``alpha g`` with ``alpha = g.b / g.Ag`` (only when
+    ``g.Ag > 0``), if that passes; else
     the deflated CG starts from ``alpha g`` (or from zero when there is
-    no multiple), under either method and to that method's ``rtol``, so
-    no fine system is factored.  Hand over a guess that lies near the
+    no multiple), under either method and to that method's test, so no
+    fine system is factored.  Hand over a guess that lies near the
     answer, such as the previous iterate of the same field: CG from it
     then needs few iterations.  Every failure raises
-    :class:`LinearSolveError`: a right-hand side that is not finite, a
-    failed coarse factorization, a CG direction of nonpositive curvature
-    and a CG that misses the contract within :data:`MAX_ITER` iterations
-    included.  With no unknown, or an accepted guess, nothing is
-    factored.
+    :class:`LinearSolveError`: a right-hand side or, under ``"pcg"``, a
+    matrix norm that is not finite, a failed coarse factorization, a CG
+    direction of nonpositive curvature and a CG that misses the contract
+    within :data:`MAX_ITER` iterations included.  With no unknown, or an
+    accepted guess, nothing is factored.
     """
     A, b = sys.matrix, sys.rhs
-    limit = _limit(method, np.linalg.norm(b))
+    limit = _limit(method, b, A)
     if not len(b):
         return np.zeros(0)
     if guess is None and method == "direct":
@@ -854,7 +923,7 @@ def solve_spd(sys: SparseSystem, method: str = "pcg",
     if guess is not None:
         g = np.array(guess, dtype=float)
         Ag = A @ g
-        if _meets(Ag, b, limit):
+        if _meets(Ag, b, g, limit):
             return g
         gAg = g @ Ag
         if gAg > 0.0:
@@ -862,15 +931,15 @@ def solve_spd(sys: SparseSystem, method: str = "pcg",
             # from alpha * Ag, so it is the residual of what is returned.
             x0 = (g @ b / gAg) * g
             Ax0 = A @ x0
-            if _meets(Ax0, b, limit):
+            if _meets(Ax0, b, x0, limit):
                 return x0
 
     x, met, iters = _pcg(A, b, limit, MAX_ITER, x0, _coarse(sys), Ax0)
     if not met:
-        rel = _relative_residual(A, x, b)
+        error = limit.error(np.linalg.norm(A @ x - b), x)
         raise LinearSolveError(
-            f"PCG stopped after {iters} iterations with relative residual "
-            f"{rel:.3e} > {_limit(method, 1.0):.1e}", rel)
+            f"PCG stopped after {iters} iterations with backward error "
+            f"{error:.3e} > {limit.rtol:.1e}", error)
     return x
 
 
@@ -904,7 +973,7 @@ def solve_factored(sys: SparseSystem) -> tuple[ScalarField, object | None]:
     A, b = sys.matrix, sys.rhs
     if not len(b):
         return _expand(sys, np.zeros(0)), None
-    x, lu = _direct(A, b, _limit("direct", np.linalg.norm(b)))
+    x, lu = _direct(A, b, _limit("direct", b))
     return _expand(sys, x), lu
 
 
@@ -979,11 +1048,11 @@ def project(sys: SparseSystem, basis
     if not basis:
         return None, False, None
     A, b = sys.matrix, sys.rhs
-    limit = _limit("direct", np.linalg.norm(b))
+    limit = _limit("direct", b)
     qt = np.array(basis)
     x = np.linalg.solve(qt @ (A @ qt.T), qt @ b) @ qt
     Ax = A @ x
-    return _expand(sys, x), _meets(Ax, b, limit), Ax - b
+    return _expand(sys, x), _meets(Ax, b, x, limit), Ax - b
 
 
 def integrate(mesh: Mesh, integrand) -> float:

@@ -131,6 +131,16 @@ def dense_dirichlet(mesh, A, b, bc):
     return A[np.ix_(free, free)], (b - A @ x0)[free]
 
 
+def backward_error(A, x, b):
+    """``||A x - b|| / (||A||_inf ||x|| + ||b||)``, from the dense matrix of
+    the sparse ``A``: the normwise backward error that the ``pcg``
+    contract bounds by ``fem.RTOL``."""
+    dense = A.toarray()
+    residual = np.linalg.norm(dense @ x - b)
+    return residual / (np.abs(dense).sum(axis=1).max() * np.linalg.norm(x)
+                       + np.linalg.norm(b))
+
+
 def aggregates_by_vertex(mesh, rows):
     """The deflation aggregate of each vertex in ``rows``, built vertex by
     vertex, and the number of aggregates.

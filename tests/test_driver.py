@@ -3,6 +3,7 @@
 import gc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from xifrac.driver import AmrParams, LoadingParams, MeshParams, SimConfig, \
 from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform
 
-from conftest import Untouchable, aggregates_by_vertex, cg_passes, \
-    dirichlet_arrays, pin_a_bottom_vertex
+from conftest import Untouchable, aggregates_by_vertex, backward_error, \
+    cg_passes, dirichlet_arrays, pin_a_bottom_vertex
 
 
 def small_config(**kw):
@@ -166,8 +167,14 @@ def test_irreversibility_across_steps():
         assert np.all(m1[m0])  # crack mask growth is monotone
 
 
-def test_xi_stays_clamped():
-    reg = pf.RegularizationParams(mode="field", alpha=7900.0)
+@pytest.mark.parametrize("mode", ["field", "global"])
+@pytest.mark.parametrize("alpha", [100.0, 7900.0, 2e5])
+def test_xi_stays_clamped(alpha, mode):
+    # At the paper's alpha = 7900 the clamp binds nowhere.  The unclamped
+    # xi where v = 1 and grad v = 0 is sqrt((G_c/c_v) zeta/alpha): 0.31 at
+    # alpha = 100, above XI_MAX, and 0.0069 at alpha = 2e5, below XI_MIN,
+    # so there some cell must sit exactly on the bound.
+    reg = pf.RegularizationParams(mode=mode, alpha=alpha)
     cfg = small_config(regularization=reg,
                        loading=LoadingParams(c=1.0, dt=0.05, n_max=5))
     lows, highs = [], []
@@ -180,6 +187,10 @@ def test_xi_stays_clamped():
     driver.run(cfg, snapshot_hook=hook)
     assert min(lows) >= pf.XI_MIN - 1e-15
     assert max(highs) <= pf.XI_MAX + 1e-15
+    if alpha == 100.0:
+        assert max(highs) == pf.XI_MAX
+    if alpha == 2e5:
+        assert min(lows) == pf.XI_MIN
 
 
 def reference_staggered_step(state, config):
@@ -705,11 +716,14 @@ def test_pcg_first_sweeps_factor_no_fine_system_and_get_no_tangents(
 def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
         monkeypatch):
     # Step 1 of energy_trace_fixed.cfg at level 6 under pcg: the intact
-    # body pins no node, so the first phase system is near-Neumann, and
-    # its deflated CG stalls at a relative residual of about 1.8e-10,
-    # above the 1e-10 contract.  The solve raises within a few restarts
-    # and a few hundred iterations, where it once ran on to fem.MAX_ITER
-    # (20,000 iterations).
+    # body pins no node, so the phase systems are near-Neumann (kappa_2
+    # about 8.5e6), and their relative-residual floor, about 1.9e-9, lies
+    # above fem.RTOL.  The backward-error contract lies above the floor:
+    # the step converges, and the backward error of every phase solve,
+    # computed densely, is at most fem.RTOL.  With the phase solves held
+    # below the floor, at fem.RTOL = 1e-17, the first one stalls: it raises
+    # within a few restarts and a few hundred iterations, where it once ran
+    # on to fem.MAX_ITER (20,000 iterations).
     path = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
     cfg = parse_config(path.read_text(), {
         "mesh.level_start": "6", "mesh.level_max": "6",
@@ -717,10 +731,34 @@ def test_pcg_phase_solve_of_the_intact_trace_stops_where_it_stalls(
     state = driver.initialize(cfg)
     assert not state.mask.pinned.any()
     state.step, state.t = 1, cfg.loading.dt
+    phase, bounded = [], driver._solve_phase_bounded
+
+    def spy(state, bound, solve, sol, starts):
+        def kept(sys, guess=None):
+            v = solve(sys, guess)
+            if len(sys.free):
+                phase.append((sys, v.values[sys.free]))
+            return v
+        return bounded(state, bound, kept, sol, starts)
+
+    monkeypatch.setattr(driver, "_solve_phase_bounded", spy)
+    assert staggered_step(state, cfg)[1]
+    assert phase
+    for sys, x in phase:
+        assert backward_error(sys.matrix, x, sys.rhs) <= fem.RTOL
+
+    state = driver.initialize(cfg)
+    state.step, state.t = 1, cfg.loading.dt
+
+    def below_the_floor(*args):
+        with mock.patch.object(fem, "RTOL", 1e-17):
+            return bounded(*args)
+
+    monkeypatch.setattr(driver, "_solve_phase_bounded", below_the_floor)
     solves = cg_passes(monkeypatch)
     with pytest.raises(fem.LinearSolveError, match="stalled") as info:
         staggered_step(state, cfg)
-    assert fem.RTOL < info.value.residual < 1e-8
+    assert 1e-17 < info.value.residual <= np.finfo(float).eps
     passes, iterations = solves[-1]
     assert passes <= 10 and iterations <= 1000
 
@@ -1214,16 +1252,18 @@ def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
 
 
 def test_failed_solve_ends_the_run_as_recorded(tmp_path):
-    # Step 1 of the level-6 intact energy trace under pcg raises (see the
-    # stall test above): the run writes that step's row as not converged,
-    # finalizes its outputs and re-raises, and the snapshot hook never sees
-    # the failed step.
+    # Step 1 of the level-6 intact energy trace under pcg, with fem.RTOL
+    # below the rounding floor of every system, raises (see the stall test
+    # above): the run writes that step's row as not converged, finalizes
+    # its outputs and re-raises, and the snapshot hook never sees the
+    # failed step.
     path = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
     cfg = parse_config(path.read_text(), {
         "mesh.level_start": "6", "mesh.level_max": "6",
         "solver.method": "pcg"})
     seen = []
-    with pytest.raises(fem.LinearSolveError, match="stalled"):
+    with pytest.raises(fem.LinearSolveError, match="stalled"), \
+            mock.patch.object(fem, "RTOL", 1e-17):
         driver.run(cfg, out_dir=tmp_path, snapshot_hook=seen.append)
     assert seen == []
     rows = (tmp_path / "energies.csv").read_text().splitlines()

@@ -21,10 +21,10 @@ from xifrac.fem import GAUSS2, LinearSolveError, ScalarField, \
     l2_relative_error, shape_eval, solve_field, solve_spd
 from xifrac.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform, refine
 
-from conftest import Untouchable, aggregates_by_vertex, cg_passes, \
-    dense_condense, dense_dirichlet, dense_laplace, dense_load, dense_mass, \
-    dirichlet_arrays, global_pcg_band, global_pcg_systems, lower_band, \
-    nothing_pinned, pattern_by_cell_loop, scipy_coupling, \
+from conftest import Untouchable, aggregates_by_vertex, backward_error, \
+    cg_passes, dense_condense, dense_dirichlet, dense_laplace, dense_load, \
+    dense_mass, dirichlet_arrays, global_pcg_band, global_pcg_systems, \
+    lower_band, nothing_pinned, pattern_by_cell_loop, scipy_coupling, \
     solved_with_tangents, sparse_prolongation
 
 
@@ -677,6 +677,12 @@ def _poisson_system(mesh, f, g_boundary):
     return apply_dirichlet(sys, pinned, g_boundary(*mesh.vertex_coords.T))
 
 
+def _relative(rtol, b):
+    """The bound ``rtol ||b||`` on the residual, as a limit for ``fem._pcg``:
+    the relative-residual test of the ``direct`` contract at ``rtol``."""
+    return fem._Limit(rtol, 0.0, np.linalg.norm(b))
+
+
 def test_pcg_matches_direct(mesh_hanging):
     sys = _poisson_system(mesh_hanging,
                           lambda x, y: np.sin(np.pi * x) * np.cos(y),
@@ -742,7 +748,8 @@ def _stripe_system():
 def test_pcg_meets_the_true_residual_contract():
     # At tol 1e-15 the CG recurrence residual of the stripe system may pass
     # the test while the true residual b - A x is still above it; the
-    # solver must not stop there.
+    # solver must not stop there.  The contract is the backward error of
+    # the answer it returns, computed densely.
     sys = _stripe_system()
     tol = 1e-15
     try:
@@ -750,17 +757,19 @@ def test_pcg_meets_the_true_residual_contract():
             got = solve_spd(sys, method="pcg")
     except LinearSolveError:
         return  # an honest failure also keeps the contract
-    A, b = sys.matrix, sys.rhs
-    assert np.linalg.norm(A @ got - b) <= tol * np.linalg.norm(b)
+    assert backward_error(sys.matrix, got, sys.rhs) <= tol
 
 
 def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
         monkeypatch):
     # A pure-Neumann Laplacian plus a 1e-4 mass on a level-4 grid: kappa is
-    # about 1e7, and the floor of any computed answer, eps ||A|| ||x|| /
-    # ||b|| from a dense solve, lies above a tolerance of a tenth of it.
-    # The deflated CG reaches that floor within a few restarts and raises
-    # there with the residual it reached, instead of running on to
+    # about 1e7.  The relative residual of a dense solve, about 1e-9, lies
+    # above fem.RTOL, so no answer could meet a relative test at RTOL; its
+    # normwise backward error lies below eps, the floor of a backward
+    # stable solve.  At RTOL the pcg solve meets the backward-error
+    # contract, checked densely.  Below the floor, at a tenth of eps, the
+    # deflated CG reaches the floor within a few restarts and raises there
+    # with the backward error it reached, instead of running on to
     # max_iter.
     mesh = build_uniform(4)
     sys = combine(assemble_weighted_laplace(mesh, 1.0),
@@ -770,8 +779,11 @@ def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
     A, b = sys.matrix.toarray(), sys.rhs
     assert 5e6 < np.linalg.cond(A) < 5e7
     x = np.linalg.solve(A, b)
-    floor = (np.finfo(float).eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
-             / np.linalg.norm(b))
+    floor = np.finfo(float).eps
+    assert np.linalg.norm(A @ x - b) > fem.RTOL * np.linalg.norm(b)
+    assert backward_error(sys.matrix, x, b) <= floor
+    got = solve_spd(sys, method="pcg")
+    assert backward_error(sys.matrix, got, b) <= fem.RTOL
     solves = cg_passes(monkeypatch)
     with pytest.raises(LinearSolveError, match="stalled") as info, \
             mock.patch.object(fem, "RTOL", floor / 10):
@@ -876,7 +888,7 @@ def test_deflated_cg_directions_are_a_orthogonal_to_the_coarse_space(make):
     Z, A = _dense_coarse_space(sys)
     b = sys.rhs
     recording = _Recording(sys.matrix)
-    x, met, iters = fem._pcg(recording, b, 1e-12 * np.linalg.norm(b), 20000,
+    x, met, iters = fem._pcg(recording, b, _relative(1e-12, b), 20000,
                              None, fem._coarse(sys))
     assert met and iters > 0
     directions = recording.seen[:-1]
@@ -910,8 +922,7 @@ def test_aggregate_without_free_dof_is_dropped():
     assert np.array_equal(agg, want)
     with mock.patch.object(fem, "RTOL", 1e-12):
         x = solve_spd(sys, method="pcg")
-    assert np.linalg.norm(sys.matrix @ x - sys.rhs) \
-        <= 1e-12 * np.linalg.norm(sys.rhs)
+    assert backward_error(sys.matrix, x, sys.rhs) <= 1e-12
 
 
 def _one_dof_per_aggregate_system():
@@ -937,14 +948,14 @@ def test_coarse_space_of_every_dof_solves_at_the_start_correction(start):
     assert _aggregates(sys)[0].tolist() == [0, 2, 1]
     A, b = sys.matrix, sys.rhs
     x0 = None if start is None else np.array([1e3, -2e3, 5e2])
-    x, met, iters = fem._pcg(A, b, 1e-12 * np.linalg.norm(b), 20000, x0,
-                             fem._coarse(sys))
+    with mock.patch.object(fem, "RTOL", 1e-12):
+        x, met, iters = fem._pcg(A, b, fem._limit("pcg", b, A), 20000, x0,
+                                 fem._coarse(sys))
+        got = solve_spd(sys, method="pcg")
     assert met and iters == 0
     want = np.linalg.solve(A.toarray(), b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    with mock.patch.object(fem, "RTOL", 1e-12):
-        got = solve_spd(sys, method="pcg")
-    assert np.linalg.norm(A @ got - b) <= 1e-12 * np.linalg.norm(b)
+    assert backward_error(A, got, b) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["direct", "pcg"])
@@ -1203,13 +1214,14 @@ def _adapted_u_system():
 
 
 def test_deflated_cg_of_the_adapted_u_system_takes_few_iterations():
-    # From zero to fem.RTOL, CG took 28 iterations with aggregates that
-    # follow the refinement (688 of them) and 100 with the 16 x 16 squares
-    # of the level-6 start grid, whose aggregates along the crack held up
-    # to about 1,000 level-9 dofs.
+    # From zero to a relative residual of fem.RTOL, CG took 28 iterations
+    # with aggregates that follow the refinement (688 of them) and 100
+    # with the 16 x 16 squares of the level-6 start grid, whose aggregates
+    # along the crack held up to about 1,000 level-9 dofs.  To the pcg
+    # contract, a backward error of fem.RTOL, it takes 23.
     sys = _adapted_u_system()
     b = sys.rhs
-    _, met, iters = fem._pcg(sys.matrix, b, fem.RTOL * np.linalg.norm(b),
+    _, met, iters = fem._pcg(sys.matrix, b, fem._limit("pcg", b, sys.matrix),
                              fem.MAX_ITER, None, fem._coarse(sys))
     assert met and iters <= 40
 
@@ -1272,7 +1284,8 @@ def test_coarse_space_cuts_cg_iterations_on_64x64_systems():
         limit = 1e-10 * np.linalg.norm(b)
         coarse = fem._coarse(sys)
         assert coarse[1].shape[1] == 256
-        _, met, iters = fem._pcg(A, b, limit, 20000, None, coarse)
+        _, met, iters = fem._pcg(A, b, _relative(1e-10, b), 20000, None,
+                                 coarse)
         assert met
         additive = _cg_iterations(A, b, limit,
                                   _additive_two_level(A, coarse[0], 256))
@@ -1363,7 +1376,7 @@ def test_random_guess_starts_cg_from_its_multiple(monkeypatch):
                         lambda *a: starts.append(a[4]) or pcg(*a))
     x = solve_spd(sys, method="pcg", guess=g)
     assert np.array_equal(starts[0], (g @ b / (g @ (A @ g))) * g)
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert backward_error(A, x, b) <= 1e-10
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -1373,20 +1386,44 @@ def test_degenerate_guess_falls_through_to_the_solver(method, scale,
                                                       factored_rows):
     # A zero guess has g.Ag = 0; so has a tiny one, where g.Ag underflows.
     # Neither has a multiple, so CG starts from zero under either method,
-    # to that method's contract (1e-8 under direct for RTOL = 1e-10): the
-    # bytes of a pcg solve without a guess at that tolerance.  Only the
-    # coarse operator is factored, by band Cholesky and never by SuperLU,
-    # and it never has more rows than there are aggregates.
+    # to that method's contract (1e-8 ||b|| under direct, the backward
+    # error 1e-10 under pcg): the bytes of the deflated CG from zero under
+    # that contract.  Only the coarse operator is factored, by band
+    # Cholesky and never by SuperLU, and it never has more rows than there
+    # are aggregates.
     sys = _guess_system()
-    g = np.full(len(sys.rhs), scale)
-    assert g @ (sys.matrix @ g) == 0.0
-    rtol = 1e-8 if method == "direct" else 1e-10
-    with mock.patch.object(fem, "RTOL", rtol):
-        want = solve_spd(sys, method="pcg")
+    A, b = sys.matrix, sys.rhs
+    g = np.full(len(b), scale)
+    assert g @ (A @ g) == 0.0
+    want, met, _ = fem._pcg(A, b, fem._limit(method, b, A), fem.MAX_ITER,
+                            None, fem._coarse(sys))
+    assert met
     got = solve_spd(sys, method=method, guess=g)
     assert got.tobytes() == want.tobytes()
     assert solver_calls == ["coarse", "pcg"] * 2
     assert max(factored_rows) <= _aggregates(sys)[1] < len(sys.rhs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_guess_with_an_infinite_entry_is_never_returned(method, bad):
+    # The exact answer with one entry infinite: A g - b is infinite and
+    # holds no NaN, and under pcg ||g|| makes the bound a ||g|| + ||b||
+    # infinite too, so inf <= inf would accept the guess.  A guess of
+    # infinite norm fails the test instead; what comes back, if anything,
+    # is finite.  (NumPy warns of the NaN that g.Ag then gives.)
+    sys = _guess_system()
+    A, b = sys.matrix, sys.rhs
+    g = np.linalg.solve(A.toarray(), b)
+    g[3] = bad
+    residual = A @ g - b
+    assert np.isinf(residual).any() and not np.isnan(residual).any()
+    try:
+        x = solve_spd(sys, method=method, guess=g)
+    except LinearSolveError:
+        return
+    assert np.isfinite(x).all()
 
 
 def test_guess_with_negative_curvature_falls_through(mesh4x4, solver_calls,

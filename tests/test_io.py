@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import xifrac
-from xifrac import cli, config, driver, mesh as meshmod, output, phasefield as pf
+from xifrac import cli, config, driver, fem, mesh as meshmod, output, \
+    phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
 from xifrac.mesh import Mesh, build_uniform, refine
@@ -751,14 +753,17 @@ def test_cli_run_reports_nonconverged_steps(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_run_reports_a_failed_solve(tmp_path, capsys):
-    # Step 1 of the level-6 intact energy trace under pcg stalls: the run
-    # returns 1, names the error and the output directory, and leaves the
-    # failed step's row, the xi history and that step's snapshot.
+    # Step 1 of the level-6 intact energy trace under pcg, with fem.RTOL
+    # below the rounding floor of every system, stalls: the run returns 1,
+    # names the error and the output directory, and leaves the failed
+    # step's row, the xi history and that step's snapshot.
     out = tmp_path / "out"
     config = Path(__file__).parents[1] / "configs" / "energy_trace_fixed.cfg"
-    rc = cli.main(["run", "--config", str(config), "--out", str(out),
-                   "--set", "mesh.level_start=6", "--set", "mesh.level_max=6",
-                   "--set", "solver.method=pcg"])
+    with mock.patch.object(fem, "RTOL", 1e-17):
+        rc = cli.main(["run", "--config", str(config), "--out", str(out),
+                       "--set", "mesh.level_start=6",
+                       "--set", "mesh.level_max=6",
+                       "--set", "solver.method=pcg"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "stalled" in err and str(out) in err

@@ -310,16 +310,17 @@ def global_pcg():
 
 @pytest.mark.parametrize("name", ["u", "phase"])
 def test_bench_deflated_cg(benchmark, global_pcg, name):
-    # One pcg solve of a 64 x 64 system from zero at rtol 1e-10: the coarse
-    # band, W = Z^T A and the deflated CG, on the cache-hit path.  The
-    # iterations go in extra_info next to the time (29 for u, 35 for the
-    # phase system when written), and so does what the map of W costs
+    # One pcg solve of a 64 x 64 system from zero to the pcg contract, a
+    # backward error of 1e-10: the coarse band, W = Z^T A and the deflated
+    # CG, on the cache-hit path.  The iterations go in extra_info next to
+    # the time (25 for u, 24 for the phase system when written; 29 and 35
+    # to a relative residual of 1e-10), and so does what the map of W costs
     # when the plan cache misses: the best of ROUNDS builds on fresh plans
     # of the same free set, and the build's traced peak per free-block
     # entry.  The answer must match SuperLU's, and W the sparse product.
     sys = global_pcg[name]
     A, b = sys.matrix, sys.rhs
-    limit = 1e-10 * np.linalg.norm(b)
+    limit = fem._limit("pcg", b, A)
 
     def solve():
         return fem._pcg(A, b, limit, 20000, None, fem._coarse(sys))
