@@ -60,8 +60,8 @@ again (:func:`amr_pass`).
 Most steps of a preload are elastic: the mesh, v and xi come out of the
 step bit for bit as they went in.  What depends on them alone is kept on
 the mesh with its inputs and handed back for the same inputs
-(:meth:`mesh.Mesh.reuse`): the folded u operator ``K(v)`` with its free
-block for the Dirichlet set of u, the diffusion matrix and load of the
+(:meth:`mesh.Mesh.reuse`): the free block of the folded u operator
+``K(v)`` for the Dirichlet set of u, the diffusion matrix and load of the
 phase system, the cell xi of v, and the parts of the energies that do not
 involve u.  The mesh also keeps ``|grad u|^2`` of the last u, which the
 strain-drive reaction and the strain energy share.  An elastic step then

@@ -21,9 +21,9 @@ on the free set alone is a :class:`_Plan`, a product that the mesh keeps
 for the few most recent free sets (:meth:`Mesh.reuse`): a restriction
 gathers the kept values, and the ``pcg`` solver below sums them into
 ``W = Z^T A``, and W's values into its coarse operator's band, over one
-cached map.  A caller that keeps the free block of a matrix
-(:func:`free_block`), as the displacement assembly keeps that of
-``K(v)``, hands it back and pays only for the right-hand side.
+cached map.  A caller that keeps a :class:`FreeBlock`, as the displacement
+assembly keeps that of ``K(v)`` and not ``K(v)``, forms its systems from it
+(:meth:`FreeBlock.system`) and pays only for the right-hand side.
 :func:`combine` adds two systems on the mesh pattern and stays on it, so
 a folded phase operator is restricted through a cached plan as well.
 
@@ -312,8 +312,7 @@ def _on_pattern(A, mesh: Mesh) -> bool:
                for a, b in zip((A.indptr, A.indices), mesh.csr_pattern))
 
 
-def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
-            ) -> SparseSystem:
+def combine(a: SparseSystem, b: SparseSystem) -> SparseSystem:
     """Sum two folded systems assembled on the same mesh.
 
     Both matrices must lie on the mesh's pattern (:attr:`Mesh.csr_pattern`),
@@ -329,10 +328,9 @@ def combine(a: SparseSystem, b: SparseSystem, rhs: np.ndarray | None = None
     if not (_on_pattern(a.matrix, a.mesh) and _on_pattern(b.matrix, b.mesh)):
         raise ValueError("combine takes systems on their mesh's pattern")
     indptr, indices, _ = a.mesh.csr_pattern
-    combined_rhs = a.rhs + b.rhs if rhs is None else np.array(rhs, dtype=float)
     matrix = sp.csr_matrix((a.matrix.data + b.matrix.data, indices, indptr),
                            shape=a.matrix.shape)
-    return SparseSystem(matrix, combined_rhs, a.mesh)
+    return SparseSystem(matrix, a.rhs + b.rhs, a.mesh)
 
 
 class _Plan:
@@ -505,13 +503,24 @@ class FreeBlock(NamedTuple):
     ``matrix`` is ``A[free][:, free]``, ``coupling`` the free rows of
     ``A`` in the other columns, with the columns of ``A``, ``free`` the
     vertex ids of the free dofs and ``plan`` the :class:`_Plan` that
-    restricted ``A``, None when no dof is free.
+    restricted ``A``, None when no dof is free.  It refers to no mesh.
     """
 
     matrix: sp.csr_matrix
     coupling: sp.csr_matrix
     free: np.ndarray
     plan: _Plan | None
+
+    def system(self, rhs, mesh: Mesh, pinned, values) -> SparseSystem:
+        """The restricted system (:func:`apply_dirichlet`) of ``A x = rhs``
+        for the block's ``pinned`` set and the prescribed ``values``.  Its
+        right-hand side is ``rhs[free] - C x0``, with ``C`` the coupling
+        and ``x0 = where(pinned, values, 0)``: a term of ``A x0`` that
+        ``C`` leaves out multiplies a zero of ``x0``, and a zero term does
+        not change a sum that starts at ``+0``."""
+        x0 = np.where(pinned, values, 0.0)
+        return SparseSystem(self.matrix, rhs[self.free] - self.coupling @ x0,
+                            mesh, self.free, x0, self.plan)
 
 
 def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
@@ -543,8 +552,8 @@ def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
         plan.free, plan)
 
 
-def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values,
-                    block: FreeBlock | None = None) -> SparseSystem:
+def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray,
+                    values) -> SparseSystem:
     """Restrict a folded system to its free dofs.
 
     ``pinned`` holds one bool per vertex and ``values`` the prescribed
@@ -557,25 +566,15 @@ def apply_dirichlet(sys: SparseSystem, pinned: np.ndarray, values,
     for a finite ``A``.  This is the only form the solvers take: pin
     nothing when there is no data.
 
-    The blocks come from :func:`free_block`, or are ``block``, what that
-    returned for ``sys.matrix`` and ``pinned``, which a caller that keeps
-    it hands back so that a call only forms the right-hand side.  That is
-    ``b[free] - C x0``, with ``C`` the block's ``coupling``: the terms of
-    ``A x0`` that ``C`` leaves out multiply a zero of ``x0``, and a zero
-    term does not change a sum that starts at ``+0``.  So the product
-    runs over the entries next to the pinned dofs only, and a set with no
-    free dof needs none.  A NaN or an infinity in ``C`` makes the
-    right-hand side non-finite; one in the free block is left to the
-    solvers, which fail on it.
+    It is :func:`free_block` followed by :meth:`FreeBlock.system`.  A NaN
+    or an infinity in the coupling block makes the right-hand side
+    non-finite; one in the free block is left to the solvers, which fail
+    on it.
     """
     if sys.free is not None:
         raise ValueError("system is already restricted to its free dofs")
-    x0 = np.where(pinned, values, 0.0)
-    if block is None:
-        block = free_block(sys.matrix, sys.mesh, pinned)
-    rhs = sys.rhs[block.free] - block.coupling @ x0
-    return SparseSystem(block.matrix, rhs, sys.mesh, block.free, x0,
-                        block.plan)
+    return free_block(sys.matrix, sys.mesh, pinned).system(
+        sys.rhs, sys.mesh, pinned, values)
 
 
 class _Limit(NamedTuple):

@@ -297,8 +297,8 @@ class Mesh:
         last.
 
         The products are those of fields that an elastic load step leaves
-        unchanged: the folded displacement operator of v with its free
-        block, the diffusion matrix and load of xi, the cell xi of v, the
+        unchanged: the free block of the folded displacement operator of
+        v, the diffusion matrix and load of xi, the cell xi of v, the
         parts of the energies that depend on v and xi alone (see
         :mod:`xifrac.phasefield`), and the basis that the direct first
         phase sweeps of one xi and crack are projected onto (see
@@ -308,11 +308,11 @@ class Mesh:
         few most recent free sets (see :func:`xifrac.fem.free_block`).
         Kept on the mesh so that the entries die with it.  An entry holds
         its inputs' bytes and strings and an output of arrays, matrices
-        and numbers, or a record of them that its one caller updates,
-        never the mesh or an object that refers to it (a ``SparseSystem``
-        or a ``ScalarField``): that would make a reference cycle, and the
-        mesh and its entries would then live until the cyclic garbage
-        collector runs.
+        and numbers (a ``FreeBlock`` among them), or a record of them that
+        its one caller updates, never the mesh or an object that refers to
+        it (a ``SparseSystem`` or a ``ScalarField``): that would make a
+        reference cycle, and the mesh and its entries would then live until
+        the cyclic garbage collector runs.
         """
         return {}
 

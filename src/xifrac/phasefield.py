@@ -163,23 +163,21 @@ def assemble_displacement(mesh: Mesh, v: ScalarField, pinned: np.ndarray,
     """Degraded shear system for u, restricted to the dofs not ``pinned``:
     stiffness weighted by ``mu g(v)``, with mu the :data:`SHEAR_MODULUS`.
 
-    The folded operator ``K(v)`` and its free block for ``pinned``
-    (:func:`fem.free_block`) depend on v and the pinned set alone, so the
-    mesh keeps them for the next call with the same v and set
-    (:meth:`Mesh.reuse`), which only forms the right-hand side.
+    The free block of the folded ``K(v)`` for ``pinned`` depends on v and
+    the pinned set alone, so the mesh keeps it, and not ``K(v)``, for the
+    next call with the same v and set (:meth:`Mesh.reuse`), which only
+    forms the right-hand side (:meth:`fem.FreeBlock.system`).
     """
     def operator():
         weight = SHEAR_MODULUS * degradation(fem.field_at_qp(v))
-        matrix = fem.assemble_weighted_laplace(mesh, weight).matrix
-        block = fem.free_block(matrix, mesh, pinned)
-        for a in (matrix, block.matrix, block.coupling):
-            frozen(a.data)
-        return matrix, block
+        block = fem.free_block(
+            fem.assemble_weighted_laplace(mesh, weight).matrix, mesh, pinned)
+        frozen(block.matrix.data)
+        frozen(block.coupling.data)
+        return block
 
-    matrix, block = mesh.reuse("displacement", (v.values, pinned), operator)
-    return fem.apply_dirichlet(
-        SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh), pinned, values,
-        block)
+    block = mesh.reuse("displacement", (v.values, pinned), operator)
+    return block.system(np.zeros(mesh.n_vertices), mesh, pinned, values)
 
 
 def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray
@@ -214,7 +212,7 @@ def assemble_phase(mesh: Mesh, u: ScalarField, xi: np.ndarray
     diffusion, rhs = mesh.reuse("phase", (xi,), diffusion_and_load)
     drive = SHEAR_MODULUS * (1.0 - RESIDUAL_STIFFNESS) * _strain_sq(u)
     reaction = fem.assemble_weighted_mass(mesh, drive)
-    return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh), rhs),
+    return (fem.combine(reaction, SparseSystem(diffusion, rhs, mesh)),
             reaction.matrix)
 
 

@@ -286,6 +286,21 @@ def dirichlet_arrays(n, bc):
     return pinned, values
 
 
+def assert_fresh_u_system(sys, v, pinned, values):
+    """Assert that ``sys`` is, byte for byte, ``fem.apply_dirichlet`` of a
+    freshly assembled ``K(v)``: matrix data, indices and indptr, right-hand
+    side, prescribed values and free dofs."""
+    mesh = v.mesh
+    weight = pf.SHEAR_MODULUS * pf.degradation(fem.field_at_qp(v))
+    folded = fem.SparseSystem(fem.assemble_weighted_laplace(
+        mesh, weight).matrix, np.zeros(mesh.n_vertices), mesh)
+    want = fem.apply_dirichlet(folded, pinned, values)
+    arrays = lambda s: (s.matrix.data, s.matrix.indices, s.matrix.indptr,
+                        s.rhs, s.prescribed, s.free)
+    for a, b in zip(arrays(sys), arrays(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Mesh invariants checked by brute force
 

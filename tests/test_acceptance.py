@@ -5,6 +5,8 @@ fracture run and a fixed-xi energy trace, a few minutes each); the remaining
 criteria are cheap. Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,8 @@ def test_criterion_5_energy_signature(capsys, energy_run):
 
 def _poisson_system(mesh, f, g_boundary):
     sys = fem.combine(fem.assemble_weighted_laplace(mesh, 1.0),
-                      fem.assemble_weighted_mass(mesh, 0.0),
-                      rhs=fem.assemble_load(mesh, f))
+                      replace(fem.assemble_weighted_mass(mesh, 0.0),
+                              rhs=fem.assemble_load(mesh, f)))
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
     for tag in (meshmod.BOTTOM, meshmod.RIGHT, meshmod.TOP, meshmod.LEFT):
         pinned[mesh.boundary_vertices(tag)] = True

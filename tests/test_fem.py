@@ -5,6 +5,7 @@ import gc
 import inspect
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -310,8 +311,18 @@ def test_combine_equals_dense_folded_sum(mesh_hanging):
              + dense_mass(mesh, lambda x, y: 0.5, order=2))
     A, _ = dense_condense(mesh, dense, np.zeros(mesh.n_vertices))
     assert np.max(np.abs(both.matrix.toarray() - A)) < 1e-12
+    # The right-hand sides add bit for bit.  An assembled load holds no
+    # -0.0, hanging rows included, so adding it to an assembled matrix's
+    # zero right-hand side gives the load's own bits, as the phase
+    # assembly needs.
     load = assemble_load(mesh, 1.0)
-    assert np.array_equal(combine(lap, mass, rhs=load).rhs, load)
+    other = assemble_load(mesh, lambda x, y: 0.5 - x * y)
+    assert not np.signbit(load).any()
+    assert np.all(load[mesh.constraints.hanging] == 0.0)
+    got = combine(replace(lap, rhs=load), replace(mass, rhs=other)).rhs
+    assert got.tobytes() == (load + other).tobytes()
+    assert combine(lap, replace(mass, rhs=load)).rhs.tobytes() == \
+        load.tobytes()
 
 
 def _scipy_restriction(A, b, pinned, values, mesh):
@@ -350,7 +361,7 @@ def test_combine_adds_data_on_the_mesh_pattern(mesh_hanging):
                                                       (mesh.n_cells, 4)))
     mass = assemble_weighted_mass(mesh, rng.uniform(0.0, 1.0,
                                                     (mesh.n_cells, 4)))
-    both = combine(lap, mass, rhs=assemble_load(mesh, 1.0))
+    both = combine(lap, replace(mass, rhs=assemble_load(mesh, 1.0)))
     indptr, indices, _ = mesh.csr_pattern
     assert np.shares_memory(both.matrix.indptr, indptr)
     assert np.shares_memory(both.matrix.indices, indices)
@@ -371,8 +382,8 @@ def test_combine_keeps_an_entry_that_cancels_as_an_explicit_zero(
     # it as two explicit zeros, into the free block as well.
     mesh = mesh_hanging
     a = combine(assemble_weighted_laplace(mesh, 1.0),
-                assemble_weighted_mass(mesh, 1.0),
-                rhs=assemble_load(mesh, 1.0))
+                replace(assemble_weighted_mass(mesh, 1.0),
+                        rhs=assemble_load(mesh, 1.0)))
     indptr, indices, _ = mesh.csr_pattern
     row = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
     pinned = _boundary_pins(mesh)
@@ -417,7 +428,7 @@ def test_dirichlet_matches_dense_oracle(mesh_hanging):
     mesh = mesh_hanging
     lap = assemble_weighted_laplace(mesh, 1.0)
     mass = assemble_weighted_mass(mesh, 0.5)
-    sys = combine(lap, mass, rhs=assemble_load(mesh, 1.0))
+    sys = combine(lap, replace(mass, rhs=assemble_load(mesh, 1.0)))
     bc = {int(n): 1.5 for n in mesh.boundary_vertices(TOP)}
 
     fixed = apply_dirichlet(sys, *dirichlet_arrays(mesh.n_vertices, bc))
@@ -461,8 +472,8 @@ def test_dirichlet_on_hanging_vertex_is_ignored(mesh_hanging):
     mesh = mesh_hanging
     exact = lambda x, y: 3.0 * x - 2.0 * y + 0.5
     base = combine(assemble_weighted_laplace(mesh, 1.0),
-                   assemble_weighted_mass(mesh, 1.0),
-                   rhs=assemble_load(mesh, 1.0))
+                   replace(assemble_weighted_mass(mesh, 1.0),
+                           rhs=assemble_load(mesh, 1.0)))
     bc = {int(n): exact(*mesh.vertex_coords[n])
           for n in mesh.boundary_vertices(BOTTOM)}
     h = int(mesh.constraints.hanging[0])
@@ -485,9 +496,9 @@ def _folded_system(mesh):
     return combine(
         assemble_weighted_laplace(mesh, rng.uniform(0.5, 2.0,
                                                     (mesh.n_cells, 4))),
-        assemble_weighted_mass(mesh, rng.uniform(0.0, 1.0,
-                                                 (mesh.n_cells, 4))),
-        rhs=assemble_load(mesh, lambda x, y: 1.0 + x * y))
+        replace(assemble_weighted_mass(mesh, rng.uniform(0.0, 1.0,
+                                                         (mesh.n_cells, 4))),
+                rhs=assemble_load(mesh, lambda x, y: 1.0 + x * y)))
 
 
 @functools.cache
@@ -669,8 +680,8 @@ def test_a_matrix_that_is_not_finite_still_fails_the_solve(where, bad,
 
 def _poisson_system(mesh, f, g_boundary):
     sys = assemble_weighted_laplace(mesh, 1.0)
-    sys = combine(sys, assemble_weighted_mass(mesh, 0.0),
-                  rhs=assemble_load(mesh, f))
+    sys = combine(sys, replace(assemble_weighted_mass(mesh, 0.0),
+                               rhs=assemble_load(mesh, f)))
     pinned = nothing_pinned(mesh)
     for tag in (BOTTOM, RIGHT, TOP, LEFT):
         pinned[mesh.boundary_vertices(tag)] = True
@@ -773,9 +784,9 @@ def test_pcg_stops_at_the_rounding_floor_of_a_near_neumann_system(
     # max_iter.
     mesh = build_uniform(4)
     sys = combine(assemble_weighted_laplace(mesh, 1.0),
-                  assemble_weighted_mass(mesh, 1e-4),
-                  rhs=assemble_load(
-                      mesh, lambda x, y: 1.0 + np.cos(np.pi * x) * y))
+                  replace(assemble_weighted_mass(mesh, 1e-4),
+                          rhs=assemble_load(
+                              mesh, lambda x, y: 1.0 + np.cos(np.pi * x) * y)))
     A, b = sys.matrix.toarray(), sys.rhs
     assert 5e6 < np.linalg.cond(A) < 5e7
     x = np.linalg.solve(A, b)
@@ -1517,7 +1528,8 @@ def _family(s, *, reaction=False):
     load = assemble_load(mesh, lambda x, y: 1.0 + 0.3 * y)
     pinned = nothing_pinned(mesh)
     pinned[mesh.boundary_vertices(LEFT)] = True
-    sys = apply_dirichlet(combine(stiffness, mass, rhs=load), pinned, 0.0)
+    sys = apply_dirichlet(combine(stiffness, replace(mass, rhs=load)), pinned,
+                          0.0)
     if not reaction:
         return sys
     return sys, assemble_weighted_mass(mesh, weight).matrix

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the assembly, qp-evaluation, factorization, CG,
-guessed-solve, warm-CG, restriction-and-coarsening, coarse factor and
-solve, deflated-CG, projection, tangent, mesh-build, band-plan,
-mesh-coarsening and refinement-transfer kernels, of the VTK snapshot round
-trip, and of one warm elastic load step.
+guessed-solve, warm-CG, kept-block u system, restriction-and-coarsening,
+coarse factor and solve, deflated-CG, projection, tangent, mesh-build,
+band-plan, mesh-coarsening and refinement-transfer kernels, of the VTK
+snapshot round trip, and of one warm elastic load step.
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -18,6 +18,7 @@ plan's ``W`` map in each result's ``extra_info`` (``--benchmark-json``);
 the started-first-sweep bench, on an onset phase system of the adapted
 ``amr_field`` mesh, records its CG iterations there and checks that its
 answer pins the nodes SuperLU's pins;
+the kept-block bench records there the free dofs of the u system;
 the elastic-step bench records there, per round, how many times it
 evaluated ``|grad u|^2`` and gathered matrix data for a restriction, and
 asserts one of each; the mesh-build and band-plan benches record the
@@ -50,10 +51,10 @@ from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import Mesh, build_uniform, coarsen, refine, \
     transfer_field  # noqa: E402
 
-from conftest import aggregates_by_vertex, brute_force_hanging, \
-    check_refinement_transfer, coarsen_rule_flags, global_pcg_band, \
-    global_pcg_systems, lower_band, pattern_by_cell_loop, scipy_coupling, \
-    solved_with_tangents, sparse_prolongation  # noqa: E402
+from conftest import aggregates_by_vertex, assert_fresh_u_system, \
+    brute_force_hanging, check_refinement_transfer, coarsen_rule_flags, \
+    global_pcg_band, global_pcg_systems, lower_band, pattern_by_cell_loop, \
+    scipy_coupling, solved_with_tangents, sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -492,6 +493,35 @@ def amr_field():
     for _ in range(3):
         driver.amr_pass(state, cfg)
     return state, cfg
+
+
+def test_bench_u_system_from_kept_block(benchmark, amr_field, monkeypatch):
+    # What an elastic step pays for the restriction of u on the adapted
+    # 8,800-cell field_xi_amr mesh: the mesh keeps the free block of K(v)
+    # for v and the Dirichlet set, so each round, one load further, finds
+    # it (a gather fails the bench) and forms only the right-hand side.
+    # The free-dof count goes in extra_info.  The last round's system is
+    # apply_dirichlet's of a freshly assembled K(v), bit for bit.
+    state, cfg = amr_field
+    mesh, v = state.mesh, state.v
+    assert mesh.n_cells == 8800
+    loads = []
+    pf.assemble_displacement(
+        mesh, v, *driver.boundary_displacement(mesh, 0.0, cfg.loading.c))
+
+    def no_gather(*args):
+        raise AssertionError("the kept block was not found")
+
+    def u_system():
+        loads.append(driver.boundary_displacement(
+            mesh, 0.01 + 0.0005 * len(loads), cfg.loading.c))
+        return pf.assemble_displacement(mesh, v, *loads[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "free_block", no_gather)
+        got = _run(benchmark, u_system)
+    benchmark.extra_info["free_dofs"] = len(got.free)
+    assert_fresh_u_system(got, v, *loads[-1])
 
 
 def test_bench_mesh_build(benchmark, amr_field):

@@ -1,17 +1,21 @@
 """Model physics: energies, optimality formulas, calibration, irreversibility."""
 
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from xifrac import fem, phasefield as pf
+from xifrac import driver, fem, phasefield as pf
+from xifrac.config import parse_config
 from xifrac.fem import ScalarField, constant_field
 from xifrac.mesh import build_uniform, refine, transfer_field
 
-from conftest import dense_condense, dense_dirichlet, dense_laplace, \
-    dense_load, dense_mass, dirichlet_arrays, nothing_pinned
+from conftest import assert_fresh_u_system, dense_condense, \
+    dense_dirichlet, dense_laplace, dense_load, dense_mass, \
+    dirichlet_arrays, nothing_pinned
 
 
 def _reg(**kw):
@@ -217,6 +221,36 @@ def test_displacement_system_matches_dense(mesh_hanging):
     A, b = dense_dirichlet(mesh, A, b, bc)
     assert np.max(np.abs(sys.matrix.toarray() - A)) < 1e-9
     assert np.max(np.abs(sys.rhs - b)) < 1e-9
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
+def test_displacement_system_from_the_kept_block(kept, monkeypatch):
+    # Two steps of the amr_field window leave v on the adapted 8,800-cell
+    # mesh, and the mesh keeps the free block of its K(v).  The u system
+    # of a new load, formed from that block on a hit or from a fresh one
+    # on a miss, has the bytes of apply_dirichlet of a freshly assembled
+    # K(v).  The product holds that one block and no n_vertices x
+    # n_vertices matrix.
+    path = Path(__file__).parents[1] / "configs" / "field_xi_amr.cfg"
+    cfg = parse_config(path.read_text(), {"loading.dt": "0.0015",
+                                          "loading.n_max": "2"})
+    _, state = driver.run(cfg)
+    mesh, v = state.mesh, state.v
+    assert mesh.n_cells == 8800
+    if not kept:
+        del mesh.products["displacement"]
+    pinned, values = driver.boundary_displacement(mesh, 0.0045, cfg.loading.c)
+    gathers, free_block = [], fem.free_block
+    monkeypatch.setattr(fem, "free_block",
+                        lambda *args: gathers.append(1) or free_block(*args))
+    got = pf.assemble_displacement(mesh, v, pinned, values)
+    monkeypatch.undo()
+    assert len(gathers) == (not kept)
+    assert_fresh_u_system(got, v, pinned, values)
+    ((_, block),) = mesh.products["displacement"]
+    assert isinstance(block, fem.FreeBlock) and block.free is got.free
+    n = mesh.n_vertices
+    assert not any(sp.issparse(a) and a.shape == (n, n) for a in block)
 
 
 def test_phase_system_matches_dense(mesh_hanging):
