@@ -8,6 +8,10 @@ every integral here uses.  Each cell kernel is one matrix product of an
 tables (``laplace_table``, ``mass_table``, ``load_table``,
 ``grad_table``).
 
+scipy's modules are the lazy names ``sp``, ``spla`` and ``lapack``
+(:class:`xifrac.mesh.LazyModule`): importing this module loads numpy
+alone, and scipy loads at the first assembly or solve.
+
 A linear system is built in two steps.  *Fold*: an assembly sums cell
 matrices straight into ``T^T A T``, with ``T`` the hanging-node
 prolongation, through a map cached per mesh (:attr:`Mesh.csr_pattern`),
@@ -98,11 +102,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
-from .mesh import Mesh, frozen
+from .mesh import LazyModule, Mesh, frozen
+
+sp = LazyModule("scipy.sparse")
+spla = LazyModule("scipy.sparse.linalg")
+lapack = LazyModule("scipy.linalg.lapack")
 
 log = logging.getLogger(__name__)
 
@@ -157,9 +162,9 @@ class QuadratureRule(NamedTuple):
 
 def _gauss2() -> QuadratureRule:
     """The 2 x 2 Gauss rule and its tables."""
-    x, w = np.polynomial.legendre.leggauss(2)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    s = np.sqrt(1.0 / 3.0)  # leggauss(2): nodes -s, s, both weights 1
+    x = 0.5 * (np.array([-s, s]) + 1.0)
+    w = 0.5 * np.ones(2)
     pts = np.array([(a, b) for a in x for b in x])
     wts = np.array([wa * wb for wa in w for wb in w])
     vals, grads = shape_eval(pts[:, 0], pts[:, 1])  # (4, nq), (4, 2, nq)
@@ -746,9 +751,10 @@ def _preconditioner(A, coarse):
     minv = 1.0 / diag
     agg, factor, W = coarse
     n_agg = factor.shape[1]
+    dpbtrs = lapack.dpbtrs  # once per solve, not per iteration
 
     def coarse_solve(y):
-        return lapack.dpbtrs(factor, y, lower=1, overwrite_b=1)[0]
+        return dpbtrs(factor, y, lower=1, overwrite_b=1)[0]
 
     def deflate(x, r):
         c = coarse_solve(np.bincount(agg, r, minlength=n_agg))

@@ -27,12 +27,36 @@ from a mesh onto a refinement of it with a single sparse operator.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import logging
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+
+
+class LazyModule:
+    """A module imported at the first read of one of its attributes.
+
+    ``mesh``, ``fem`` and ``phasefield`` hold scipy's sparse and
+    linear-algebra modules as these, so that importing xifrac, setting a
+    run up and reading its output back load numpy alone; a module-level
+    ``__getattr__`` would not serve the global lookups of the module's own
+    functions.  An attribute read once is kept on the holder, so later
+    reads cost a plain attribute lookup, and one set on the holder, such
+    as a test's spy, replaces the module's for the holder's users alone.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+sp = LazyModule("scipy.sparse")
 
 log = logging.getLogger(__name__)
 

@@ -24,11 +24,12 @@ import logging
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .fem import ScalarField, SparseSystem
-from .mesh import Mesh, frozen
+from .mesh import LazyModule, Mesh, frozen
+
+sp = LazyModule("scipy.sparse")
 
 log = logging.getLogger(__name__)
 

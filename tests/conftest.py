@@ -8,6 +8,9 @@ code is meaningful.
 
 import bisect
 import itertools
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -489,6 +492,25 @@ def check_refinement_transfer(old, new, values, got):
 
 def total_area(mesh):
     return float(np.sum(mesh.cell_h ** 2))
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def run_fresh(*args):
+    """``python args`` in a fresh interpreter that imports xifrac from this
+    checkout's source and writes no bytecode; what it loads is its own, as
+    pytest's process already holds scipy."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------

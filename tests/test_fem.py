@@ -69,6 +69,30 @@ def test_gauss_rule_weights():
         assert val == pytest.approx(0.25, abs=1e-15)
 
 
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    # fem writes the 2-point Gauss-Legendre rule in closed form, so that
+    # importing it does not load numpy.polynomial; every table is the one
+    # built from leggauss(2), bit for bit.
+    x, w = np.polynomial.legendre.leggauss(2)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    pts = np.array([(a, b) for a in x for b in x])
+    wts = np.array([wa * wb for wa in w for wb in w])
+    vals, grads = shape_eval(pts[:, 0], pts[:, 1])
+    vals, grads = vals.T.copy(), grads.transpose(2, 0, 1).copy()
+    gg = grads @ grads.transpose(0, 2, 1)
+    nn = vals[:, :, None] * vals[:, None, :]
+    want = [pts, wts, vals, grads,
+            (wts[:, None, None] * gg).reshape(-1, 16),
+            (wts[:, None, None] * nn).reshape(-1, 16),
+            wts[:, None] * vals, grads.transpose(1, 0, 2).reshape(4, -1)]
+    rule = fem._gauss2()
+    got = [rule.points, rule.weights, *rule.tabulation, *rule[3:]]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_gauss_tables_are_read_only():
     # Every assembly shares these arrays: an in-place edit must raise
     # instead of corrupting all later assemblies.

@@ -1,9 +1,8 @@
 """Config parsing, VTK/CSV outputs, line profiles and the CLI."""
 
+import json
 import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -12,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import xifrac
 from xifrac import cli, config, driver, fem, mesh as meshmod, output, \
     phasefield as pf
 from xifrac.config import ConfigError, parse_config, serialize_config
 from xifrac.fem import ScalarField
 from xifrac.mesh import Mesh, build_uniform, refine
 
-from conftest import pin_a_bottom_vertex
+from conftest import ROOT, pin_a_bottom_vertex, run_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -636,29 +634,70 @@ def test_early_stop_writes_its_snapshot_once(tmp_path, snapshot_writes):
 def test_importing_the_driver_does_not_load_the_io_module():
     # A fresh interpreter that imports the solver core leaves xifrac.output
     # unloaded; the package attribute still loads it on first use.
-    code = ("import sys, xifrac.driver, xifrac\n"
-            "print('xifrac.output' in sys.modules)\n"
-            "print(xifrac.output.write_vtk.__module__)")
-    src = str(Path(xifrac.__file__).parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    done = run_fresh("-c", "import sys, xifrac.driver, xifrac\n"
+                           "print('xifrac.output' in sys.modules)\n"
+                           "print(xifrac.output.write_vtk.__module__)")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "xifrac.output"]
+
+
+# Run in a fresh interpreter: after each stage, the watched modules loaded.
+_START_UP = """
+import json, sys
+from pathlib import Path
+
+WATCHED = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+           "numpy.polynomial")
+loaded = {}
+
+def report(stage):
+    loaded[stage] = [m for m in WATCHED if m in sys.modules]
+
+import xifrac
+report("import xifrac")
+from xifrac import cli, driver
+from xifrac.config import parse_config
+report("import xifrac.cli")
+configs, snapshot = map(Path, sys.argv[1:])
+for name in ("field_xi_amr.cfg", "global_xi_128.cfg"):
+    cfg = parse_config((configs / name).read_text())
+    state = driver.initialize(cfg)
+    report("initialize " + name)
+for args in (["keys"], ["tables"], ["calibrate", "--h", "0.004"],
+             ["profile", "--in", str(snapshot), "--y", "0.5"]):
+    assert cli.main(args) == 0
+    report("xifrac " + args[0])
+state.t = cfg.loading.dt
+driver.staggered_step(state, cfg)
+report("staggered_step")
+print(json.dumps(loaded))
+"""
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # Importing the package, setting a run up and the commands that solve
+    # nothing load numpy alone; scipy's sparse and linear-algebra modules
+    # load at the first assembly or solve.
+    snapshot = tmp_path / "f.vtk"
+    m = build_uniform(2)
+    output.write_vtk(m, {"v": m.vertex_coords[:, 0]}, {}, snapshot)
+    done = run_fresh("-c", _START_UP, ROOT / "configs", snapshot)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert list(loaded) == [
+        "import xifrac", "import xifrac.cli",
+        "initialize field_xi_amr.cfg", "initialize global_xi_128.cfg",
+        "xifrac keys", "xifrac tables", "xifrac calibrate", "xifrac profile",
+        "staggered_step"]
+    assert {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"} <= set(
+        loaded.pop("staggered_step"))
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 def test_amr_history_script_prints_one_row_per_step():
     # The README's mesh-adaptation trace: one step refines the 4096-cell
     # start grid of field_xi_amr.cfg to 8800 cells.
-    root = Path(__file__).parents[1]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(root / "src"),
-                                 os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "amr_history.py"),
-         "--steps", "1"], env=env, capture_output=True, text=True)
+    done = run_fresh(ROOT / "scripts" / "amr_history.py", "--steps", "1")
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["step", "cells"]

@@ -2,7 +2,9 @@
 guessed-solve, warm-CG, kept-block u system, restriction-and-coarsening,
 coarse factor and solve, deflated-CG, projection, tangent, mesh-build,
 band-plan, mesh-coarsening and refinement-transfer kernels, of the VTK
-snapshot round trip, and of one warm elastic load step.
+snapshot round trip, of one warm elastic load step, and of a cold start
+(import, parse and ``driver.initialize`` in a fresh interpreter, which
+records the scipy modules it loaded in ``extra_info``).
 
 Each benchmark times one kernel on a mesh of about 8.7k cells (the size of
 the adapted ``field_xi_amr`` mesh) and then checks the timed result
@@ -34,6 +36,7 @@ the timing table; it is skipped when pytest-benchmark is not installed
 (it is in the ``test`` extra).
 """
 
+import json
 import time
 import tracemalloc
 from pathlib import Path
@@ -51,10 +54,11 @@ from xifrac.fem import GAUSS2, ScalarField  # noqa: E402
 from xifrac.mesh import Mesh, build_uniform, coarsen, refine, \
     transfer_field  # noqa: E402
 
-from conftest import aggregates_by_vertex, assert_fresh_u_system, \
+from conftest import ROOT, aggregates_by_vertex, assert_fresh_u_system, \
     brute_force_hanging, check_refinement_transfer, coarsen_rule_flags, \
     global_pcg_band, global_pcg_systems, lower_band, pattern_by_cell_loop, \
-    scipy_coupling, solved_with_tangents, sparse_prolongation  # noqa: E402
+    run_fresh, scipy_coupling, solved_with_tangents, \
+    sparse_prolongation  # noqa: E402
 
 ROUNDS = 20
 
@@ -740,3 +744,33 @@ def test_bench_elastic_step(benchmark, monkeypatch):
     assert repr(record) == repr(pf.energies(
         mesh, state.u, state.v, state.xi, cfg.regularization,
         t=state.t))
+
+
+# Run in a fresh interpreter: the set-up of perfbench's setup_probe.py.
+_COLD_START = """
+import json, sys
+from xifrac import driver
+from xifrac.config import parse_config
+with open(sys.argv[1]) as fh:
+    state = driver.initialize(parse_config(fh.read()))
+print(json.dumps({"cells": state.mesh.n_cells,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.startswith("scipy"))}))
+"""
+
+
+def test_bench_cold_start(benchmark):
+    # What every command pays before its first step: a fresh interpreter
+    # that imports xifrac, parses field_xi_amr.cfg and runs
+    # driver.initialize, interpreter start included.  The sorted scipy
+    # modules it loaded go in extra_info, so an import that becomes eager
+    # again shows here as well as in the set-up time.
+    def cold_start():
+        done = run_fresh("-c", _COLD_START,
+                         ROOT / "configs" / "field_xi_amr.cfg")
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    got = _run(benchmark, cold_start, rounds=5)
+    benchmark.extra_info["scipy_modules"] = got["scipy"]
+    assert got["cells"] == 4096
