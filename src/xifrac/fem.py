@@ -19,7 +19,8 @@ and loads into ``T^T b``; hanging rows and columns stay empty.
 *Restrict*: :func:`apply_dirichlet` keeps the free dofs, neither hanging
 nor pinned (one bool per vertex, with a full-length value array), so the
 solvers only ever see that SPD block; :func:`solve_field` expands the
-solution again.  The free sets of a run repeat (one Dirichlet set per
+solution again.  It takes matrices on the mesh's pattern alone and
+raises on any other.  The free sets of a run repeat (one Dirichlet set per
 mesh for u, the crack mask for each first phase sweep), so what depends
 on the free set alone is a :class:`_Plan`, a product that the mesh keeps
 for the few most recent free sets (:meth:`Mesh.reuse`): a restriction
@@ -199,9 +200,6 @@ class ScalarField:
                 f"field length {self.values.shape} does not match mesh "
                 f"{self.mesh.id} with {self.mesh.n_vertices} vertices")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.mesh, self.values.copy())
-
 
 def constant_field(mesh: Mesh, value: float) -> ScalarField:
     return ScalarField(mesh, np.full(mesh.n_vertices, float(value)))
@@ -227,12 +225,6 @@ class SparseSystem:
     plan: "_Plan | None" = None
 
 
-def quadrature_points(mesh: Mesh) -> np.ndarray:
-    """Physical quadrature point coordinates, shape (n_cells, nq, 2)."""
-    return (mesh.cell_origin[:, None, :]
-            + mesh.cell_h[:, None, None] * GAUSS2.points[None, :, :])
-
-
 def field_at_qp(field: ScalarField) -> np.ndarray:
     """Field values at quadrature points, shape (n_cells, nq)."""
     vals, _ = GAUSS2.tabulation
@@ -253,12 +245,10 @@ def grad_at_qp(field: ScalarField) -> np.ndarray:
 
 
 def _coefficient(mesh, w):
-    """Normalize a coefficient to an array of shape (n_cells, nq)."""
+    """Normalize a coefficient, a scalar, one value per cell or an
+    ``(n_cells, nq)`` array of values at the quadrature points, to an
+    array of shape (n_cells, nq)."""
     nq = len(GAUSS2.weights)
-    if callable(w):
-        xy = quadrature_points(mesh)
-        out = np.asarray(w(xy[..., 0], xy[..., 1]), dtype=float)
-        return np.broadcast_to(out, (mesh.n_cells, nq))
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         return np.full((mesh.n_cells, nq), float(w))
@@ -309,12 +299,13 @@ def assemble_load(mesh: Mesh, density) -> np.ndarray:
     return mesh.constraints.fold(b)
 
 
-def _on_pattern(A, mesh: Mesh) -> bool:
-    """Whether the CSR matrix ``A`` is built on :attr:`Mesh.csr_pattern`:
-    its index arrays are the pattern's, or the whole-array views of them
-    that scipy keeps."""
-    return all((a is b or a.base is b) and a.shape == b.shape
-               for a, b in zip((A.indptr, A.indices), mesh.csr_pattern))
+def _on_pattern(A, mesh: Mesh):
+    """Raise :class:`ValueError` unless the CSR matrix ``A`` is built on
+    :attr:`Mesh.csr_pattern`: its index arrays are the pattern's, or the
+    whole-array views of them that scipy keeps."""
+    if not all((a is b or a.base is b) and a.shape == b.shape
+               for a, b in zip((A.indptr, A.indices), mesh.csr_pattern)):
+        raise ValueError("the matrix is not on its mesh's pattern")
 
 
 def combine(a: SparseSystem, b: SparseSystem) -> SparseSystem:
@@ -330,8 +321,8 @@ def combine(a: SparseSystem, b: SparseSystem) -> SparseSystem:
         raise ValueError("systems live on different meshes")
     if a.free is not None or b.free is not None:
         raise ValueError("combine systems before restricting them")
-    if not (_on_pattern(a.matrix, a.mesh) and _on_pattern(b.matrix, b.mesh)):
-        raise ValueError("combine takes systems on their mesh's pattern")
+    _on_pattern(a.matrix, a.mesh)
+    _on_pattern(b.matrix, b.mesh)
     indptr, indices, _ = a.mesh.csr_pattern
     matrix = sp.csr_matrix((a.matrix.data + b.matrix.data, indices, indptr),
                            shape=a.matrix.shape)
@@ -488,17 +479,13 @@ class _Plan:
 _PLANS_PER_MESH = 4
 
 
-def _plan(A, mesh: Mesh, is_free: np.ndarray) -> _Plan:
-    """The plan of a folded matrix for the free set ``is_free``.
-
-    A matrix on the mesh's pattern gets the mesh's product ``"plan"`` of
-    the free set (:meth:`Mesh.reuse`, ``_PLANS_PER_MESH`` of them); any
-    other gets one built from its own structure, which is not kept.
-    """
-    build = lambda: _Plan(mesh, np.arange(A.shape[0]), A.indptr, A.indices,
+def _plan(mesh: Mesh, is_free: np.ndarray) -> _Plan:
+    """The plan of the free set ``is_free`` on the mesh's pattern: the
+    mesh's product ``"plan"`` of the free set (:meth:`Mesh.reuse`,
+    ``_PLANS_PER_MESH`` of them)."""
+    indptr, indices, _ = mesh.csr_pattern
+    build = lambda: _Plan(mesh, np.arange(mesh.n_vertices), indptr, indices,
                           is_free)
-    if not _on_pattern(A, mesh):
-        return build()
     return mesh.reuse("plan", (is_free,), build, keep=_PLANS_PER_MESH)
 
 
@@ -533,12 +520,13 @@ def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
     ``pinned``.
 
     The free dofs are the vertices that neither hang nor are ``pinned``.
-    The free set decides the :class:`_Plan` that restricts ``A``, and
-    only the values are gathered: ``data[keep]`` and ``data[coupling]``
-    on the plan's structures.  Plans of matrices on the mesh's pattern,
-    as assembled and :func:`combine`-d systems are, are kept by the mesh
-    per free set (:func:`_plan`).  A set with no free dof needs no plan
-    and does not touch ``A``: both blocks are empty.
+    ``A`` must lie on the mesh's pattern (:attr:`Mesh.csr_pattern`), as
+    assembled and :func:`combine`-d matrices do; else :class:`ValueError`.
+    The free set decides the :class:`_Plan` that restricts ``A``, which
+    the mesh keeps per free set (:func:`_plan`), and only the values are
+    gathered: ``data[keep]`` and ``data[coupling]`` on the plan's
+    structures.  A set with no free dof needs no plan and does not touch
+    ``A``: both blocks are empty.
     """
     is_free = ~pinned
     is_free[mesh.constraints.hanging] = False
@@ -546,8 +534,8 @@ def free_block(A, mesh: Mesh, pinned: np.ndarray) -> FreeBlock:
         return FreeBlock(sp.csr_matrix((0, 0)),
                          sp.csr_matrix((0, mesh.n_vertices)),
                          np.zeros(0, dtype=np.intp), None)
-    A = A.tocsr()
-    plan = _plan(A, mesh, is_free)
+    _on_pattern(A, mesh)
+    plan = _plan(mesh, is_free)
     n = len(plan.free)
     return FreeBlock(
         sp.csr_matrix((A.data[plan.keep], plan.indices, plan.indptr),
@@ -686,8 +674,9 @@ def _coarse(sys: SparseSystem):
     data and the band one ``bincount`` of ``W``'s.  Each sum adds its terms
     in storage order, as scipy's ``(Z^T A) Z`` does with sorted indices in
     ``Z^T A``, so the band is that product's lower triangle bit for bit.
-    A system restricted by :func:`apply_dirichlet` brings its plan; any
-    other gets one built from its own structure.
+    A system restricted by :func:`apply_dirichlet` brings its plan; a
+    system built by hand, which no assembly produces, gets one built from
+    its own structure.
     """
     A, plan = sys.matrix.tocsr(), sys.plan
     if plan is None:

@@ -167,12 +167,6 @@ class ConstraintSet:
     def __len__(self):
         return len(self.hanging)
 
-    @property
-    def masters(self) -> dict[int, tuple[int, int]]:
-        """Hanging vertex -> its two master vertices."""
-        return dict(zip(self.hanging.tolist(),
-                        map(tuple, self.pairs.tolist())))
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Return a copy with hanging entries (rows) replaced by master averages."""
         out = np.array(values, dtype=float)
@@ -308,11 +302,6 @@ class Mesh:
         }
 
     # -- queries ----------------------------------------------------------
-
-    @cached_property
-    def cell_keys(self) -> list[tuple[int, int, int]]:
-        """``(level, i, j)`` of every cell, in cell id order."""
-        return list(map(tuple, self._keys.tolist()))
 
     @cached_property
     def products(self) -> dict:
@@ -506,12 +495,6 @@ class Mesh:
         """
         xy = np.rint(np.asarray(coords) * _SCALE).astype(np.int64)
         return self._vertex_ids(xy[:, 0], xy[:, 1])
-
-    def cell_id(self, key) -> int:
-        c = int(self.cell_ids(*key))
-        if c < 0:
-            raise KeyError(key)
-        return c
 
     def tiles_domain(self) -> bool:
         """Whether the active cells tile the unit square.  In Z order each

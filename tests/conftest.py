@@ -90,10 +90,22 @@ def dense_load(mesh, density_fn, order=5):
     return b
 
 
+def at_gauss_points(mesh, f):
+    """``f(x, y)`` at the physical points of ``fem.GAUSS2`` in every cell,
+    shape ``(n_cells, nq)``: a coefficient in the form that the assembly
+    takes."""
+    xy = (mesh.cell_origin[:, None, :]
+          + mesh.cell_h[:, None, None] * fem.GAUSS2.points)
+    out = np.empty(xy.shape[:2])
+    out[...] = f(xy[..., 0], xy[..., 1])
+    return out
+
+
 def dense_prolongation(mesh):
     """Dense hanging-node prolongation built from vertex geometry only."""
     T = np.eye(mesh.n_vertices)
-    for h, (a, b) in mesh.constraints.masters.items():
+    cons = mesh.constraints
+    for h, (a, b) in zip(cons.hanging, cons.pairs):
         T[h, :] = 0.0
         T[h, a] = 0.5
         T[h, b] = 0.5
@@ -129,7 +141,7 @@ def dense_dirichlet(mesh, A, b, bc):
     x0 = np.zeros(len(b))
     for node, val in bc.items():
         x0[node] = val
-    fixed = set(bc) | set(mesh.constraints.masters)
+    fixed = set(bc) | set(mesh.constraints.hanging.tolist())
     free = [i for i in range(len(b)) if i not in fixed]
     return A[np.ix_(free, free)], (b - A @ x0)[free]
 
@@ -274,9 +286,9 @@ class Untouchable:
 def pin_a_bottom_vertex(state):
     """Replace ``state.v`` by one that is also zero at a bottom-edge
     vertex, as a crack that has run through the body is."""
-    v = state.v.copy()
-    v.values[state.mesh.boundary_vertices(meshmod.BOTTOM)[0]] = 0.0
-    state.v = v
+    v = state.v.values.copy()
+    v[state.mesh.boundary_vertices(meshmod.BOTTOM)[0]] = 0.0
+    state.v = fem.ScalarField(state.mesh, v)
 
 
 def dirichlet_arrays(n, bc):
@@ -353,7 +365,7 @@ def brute_force_hanging(mesh):
     for line in lines.values():
         line.sort()
     masters = {}
-    for key in mesh.cell_keys:
+    for key in keys_of(mesh):
         for axis, fixed, lo, hi in edges_of_cell(key):
             line = lines[axis, fixed]
             ends = [at[(fixed, t) if axis == "x" else (t, fixed)]
@@ -375,7 +387,9 @@ def pattern_by_cell_loop(mesh, local):
     of a hanging corner, of weight 1/2.  Each sum adds its terms in cell
     order, starting from ``0.0``.  Returns the CSR ``(indptr, indices,
     data)`` of the sums, columns sorted within each row."""
-    masters = mesh.constraints.masters
+    cons = mesh.constraints
+    masters = dict(zip(cons.hanging.tolist(),
+                       map(tuple, cons.pairs.tolist())))
     images = [[(m, 0.5) for m in masters[v]] if v in masters else [(v, 1.0)]
               for v in range(mesh.n_vertices)]
     sums = {}
@@ -405,9 +419,21 @@ def scipy_coupling(A, free):
     return rows.data[outside], rows.indices[outside], indptr
 
 
+def keys_of(mesh):
+    """``(level, i, j)`` of every cell of ``mesh``, in cell id order."""
+    return list(map(tuple, mesh._keys.tolist()))
+
+
+def cell_id(mesh, key):
+    """Id of the active cell ``key`` of ``mesh``."""
+    c = int(mesh.cell_ids(*key))
+    assert c >= 0, f"cell {key} is not active"
+    return c
+
+
 def check_two_to_one(mesh):
     """Assert every pair of edge-adjacent cells differs by <= 1 level."""
-    pairs = unbalanced_pairs(mesh.cell_keys)
+    pairs = unbalanced_pairs(keys_of(mesh))
     assert not pairs, f"cells {pairs[0][0]} and {pairs[0][1]} break 2:1 balance"
 
 
@@ -531,4 +557,4 @@ def mesh4x4():
 def mesh_hanging():
     """4x4 mesh with one corner cell refined: has hanging nodes."""
     m = meshmod.build_uniform(2)
-    return meshmod.refine(m, [m.cell_id((2, 0, 0))])
+    return meshmod.refine(m, [cell_id(m, (2, 0, 0))])

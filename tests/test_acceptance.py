@@ -14,6 +14,8 @@ from xifrac import driver, fem, mesh as meshmod, phasefield as pf
 from xifrac.fem import constant_field
 from xifrac.mesh import build_uniform
 
+from conftest import at_gauss_points
+
 
 def _report(capsys, n, ok, detail):
     with capsys.disabled():
@@ -189,7 +191,8 @@ def test_criterion_5_energy_signature(capsys, energy_run):
 def _poisson_system(mesh, f, g_boundary):
     sys = fem.combine(fem.assemble_weighted_laplace(mesh, 1.0),
                       replace(fem.assemble_weighted_mass(mesh, 0.0),
-                              rhs=fem.assemble_load(mesh, f)))
+                              rhs=fem.assemble_load(
+                                  mesh, at_gauss_points(mesh, f))))
     pinned = np.zeros(mesh.n_vertices, dtype=bool)
     for tag in (meshmod.BOTTOM, meshmod.RIGHT, meshmod.TOP, meshmod.LEFT):
         pinned[mesh.boundary_vertices(tag)] = True
@@ -205,8 +208,7 @@ def test_criterion_6_numerical_bedrock(capsys):
         mesh = build_uniform(level)
         sol = fem.solve_field(_poisson_system(mesh, rhs, lambda x, y: 0.0),
                               method="direct")
-        qp = fem.quadrature_points(mesh)
-        diff = fem.field_at_qp(sol) - exact(qp[..., 0], qp[..., 1])
+        diff = fem.field_at_qp(sol) - at_gauss_points(mesh, exact)
         errs.append(np.sqrt(fem.integrate(mesh, diff ** 2)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = all(abs(o - 2.0) <= 0.2 for o in orders)

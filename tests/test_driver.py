@@ -1027,7 +1027,7 @@ def test_projection_across_the_pin_threshold_is_not_trusted(monkeypatch):
     sys, first = first_sweep()
     k = sys.free[np.argmin(np.abs(first[sys.free] - 0.5))]
     assert 0.0 < first[k] < 1.0
-    bound = state.v.copy()
+    bound = ScalarField(state.mesh, state.v.values.copy())
     bound.values[k] = first[k] + 5e-10 - 1e-12
     want = phase_solve([], bound)
     proposed = first.copy()
@@ -1080,7 +1080,7 @@ def test_phase_solve_and_irreversibility_leave_the_mask_alone(monkeypatch):
     assert max(sweeps) > cracked.sum()  # the active set grew past the crack
     assert state.v is v0 and v0.values.tobytes() == before.tobytes()
 
-    damaged = v.copy()
+    damaged = ScalarField(v.mesh, v.values.copy())
     damaged.values[np.flatnonzero(~cracked)[0]] = 0.0
     given = cracked.copy()
     grown = pf.enforce_irreversibility(damaged, v0, given)
@@ -1228,7 +1228,7 @@ def test_restart_from_the_fields_alone_repeats_the_run(overrides, split,
     def keep(state):
         if state.step == split:
             old = state.mesh
-            mesh = meshmod.Mesh(old.cell_keys, old.level_min, old.level_max)
+            mesh = meshmod.Mesh(old._keys, old.level_min, old.level_max)
             assert np.array_equal(mesh.cell_vertices, old.cell_vertices)
             assert np.array_equal(mesh.vertex_coords, old.vertex_coords)
             saved.update(mesh=mesh, u=ScalarField(mesh, state.u.values.copy()),

@@ -352,7 +352,7 @@ def test_vtk_round_trip(tmp_path):
     output.write_vtk(m, {"u": u, "v": v}, {"xi": xi, "level": m.cell_levels},
                      path)
     m2, pdata, cdata = output.read_vtk(path)
-    assert m2.cell_keys == m.cell_keys
+    assert np.array_equal(m2._keys, m._keys)
     assert np.array_equal(m2.vertex_coords, m.vertex_coords)
     assert np.array_equal(m2.cell_vertices, m.cell_vertices)
     assert np.array_equal(pdata["u"], u)

@@ -7,7 +7,8 @@ import pytest
 from xifrac import mesh as meshmod
 from xifrac.mesh import build_uniform, coarsen, refine, transfer_field
 
-from conftest import check_two_to_one, dense_prolongation, total_area
+from conftest import cell_id, check_two_to_one, dense_prolongation, keys_of, \
+    total_area
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,9 @@ def test_numbering_matches_first_appearance_loop():
     m = build_uniform(2, level_max=5)
     for _ in range(3):
         m = refine(m, [m.locate(0.3, 0.6), m.locate(0.9, 0.1)])
-    assert m.cell_keys == sorted(m.cell_keys)
+    assert keys_of(m) == sorted(keys_of(m))
     index, conn = {}, []
-    for l, i, j in m.cell_keys:
+    for l, i, j in keys_of(m):
         h = 0.5 ** l
         corners = [(i * h, j * h), ((i + 1) * h, j * h),
                    ((i + 1) * h, (j + 1) * h), (i * h, (j + 1) * h)]
@@ -166,7 +167,7 @@ def test_boundary_tags():
 
 
 def test_refine_one_cell_counts(mesh4x4):
-    fine = refine(mesh4x4, [mesh4x4.cell_id((2, 0, 0))])
+    fine = refine(mesh4x4, [cell_id(mesh4x4, (2, 0, 0))])
     # 16 - 1 + 4 children; corner refinement cannot unbalance a uniform mesh.
     assert fine.n_cells == 19
     assert len(fine.constraints) == 2
@@ -175,16 +176,16 @@ def test_refine_one_cell_counts(mesh4x4):
 
 
 def test_refine_idempotent_flags(mesh4x4):
-    c = mesh4x4.cell_id((2, 1, 1))
+    c = cell_id(mesh4x4, (2, 1, 1))
     once = refine(mesh4x4, [c])
     twice = refine(mesh4x4, [c, c, c])
-    assert once.cell_keys == twice.cell_keys
+    assert keys_of(once) == keys_of(twice)
 
 
 def test_refine_respects_level_max(caplog):
     m = build_uniform(2, level_max=2)
     out = refine(m, [0])
-    assert out.cell_keys == m.cell_keys
+    assert keys_of(out) == keys_of(m)
     # nothing split: no new mesh is built
     assert out is m
     assert refine(m, []) is m
@@ -193,8 +194,8 @@ def test_refine_respects_level_max(caplog):
 def test_refine_rebalances():
     # Refining one cell twice forces neighbors to split for 2:1 balance.
     m = build_uniform(2, level_max=6)
-    m = refine(m, [m.cell_id((2, 0, 0))])
-    m = refine(m, [m.cell_id((3, 0, 0))])
+    m = refine(m, [cell_id(m, (2, 0, 0))])
+    m = refine(m, [cell_id(m, (3, 0, 0))])
     check_two_to_one(m)
     assert total_area(m) == pytest.approx(1.0, abs=1e-15)
     levels = sorted(set(m.cell_levels.tolist()))
@@ -217,7 +218,7 @@ def test_deep_refinement_chain_stays_balanced():
 def test_hanging_nodes_are_edge_midpoints(mesh_hanging):
     cons = mesh_hanging.constraints
     assert len(cons) == 2
-    for h, (a, b) in cons.masters.items():
+    for h, (a, b) in zip(cons.hanging, cons.pairs):
         mid = 0.5 * (mesh_hanging.vertex_coords[a] + mesh_hanging.vertex_coords[b])
         assert np.allclose(mesh_hanging.vertex_coords[h], mid, atol=1e-15)
 
@@ -249,25 +250,25 @@ def test_constraint_apply_is_idempotent(mesh_hanging):
 
 
 def test_coarsen_reverses_refine(mesh4x4):
-    c = mesh4x4.cell_id((2, 2, 1))
+    c = cell_id(mesh4x4, (2, 2, 1))
     fine = refine(mesh4x4, [c])
-    kids = [fine.cell_id(k) for k in fine.cell_keys if k[0] == 3]
+    kids = [cell_id(fine, k) for k in keys_of(fine) if k[0] == 3]
     back = coarsen(fine, kids)
-    assert back.cell_keys == mesh4x4.cell_keys
+    assert keys_of(back) == keys_of(mesh4x4)
 
 
 def test_coarsen_requires_all_siblings(mesh4x4):
-    fine = refine(mesh4x4, [mesh4x4.cell_id((2, 2, 1))])
-    kids = [fine.cell_id(k) for k in fine.cell_keys if k[0] == 3]
+    fine = refine(mesh4x4, [cell_id(mesh4x4, (2, 2, 1))])
+    kids = [cell_id(fine, k) for k in keys_of(fine) if k[0] == 3]
     partial = coarsen(fine, kids[:3])
-    assert partial.cell_keys == fine.cell_keys
+    assert keys_of(partial) == keys_of(fine)
     assert partial is fine
 
 
 def test_coarsen_respects_level_min():
     m = build_uniform(2, level_min=2)
     out = coarsen(m, list(range(m.n_cells)))
-    assert out.cell_keys == m.cell_keys
+    assert keys_of(out) == keys_of(m)
     assert out is m
 
 
@@ -275,10 +276,10 @@ def test_coarsen_blocked_by_balance_returns_input():
     # The four children of (2, 0, 0) are flagged, but their parent would
     # sit next to level-4 cells, so nothing merges.
     m = build_uniform(2, level_min=2, level_max=5)
-    m = refine(m, [m.cell_id((2, 0, 0)), m.cell_id((2, 1, 0))])
-    m = refine(m, [m.cell_id((3, 2, 0))])
+    m = refine(m, [cell_id(m, (2, 0, 0)), cell_id(m, (2, 1, 0))])
+    m = refine(m, [cell_id(m, (3, 2, 0))])
     check_two_to_one(m)
-    kids = [m.cell_id(k) for k in
+    kids = [cell_id(m, k) for k in
             ((3, 0, 0), (3, 1, 0), (3, 0, 1), (3, 1, 1))]
     assert coarsen(m, kids) is m
 
@@ -300,8 +301,8 @@ def test_coarsen_preserves_balance():
 
 
 def test_transfer_refine_exact_for_bilinear(mesh4x4):
-    fine = refine(mesh4x4, [mesh4x4.cell_id((2, 0, 0)),
-                            mesh4x4.cell_id((2, 3, 3))])
+    fine = refine(mesh4x4, [cell_id(mesh4x4, (2, 0, 0)),
+                            cell_id(mesh4x4, (2, 3, 3))])
     x, y = mesh4x4.vertex_coords.T
     f = 1.0 + 2.0 * x - y  # linear: exactly representable on both meshes
     g = transfer_field(mesh4x4, fine, f)
@@ -313,10 +314,10 @@ def test_transfer_onto_a_coarsened_mesh_raises(mesh4x4):
     # Refine, then merge the children back: the merged parent lies in no
     # cell of the refined mesh, so the transfer back is refused, and the
     # message names both meshes.
-    fine = refine(mesh4x4, [mesh4x4.cell_id((2, 1, 2))])
-    kids = [fine.cell_id(k) for k in fine.cell_keys if k[0] == 3]
+    fine = refine(mesh4x4, [cell_id(mesh4x4, (2, 1, 2))])
+    kids = [cell_id(fine, k) for k in keys_of(fine) if k[0] == 3]
     back = coarsen(fine, kids)
-    assert back.cell_keys == mesh4x4.cell_keys
+    assert keys_of(back) == keys_of(mesh4x4)
     f = fine.constraints.apply(
         np.random.default_rng(3).normal(size=fine.n_vertices))
     with pytest.raises(ValueError,
@@ -333,8 +334,8 @@ def test_transfer_mixed_pass_exact_for_global_bilinears():
     # Refining child (3, 3, 0) of (2, 1, 0) too makes level-4 cells, and
     # balance splits its neighbour (2, 2, 0).
     base = build_uniform(2, level_min=1, level_max=4)
-    old = refine(base, [base.cell_id((2, 1, 0))])
-    new = refine(old, [old.cell_id((2, 0, 0)), old.cell_id((3, 3, 0))])
+    old = refine(base, [cell_id(base, (2, 1, 0))])
+    new = refine(old, [cell_id(old, (2, 0, 0)), cell_id(old, (3, 3, 0))])
     check_two_to_one(new)
     assert new.n_cells == old.n_cells + 9
     old_hanging = set(map(tuple, old.vertex_coords[old.constraints.hanging]))

@@ -406,7 +406,7 @@ def test_cracked_hanging_vertex_stays_at_zero():
     # threshold let 0.5 through.
     mesh = refine(build_uniform(2), [0])
     h = int(mesh.constraints.hanging[0])
-    a, b = mesh.constraints.masters[h]
+    a, b = mesh.constraints.pairs[0]
     new = np.ones(mesh.n_vertices)
     new[a] = 0.0
     new = mesh.constraints.apply(new)

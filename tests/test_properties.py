@@ -11,9 +11,10 @@ from xifrac import driver, fem, mesh as meshmod, phasefield as pf
 from xifrac.config import parse_config, serialize_config
 from xifrac.mesh import build_uniform, coarsen, refine, transfer_field
 
-from conftest import brute_force_hanging, check_refinement_transfer, \
-    check_two_to_one, children, coarsen_rule_flags, reference_coarsen, \
-    reference_refine, total_area
+from conftest import brute_force_hanging, cell_id, \
+    check_refinement_transfer, check_two_to_one, children, \
+    coarsen_rule_flags, keys_of, reference_coarsen, reference_refine, \
+    total_area
 
 REG = pf.RegularizationParams(alpha=7900.0)
 
@@ -149,7 +150,7 @@ def test_random_refine_coarsen_sequences_keep_invariants(data):
         assert m.cell_levels.max() <= m.level_max
         check_two_to_one(m)
         # hanging vertices always sit at master midpoints
-        for h, (a, b) in m.constraints.masters.items():
+        for h, (a, b) in zip(m.constraints.hanging, m.constraints.pairs):
             mid = 0.5 * (m.vertex_coords[a] + m.vertex_coords[b])
             assert np.allclose(m.vertex_coords[h], mid, atol=1e-15)
 
@@ -176,7 +177,7 @@ def test_tiles_domain_matches_a_raster_oracle(data):
     for _ in range(data.draw(st.integers(0, 3))):
         m = refine(m, data.draw(st.lists(st.integers(0, m.n_cells - 1),
                                          max_size=4)))
-    keys = m.cell_keys
+    keys = keys_of(m)
     c = data.draw(st.integers(0, len(keys) - 1))
     l, i, j = keys[c]
     variants = [keys, keys[:c] + keys[c + 1:], keys + [(l + 1, 2 * i, 2 * j)],
@@ -200,7 +201,7 @@ def test_refine_coarsen_match_brute_force_oracles(data):
     # greatest balanced merge.
     m = build_uniform(2, level_min=1, level_max=5)
     for _ in range(data.draw(st.integers(1, 6))):
-        keys = m.cell_keys
+        keys = keys_of(m)
         if data.draw(st.booleans()):
             flags = data.draw(st.lists(st.integers(0, m.n_cells - 1),
                                        max_size=6))
@@ -213,13 +214,13 @@ def test_refine_coarsen_match_brute_force_oracles(data):
                              if children((l - 1, i // 2, j // 2)) <= set(keys)})
             chosen = data.draw(st.lists(st.sampled_from(groups), max_size=4)
                                if groups else st.just([]))
-            flags = [m.cell_id(k) for g in chosen for k in children(g)]
+            flags = [cell_id(m, k) for g in chosen for k in children(g)]
             flags += data.draw(st.lists(st.integers(0, m.n_cells - 1),
                                         max_size=4))
             out = coarsen(m, flags)
             want = reference_coarsen(keys, {keys[c] for c in flags},
                                      m.level_min)
-        assert set(out.cell_keys) == want
+        assert set(keys_of(out)) == want
         assert (out is m) == (want == set(keys))
         m = out
 
@@ -239,13 +240,13 @@ def test_hanging_constraints_match_brute_force_edges(data):
             ["any", "boundary", "finest", "coarsen"]))
         if kind == "coarsen":
             # Whole sibling groups, so that merges happen.
-            keys = m.cell_keys
+            keys = keys_of(m)
             groups = sorted({(l - 1, i // 2, j // 2) for l, i, j in keys
                              if children((l - 1, i // 2, j // 2))
                              <= set(keys)})
             chosen = data.draw(st.lists(st.sampled_from(groups), max_size=4)
                                if groups else st.just([]))
-            m = coarsen(m, [m.cell_id(k) for g in chosen
+            m = coarsen(m, [cell_id(m, k) for g in chosen
                             for k in children(g)])
         else:
             x, y = (m.cell_origin + 0.5 * m.cell_h[:, None]).T
